@@ -1,8 +1,10 @@
 //! Golden tests for crash-consistent session failover: a run with
 //! injected worker crashes plus checkpoint/catch-up recovery must
 //! produce the same per-session display suffix as a run that never
-//! crashed (the ghost mirror keeps shared-resource contention
-//! identical, and catch-up replay reconstructs the session exactly);
+//! crashed (a quarantined session keeps loading the link, the VIO pool
+//! and the renderer exactly as if it were alive — with sensor faults
+//! active or not — and catch-up replay reconstructs the session
+//! exactly);
 //! an armed-but-uncrashed failover config must be bitwise inert; the
 //! whole failover pipeline must be deterministic across reruns and
 //! worker counts; and a corrupt checkpoint must surface as a typed
@@ -17,13 +19,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use illixr_core::boundary::{Checkpoint, CheckpointError};
-use illixr_core::fault::{FaultKind, FaultPlan, FaultWindow};
+use illixr_core::fault::{FaultKind, FaultPlan, FaultWindow, StochasticRates};
 use illixr_core::{Clock, SimClock, Time};
 use illixr_server::session::SessionTelemetry;
 use illixr_server::snapshot::SessionSnapshot;
-use illixr_server::{
-    ClientSession, FailoverConfig, FailoverPolicy, ServerBuilder, ServerReport, SessionConfig,
-};
+use illixr_server::{ClientSession, FailoverConfig, FailoverPolicy, ServerBuilder, SessionConfig};
 
 const CRASH_AT: Duration = Duration::from_millis(900);
 
@@ -35,17 +35,27 @@ fn catchup() -> FailoverConfig {
     }
 }
 
-/// One deterministic `WorkerCrash` window for shard 1, firing at the
-/// first batch that shard executes at or after `CRASH_AT`.
-fn crash_plan() -> FaultPlan {
+/// Adds one deterministic `WorkerCrash` window for shard 1, firing at
+/// the first batch that shard executes at or after `CRASH_AT`.
+fn with_crash(plan: FaultPlan) -> FaultPlan {
     let at = CRASH_AT.as_nanos() as u64;
-    FaultPlan::new(7).with_window(FaultWindow::new(
-        FaultKind::WorkerCrash,
-        "shard/1",
-        at,
-        at + 1,
-        1.0,
-    ))
+    plan.with_window(FaultWindow::new(FaultKind::WorkerCrash, "shard/1", at, at + 1, 1.0))
+}
+
+fn crash_plan() -> FaultPlan {
+    with_crash(FaultPlan::new(7))
+}
+
+/// Sensor faults straddling `CRASH_AT`: camera-drop, camera-freeze and
+/// IMU-gap windows on every session plus stochastic drops and gaps, so
+/// a quarantined session's fault ladder is live while it is dark.
+fn sensor_fault_plan() -> FaultPlan {
+    let ms = |t: u64| Duration::from_millis(t).as_nanos() as u64;
+    FaultPlan::new(7)
+        .with_rates(StochasticRates { camera_drop: 0.2, imu_gap: 0.05, ..StochasticRates::ZERO })
+        .with_window(FaultWindow::new(FaultKind::CameraDrop, "", ms(880), ms(1000), 1.0))
+        .with_window(FaultWindow::new(FaultKind::CameraFreeze, "", ms(1000), ms(1150), 1.0))
+        .with_window(FaultWindow::new(FaultKind::ImuGap, "", ms(890), ms(960), 1.0))
 }
 
 fn base(n: usize) -> ServerBuilder {
@@ -63,46 +73,72 @@ fn display_suffix(t: &SessionTelemetry, after: Time) -> String {
     out
 }
 
-fn crashed_run() -> ServerReport {
-    base(8).fault_plan(crash_plan()).failover(catchup()).build().run()
-}
-
-/// Criterion (a): after the recovery point, every session's display
-/// log — times, MTP, warp poses — is byte-identical to the uncrashed
-/// run's, and sessions outside the crashed fault domain are identical
-/// over the whole run.
-#[test]
-fn catchup_recovery_restores_per_session_suffix_byte_identically() {
-    let crashed = crashed_run();
-    let clean = base(8).fault_plan(FaultPlan::new(7)).failover(catchup()).build().run();
+/// Runs `plan` with and without shard 1's crash under `failover` and
+/// checks what the crash may not change: sessions outside the crashed
+/// fault domain are identical over the whole run, and under catch-up
+/// every session's display log after the recovery point — times, MTP,
+/// warp poses — is byte-identical to the uncrashed run's.
+fn assert_crash_is_contained(plan: FaultPlan, failover: FailoverConfig) {
+    let crashed = base(8).fault_plan(with_crash(plan.clone())).failover(failover).build().run();
+    let clean = base(8).fault_plan(plan).failover(failover).build().run();
+    let policy = failover.policy;
 
     let incidents = &crashed.failover_incidents;
     assert!(!incidents.is_empty(), "the WorkerCrash window must quarantine shard 1's sessions");
+    let mode = match policy {
+        FailoverPolicy::Disabled => "none",
+        FailoverPolicy::RestartOnly => "restart",
+        FailoverPolicy::CheckpointCatchup => "catchup",
+    };
     for i in incidents {
-        assert_eq!(i.mode, "catchup", "a 300ms checkpoint epoch must enable catch-up");
-        assert!(i.recovered_at.is_some(), "session {} never recovered", i.session);
+        assert_eq!(i.mode, mode, "{policy:?}: session {} recovered the wrong way", i.session);
+        assert_eq!(i.recovered_at.is_some(), mode != "none", "{policy:?}: session {}", i.session);
     }
-    let recovered_at = incidents.iter().filter_map(|i| i.recovered_at).max().unwrap();
+    let recovered_at = incidents.iter().filter_map(|i| i.recovered_at).max();
 
     let crashed_ids: HashSet<u32> = incidents.iter().map(|i| i.session).collect();
     for (a, b) in crashed.sessions().zip(clean.sessions()) {
-        assert_eq!(
-            display_suffix(a.telemetry(), recovered_at),
-            display_suffix(b.telemetry(), recovered_at),
-            "session {} post-recovery display suffix diverged from the uncrashed run",
-            a.id()
-        );
         if !crashed_ids.contains(&a.id()) {
-            // The ghost mirror must keep link/pool/render contention
+            // A dark session must keep link/pool/render contention
             // exactly as the live session would have: bystander
             // sessions never notice the crash.
             assert_eq!(
                 format!("{:?}", a.telemetry()),
                 format!("{:?}", b.telemetry()),
-                "bystander session {} diverged from the uncrashed run",
+                "{policy:?}: bystander session {} diverged from the uncrashed run",
+                a.id()
+            );
+        } else if policy == FailoverPolicy::CheckpointCatchup {
+            let after = recovered_at.expect("catch-up recovers");
+            assert_eq!(
+                display_suffix(a.telemetry(), after),
+                display_suffix(b.telemetry(), after),
+                "session {} post-recovery display suffix diverged from the uncrashed run",
                 a.id()
             );
         }
+    }
+}
+
+/// Criterion (a): a crash plus catch-up recovery is invisible to
+/// bystanders and, past the recovery point, to the crashed sessions.
+#[test]
+fn catchup_recovery_restores_per_session_suffix_byte_identically() {
+    assert_crash_is_contained(FaultPlan::new(7), catchup());
+}
+
+/// The same containment while sensor faults are active across the
+/// quarantine, under every policy: a dark session's camera fault
+/// ladder, IMU gaps and degraded parity must load the link exactly as
+/// the live session's would have. Three of the eight sessions come up
+/// degraded under default admission.
+#[test]
+fn crash_during_sensor_faults_is_contained_under_every_policy() {
+    assert_eq!(base(8).build().run().degraded(), 3, "the cohort must mix full and half rate");
+    for policy in
+        [FailoverPolicy::RestartOnly, FailoverPolicy::CheckpointCatchup, FailoverPolicy::Disabled]
+    {
+        assert_crash_is_contained(sensor_fault_plan(), FailoverConfig { policy, ..catchup() });
     }
 }
 
