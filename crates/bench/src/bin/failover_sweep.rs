@@ -3,8 +3,8 @@
 //! crashes, under three recovery policies:
 //!
 //! * **none** — failover disabled: crashed shards' sessions are
-//!   quarantined (ghost-mirrored so bystanders see identical
-//!   contention) and never come back;
+//!   quarantined (shadowed so bystanders see identical contention)
+//!   and never come back;
 //! * **restart** — restart-only recovery: each session gets a budgeted
 //!   cold restart after `restart_delay`; once the budget is exhausted
 //!   the session is lost;

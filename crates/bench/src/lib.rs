@@ -1,5 +1,6 @@
 //! The benchmark harness: one binary per figure and table of the
-//! paper's evaluation (§IV), plus Criterion micro-benches per component.
+//! paper's evaluation (§IV). Everything here reports *simulated* time;
+//! host-time budgets per component kernel are `perf/run.sh trace`.
 //!
 //! | target | regenerates |
 //! |---|---|

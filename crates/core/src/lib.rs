@@ -40,10 +40,9 @@
 //!   layer: the determinism boundary every physical input crosses,
 //!   recordable to a versioned binary trace and replayable
 //!   bit-for-bit (or fanned out into synthetic load).
-//! * **[`link`]** — the unified device↔edge link vocabulary:
-//!   transfer [`Direction`]s, named [`LinkProfile`] presets and the
-//!   one-method [`Link`] trait that both the point-to-point and the
-//!   shared contended link models implement.
+//! * **[`link`]** — the device↔edge link vocabulary the
+//!   point-to-point and the shared contended link models have in
+//!   common: transfer [`Direction`]s and named [`LinkProfile`] presets.
 //!
 //! # Examples
 //!
@@ -77,7 +76,7 @@ pub mod trace;
 
 pub use boundary::{Boundary, SessionTransform, Trace, TraceRecorder, TraceSource};
 pub use clock::{Clock, SimClock, WallClock};
-pub use link::{Direction, Link, LinkProfile};
+pub use link::{Direction, LinkProfile};
 pub use phonebook::{Phonebook, PhonebookError};
 pub use plugin::{Plugin, PluginContext, PluginRegistry, RuntimeBuilder};
 pub use slab::{Recycle, SlabFrame, SlabPool};

@@ -1,27 +1,18 @@
-//! The unified device↔edge link vocabulary.
+//! The shared device↔edge link vocabulary.
 //!
-//! Two link models grew up independently: `illixr_system`'s
-//! `OffloadLink` (a private point-to-point pipe with fixed one-way
-//! latency and optional jitter) and `illixr_server`'s `SharedLink` (a
-//! contended finite-bandwidth pipe with queueing and serialization).
-//! This module is the vocabulary both speak:
+//! There are two link models: `illixr_system`'s `OffloadLink` (a
+//! private point-to-point pipe with fixed one-way latency and optional
+//! jitter) and `illixr_server`'s `SharedLink` (a contended
+//! finite-bandwidth pipe with queueing and serialization). They share
+//! no code, only this vocabulary:
 //!
 //! * [`Direction`] — uplink vs downlink, with the boundary stream each
 //!   direction records on;
 //! * [`LinkProfile`] — named parameter presets (`wifi`, `lan`,
-//!   `cellular_5g`) that either model can be built from;
-//! * [`Link`] — the one-method trait (`deliver_at`) answering the only
-//!   question the rest of the system asks a link: *a payload of this
-//!   size enters the pipe now — when does it come out?*
-//!
-//! `LinkConfig::from_point_to_point` (in `illixr-server`) remains the
-//! adapter embedding a point-to-point link in the shared model; the
-//! duplicated per-model preset constructors are gone in favour of
-//! profiles.
+//!   `cellular_5g`) that either model is built from
+//!   (`OffloadLink::from_profile`, `LinkConfig::from_profile`).
 
 use std::time::Duration;
-
-use crate::time::Time;
 
 /// Transfer direction on a device↔edge link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,7 +48,7 @@ impl Direction {
 /// threading the run seed through at construction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProfile {
-    /// Stable preset name for report rows and config parsing.
+    /// Stable preset name for report rows.
     pub name: &'static str,
     /// Uplink bandwidth, bits per second.
     pub uplink_bps: f64,
@@ -112,17 +103,6 @@ impl LinkProfile {
         [Self::lan(), Self::wifi(), Self::cellular_5g()]
     }
 
-    /// Parse a preset name (case-insensitive). Returns `None` for
-    /// unknown names.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "wifi" => Some(Self::wifi()),
-            "lan" => Some(Self::lan()),
-            "cellular_5g" | "5g" | "cellular" => Some(Self::cellular_5g()),
-            _ => None,
-        }
-    }
-
     /// Bandwidth of one direction, bits per second.
     pub fn bps(&self, direction: Direction) -> f64 {
         match direction {
@@ -143,33 +123,9 @@ impl LinkProfile {
     }
 }
 
-/// Anything that moves bytes between device and edge. One question:
-/// given a payload entering the pipe `now`, when is it delivered?
-/// Implementations may keep per-direction queue state (`SharedLink`)
-/// or be effectively stateless (`OffloadLink`); either way the answer
-/// must be deterministic for a fixed construction seed and call
-/// sequence.
-pub trait Link {
-    /// Stable model label for reports (`"shared"`, `"p2p"`, …).
-    fn label(&self) -> &'static str;
-
-    /// Starts a transfer of `bytes` at `now` and returns its delivery
-    /// time.
-    fn deliver_at(&mut self, direction: Direction, now: Time, bytes: u64) -> Time;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn profiles_parse_their_own_names() {
-        for p in LinkProfile::all() {
-            assert_eq!(LinkProfile::parse(p.name).unwrap().name, p.name);
-        }
-        assert_eq!(LinkProfile::parse("5G").unwrap().name, "cellular_5g");
-        assert!(LinkProfile::parse("carrier-pigeon").is_none());
-    }
 
     #[test]
     fn wifi_matches_the_retired_constructor_numbers() {

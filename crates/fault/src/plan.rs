@@ -338,18 +338,6 @@ impl FaultPlan {
         self.crash_count_through(plugin, release_ns) > fired
     }
 
-    /// Deprecated spelling of [`FaultPlan::crash_count_through`]. The
-    /// name clashed with `Boundary::crash_due` (a *predicate*) while
-    /// returning a *count*; the split names make the contract explicit.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `crash_count_through` (count) or `crash_due` \
-                                          (predicate) instead"
-    )]
-    pub fn crashes_due(&self, plugin: &str, now_ns: u64) -> u32 {
-        self.crash_count_through(plugin, now_ns)
-    }
-
     /// How many [`FaultKind::WorkerCrash`] windows for `target` (an
     /// engine shard, named `shard/{N}`; empty window targets match
     /// every shard) have opened by `now_ns`. The engine kills the

@@ -1,11 +1,11 @@
 //! The shared, contended device↔edge link.
 //!
-//! [`illixr_system::offload::OffloadLink`] models a private
-//! point-to-point pipe: every transfer sees the same one-way latency
-//! regardless of who else is talking. That is the right model for one
-//! client, but a multi-session server shares *finite* uplink and
-//! downlink bandwidth across every connected client, so a transfer's
-//! delay has three parts:
+//! `illixr-system`'s `OffloadLink` models a private point-to-point
+//! pipe: every transfer sees the same one-way latency regardless of who
+//! else is talking. That is the right model for one client, but a
+//! multi-session server shares *finite* uplink and downlink bandwidth
+//! across every connected client, so a transfer's delay has three
+//! parts:
 //!
 //! 1. **queueing** — wait until the direction's serializer is free
 //!    (grows with concurrent sessions; zero on an idle link);
@@ -14,23 +14,20 @@
 //!    (log-normal, deterministic per seed), exactly like `OffloadLink`.
 //!
 //! [`SharedLink`] is the generalization: with infinite bandwidth it
-//! degenerates to `OffloadLink`'s fixed-latency behaviour (see
-//! [`LinkConfig::from_point_to_point`] and the tests).
-//!
-//! Both models speak `illixr_core::link`'s unified vocabulary: the
-//! [`Direction`] type is re-exported from there, configs are built
-//! from named [`LinkProfile`] presets via [`LinkConfig::from_profile`],
-//! and `SharedLink` implements the one-method [`Link`] trait.
+//! degenerates to `OffloadLink`'s fixed-latency behaviour (see the
+//! tests). The two models share no code, only `illixr_core::link`'s
+//! vocabulary: the [`Direction`] type is re-exported from there, and
+//! configs are built from named [`LinkProfile`] presets via
+//! [`LinkConfig::from_profile`].
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use illixr_core::boundary::{Boundary, ByteReader, ByteWriter};
 use illixr_core::fault::FaultPlan;
-use illixr_core::link::{Link, LinkProfile};
+use illixr_core::link::LinkProfile;
 use illixr_core::Time;
 use illixr_platform::rng::SplitMix64;
-use illixr_system::offload::OffloadLink;
 
 pub use illixr_core::link::Direction;
 
@@ -78,21 +75,6 @@ impl LinkConfig {
             base_latency: profile.base_latency,
             jitter_sigma: profile.jitter_sigma,
             seed,
-        }
-    }
-
-    /// Embeds a point-to-point [`OffloadLink`] in the shared model:
-    /// infinite bandwidth (no serialization, no queueing), so every
-    /// transfer sees exactly the uplink latency plus jitter. Only the
-    /// uplink latency is representable per config — build one config
-    /// per direction if the link is asymmetric.
-    pub fn from_point_to_point(link: &OffloadLink) -> Self {
-        Self {
-            uplink_bps: f64::INFINITY,
-            downlink_bps: f64::INFINITY,
-            base_latency: link.uplink,
-            jitter_sigma: link.jitter_sigma,
-            seed: link.seed,
         }
     }
 }
@@ -274,16 +256,6 @@ impl SharedLink {
     }
 }
 
-impl Link for SharedLink {
-    fn label(&self) -> &'static str {
-        "shared"
-    }
-
-    fn deliver_at(&mut self, direction: Direction, now: Time, bytes: u64) -> Time {
-        self.transfer(direction, now, bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,24 +314,14 @@ mod tests {
 
     #[test]
     fn infinite_bandwidth_degenerates_to_offload_link() {
-        let p2p = OffloadLink::symmetric(Duration::from_millis(7));
-        let mut link = SharedLink::new(LinkConfig::from_point_to_point(&p2p));
+        let mut link = flat_link(f64::INFINITY);
         // Back-to-back huge transfers all arrive after exactly the base
         // latency — OffloadLink semantics.
         for _ in 0..4 {
             let t = link.transfer(Direction::Uplink, Time::from_millis(1), 10_000_000);
-            assert_eq!(t, Time::from_millis(8));
+            assert_eq!(t, Time::from_millis(3));
         }
         assert_eq!(link.stats(Direction::Uplink).queue_delay_ns, 0);
-    }
-
-    #[test]
-    fn shared_link_speaks_the_unified_trait() {
-        let mut link = SharedLink::new(LinkConfig::from_profile(LinkProfile::wifi(), 0));
-        assert_eq!(Link::label(&link), "shared");
-        // 25 kB at 200 Mbit/s = 1 ms serialization + 2 ms propagation.
-        let t = link.deliver_at(Direction::Uplink, Time::ZERO, 25_000);
-        assert_eq!(t, Time::from_millis(3));
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub struct ServerConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailoverPolicy {
     /// No recovery: a crashed shard quarantines its sessions for the
-    /// rest of the run (ghost bookkeeping keeps the rest of the engine's
+    /// rest of the run (their shadow lanes keep the rest of the engine's
     /// contention identical, but the sessions display nothing).
     Disabled,
     /// Reboot the session from scratch after
@@ -163,10 +163,11 @@ impl FailoverPolicy {
     }
 }
 
-/// Failover tuning (see [`FailoverPolicy`]). Constructed through
-/// [`ServerBuilder::failover`] / [`ServerBuilder::checkpoint_every`];
-/// the defaults model a ~250 ms process reboot versus a ~5 ms snapshot
-/// restore plus ~2 µs per replayed boundary event.
+/// Failover tuning (see [`FailoverPolicy`]), set as a whole through
+/// [`ServerBuilder::failover`]; checkpointing is the
+/// [`checkpoint_every`](Self::checkpoint_every) field. The defaults
+/// model a ~250 ms process reboot versus a ~5 ms snapshot restore plus
+/// ~2 µs per replayed boundary event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailoverConfig {
     /// Recovery policy for crashed fault domains.
@@ -493,17 +494,6 @@ impl ServerBuilder {
     /// Sets the full failover configuration (see [`FailoverConfig`]).
     pub fn failover(mut self, failover: FailoverConfig) -> Self {
         self.config.failover = failover;
-        self
-    }
-
-    /// Checkpoints every attached session's state at the first server
-    /// tick at or after each multiple of `period`, and (if no policy
-    /// was chosen yet) selects [`FailoverPolicy::CheckpointCatchup`].
-    pub fn checkpoint_every(mut self, period: Duration) -> Self {
-        self.config.failover.checkpoint_every = Some(period);
-        if self.config.failover.policy == FailoverPolicy::Disabled {
-            self.config.failover.policy = FailoverPolicy::CheckpointCatchup;
-        }
         self
     }
 

@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use illixr_core::boundary::{Boundary, ByteReader, ByteWriter};
 use illixr_core::fault::FaultPlan;
-use illixr_core::link::{Direction, Link, LinkProfile};
+use illixr_core::link::LinkProfile;
 use illixr_core::plugin::{IterationReport, Plugin, PluginContext};
 use illixr_core::sched::{PlacementPlan, Side};
 use illixr_core::{Switchboard, Time};
@@ -55,9 +55,9 @@ impl OffloadLink {
 
     /// A point-to-point link with a [`LinkProfile`]'s propagation
     /// latency and jitter, keyed by the run seed. Bandwidth is not
-    /// modeled here (the point-to-point pipe is latency-only); embed
-    /// the link in a `SharedLink` via `LinkConfig::from_point_to_point`
-    /// when serialization and queueing matter.
+    /// modeled here (the point-to-point pipe is latency-only); use
+    /// `illixr_server`'s `SharedLink` when serialization and queueing
+    /// matter.
     pub fn from_profile(profile: LinkProfile, seed: u64) -> Self {
         Self {
             uplink: profile.base_latency,
@@ -79,25 +79,6 @@ impl OffloadLink {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-}
-
-impl Link for OffloadLink {
-    fn label(&self) -> &'static str {
-        "p2p"
-    }
-
-    /// Delivery = `now` + the direction's one-way latency. The
-    /// point-to-point pipe models no bandwidth (payload size is
-    /// ignored) and keeps no queue; jitter is owned by the per-stream
-    /// bridges, which hold the RNG state, so the trait-level answer is
-    /// the nominal latency.
-    fn deliver_at(&mut self, direction: Direction, now: Time, _bytes: u64) -> Time {
-        let one_way = match direction {
-            Direction::Uplink => self.uplink,
-            Direction::Downlink => self.downlink,
-        };
-        now + one_way
     }
 }
 
@@ -608,20 +589,6 @@ mod tests {
         assert_eq!(link.jitter_sigma, 0.35);
         assert_eq!(link.seed, 42);
         assert_eq!(OffloadLink::symmetric(Duration::ZERO).with_seed(7).seed, 7);
-    }
-
-    #[test]
-    fn offload_link_implements_the_unified_link_trait() {
-        let mut link = OffloadLink {
-            uplink: Duration::from_millis(3),
-            downlink: Duration::from_millis(5),
-            jitter_sigma: 0.0,
-            seed: 0,
-        };
-        assert_eq!(Link::label(&link), "p2p");
-        let t = Time::from_millis(100);
-        assert_eq!(link.deliver_at(Direction::Uplink, t, 1 << 20), Time::from_millis(103));
-        assert_eq!(link.deliver_at(Direction::Downlink, t, 0), Time::from_millis(105));
     }
 
     #[test]
