@@ -111,3 +111,91 @@ fn mtp_decomposition_is_consistent() {
         assert!(s.swap < Duration::from_millis(10), "swap {:?}", s.swap);
     }
 }
+
+/// FNV-1a over everything an integrated run reports that a schedule,
+/// supervision or placement change could move: the full telemetry CSV,
+/// every MTP sample, the switchboard counters, every chain outcome, the
+/// policy's shed/level, the supervisor report, the placement decisions
+/// and the encoded boundary trace.
+fn fingerprint(cfg: &ExperimentConfig) -> u64 {
+    use std::fmt::Write;
+
+    let r = IntegratedExperiment::run(cfg);
+    let mut repr = r.telemetry.to_csv();
+    for s in &r.mtp {
+        let ns = [s.imu_age, s.reprojection, s.swap].map(|d| d.as_nanos());
+        writeln!(repr, "mtp,{},{},{},{}", s.display_vsync.as_nanos(), ns[0], ns[1], ns[2]).unwrap();
+    }
+    writeln!(repr, "{:?}", r.stream_stats).unwrap();
+    writeln!(repr, "{:?}", r.chain_outcomes).unwrap();
+    writeln!(repr, "shed={} level={}", r.shed_jobs, r.degradation_level).unwrap();
+    writeln!(repr, "{:?}", r.supervisor.report()).unwrap();
+    writeln!(repr, "{:?} {:?}", r.vio_final_side, r.migrations).unwrap();
+    let trace = r.boundary_trace.map(|t| t.encode()).unwrap_or_default();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in repr.bytes().chain(trace) {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+/// The device goldens compare run against run inside one build; this
+/// pins the pipeline's bytes across commits, for the four shapes of run
+/// the schedule table, the supervised invocation and the placed `vio`
+/// split each change: default, extended + EDF, faulted + supervised +
+/// recorded on one core, and adaptive placement through an outage.
+#[test]
+fn device_pipeline_digests_are_pinned() {
+    use illixr_testbed::core::fault::{FaultKind, FaultPlan, FaultWindow};
+    use illixr_testbed::core::link::{Direction, LinkProfile};
+    use illixr_testbed::core::sched::{PlacementPlan, PolicyKind, Side};
+    use illixr_testbed::core::supervisor::SupervisionPolicy;
+
+    let base = |app, platform| {
+        let mut cfg = ExperimentConfig::paper(app, platform);
+        cfg.duration = Duration::from_secs(1);
+        cfg
+    };
+    let outage = FaultWindow::new(
+        FaultKind::LinkOutage,
+        Direction::Uplink.label(),
+        300_000_000,
+        600_000_000,
+        1.0,
+    );
+    let cases = [
+        (
+            "paper default",
+            base(Application::Platformer, Platform::Desktop),
+            0x8e21_86a4_d37b_4bf2u64,
+        ),
+        (
+            "extended + edf",
+            base(Application::Sponza, Platform::JetsonHP)
+                .with_extended_components()
+                .with_policy(PolicyKind::Edf),
+            0x06a7_ca30_7d64_a50a,
+        ),
+        (
+            "faulted + supervised + recorded, 1 core",
+            base(Application::ArDemo, Platform::Desktop)
+                .with_fault_plan(FaultPlan::scheduled(42, 1.0, 1_000_000_000))
+                .with_supervision(SupervisionPolicy::default())
+                .with_boundary_record()
+                .with_cpu_cores(1),
+            0x08df_0472_0783_5040,
+        ),
+        (
+            "adaptive vio over wifi with an uplink outage",
+            base(Application::Platformer, Platform::Desktop)
+                .with_fault_plan(FaultPlan::new(9).with_window(outage))
+                .with_link_profile(LinkProfile::wifi())
+                .with_placement(PlacementPlan::adaptive("vio", Side::Edge)),
+            0x7809_c5e9_f2b3_20f2,
+        ),
+    ];
+    for (what, cfg, pinned) in cases {
+        assert_eq!(fingerprint(&cfg), pinned, "{what}: device pipeline bytes moved");
+    }
+}
