@@ -136,14 +136,6 @@ struct Cell {
     summary: String,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn summarize(crashes: usize, policy: Policy, report: &ServerReport) -> Cell {
     let incidents = &report.failover_incidents;
     // A session is lost when its final incident never closed.
@@ -171,8 +163,8 @@ fn summarize(crashes: usize, policy: Policy, report: &ServerReport) -> Cell {
         lost_sessions: lost.len(),
         loss_rate: lost.len() as f64 / SESSIONS as f64,
         lost_frames: incidents.iter().map(|i| i.lost_frames).sum(),
-        recovery_p50_ms: percentile(&recovery_ms, 0.50),
-        recovery_p99_ms: percentile(&recovery_ms, 0.99),
+        recovery_p50_ms: illixr_bench::percentile(&recovery_ms, 0.50),
+        recovery_p99_ms: illixr_bench::percentile(&recovery_ms, 0.99),
         summary: report.summary_text(),
     }
 }

@@ -78,14 +78,6 @@ struct Cell {
     recovery_ns: Vec<u64>,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn bench_duration(quick: bool) -> Duration {
     if quick {
         Duration::from_secs(3)
@@ -138,13 +130,13 @@ fn summarize(intensity: f64, mode: Mode, result: &ExperimentResult) -> Cell {
         } else {
             mtp_ms.iter().sum::<f64>() / mtp_ms.len() as f64
         },
-        mtp_p99_ms: percentile(&mtp_ms, 0.99),
+        mtp_p99_ms: illixr_bench::percentile(&mtp_ms, 0.99),
         pose_judder: result.pose_judder().unwrap_or(0.0),
         panics: result.supervisor.total_panics(),
         recoveries: recovery_ns.len(),
         recovery_mean_ms,
-        recovery_p50_ms: percentile(&recovery_ms, 0.50),
-        recovery_p99_ms: percentile(&recovery_ms, 0.99),
+        recovery_p50_ms: illixr_bench::percentile(&recovery_ms, 0.50),
+        recovery_p99_ms: illixr_bench::percentile(&recovery_ms, 0.99),
         restarts: sup_report.iter().map(|r| r.restarts).sum(),
         degraded: sup_report.iter().map(|r| r.degraded_incidents).sum(),
         failed: sup_report

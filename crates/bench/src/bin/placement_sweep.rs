@@ -126,14 +126,6 @@ struct Cell {
     migration_log: Vec<Migration>,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn bench_duration(quick: bool) -> Duration {
     if quick {
         Duration::from_secs(3)
@@ -195,7 +187,7 @@ fn summarize(cond: &Condition, plan: Plan, result: &ExperimentResult) -> Cell {
         } else {
             mtp_ms.iter().sum::<f64>() / mtp_ms.len() as f64
         },
-        mtp_p99_ms: percentile(&mtp_ms, 0.99),
+        mtp_p99_ms: illixr_bench::percentile(&mtp_ms, 0.99),
         migrations: result.migrations.len(),
         final_side: result.vio_final_side,
         mtp_ms,

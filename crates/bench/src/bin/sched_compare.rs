@@ -51,14 +51,6 @@ struct Cell {
     mtp_ms: Vec<f64>,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn run_cell(load: f64, policy: PolicyKind) -> Cell {
     let result = run_once(load, policy);
     summarize(load, policy, &result)
@@ -100,10 +92,10 @@ fn summarize(load: f64, policy: PolicyKind, result: &ExperimentResult) -> Cell {
         policy,
         chain_total: total,
         chain_miss_rate: if total == 0 { 0.0 } else { misses as f64 / total as f64 },
-        chain_p50_ms: percentile(&chain_ms, 0.50),
-        chain_p99_ms: percentile(&chain_ms, 0.99),
+        chain_p50_ms: illixr_bench::percentile(&chain_ms, 0.50),
+        chain_p99_ms: illixr_bench::percentile(&chain_ms, 0.99),
         mtp_mean_ms,
-        mtp_p99_ms: percentile(&mtp_ms, 0.99),
+        mtp_p99_ms: illixr_bench::percentile(&mtp_ms, 0.99),
         shed: result.shed_jobs,
         level: result.degradation_level,
         chain_ms,
@@ -121,8 +113,8 @@ fn write_cdf(policy: PolicyKind, cell: &Cell) -> std::io::Result<()> {
         writeln!(
             csv,
             "{q:.2},{:.6},{:.6}",
-            percentile(&cell.chain_ms, q),
-            percentile(&cell.mtp_ms, q)
+            illixr_bench::percentile(&cell.chain_ms, q),
+            illixr_bench::percentile(&cell.mtp_ms, q)
         )
         .unwrap();
     }

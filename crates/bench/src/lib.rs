@@ -165,6 +165,16 @@ pub fn component_op_mixes() -> Vec<(&'static str, OpMix)> {
     ]
 }
 
+/// Nearest-rank percentile `p ∈ [0, 1]` of an ascending slice (0 when
+/// empty) — the sweeps' printed p50/p99, deliberately not interpolated.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 /// Prints a horizontal rule for the harness tables.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));

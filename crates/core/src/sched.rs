@@ -17,3 +17,38 @@ pub use illixr_sched::place::{
 };
 pub use illixr_sched::policy::{Edf, Policy, PolicyKind, RateMonotonic};
 pub use illixr_sched::task::{is_miss, lateness_ns, release_ns, PriorityClass, ReadyJob};
+
+/// Boundary stream the `vio` cut's migration decisions live on.
+pub const PLACE_STREAM: &str = "place/vio";
+
+/// One step of an adaptive placement controller at `now_ns`, shared by
+/// the device pipeline (per camera frame) and the server engine (per
+/// `ServerBatch`): feed the link-health probe, close any due decision
+/// epochs and record each migration on [`PLACE_STREAM`]. Under replay
+/// the recorded decision stream drives [`PlacementController::force`]
+/// instead of deciding live (and is re-recorded verbatim), so replayed
+/// placement is exact by construction.
+pub fn placement_epoch(
+    ctl: &mut PlacementController,
+    boundary: &crate::boundary::Boundary,
+    now_ns: u64,
+    healthy: bool,
+) {
+    let replay = boundary.source().filter(|src| src.has_stream(PLACE_STREAM)).cloned();
+    if let Some(src) = replay {
+        while let Some((tag, payload)) = src.next_due(PLACE_STREAM, now_ns) {
+            let to = std::str::from_utf8(&payload)
+                .ok()
+                .and_then(Side::parse)
+                .expect("corrupt placement decision record");
+            boundary.record(PLACE_STREAM, tag, payload);
+            ctl.force(tag, to);
+        }
+    } else {
+        ctl.observe(!healthy);
+        ctl.observe_link(healthy);
+        if let Some(m) = ctl.on_epoch(now_ns) {
+            boundary.record(PLACE_STREAM, m.at_ns, m.to.label().as_bytes().to_vec());
+        }
+    }
+}

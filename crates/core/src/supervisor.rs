@@ -1,4 +1,4 @@
-//! The supervisor: crash containment and liveness for the live runtime.
+//! The supervisor: crash containment and liveness for every executor.
 //!
 //! The paper's runtime (like most research prototypes) assumes plugins
 //! never fail; one panicking component kills its thread silently and
@@ -13,10 +13,14 @@
 //! Degraded ◀─────────── Running                     Failed
 //! ```
 //!
-//! * **Panic containment** — threadloops run `iterate` under
-//!   `catch_unwind`; a panic is reported here and answered with either
-//!   a restart delay (exponential backoff, bounded retries) or "give
-//!   up" ([`PluginHealth::Failed`]).
+//! * **Panic containment** — every executor (dedicated threadloop,
+//!   worker pool, simulated task runner) runs its plugin through
+//!   [`Supervised::invoke`], the one supervised invocation: `iterate`
+//!   and the restart `start` run under `catch_unwind`; a panic is
+//!   reported here and answered with either a restart delay
+//!   (exponential backoff, bounded retries) or "give up"
+//!   ([`PluginHealth::Failed`]). Scheduled crashes from the fault plan
+//!   are injected there too, through the determinism boundary.
 //! * **Recovery accounting** — the first successful iteration after a
 //!   restart closes the incident; the panic→recovery latency is
 //!   recorded and exposed for the `supervisor.recovery` histogram.
@@ -29,13 +33,16 @@
 //!
 //! All timestamps are runtime-clock nanoseconds, so the same machinery
 //! works under the wall clock (live threadloops) and the simulated
-//! clock (the experiment runner's crash modeling).
+//! clock (the experiment runner).
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+
+use crate::plugin::{IterationReport, Plugin, PluginContext};
 
 /// Restart/watchdog tuning for supervised plugins.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -317,6 +324,108 @@ impl Supervisor {
     }
 }
 
+/// Where a [`Supervised`] plugin is in its crash/restart cycle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum RunState {
+    Running,
+    /// Panicked; `Plugin::start` re-runs on the first invocation at or
+    /// after `until_ns`.
+    Backoff {
+        until_ns: u64,
+    },
+    /// Restart budget exhausted (or supervision disabled).
+    Dead,
+}
+
+/// A plugin together with its crash-containment state: the one
+/// supervised invocation every executor dispatches through.
+pub struct Supervised {
+    plugin: Box<dyn Plugin>,
+    name: String,
+    /// Scheduled `PluginCrash` windows already delivered.
+    crashes_fired: u32,
+    state: RunState,
+}
+
+impl Supervised {
+    /// Starts `plugin` and registers it with the context's supervisor.
+    pub fn start(mut plugin: Box<dyn Plugin>, ctx: &PluginContext) -> Self {
+        plugin.start(ctx);
+        let name = plugin.name().to_owned();
+        ctx.supervisor.register(&name, ctx.clock.now().as_nanos());
+        Self { plugin, name, crashes_fired: 0, state: RunState::Running }
+    }
+
+    /// The plugin's telemetry name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// True once the restart budget is exhausted: every further
+    /// [`invoke`](Self::invoke) returns `None` without running anything.
+    pub fn is_dead(&self) -> bool {
+        self.state == RunState::Dead
+    }
+
+    /// Runs one release of the plugin at runtime-clock time `now_ns`.
+    /// Returns the iteration's report, or `None` when nothing completed:
+    /// the plugin is dead, is waiting out a restart backoff, or panicked
+    /// in this invocation (a scheduled crash from the fault plan, a real
+    /// panic in `iterate`, or one in the restart's `start` — each is
+    /// contained and charged a restart slot).
+    ///
+    /// A backoff that has elapsed restarts the plugin and iterates it in
+    /// the same invocation.
+    pub fn invoke(
+        &mut self,
+        ctx: &PluginContext,
+        release_ns: u64,
+        now_ns: u64,
+    ) -> Option<IterationReport> {
+        match self.state {
+            RunState::Dead => return None,
+            RunState::Backoff { until_ns } if now_ns < until_ns => return None,
+            RunState::Backoff { .. } => {
+                if catch_unwind(AssertUnwindSafe(|| self.plugin.start(ctx))).is_err() {
+                    self.on_panic(ctx, now_ns);
+                    return None;
+                }
+                self.state = RunState::Running;
+            }
+            RunState::Running => {}
+        }
+        let outcome =
+            if ctx.boundary.crash_due(&ctx.fault, &self.name, release_ns, self.crashes_fired) {
+                self.crashes_fired += 1;
+                None
+            } else {
+                catch_unwind(AssertUnwindSafe(|| self.plugin.iterate(ctx))).ok()
+            };
+        let Some(report) = outcome else {
+            self.on_panic(ctx, now_ns);
+            return None;
+        };
+        if report.did_work {
+            if let Some(recovery_ns) = ctx.supervisor.note_progress(&self.name, now_ns) {
+                ctx.metrics.record_ns("supervisor.recovery", recovery_ns);
+            }
+        }
+        Some(report)
+    }
+
+    fn on_panic(&mut self, ctx: &PluginContext, now_ns: u64) {
+        self.state = match ctx.supervisor.on_panic(&self.name, now_ns) {
+            Some(backoff) => RunState::Backoff { until_ns: now_ns + backoff.as_nanos() as u64 },
+            None => RunState::Dead,
+        };
+    }
+
+    /// Calls the plugin's `stop`.
+    pub fn stop(&mut self) {
+        self.plugin.stop();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,5 +604,97 @@ mod tests {
         assert_eq!(sup.health("camera"), Some(PluginHealth::Running));
         assert_eq!(sup.scan_stale(20_000_000), vec!["camera".to_owned()]);
         assert_eq!(fired.lock().len(), 2);
+    }
+
+    /// Panics in its first `iterate`, then in the first `bad_restarts`
+    /// restarts. `resume_unwind` keeps the panic hook quiet.
+    struct Fragile {
+        starts: u32,
+        bad_restarts: u32,
+        crashed: bool,
+    }
+
+    impl Plugin for Fragile {
+        fn name(&self) -> &str {
+            "fragile"
+        }
+        fn start(&mut self, _ctx: &PluginContext) {
+            self.starts += 1;
+            if self.starts > 1 && self.starts - 1 <= self.bad_restarts {
+                std::panic::resume_unwind(Box::new("restart failed"));
+            }
+        }
+        fn iterate(&mut self, _ctx: &PluginContext) -> IterationReport {
+            if !std::mem::replace(&mut self.crashed, true) {
+                std::panic::resume_unwind(Box::new("boom"));
+            }
+            IterationReport::nominal()
+        }
+    }
+
+    fn supervised_ctx(clock: crate::SimClock) -> PluginContext {
+        crate::RuntimeBuilder::new(Arc::new(clock))
+            .with_supervision(SupervisionPolicy::default())
+            .build()
+    }
+
+    #[test]
+    fn panicking_restart_is_contained_and_charged_another_slot() {
+        const MS: u64 = 1_000_000;
+        let ctx = supervised_ctx(crate::SimClock::new());
+        let fragile = Fragile { starts: 0, bad_restarts: 1, crashed: false };
+        let mut task = Supervised::start(Box::new(fragile), &ctx);
+        assert!(task.invoke(&ctx, 0, 0).is_none(), "iterate panicked");
+        assert!(task.invoke(&ctx, 5 * MS, 5 * MS).is_none(), "inside the 10 ms backoff");
+        assert_eq!(ctx.supervisor.report()[0].restarts, 1, "waiting costs nothing");
+        // Backoff over: the restart's `start` panics — slot two, 20 ms.
+        assert!(task.invoke(&ctx, 10 * MS, 10 * MS).is_none());
+        let report = &ctx.supervisor.report()[0];
+        assert_eq!((report.panics, report.restarts), (2, 2));
+        assert!(task.invoke(&ctx, 29 * MS, 29 * MS).is_none(), "inside the 20 ms backoff");
+        // Second restart succeeds and iterates in the same invocation.
+        assert!(task.invoke(&ctx, 30 * MS, 30 * MS).is_some());
+        assert_eq!(ctx.supervisor.health("fragile"), Some(PluginHealth::Running));
+        assert_eq!(ctx.supervisor.recovery_times_ns(), vec![30 * MS]);
+        assert!(!task.is_dead());
+    }
+
+    #[test]
+    fn simulated_run_survives_a_plugin_that_never_restarts() {
+        use crate::sim::{ExecOutcome, Resource, SimEngine, TaskSpec};
+
+        let mut engine = SimEngine::new(1, 1, Arc::new(crate::telemetry::RecordLogger::new()));
+        let ctx = supervised_ctx(engine.clock());
+        let fragile = Fragile { starts: 0, bad_restarts: u32::MAX, crashed: false };
+        let mut task = Supervised::start(Box::new(fragile), &ctx);
+        let runner_ctx = ctx.clone();
+        engine.add_task(
+            TaskSpec {
+                name: "fragile".into(),
+                resource: Resource::Cpu,
+                period: Duration::from_millis(5),
+                offset: Duration::ZERO,
+                deadline: Duration::from_millis(5),
+                drop_if_busy: true,
+                priority: 0,
+                preemptive: false,
+                preempt_latency: Duration::ZERO,
+                class: crate::sched::PriorityClass::BestEffort,
+            },
+            Box::new(move |d| {
+                let ran = task.invoke(&runner_ctx, d.release.as_nanos(), d.start.as_nanos());
+                ExecOutcome {
+                    cost: Duration::from_millis(1),
+                    work_factor: 1.0,
+                    did_work: ran.is_some(),
+                }
+            }),
+        );
+        // The run finishes; the plugin burned its whole budget on
+        // restarts that panicked.
+        engine.run_for(Duration::from_secs(1));
+        assert_eq!(ctx.supervisor.health("fragile"), Some(PluginHealth::Failed));
+        let report = &ctx.supervisor.report()[0];
+        assert_eq!((report.panics, report.restarts), (4, 3));
     }
 }

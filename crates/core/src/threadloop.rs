@@ -20,34 +20,31 @@
 //! CPU time: an iteration that slept past its deadline missed it, and
 //! one that burned a full period of CPU but finished on time did not.
 //!
-//! Both paths are also *supervised*: every `iterate` runs under
-//! `catch_unwind`, so a panicking plugin is contained instead of
-//! silently killing its thread. When the context's
-//! [`Supervisor`](crate::supervisor::Supervisor) is enabled, a panic
-//! is answered with a bounded exponential-backoff restart
-//! (re-running `Plugin::start`); when it is disabled the plugin stops
-//! but the rest of the runtime keeps going. Scheduled crashes from the
-//! context's [`FaultPlan`](crate::fault::FaultPlan) are injected here
-//! (as real panics, through the same containment path). If the
-//! supervision policy carries a watchdog deadline, a watchdog thread
-//! sweeps for stale plugins and — in pooled mode — escalates the
-//! policy's degradation ladder via [`JobQueue::escalate`].
+//! Every release, on either path, runs the plugin through
+//! [`Supervised::invoke`] — the same supervised invocation the
+//! simulated task runner uses — so a panicking plugin is contained
+//! instead of silently killing its thread, scheduled crashes from the
+//! context's [`FaultPlan`](crate::fault::FaultPlan) are injected, and
+//! an enabled [`Supervisor`](crate::supervisor::Supervisor) answers a
+//! panic with a bounded exponential-backoff restart. A release that
+//! completes nothing (the plugin crashed, or is waiting out its
+//! backoff) is logged as a drop. If the supervision policy carries a
+//! watchdog deadline, a watchdog thread sweeps for stale plugins and —
+//! in pooled mode — escalates the policy's degradation ladder via
+//! [`JobQueue::escalate`].
 //!
 //! Use [`crate::sim`] instead for deterministic simulated runs.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::plugin::{Plugin, PluginContext};
 use crate::sched::{release_ns, JobQueue, Policy, PriorityClass, ReadyJob};
+use crate::supervisor::Supervised;
 use crate::telemetry::FrameRecord;
 use crate::time::Time;
-
-/// Histogram receiving panic→recovery latencies when metrics are on.
-const RECOVERY_METRIC: &str = "supervisor.recovery";
 
 /// One plugin's schedule inside a [`ThreadloopBuilder`].
 struct TaskSpec {
@@ -277,54 +274,41 @@ impl Drop for ThreadLoopHandle {
     }
 }
 
-/// Runs one contained iteration: injects a scheduled crash when the
-/// fault plan says one is due, otherwise iterates the plugin — either
-/// way under `catch_unwind` so the caller decides what a panic means.
-fn contained_iterate(
-    plugin: &mut Box<dyn Plugin>,
-    ctx: &PluginContext,
-    name: &str,
-    release_t_ns: u64,
-    crashes_fired: &AtomicU32,
-) -> std::thread::Result<crate::plugin::IterationReport> {
-    let fire = ctx.fault.crash_due(name, release_t_ns, crashes_fired.load(Ordering::SeqCst));
-    if fire {
-        crashes_fired.fetch_add(1, Ordering::SeqCst);
-    }
-    catch_unwind(AssertUnwindSafe(|| {
-        if fire {
-            panic!("injected fault: scheduled crash of plugin '{name}'");
-        }
-        plugin.iterate(ctx)
-    }))
-}
-
-/// Answers a contained panic: asks the supervisor for a restart slot,
-/// waits out the backoff and re-runs `Plugin::start` (itself
-/// contained — a panicking restart consumes another slot). Returns
-/// `false` when the restart budget is exhausted and the plugin must
-/// not run again.
-fn handle_panic(plugin: &mut Box<dyn Plugin>, ctx: &PluginContext, name: &str) -> bool {
-    loop {
-        match ctx.supervisor.on_panic(name, ctx.clock.now().as_nanos()) {
-            Some(backoff) => {
-                std::thread::sleep(backoff);
-                if catch_unwind(AssertUnwindSafe(|| plugin.start(ctx))).is_ok() {
-                    return true;
-                }
+/// One timed release of a supervised plugin, shared by both execution
+/// shapes: a productive iteration gets its span, `exec.*` histogram
+/// sample and [`FrameRecord`]; a release that completed nothing is a
+/// drop.
+fn run_release(task: &mut Supervised, ctx: &PluginContext, release_ns: u64, deadline_ns: u64) {
+    let start_t = ctx.clock.now();
+    let cpu_start = Instant::now();
+    let outcome = task.invoke(ctx, release_ns, start_t.as_nanos());
+    let cpu = cpu_start.elapsed();
+    let end_t = ctx.clock.now();
+    let name = task.name();
+    match outcome {
+        Some(report) if report.did_work => {
+            ctx.tracer.record_span(name, name, start_t.as_nanos(), end_t.as_nanos());
+            if ctx.metrics.is_enabled() {
+                ctx.metrics.record(&format!("exec.{name}"), cpu);
             }
-            None => return false,
+            ctx.telemetry.log(
+                name,
+                FrameRecord {
+                    release: Time::from_nanos(release_ns),
+                    start: start_t,
+                    end: end_t,
+                    cpu_time: cpu,
+                    work_factor: report.work_factor,
+                    missed_deadline: crate::sched::is_miss(
+                        end_t.as_nanos(),
+                        release_ns,
+                        deadline_ns,
+                    ),
+                },
+            );
         }
-    }
-}
-
-/// Records a productive iteration with the supervisor and exports the
-/// recovery latency when this iteration closed a panic incident.
-fn note_progress(ctx: &PluginContext, name: &str, end_ns: u64) {
-    if let Some(recovery_ns) = ctx.supervisor.note_progress(name, end_ns) {
-        if ctx.metrics.is_enabled() {
-            ctx.metrics.record_ns(RECOVERY_METRIC, recovery_ns);
-        }
+        Some(_) => {}
+        None => ctx.telemetry.log_drop(name),
     }
 }
 
@@ -336,25 +320,23 @@ fn note_progress(ctx: &PluginContext, name: &str, end_ns: u64) {
 /// overruns its period the next release fires immediately (no catch-up
 /// burst: intermediate releases are counted as drops).
 fn spawn_dedicated(task: TaskSpec, ctx: PluginContext) -> ThreadLoopHandle {
-    let TaskSpec { mut plugin, period, deadline, .. } = task;
+    let TaskSpec { plugin, period, deadline, .. } = task;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_clone = stop.clone();
     let thread_name = plugin.name().to_owned();
     let period_ns = period.as_nanos().max(1) as u64;
     let deadline_ns = deadline.as_nanos() as u64;
     let join = std::thread::Builder::new()
-        .name(thread_name.clone())
+        .name(thread_name)
         .spawn(move || {
-            plugin.start(&ctx);
-            let name = plugin.name().to_owned();
-            ctx.supervisor.register(&name, ctx.clock.now().as_nanos());
-            let crashes_fired = AtomicU32::new(0);
+            let mut task = Supervised::start(plugin, &ctx);
             let origin = Instant::now();
             // Release timestamps are reported in the runtime clock's
             // basis; capture its origin alongside the Instant one.
             let origin_t = ctx.clock.now().as_nanos();
             let mut k: u64 = 0;
-            while !stop_clone.load(Ordering::SeqCst) {
+            // A plugin out of restart budget must not run again.
+            while !stop_clone.load(Ordering::SeqCst) && !task.is_dead() {
                 let offset_ns = release_ns(0, period_ns, k);
                 let release = origin + Duration::from_nanos(offset_ns);
                 let now = Instant::now();
@@ -364,74 +346,33 @@ fn spawn_dedicated(task: TaskSpec, ctx: PluginContext) -> ThreadLoopHandle {
                 if stop_clone.load(Ordering::SeqCst) {
                     break;
                 }
-                let release_t = Time::from_nanos(release_ns(origin_t, period_ns, k));
-                let start_t = ctx.clock.now();
-                let cpu_start = Instant::now();
-                let outcome = contained_iterate(
-                    &mut plugin,
-                    &ctx,
-                    &name,
-                    release_t.as_nanos(),
-                    &crashes_fired,
-                );
-                let cpu = cpu_start.elapsed();
-                let end_t = ctx.clock.now();
-                match outcome {
-                    Ok(report) if report.did_work => {
-                        ctx.tracer.record_span(&name, &name, start_t.as_nanos(), end_t.as_nanos());
-                        if ctx.metrics.is_enabled() {
-                            ctx.metrics.record(&format!("exec.{name}"), cpu);
-                        }
-                        ctx.telemetry.log(
-                            &name,
-                            FrameRecord {
-                                release: release_t,
-                                start: start_t,
-                                end: end_t,
-                                cpu_time: cpu,
-                                work_factor: report.work_factor,
-                                missed_deadline: crate::sched::is_miss(
-                                    end_t.as_nanos(),
-                                    release_t.as_nanos(),
-                                    deadline_ns,
-                                ),
-                            },
-                        );
-                        note_progress(&ctx, &name, end_t.as_nanos());
-                    }
-                    Ok(_) => {}
-                    Err(_) => {
-                        if !handle_panic(&mut plugin, &ctx, &name) {
-                            break;
-                        }
-                    }
-                }
+                run_release(&mut task, &ctx, release_ns(origin_t, period_ns, k), deadline_ns);
                 // Skip any releases that elapsed while we were running.
                 let elapsed = origin.elapsed();
                 let next_k = (elapsed.as_nanos() / period_ns as u128) as u64 + 1;
                 if next_k > k + 1 {
                     for _ in (k + 1)..next_k {
-                        ctx.telemetry.log_drop(&name);
+                        ctx.telemetry.log_drop(task.name());
                     }
                 }
                 k = next_k.max(k + 1);
             }
-            plugin.stop();
+            task.stop();
         })
         .expect("failed to spawn plugin thread");
     ThreadLoopHandle { stop, join: Some(join) }
 }
 
-/// Plugin slots shared between the workers: a plugin is checked out of
-/// its slot while one worker iterates it and returned afterwards.
-type PluginSlots = Arc<Mutex<Vec<Option<Box<dyn Plugin>>>>>;
+/// The pool's plugins, one slot per task. A task's `busy` flag admits
+/// one job at a time, so a worker never waits on a slot.
+type TaskSlots = Arc<Vec<Mutex<Supervised>>>;
 
 /// Handle to a running worker pool.
 struct PoolHandle {
     stop: Arc<AtomicBool>,
     queue: Arc<JobQueue>,
     joins: Vec<JoinHandle<()>>,
-    plugins: PluginSlots,
+    tasks: TaskSlots,
 }
 
 impl PoolHandle {
@@ -441,11 +382,8 @@ impl PoolHandle {
         for join in self.joins.drain(..) {
             let _ = join.join();
         }
-        let mut plugins = self.plugins.lock().unwrap();
-        for slot in plugins.iter_mut() {
-            if let Some(mut plugin) = slot.take() {
-                plugin.stop();
-            }
+        for task in self.tasks.iter() {
+            task.lock().unwrap_or_else(std::sync::PoisonError::into_inner).stop();
         }
     }
 }
@@ -466,11 +404,6 @@ impl Drop for PoolHandle {
 /// release the policy refuses to admit (the governor shedding load) is
 /// also counted as a drop. Workers pull whatever job the policy picks
 /// next, so a lone slow plugin no longer commandeers its own core.
-///
-/// A worker catching a plugin panic asks the supervisor for a restart
-/// slot; the dispatcher suppresses that task's releases (counting
-/// drops) until the backoff expires, or forever once the budget is
-/// exhausted.
 fn spawn_pool(
     tasks: Vec<TaskSpec>,
     ctx: PluginContext,
@@ -482,14 +415,12 @@ fn spawn_pool(
     let queue = Arc::new(JobQueue::new(policy));
 
     let mut specs = Vec::new();
-    let mut plugin_slots = Vec::new();
+    let mut slots = Vec::new();
     let mut names = Vec::new();
-    let start_ns = ctx.clock.now().as_nanos();
-    for mut task in tasks {
-        task.plugin.start(&ctx);
-        ctx.supervisor.register(task.plugin.name(), start_ns);
-        names.push(task.plugin.name().to_owned());
-        plugin_slots.push(Some(task.plugin));
+    for task in tasks {
+        let task_slot = Supervised::start(task.plugin, &ctx);
+        names.push(task_slot.name().to_owned());
+        slots.push(Mutex::new(task_slot));
         specs.push((
             task.period.as_nanos().max(1) as u64,
             task.deadline.as_nanos() as u64,
@@ -497,99 +428,28 @@ fn spawn_pool(
             task.class,
         ));
     }
-    let plugins = Arc::new(Mutex::new(plugin_slots));
-    let names = Arc::new(names);
-    let n_tasks = specs.len();
+    let tasks: TaskSlots = Arc::new(slots);
     // True while a task's job is queued or executing: the dispatcher
     // drops releases for busy tasks instead of letting them pile up.
     let busy: Arc<Vec<AtomicBool>> =
-        Arc::new((0..n_tasks).map(|_| AtomicBool::new(false)).collect());
-    // Restart backoff gate (releases suppressed until the Instant) and
-    // budget-exhausted flag, both written by workers on panic.
-    let blocked_until: Arc<Vec<Mutex<Option<Instant>>>> =
-        Arc::new((0..n_tasks).map(|_| Mutex::new(None)).collect());
-    let dead: Arc<Vec<AtomicBool>> =
-        Arc::new((0..n_tasks).map(|_| AtomicBool::new(false)).collect());
-    let crashes_fired: Arc<Vec<AtomicU32>> =
-        Arc::new((0..n_tasks).map(|_| AtomicU32::new(0)).collect());
+        Arc::new((0..specs.len()).map(|_| AtomicBool::new(false)).collect());
 
     let mut joins = Vec::new();
     // Worker threads.
     for w in 0..workers {
         let queue = Arc::clone(&queue);
-        let plugins = Arc::clone(&plugins);
-        let names = Arc::clone(&names);
+        let tasks = Arc::clone(&tasks);
         let busy = Arc::clone(&busy);
-        let blocked_until = Arc::clone(&blocked_until);
-        let dead = Arc::clone(&dead);
-        let crashes_fired = Arc::clone(&crashes_fired);
         let ctx = ctx.clone();
         let specs = specs.clone();
         let join = std::thread::Builder::new()
             .name(format!("pool-worker-{w}"))
             .spawn(move || {
                 while let Some(job) = queue.pop_blocking() {
-                    let Some(mut plugin) = plugins.lock().unwrap()[job.task].take() else {
-                        // The dispatcher's busy flag makes this
-                        // unreachable, but a missing plugin must not
-                        // wedge the worker.
-                        busy[job.task].store(false, Ordering::SeqCst);
-                        continue;
-                    };
-                    let name = &names[job.task];
-                    let start_t = ctx.clock.now();
-                    let cpu_start = Instant::now();
-                    let outcome = contained_iterate(
-                        &mut plugin,
-                        &ctx,
-                        name,
-                        job.release_ns,
-                        &crashes_fired[job.task],
-                    );
-                    let cpu = cpu_start.elapsed();
-                    let end_t = ctx.clock.now();
-                    match outcome {
-                        Ok(report) if report.did_work => {
-                            ctx.tracer.record_span(
-                                name,
-                                name,
-                                start_t.as_nanos(),
-                                end_t.as_nanos(),
-                            );
-                            if ctx.metrics.is_enabled() {
-                                ctx.metrics.record(&format!("exec.{name}"), cpu);
-                            }
-                            let deadline_rel = specs[job.task].1;
-                            ctx.telemetry.log(
-                                name,
-                                FrameRecord {
-                                    release: Time::from_nanos(job.release_ns),
-                                    start: start_t,
-                                    end: end_t,
-                                    cpu_time: cpu,
-                                    work_factor: report.work_factor,
-                                    missed_deadline: crate::sched::is_miss(
-                                        end_t.as_nanos(),
-                                        job.release_ns,
-                                        deadline_rel,
-                                    ),
-                                },
-                            );
-                            note_progress(&ctx, name, end_t.as_nanos());
-                        }
-                        Ok(_) => {}
-                        Err(_) => match ctx.supervisor.on_panic(name, end_t.as_nanos()) {
-                            Some(backoff) => {
-                                // Re-init now; the dispatcher holds
-                                // releases until the backoff expires.
-                                let _ = catch_unwind(AssertUnwindSafe(|| plugin.start(&ctx)));
-                                *blocked_until[job.task].lock().unwrap() =
-                                    Some(Instant::now() + backoff);
-                            }
-                            None => dead[job.task].store(true, Ordering::SeqCst),
-                        },
-                    }
-                    plugins.lock().unwrap()[job.task] = Some(plugin);
+                    let mut task =
+                        tasks[job.task].lock().expect("plugin panics are contained in invoke");
+                    run_release(&mut task, &ctx, job.release_ns, specs[job.task].1);
+                    drop(task);
                     busy[job.task].store(false, Ordering::SeqCst);
                 }
             })
@@ -601,10 +461,7 @@ fn spawn_pool(
     {
         let stop = Arc::clone(&stop);
         let queue = Arc::clone(&queue);
-        let names = Arc::clone(&names);
         let busy = Arc::clone(&busy);
-        let blocked_until = Arc::clone(&blocked_until);
-        let dead = Arc::clone(&dead);
         let ctx = ctx.clone();
         let specs_d = specs;
         let join = std::thread::Builder::new()
@@ -614,18 +471,14 @@ fn spawn_pool(
                 let origin_t = ctx.clock.now().as_nanos();
                 let mut next_k: Vec<u64> = vec![0; specs_d.len()];
                 while !stop.load(Ordering::SeqCst) {
-                    // Earliest upcoming release across all live tasks.
+                    // Earliest upcoming release across all tasks.
                     let Some((task, k, offset_ns)) = next_k
                         .iter()
                         .enumerate()
-                        .filter(|&(i, _)| !dead[i].load(Ordering::SeqCst))
                         .map(|(i, &k)| (i, k, release_ns(0, specs_d[i].0, k)))
                         .min_by_key(|&(i, _, off)| (off, i))
                     else {
-                        // Every task exhausted its restart budget;
-                        // idle until stopped.
-                        std::thread::sleep(Duration::from_millis(20));
-                        continue;
+                        return;
                     };
                     let release = origin + Duration::from_nanos(offset_ns);
                     let now = Instant::now();
@@ -636,18 +489,6 @@ fn spawn_pool(
                         continue;
                     }
                     next_k[task] = k + 1;
-                    // Restart backoff in progress? Suppress the release.
-                    {
-                        let mut gate = blocked_until[task].lock().unwrap();
-                        match *gate {
-                            Some(until) if Instant::now() < until => {
-                                ctx.telemetry.log_drop(&names[task]);
-                                continue;
-                            }
-                            Some(_) => *gate = None,
-                            None => {}
-                        }
-                    }
                     let (_, deadline_rel, priority, class) = specs_d[task];
                     if busy[task].swap(true, Ordering::SeqCst) {
                         // Previous job still queued or running.
@@ -674,7 +515,7 @@ fn spawn_pool(
         joins.push(join);
     }
 
-    PoolHandle { stop, queue, joins, plugins }
+    PoolHandle { stop, queue, joins, tasks }
 }
 
 /// Spawns the stale-stream watchdog: periodically sweeps the

@@ -1,30 +1,29 @@
 //! The simulated integrated experiment: the engine behind Figs 3–7 and
 //! Tables IV–V.
 //!
-//! For one `(application, platform)` pair this assembles the full plugin
-//! graph of Fig 1/2 — camera, IMU, VIO, IMU integrator, application,
-//! reprojection, audio encoding, audio playback — on the discrete-event
-//! scheduler, with per-invocation costs from the platform timing model
-//! and real algorithm execution for every component. Thirty simulated
-//! seconds later the telemetry holds exactly the quantities the paper
-//! plots: achieved rates, per-frame execution times, CPU-cycle shares,
-//! deadline misses, MTP samples and power-rail utilization.
+//! For one `(application, platform)` pair this puts each row of
+//! [`STANDARD_PIPELINE`] — the plugin graph of Fig 1/2 — on the
+//! discrete-event scheduler, with per-invocation costs from the platform
+//! timing model and real algorithm execution for every component.
+//! Thirty simulated seconds later the telemetry holds exactly the
+//! quantities the paper plots: achieved rates, per-frame execution
+//! times, CPU-cycle shares, deadline misses, MTP samples and power-rail
+//! utilization.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use illixr_audio::plugins::{AudioEncodingPlugin, AudioPlaybackPlugin};
 use illixr_core::boundary::{Boundary, Trace, TraceRecorder, TraceSource};
 use illixr_core::fault::FaultPlan;
 use illixr_core::link::{Direction, LinkProfile};
 use illixr_core::obs::{Metrics, Tracer};
 use illixr_core::plugin::{IterationReport, Plugin, PluginContext, RuntimeBuilder};
 use illixr_core::sched::{
-    ChainId, ChainOutcome, ChainSpec, Migration, PlacementConfig, PlacementController,
-    PlacementPlan, PolicyKind, PriorityClass, Side,
+    placement_epoch, ChainId, ChainOutcome, ChainSpec, Migration, PlacementConfig,
+    PlacementController, PlacementPlan, PolicyKind, Side,
 };
-use illixr_core::sim::{ExecOutcome, Resource, SimEngine, TaskSpec};
-use illixr_core::supervisor::{SupervisionPolicy, Supervisor};
+use illixr_core::sim::{ExecOutcome, Resource, SimEngine, TaskId, TaskSpec};
+use illixr_core::supervisor::{Supervised, SupervisionPolicy, Supervisor};
 use illixr_core::telemetry::{ComponentStats, RecordLogger};
 use illixr_core::Time;
 use illixr_image::{flip, ssim, RgbImage};
@@ -35,20 +34,14 @@ use illixr_platform::timing::{CostClass, CostEntry, TimingModel};
 use illixr_qoe::mtp::{MtpCalculator, MtpSample};
 use illixr_qoe::report::MeanStd;
 use illixr_render::apps::Application;
-use illixr_render::plugin::ApplicationPlugin;
 use illixr_sensors::camera::{PinholeCamera, StereoRig};
-use illixr_sensors::imu::ImuNoise;
-use illixr_sensors::plugins::{SyntheticCameraPlugin, SyntheticImuPlugin};
-use illixr_sensors::trajectory::Trajectory;
-use illixr_sensors::world::LandmarkWorld;
 use illixr_vio::integrator::ImuState;
 use illixr_vio::msckf::VioConfig;
-use illixr_vio::plugins::{ImuIntegratorPlugin, VioPlugin};
-use illixr_visual::distortion::DistortionParams;
-use illixr_visual::plugins::{TimewarpPlugin, WarpedFrame, DISPLAY_STREAM};
+use illixr_visual::plugins::{WarpedFrame, DISPLAY_STREAM};
 use illixr_visual::reprojection::ReprojectionConfig;
 
 use crate::config::SystemConfig;
+use crate::registry::{standard_registry, PipelineRow, RegistryEnvironment, STANDARD_PIPELINE};
 
 /// Configuration of one integrated run.
 #[derive(Debug, Clone)]
@@ -478,8 +471,6 @@ const STALENESS_STALL_FRACTION: f64 = 0.125;
 /// would starve the (lower-class) camera task outright, wedging the
 /// perception path instead of degrading it.
 const STALENESS_STALL_CAP: Duration = Duration::from_millis(8);
-/// Boundary stream placement decisions are recorded on.
-const PLACE_STREAM: &str = "place/vio";
 /// Salt folding the run seed into the link-probe RNG stream.
 const PLACE_RNG_SALT: u64 = 0x9E1C_E17A_CE5B_0001;
 
@@ -575,34 +566,14 @@ impl PlacementState {
 
     /// Per-camera-frame controller tick, run from the device-side
     /// adapter (the earlier of the two vio releases each frame): draw
-    /// the frame's link probe, feed the controller, and close any due
-    /// decision epochs. Live decisions are recorded on `place/vio`;
-    /// under replay the recorded decision stream drives
-    /// [`PlacementController::force`] instead, so replayed migrations
-    /// are exact by construction.
+    /// the frame's link probe and step the controller with it.
     fn tick(&mut self, now: Time, boundary: &Boundary) {
         let now_ns = now.as_nanos();
         let outage = self.outage_until(now_ns).is_some();
         self.frame_rtt = self.sample_rtt(now_ns);
         let Some(ctl) = self.ctl.as_mut() else { return };
-        let replay = boundary.source().filter(|src| src.has_stream(PLACE_STREAM)).cloned();
-        if let Some(src) = replay {
-            while let Some((tag, payload)) = src.next_due(PLACE_STREAM, now_ns) {
-                let to = std::str::from_utf8(&payload)
-                    .ok()
-                    .and_then(Side::parse)
-                    .expect("corrupt placement decision record");
-                boundary.record(PLACE_STREAM, tag, payload);
-                ctl.force(tag, to);
-            }
-        } else {
-            let healthy = !outage && self.frame_rtt <= RTT_BUDGET;
-            ctl.observe(!healthy);
-            ctl.observe_link(healthy);
-            if let Some(m) = ctl.on_epoch(now_ns) {
-                boundary.record(PLACE_STREAM, m.at_ns, m.to.label().as_bytes().to_vec());
-            }
-        }
+        let healthy = !outage && self.frame_rtt <= RTT_BUDGET;
+        placement_epoch(ctl, boundary, now_ns, healthy);
         self.side = ctl.side();
     }
 
@@ -650,14 +621,14 @@ impl PlacementState {
     }
 }
 
-/// One side of a placed `vio` cut. Both sides share the real
-/// [`VioPlugin`]; only the adapter whose side currently owns the cut
+/// One side of a placed `vio` cut. Both sides share the registry's
+/// `vio` plugin; only the adapter whose side currently owns the cut
 /// runs it, the other reports a skipped iteration — which the engine
 /// treats as free (no cost, no chain publication).
 struct PlacedVio {
     label: &'static str,
     my_side: Side,
-    inner: Arc<Mutex<VioPlugin>>,
+    inner: Arc<Mutex<Box<dyn Plugin>>>,
     state: Arc<Mutex<PlacementState>>,
 }
 
@@ -753,138 +724,50 @@ impl IntegratedExperiment {
                 )))
             });
 
-        // --- Sensor substrate ------------------------------------------
-        let trajectory = Trajectory::walking(seed);
-        let world = Arc::new(LandmarkWorld::lab(seed));
-        let cam = PinholeCamera::qvga();
-        let rig = StereoRig::zed_mini(cam);
-        let init = ImuState::from_pose(
-            Time::ZERO,
-            trajectory.pose(Time::ZERO),
-            trajectory.velocity(Time::ZERO),
-        );
-
-        // --- Plugins -----------------------------------------------------
-        let camera = SyntheticCameraPlugin::new(trajectory.clone(), world.clone(), rig);
-        let imu =
-            SyntheticImuPlugin::new(trajectory.clone(), ImuNoise::default(), sys.imu_hz, seed);
-        let vio = VioPlugin::new(VioConfig::fast(cam), init);
-        let integrator = ImuIntegratorPlugin::new(init);
-        let app = ApplicationPlugin::new(config.app, seed, sys.eye_width, sys.eye_height);
-        let timewarp = TimewarpPlugin::new(
-            ReprojectionConfig::rotational(
-                sys.fov_rad(),
-                sys.eye_width as f64 / sys.eye_height as f64,
-            ),
-            DistortionParams::default(),
-        );
-        let audio_enc = AudioEncodingPlugin::with_default_scene(seed);
-        let audio_play = AudioPlaybackPlugin::new();
-
-        // Reprojection is scheduled "as late as possible before vsync"
-        // (§II-B): release at vsync − reserve, deadline at vsync.
-        let tw_reserve_s = timing.mean_cost("timewarp", 1.0).as_secs_f64() * 2.0;
-        let display_period = sys.display_period();
-        let tw_reserve =
-            Duration::from_secs_f64(tw_reserve_s.min(display_period.as_secs_f64() * 0.8));
-        let tw_offset = display_period.saturating_sub(tw_reserve);
-
+        let registry = standard_registry(&RegistryEnvironment::new(config.app, seed, *sys));
         let load_factor = config.load_factor;
         // Optional per-task cost shaping applied after the timing
         // model and load factor (placement uses it to add link
         // transfer to the edge task and staleness work to the
         // integrator). `None` leaves the cost untouched.
         type CostShape = Box<dyn FnMut(Duration, Time) -> Duration>;
-        let add = |engine: &mut SimEngine,
-                   plugin: Box<dyn Plugin>,
-                   resource: Resource,
-                   period: Duration,
-                   offset: Duration,
-                   deadline: Duration,
-                   priority: u8,
-                   class: PriorityClass,
-                   shape: Option<CostShape>| {
-            let mut plugin = plugin;
-            let mut shape = shape;
-            plugin.start(&ctx);
-            let name = plugin.name().to_owned();
-            ctx.supervisor.register(&name, 0);
+        let mut ids: Vec<(String, TaskId)> = Vec::new();
+        let mut add = |plugin: Box<dyn Plugin>,
+                       row: &PipelineRow,
+                       (offset, deadline): (Duration, Duration),
+                       mut shape: Option<CostShape>| {
+            let mut task = Supervised::start(plugin, &ctx);
+            let name = task.name().to_owned();
             let timing = timing.clone();
             let ctx = ctx.clone();
-            // Crash-injection state for this task: how many scheduled
-            // PluginCrash windows have fired, and whether the plugin is
-            // waiting out a restart backoff (or dead for good).
-            let mut crashes_fired: u32 = 0;
-            let mut restart_at_ns: Option<u64> = None;
-            let mut dead = false;
-            engine.add_task(
+            let preemptive = row.priority >= 10;
+            let id = engine.add_task(
                 TaskSpec {
                     name: name.clone(),
-                    resource,
-                    period,
+                    resource: row.resource,
+                    period: (row.period)(sys),
                     offset,
                     deadline,
                     drop_if_busy: true,
-                    priority,
-                    class,
-                    preemptive: priority >= 10,
-                    preempt_latency: if priority >= 10 {
+                    priority: row.priority,
+                    class: row.class,
+                    preemptive,
+                    preempt_latency: if preemptive {
                         Duration::from_secs_f64(spec.gpu_preempt_ms / 1e3)
                     } else {
                         Duration::ZERO
                     },
                 },
                 Box::new(move |d| {
-                    let skipped =
-                        ExecOutcome { cost: Duration::ZERO, work_factor: 0.0, did_work: false };
-                    if dead {
-                        return skipped;
-                    }
-                    let now_ns = d.start.as_nanos();
-                    if let Some(at) = restart_at_ns {
-                        if now_ns < at {
-                            return skipped;
-                        }
-                        // Backoff elapsed in simulated time: restart.
-                        restart_at_ns = None;
-                        plugin.start(&ctx);
-                    }
-                    // A scheduled PluginCrash window that has opened since
-                    // the last fire panics this invocation; a real plugin
-                    // panic is contained the same way.
-                    let crash = ctx.boundary.crash_due(
-                        &ctx.fault,
-                        &name,
-                        d.release.as_nanos(),
-                        crashes_fired,
-                    );
-                    let outcome = if crash {
-                        crashes_fired += 1;
-                        None
-                    } else {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            plugin.iterate(&ctx)
-                        }))
-                        .ok()
+                    let Some(report) = task.invoke(&ctx, d.release.as_nanos(), d.start.as_nanos())
+                    else {
+                        return ExecOutcome {
+                            cost: Duration::ZERO,
+                            work_factor: 0.0,
+                            did_work: false,
+                        };
                     };
-                    let report = match outcome {
-                        Some(report) => report,
-                        None => {
-                            match ctx.supervisor.on_panic(&name, now_ns) {
-                                Some(backoff) => {
-                                    restart_at_ns = Some(now_ns + backoff.as_nanos() as u64);
-                                }
-                                None => dead = true,
-                            }
-                            return skipped;
-                        }
-                    };
-                    if report.did_work {
-                        if let Some(recovery_ns) = ctx.supervisor.note_progress(&name, now_ns) {
-                            ctx.metrics.record_ns("supervisor.recovery", recovery_ns);
-                        }
-                    }
-                    let base = timing.cost(&name, d.invocation, report.work_factor);
+                    let base = timing.cost(task.name(), d.invocation, report.work_factor);
                     let cost = if load_factor == 1.0 {
                         base
                     } else {
@@ -896,175 +779,81 @@ impl IntegratedExperiment {
                     };
                     ExecOutcome { cost, work_factor: report.work_factor, did_work: report.did_work }
                 }),
-            )
+            );
+            ids.push((name, id));
         };
 
-        let cam_period = sys.camera_period();
-        let imu_period = sys.imu_period();
-        let audio_period = sys.audio_period();
-        let camera_id = add(
-            &mut engine,
-            Box::new(camera),
-            Resource::Cpu,
-            cam_period,
-            Duration::ZERO,
-            cam_period,
-            0,
-            PriorityClass::Perception,
-            None,
-        );
-        let imu_id = add(
-            &mut engine,
-            Box::new(imu),
-            Resource::Cpu,
-            imu_period,
-            Duration::ZERO,
-            imu_period,
-            2,
-            PriorityClass::Critical,
-            None,
-        );
-        // VIO releases just after the camera so the frame is
-        // available. Under an active placement the plugin is shared by
-        // a device-side CPU task and an edge-side task on the remote
-        // pool; exactly one of them runs it each frame.
-        let vio_ids = match &place_state {
-            None => {
-                add(
-                    &mut engine,
-                    Box::new(vio),
-                    Resource::Cpu,
-                    cam_period,
-                    Duration::from_micros(100),
-                    cam_period,
-                    0,
-                    PriorityClass::Perception,
-                    None,
-                );
-                None
-            }
-            Some(state) => {
-                let inner = Arc::new(Mutex::new(vio));
-                let device = PlacedVio {
-                    label: "vio",
-                    my_side: Side::Device,
-                    inner: inner.clone(),
-                    state: state.clone(),
-                };
-                let edge = PlacedVio {
-                    label: "vio@edge",
-                    my_side: Side::Edge,
-                    inner,
-                    state: state.clone(),
-                };
-                let note_pose: CostShape = {
+        // One task per pipeline row, in row order. Two rows are special
+        // under an active placement: `vio` splits into a device-side CPU
+        // task and an edge-side task on the remote pool sharing the
+        // plugin (exactly one runs it each frame), and the integrator
+        // pays for a stale fused pose.
+        for row in STANDARD_PIPELINE.iter().filter(|row| config.extended || !row.extended) {
+            let plugin =
+                registry.build(row.plugin, &ctx).expect("pipeline rows name stock plugins");
+            let period = (row.period)(sys);
+            // Reserve before vsync: twice the mean cost, within the period.
+            let reserve = Duration::from_secs_f64(
+                (timing.mean_cost(plugin.name(), 1.0).as_secs_f64() * 2.0)
+                    .min(period.as_secs_f64() * 0.8),
+            );
+            let schedule = row.schedule(period, reserve);
+            match (plugin.name(), &place_state) {
+                ("vio", Some(state)) => {
+                    let inner = Arc::new(Mutex::new(plugin));
+                    let device = PlacedVio {
+                        label: "vio",
+                        my_side: Side::Device,
+                        inner: inner.clone(),
+                        state: state.clone(),
+                    };
+                    let edge = PlacedVio {
+                        label: "vio@edge",
+                        my_side: Side::Edge,
+                        inner,
+                        state: state.clone(),
+                    };
+                    let note_pose: CostShape = {
+                        let state = state.clone();
+                        Box::new(move |cost, start| {
+                            lock(&state).note_pose(start.as_nanos() + cost.as_nanos() as u64);
+                            cost
+                        })
+                    };
+                    add(Box::new(device), row, schedule, Some(note_pose));
+                    let edge_shape: CostShape = {
+                        let state = state.clone();
+                        Box::new(move |cost, start| {
+                            let mut s = lock(&state);
+                            let total = s.edge_cost(cost, start);
+                            s.note_pose(start.as_nanos() + total.as_nanos() as u64);
+                            total
+                        })
+                    };
+                    // The edge task releases after the capture has had time
+                    // to finish on the device core (the uplink ships a
+                    // completed frame, not a concurrent one); releasing any
+                    // earlier would let the remote pool dispatch against
+                    // the previous frame's chain origin.
+                    add(
+                        Box::new(edge),
+                        &PipelineRow { resource: Resource::Remote, ..*row },
+                        (Duration::from_millis(6), period),
+                        Some(edge_shape),
+                    );
+                }
+                ("imu_integrator", Some(state)) => {
                     let state = state.clone();
-                    Box::new(move |cost, start| {
-                        lock(&state).note_pose(start.as_nanos() + cost.as_nanos() as u64);
-                        cost
-                    })
-                };
-                let device_id = add(
-                    &mut engine,
-                    Box::new(device),
-                    Resource::Cpu,
-                    cam_period,
-                    Duration::from_micros(100),
-                    cam_period,
-                    0,
-                    PriorityClass::Perception,
-                    Some(note_pose),
-                );
-                let edge_shape: CostShape = {
-                    let state = state.clone();
-                    Box::new(move |cost, start| {
-                        let mut s = lock(&state);
-                        let total = s.edge_cost(cost, start);
-                        s.note_pose(start.as_nanos() + total.as_nanos() as u64);
-                        total
-                    })
-                };
-                // The edge task releases after the capture has had time
-                // to finish on the device core (the uplink ships a
-                // completed frame, not a concurrent one); releasing any
-                // earlier would let the remote pool dispatch against
-                // the previous frame's chain origin.
-                let edge_id = add(
-                    &mut engine,
-                    Box::new(edge),
-                    Resource::Remote,
-                    cam_period,
-                    Duration::from_millis(6),
-                    cam_period,
-                    0,
-                    PriorityClass::Perception,
-                    Some(edge_shape),
-                );
-                Some((device_id, edge_id))
+                    let stale: CostShape =
+                        Box::new(move |cost, start| lock(&state).integrator_cost(cost, start));
+                    add(plugin, row, schedule, Some(stale));
+                }
+                _ => add(plugin, row, schedule, None),
             }
+        }
+        let id_of = |name: &str| {
+            ids.iter().find(|(n, _)| n == name).map(|&(_, id)| id).expect("standard pipeline task")
         };
-        let integrator_shape: Option<CostShape> = place_state.as_ref().map(|state| {
-            let state = state.clone();
-            Box::new(move |cost: Duration, start: Time| lock(&state).integrator_cost(cost, start))
-                as CostShape
-        });
-        let integrator_id = add(
-            &mut engine,
-            Box::new(integrator),
-            Resource::Cpu,
-            imu_period,
-            Duration::from_micros(50),
-            imu_period,
-            2,
-            PriorityClass::Critical,
-            integrator_shape,
-        );
-        add(
-            &mut engine,
-            Box::new(app),
-            Resource::Gpu,
-            display_period,
-            Duration::ZERO,
-            display_period,
-            0,
-            PriorityClass::Visual,
-            None,
-        );
-        // The compositor runs at high GPU priority, like every real
-        // XR runtime (it must never starve behind the application).
-        let timewarp_id = add(
-            &mut engine,
-            Box::new(timewarp),
-            Resource::Gpu,
-            display_period,
-            tw_offset,
-            tw_reserve,
-            10,
-            PriorityClass::Critical,
-            None,
-        );
-        add(
-            &mut engine,
-            Box::new(audio_enc),
-            Resource::Cpu,
-            audio_period,
-            Duration::ZERO,
-            audio_period,
-            1,
-            PriorityClass::Audio,
-            None,
-        );
-        add(
-            &mut engine,
-            Box::new(audio_play),
-            Resource::Cpu,
-            audio_period,
-            Duration::from_micros(200),
-            audio_period,
-            1,
-            PriorityClass::Audio,
-            None,
-        );
 
         // The motion-to-photon chain: a fresh IMU sample feeds the
         // integrator whose pose the compositor reprojects with. The
@@ -1072,7 +861,7 @@ impl IntegratedExperiment {
         // to the warped frame leaving the compositor.
         engine.add_chain(ChainSpec {
             name: "mtp".to_owned(),
-            members: vec![imu_id, integrator_id, timewarp_id],
+            members: vec![id_of("imu"), id_of("imu_integrator"), id_of("timewarp")],
             deadline_ns: config.chain_deadline.as_nanos() as u64,
         });
 
@@ -1080,51 +869,14 @@ impl IntegratedExperiment {
         // release → fresh VIO pose. The inactive side's vio task
         // aborts its invocations, so each frame completes exactly one
         // of the two chains.
-        if let Some((device_id, edge_id)) = vio_ids {
-            engine.add_chain(ChainSpec {
-                name: "visual_device".to_owned(),
-                members: vec![camera_id, device_id],
-                deadline_ns: VISUAL_DEADLINE.as_nanos() as u64,
-            });
-            engine.add_chain(ChainSpec {
-                name: "visual_edge".to_owned(),
-                members: vec![camera_id, edge_id],
-                deadline_ns: VISUAL_DEADLINE.as_nanos() as u64,
-            });
-        }
-
-        if config.extended {
-            // Eye tracking at the display rate, scene reconstruction at
-            // the camera rate — both on the GPU, contending with the
-            // application and compositor.
-            let eye = illixr_eyetrack::plugin::EyeTrackingPlugin::new();
-            let scene = illixr_reconstruction::plugin::SceneReconstructionPlugin::new(
-                world.clone(),
-                rig,
-                trajectory.clone(),
-            );
-            add(
-                &mut engine,
-                Box::new(eye),
-                Resource::Gpu,
-                display_period,
-                Duration::from_micros(400),
-                display_period,
-                1,
-                PriorityClass::BestEffort,
-                None,
-            );
-            add(
-                &mut engine,
-                Box::new(scene),
-                Resource::Gpu,
-                cam_period,
-                Duration::from_micros(500),
-                cam_period,
-                0,
-                PriorityClass::BestEffort,
-                None,
-            );
+        if place_state.is_some() {
+            for (chain, vio) in [("visual_device", "vio"), ("visual_edge", "vio@edge")] {
+                engine.add_chain(ChainSpec {
+                    name: chain.to_owned(),
+                    members: vec![id_of("camera"), id_of(vio)],
+                    deadline_ns: VISUAL_DEADLINE.as_nanos() as u64,
+                });
+            }
         }
 
         // Observe warped frames for the MTP calculation.
@@ -1139,7 +891,7 @@ impl IntegratedExperiment {
         // --- Motion-to-photon latency -----------------------------------
         // Records and warped frames are appended in the same dispatch
         // order; pair them up.
-        let calc = MtpCalculator::new(display_period);
+        let calc = MtpCalculator::new(sys.display_period());
         let records = telemetry.records("timewarp");
         let frames = warped.drain();
         let mtp: Vec<MtpSample> = records

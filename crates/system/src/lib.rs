@@ -1,13 +1,15 @@
 //! The integrated ILLIXR-rs system.
 //!
-//! Assembles the plugins of all three pipelines (perception, visual,
-//! audio) behind the runtime, in the two execution modes the testbed
-//! supports:
+//! The plugins of all three pipelines (perception, visual, audio) are
+//! declared once and run by two executors:
 //!
-//! * [`testbed`] — **live mode**: one OS thread per plugin at the
-//!   Table III rates on the wall clock (what the paper runs on real
-//!   hardware);
-//! * [`experiment`] — **simulated mode**: the same plugins on the
+//! * [`registry`] — the **standard pipeline**: every stock plugin
+//!   constructible by name, and the [`registry::STANDARD_PIPELINE`] rows
+//!   saying which run, on what resource, at which Table III rate, with
+//!   what offset, deadline rule, priority and class;
+//! * [`testbed`] — **live mode**: one OS thread per row on the wall
+//!   clock (what the paper runs on real hardware);
+//! * [`experiment`] — **simulated mode**: the same rows on the
 //!   discrete-event engine with per-platform timing/power models, which
 //!   is how one machine reproduces the desktop / Jetson-HP / Jetson-LP
 //!   comparisons of §IV deterministically;

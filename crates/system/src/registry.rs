@@ -1,19 +1,27 @@
-//! The standard plugin registry: every stock component implementation,
-//! constructible by name.
+//! The standard plugin registry and the standard pipeline: every stock
+//! component implementation, constructible by name, and the one table
+//! that says which of them run, where, how often and how urgently.
 //!
 //! The paper's artifact selects plugin implementations per run from YAML
-//! configs (`ILLIXR/configs/${app}.yaml`); this registry is the ILLIXR-rs
-//! equivalent — a name → constructor table covering each Table II
-//! component and its alternatives, so a pipeline can be assembled from a
-//! list of strings.
+//! configs (`ILLIXR/configs/${app}.yaml`); this module is the ILLIXR-rs
+//! equivalent. [`standard_registry`] is a name → constructor table
+//! covering each Table II component and its alternatives, built over a
+//! [`RegistryEnvironment`] — the one place trajectory, world, rig and
+//! initial state are derived from `(app, seed, SystemConfig)`.
+//! [`STANDARD_PIPELINE`] lists the integrated configuration's rows in
+//! start order; live mode ([`crate::testbed`]) and simulated mode
+//! ([`crate::experiment`]) are two executors looping over it.
 //!
 //! Naming convention: `component/variant`, e.g. `"vio/msckf-fast"`,
 //! `"integrator/rk4"`, `"timewarp/translational"`.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use illixr_audio::plugins::{AudioEncodingPlugin, AudioPlaybackPlugin};
 use illixr_core::plugin::PluginRegistry;
+use illixr_core::sched::PriorityClass;
+use illixr_core::sim::Resource;
 use illixr_core::Time;
 use illixr_eyetrack::plugin::EyeTrackingPlugin;
 use illixr_reconstruction::plugin::SceneReconstructionPlugin;
@@ -54,13 +62,13 @@ pub struct RegistryEnvironment {
 }
 
 impl RegistryEnvironment {
-    /// A ready-to-use environment.
-    pub fn new(app: Application, seed: u64) -> Self {
+    /// The environment of one run.
+    pub fn new(app: Application, seed: u64, system: SystemConfig) -> Self {
         Self {
             trajectory: Trajectory::walking(seed),
             world: Arc::new(LandmarkWorld::lab(seed)),
             rig: StereoRig::zed_mini(PinholeCamera::qvga()),
-            system: SystemConfig::default(),
+            system,
             app,
             seed,
         }
@@ -74,6 +82,115 @@ impl RegistryEnvironment {
         )
     }
 }
+
+/// How a row's release offset and relative deadline follow from its
+/// period.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeadlineRule {
+    /// Release at the row's offset; due one period after release.
+    Period,
+    /// "As late as possible before vsync" (§II-B): release a reserve
+    /// ahead of the period's end, due at the end.
+    LatestBeforeVsync,
+}
+
+/// One row of the standard pipeline's schedule.
+#[derive(Debug, Clone, Copy)]
+pub struct PipelineRow {
+    /// Name the plugin is built under in [`standard_registry`].
+    pub plugin: &'static str,
+    /// Resource pool the task occupies.
+    pub resource: Resource,
+    /// The Table III period the task is released at.
+    pub period: fn(&SystemConfig) -> Duration,
+    /// Release offset within the period (under [`DeadlineRule::Period`]).
+    pub offset: Duration,
+    /// How offset and deadline are derived.
+    pub deadline: DeadlineRule,
+    /// Static priority (higher runs first; ≥ 10 preempts).
+    pub priority: u8,
+    /// Semantic class (the degradation governor's shedding unit).
+    pub class: PriorityClass,
+    /// Runs only in the extended configuration
+    /// ([`crate::ExperimentConfig::extended`]).
+    pub extended: bool,
+}
+
+impl PipelineRow {
+    /// `(release offset, relative deadline)` for a task of `period`.
+    /// `reserve` is the time a [`DeadlineRule::LatestBeforeVsync`] row
+    /// sets aside before the period's end — the executor knows what its
+    /// platform needs.
+    pub fn schedule(&self, period: Duration, reserve: Duration) -> (Duration, Duration) {
+        match self.deadline {
+            DeadlineRule::Period => (self.offset, period),
+            DeadlineRule::LatestBeforeVsync => (period.saturating_sub(reserve), reserve),
+        }
+    }
+}
+
+const fn row(
+    plugin: &'static str,
+    resource: Resource,
+    period: fn(&SystemConfig) -> Duration,
+    offset_us: u64,
+    priority: u8,
+    class: PriorityClass,
+) -> PipelineRow {
+    PipelineRow {
+        plugin,
+        resource,
+        period,
+        offset: Duration::from_micros(offset_us),
+        deadline: DeadlineRule::Period,
+        priority,
+        class,
+        extended: false,
+    }
+}
+
+/// The integrated configuration of Fig 1/2 (§III-B), in start order —
+/// which is also task-id, topic-creation and RNG-draw order, so rows
+/// may be edited but not reordered without moving every golden.
+///
+/// VIO releases just after the camera so the frame is available, the
+/// integrator just after the IMU, playback after encoding. The
+/// compositor runs at high GPU priority, like every real XR runtime (it
+/// must never starve behind the application). The extended rows — eye
+/// tracking at the display rate, scene reconstruction at the camera
+/// rate — both contend for the GPU with the application and compositor.
+pub const STANDARD_PIPELINE: [PipelineRow; 10] = {
+    use PriorityClass::{Audio, BestEffort, Critical, Perception, Visual};
+    use Resource::{Cpu, Gpu};
+    [
+        row("camera/synthetic", Cpu, SystemConfig::camera_period, 0, 0, Perception),
+        row("imu/synthetic", Cpu, SystemConfig::imu_period, 0, 2, Critical),
+        row("vio/msckf-fast", Cpu, SystemConfig::camera_period, 100, 0, Perception),
+        row("integrator/rk4", Cpu, SystemConfig::imu_period, 50, 2, Critical),
+        row("application/scene", Gpu, SystemConfig::display_period, 0, 0, Visual),
+        PipelineRow {
+            deadline: DeadlineRule::LatestBeforeVsync,
+            ..row("timewarp/rotational", Gpu, SystemConfig::display_period, 0, 10, Critical)
+        },
+        row("audio/encoding", Cpu, SystemConfig::audio_period, 0, 1, Audio),
+        row("audio/playback", Cpu, SystemConfig::audio_period, 200, 1, Audio),
+        PipelineRow {
+            extended: true,
+            ..row("eye_tracking/ritnet-like", Gpu, SystemConfig::display_period, 400, 1, BestEffort)
+        },
+        PipelineRow {
+            extended: true,
+            ..row(
+                "scene_reconstruction/surfel",
+                Gpu,
+                SystemConfig::camera_period,
+                500,
+                0,
+                BestEffort,
+            )
+        },
+    ]
+};
 
 /// Builds the registry of every stock plugin implementation.
 ///
@@ -190,7 +307,7 @@ mod tests {
 
     #[test]
     fn every_registered_plugin_builds_and_starts() {
-        let env = RegistryEnvironment::new(Application::ArDemo, 3);
+        let env = RegistryEnvironment::new(Application::ArDemo, 3, SystemConfig::default());
         let reg = standard_registry(&env);
         let names = reg.names();
         assert!(names.len() >= 16, "registry has {} entries", names.len());
@@ -203,8 +320,17 @@ mod tests {
     }
 
     #[test]
+    fn every_pipeline_row_names_a_registered_plugin() {
+        let env = RegistryEnvironment::new(Application::ArDemo, 3, SystemConfig::default());
+        let names = standard_registry(&env).names();
+        for row in STANDARD_PIPELINE {
+            assert!(names.iter().any(|n| n == row.plugin), "unregistered row '{}'", row.plugin);
+        }
+    }
+
+    #[test]
     fn pipeline_assembled_from_names_produces_poses() {
-        let env = RegistryEnvironment::new(Application::Platformer, 5);
+        let env = RegistryEnvironment::new(Application::Platformer, 5, SystemConfig::default());
         let reg = standard_registry(&env);
         let clock = SimClock::new();
         let ctx = RuntimeBuilder::new(Arc::new(clock.clone())).build();
@@ -232,7 +358,7 @@ mod tests {
 
     #[test]
     fn unknown_name_returns_none() {
-        let env = RegistryEnvironment::new(Application::Sponza, 1);
+        let env = RegistryEnvironment::new(Application::Sponza, 1, SystemConfig::default());
         let reg = standard_registry(&env);
         let ctx = RuntimeBuilder::new(Arc::new(SimClock::new())).build();
         assert!(reg.build("vio/does-not-exist", &ctx).is_none());

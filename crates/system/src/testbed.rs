@@ -1,42 +1,28 @@
-//! Live-mode execution: the full plugin graph on real threads and the
-//! wall clock — how the testbed runs when you actually want to *use* it
-//! rather than model a platform.
+//! Live-mode execution: each row of [`STANDARD_PIPELINE`] on its own
+//! thread and the wall clock — how the testbed runs when you actually
+//! want to *use* it rather than model a platform.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use illixr_audio::plugins::{AudioEncodingPlugin, AudioPlaybackPlugin};
 use illixr_core::clock::WallClock;
-use illixr_core::plugin::{Plugin, PluginContext, RuntimeBuilder};
+use illixr_core::plugin::{PluginContext, RuntimeBuilder};
 use illixr_core::supervisor::SupervisionPolicy;
 use illixr_core::threadloop::{RuntimeHandles, ThreadloopBuilder};
-use illixr_core::Time;
 use illixr_render::apps::Application;
-use illixr_render::plugin::ApplicationPlugin;
-use illixr_sensors::camera::{PinholeCamera, StereoRig};
-use illixr_sensors::imu::ImuNoise;
-use illixr_sensors::plugins::{SyntheticCameraPlugin, SyntheticImuPlugin};
-use illixr_sensors::trajectory::Trajectory;
-use illixr_sensors::world::LandmarkWorld;
-use illixr_vio::integrator::ImuState;
-use illixr_vio::msckf::VioConfig;
-use illixr_vio::plugins::{ImuIntegratorPlugin, VioPlugin};
-use illixr_visual::distortion::DistortionParams;
-use illixr_visual::plugins::TimewarpPlugin;
-use illixr_visual::reprojection::ReprojectionConfig;
 
 use crate::config::SystemConfig;
+use crate::registry::{standard_registry, RegistryEnvironment, STANDARD_PIPELINE};
 
 /// A running live testbed.
 pub struct LiveTestbed {
     ctx: PluginContext,
     handles: RuntimeHandles,
-    plugins: usize,
 }
 
 impl std::fmt::Debug for LiveTestbed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LiveTestbed({} plugins)", self.plugins)
+        write!(f, "LiveTestbed({:?})", self.handles)
     }
 }
 
@@ -52,60 +38,32 @@ impl LiveTestbed {
         let ctx = RuntimeBuilder::new(Arc::new(WallClock::new()))
             .with_supervision(SupervisionPolicy::default())
             .build();
-        let trajectory = Trajectory::walking(seed);
-        let world = Arc::new(LandmarkWorld::lab(seed));
-        let cam = PinholeCamera::qvga();
-        let rig = StereoRig::zed_mini(cam);
-        let init = ImuState::from_pose(
-            Time::ZERO,
-            trajectory.pose(Time::ZERO),
-            trajectory.velocity(Time::ZERO),
-        );
-
-        let scaled = |d: Duration| Duration::from_secs_f64(d.as_secs_f64() / rate_scale);
-        let mut builder = ThreadloopBuilder::new();
-        let mut plugins = 0usize;
-        let mut spawn = |plugin: Box<dyn Plugin>, period: Duration| {
-            plugins += 1;
-            builder = std::mem::take(&mut builder).task(plugin, period);
+        // Derating the Table III rates derates every row's period and
+        // the IMU model's sample rate with it.
+        let system = SystemConfig {
+            camera_hz: config.camera_hz * rate_scale,
+            imu_hz: config.imu_hz * rate_scale,
+            display_hz: config.display_hz * rate_scale,
+            audio_hz: config.audio_hz * rate_scale,
+            ..config
         };
-        spawn(
-            Box::new(SyntheticCameraPlugin::new(trajectory.clone(), world, rig)),
-            scaled(config.camera_period()),
-        );
-        spawn(
-            Box::new(SyntheticImuPlugin::new(
-                trajectory.clone(),
-                ImuNoise::default(),
-                config.imu_hz * rate_scale,
-                seed,
-            )),
-            scaled(config.imu_period()),
-        );
-        spawn(Box::new(VioPlugin::new(VioConfig::fast(cam), init)), scaled(config.camera_period()));
-        spawn(Box::new(ImuIntegratorPlugin::new(init)), scaled(config.imu_period()));
-        spawn(
-            Box::new(ApplicationPlugin::new(app, seed, config.eye_width, config.eye_height)),
-            scaled(config.display_period()),
-        );
-        spawn(
-            Box::new(TimewarpPlugin::new(
-                ReprojectionConfig::rotational(
-                    config.fov_rad(),
-                    config.eye_width as f64 / config.eye_height as f64,
-                ),
-                DistortionParams::default(),
-            )),
-            scaled(config.display_period()),
-        );
-        spawn(
-            Box::new(AudioEncodingPlugin::with_default_scene(seed)),
-            scaled(config.audio_period()),
-        );
-        spawn(Box::new(AudioPlaybackPlugin::new()), scaled(config.audio_period()));
-
+        let registry = standard_registry(&RegistryEnvironment::new(app, seed, system));
+        let mut builder = ThreadloopBuilder::new();
+        for row in STANDARD_PIPELINE.iter().filter(|row| !row.extended) {
+            let plugin =
+                registry.build(row.plugin, &ctx).expect("pipeline rows name stock plugins");
+            let period = (row.period)(&system);
+            // Threads have no release offsets: a row due "before vsync"
+            // has the whole period.
+            let (_, deadline) = row.schedule(period, period);
+            builder = builder
+                .task(plugin, period)
+                .deadline(deadline)
+                .priority(i32::from(row.priority))
+                .class(row.class);
+        }
         let handles = builder.spawn(&ctx);
-        Self { ctx, handles, plugins }
+        Self { ctx, handles }
     }
 
     /// The runtime context (switchboard, telemetry) for observers.

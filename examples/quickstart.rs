@@ -13,6 +13,7 @@ use std::time::Duration;
 
 use illixr_testbed::render::apps::Application;
 use illixr_testbed::system::config::SystemConfig;
+use illixr_testbed::system::experiment::COMPONENTS;
 use illixr_testbed::system::testbed::LiveTestbed;
 
 fn main() {
@@ -25,16 +26,7 @@ fn main() {
     let telemetry = testbed.context().telemetry.clone();
     println!("{:<16} {:>8} {:>8} {:>12} {:>8}", "component", "runs", "drops", "mean exec", "rate");
     println!("{}", "-".repeat(58));
-    for name in [
-        "camera",
-        "imu",
-        "vio",
-        "imu_integrator",
-        "application",
-        "timewarp",
-        "audio_encoding",
-        "audio_playback",
-    ] {
+    for name in COMPONENTS {
         if let Some(s) = telemetry.stats(name) {
             println!(
                 "{:<16} {:>8} {:>8} {:>9.2} ms {:>6.1}Hz",
