@@ -3,9 +3,9 @@
 
 use std::sync::Arc;
 
+use illixr_core::obs::Metrics;
 use illixr_core::plugin::{IterationReport, Plugin, PluginContext};
 use illixr_core::switchboard::{AsyncReader, SyncReader, Writer};
-use illixr_core::telemetry::TaskTimer;
 use illixr_sensors::types::{streams, PoseEstimate};
 
 use crate::ambisonics::{encode_block, normalize_block, Soundfield};
@@ -29,7 +29,7 @@ pub struct AudioEncodingPlugin {
     sources: Vec<SoundSource>,
     block_size: usize,
     writer: Option<Writer<Arc<Soundfield>>>,
-    timer: Arc<TaskTimer>,
+    timer: Metrics,
 }
 
 impl AudioEncodingPlugin {
@@ -45,11 +45,11 @@ impl AudioEncodingPlugin {
 
     /// Creates the plugin from explicit sources.
     pub fn new(sources: Vec<SoundSource>) -> Self {
-        Self { sources, block_size: BLOCK_SIZE, writer: None, timer: Arc::new(TaskTimer::new()) }
+        Self { sources, block_size: BLOCK_SIZE, writer: None, timer: Metrics::new() }
     }
 
     /// Task-level timing (Table VII instrumentation).
-    pub fn task_timer(&self) -> Arc<TaskTimer> {
+    pub fn task_metrics(&self) -> Metrics {
         self.timer.clone()
     }
 }
@@ -75,17 +75,17 @@ impl Plugin for AudioEncodingPlugin {
                 raw.iter().map(|&v| (v.clamp(-1.0, 1.0) * 32767.0) as i16).collect();
             // Normalization: INT16 to FP32 (Table VII).
             let mono = {
-                let _g = self.timer.scope("normalization");
+                let _g = self.timer.host_scope("normalization");
                 normalize_block(&as_i16)
             };
             // Encoding: sample → soundfield mapping.
             let field = {
-                let _g = self.timer.scope("encoding");
+                let _g = self.timer.host_scope("encoding");
                 encode_block(&mono, src.current_azimuth(), 0.0)
             };
             // Summation: HOA soundfield superposition.
             {
-                let _g = self.timer.scope("summation");
+                let _g = self.timer.host_scope("summation");
                 sum.add_assign(&field);
             }
         }
@@ -101,7 +101,7 @@ pub struct AudioPlaybackPlugin {
     field_reader: Option<SyncReader<Arc<Soundfield>>>,
     pose_reader: Option<AsyncReader<PoseEstimate>>,
     writer: Option<Writer<Arc<StereoBlock>>>,
-    timer: Arc<TaskTimer>,
+    timer: Metrics,
     zoom: f64,
 }
 
@@ -113,13 +113,13 @@ impl AudioPlaybackPlugin {
             field_reader: None,
             pose_reader: None,
             writer: None,
-            timer: Arc::new(TaskTimer::new()),
+            timer: Metrics::new(),
             zoom: 0.15,
         }
     }
 
     /// Task-level timing (Table VII instrumentation).
-    pub fn task_timer(&self) -> Arc<TaskTimer> {
+    pub fn task_metrics(&self) -> Metrics {
         self.timer.clone()
     }
 }
@@ -173,19 +173,19 @@ impl Plugin for AudioPlaybackPlugin {
             })
             .unwrap_or(0.0);
         let rotated = {
-            let _g = self.timer.scope("rotation");
+            let _g = self.timer.host_scope("rotation");
             rotate_yaw(field, yaw)
         };
         let zoomed = {
-            let _g = self.timer.scope("zoom");
+            let _g = self.timer.host_scope("zoom");
             zoom_forward(&rotated, self.zoom)
         };
         let filtered = {
-            let _g = self.timer.scope("psychoacoustic filter");
+            let _g = self.timer.host_scope("psychoacoustic filter");
             psychoacoustic_filter(&zoomed, SAMPLE_RATE)
         };
         let stereo = {
-            let _g = self.timer.scope("binauralization");
+            let _g = self.timer.host_scope("binauralization");
             self.decoder.process(&filtered)
         };
         self.writer.as_ref().expect("start() must run before iterate()").put(Arc::new(stereo));
@@ -214,7 +214,7 @@ mod tests {
         let block = reader.try_recv().expect("block published");
         assert_eq!(block.len(), BLOCK_SIZE);
         assert!(block.energy() > 0.0);
-        let names: Vec<String> = enc.task_timer().shares().into_iter().map(|(n, _)| n).collect();
+        let names: Vec<String> = enc.task_metrics().shares().into_iter().map(|(n, _)| n).collect();
         for expected in ["normalization", "encoding", "summation"] {
             assert!(names.iter().any(|n| n == expected), "missing '{expected}'");
         }
@@ -238,7 +238,7 @@ mod tests {
         }
         assert!(!play.iterate(&ctx).did_work); // queue drained
         assert_eq!(out.drain().len(), 3);
-        let names: Vec<String> = play.task_timer().shares().into_iter().map(|(n, _)| n).collect();
+        let names: Vec<String> = play.task_metrics().shares().into_iter().map(|(n, _)| n).collect();
         for expected in ["rotation", "zoom", "psychoacoustic filter", "binauralization"] {
             assert!(names.iter().any(|n| n == expected), "missing '{expected}'");
         }

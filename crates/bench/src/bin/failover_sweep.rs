@@ -23,11 +23,10 @@
 //! `results/failover_sweep.txt`).
 
 use std::collections::HashSet;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 use illixr_bench::cli::BenchArgs;
-use illixr_bench::rule;
+use illixr_bench::{rule, Report, Samples};
 use illixr_core::fault::{FaultKind, FaultPlan, FaultWindow};
 use illixr_core::link::LinkProfile;
 use illixr_server::{
@@ -150,11 +149,11 @@ fn summarize(crashes: usize, policy: Policy, report: &ServerReport) -> Cell {
         }
         open
     };
-    let mut recovery_ms: Vec<f64> = incidents
-        .iter()
-        .filter_map(|i| i.recovered_at.map(|r| (r - i.crashed_at).as_secs_f64() * 1e3))
-        .collect();
-    recovery_ms.sort_by(|a, b| a.total_cmp(b));
+    let recovery_ms = Samples::new(
+        incidents
+            .iter()
+            .filter_map(|i| i.recovered_at.map(|r| (r - i.crashed_at).as_secs_f64() * 1e3)),
+    );
     Cell {
         crashes,
         policy,
@@ -163,8 +162,8 @@ fn summarize(crashes: usize, policy: Policy, report: &ServerReport) -> Cell {
         lost_sessions: lost.len(),
         loss_rate: lost.len() as f64 / SESSIONS as f64,
         lost_frames: incidents.iter().map(|i| i.lost_frames).sum(),
-        recovery_p50_ms: illixr_bench::percentile(&recovery_ms, 0.50),
-        recovery_p99_ms: illixr_bench::percentile(&recovery_ms, 0.99),
+        recovery_p50_ms: recovery_ms.percentile(0.50),
+        recovery_p99_ms: recovery_ms.percentile(0.99),
         summary: report.summary_text(),
     }
 }
@@ -174,23 +173,21 @@ fn main() -> std::io::Result<()> {
     let top = *INTENSITIES.last().expect("intensities non-empty");
     let intensities: Vec<usize> = if quick { vec![top] } else { INTENSITIES.to_vec() };
 
-    let mut out = String::new();
-    writeln!(
-        out,
+    let mut out = Report::new("failover_sweep");
+    out.note(format_args!(
         "# Failover sweep: {SESSIONS} sessions, {SHARDS} shards, shards {CRASHED_SHARDS:?} \
          crashed N times each ({}s simulated, seed {SEED})",
         DURATION.as_secs()
-    )
-    .unwrap();
-    writeln!(
-        out,
+    ));
+    out.note(format_args!(
         "# crashes at {}ms + k*{}ms; restart budget {} per session; checkpoint epoch 300ms",
         FIRST_CRASH.as_millis(),
         CRASH_SPACING.as_millis(),
         FailoverConfig::default().restart_budget,
-    )
-    .unwrap();
-    let header = format!(
+    ));
+    println!("Failover sweep ({SESSIONS} sessions, {:?} simulated per cell)", DURATION);
+    rule(92);
+    out.line(format_args!(
         "{:>8} {:>8} {:>10} {:>10} {:>6} {:>10} {:>12} {:>9} {:>9}",
         "crashes",
         "policy",
@@ -201,17 +198,13 @@ fn main() -> std::io::Result<()> {
         "lost_frames",
         "p50_ms",
         "p99_ms",
-    );
-    writeln!(out, "{header}").unwrap();
-    println!("Failover sweep ({SESSIONS} sessions, {:?} simulated per cell)", DURATION);
-    rule(92);
-    println!("{header}");
+    ));
 
     let mut cells: Vec<Cell> = Vec::new();
     for &crashes in &intensities {
         for policy in Policy::ALL {
             let cell = summarize(crashes, policy, &run_once(crashes, policy));
-            let row = format!(
+            out.line(format_args!(
                 "{:>8} {:>8} {:>10} {:>10} {:>6} {:>10.4} {:>12} {:>9.3} {:>9.3}",
                 cell.crashes,
                 cell.policy.label(),
@@ -222,9 +215,7 @@ fn main() -> std::io::Result<()> {
                 cell.lost_frames,
                 cell.recovery_p50_ms,
                 cell.recovery_p99_ms,
-            );
-            println!("{row}");
-            writeln!(out, "{row}").unwrap();
+            ));
             cells.push(cell);
         }
     }
@@ -243,8 +234,7 @@ fn main() -> std::io::Result<()> {
     let catchup_beats_restart = catchup.loss_rate < restart.loss_rate
         && catchup.recovery_p99_ms < restart.recovery_p99_ms
         && catchup.loss_rate < none.loss_rate;
-    writeln!(
-        out,
+    out.note(format_args!(
         "\ncatchup_beats_restart={catchup_beats_restart} \
          (loss {:.4} < {:.4} < {:.4}; p99 {:.3}ms < {:.3}ms)",
         catchup.loss_rate,
@@ -252,8 +242,7 @@ fn main() -> std::io::Result<()> {
         none.loss_rate,
         catchup.recovery_p99_ms,
         restart.recovery_p99_ms,
-    )
-    .unwrap();
+    ));
     rule(92);
     println!("catch-up beats restart-only on loss rate and p99 recovery: {catchup_beats_restart}");
     if !catchup_beats_restart {
@@ -263,11 +252,7 @@ fn main() -> std::io::Result<()> {
     // Determinism: the top catch-up cell rerun must match bit for bit.
     let rerun = summarize(top, Policy::Catchup, &run_once(top, Policy::Catchup));
     let deterministic = rerun.summary == catchup.summary;
-    writeln!(out, "deterministic_rerun_identical={deterministic}").unwrap();
+    out.claim(&[("deterministic_rerun_identical", deterministic)]);
     println!("deterministic rerun identical: {deterministic}");
-
-    std::fs::create_dir_all("results")?;
-    std::fs::write("results/failover_sweep.txt", &out)?;
-    println!("wrote results/failover_sweep.txt");
-    Ok(())
+    out.write()
 }

@@ -28,23 +28,21 @@
 //! produce bit-identical artifacts; the harness reruns the degraded
 //! adaptive cell and checks.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
 use illixr_bench::cli::BenchArgs;
-use illixr_bench::{experiment_config, rule};
+use illixr_bench::{
+    contended_config, rule, sweep_duration, Report, RunSummary, CONTENDED_CHAIN_DEADLINE,
+};
 use illixr_core::fault::{FaultKind, FaultPlan, FaultWindow};
 use illixr_core::link::{Direction, LinkProfile};
 use illixr_core::sched::{Migration, PlacementConfig, PlacementPlan, Side};
-use illixr_platform::spec::Platform;
-use illixr_render::apps::Application;
 use illixr_system::experiment::{ExperimentResult, IntegratedExperiment, MTP_CHAIN};
 
 const SEED: u64 = 42;
 /// Same contended régime as `fault_sweep`: one core at 2× load is
 /// where moving VIO off the device visibly relieves the mtp chain.
 const LOAD: f64 = 2.0;
-const CHAIN_DEADLINE: Duration = Duration::from_millis(15);
 
 #[derive(Clone, Copy, PartialEq)]
 enum Plan {
@@ -115,29 +113,14 @@ struct Cell {
     plan: Plan,
     mtp_chains: usize,
     mtp_chain_miss: f64,
-    all_chain_miss: f64,
-    mtp_mean_ms: f64,
-    mtp_p99_ms: f64,
-    migrations: usize,
+    /// MTP / chain samples and the miss rate over all chains.
+    run: RunSummary,
     final_side: Side,
-    /// Raw sorted samples kept for the determinism check.
-    mtp_ms: Vec<f64>,
-    chain_ms: Vec<f64>,
     migration_log: Vec<Migration>,
 }
 
-fn bench_duration(quick: bool) -> Duration {
-    if quick {
-        Duration::from_secs(3)
-    } else {
-        illixr_bench::sim_duration().min(Duration::from_secs(12))
-    }
-}
-
 fn run_once(cond: &Condition, plan: Plan, duration: Duration) -> ExperimentResult {
-    let mut config = experiment_config(Application::Platformer, Platform::Desktop)
-        .with_load_factor(LOAD)
-        .with_cpu_cores(1)
+    let mut config = contended_config(LOAD, duration)
         .with_fault_plan(fault_plan(cond, duration))
         .with_link_profile(cond.profile)
         .with_placement(plan.placement());
@@ -158,67 +141,42 @@ fn run_once(cond: &Condition, plan: Plan, duration: Duration) -> ExperimentResul
             ..PlacementConfig::default()
         });
     }
-    config.duration = duration;
-    config.chain_deadline = CHAIN_DEADLINE;
     IntegratedExperiment::run(&config)
 }
 
 fn summarize(cond: &Condition, plan: Plan, result: &ExperimentResult) -> Cell {
-    let mut mtp_ms: Vec<f64> = result.mtp.iter().map(|s| s.total().as_secs_f64() * 1e3).collect();
-    mtp_ms.sort_by(|a, b| a.total_cmp(b));
-    let mut chain_ms: Vec<f64> =
-        result.chain_outcomes.iter().map(|o| o.latency_ns as f64 / 1e6).collect();
-    chain_ms.sort_by(|a, b| a.total_cmp(b));
-    let mtp_outcomes: Vec<_> =
-        result.chain_outcomes.iter().filter(|o| o.chain == MTP_CHAIN).collect();
-    let all_misses = result.chain_outcomes.iter().filter(|o| o.missed).count();
     Cell {
         condition: cond.label,
         plan,
-        mtp_chains: mtp_outcomes.len(),
+        mtp_chains: result.chain_outcomes.iter().filter(|o| o.chain == MTP_CHAIN).count(),
         mtp_chain_miss: result.chain_miss_rate(MTP_CHAIN).unwrap_or(0.0),
-        all_chain_miss: if result.chain_outcomes.is_empty() {
-            0.0
-        } else {
-            all_misses as f64 / result.chain_outcomes.len() as f64
-        },
-        mtp_mean_ms: if mtp_ms.is_empty() {
-            0.0
-        } else {
-            mtp_ms.iter().sum::<f64>() / mtp_ms.len() as f64
-        },
-        mtp_p99_ms: illixr_bench::percentile(&mtp_ms, 0.99),
-        migrations: result.migrations.len(),
+        run: RunSummary::of(result),
         final_side: result.vio_final_side,
-        mtp_ms,
-        chain_ms,
         migration_log: result.migrations.clone(),
     }
 }
 
 fn main() -> std::io::Result<()> {
     let quick = BenchArgs::parse().quick();
-    let duration = bench_duration(quick);
+    let duration = sweep_duration(quick);
     let conds = conditions();
     let (o_start, o_end) = outage_window(duration);
 
-    let mut out = String::new();
-    writeln!(
-        out,
+    let mut out = Report::new("placement_sweep");
+    out.note(format_args!(
         "# Placement sweep, Platformer on Desktop pinned to 1 CPU core at {LOAD}x load \
          ({}s simulated per cell, seed {SEED})",
         duration.as_secs()
-    )
-    .unwrap();
-    writeln!(
-        out,
+    ));
+    out.note(format_args!(
         "# mtp chain deadline {} ms; wifi+outage: uplink LinkOutage {:.2}s..{:.2}s",
-        CHAIN_DEADLINE.as_millis(),
+        CONTENDED_CHAIN_DEADLINE.as_millis(),
         o_start as f64 / 1e9,
         o_end as f64 / 1e9,
-    )
-    .unwrap();
-    let header = format!(
+    ));
+    println!("Placement sweep ({duration:?} simulated per cell)");
+    rule(92);
+    out.line(format_args!(
         "{:>12} {:>12} {:>7} {:>10} {:>9} {:>8} {:>8} {:>11} {:>7}",
         "link",
         "plan",
@@ -229,31 +187,24 @@ fn main() -> std::io::Result<()> {
         "mtp_p99",
         "migrations",
         "final",
-    );
-    writeln!(out, "{header}").unwrap();
-
-    println!("Placement sweep ({duration:?} simulated per cell)");
-    rule(92);
-    println!("{header}");
+    ));
 
     let mut cells: Vec<Cell> = Vec::new();
     for cond in &conds {
         for plan in [Plan::AllLocal, Plan::AllOffload, Plan::Adaptive] {
             let cell = summarize(cond, plan, &run_once(cond, plan, duration));
-            let row = format!(
+            out.line(format_args!(
                 "{:>12} {:>12} {:>7} {:>10.4} {:>9.4} {:>8.3} {:>8.3} {:>11} {:>7}",
                 cell.condition,
                 cell.plan.label(),
                 cell.mtp_chains,
                 cell.mtp_chain_miss,
-                cell.all_chain_miss,
-                cell.mtp_mean_ms,
-                cell.mtp_p99_ms,
-                cell.migrations,
+                cell.run.chain_miss_rate,
+                cell.run.mtp_ms.mean(),
+                cell.run.mtp_ms.percentile(0.99),
+                cell.migration_log.len(),
                 cell.final_side.label(),
-            );
-            println!("{row}");
-            writeln!(out, "{row}").unwrap();
+            ));
             cells.push(cell);
         }
     }
@@ -265,7 +216,7 @@ fn main() -> std::io::Result<()> {
     let find = |cond: &str, plan: Plan| {
         cells.iter().find(|c| c.condition == cond && c.plan == plan).expect("cell present")
     };
-    writeln!(out).unwrap();
+    out.note("");
     let mut wins = 0usize;
     let mut degraded_ok = false;
     for cond in &conds {
@@ -275,34 +226,31 @@ fn main() -> std::io::Result<()> {
         let le_both = adaptive.mtp_chain_miss <= local.mtp_chain_miss + EPS
             && adaptive.mtp_chain_miss <= offload.mtp_chain_miss + EPS;
         wins += le_both as usize;
-        writeln!(
-            out,
+        out.note(format_args!(
             "adaptive_le_static[{}]={} (adaptive {:.4} vs all_local {:.4} / all_offload {:.4})",
             cond.label,
             le_both,
             adaptive.mtp_chain_miss,
             local.mtp_chain_miss,
             offload.mtp_chain_miss,
-        )
-        .unwrap();
+        ));
         if cond.outage {
-            let p99_le = adaptive.mtp_p99_ms <= local.mtp_p99_ms + EPS
-                && adaptive.mtp_p99_ms <= offload.mtp_p99_ms + EPS;
+            let p99 = |c: &Cell| c.run.mtp_ms.percentile(0.99);
+            let p99_le = p99(adaptive) <= p99(local) + EPS && p99(adaptive) <= p99(offload) + EPS;
             let strict = adaptive.mtp_chain_miss + EPS < local.mtp_chain_miss
                 && adaptive.mtp_chain_miss + EPS < offload.mtp_chain_miss;
-            let migrated = adaptive.migrations >= 2 && adaptive.final_side == Side::Edge;
+            let migrated = adaptive.migration_log.len() >= 2 && adaptive.final_side == Side::Edge;
             degraded_ok = le_both && p99_le && strict && migrated;
-            writeln!(
-                out,
+            out.note(format_args!(
                 "degraded_link_checks: p99_le_both={p99_le} strictly_below_both={strict} \
                  migrated_and_restored={migrated}"
-            )
-            .unwrap();
+            ));
         }
     }
     let adaptive_beats_static = wins >= 3 && degraded_ok;
-    writeln!(out, "adaptive_beats_static={adaptive_beats_static} (le_both on {wins}/4 links)")
-        .unwrap();
+    out.note(format_args!(
+        "adaptive_beats_static={adaptive_beats_static} (le_both on {wins}/4 links)"
+    ));
     rule(92);
     println!("adaptive ≤ both static extremes on {wins}/4 link conditions");
     println!("adaptive beats both extremes on the degraded link: {degraded_ok}");
@@ -315,25 +263,17 @@ fn main() -> std::io::Result<()> {
     let degraded = conds.last().expect("outage condition present");
     let base = find(degraded.label, Plan::Adaptive);
     let rerun = summarize(degraded, Plan::Adaptive, &run_once(degraded, Plan::Adaptive, duration));
-    let deterministic = rerun.mtp_ms == base.mtp_ms
-        && rerun.chain_ms == base.chain_ms
-        && rerun.migration_log == base.migration_log;
-    writeln!(out, "deterministic_rerun_identical={deterministic}").unwrap();
+    let deterministic = rerun.run == base.run && rerun.migration_log == base.migration_log;
+    out.claim(&[("deterministic_rerun_identical", deterministic)]);
     println!("deterministic rerun identical: {deterministic}");
     for m in &base.migration_log {
-        writeln!(
-            out,
+        out.note(format_args!(
             "# migration epoch={} at={:.3}s {}->{}",
             m.epoch,
             m.at_ns as f64 / 1e9,
             m.from.label(),
             m.to.label(),
-        )
-        .unwrap();
+        ));
     }
-
-    std::fs::create_dir_all("results")?;
-    std::fs::write("results/placement_sweep.txt", &out)?;
-    println!("wrote results/placement_sweep.txt");
-    Ok(())
+    out.write()
 }

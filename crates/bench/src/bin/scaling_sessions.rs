@@ -31,11 +31,10 @@
 //! trajectories, seeded link jitter — so two invocations produce a
 //! bit-identical output file.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
 use illixr_bench::cli::BenchArgs;
-use illixr_bench::{mtp_stage_summary, rule, sim_duration, write_obs_artifacts};
+use illixr_bench::{mtp_stage_summary, rule, sim_duration, write_obs_artifacts, Report};
 use illixr_server::server::ReplayLoad;
 use illixr_server::{
     LinkConfig, PlacementPolicy, SchedulerConfig, ServerBuilder, ServerReport, SessionState,
@@ -100,18 +99,14 @@ fn main() -> std::io::Result<()> {
     let replay = args.trace();
     let replay_seed = args.seed().unwrap_or(42);
     let shards = args.shards().unwrap_or(32);
-    let mut out = String::new();
-    writeln!(
-        out,
+    let mut out = Report::new("scaling_sessions");
+    out.note(format_args!(
         "# Session scaling on one edge server ({}s simulated per point)",
         duration.as_secs()
-    )
-    .unwrap();
-    writeln!(out, "# Shared link: Wi-Fi class (200 Mbit/s up, 400 Mbit/s down, 2 ms)").unwrap();
-    writeln!(out, "# VIO pool: 2 workers, batched per 4 ms server tick; real MSCKF per session")
-        .unwrap();
-    writeln!(
-        out,
+    ));
+    out.note("# Shared link: Wi-Fi class (200 Mbit/s up, 400 Mbit/s down, 2 ms)");
+    out.note("# VIO pool: 2 workers, batched per 4 ms server tick; real MSCKF per session");
+    out.note(format_args!(
         "{:>8} {:>9} {:>9} {:>9} {:>12} {:>11} {:>10} {:>13} {:>13} {:>10}",
         "sessions",
         "admitted",
@@ -123,13 +118,12 @@ fn main() -> std::io::Result<()> {
         "up_queue_ms",
         "down_queue_ms",
         "pool_util"
-    )
-    .unwrap();
+    ));
 
     println!("Session scaling ({duration:?} simulated per point)");
     rule(112);
 
-    let mut details = String::new();
+    let mut details: Vec<String> = Vec::new();
     let mut mean_curve: Vec<f64> = Vec::new();
     let mut drops_or_rejections_seen = false;
     for &n in &WIFI_COUNTS {
@@ -144,7 +138,7 @@ fn main() -> std::io::Result<()> {
         }
         let report = builder.build().run();
         let mean_ms = report.mean_mtp().as_secs_f64() * 1e3;
-        let row = format!(
+        out.line(format_args!(
             "{:>8} {:>9} {:>9} {:>9} {:>12.3} {:>11.3} {:>10.4} {:>13.3} {:>13.3} {:>10.4}",
             n,
             report.admitted(),
@@ -156,10 +150,8 @@ fn main() -> std::io::Result<()> {
             report.uplink.mean_queue_delay().as_secs_f64() * 1e3,
             report.downlink.mean_queue_delay().as_secs_f64() * 1e3,
             report.pool_utilization,
-        );
-        println!("{row}");
-        writeln!(out, "{row}").unwrap();
-        writeln!(details, "\n## {n} sessions\n{}", report.summary_text()).unwrap();
+        ));
+        details.push(format!("\n## {n} sessions\n{}", report.summary_text()));
         mean_curve.push(mean_ms);
         if report.drop_rate() > 0.0 || report.count(SessionState::Rejected) > 0 {
             drops_or_rejections_seen = true;
@@ -170,12 +162,12 @@ fn main() -> std::io::Result<()> {
     // worse. Flag any inversion loudly (deterministic, so this is a
     // model regression, not noise).
     let monotone = mean_curve.windows(2).all(|w| w[1] >= w[0] - 1e-9);
-    writeln!(
-        out,
-        "\nmean_mtp_monotone_nondecreasing={monotone} drops_or_rejections_at_scale={drops_or_rejections_seen}"
-    )
-    .unwrap();
-    out.push_str(&details);
+    out.note("");
+    out.claim(&[
+        ("mean_mtp_monotone_nondecreasing", monotone),
+        ("drops_or_rejections_at_scale", drops_or_rejections_seen),
+    ]);
+    details.iter().for_each(|d| out.note(d));
 
     rule(112);
     println!("mean MTP monotone non-decreasing: {monotone}");
@@ -193,21 +185,16 @@ fn main() -> std::io::Result<()> {
     let edge_duration =
         if quick { Duration::from_secs(2) } else { duration.min(Duration::from_secs(4)) };
     let edge_counts: Vec<usize> = EDGE_COUNTS.iter().copied().filter(|&n| n <= edge_cap).collect();
-    writeln!(
-        out,
+    out.note(format_args!(
         "\n# Edge-pool scaling ({}s simulated per point, {} shards)",
         edge_duration.as_secs(),
         shards
-    )
-    .unwrap();
-    writeln!(out, "# Shared link: edge ingress (30 Gbit/s up, 100 Gbit/s down, 2 ms)").unwrap();
-    writeln!(
-        out,
-        "# VIO pool: 32 workers at 0.5 ms/update, 1 ms ticks, deadline-aware (30 ms); synthetic poses"
-    )
-    .unwrap();
-    writeln!(
-        out,
+    ));
+    out.note("# Shared link: edge ingress (30 Gbit/s up, 100 Gbit/s down, 2 ms)");
+    out.note(
+        "# VIO pool: 32 workers at 0.5 ms/update, 1 ms ticks, deadline-aware (30 ms); synthetic poses",
+    );
+    out.note(format_args!(
         "{:>8} {:>9} {:>9} {:>9} {:>11} {:>12} {:>11} {:>10} {:>10}",
         "sessions",
         "admitted",
@@ -218,8 +205,7 @@ fn main() -> std::io::Result<()> {
         "mtp_p99_ms",
         "drop_rate",
         "pool_util"
-    )
-    .unwrap();
+    ));
 
     println!("Edge-pool scaling ({edge_duration:?} simulated per point, {shards} shards)");
     rule(98);
@@ -229,9 +215,7 @@ fn main() -> std::io::Result<()> {
     let rerun_point = EDGE_RERUN.min(*edge_counts.last().expect("edge sweep non-empty"));
     for &n in &edge_counts {
         let report = edge_builder(n, edge_duration, shards).build().run();
-        let row = edge_row(n, &report);
-        println!("{row}");
-        writeln!(out, "{row}").unwrap();
+        out.line(edge_row(n, &report));
         p99_curve.push(report.p99_mtp().as_secs_f64() * 1e3);
         if n == rerun_point {
             rerun_reference = report.summary_text();
@@ -249,12 +233,12 @@ fn main() -> std::io::Result<()> {
     println!("re-running {rerun_point}-session edge point for determinism...");
     let rerun = edge_builder(rerun_point, edge_duration, shards).build().run().summary_text();
     let edge_rerun_identical = rerun == rerun_reference;
-    writeln!(
-        out,
-        "\nedge_p99_monotone_nondecreasing={edge_monotone} edge_p99_bounded={edge_bounded} \
-         edge_rerun_identical={edge_rerun_identical}"
-    )
-    .unwrap();
+    out.note("");
+    out.claim(&[
+        ("edge_p99_monotone_nondecreasing", edge_monotone),
+        ("edge_p99_bounded", edge_bounded),
+        ("edge_rerun_identical", edge_rerun_identical),
+    ]);
     rule(98);
     println!("edge p99 MTP monotone non-decreasing: {edge_monotone}");
     println!("edge p99 MTP bounded (< 100 ms at scale): {edge_bounded}");
@@ -277,12 +261,11 @@ fn main() -> std::io::Result<()> {
         .run();
     let stages = mtp_stage_summary(&traced.metrics);
     print!("{stages}");
-    writeln!(out, "\n## traced run (4 sessions, {}s)\n{stages}", traced_duration.as_secs())
-        .unwrap();
-
-    std::fs::create_dir_all("results")?;
-    std::fs::write("results/scaling_sessions.txt", &out)?;
-    println!("wrote results/scaling_sessions.txt");
+    out.note(format_args!(
+        "\n## traced run (4 sessions, {}s)\n{stages}",
+        traced_duration.as_secs()
+    ));
+    out.write()?;
     write_obs_artifacts("scaling_sessions", &traced.tracer, &traced.metrics)?;
     Ok(())
 }

@@ -16,20 +16,12 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use illixr_bench::cli::BenchArgs;
-use illixr_bench::{experiment_config, rule};
+use illixr_bench::{contended_config, rule, Report, RunSummary, CONTENDED_CHAIN_DEADLINE};
 use illixr_core::sched::PolicyKind;
-use illixr_platform::spec::Platform;
-use illixr_render::apps::Application;
 use illixr_system::experiment::{ExperimentResult, IntegratedExperiment};
 
 const LOADS: [f64; 3] = [1.0, 2.0, 3.0];
 
-/// Chain deadline for the study. Tighter than the paper's ~25 ms
-/// single-user budget: on the pinned single core the interesting
-/// transition (blocked integrator → stale display pose) happens in the
-/// 10–30 ms band, and a 15 ms budget puts the overloaded rows right on
-/// it.
-const CHAIN_DEADLINE: Duration = Duration::from_millis(15);
 const POLICIES: [PolicyKind; 3] =
     [PolicyKind::RateMonotonic, PolicyKind::Edf, PolicyKind::Adaptive];
 
@@ -37,23 +29,10 @@ const POLICIES: [PolicyKind; 3] =
 struct Cell {
     load: f64,
     policy: PolicyKind,
-    chain_total: usize,
-    chain_miss_rate: f64,
-    chain_p50_ms: f64,
-    chain_p99_ms: f64,
-    mtp_mean_ms: f64,
-    mtp_p99_ms: f64,
+    /// MTP / chain samples (also the CDF export) and the miss rate.
+    run: RunSummary,
     shed: u64,
     level: u32,
-    /// Sorted chain latencies (ms) for the CDF export.
-    chain_ms: Vec<f64>,
-    /// Sorted MTP totals (ms) for the CDF export.
-    mtp_ms: Vec<f64>,
-}
-
-fn run_cell(load: f64, policy: PolicyKind) -> Cell {
-    let result = run_once(load, policy);
-    summarize(load, policy, &result)
 }
 
 /// Nine cells are simulated, so cap the per-cell duration well below
@@ -64,42 +43,16 @@ fn bench_duration() -> Duration {
 }
 
 fn run_once(load: f64, policy: PolicyKind) -> ExperimentResult {
-    // One CPU core turns the paper's 6-core desktop into a contended
-    // platform where the non-preemptive VIO update blocks the 2 ms
-    // IMU-integrator period — exactly the régime where scheduling
-    // policy matters.
-    let mut config = experiment_config(Application::Platformer, Platform::Desktop)
-        .with_policy(policy)
-        .with_load_factor(load)
-        .with_cpu_cores(1);
-    config.duration = bench_duration();
-    config.chain_deadline = CHAIN_DEADLINE;
-    IntegratedExperiment::run(&config)
+    IntegratedExperiment::run(&contended_config(load, bench_duration()).with_policy(policy))
 }
 
 fn summarize(load: f64, policy: PolicyKind, result: &ExperimentResult) -> Cell {
-    let mut chain_ms: Vec<f64> =
-        result.chain_outcomes.iter().map(|o| o.latency_ns as f64 / 1e6).collect();
-    chain_ms.sort_by(|a, b| a.total_cmp(b));
-    let misses = result.chain_outcomes.iter().filter(|o| o.missed).count();
-    let total = result.chain_outcomes.len();
-    let mut mtp_ms: Vec<f64> = result.mtp.iter().map(|s| s.total().as_secs_f64() * 1e3).collect();
-    mtp_ms.sort_by(|a, b| a.total_cmp(b));
-    let mtp_mean_ms =
-        if mtp_ms.is_empty() { 0.0 } else { mtp_ms.iter().sum::<f64>() / mtp_ms.len() as f64 };
     Cell {
         load,
         policy,
-        chain_total: total,
-        chain_miss_rate: if total == 0 { 0.0 } else { misses as f64 / total as f64 },
-        chain_p50_ms: illixr_bench::percentile(&chain_ms, 0.50),
-        chain_p99_ms: illixr_bench::percentile(&chain_ms, 0.99),
-        mtp_mean_ms,
-        mtp_p99_ms: illixr_bench::percentile(&mtp_ms, 0.99),
+        run: RunSummary::of(result),
         shed: result.shed_jobs,
         level: result.degradation_level,
-        chain_ms,
-        mtp_ms,
     }
 }
 
@@ -113,8 +66,8 @@ fn write_cdf(policy: PolicyKind, cell: &Cell) -> std::io::Result<()> {
         writeln!(
             csv,
             "{q:.2},{:.6},{:.6}",
-            illixr_bench::percentile(&cell.chain_ms, q),
-            illixr_bench::percentile(&cell.mtp_ms, q)
+            cell.run.chain_ms.percentile(q),
+            cell.run.mtp_ms.percentile(q)
         )
         .unwrap();
     }
@@ -126,22 +79,17 @@ fn write_cdf(policy: PolicyKind, cell: &Cell) -> std::io::Result<()> {
 
 fn main() -> std::io::Result<()> {
     let duration = bench_duration();
-    let mut out = String::new();
-    writeln!(
-        out,
+    let mut out = Report::new("sched_compare");
+    out.note(format_args!(
         "# Scheduling-policy comparison, Platformer on Desktop pinned to 1 CPU core \
          ({}s simulated per cell)",
         duration.as_secs()
-    )
-    .unwrap();
-    writeln!(
-        out,
+    ));
+    out.note(format_args!(
         "# chain = imu -> imu_integrator -> timewarp, deadline {} ms",
-        CHAIN_DEADLINE.as_millis()
-    )
-    .unwrap();
-    writeln!(
-        out,
+        CONTENDED_CHAIN_DEADLINE.as_millis()
+    ));
+    out.note(format_args!(
         "{:>5} {:>15} {:>7} {:>10} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6}",
         "load",
         "policy",
@@ -153,8 +101,7 @@ fn main() -> std::io::Result<()> {
         "mtp_p99",
         "shed",
         "level"
-    )
-    .unwrap();
+    ));
 
     println!("Scheduling-policy comparison ({duration:?} simulated per cell)");
     rule(96);
@@ -162,22 +109,20 @@ fn main() -> std::io::Result<()> {
     let mut cells: Vec<Cell> = Vec::new();
     for &load in &LOADS {
         for &policy in &POLICIES {
-            let cell = run_cell(load, policy);
-            let row = format!(
+            let cell = summarize(load, policy, &run_once(load, policy));
+            out.line(format_args!(
                 "{:>5.1} {:>15} {:>7} {:>10.4} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6} {:>6}",
                 cell.load,
                 cell.policy.label(),
-                cell.chain_total,
-                cell.chain_miss_rate,
-                cell.chain_p50_ms,
-                cell.chain_p99_ms,
-                cell.mtp_mean_ms,
-                cell.mtp_p99_ms,
+                cell.run.chain_ms.len(),
+                cell.run.chain_miss_rate,
+                cell.run.chain_ms.percentile(0.50),
+                cell.run.chain_ms.percentile(0.99),
+                cell.run.mtp_ms.mean(),
+                cell.run.mtp_ms.percentile(0.99),
                 cell.shed,
                 cell.level,
-            );
-            println!("{row}");
-            writeln!(out, "{row}").unwrap();
+            ));
             cells.push(cell);
         }
     }
@@ -192,15 +137,16 @@ fn main() -> std::io::Result<()> {
     };
     let rm = find(top, PolicyKind::RateMonotonic);
     let gov = find(top, PolicyKind::Adaptive);
-    let governor_reduces_p99 = gov.chain_p99_ms < rm.chain_p99_ms;
-    let governor_reduces_misses = gov.chain_miss_rate < rm.chain_miss_rate;
-    let mtp_bounded = gov.mtp_p99_ms < 3.0 * rm.mtp_p99_ms.max(1.0);
-    writeln!(
-        out,
-        "\ngovernor_reduces_p99_chain_latency={governor_reduces_p99} \
-         governor_reduces_miss_rate={governor_reduces_misses} mtp_bounded={mtp_bounded}"
-    )
-    .unwrap();
+    let governor_reduces_p99 = gov.run.chain_ms.percentile(0.99) < rm.run.chain_ms.percentile(0.99);
+    let governor_reduces_misses = gov.run.chain_miss_rate < rm.run.chain_miss_rate;
+    let mtp_bounded =
+        gov.run.mtp_ms.percentile(0.99) < 3.0 * rm.run.mtp_ms.percentile(0.99).max(1.0);
+    out.note("");
+    out.claim(&[
+        ("governor_reduces_p99_chain_latency", governor_reduces_p99),
+        ("governor_reduces_miss_rate", governor_reduces_misses),
+        ("mtp_bounded", mtp_bounded),
+    ]);
     rule(96);
     println!("governor reduces p99 chain latency at {top}x load: {governor_reduces_p99}");
     println!("governor reduces chain miss rate at {top}x load: {governor_reduces_misses}");
@@ -212,11 +158,8 @@ fn main() -> std::io::Result<()> {
     // Determinism: the overload governor cell rerun must match its
     // first run sample for sample.
     let rerun = summarize(top, PolicyKind::Adaptive, &run_once(top, PolicyKind::Adaptive));
-    let deterministic = rerun.chain_ms == gov.chain_ms
-        && rerun.mtp_ms == gov.mtp_ms
-        && rerun.shed == gov.shed
-        && rerun.level == gov.level;
-    writeln!(out, "deterministic_rerun_identical={deterministic}").unwrap();
+    let deterministic = rerun.run == gov.run && rerun.shed == gov.shed && rerun.level == gov.level;
+    out.claim(&[("deterministic_rerun_identical", deterministic)]);
     println!("deterministic rerun identical: {deterministic}");
 
     std::fs::create_dir_all("results")?;
@@ -224,7 +167,5 @@ fn main() -> std::io::Result<()> {
         let cell = find(top, policy);
         write_cdf(policy, cell)?;
     }
-    std::fs::write("results/sched_compare.txt", &out)?;
-    println!("wrote results/sched_compare.txt");
-    Ok(())
+    out.write()
 }

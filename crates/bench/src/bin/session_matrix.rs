@@ -34,7 +34,7 @@ use illixr_api::{
     RemoteDiscovery, Session, SessionInit, SessionMode,
 };
 use illixr_bench::cli::BenchArgs;
-use illixr_bench::rule;
+use illixr_bench::{rule, Report};
 use illixr_math::Vec3;
 use illixr_server::ServerBuilder;
 
@@ -192,14 +192,16 @@ fn main() -> std::io::Result<()> {
     let (body2, _, _) = run_matrix(seed, quick);
     let identical = body == body2;
 
-    let mut out = String::from("# session_matrix\n\n");
-    out.push_str(&body);
-    writeln!(
-        out,
-        "\nmixed_modes_coexist={coexist} deterministic_rerun_identical={identical} \
-         remote_matches_direct={matches}"
-    )
-    .unwrap();
+    let mut out = Report::new("session_matrix");
+    out.note("# session_matrix\n");
+    // The body ends its own last row; `note`'s newline is the blank
+    // line before the claims.
+    out.note(&body);
+    out.claim(&[
+        ("mixed_modes_coexist", coexist),
+        ("deterministic_rerun_identical", identical),
+        ("remote_matches_direct", matches),
+    ]);
 
     rule(98);
     println!("mixed session modes coexist on one server: {coexist}");
@@ -220,8 +222,5 @@ fn main() -> std::io::Result<()> {
         println!("wrote mock golden transcript to {path}");
     }
 
-    std::fs::create_dir_all("results")?;
-    std::fs::write("results/session_matrix.txt", &out)?;
-    println!("wrote results/session_matrix.txt");
-    Ok(())
+    out.write()
 }

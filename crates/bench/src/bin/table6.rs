@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 
-use illixr_bench::rule;
-use illixr_core::telemetry::TaskTimer;
+use illixr_bench::print_task_shares;
+use illixr_core::obs::Metrics;
 use illixr_core::Time;
 use illixr_reconstruction::pipeline::ScenePipeline;
 use illixr_sensors::camera::{PinholeCamera, StereoRig};
@@ -16,20 +16,8 @@ use illixr_sensors::world::LandmarkWorld;
 use illixr_vio::integrator::ImuState;
 use illixr_vio::msckf::{Msckf, VioConfig};
 
-fn print_shares(title: &str, paper: &[(&str, f64)], timer: &TaskTimer, note: &str) {
-    println!("\n{title}");
-    rule(60);
-    println!("{:<26} {:>10} {:>10}", "task", "measured", "paper");
-    let shares = timer.shares();
-    for (task, paper_share) in paper {
-        let measured =
-            shares.iter().find(|(n, _)| n == task).map(|(_, s)| *s * 100.0).unwrap_or(0.0);
-        println!("{task:<26} {measured:>9.1}% {paper_share:>9.0}%");
-    }
-    if !note.is_empty() {
-        println!("  note: {note}");
-    }
-}
+/// Task-name column width.
+const NAME_WIDTH: usize = 26;
 
 fn main() {
     println!("Table VI: task breakdown of VIO and scene reconstruction");
@@ -43,7 +31,7 @@ fn main() {
         VioConfig::accurate(cam),
         ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity),
     );
-    let vio_timer = TaskTimer::new();
+    let vio_timer = Metrics::new();
     let mut imu_idx = 0;
     for (k, &cam_t) in ds.camera_times.iter().enumerate() {
         while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= cam_t {
@@ -61,8 +49,9 @@ fn main() {
             Some(&vio_timer),
         );
     }
-    print_shares(
+    print_task_shares(
         "VIO (OpenVINS-style MSCKF, Vicon-Room-like synthetic sequence)",
+        NAME_WIDTH,
         &[
             ("feature detection", 15.0),
             ("feature matching", 13.0),
@@ -84,14 +73,15 @@ fn main() {
     let scene_cam = PinholeCamera { fx: 95.0, fy: 95.0, cx: 48.0, cy: 36.0, width: 96, height: 72 };
     let scene_rig = StereoRig::zed_mini(scene_cam);
     let mut pipe = ScenePipeline::elastic_fusion_like(scene_cam, traj.pose(Time::ZERO));
-    let scene_timer = TaskTimer::new();
+    let scene_timer = Metrics::new();
     for k in 0..40u64 {
         let t = Time::from_millis(k * 100);
         let depth = world.render_depth(&scene_rig, &traj.pose(t));
         pipe.process(&depth, None, Some(&scene_timer));
     }
-    print_shares(
+    print_task_shares(
         "Scene reconstruction (ElasticFusion-style surfel pipeline, dyson_lab-like scene)",
+        NAME_WIDTH,
         &[
             ("camera processing", 5.0),
             ("image processing", 18.0),

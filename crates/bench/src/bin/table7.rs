@@ -5,9 +5,9 @@
 use std::sync::Arc;
 
 use illixr_audio::plugins::{AudioEncodingPlugin, AudioPlaybackPlugin};
-use illixr_bench::rule;
+use illixr_bench::print_task_shares;
+use illixr_core::obs::Metrics;
 use illixr_core::plugin::{Plugin, RuntimeBuilder};
-use illixr_core::telemetry::TaskTimer;
 use illixr_core::{SimClock, Time};
 use illixr_image::RgbImage;
 use illixr_render::plugin::{RenderedFrame, EYEBUFFER_STREAM};
@@ -17,20 +17,8 @@ use illixr_visual::hologram::{compute_hologram, HologramConfig};
 use illixr_visual::plugins::TimewarpPlugin;
 use illixr_visual::reprojection::ReprojectionConfig;
 
-fn print_shares(title: &str, rows: &[(&str, f64)], timer: &TaskTimer, note: &str) {
-    println!("\n{title}");
-    rule(62);
-    println!("{:<28} {:>10} {:>10}", "task", "measured", "paper");
-    let shares = timer.shares();
-    for (task, paper_share) in rows {
-        let measured =
-            shares.iter().find(|(n, _)| n == task).map(|(_, s)| *s * 100.0).unwrap_or(0.0);
-        println!("{task:<28} {measured:>9.1}% {paper_share:>9.0}%");
-    }
-    if !note.is_empty() {
-        println!("  note: {note}");
-    }
-}
+/// Task-name column width.
+const NAME_WIDTH: usize = 28;
 
 fn main() {
     println!("Table VII: task breakdown of visual and audio pipeline components");
@@ -57,16 +45,17 @@ fn main() {
         clock.advance_to(Time::from_millis(8 * (k + 1)));
         tw.iterate(&ctx);
     }
-    print_shares(
+    print_task_shares(
         "Reprojection (VR Museum-like 2K-aspect frames)",
+        NAME_WIDTH,
         &[("reprojection", 22.0), ("distortion+chromatic", 0.0)],
-        &tw.task_timer(),
+        &tw.task_metrics(),
         "paper's other 78% is GPU-driver work (FBO 24%, OpenGL state 54%) that a \
          CPU reimplementation has no analogue for; the uarch model charges it in fig8",
     );
 
     // --- Hologram ------------------------------------------------------------
-    let holo_timer = TaskTimer::new();
+    let holo_timer = Metrics::new();
     let cfg = HologramConfig::default();
     let t0 = illixr_image::GrayImage::from_fn(cfg.width, cfg.height, |x, y| {
         if (x / 8 + y / 8) % 2 == 0 {
@@ -81,8 +70,9 @@ fn main() {
     for _ in 0..3 {
         compute_hologram(&[t0.clone(), t1.clone()], &cfg, Some(&holo_timer));
     }
-    print_shares(
+    print_task_shares(
         "Hologram (weighted Gerchberg-Saxton, 2 depth planes)",
+        NAME_WIDTH,
         &[("hologram-to-depth", 57.0), ("sum", 0.0), ("depth-to-hologram", 43.0)],
         &holo_timer,
         "",
@@ -95,10 +85,11 @@ fn main() {
     for _ in 0..50 {
         enc.iterate(&ctx2);
     }
-    print_shares(
+    print_task_shares(
         "Audio encoding (2 sources, 48 kHz, 1024-sample blocks)",
+        NAME_WIDTH,
         &[("normalization", 7.0), ("encoding", 81.0), ("summation", 12.0)],
-        &enc.task_timer(),
+        &enc.task_metrics(),
         "",
     );
 
@@ -109,15 +100,16 @@ fn main() {
         enc.iterate(&ctx2);
         play.iterate(&ctx2);
     }
-    print_shares(
+    print_task_shares(
         "Audio playback (8 virtual speakers, HRTF binauralization)",
+        NAME_WIDTH,
         &[
             ("psychoacoustic filter", 29.0),
             ("rotation", 6.0),
             ("zoom", 5.0),
             ("binauralization", 60.0),
         ],
-        &play.task_timer(),
+        &play.task_metrics(),
         "",
     );
 }

@@ -19,12 +19,11 @@
 //! recorded integrated-run trace as a binary fixture; writes
 //! `results/trace_replay.txt`).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
 use illixr_bench::cli::BenchArgs;
-use illixr_bench::{rule, sim_duration};
+use illixr_bench::{rule, sim_duration, Report};
 use illixr_core::boundary::{Boundary, TraceSource};
 use illixr_core::obs::{chrome_trace_json, metrics_csv};
 use illixr_platform::spec::Platform;
@@ -51,22 +50,22 @@ fn main() -> std::io::Result<()> {
     let fixture_path = args.write_fixture().map(str::to_string);
     let replay_seed = args.seed().unwrap_or(42);
     let duration = if args.quick() { Duration::from_secs(2) } else { sim_duration() };
-    let mut out = String::new();
-    writeln!(out, "# Record/replay determinism + trace-driven load ({}s)", duration.as_secs())
-        .unwrap();
+    let mut out = Report::new("trace_replay");
+    out.note(format_args!(
+        "# Record/replay determinism + trace-driven load ({}s)",
+        duration.as_secs()
+    ));
 
     // --- 1. Record the fig4-style run -------------------------------
     println!("recording fig4-style run ({duration:?})...");
     let recorded = IntegratedExperiment::run(&fig4_config(duration));
     let trace = recorded.boundary_trace.clone().expect("recording enabled");
-    writeln!(
-        out,
+    out.note(format_args!(
         "recorded: streams={} records={} bytes={}",
         trace.streams.len(),
         trace.record_count(),
         trace.encode().len(),
-    )
-    .unwrap();
+    ));
     if let Some(path) = &fixture_path {
         std::fs::write(path, trace.encode())?;
         println!("wrote fixture {path}");
@@ -83,11 +82,11 @@ fn main() -> std::io::Result<()> {
     let obs_ok = chrome_trace_json(&replayed.tracer) == chrome_trace_json(&recorded.tracer);
     let csv_ok = metrics_csv(&replayed.metrics) == metrics_csv(&recorded.metrics);
     let identity = trace_ok && obs_ok && csv_ok;
-    writeln!(out, "replay: trace_ok={trace_ok} obs_ok={obs_ok} metrics_ok={csv_ok}").unwrap();
+    out.note(format_args!("replay: trace_ok={trace_ok} obs_ok={obs_ok} metrics_ok={csv_ok}"));
     if !trace_ok {
         let report = Boundary::divergence_report(&trace, &rerec, &replayed.stream_stats);
         eprintln!("{report}");
-        out.push_str(&report);
+        out.note(report.trim_end());
     }
 
     // --- 3. Trace-driven fan-out against the server -------------------
@@ -103,21 +102,17 @@ fn main() -> std::io::Result<()> {
             .boundary_trace
             .expect("recorded"),
     );
-    writeln!(
-        out,
+    out.note(format_args!(
         "server trace: streams={} records={} bytes={}",
         server_trace.streams.len(),
         server_trace.record_count(),
         server_trace.encode().len(),
-    )
-    .unwrap();
+    ));
 
-    writeln!(
-        out,
+    out.note(format_args!(
         "\n{:>8} {:>12} {:>12} {:>12} {:>12} {:>10}",
         "sessions", "agg_fps", "mtp_mean_ms", "mtp_p99_ms", "drop_rate", "admitted"
-    )
-    .unwrap();
+    ));
     rule(72);
     let fan_run = |n: usize| {
         ServerBuilder::new()
@@ -140,7 +135,7 @@ fn main() -> std::io::Result<()> {
     for &n in &FAN_OUTS {
         let report = fan_run(n).run();
         let agg_fps = report.aggregate_fps();
-        let row = format!(
+        out.line(format_args!(
             "{:>8} {:>12.1} {:>12.3} {:>12.3} {:>12.4} {:>10}",
             n,
             agg_fps,
@@ -148,23 +143,19 @@ fn main() -> std::io::Result<()> {
             report.p99_mtp().as_secs_f64() * 1e3,
             report.drop_rate(),
             report.admitted(),
-        );
-        println!("{row}");
-        writeln!(out, "{row}").unwrap();
+        ));
         if n == *FAN_OUTS.last().unwrap() {
             last_summary = report.summary_text();
-            writeln!(out, "\n## per-session MTP at fan-out {n}").unwrap();
+            out.note(format_args!("\n## per-session MTP at fan-out {n}"));
             for s in report.sessions() {
                 let mtp = s.mtp();
-                writeln!(
-                    out,
+                out.note(format_args!(
                     "session {:>2}: mtp_mean_ms={:.3} mtp_p99_ms={:.3} displayed={}",
                     s.id(),
                     mtp.mean.as_secs_f64() * 1e3,
                     mtp.p99.as_secs_f64() * 1e3,
                     mtp.displayed,
-                )
-                .unwrap();
+                ));
             }
         }
     }
@@ -174,8 +165,9 @@ fn main() -> std::io::Result<()> {
     let rerun = fan_run(*FAN_OUTS.last().unwrap()).run().summary_text();
     let fan_out_deterministic = rerun == last_summary;
 
-    writeln!(out, "\nreplay_identity={identity}").unwrap();
-    writeln!(out, "fan_out_deterministic={fan_out_deterministic}").unwrap();
+    out.note("");
+    out.claim(&[("replay_identity", identity)]);
+    out.claim(&[("fan_out_deterministic", fan_out_deterministic)]);
     rule(72);
     println!("replay identity: {identity}");
     println!("fan-out deterministic: {fan_out_deterministic}");
@@ -183,8 +175,5 @@ fn main() -> std::io::Result<()> {
         eprintln!("WARNING: determinism claim failed — see results/trace_replay.txt");
     }
 
-    std::fs::create_dir_all("results")?;
-    std::fs::write("results/trace_replay.txt", &out)?;
-    println!("wrote results/trace_replay.txt");
-    Ok(())
+    out.write()
 }

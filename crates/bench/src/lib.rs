@@ -175,9 +175,135 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
+/// An ascending sample vector with the statistics the sweeps print.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Samples(Vec<f64>);
+
+impl Samples {
+    pub fn new(samples: impl IntoIterator<Item = f64>) -> Self {
+        let mut sorted: Vec<f64> = samples.into_iter().collect();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        Self(sorted)
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Arithmetic mean (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.0.is_empty() {
+            0.0
+        } else {
+            self.0.iter().sum::<f64>() / self.0.len() as f64
+        }
+    }
+
+    /// [`percentile`] of the samples.
+    pub fn percentile(&self, p: f64) -> f64 {
+        percentile(&self.0, p)
+    }
+}
+
+/// What every integrated-experiment sweep reads off a run: MTP totals
+/// and chain latencies in milliseconds, and the deadline-miss rate
+/// over all tracked chains.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunSummary {
+    pub mtp_ms: Samples,
+    pub chain_ms: Samples,
+    pub chain_miss_rate: f64,
+}
+
+impl RunSummary {
+    pub fn of(result: &illixr_system::experiment::ExperimentResult) -> Self {
+        let chains = &result.chain_outcomes;
+        let missed = chains.iter().filter(|o| o.missed).count();
+        Self {
+            mtp_ms: Samples::new(result.mtp.iter().map(|s| s.total().as_secs_f64() * 1e3)),
+            chain_ms: Samples::new(chains.iter().map(|o| o.latency_ns as f64 / 1e6)),
+            chain_miss_rate: if chains.is_empty() {
+                0.0
+            } else {
+                missed as f64 / chains.len() as f64
+            },
+        }
+    }
+}
+
+/// A sweep's `results/<stem>.txt`, accumulated while its table prints.
+#[derive(Debug)]
+pub struct Report {
+    stem: &'static str,
+    text: String,
+}
+
+impl Report {
+    pub fn new(stem: &'static str) -> Self {
+        Self { stem, text: String::new() }
+    }
+
+    /// Appends `text` and a newline to the artifact only (comments,
+    /// headers, detail blocks).
+    pub fn note(&mut self, text: impl std::fmt::Display) {
+        use std::fmt::Write as _;
+        writeln!(self.text, "{text}").expect("writing to a String cannot fail");
+    }
+
+    /// A table row: printed and appended.
+    pub fn line(&mut self, row: impl std::fmt::Display) {
+        println!("{row}");
+        self.note(row);
+    }
+
+    /// The greppable claim line, `name=bool` pairs separated by spaces
+    /// (artifact only; the bins print their own prose).
+    pub fn claim(&mut self, claims: &[(&str, bool)]) {
+        let pairs: Vec<String> = claims.iter().map(|(name, ok)| format!("{name}={ok}")).collect();
+        self.note(pairs.join(" "));
+    }
+
+    /// Writes `results/<stem>.txt` and announces the path.
+    pub fn write(self) -> std::io::Result<()> {
+        std::fs::create_dir_all("results")?;
+        let path = format!("results/{}.txt", self.stem);
+        std::fs::write(&path, self.text)?;
+        println!("wrote {path}");
+        Ok(())
+    }
+}
+
 /// Prints a horizontal rule for the harness tables.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
+}
+
+/// Prints one Table VI/VII block: the measured share of each named
+/// task (from the component's host-time task histograms) beside the
+/// paper's, task names padded to `name_width`.
+pub fn print_task_shares(
+    title: &str,
+    name_width: usize,
+    paper: &[(&str, f64)],
+    tasks: &illixr_core::obs::Metrics,
+    note: &str,
+) {
+    println!("\n{title}");
+    rule(name_width + 34);
+    println!("{:<name_width$} {:>10} {:>10}", "task", "measured", "paper");
+    let shares = tasks.shares();
+    for (task, paper_share) in paper {
+        let measured =
+            shares.iter().find(|(n, _)| n == task).map(|(_, s)| *s * 100.0).unwrap_or(0.0);
+        println!("{task:<name_width$} {measured:>9.1}% {paper_share:>9.0}%");
+    }
+    if !note.is_empty() {
+        println!("  note: {note}");
+    }
 }
 
 /// Simulated duration for the integrated experiments: the paper runs
@@ -200,6 +326,43 @@ pub fn experiment_config(
     let mut cfg = illixr_system::experiment::ExperimentConfig::paper(app, platform);
     cfg.duration = sim_duration();
     cfg
+}
+
+/// Chain deadline of the contended-core sweeps. Tighter than the
+/// paper's ~25 ms single-user budget: on the pinned single core the
+/// interesting transition (blocked integrator → stale display pose)
+/// happens in the 10–30 ms band, and a 15 ms budget puts the overloaded
+/// rows right on it.
+pub const CONTENDED_CHAIN_DEADLINE: std::time::Duration = std::time::Duration::from_millis(15);
+
+/// The contended régime `sched_compare`, `fault_sweep` and
+/// `placement_sweep` share: Platformer on the desktop pinned to one CPU
+/// core at `load`× — where the non-preemptive VIO update blocks the
+/// 2 ms IMU-integrator period, so scheduling policy, supervision and
+/// placement all show in the chain-miss column.
+pub fn contended_config(
+    load: f64,
+    duration: std::time::Duration,
+) -> illixr_system::experiment::ExperimentConfig {
+    let mut cfg = experiment_config(
+        illixr_render::apps::Application::Platformer,
+        illixr_platform::spec::Platform::Desktop,
+    )
+    .with_load_factor(load)
+    .with_cpu_cores(1);
+    cfg.duration = duration;
+    cfg.chain_deadline = CONTENDED_CHAIN_DEADLINE;
+    cfg
+}
+
+/// Per-cell duration of a many-cell sweep: 3 s under `--quick`, else
+/// [`sim_duration`] capped at 12 s.
+pub fn sweep_duration(quick: bool) -> std::time::Duration {
+    if quick {
+        std::time::Duration::from_secs(3)
+    } else {
+        sim_duration().min(std::time::Duration::from_secs(12))
+    }
 }
 
 /// Writes `results/<stem>.trace.json` + `results/<stem>.metrics.csv`

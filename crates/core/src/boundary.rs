@@ -1,27 +1,40 @@
-//! Glue onto the `illixr-trace` record/replay layer.
+//! The §V-G record/replay mechanism: the determinism boundary.
 //!
 //! Like [`crate::obs`], [`crate::sched`] and [`crate::fault`], this
-//! module re-exports a below-core crate and adds the runtime-facing
-//! handle: a [`Boundary`] carried by every
+//! module re-exports a below-core crate (`illixr-trace`) and adds the
+//! runtime-facing handle: a [`Boundary`] carried by every
 //! [`PluginContext`](crate::plugin::PluginContext). The boundary is
 //! the determinism frontier of a run — every *physical input* (camera
-//! pose, IMU sample, link delivery, scheduled crash) crosses it
-//! exactly once, and each crossing point does one of three things:
+//! pose, IMU sample, link delivery, placement decision, scheduled
+//! crash) crosses it exactly once, and the crossing rule has one
+//! implementation, here. A crossing site is a codec plus two calls:
 //!
-//! * **off** (the default) — generate the input as before; zero cost.
-//! * **recording** — generate the input, then append `(stream,
-//!   tag_ns, payload)` to the [`TraceRecorder`].
-//! * **replaying** — skip the generator and pop the recorded input
-//!   from the [`TraceSource`] instead. A replaying boundary may *also*
-//!   carry a recorder; replay paths re-record the popped payload bytes
+//! ```text
+//! if let Some(due) = boundary.replay_due(STREAM, now_ns) {
+//!     for (tag, payload) in due { /* decode + act */ }
+//! } else {
+//!     /* generate + act */
+//!     boundary.record_with(STREAM, now_ns, || encode(..));
+//! }
+//! ```
+//!
+//! * **off** (the default) — [`Boundary::replay_due`] is `None` and
+//!   [`Boundary::record_with`] never runs its closure; zero cost.
+//! * **recording** — the generated input is encoded and appended as
+//!   `(stream, tag_ns, payload)` to the [`TraceRecorder`].
+//! * **replaying** — a stream the trace holds is popped from the
+//!   [`TraceSource`] instead of generated (a stream it does not hold
+//!   is generated live: a device recording fanned out into server
+//!   sessions has no link streams). A replaying boundary may *also*
+//!   carry a recorder; [`ReplayDue`] re-records each popped payload
 //!   verbatim, so a replayed run's trace is byte-identical to its
 //!   input — the golden-test identity check.
 //!
-//! Fault-plan *outcomes* cross the boundary too (satellite rule:
-//! record the boundary, not the RNG): [`Boundary::crash_due`] records
-//! each scheduled crash as an empty payload on `crash/<plugin>`, so a
-//! faulted recording replays identically even when the replay side
-//! runs a quiet plan under supervision.
+//! Fault-plan *outcomes* cross the boundary too (record the boundary,
+//! not the RNG): [`Boundary::crash_due`] records each scheduled crash
+//! as an empty payload on `crash/<plugin>`, so a faulted recording
+//! replays identically even when the replay side runs a quiet plan
+//! under supervision.
 
 pub use illixr_trace::checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_SCHEMA_VERSION};
 pub use illixr_trace::codec::{ByteReader, ByteWriter, CodecError};
@@ -76,20 +89,27 @@ impl Boundary {
         self.recorder.is_none() && self.source.is_none()
     }
 
-    pub fn recorder(&self) -> Option<&TraceRecorder> {
-        self.recorder.as_ref()
-    }
-
     /// The replay source, when this boundary replays.
     pub fn source(&self) -> Option<&TraceSource> {
         self.source.as_ref()
     }
 
-    /// Append one boundary event (no-op without a recorder).
-    pub fn record(&self, stream: &str, tag_ns: u64, payload: Vec<u8>) {
+    /// Live half of the crossing rule: append the input a site just
+    /// generated. `encode` runs only when a recorder is attached, so an
+    /// unrecorded run never pays for the payload.
+    pub fn record_with(&self, stream: &str, tag_ns: u64, encode: impl FnOnce() -> Vec<u8>) {
         if let Some(rec) = &self.recorder {
-            rec.record(stream, tag_ns, payload);
+            rec.record(stream, tag_ns, encode());
         }
+    }
+
+    /// Replay half of the crossing rule: the recorded inputs of
+    /// `stream` due at `now_ns`, or `None` when this boundary does not
+    /// replay that stream (no source, or the trace never recorded it)
+    /// and the site must generate the input live.
+    pub fn replay_due<'a>(&'a self, stream: &'a str, now_ns: u64) -> Option<ReplayDue<'a>> {
+        let source = self.source.as_ref().filter(|src| src.has_stream(stream))?;
+        Some(ReplayDue { recorder: self.recorder.as_ref(), source, stream, now_ns })
     }
 
     /// Whether plugin `plugin` has a crash due at `release_ns` beyond
@@ -107,14 +127,13 @@ impl Boundary {
             None => plan.crash_due(plugin, release_ns, fired),
         };
         if due {
-            if let Some(src) = &self.source {
+            match self.replay_due(&stream, release_ns) {
                 // Consume the record so a re-recording replay emits it
                 // at its original tag.
-                if let Some((tag, payload)) = src.next_due(&stream, release_ns) {
-                    self.record(&stream, tag, payload);
+                Some(mut recorded) => {
+                    recorded.next();
                 }
-            } else {
-                self.record(&stream, release_ns, Vec::new());
+                None => self.record_with(&stream, release_ns, Vec::new),
             }
         }
         due
@@ -153,6 +172,39 @@ impl Boundary {
     }
 }
 
+/// The recorded inputs of one stream due at one instant, from
+/// [`Boundary::replay_due`]. Yields `(tag_ns, payload)` in recording
+/// order — tags already mapped through the source's
+/// [`SessionTransform`] — and re-records each pair verbatim as it is
+/// yielded when the boundary also carries a recorder.
+#[derive(Debug)]
+pub struct ReplayDue<'a> {
+    recorder: Option<&'a TraceRecorder>,
+    source: &'a TraceSource,
+    stream: &'a str,
+    now_ns: u64,
+}
+
+impl ReplayDue<'_> {
+    /// The replaying source's session transform, for payload codecs
+    /// that carry times as deltas from the record tag.
+    pub fn transform(&self) -> SessionTransform {
+        self.source.transform()
+    }
+}
+
+impl Iterator for ReplayDue<'_> {
+    type Item = (u64, Vec<u8>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (tag, payload) = self.source.next_due(self.stream, self.now_ns)?;
+        if let Some(rec) = self.recorder {
+            rec.record(self.stream, tag, payload.clone());
+        }
+        Some((tag, payload))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -163,8 +215,41 @@ mod tests {
     fn off_boundary_is_inert() {
         let b = Boundary::off();
         assert!(b.is_off());
-        b.record("imu", 1, vec![1]);
-        assert!(b.recorder().is_none() && b.source().is_none());
+        b.record_with("imu", 1, || unreachable!("an off boundary never encodes"));
+        assert!(b.replay_due("imu", u64::MAX).is_none() && b.source().is_none());
+    }
+
+    fn imu_trace() -> Arc<Trace> {
+        let rec = TraceRecorder::new(1, 2);
+        for tag in [100, 200, 300] {
+            rec.record("imu", tag, vec![tag as u8]);
+        }
+        Arc::new(rec.snapshot())
+    }
+
+    #[test]
+    fn replay_yields_only_due_records_and_rerecords_them_verbatim() {
+        let trace = imu_trace();
+        let rerec = TraceRecorder::new(1, 2);
+        let b = Boundary::replaying(TraceSource::new(trace.clone()), Some(rerec.clone()));
+        assert!(b.replay_due("camera", u64::MAX).is_none(), "unrecorded stream is generated live");
+        assert_eq!(b.replay_due("imu", 99).expect("imu replays").count(), 0);
+        let due: Vec<_> = b.replay_due("imu", 250).expect("imu replays").collect();
+        assert_eq!(due, [(100, vec![100]), (200, vec![200])]);
+        assert_eq!(rerec.snapshot().record_count(), 2, "only yielded records are re-recorded");
+        assert_eq!(b.replay_due("imu", 250).expect("imu replays").count(), 0, "each crosses once");
+        assert_eq!(b.replay_due("imu", 300).expect("imu replays").count(), 1);
+        assert_eq!(rerec.snapshot().encode(), trace.encode());
+    }
+
+    #[test]
+    fn record_with_encodes_only_when_a_recorder_is_attached() {
+        let replay_only = Boundary::replaying(TraceSource::new(imu_trace()), None);
+        replay_only.record_with("imu", 1, || unreachable!("a replay-only boundary never encodes"));
+        assert_eq!(replay_only.replay_due("imu", 100).expect("imu replays").count(), 1);
+        let rec = TraceRecorder::new(1, 2);
+        Boundary::recording(rec.clone()).record_with("imu", 7, || vec![3]);
+        assert_eq!(rec.snapshot().stream("imu").map(<[_]>::len), Some(1));
     }
 
     #[test]

@@ -18,12 +18,11 @@
 //!   components on modeled CPU/GPU resources, enforcing the Fig 2
 //!   dependency structure, producing deadline misses and frame drops
 //!   exactly where a real constrained platform would.
-//! * **[`telemetry`]** — the record logger collecting per-frame wall/CPU
-//!   time, achieved frame rates and deadline statistics with negligible
-//!   overhead (§III-E).
-//! * **[`trace`]** — rosbag-style record/replay of stream traffic, the
-//!   §V-G mechanism for driving component simulations from full-system
-//!   traces.
+//! * **[`telemetry`]** — the invocation log (§III-E): one
+//!   [`FrameRecord`] per component invocation, from either executor;
+//!   obs data (spans, `exec.*`/`response.*`/`sched.*` histograms) is
+//!   derived from it by [`telemetry::export_invocation`] and nowhere
+//!   else.
 //! * **[`obs`]** — glue onto the `illixr-obs` observability layer:
 //!   span tracing, switchboard flow events, latency histograms, and
 //!   the Chrome/Perfetto trace exporter.
@@ -36,10 +35,12 @@
 //! * **[`supervisor`]** — crash containment: panic catch + bounded
 //!   backoff restarts, recovery-time accounting, and a stale-stream
 //!   watchdog that escalates the scheduler's degradation ladder.
-//! * **[`boundary`]** — glue onto the `illixr-trace` record/replay
-//!   layer: the determinism boundary every physical input crosses,
+//! * **[`boundary`]** — the §V-G record/replay mechanism (over
+//!   `illixr-trace`): the determinism boundary every physical input
+//!   crosses, with the one implementation of the crossing rule —
 //!   recordable to a versioned binary trace and replayable
-//!   bit-for-bit (or fanned out into synthetic load).
+//!   bit-for-bit (or fanned out into synthetic load) to drive
+//!   components of interest from full-system traces.
 //! * **[`link`]** — the device↔edge link vocabulary the
 //!   point-to-point and the shared contended link models have in
 //!   common: transfer [`Direction`]s and named [`LinkProfile`] presets.
@@ -72,7 +73,6 @@ pub mod switchboard;
 pub mod telemetry;
 pub mod threadloop;
 pub mod time;
-pub mod trace;
 
 pub use boundary::{Boundary, SessionTransform, Trace, TraceRecorder, TraceSource};
 pub use clock::{Clock, SimClock, WallClock};
@@ -84,7 +84,6 @@ pub use supervisor::{PluginHealth, SupervisionPolicy, Supervisor};
 pub use switchboard::{
     AsyncReader, Switchboard, SwitchboardError, SyncReader, Topic, TopicStats, Writer,
 };
-pub use telemetry::{ComponentStats, FrameRecord, RecordLogger, TaskTimer};
+pub use telemetry::{ComponentStats, FrameRecord, RecordLogger};
 pub use threadloop::{RuntimeHandles, ThreadloopBuilder};
 pub use time::Time;
-pub use trace::{StreamRecorder, StreamTrace, TraceReplayer};

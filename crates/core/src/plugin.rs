@@ -416,13 +416,14 @@ mod tests {
         let recorder = TraceRecorder::new(1, 2);
         let recording =
             RuntimeBuilder::new(Arc::new(WallClock::new())).with_recorder(recorder.clone()).build();
-        recording.boundary.record("imu", 7, vec![3]);
+        recording.boundary.record_with("imu", 7, || vec![3]);
         let trace = Arc::new(recorder.snapshot());
         assert_eq!(trace.stream("imu").unwrap().len(), 1);
         let replaying = RuntimeBuilder::new(Arc::new(WallClock::new()))
             .with_trace(TraceSource::new(trace))
             .build();
-        assert_eq!(replaying.boundary.source().unwrap().next_due("imu", 10), Some((7, vec![3])));
+        let due: Vec<_> = replaying.boundary.replay_due("imu", 10).expect("imu replays").collect();
+        assert_eq!(due, [(7, vec![3])]);
     }
 
     #[test]

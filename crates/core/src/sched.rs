@@ -34,21 +34,19 @@ pub fn placement_epoch(
     now_ns: u64,
     healthy: bool,
 ) {
-    let replay = boundary.source().filter(|src| src.has_stream(PLACE_STREAM)).cloned();
-    if let Some(src) = replay {
-        while let Some((tag, payload)) = src.next_due(PLACE_STREAM, now_ns) {
+    if let Some(due) = boundary.replay_due(PLACE_STREAM, now_ns) {
+        for (tag, payload) in due {
             let to = std::str::from_utf8(&payload)
                 .ok()
                 .and_then(Side::parse)
                 .expect("corrupt placement decision record");
-            boundary.record(PLACE_STREAM, tag, payload);
             ctl.force(tag, to);
         }
     } else {
         ctl.observe(!healthy);
         ctl.observe_link(healthy);
         if let Some(m) = ctl.on_epoch(now_ns) {
-            boundary.record(PLACE_STREAM, m.at_ns, m.to.label().as_bytes().to_vec());
+            boundary.record_with(PLACE_STREAM, m.at_ns, || m.to.label().as_bytes().to_vec());
         }
     }
 }

@@ -23,10 +23,9 @@ use std::time::Duration;
 use crate::clock::{Clock, SimClock};
 use crate::obs::{Metrics, Tracer};
 use crate::sched::{
-    lateness_ns, ChainId, ChainOutcome, ChainSpec, ChainTracker, Policy, PolicyKind, PriorityClass,
-    ReadyJob,
+    ChainId, ChainOutcome, ChainSpec, ChainTracker, Policy, PolicyKind, PriorityClass, ReadyJob,
 };
-use crate::telemetry::{FrameRecord, RecordLogger};
+use crate::telemetry::{export_invocation, FrameRecord, RecordLogger};
 use crate::time::Time;
 
 /// The hardware resource a task occupies while executing.
@@ -513,46 +512,9 @@ impl SimEngine {
             // The actual end time includes any preemption delays.
             record.end = now;
             record.missed_deadline = now > record.release + self.tasks[id].spec.deadline;
-            let deadline_rel_ns = self.tasks[id].spec.deadline.as_nanos() as u64;
-            let name = self.tasks[id].spec.name.clone();
-            if self.tracer.is_enabled() {
-                if record.start > record.release {
-                    // Queueing delay gets its own track so it never
-                    // overlaps the next invocation's execution slice.
-                    self.tracer.record_span(
-                        &format!("{name}.wait"),
-                        "wait",
-                        record.release.as_nanos(),
-                        record.start.as_nanos(),
-                    );
-                }
-                let lateness =
-                    lateness_ns(now.as_nanos(), record.release.as_nanos(), deadline_rel_ns);
-                self.tracer.record_span_args(
-                    &name,
-                    &name,
-                    record.start.as_nanos(),
-                    now.as_nanos(),
-                    &[
-                        ("work_factor", format!("{:.3}", record.work_factor)),
-                        ("missed_deadline", record.missed_deadline.to_string()),
-                        ("lateness_us", format!("{}", lateness / 1_000)),
-                    ],
-                );
-            }
-            if self.metrics.is_enabled() {
-                self.metrics.record(&format!("exec.{name}"), now - record.start);
-                self.metrics.record(&format!("response.{name}"), now - record.release);
-                // Policy-comparable deadline accounting: lateness of
-                // every job (0 when on time), and of misses alone.
-                let lateness =
-                    lateness_ns(now.as_nanos(), record.release.as_nanos(), deadline_rel_ns);
-                self.metrics.record_ns("sched.lateness", lateness);
-                if record.missed_deadline {
-                    self.metrics.record_ns("sched.miss", lateness);
-                }
-            }
-            self.telemetry.log(&name, record);
+            let spec = &self.tasks[id].spec;
+            export_invocation(&self.tracer, &self.metrics, &spec.name, &record, spec.deadline);
+            self.telemetry.log(&spec.name, record);
             self.note_chain_finish(id, now);
         }
         if held_slot {

@@ -1,17 +1,20 @@
-//! The record logger: per-frame telemetry with negligible overhead.
+//! The invocation log: per-frame telemetry with negligible overhead.
 //!
 //! ILLIXR's logging framework collects the wall-clock time and CPU time
 //! of every component invocation (§III-E); the figures and tables of the
 //! evaluation are all derived from these records. `RecordLogger` is the
-//! ILLIXR-rs equivalent: components (or the scheduler on their behalf)
-//! push one [`FrameRecord`] per invocation, and analysis code reads back
-//! aggregated [`ComponentStats`].
+//! ILLIXR-rs equivalent: the executors push one [`FrameRecord`] per
+//! invocation, and analysis code reads back aggregated
+//! [`ComponentStats`]. Obs data is derived from the same record by
+//! [`export_invocation`], so the log and the trace cannot disagree.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::obs::{Metrics, Tracer};
+use crate::sched::lateness_ns;
 use crate::time::Time;
 
 /// One component invocation.
@@ -169,11 +172,6 @@ impl RecordLogger {
         shares
     }
 
-    /// Clears all records.
-    pub fn clear(&self) {
-        self.logs.lock().clear();
-    }
-
     /// Serializes every component's records as CSV
     /// (`component,release_ns,start_ns,end_ns,cpu_ns,work_factor,missed`),
     /// the format the artifact's `results/metrics/` directories hold.
@@ -216,88 +214,50 @@ impl std::fmt::Debug for RecordLogger {
     }
 }
 
-/// Accumulates wall time per named *task* within a component — the
-/// instrumentation behind the paper's Tables VI and VII (e.g. VIO's
-/// "feature detection 15 %, MSCKF update 23 %, …").
-///
-/// # Examples
-///
-/// ```
-/// use illixr_core::telemetry::TaskTimer;
-/// let timer = TaskTimer::new();
-/// {
-///     let _guard = timer.scope("feature detection");
-///     // ... work ...
-/// }
-/// assert_eq!(timer.shares().len(), 1);
-/// ```
-#[derive(Default)]
-pub struct TaskTimer {
-    totals: Mutex<HashMap<String, Duration>>,
-}
-
-impl TaskTimer {
-    /// Creates an empty timer.
-    pub fn new() -> Self {
-        Self::default()
+/// Turns one finished invocation into obs data — the only place either
+/// executor does so, so simulated and live traces carry the same
+/// tracks, args and histogram names. Emits a `{name}.wait` span when
+/// the invocation queued, the execution span with its work factor and
+/// deadline outcome, and `exec.{name}` / `response.{name}` /
+/// `sched.lateness` / `sched.miss` samples. `deadline` is relative to
+/// the record's release.
+pub fn export_invocation(
+    tracer: &Tracer,
+    metrics: &Metrics,
+    name: &str,
+    record: &FrameRecord,
+    deadline: Duration,
+) {
+    let (release, start, end) =
+        (record.release.as_nanos(), record.start.as_nanos(), record.end.as_nanos());
+    let lateness = lateness_ns(end, release, deadline.as_nanos() as u64);
+    if tracer.is_enabled() {
+        if start > release {
+            // Queueing delay gets its own track so it never overlaps
+            // the next invocation's execution slice.
+            tracer.record_span(&format!("{name}.wait"), "wait", release, start);
+        }
+        tracer.record_span_args(
+            name,
+            name,
+            start,
+            end,
+            &[
+                ("work_factor", format!("{:.3}", record.work_factor)),
+                ("missed_deadline", record.missed_deadline.to_string()),
+                ("lateness_us", format!("{}", lateness / 1_000)),
+            ],
+        );
     }
-
-    /// Starts timing `task`; the elapsed time is added when the returned
-    /// guard drops.
-    pub fn scope(&self, task: &str) -> TaskScope<'_> {
-        TaskScope { timer: self, task: task.to_owned(), start: std::time::Instant::now() }
-    }
-
-    /// Adds `elapsed` to `task` directly.
-    pub fn add(&self, task: &str, elapsed: Duration) {
-        *self.totals.lock().entry(task.to_owned()).or_default() += elapsed;
-    }
-
-    /// Total accumulated time for one task.
-    pub fn total(&self, task: &str) -> Duration {
-        self.totals.lock().get(task).copied().unwrap_or_default()
-    }
-
-    /// `(task, fraction_of_total)` pairs sorted by descending share.
-    pub fn shares(&self) -> Vec<(String, f64)> {
-        let totals = self.totals.lock();
-        let sum: f64 = totals.values().map(|d| d.as_secs_f64()).sum();
-        let mut out: Vec<(String, f64)> = totals
-            .iter()
-            .map(|(k, v)| (k.clone(), if sum > 0.0 { v.as_secs_f64() / sum } else { 0.0 }))
-            .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("shares are finite"));
-        out
-    }
-
-    /// Clears all accumulated totals.
-    pub fn clear(&self) {
-        self.totals.lock().clear();
-    }
-}
-
-impl std::fmt::Debug for TaskTimer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TaskTimer({} tasks)", self.totals.lock().len())
-    }
-}
-
-/// RAII guard created by [`TaskTimer::scope`].
-pub struct TaskScope<'a> {
-    timer: &'a TaskTimer,
-    task: String,
-    start: std::time::Instant,
-}
-
-impl Drop for TaskScope<'_> {
-    fn drop(&mut self) {
-        self.timer.add(&self.task, self.start.elapsed());
-    }
-}
-
-impl std::fmt::Debug for TaskScope<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TaskScope({})", self.task)
+    if metrics.is_enabled() {
+        metrics.record(&format!("exec.{name}"), record.execution_time());
+        metrics.record(&format!("response.{name}"), record.response_time());
+        // Policy-comparable deadline accounting: lateness of every job
+        // (0 when on time), and of misses alone.
+        metrics.record_ns("sched.lateness", lateness);
+        if record.missed_deadline {
+            metrics.record_ns("sched.miss", lateness);
+        }
     }
 }
 
@@ -358,30 +318,6 @@ mod tests {
     fn unknown_component_has_no_stats() {
         let log = RecordLogger::new();
         assert!(log.stats("nope").is_none());
-    }
-
-    #[test]
-    fn task_timer_shares_sum_to_one() {
-        let t = TaskTimer::new();
-        t.add("a", Duration::from_millis(30));
-        t.add("b", Duration::from_millis(10));
-        let shares = t.shares();
-        assert_eq!(shares[0].0, "a");
-        assert!((shares[0].1 - 0.75).abs() < 1e-12);
-        let sum: f64 = shares.iter().map(|(_, s)| s).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn task_timer_scope_accumulates() {
-        let t = TaskTimer::new();
-        {
-            let _g = t.scope("x");
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(t.total("x") >= Duration::from_millis(1));
-        t.clear();
-        assert_eq!(t.total("x"), Duration::ZERO);
     }
 
     #[test]

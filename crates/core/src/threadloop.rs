@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use crate::plugin::{Plugin, PluginContext};
 use crate::sched::{release_ns, JobQueue, Policy, PriorityClass, ReadyJob};
 use crate::supervisor::Supervised;
-use crate::telemetry::FrameRecord;
+use crate::telemetry::{export_invocation, FrameRecord};
 use crate::time::Time;
 
 /// One plugin's schedule inside a [`ThreadloopBuilder`].
@@ -275,37 +275,29 @@ impl Drop for ThreadLoopHandle {
 }
 
 /// One timed release of a supervised plugin, shared by both execution
-/// shapes: a productive iteration gets its span, `exec.*` histogram
-/// sample and [`FrameRecord`]; a release that completed nothing is a
-/// drop.
+/// shapes: a productive iteration becomes a [`FrameRecord`] (and,
+/// through [`export_invocation`], its obs data); a release that
+/// completed nothing is a drop.
 fn run_release(task: &mut Supervised, ctx: &PluginContext, release_ns: u64, deadline_ns: u64) {
-    let start_t = ctx.clock.now();
+    let start = ctx.clock.now();
     let cpu_start = Instant::now();
-    let outcome = task.invoke(ctx, release_ns, start_t.as_nanos());
-    let cpu = cpu_start.elapsed();
-    let end_t = ctx.clock.now();
+    let outcome = task.invoke(ctx, release_ns, start.as_nanos());
+    let cpu_time = cpu_start.elapsed();
+    let end = ctx.clock.now();
     let name = task.name();
     match outcome {
         Some(report) if report.did_work => {
-            ctx.tracer.record_span(name, name, start_t.as_nanos(), end_t.as_nanos());
-            if ctx.metrics.is_enabled() {
-                ctx.metrics.record(&format!("exec.{name}"), cpu);
-            }
-            ctx.telemetry.log(
-                name,
-                FrameRecord {
-                    release: Time::from_nanos(release_ns),
-                    start: start_t,
-                    end: end_t,
-                    cpu_time: cpu,
-                    work_factor: report.work_factor,
-                    missed_deadline: crate::sched::is_miss(
-                        end_t.as_nanos(),
-                        release_ns,
-                        deadline_ns,
-                    ),
-                },
-            );
+            let record = FrameRecord {
+                release: Time::from_nanos(release_ns),
+                start,
+                end,
+                cpu_time,
+                work_factor: report.work_factor,
+                missed_deadline: crate::sched::is_miss(end.as_nanos(), release_ns, deadline_ns),
+            };
+            let deadline = Duration::from_nanos(deadline_ns);
+            export_invocation(&ctx.tracer, &ctx.metrics, name, &record, deadline);
+            ctx.telemetry.log(name, record);
         }
         Some(_) => {}
         None => ctx.telemetry.log_drop(name),

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -71,6 +71,28 @@ impl Metrics {
         self.record_ns(name, d.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
+    /// Times a scope on the *host* clock: the elapsed time since this
+    /// call is added to the named histogram when the returned guard
+    /// drops. This is how components attribute work to the per-task
+    /// rows of the paper's Tables VI and VII — into a private registry,
+    /// never the run's simulated-time one.
+    pub fn host_scope<'a>(&'a self, name: &'a str) -> HostScope<'a> {
+        HostScope { metrics: self, name, start: Instant::now() }
+    }
+
+    /// Each histogram's share of the summed `sum_ns` of all of them,
+    /// largest first (ties by name).
+    pub fn shares(&self) -> Vec<(String, f64)> {
+        let mut out: Vec<(String, f64)> =
+            self.snapshots().into_iter().map(|(n, h)| (n, h.sum_ns as f64)).collect();
+        let total: f64 = out.iter().map(|(_, s)| s).sum();
+        if total > 0.0 {
+            out.iter_mut().for_each(|(_, s)| *s /= total);
+        }
+        out.sort_by(|a, b| b.1.total_cmp(&a.1));
+        out
+    }
+
     /// Sets (overwrites) the named gauge.
     pub fn set_gauge(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
@@ -98,6 +120,20 @@ impl Metrics {
     }
 }
 
+/// RAII guard from [`Metrics::host_scope`].
+#[derive(Debug)]
+pub struct HostScope<'a> {
+    metrics: &'a Metrics,
+    name: &'a str,
+    start: Instant,
+}
+
+impl Drop for HostScope<'_> {
+    fn drop(&mut self) {
+        self.metrics.record(self.name, self.start.elapsed());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,6 +157,20 @@ mod tests {
         assert_eq!(m.snapshot("exec.warp").unwrap().count, 1);
         let names: Vec<String> = m.snapshots().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["exec.vio", "exec.warp"]);
+    }
+
+    #[test]
+    fn host_scope_accumulates_and_shares_sum_to_one() {
+        let m = Metrics::new();
+        drop(m.host_scope("x"));
+        drop(m.host_scope("x"));
+        assert_eq!(m.snapshot("x").unwrap().count, 2);
+        let m = Metrics::new();
+        m.record_ns("a", 30);
+        m.record_ns("b", 10);
+        let shares = m.shares();
+        assert_eq!(shares[0].0, "a");
+        assert!((shares.iter().map(|(_, s)| s).sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The scene-reconstruction pipeline: the five Table VI tasks wired
 //! together over a choice of map backend.
 
-use illixr_core::telemetry::TaskTimer;
+use illixr_core::obs::Metrics;
 use illixr_math::{Pose, Vec3};
 use illixr_sensors::camera::PinholeCamera;
 
@@ -92,20 +92,20 @@ impl ScenePipeline {
         &mut self,
         depth: &DepthFrame,
         pose_prior: Option<Pose>,
-        timer: Option<&TaskTimer>,
+        timer: Option<&Metrics>,
     ) -> SceneOutput {
         self.frame += 1;
         let prior = pose_prior.unwrap_or(self.pose);
 
         // Camera processing: bilateral filter + invalid-depth rejection.
         let filtered = {
-            let _g = timer.map(|t| t.scope("camera processing"));
+            let _g = timer.map(|t| t.host_scope("camera processing"));
             preprocess_depth(depth)
         };
 
         // Image processing: vertex + normal map generation.
         let (live_v, live_n) = {
-            let _g = timer.map(|t| t.scope("image processing"));
+            let _g = timer.map(|t| t.host_scope("image processing"));
             let v = vertex_map(&filtered, &self.cam);
             let n = normal_map(&v, self.cam.width, self.cam.height);
             (v, n)
@@ -113,7 +113,7 @@ impl ScenePipeline {
 
         // Surfel prediction: predict the model view at the prior pose.
         let model = {
-            let _g = timer.map(|t| t.scope("surfel prediction"));
+            let _g = timer.map(|t| t.host_scope("surfel prediction"));
             match &self.backend {
                 MapBackend::Tsdf(vol) => {
                     if self.frame == 1 {
@@ -140,7 +140,7 @@ impl ScenePipeline {
         // Pose estimation: point-to-plane ICP against the prediction.
         let mut residual = 0.0;
         {
-            let _g = timer.map(|t| t.scope("pose estimation"));
+            let _g = timer.map(|t| t.host_scope("pose estimation"));
             if let Some((model_v, model_n)) = &model {
                 // Frame-rate odometry: inter-frame motion is centimeters,
                 // so gate the correction accordingly (10 cm total, 5 cm
@@ -167,7 +167,7 @@ impl ScenePipeline {
 
         // Map fusion.
         {
-            let _g = timer.map(|t| t.scope("map fusion"));
+            let _g = timer.map(|t| t.host_scope("map fusion"));
             match &mut self.backend {
                 MapBackend::Tsdf(vol) => vol.integrate(&filtered, &self.cam, &self.pose),
                 MapBackend::Surfel(map) => {
@@ -178,7 +178,7 @@ impl ScenePipeline {
 
         // Periodic global refinement (loop-closure stand-in).
         let refined = if self.frame.is_multiple_of(self.refine_interval) {
-            let _g = timer.map(|t| t.scope("map fusion"));
+            let _g = timer.map(|t| t.host_scope("map fusion"));
             if let MapBackend::Surfel(map) = &mut self.backend {
                 map.refine();
                 true
@@ -315,9 +315,9 @@ mod tests {
     }
 
     #[test]
-    fn task_timer_covers_table_vi_tasks() {
+    fn task_metrics_covers_table_vi_tasks() {
         let (world, rig, traj) = scene_setup();
-        let timer = TaskTimer::new();
+        let timer = Metrics::new();
         let mut pipe = ScenePipeline::elastic_fusion_like(small_cam(), traj.pose(Time::ZERO));
         for k in 0..3 {
             let t = Time::from_millis(k * 100);

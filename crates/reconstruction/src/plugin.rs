@@ -7,9 +7,9 @@
 
 use std::sync::Arc;
 
+use illixr_core::obs::Metrics;
 use illixr_core::plugin::{IterationReport, Plugin, PluginContext};
 use illixr_core::switchboard::Writer;
-use illixr_core::telemetry::TaskTimer;
 use illixr_math::Pose;
 use illixr_sensors::camera::StereoRig;
 use illixr_sensors::trajectory::Trajectory;
@@ -38,7 +38,7 @@ pub struct SceneReconstructionPlugin {
     trajectory: Trajectory,
     pipeline: ScenePipeline,
     writer: Option<Writer<SceneUpdate>>,
-    timer: Arc<TaskTimer>,
+    timer: Metrics,
     baseline_map: usize,
 }
 
@@ -52,13 +52,13 @@ impl SceneReconstructionPlugin {
             rig,
             trajectory,
             writer: None,
-            timer: Arc::new(TaskTimer::new()),
+            timer: Metrics::new(),
             baseline_map: 0,
         }
     }
 
     /// Task-level timing (Table VI instrumentation).
-    pub fn task_timer(&self) -> Arc<TaskTimer> {
+    pub fn task_metrics(&self) -> Metrics {
         self.timer.clone()
     }
 }

@@ -76,9 +76,7 @@ impl SyntheticCameraPlugin {
         match last {
             Some((timestamp, frame_seq)) => {
                 let pose = self.trajectory.pose(timestamp);
-                let left = Arc::new(self.world.render(&self.rig, &pose, 0));
-                let right = Arc::new(self.world.render(&self.rig, &pose, 1));
-                self.last_frame = Some(StereoFrame { timestamp, left, right, seq: frame_seq });
+                self.last_frame = Some(self.render(&pose, timestamp, frame_seq));
                 self.last_pose = Some(pose);
             }
             None => {
@@ -88,27 +86,12 @@ impl SyntheticCameraPlugin {
         }
     }
 
-    /// Replay branch: publish every recorded frame that has come due,
-    /// re-rendering each from its recorded pose. The popped payload is
-    /// re-recorded verbatim so a replayed run's trace is byte-identical
-    /// to its input.
-    fn replay(&mut self, ctx: &PluginContext, now: illixr_core::Time) -> Option<IterationReport> {
-        let src = ctx.boundary.source()?.clone();
-        let writer = self.writer.as_ref().expect("start() must run before iterate()");
-        let mut last_work = None;
-        while let Some((tag, payload)) = src.next_due(streams::CAMERA, now.as_nanos()) {
-            let rec = wire::decode_camera(&payload, tag, &src.transform())
-                .expect("corrupt camera boundary record");
-            let left = Arc::new(self.world.render(&self.rig, &rec.pose, 0));
-            let right = Arc::new(self.world.render(&self.rig, &rec.pose, 1));
-            writer.put(StereoFrame { timestamp: rec.timestamp, left, right, seq: rec.seq });
-            ctx.boundary.record(streams::CAMERA, tag, payload);
-            last_work = Some(rec.work_factor);
-        }
-        Some(match last_work {
-            Some(w) => IterationReport::with_work(w),
-            None => IterationReport::skipped(),
-        })
+    /// The stereo pair seen from `pose` — a pure function of the
+    /// world, so live, replayed and restored frames are pixel-identical.
+    fn render(&self, pose: &Pose, timestamp: illixr_core::Time, seq: u64) -> StereoFrame {
+        let left = Arc::new(self.world.render(&self.rig, pose, 0));
+        let right = Arc::new(self.world.render(&self.rig, pose, 1));
+        StereoFrame { timestamp, left, right, seq }
     }
 }
 
@@ -124,12 +107,22 @@ impl Plugin for SyntheticCameraPlugin {
 
     fn iterate(&mut self, ctx: &PluginContext) -> IterationReport {
         let t = ctx.clock.now();
-        if let Some(report) = self.replay(ctx, t) {
+        let writer = self.writer.as_ref().expect("start() must run before iterate()");
+        if let Some(due) = ctx.boundary.replay_due(streams::CAMERA, t.as_nanos()) {
+            // Replay: publish every recorded frame that has come due,
+            // re-rendered from its recorded pose.
+            let transform = due.transform();
+            let mut report = IterationReport::skipped();
+            for (tag, payload) in due {
+                let rec = wire::decode_camera(&payload, tag, &transform)
+                    .expect("corrupt camera boundary record");
+                writer.put(self.render(&rec.pose, rec.timestamp, rec.seq));
+                report = IterationReport::with_work(rec.work_factor);
+            }
             return report;
         }
         let seq = self.seq;
         self.seq += 1;
-        let writer = self.writer.as_ref().expect("start() must run before iterate()");
         if !ctx.fault.is_quiet() {
             let faults = ctx.fault.sensor("camera");
             if faults.drop_frame(t.as_nanos(), seq) {
@@ -139,34 +132,30 @@ impl Plugin for SyntheticCameraPlugin {
                 if let Some(last) = &self.last_frame {
                     // Repeat the stale frame (old timestamp, old
                     // content) under a fresh sequence number.
-                    if ctx.boundary.recorder().is_some() {
+                    ctx.boundary.record_with(streams::CAMERA, t.as_nanos(), || {
                         let rec = wire::CameraRecord {
                             timestamp: last.timestamp,
                             seq,
                             work_factor: 0.1,
                             pose: self.last_pose.expect("last_frame implies last_pose"),
                         };
-                        ctx.boundary.record(
-                            streams::CAMERA,
-                            t.as_nanos(),
-                            wire::encode_camera(&rec, t),
-                        );
-                    }
+                        wire::encode_camera(&rec, t)
+                    });
                     writer.put(StereoFrame { seq, ..last.clone() });
                     return IterationReport::with_work(0.1);
                 }
             }
         }
         let pose = self.trajectory.pose(t);
-        let left = Arc::new(self.world.render(&self.rig, &pose, 0));
-        let right = Arc::new(self.world.render(&self.rig, &pose, 1));
-        let frame = StereoFrame { timestamp: t, left, right, seq };
+        let frame = self.render(&pose, t, seq);
         self.last_frame = Some(frame.clone());
         self.last_pose = Some(pose);
-        if ctx.boundary.recorder().is_some() {
-            let rec = wire::CameraRecord { timestamp: t, seq, work_factor: 1.0, pose };
-            ctx.boundary.record(streams::CAMERA, t.as_nanos(), wire::encode_camera(&rec, t));
-        }
+        ctx.boundary.record_with(streams::CAMERA, t.as_nanos(), || {
+            wire::encode_camera(
+                &wire::CameraRecord { timestamp: t, seq, work_factor: 1.0, pose },
+                t,
+            )
+        });
         writer.put(frame);
         IterationReport::nominal()
     }
@@ -211,20 +200,21 @@ impl Plugin for SyntheticImuPlugin {
     }
 
     fn iterate(&mut self, ctx: &PluginContext) -> IterationReport {
-        if let Some(src) = ctx.boundary.source().cloned() {
+        let now = ctx.clock.now();
+        let writer = self.writer.as_ref().expect("start() must run before iterate()");
+        if let Some(due) = ctx.boundary.replay_due(streams::IMU, now.as_nanos()) {
             // Replay: publish every recorded (post-fault) sample that
             // has come due; the model and the fault plan never run.
-            let now = ctx.clock.now();
-            let writer = self.writer.as_ref().expect("start() must run before iterate()");
-            let mut published = false;
-            while let Some((tag, payload)) = src.next_due(streams::IMU, now.as_nanos()) {
-                let sample = wire::decode_imu(&payload, tag, &src.transform())
-                    .expect("corrupt imu boundary record");
-                writer.put(sample);
-                ctx.boundary.record(streams::IMU, tag, payload);
-                published = true;
+            let transform = due.transform();
+            let mut report = IterationReport::skipped();
+            for (tag, payload) in due {
+                writer.put(
+                    wire::decode_imu(&payload, tag, &transform)
+                        .expect("corrupt imu boundary record"),
+                );
+                report = IterationReport::nominal();
             }
-            return if published { IterationReport::nominal() } else { IterationReport::skipped() };
+            return report;
         }
         let mut sample = self.model.next_sample();
         let seq = self.seq;
@@ -245,14 +235,8 @@ impl Plugin for SyntheticImuPlugin {
                 sample.gyro += illixr_math::Vec3::new(gyro_err, gyro_err, gyro_err);
             }
         }
-        if ctx.boundary.recorder().is_some() {
-            ctx.boundary.record(
-                streams::IMU,
-                ctx.clock.now().as_nanos(),
-                wire::encode_imu(&sample, ctx.clock.now()),
-            );
-        }
-        self.writer.as_ref().expect("start() must run before iterate()").put(sample);
+        ctx.boundary.record_with(streams::IMU, now.as_nanos(), || wire::encode_imu(&sample, now));
+        writer.put(sample);
         IterationReport::nominal()
     }
 }

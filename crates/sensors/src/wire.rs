@@ -12,6 +12,12 @@
 //! the deltas by the same factor, so payload timestamps keep tracking
 //! delivery times and derived metrics (pose age, motion-to-photon)
 //! stay meaningful in fanned-out sessions.
+//!
+//! This module is only the codec half of a crossing site; the protocol
+//! (what is due, re-recording, encoding only when recorded) is
+//! [`Boundary::replay_due`](illixr_core::boundary::Boundary::replay_due)
+//! / [`record_with`](illixr_core::boundary::Boundary::record_with), and
+//! `plugins.rs` is the "decode + act" / "generate + act" around them.
 
 use illixr_core::boundary::{ByteReader, ByteWriter, SessionTransform};
 use illixr_core::Time;

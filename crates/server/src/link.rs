@@ -18,7 +18,16 @@
 //! tests). The two models share no code, only `illixr_core::link`'s
 //! vocabulary: the [`Direction`] type is re-exported from there, and
 //! configs are built from named [`LinkProfile`] presets via
-//! [`LinkConfig::from_profile`].
+//! [`LinkConfig::from_profile`]. They stay separate on purpose: this one
+//! is a per-direction serializer shared by every session (state: two
+//! `busy_until` marks), the other a per-stream delay queue that owns the
+//! in-flight events — merging them would make one body branch on which
+//! caller it serves.
+//!
+//! Each transfer's `(queue wait, delivery delay)` is a physical input:
+//! [`SharedLink::transfer`] crosses the determinism boundary through
+//! `Boundary::replay_due` / `record_with` and only owns the 16-byte
+//! payload codec.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -146,60 +155,41 @@ impl SharedLink {
         self
     }
 
-    /// The link parameters.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
-    }
-
     /// Starts a transfer of `bytes` at `now` and returns its delivery
     /// time. FIFO per direction: the transfer first waits for the
     /// serializer to drain whatever earlier transfers queued.
     pub fn transfer(&mut self, direction: Direction, now: Time, bytes: u64) -> Time {
         let stream = direction.boundary_stream();
-        let replay = self.boundary.source().filter(|src| src.has_stream(stream)).cloned();
-        let (queue, serialization, arrival) = if let Some(src) = replay {
-            let (tag, payload) = src
-                .next_due(stream, now.as_nanos())
-                .expect("link replay diverged: no recorded transfer due at this instant");
+        let (bps, busy_until, target) = match direction {
+            Direction::Uplink => (self.config.uplink_bps, self.up_busy_until, "uplink"),
+            Direction::Downlink => (self.config.downlink_bps, self.down_busy_until, "downlink"),
+        };
+        let serialization = if bps.is_finite() {
+            Duration::from_secs_f64(bytes as f64 * 8.0 / bps)
+        } else {
+            Duration::ZERO
+        };
+        let (queue, arrival) = if let Some(mut due) =
+            self.boundary.replay_due(stream, now.as_nanos())
+        {
+            let t = due.transform();
+            let (_, payload) =
+                due.next().expect("link replay diverged: no recorded transfer due at this instant");
             let (wait_ns, arrival_delta) =
                 decode_transfer(&payload).expect("corrupt link boundary record");
-            // Re-record the popped bytes verbatim so a re-recorded
-            // replay stays byte-identical to its input trace.
-            self.boundary.record(stream, tag, payload);
-            let t = src.transform();
             let queue = Duration::from_nanos(t.scale_delta(wait_ns).max(0) as u64);
             let arrival = Time::from_nanos(
                 now.as_nanos().saturating_add(t.scale_delta(arrival_delta).max(0) as u64),
             );
-            let bps = match direction {
-                Direction::Uplink => self.config.uplink_bps,
-                Direction::Downlink => self.config.downlink_bps,
-            };
-            let serialization = if bps.is_finite() {
-                Duration::from_secs_f64(bytes as f64 * 8.0 / bps)
-            } else {
-                Duration::ZERO
-            };
-            (queue, serialization, arrival)
+            (queue, arrival)
         } else {
-            let (bps, busy_until, target) = match direction {
-                Direction::Uplink => (self.config.uplink_bps, &self.up_busy_until, "uplink"),
-                Direction::Downlink => {
-                    (self.config.downlink_bps, &self.down_busy_until, "downlink")
-                }
-            };
             let faults = self.fault.link(target);
-            let mut start = (*busy_until).max(now);
+            let mut start = busy_until.max(now);
             if let Some(outage_end) = faults.outage_until(now.as_nanos()) {
                 // The radio is down: the first byte waits out the outage.
                 start = start.max(Time::from_nanos(outage_end));
             }
             let queue = start - now;
-            let serialization = if bps.is_finite() {
-                Duration::from_secs_f64(bytes as f64 * 8.0 / bps)
-            } else {
-                Duration::ZERO
-            };
             let jitter = if self.config.jitter_sigma > 0.0 {
                 self.rng.next_lognormal(self.config.jitter_sigma)
             } else {
@@ -211,15 +201,13 @@ impl SharedLink {
                     * faults.jitter_scale(now.as_nanos()),
             );
             let arrival = start + serialization + propagation;
-            self.boundary.record(
-                stream,
-                now.as_nanos(),
+            self.boundary.record_with(stream, now.as_nanos(), || {
                 encode_transfer(
                     queue.as_nanos() as i64,
                     arrival.as_nanos() as i64 - now.as_nanos() as i64,
-                ),
-            );
-            (queue, serialization, arrival)
+                )
+            });
+            (queue, arrival)
         };
         let busy_until = match direction {
             Direction::Uplink => &mut self.up_busy_until,

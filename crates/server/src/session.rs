@@ -289,9 +289,7 @@ impl ClientSession {
         tracer: illixr_core::obs::Tracer,
         metrics: illixr_core::obs::Metrics,
     ) -> Self {
-        let trajectory = Trajectory::walking(config.seed);
-        let world = Arc::new(LandmarkWorld::lab(config.seed));
-        let rig = StereoRig::zed_mini(PinholeCamera::qvga());
+        let (trajectory, camera, imu, integrator) = Self::sensor_pipeline(config.seed, &config);
         // Two windows cycle per session: one filling, one in flight
         // inside a [`VioJob`]; a few spare slots absorb batching jitter.
         let slab = SlabPool::new(4);
@@ -300,18 +298,9 @@ impl ClientSession {
             config,
             state: SessionState::Pending,
             telemetry: SessionTelemetry::default(),
-            camera: SyntheticCameraPlugin::new(trajectory.clone(), world, rig),
-            imu: SyntheticImuPlugin::new(
-                trajectory.clone(),
-                ImuNoise::default(),
-                config.imu_hz,
-                config.seed,
-            ),
-            integrator: ImuIntegratorPlugin::new(ImuState::from_pose(
-                config.connect_at,
-                trajectory.pose(config.connect_at),
-                trajectory.velocity(config.connect_at),
-            )),
+            camera,
+            imu,
+            integrator,
             trajectory,
             ctx: RuntimeBuilder::new(clock).with_obs(tracer, metrics).build(),
             camera_reader: None,
@@ -330,6 +319,27 @@ impl ClientSession {
         }
     }
 
+    /// The client's sensing side as a function of `seed`: ground-truth
+    /// trajectory, the camera and IMU that sample it, and the integrator
+    /// anchored on it at connect time.
+    fn sensor_pipeline(
+        seed: u64,
+        config: &SessionConfig,
+    ) -> (Trajectory, SyntheticCameraPlugin, SyntheticImuPlugin, ImuIntegratorPlugin) {
+        let trajectory = Trajectory::walking(seed);
+        let world = Arc::new(LandmarkWorld::lab(seed));
+        let rig = StereoRig::zed_mini(PinholeCamera::qvga());
+        let camera = SyntheticCameraPlugin::new(trajectory.clone(), world, rig);
+        let imu =
+            SyntheticImuPlugin::new(trajectory.clone(), ImuNoise::default(), config.imu_hz, seed);
+        let integrator = ImuIntegratorPlugin::new(ImuState::from_pose(
+            config.connect_at,
+            trajectory.pose(config.connect_at),
+            trajectory.velocity(config.connect_at),
+        ));
+        (trajectory, camera, imu, integrator)
+    }
+
     /// Injects faults into this session's sensor pipeline: the camera
     /// and IMU plugins consult `plan` (targets `"camera"` / `"imu"`).
     /// Call before [`ClientSession::connect`].
@@ -346,23 +356,8 @@ impl ClientSession {
     /// config seed. Call before [`ClientSession::connect`].
     pub fn with_boundary(mut self, boundary: Boundary) -> Self {
         if let Some(src) = boundary.source() {
-            let seed = src.header().seed;
-            let trajectory = Trajectory::walking(seed);
-            let world = Arc::new(LandmarkWorld::lab(seed));
-            let rig = StereoRig::zed_mini(PinholeCamera::qvga());
-            self.camera = SyntheticCameraPlugin::new(trajectory.clone(), world, rig);
-            self.imu = SyntheticImuPlugin::new(
-                trajectory.clone(),
-                ImuNoise::default(),
-                self.config.imu_hz,
-                seed,
-            );
-            self.integrator = ImuIntegratorPlugin::new(ImuState::from_pose(
-                self.config.connect_at,
-                trajectory.pose(self.config.connect_at),
-                trajectory.velocity(self.config.connect_at),
-            ));
-            self.trajectory = trajectory;
+            (self.trajectory, self.camera, self.imu, self.integrator) =
+                Self::sensor_pipeline(src.header().seed, &self.config);
         }
         self.ctx.boundary = Arc::new(boundary);
         self
@@ -414,6 +409,15 @@ impl ClientSession {
         }
         self.imu_iterations = first_step;
         self.integrator.start(&self.ctx);
+        self.subscribe();
+        self.state = if degraded { SessionState::Degraded } else { SessionState::Running };
+        first_step
+    }
+
+    /// Subscribes the pipeline taps. Runs only after the IMU model's
+    /// pre-connect (or pre-snapshot) samples were burned, so a late
+    /// joiner never sees their backlog.
+    fn subscribe(&mut self) {
         let sb = &self.ctx.switchboard;
         self.camera_reader =
             Some(sb.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(8));
@@ -423,8 +427,6 @@ impl ClientSession {
             Some(sb.topic::<PoseEstimate>(streams::SLOW_POSE).expect("stream").writer());
         self.fast_pose =
             Some(sb.topic::<PoseEstimate>(streams::FAST_POSE).expect("stream").async_reader());
-        self.state = if degraded { SessionState::Degraded } else { SessionState::Running };
-        first_step
     }
 
     /// One IMU tick: emit the next sample and let the integrator
@@ -654,14 +656,8 @@ impl ClientSession {
             snap.anchor_timestamp,
         );
         s.integrator.start(&s.ctx);
+        s.subscribe();
         let sb = &s.ctx.switchboard;
-        s.camera_reader =
-            Some(sb.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(8));
-        s.imu_reader = Some(sb.topic::<ImuSample>(streams::IMU).expect("stream").sync_reader(2048));
-        s.slow_pose_writer =
-            Some(sb.topic::<PoseEstimate>(streams::SLOW_POSE).expect("stream").writer());
-        s.fast_pose =
-            Some(sb.topic::<PoseEstimate>(streams::FAST_POSE).expect("stream").async_reader());
         s.camera.restore_state(snap.camera_seq, snap.last_cam);
         // Re-seed the pose topics. The fast pose is what vsyncs stamp
         // requests with; the slow pose covers an estimate delivered but

@@ -13,6 +13,14 @@
 //! names and cannot tell the component moved to an edge server — except
 //! through the added latency, which is precisely the research question
 //! (device–edge partitioning, §V-F).
+//!
+//! Each bridged transfer's final `(due time, duplicate)` outcome is a
+//! physical input: `StreamBridge::pump` crosses the determinism
+//! boundary through `Boundary::replay_due` / `record_with` on
+//! `offload/<plugin>/{up,down}/<stream>` and only owns the payload
+//! codec. Which side of the cut a component runs on is decided by the
+//! experiment runner's placement plan (`experiment.rs`), not here: this
+//! wrapper is always the remote side.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -20,9 +28,8 @@ use std::time::Duration;
 
 use illixr_core::boundary::{Boundary, ByteReader, ByteWriter};
 use illixr_core::fault::FaultPlan;
-use illixr_core::link::LinkProfile;
+use illixr_core::link::{Direction, LinkProfile};
 use illixr_core::plugin::{IterationReport, Plugin, PluginContext};
-use illixr_core::sched::{PlacementPlan, Side};
 use illixr_core::{Switchboard, Time};
 use illixr_platform::rng::SplitMix64;
 
@@ -141,21 +148,19 @@ fn decode_delivery(payload: &[u8]) -> Option<(u64, bool)> {
 impl<T: Clone + Send + Sync + 'static> Bridge for StreamBridge<T> {
     fn pump(&mut self, now: Time) {
         let faults = (!self.plan.is_quiet()).then(|| self.plan.link(&self.target));
-        let replay = self.boundary.source().filter(|src| src.has_stream(&self.label)).cloned();
+        let mut replay = self.boundary.replay_due(&self.label, now.as_nanos());
         // Ingest new events with their delivery times.
         for event in self.reader.drain_iter() {
             let seq = self.seq;
             self.seq += 1;
-            let (due, duplicate) = if let Some(src) = &replay {
+            let (due, duplicate) = if let Some(recorded) = &mut replay {
                 // Replay: the recorded outcome replaces the jitter RNG
                 // and the fault plan entirely. Ingest order and times
                 // are deterministic, so records pair up one-to-one.
-                let (tag, payload) = src
-                    .next_due(&self.label, now.as_nanos())
-                    .expect("replayed bridge transfer missing from trace");
+                let (_, payload) =
+                    recorded.next().expect("replayed bridge transfer missing from trace");
                 let (due_ns, duplicate) =
                     decode_delivery(&payload).expect("corrupt bridge delivery record");
-                self.boundary.record(&self.label, tag, payload);
                 (Time::from_nanos(due_ns), duplicate)
             } else {
                 let jitter = if self.jitter_sigma > 0.0 {
@@ -188,11 +193,9 @@ impl<T: Clone + Send + Sync + 'static> Bridge for StreamBridge<T> {
                     due = due.max(self.watermark);
                     self.watermark = due;
                 }
-                self.boundary.record(
-                    &self.label,
-                    now.as_nanos(),
-                    encode_delivery(due.as_nanos(), duplicate),
-                );
+                self.boundary.record_with(&self.label, now.as_nanos(), || {
+                    encode_delivery(due.as_nanos(), duplicate)
+                });
                 (due, duplicate)
             };
             // Due-sorted insert (stable): reorder-faulted packets
@@ -236,9 +239,6 @@ pub struct OffloadedPlugin {
     bridges: Vec<Box<dyn Bridge>>,
     remote_ctx: Option<PluginContext>,
     name: String,
-    /// The placement cut-point this wrapper represents (defaults to
-    /// the inner plugin's name).
-    cut: String,
 }
 
 impl std::fmt::Debug for OffloadedPlugin {
@@ -248,18 +248,8 @@ impl std::fmt::Debug for OffloadedPlugin {
 }
 
 impl OffloadedPlugin {
-    /// Wraps `inner` behind `link`, at a cut-point named after the
-    /// inner plugin.
+    /// Wraps `inner` behind `link`.
     pub fn new(inner: Box<dyn Plugin>, link: OffloadLink) -> Self {
-        let cut = inner.name().to_owned();
-        Self::for_cut(inner, &cut, link)
-    }
-
-    /// Wraps `inner` behind `link` at an explicitly named cut-point,
-    /// so a [`PlacementPlan`] can address the boundary independently
-    /// of the plugin's name (e.g. cut `"perception"` wrapping the VIO
-    /// plugin).
-    pub fn for_cut(inner: Box<dyn Plugin>, cut: &str, link: OffloadLink) -> Self {
         let name = format!("{}@remote", inner.name());
         Self {
             inner,
@@ -269,71 +259,49 @@ impl OffloadedPlugin {
             bridges: Vec::new(),
             remote_ctx: None,
             name,
-            cut: cut.to_owned(),
-        }
-    }
-
-    /// The cut-point this wrapper answers to in a [`PlacementPlan`].
-    pub fn cut(&self) -> &str {
-        &self.cut
-    }
-
-    /// Resolves the cut against a [`PlacementPlan`]: `Edge` keeps the
-    /// wrapper (streams cross the link), `Device` unwraps it and
-    /// returns the inner plugin untouched — the declared bridges are
-    /// dropped, so a device-side placement is byte-identical to never
-    /// having wrapped the plugin at all.
-    pub fn place(self, plan: &PlacementPlan) -> Box<dyn Plugin> {
-        match plan.side_of(&self.cut) {
-            Side::Edge => Box::new(self),
-            Side::Device => self.inner,
         }
     }
 
     /// Declares an input stream that crosses the uplink (device →
     /// server): events published locally reach the remote component
     /// after `link.uplink`.
-    pub fn uplink<T: Clone + Send + Sync + 'static>(mut self, stream: &str) -> Self {
-        let stream = stream.to_owned();
-        let seed_salt = self.pending.len() as u64;
-        self.pending.push(Box::new(move |outer, remote, link, target| {
-            Box::new(StreamBridge::<T> {
-                reader: outer.switchboard.topic::<T>(&stream).expect("stream").sync_reader(4096),
-                writer: remote.topic::<T>(&stream).expect("stream").writer(),
-                delay: link.uplink,
-                jitter_sigma: link.jitter_sigma,
-                rng: SplitMix64::new(link.seed ^ (0xB0A7 + seed_salt)),
-                queue: VecDeque::new(),
-                plan: outer.fault.clone(),
-                target: target.to_owned(),
-                seq: 0,
-                watermark: Time::ZERO,
-                boundary: outer.boundary.clone(),
-                label: format!("offload/{target}/up/{stream}"),
-            })
-        }));
-        self
+    pub fn uplink<T: Clone + Send + Sync + 'static>(self, stream: &str) -> Self {
+        self.bridged::<T>(stream, Direction::Uplink)
     }
 
     /// Declares an output stream that crosses the downlink (server →
     /// device).
-    pub fn downlink<T: Clone + Send + Sync + 'static>(mut self, stream: &str) -> Self {
+    pub fn downlink<T: Clone + Send + Sync + 'static>(self, stream: &str) -> Self {
+        self.bridged::<T>(stream, Direction::Downlink)
+    }
+
+    fn bridged<T: Clone + Send + Sync + 'static>(
+        mut self,
+        stream: &str,
+        direction: Direction,
+    ) -> Self {
         let stream = stream.to_owned();
-        let seed_salt = 0x1000 + self.pending.len() as u64;
+        let nth = self.pending.len() as u64;
         self.pending.push(Box::new(move |outer, remote, link, target| {
+            let (from, to, delay, rng_salt, dir) = match direction {
+                Direction::Uplink => (&outer.switchboard, remote, link.uplink, 0xB0A7 + nth, "up"),
+                Direction::Downlink => {
+                    (remote, &outer.switchboard, link.downlink, 0xE030 + nth, "down")
+                }
+            };
             Box::new(StreamBridge::<T> {
-                reader: remote.topic::<T>(&stream).expect("stream").sync_reader(4096),
-                writer: outer.switchboard.topic::<T>(&stream).expect("stream").writer(),
-                delay: link.downlink,
+                reader: from.topic::<T>(&stream).expect("stream").sync_reader(4096),
+                writer: to.topic::<T>(&stream).expect("stream").writer(),
+                delay,
                 jitter_sigma: link.jitter_sigma,
-                rng: SplitMix64::new(link.seed ^ (0xD030 + seed_salt)),
+                rng: SplitMix64::new(link.seed ^ rng_salt),
                 queue: VecDeque::new(),
                 plan: outer.fault.clone(),
                 target: target.to_owned(),
                 seq: 0,
                 watermark: Time::ZERO,
                 boundary: outer.boundary.clone(),
-                label: format!("offload/{target}/down/{stream}"),
+                label: format!("offload/{target}/{dir}/{stream}"),
             })
         }));
         self
@@ -589,34 +557,6 @@ mod tests {
         assert_eq!(link.jitter_sigma, 0.35);
         assert_eq!(link.seed, 42);
         assert_eq!(OffloadLink::symmetric(Duration::ZERO).with_seed(7).seed, 7);
-    }
-
-    #[test]
-    fn placement_plan_resolves_the_cut_side() {
-        let link = OffloadLink::symmetric(Duration::from_millis(10));
-        // Edge side: the wrapper (and its link delay) survives.
-        let plan = PlacementPlan::all_local().with_cut("echo", Side::Edge, false);
-        let placed = OffloadedPlugin::new(echo(), link)
-            .uplink::<u32>("in")
-            .downlink::<u32>("out")
-            .place(&plan);
-        assert_eq!(placed.name(), "echo@remote");
-
-        // Device side (the all-local default): the inner plugin comes
-        // back untouched and the link disappears entirely.
-        let wrapped = OffloadedPlugin::for_cut(echo(), "perception", link)
-            .uplink::<u32>("in")
-            .downlink::<u32>("out");
-        assert_eq!(wrapped.cut(), "perception");
-        let mut local = wrapped.place(&PlacementPlan::all_local());
-        assert_eq!(local.name(), "echo");
-        let clock = SimClock::new();
-        let ctx = RuntimeBuilder::new(Arc::new(clock.clone())).build();
-        local.start(&ctx);
-        let out = ctx.switchboard.topic::<u32>("out").expect("stream").sync_reader(16);
-        ctx.switchboard.topic::<u32>("in").expect("stream").writer().put(41);
-        local.iterate(&ctx);
-        assert_eq!(**out.try_recv().expect("no link in the way"), 42, "device side is immediate");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! (transformed) tag — the replay-side mirror of
 //! [`TraceRecorder::record`](crate::recorder::TraceRecorder::record).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -68,24 +69,17 @@ impl TraceSource {
         &self.trace
     }
 
-    /// Last untransformed tag across all streams: the recorded span,
-    /// used to size fan-out runs so sessions don't outlive their input.
-    pub fn span_ns(&self) -> u64 {
-        self.trace
-            .streams
-            .iter()
-            .filter_map(|(_, records)| records.last().map(|r| r.tag_ns))
-            .max()
-            .unwrap_or(0)
+    /// `stream` as the trace names it (this source's prefix applied).
+    fn key<'a>(&self, stream: &'a str) -> Cow<'a, str> {
+        if self.prefix.is_empty() {
+            Cow::Borrowed(stream)
+        } else {
+            Cow::Owned(format!("{}{stream}", self.prefix))
+        }
     }
 
     fn records(&self, stream: &str) -> Option<&[TraceRecord]> {
-        let key = if self.prefix.is_empty() {
-            stream.to_string()
-        } else {
-            format!("{}{stream}", self.prefix)
-        };
-        self.trace.stream(&key)
+        self.trace.stream(&self.key(stream))
     }
 
     /// Pop the next record of `stream` whose transformed tag is
@@ -93,14 +87,10 @@ impl TraceSource {
     /// `None` when the stream is exhausted or its next record is still
     /// in the future.
     pub fn next_due(&self, stream: &str, now_ns: u64) -> Option<(u64, Vec<u8>)> {
-        let records = self.records(stream)?;
-        let key = if self.prefix.is_empty() {
-            stream.to_string()
-        } else {
-            format!("{}{stream}", self.prefix)
-        };
+        let key = self.key(stream);
+        let records = self.trace.stream(&key)?;
         let mut cursors = self.cursors.lock().unwrap();
-        let cursor = cursors.entry(key).or_insert(0);
+        let cursor = cursors.entry(key.into_owned()).or_insert(0);
         let rec = records.get(*cursor)?;
         let tag = self.transform.apply(rec.tag_ns);
         if tag > now_ns {
@@ -155,7 +145,6 @@ mod tests {
         assert_eq!(src.next_due("imu", 300), Some((300, vec![3])));
         assert_eq!(src.next_due("imu", u64::MAX), None);
         assert_eq!(src.count_through("imu", 250), 2);
-        assert_eq!(src.span_ns(), 300);
     }
 
     #[test]

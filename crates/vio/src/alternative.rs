@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use illixr_core::telemetry::TaskTimer;
+use illixr_core::obs::Metrics;
 use illixr_math::{Cholesky, DMatrix, Pose, Quat, Vec3};
 use illixr_sensors::camera::StereoRig;
 use illixr_sensors::types::{ImuSample, StereoFrame};
@@ -138,12 +138,12 @@ impl FrameToFrameVio {
     pub fn process_frame(
         &mut self,
         frame: &StereoFrame,
-        timer: Option<&TaskTimer>,
+        timer: Option<&Metrics>,
     ) -> FrameToFrameOutput {
         self.frame_index += 1;
         // --- IMU prediction ------------------------------------------
         {
-            let _g = timer.map(|t| t.scope("imu prediction"));
+            let _g = timer.map(|t| t.host_scope("imu prediction"));
             let samples: Vec<ImuSample> = self
                 .imu_buffer
                 .iter()
@@ -180,7 +180,7 @@ impl FrameToFrameVio {
         }
         let mut points_used = 0;
         if observations.len() >= self.config.min_points {
-            let _g = timer.map(|t| t.scope("pnp refinement"));
+            let _g = timer.map(|t| t.host_scope("pnp refinement"));
             if let Some(visual_pose) =
                 gauss_newton_pnp(&observations, &self.state.pose, self.config.gn_iterations)
             {
@@ -216,7 +216,7 @@ impl FrameToFrameVio {
 
         // --- Map management ---------------------------------------------
         {
-            let _g = timer.map(|t| t.scope("map management"));
+            let _g = timer.map(|t| t.host_scope("map management"));
             // Triangulate every stereo-matched track and fold it into the
             // map: new anchors are created, existing anchors are running
             // averages of all their sightings (stereo depth noise is

@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 
-use illixr_core::telemetry::TaskTimer;
+use illixr_core::obs::Metrics;
 use illixr_image::GrayImage;
 use illixr_math::Vec2;
 
@@ -91,17 +91,17 @@ impl FrontEnd {
         &mut self,
         left: &GrayImage,
         right: &GrayImage,
-        timer: Option<&TaskTimer>,
+        timer: Option<&Metrics>,
     ) -> Vec<TrackedFeature> {
         // Build this frame's pyramids once; the left pyramid is reused
         // next frame as the temporal-tracking template.
         let left_pyr = {
-            let _guard = timer.map(|t| t.scope("feature matching"));
+            let _guard = timer.map(|t| t.host_scope("feature matching"));
             Pyramid::new(left, self.params.klt.levels)
         };
         // --- Temporal feature matching (KLT against the previous frame) -
         {
-            let _guard = timer.map(|t| t.scope("feature matching"));
+            let _guard = timer.map(|t| t.host_scope("feature matching"));
             if let Some(prev_pyr) = &self.prev_left_pyramid {
                 let points: Vec<Vec2> = self.tracks.iter().map(|t| t.left).collect();
                 let results =
@@ -123,7 +123,7 @@ impl FrontEnd {
 
         // --- Feature detection (FAST redetection in empty cells) -------
         {
-            let _guard = timer.map(|t| t.scope("feature detection"));
+            let _guard = timer.map(|t| t.host_scope("feature detection"));
             if self.tracks.len() < self.params.max_features {
                 let cell = self.params.nms_cell;
                 let occupied: HashSet<(usize, usize)> = self
@@ -158,7 +158,7 @@ impl FrontEnd {
 
         // --- Stereo matching (KLT left → right, same-position seed) ----
         {
-            let _guard = timer.map(|t| t.scope("feature matching"));
+            let _guard = timer.map(|t| t.host_scope("feature matching"));
             if !self.tracks.is_empty() {
                 let right_pyr = Pyramid::new(right, self.params.klt.levels);
                 let points: Vec<Vec2> = self.tracks.iter().map(|t| t.left).collect();
@@ -270,8 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn task_timer_records_both_tasks() {
-        let timer = TaskTimer::new();
+    fn task_metrics_records_both_tasks() {
+        let timer = Metrics::new();
         let mut fe = FrontEnd::new(FrontEndParams::default());
         let img = scene(0.0);
         fe.process(&img, &img, Some(&timer));

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use illixr_core::telemetry::TaskTimer;
+use illixr_core::obs::Metrics;
 use illixr_core::Time;
 use illixr_math::{skew, so3_exp, Cholesky, DMatrix, Pose, Qr, Quat, Vec2, Vec3};
 use illixr_sensors::camera::PinholeCamera;
@@ -171,10 +171,10 @@ impl Msckf {
 
     /// Processes one stereo frame: propagate → clone → track →
     /// initialize + update → marginalize.
-    pub fn process_frame(&mut self, frame: &StereoFrame, timer: Option<&TaskTimer>) -> VioOutput {
+    pub fn process_frame(&mut self, frame: &StereoFrame, timer: Option<&Metrics>) -> VioOutput {
         // --- Propagation + cloning ("other" in the task table) ----------
         {
-            let _g = timer.map(|t| t.scope("other"));
+            let _g = timer.map(|t| t.host_scope("other"));
             self.propagate_to(frame.timestamp);
             self.clone_state(frame.timestamp);
         }
@@ -216,12 +216,13 @@ impl Msckf {
             for &fid in ids.iter() {
                 let obs = self.observations.get(&fid).cloned().unwrap_or_default();
                 let feature = {
-                    let _g = timer.map(|t| t.scope("feature initialization"));
+                    let _g = timer.map(|t| t.host_scope("feature initialization"));
                     self.initialize_feature(&obs)
                 };
                 if let Some(p_f) = feature {
-                    let _g = timer
-                        .map(|t| t.scope(if is_slam { "SLAM update" } else { "MSCKF update" }));
+                    let _g = timer.map(|t| {
+                        t.host_scope(if is_slam { "SLAM update" } else { "MSCKF update" })
+                    });
                     if let Some((h, r)) = self.feature_jacobians(&obs, p_f) {
                         if self.chi2_gate(&h, &r) {
                             update_rows += r.rows();
@@ -257,13 +258,13 @@ impl Msckf {
             }
         }
         if let (Some(h), Some(r)) = (stacked_h, stacked_r) {
-            let _g = timer.map(|t| t.scope("MSCKF update"));
+            let _g = timer.map(|t| t.host_scope("MSCKF update"));
             self.apply_update(h, r);
         }
 
         // --- Marginalization --------------------------------------------
         {
-            let _g = timer.map(|t| t.scope("marginalization"));
+            let _g = timer.map(|t| t.host_scope("marginalization"));
             self.marginalize();
         }
 
@@ -682,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn task_timer_covers_table_vi_tasks() {
+    fn task_metrics_covers_table_vi_tasks() {
         let ds = Arc::new(SyntheticDataset::vicon_room_like(8, 2.0));
         let rig = StereoRig::zed_mini(PinholeCamera::qvga());
         let gt0 = &ds.ground_truth[0];
@@ -690,7 +691,7 @@ mod tests {
             VioConfig::fast(PinholeCamera::qvga()),
             ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity),
         );
-        let timer = TaskTimer::new();
+        let timer = Metrics::new();
         let mut imu_idx = 0;
         for (k, &cam_t) in ds.camera_times.iter().enumerate() {
             while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= cam_t {

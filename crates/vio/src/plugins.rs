@@ -2,30 +2,75 @@
 //! a synchronous dependence; IMU → integrator is synchronous; integrator
 //! publishes the fast pose that reprojection reads asynchronously).
 
-use std::sync::Arc;
-
+use illixr_core::obs::Metrics;
 use illixr_core::plugin::{IterationReport, Plugin, PluginContext};
 use illixr_core::switchboard::{SyncReader, Writer};
-use illixr_core::telemetry::TaskTimer;
 use illixr_sensors::types::{streams, ImuSample, PoseEstimate, StereoFrame};
 
 use crate::integrator::{ImuState, Scheme};
 use crate::msckf::{Msckf, VioConfig};
 
-/// The head-tracking plugin: consumes every camera frame and IMU sample,
-/// publishes the slow accurate pose on `slow_pose`.
-pub struct VioPlugin {
-    filter: Msckf,
+/// The stream side both head trackers share: every camera frame and IMU
+/// sample in (synchronous dependences — Fig 2, solid arrows), the slow
+/// pose out, and the frame gate between them.
+#[derive(Default)]
+struct TrackerStreams {
     camera_reader: Option<SyncReader<StereoFrame>>,
     imu_reader: Option<SyncReader<ImuSample>>,
     pose_writer: Option<Writer<PoseEstimate>>,
-    timer: Arc<TaskTimer>,
-    nominal_features: f64,
     /// A frame waiting for IMU coverage (frames must not be processed
     /// before IMU samples spanning their timestamp have arrived —
     /// essential when sensors arrive over a jittery link).
     pending_frame: Option<StereoFrame>,
     latest_imu: illixr_core::Time,
+}
+
+impl TrackerStreams {
+    fn start(&mut self, ctx: &PluginContext) {
+        let sb = &ctx.switchboard;
+        self.camera_reader =
+            Some(sb.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(8));
+        self.imu_reader =
+            Some(sb.topic::<ImuSample>(streams::IMU).expect("stream").sync_reader(2048));
+        self.pose_writer =
+            Some(sb.topic::<PoseEstimate>(streams::SLOW_POSE).expect("stream").writer());
+    }
+
+    /// Drains all pending IMU samples into `on_imu`, then yields at most
+    /// one camera frame (the component runs at the camera rate). A frame
+    /// is held until IMU samples covering its timestamp have arrived, so
+    /// delayed/jittery sensor delivery (e.g. an offloaded link) never
+    /// loses motion.
+    fn next_frame(&mut self, mut on_imu: impl FnMut(ImuSample)) -> Option<StereoFrame> {
+        let imu = self.imu_reader.as_ref().expect("start() must run before iterate()");
+        for s in imu.drain_iter() {
+            self.latest_imu = self.latest_imu.max(s.data.timestamp);
+            on_imu(s.data);
+        }
+        if self.pending_frame.is_none() {
+            let cam = self.camera_reader.as_ref().expect("start() must run before iterate()");
+            self.pending_frame = cam.try_recv().map(|e| e.data.clone());
+        }
+        let latest_imu = self.latest_imu;
+        self.pending_frame.take_if(|f| latest_imu >= f.timestamp)
+    }
+
+    fn publish(&self, timestamp: illixr_core::Time, state: &ImuState) {
+        self.pose_writer.as_ref().expect("start() must run before iterate()").put(PoseEstimate {
+            timestamp,
+            pose: state.pose,
+            velocity: state.velocity,
+        });
+    }
+}
+
+/// The head-tracking plugin: consumes every camera frame and IMU sample,
+/// publishes the slow accurate pose on `slow_pose`.
+pub struct VioPlugin {
+    filter: Msckf,
+    streams: TrackerStreams,
+    timer: Metrics,
+    nominal_features: f64,
 }
 
 impl VioPlugin {
@@ -35,18 +80,14 @@ impl VioPlugin {
         let nominal_features = config.frontend.max_features.max(1) as f64;
         Self {
             filter: Msckf::new(config, initial),
-            camera_reader: None,
-            imu_reader: None,
-            pose_writer: None,
-            timer: Arc::new(TaskTimer::new()),
+            streams: TrackerStreams::default(),
+            timer: Metrics::new(),
             nominal_features,
-            pending_frame: None,
-            latest_imu: illixr_core::Time::ZERO,
         }
     }
 
     /// Task-level timing (Table VI instrumentation).
-    pub fn task_timer(&self) -> Arc<TaskTimer> {
+    pub fn task_metrics(&self) -> Metrics {
         self.timer.clone()
     }
 
@@ -62,45 +103,15 @@ impl Plugin for VioPlugin {
     }
 
     fn start(&mut self, ctx: &PluginContext) {
-        // Synchronous dependences: VIO must see *every* camera frame and
-        // IMU sample (Fig 2, solid arrows).
-        self.camera_reader = Some(
-            ctx.switchboard.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(8),
-        );
-        self.imu_reader = Some(
-            ctx.switchboard.topic::<ImuSample>(streams::IMU).expect("stream").sync_reader(2048),
-        );
-        self.pose_writer = Some(
-            ctx.switchboard.topic::<PoseEstimate>(streams::SLOW_POSE).expect("stream").writer(),
-        );
+        self.streams.start(ctx);
     }
 
     fn iterate(&mut self, _ctx: &PluginContext) -> IterationReport {
-        // Drain all pending IMU samples into the filter.
-        let imu = self.imu_reader.as_ref().expect("start() must run before iterate()");
-        for s in imu.drain_iter() {
-            self.latest_imu = self.latest_imu.max(s.data.timestamp);
-            self.filter.process_imu(s.data);
-        }
-        // Process at most one camera frame per invocation (the component
-        // runs at the camera rate). A frame is held until IMU samples
-        // covering its timestamp have arrived, so delayed/jittery sensor
-        // delivery (e.g. an offloaded link) never loses motion.
-        if self.pending_frame.is_none() {
-            let cam = self.camera_reader.as_ref().expect("start() must run before iterate()");
-            self.pending_frame = cam.try_recv().map(|e| e.data.clone());
-        }
-        let ready = self.pending_frame.as_ref().is_some_and(|f| self.latest_imu >= f.timestamp);
-        if !ready {
+        let Some(frame) = self.streams.next_frame(|s| self.filter.process_imu(s)) else {
             return IterationReport::skipped();
-        }
-        let frame = self.pending_frame.take().expect("checked above");
+        };
         let out = self.filter.process_frame(&frame, Some(&self.timer));
-        self.pose_writer.as_ref().expect("start() must run before iterate()").put(PoseEstimate {
-            timestamp: frame.timestamp,
-            pose: out.state.pose,
-            velocity: out.state.velocity,
-        });
+        self.streams.publish(frame.timestamp, &out.state);
         // Input-dependent work: tracked features plus update volume,
         // relative to the nominal budget.
         let work = (out.tracked_features as f64 + 2.0 * out.update_rows as f64 / 10.0)
@@ -238,12 +249,8 @@ impl Plugin for ImuIntegratorPlugin {
 /// interchangeable.
 pub struct AlternativeVioPlugin {
     tracker: crate::alternative::FrameToFrameVio,
-    camera_reader: Option<SyncReader<StereoFrame>>,
-    imu_reader: Option<SyncReader<ImuSample>>,
-    pose_writer: Option<Writer<PoseEstimate>>,
-    timer: Arc<TaskTimer>,
-    pending_frame: Option<StereoFrame>,
-    latest_imu: illixr_core::Time,
+    streams: TrackerStreams,
+    timer: Metrics,
 }
 
 impl AlternativeVioPlugin {
@@ -255,17 +262,13 @@ impl AlternativeVioPlugin {
     ) -> Self {
         Self {
             tracker: crate::alternative::FrameToFrameVio::new(config, rig, initial),
-            camera_reader: None,
-            imu_reader: None,
-            pose_writer: None,
-            timer: Arc::new(TaskTimer::new()),
-            pending_frame: None,
-            latest_imu: illixr_core::Time::ZERO,
+            streams: TrackerStreams::default(),
+            timer: Metrics::new(),
         }
     }
 
     /// Task-level timing.
-    pub fn task_timer(&self) -> Arc<TaskTimer> {
+    pub fn task_metrics(&self) -> Metrics {
         self.timer.clone()
     }
 }
@@ -276,38 +279,15 @@ impl Plugin for AlternativeVioPlugin {
     }
 
     fn start(&mut self, ctx: &PluginContext) {
-        self.camera_reader = Some(
-            ctx.switchboard.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(8),
-        );
-        self.imu_reader = Some(
-            ctx.switchboard.topic::<ImuSample>(streams::IMU).expect("stream").sync_reader(2048),
-        );
-        self.pose_writer = Some(
-            ctx.switchboard.topic::<PoseEstimate>(streams::SLOW_POSE).expect("stream").writer(),
-        );
+        self.streams.start(ctx);
     }
 
     fn iterate(&mut self, _ctx: &PluginContext) -> IterationReport {
-        let imu = self.imu_reader.as_ref().expect("start() must run before iterate()");
-        for s in imu.drain_iter() {
-            self.latest_imu = self.latest_imu.max(s.data.timestamp);
-            self.tracker.process_imu(s.data);
-        }
-        if self.pending_frame.is_none() {
-            let cam = self.camera_reader.as_ref().expect("start() must run before iterate()");
-            self.pending_frame = cam.try_recv().map(|e| e.data.clone());
-        }
-        let ready = self.pending_frame.as_ref().is_some_and(|f| self.latest_imu >= f.timestamp);
-        if !ready {
+        let Some(frame) = self.streams.next_frame(|s| self.tracker.process_imu(s)) else {
             return IterationReport::skipped();
-        }
-        let frame = self.pending_frame.take().expect("checked above");
+        };
         let out = self.tracker.process_frame(&frame, Some(&self.timer));
-        self.pose_writer.as_ref().expect("start() must run before iterate()").put(PoseEstimate {
-            timestamp: frame.timestamp,
-            pose: out.state.pose,
-            velocity: out.state.velocity,
-        });
+        self.streams.publish(frame.timestamp, &out.state);
         // Lightweight tracker: roughly half the nominal MSCKF work.
         IterationReport::with_work(0.4 + 0.2 * out.points_used as f64 / 60.0)
     }
@@ -352,6 +332,8 @@ impl Plugin for GroundTruthPosePlugin {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use illixr_core::plugin::RuntimeBuilder;
     use illixr_core::{SimClock, Time};

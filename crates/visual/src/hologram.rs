@@ -7,7 +7,7 @@
 //! depths (multifocal displays, §II-A). Propagation uses the Fresnel
 //! transfer function applied in the frequency domain (2-D FFTs).
 
-use illixr_core::telemetry::TaskTimer;
+use illixr_core::obs::Metrics;
 use illixr_dsp::complex::Complex;
 use illixr_dsp::fft::{fft_2d, ifft_2d};
 use illixr_image::GrayImage;
@@ -76,7 +76,7 @@ impl Hologram {
 pub fn compute_hologram(
     targets: &[GrayImage],
     config: &HologramConfig,
-    timer: Option<&TaskTimer>,
+    timer: Option<&Metrics>,
 ) -> Hologram {
     let (w, h) = (config.width, config.height);
     assert!(w.is_power_of_two() && h.is_power_of_two(), "hologram dims must be powers of two");
@@ -122,7 +122,7 @@ pub fn compute_hologram(
         let mut achieved_amp: Vec<Vec<f64>> = Vec::with_capacity(num_planes);
         // --- Hologram → depth planes ---------------------------------
         {
-            let _g = timer.map(|t| t.scope("hologram-to-depth"));
+            let _g = timer.map(|t| t.host_scope("hologram-to-depth"));
             for d in 0..num_planes {
                 let mut field: Vec<Complex> = phase.iter().map(|&p| Complex::cis(p)).collect();
                 fft_2d(&mut field, w, h);
@@ -138,14 +138,14 @@ pub fn compute_hologram(
                     *f = f.scale(desired / a);
                 }
                 // --- Depth plane → hologram (back-propagation) -------
-                let _g2 = timer.map(|t| t.scope("depth-to-hologram"));
+                let _g2 = timer.map(|t| t.host_scope("depth-to-hologram"));
                 fft_2d(&mut field, w, h);
                 for (f, t) in field.iter_mut().zip(&transfer[d]) {
                     *f *= t.conj();
                 }
                 ifft_2d(&mut field, w, h);
                 {
-                    let _g3 = timer.map(|t| t.scope("sum"));
+                    let _g3 = timer.map(|t| t.host_scope("sum"));
                     for (s, f) in back_sum.iter_mut().zip(&field) {
                         *s += *f;
                     }
@@ -276,9 +276,9 @@ mod tests {
     }
 
     #[test]
-    fn task_timer_covers_table_vii_tasks() {
+    fn task_metrics_covers_table_vii_tasks() {
         let cfg = HologramConfig { iterations: 2, ..Default::default() };
-        let timer = TaskTimer::new();
+        let timer = Metrics::new();
         let t0 = disk_target(cfg.width, cfg.height);
         let t1 = square_target(cfg.width, cfg.height);
         compute_hologram(&[t0, t1], &cfg, Some(&timer));

@@ -10,9 +10,9 @@
 
 use std::sync::Arc;
 
+use illixr_core::obs::Metrics;
 use illixr_core::plugin::{IterationReport, Plugin, PluginContext};
 use illixr_core::switchboard::{AsyncReader, Writer};
-use illixr_core::telemetry::TaskTimer;
 use illixr_core::Time;
 use illixr_image::RgbImage;
 use illixr_render::plugin::{RenderedFrame, EYEBUFFER_STREAM};
@@ -49,7 +49,7 @@ pub struct TimewarpPlugin {
     frame_reader: Option<AsyncReader<RenderedFrame>>,
     pose_reader: Option<AsyncReader<PoseEstimate>>,
     out_writer: Option<Writer<WarpedFrame>>,
-    timer: Arc<TaskTimer>,
+    timer: Metrics,
     last_frame_seq: Option<u64>,
     /// When set, the pose is linearly extrapolated by its velocity over
     /// this horizon before warping — the pose *prediction* of the
@@ -68,7 +68,7 @@ impl TimewarpPlugin {
             frame_reader: None,
             pose_reader: None,
             out_writer: None,
-            timer: Arc::new(TaskTimer::new()),
+            timer: Metrics::new(),
             last_frame_seq: None,
             predict_horizon: None,
         }
@@ -91,7 +91,7 @@ impl TimewarpPlugin {
     }
 
     /// Task-level timing (Table VII instrumentation).
-    pub fn task_timer(&self) -> Arc<TaskTimer> {
+    pub fn task_metrics(&self) -> Metrics {
         self.timer.clone()
     }
 }
@@ -141,11 +141,11 @@ impl Plugin for TimewarpPlugin {
 
         let warp = |img: &RgbImage| {
             let warped = {
-                let _g = self.timer.scope("reprojection");
+                let _g = self.timer.host_scope("reprojection");
                 reproject(img, &frame.render_pose.pose, &pose_est.pose, &self.config)
             };
             if self.apply_distortion {
-                let _g = self.timer.scope("distortion+chromatic");
+                let _g = self.timer.host_scope("distortion+chromatic");
                 self.mesh.apply(&warped)
             } else {
                 warped
@@ -186,17 +186,17 @@ pub struct HologramPlugin {
     config: HologramConfig,
     display_reader: Option<AsyncReader<WarpedFrame>>,
     out_writer: Option<Writer<HologramResult>>,
-    timer: Arc<TaskTimer>,
+    timer: Metrics,
 }
 
 impl HologramPlugin {
     /// Creates the plugin.
     pub fn new(config: HologramConfig) -> Self {
-        Self { config, display_reader: None, out_writer: None, timer: Arc::new(TaskTimer::new()) }
+        Self { config, display_reader: None, out_writer: None, timer: Metrics::new() }
     }
 
     /// Task-level timing (Table VII instrumentation).
-    pub fn task_timer(&self) -> Arc<TaskTimer> {
+    pub fn task_metrics(&self) -> Metrics {
         self.timer.clone()
     }
 }
@@ -330,7 +330,7 @@ mod tests {
         tw.start(&ctx);
         publish_frame(&ctx, Time::ZERO);
         tw.iterate(&ctx);
-        let names: Vec<String> = tw.task_timer().shares().into_iter().map(|(n, _)| n).collect();
+        let names: Vec<String> = tw.task_metrics().shares().into_iter().map(|(n, _)| n).collect();
         assert!(names.iter().any(|n| n == "reprojection"));
         assert!(names.iter().any(|n| n == "distortion+chromatic"));
     }

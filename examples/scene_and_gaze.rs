@@ -56,7 +56,7 @@ fn main() {
     let refinements = all.iter().filter(|u| u.refined).count();
     println!("global refinement passes (loop-closure stand-ins): {refinements}");
     println!("task shares:");
-    for (task, share) in scene.task_timer().shares() {
+    for (task, share) in scene.task_metrics().shares() {
         println!("  {task:<22} {:.1}%", share * 100.0);
     }
 

@@ -1,10 +1,15 @@
 //! Trace-driven component study (§V-G): record a full-system run's
-//! sensor streams, then replay them to drive VIO in isolation.
+//! physical inputs at the determinism boundary, then replay them to
+//! drive VIO in isolation.
 //!
 //! This is the "rosbag" workflow the paper proposes for using ILLIXR
 //! with architectural simulators: the component under study sees exactly
 //! the traffic a full-system run produced — same frames, same IMU
-//! samples, same timing — without running the rest of the system.
+//! samples, same timing — without running the rest of the system. It is
+//! the same mechanism the golden tests pin: the camera and IMU plugins
+//! cross the boundary through `RuntimeBuilder::with_recorder` /
+//! `with_trace`, and a re-recorded replay is byte-identical to its
+//! input.
 //!
 //! ```bash
 //! cargo run --release --example trace_replay
@@ -12,89 +17,100 @@
 
 use std::sync::Arc;
 
-use illixr_testbed::core::plugin::{Plugin, RuntimeBuilder};
-use illixr_testbed::core::trace::{StreamRecorder, TraceReplayer};
+use illixr_testbed::core::boundary::{Trace, TraceRecorder, TraceSource};
+use illixr_testbed::core::plugin::{Plugin, PluginContext, RuntimeBuilder};
 use illixr_testbed::core::{SimClock, Time};
 use illixr_testbed::sensors::camera::{PinholeCamera, StereoRig};
-use illixr_testbed::sensors::dataset::SyntheticDataset;
-use illixr_testbed::sensors::plugins::OfflineImuCameraPlugin;
-use illixr_testbed::sensors::types::{streams, ImuSample, PoseEstimate, StereoFrame};
+use illixr_testbed::sensors::imu::ImuNoise;
+use illixr_testbed::sensors::plugins::{SyntheticCameraPlugin, SyntheticImuPlugin};
+use illixr_testbed::sensors::trajectory::Trajectory;
+use illixr_testbed::sensors::types::{streams, PoseEstimate};
+use illixr_testbed::sensors::world::LandmarkWorld;
 use illixr_testbed::vio::integrator::ImuState;
 use illixr_testbed::vio::msckf::VioConfig;
-use illixr_testbed::vio::plugins::VioPlugin;
+use illixr_testbed::vio::plugins::{ImuIntegratorPlugin, VioPlugin};
+
+const IMU_HZ: u64 = 500;
+/// One camera frame every 33 IMU samples (≈15 Hz).
+const CAMERA_EVERY: u64 = 33;
+const IMU_TICKS: u64 = 3 * IMU_HZ;
+
+/// Drives camera + IMU + VIO (+ the integrator standing in for the
+/// rest of the system when `full_system`) on `ctx`'s boundary for three
+/// simulated seconds; returns VIO's poses. The sensors generate from
+/// `seed` unless the boundary replays them.
+fn run(ctx: &PluginContext, clock: &SimClock, seed: u64, full_system: bool) -> Vec<PoseEstimate> {
+    let trajectory = Trajectory::walking(seed);
+    let rig = StereoRig::zed_mini(PinholeCamera::qvga());
+    let init = ImuState::from_pose(
+        Time::ZERO,
+        trajectory.pose(Time::ZERO),
+        trajectory.velocity(Time::ZERO),
+    );
+    let mut camera =
+        SyntheticCameraPlugin::new(trajectory.clone(), Arc::new(LandmarkWorld::lab(seed)), rig);
+    let mut imu = SyntheticImuPlugin::new(trajectory, ImuNoise::default(), IMU_HZ as f64, seed);
+    let mut vio = VioPlugin::new(VioConfig::fast(rig.camera), init);
+    let mut rest = full_system.then(|| ImuIntegratorPlugin::new(init));
+    camera.start(ctx);
+    imu.start(ctx);
+    vio.start(ctx);
+    if let Some(p) = &mut rest {
+        p.start(ctx);
+    }
+    let poses = ctx
+        .switchboard
+        .topic::<PoseEstimate>(streams::SLOW_POSE)
+        .expect("stream")
+        .sync_reader(1 << 10);
+    for k in 0..IMU_TICKS {
+        clock.advance_to(Time::from_nanos(k * 1_000_000_000 / IMU_HZ));
+        imu.iterate(ctx);
+        if k % CAMERA_EVERY == 0 {
+            camera.iterate(ctx);
+            vio.iterate(ctx);
+        }
+        if let Some(p) = &mut rest {
+            p.iterate(ctx);
+        }
+    }
+    poses.drain().iter().map(|e| e.data).collect()
+}
 
 fn main() {
-    let duration_s = 3.0;
-    let ds = Arc::new(SyntheticDataset::vicon_room_like(33, duration_s));
-    let rig = StereoRig::zed_mini(PinholeCamera::qvga());
-    let gt0 = ds.ground_truth[0];
-    let init = ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity);
-    let ticks = (duration_s * 15.0) as u64;
+    let seed = 33;
 
-    // --- Phase 1: full(ish) system run with recorders attached ----------
-    println!("Phase 1: run the system and record its sensor streams");
+    // --- Phase 1: full(ish) system run with a recorder attached ---------
+    println!("Phase 1: run the system and record its physical inputs");
+    let recorder = TraceRecorder::new(seed, 0);
     let clock_a = SimClock::new();
-    let ctx_a = RuntimeBuilder::new(Arc::new(clock_a.clone())).build();
-    let cam_recorder = StreamRecorder::<StereoFrame>::start(
-        &ctx_a.switchboard,
-        Arc::new(clock_a.clone()),
-        streams::CAMERA,
-        1 << 12,
-    );
-    let imu_recorder = StreamRecorder::<ImuSample>::start(
-        &ctx_a.switchboard,
-        Arc::new(clock_a.clone()),
-        streams::IMU,
-        1 << 14,
-    );
-    let mut source = OfflineImuCameraPlugin::new(ds.clone(), rig);
-    let mut vio_a = VioPlugin::new(VioConfig::fast(rig.camera), init);
-    source.start(&ctx_a);
-    vio_a.start(&ctx_a);
-    let poses_a = ctx_a
-        .switchboard
-        .topic::<PoseEstimate>(streams::SLOW_POSE)
-        .expect("stream")
-        .sync_reader(1 << 10);
-    for k in 1..=ticks {
-        clock_a.advance_to(Time::from_secs_f64(k as f64 / 15.0));
-        source.iterate(&ctx_a);
-        cam_recorder.pump();
-        imu_recorder.pump();
-        vio_a.iterate(&ctx_a);
-    }
-    let cam_trace = cam_recorder.finish();
-    let imu_trace = imu_recorder.finish();
-    let reference: Vec<PoseEstimate> = poses_a.drain().iter().map(|e| e.data).collect();
+    let ctx_a =
+        RuntimeBuilder::new(Arc::new(clock_a.clone())).with_recorder(recorder.clone()).build();
+    let reference = run(&ctx_a, &clock_a, seed, true);
+    // The trace is a self-describing binary artifact (ILXT): what would
+    // be handed to the simulator, rosbag-style.
+    let bytes = recorder.snapshot().encode();
+    let trace = Arc::new(Trace::decode(&bytes).expect("a recorder's snapshot decodes"));
     println!(
-        "  recorded {} camera frames + {} IMU samples spanning {:.1} s",
-        cam_trace.len(),
-        imu_trace.len(),
-        cam_trace.span().as_secs_f64()
+        "  recorded {} camera frames + {} IMU samples ({} bytes)",
+        trace.stream(streams::CAMERA).map_or(0, <[_]>::len),
+        trace.stream(streams::IMU).map_or(0, <[_]>::len),
+        bytes.len(),
     );
 
-    // --- Phase 2: replay the traces into an isolated VIO ----------------
-    println!("\nPhase 2: replay the traces to drive a fresh VIO in isolation");
+    // --- Phase 2: replay the trace into an isolated VIO -----------------
+    println!("\nPhase 2: replay the trace to drive a fresh VIO in isolation");
+    let rerecorder = TraceRecorder::new(seed, 0);
     let clock_b = SimClock::new();
-    let ctx_b = RuntimeBuilder::new(Arc::new(clock_b.clone())).build();
-    let mut cam_replay = TraceReplayer::new(&ctx_b.switchboard, cam_trace);
-    let mut imu_replay = TraceReplayer::new(&ctx_b.switchboard, imu_trace);
-    let mut vio_b = VioPlugin::new(VioConfig::fast(rig.camera), init);
-    vio_b.start(&ctx_b);
-    let poses_b = ctx_b
-        .switchboard
-        .topic::<PoseEstimate>(streams::SLOW_POSE)
-        .expect("stream")
-        .sync_reader(1 << 10);
-    for k in 1..=ticks {
-        let now = Time::from_secs_f64(k as f64 / 15.0);
-        clock_b.advance_to(now);
-        imu_replay.pump(now);
-        cam_replay.pump(now);
-        vio_b.iterate(&ctx_b);
-    }
-    assert!(cam_replay.finished() && imu_replay.finished(), "traces fully replayed");
-    let replayed: Vec<PoseEstimate> = poses_b.drain().iter().map(|e| e.data).collect();
+    let ctx_b = RuntimeBuilder::new(Arc::new(clock_b.clone()))
+        .with_trace(TraceSource::new(trace.clone()))
+        .with_recorder(rerecorder.clone())
+        .build();
+    // Under replay the sensor plugins are only the boundary's decoders:
+    // the camera re-renders each recorded pose in the world of the trace
+    // header's seed, the IMU model is never sampled, and the trajectory
+    // only supplies VIO's initial state.
+    let replayed = run(&ctx_b, &clock_b, trace.header.seed, false);
 
     // --- Compare ----------------------------------------------------------
     println!(
@@ -110,6 +126,8 @@ fn main() {
         .fold(0.0f64, f64::max);
     println!("  max pose difference between runs: {:.3e} m", max_diff);
     assert!(max_diff < 1e-12, "trace-driven run must be bit-identical");
+    assert_eq!(rerecorder.snapshot().encode(), bytes, "re-recorded replay must equal its input");
+    println!("  re-recorded trace is byte-identical to the recording");
     println!("\nOK: the component under study saw exactly the recorded traffic —");
     println!("identical outputs, no rest-of-system required (the §V-G workflow).");
 }
