@@ -198,6 +198,141 @@ mod tests {
         assert!(l.mean_abs_diff(&r) > 1e-5);
     }
 
+    /// The renderer as first written, kept verbatim as the pixel
+    /// reference: one `sin` and one `cos` per background pixel, the eye
+    /// pose composed and inverted per landmark, a four-way bounds test
+    /// per blob pixel. `render` must equal it bit for bit. (Only the
+    /// brightness hash is widened to `u64`: the same value wherever
+    /// `usize` is 64 bits, and no overflow where it is 32.)
+    fn reference_render(
+        world: &LandmarkWorld,
+        rig: &StereoRig,
+        body_pose: &Pose,
+        eye: usize,
+    ) -> GrayImage {
+        let cam = rig.camera;
+        let fwd = body_pose.transform_vector(Vec3::UNIT_Z);
+        let mut img = GrayImage::from_fn(cam.width, cam.height, |x, y| {
+            let u = x as f32 / cam.width as f32;
+            let v = y as f32 / cam.height as f32;
+            0.28 + 0.08 * (u * 6.0 + fwd.x as f32).sin() * (v * 5.0 + fwd.z as f32).cos()
+        });
+        for (i, &lm) in world.landmarks.iter().enumerate() {
+            let left = body_pose.compose(&rig.body_from_left);
+            let mut eye_pose = left;
+            if eye == 1 {
+                eye_pose.position = left.transform_point(Vec3::new(rig.baseline, 0.0, 0.0));
+            }
+            let Some(px) = cam.project(eye_pose.inverse().transform_point(lm)) else { continue };
+            let cam_pose = body_pose.compose(&rig.body_from_left);
+            let depth = cam_pose.inverse().transform_point(lm).z;
+            if depth <= 0.2 {
+                continue;
+            }
+            let radius = (3.5 / depth as f32).clamp(1.2, 5.0);
+            let brightness = 0.55 + 0.4 * ((i as u64 * 2654435761) % 97) as f32 / 97.0;
+            reference_splat(&mut img, px.x as f32, px.y as f32, radius, brightness);
+        }
+        img
+    }
+
+    fn reference_splat(img: &mut GrayImage, cx: f32, cy: f32, radius: f32, brightness: f32) {
+        let r = (radius * 2.5).ceil() as i32;
+        let inv_2s2 = 1.0 / (2.0 * radius * radius);
+        for dy in -r..=r {
+            for dx in -r..=r {
+                let x = cx as i32 + dx;
+                let y = cy as i32 + dy;
+                if x < 0 || y < 0 || x as usize >= img.width() || y as usize >= img.height() {
+                    continue;
+                }
+                let fx = x as f32 - cx;
+                let fy = y as f32 - cy;
+                let w = (-(fx * fx + fy * fy) * inv_2s2).exp();
+                let old = img.get(x as usize, y as usize);
+                img.set(x as usize, y as usize, (old + brightness * w).min(1.0));
+            }
+        }
+    }
+
+    fn bits(img: &GrayImage) -> Vec<u32> {
+        img.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Asserts `render` equals the reference on both eyes of `rig`.
+    fn assert_pixel_exact(world: &LandmarkWorld, rig: &StereoRig, pose: &Pose, what: &str) {
+        for eye in 0..2 {
+            let expected = reference_render(world, rig, pose, eye);
+            let size = (rig.camera.width, rig.camera.height);
+            let got = world.render(rig, pose, eye);
+            assert_eq!((got.width(), got.height()), size, "{what}: eye {eye} size");
+            assert!(bits(&got) == bits(&expected), "{what}: render eye {eye} at {size:?} differs");
+        }
+    }
+
+    /// QVGA, VGA and a small odd size whose aspect is not 4:3, so a row
+    /// table indexed by a column (or the reverse) reads the wrong entry.
+    fn pixel_exact_rigs() -> [StereoRig; 3] {
+        let odd = PinholeCamera { fx: 22.0, fy: 22.0, cx: 18.5, cy: 11.5, width: 37, height: 23 };
+        [PinholeCamera::qvga(), PinholeCamera::vga(), odd].map(StereoRig::zed_mini)
+    }
+
+    #[test]
+    fn render_is_pixel_exact_along_trajectories() {
+        use crate::trajectory::Trajectory;
+        use illixr_core::Time;
+        let rigs = pixel_exact_rigs();
+        let mut poses = 0;
+        for seed in 0..8u64 {
+            let world = LandmarkWorld::lab(seed);
+            for traj in [Trajectory::walking(seed), Trajectory::gentle(seed + 100)] {
+                for k in 0..4u64 {
+                    let t = Time::from_millis(137 + 67 * seed + 2113 * k);
+                    let pose = traj.pose(t);
+                    for rig in &rigs {
+                        assert_pixel_exact(&world, rig, &pose, &format!("seed {seed} t {t}"));
+                    }
+                    poses += 1;
+                }
+            }
+        }
+        assert!(poses >= 64);
+    }
+
+    #[test]
+    fn render_is_pixel_exact_at_image_edges_and_behind_the_camera() {
+        let world = LandmarkWorld::lab(5);
+        let anchor = world.landmarks()[17];
+        for rig in &pixel_exact_rigs() {
+            let cam = rig.camera;
+            let (w, h) = (cam.width as f64, cam.height as f64);
+            // Pixel targets for the anchor landmark in the left eye, half
+            // a pixel inside each edge, so its blob straddles that edge.
+            let targets = [
+                (0.5, h / 2.0),
+                (w - 0.5, h / 2.0),
+                (w / 2.0, 0.5),
+                (w / 2.0, h - 0.5),
+                (0.5, 0.5),
+            ];
+            for (u, v) in targets {
+                let z = 1.5;
+                let offset = Vec3::new((u - cam.cx) * z / cam.fx, (v - cam.cy) * z / cam.fy, z);
+                let pose = Pose::new(anchor - offset, illixr_math::Quat::IDENTITY);
+                let px = rig.project_world(&pose, anchor, 0).expect("anchor is in view");
+                assert!((px.x - u).abs() < 1e-6 && (px.y - v).abs() < 1e-6);
+                assert_pixel_exact(&world, rig, &pose, &format!("edge ({u}, {v})"));
+            }
+            // The anchor behind the camera, and nearer than the 0.2 m
+            // cut-off (it projects, and is skipped).
+            for z in [-1.5, 0.1] {
+                let pose = Pose::new(anchor - Vec3::new(0.0, 0.0, z), illixr_math::Quat::IDENTITY);
+                assert_eq!(rig.project_world(&pose, anchor, 0).is_some(), z > 0.0);
+                assert_pixel_exact(&world, rig, &pose, &format!("anchor at z = {z}"));
+            }
+        }
+    }
+
     #[test]
     fn depth_inside_room_is_bounded() {
         let (world, rig) = setup();
