@@ -72,6 +72,17 @@ impl GrayImage {
         &mut self.data
     }
 
+    /// Row `y` as a mutable slice of `width` pixels, for code that fills
+    /// or updates a run of pixels without per-pixel index arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `y >= height`.
+    #[inline]
+    pub fn row_mut(&mut self, y: usize) -> &mut [f32] {
+        &mut self.data[y * self.width..(y + 1) * self.width]
+    }
+
     /// Returns the pixel at `(x, y)`.
     ///
     /// # Panics
@@ -178,6 +189,13 @@ mod tests {
         assert_eq!(img.get(2, 1), 12.0);
         assert_eq!(img.width(), 3);
         assert_eq!(img.height(), 2);
+    }
+
+    #[test]
+    fn row_mut_is_exactly_one_row() {
+        let mut img = GrayImage::new(3, 2);
+        img.row_mut(1).fill(7.0);
+        assert_eq!(img.as_slice(), [0.0, 0.0, 0.0, 7.0, 7.0, 7.0]);
     }
 
     #[test]

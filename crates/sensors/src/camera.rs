@@ -92,22 +92,27 @@ impl StereoRig {
         Self { camera, baseline: 0.063, body_from_left: Pose::IDENTITY }
     }
 
+    /// World-frame pose of the left (eye 0) or right (eye 1) camera for a
+    /// body pose: the left extrinsic, and for the right eye its centre
+    /// moved one baseline along the camera's +X. The one place the eye
+    /// extrinsic is composed.
+    pub fn eye_pose(&self, body_pose: &Pose, eye: usize) -> Pose {
+        let mut cam_pose = body_pose.compose(&self.body_from_left);
+        if eye == 1 {
+            cam_pose.position = cam_pose.transform_point(Vec3::new(self.baseline, 0.0, 0.0));
+        }
+        cam_pose
+    }
+
     /// World-frame camera centers `(left, right)` for a body pose.
     pub fn camera_centers(&self, body_pose: &Pose) -> (Vec3, Vec3) {
-        let left = body_pose.compose(&self.body_from_left);
-        let right_offset = Vec3::new(self.baseline, 0.0, 0.0);
-        (left.position, left.transform_point(right_offset))
+        (self.eye_pose(body_pose, 0).position, self.eye_pose(body_pose, 1).position)
     }
 
     /// Projects a world point into the left (eye 0) or right (eye 1)
     /// camera for a given body pose.
     pub fn project_world(&self, body_pose: &Pose, p_world: Vec3, eye: usize) -> Option<Vec2> {
-        let left = body_pose.compose(&self.body_from_left);
-        let mut cam_pose = left;
-        if eye == 1 {
-            cam_pose.position = left.transform_point(Vec3::new(self.baseline, 0.0, 0.0));
-        }
-        let p_cam = cam_pose.inverse().transform_point(p_world);
+        let p_cam = self.eye_pose(body_pose, eye).inverse().transform_point(p_world);
         self.camera.project(p_cam)
     }
 

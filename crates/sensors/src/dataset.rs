@@ -125,7 +125,7 @@ impl SyntheticDataset {
     ) -> (illixr_image::GrayImage, illixr_image::GrayImage) {
         let t = self.camera_times[k];
         let pose = self.trajectory.pose(t);
-        (self.world.render(rig, &pose, 0), self.world.render(rig, &pose, 1))
+        self.world.render_stereo(rig, &pose)
     }
 
     /// Ground-truth pose interpolated at an arbitrary time.

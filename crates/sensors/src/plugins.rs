@@ -89,9 +89,8 @@ impl SyntheticCameraPlugin {
     /// The stereo pair seen from `pose` — a pure function of the
     /// world, so live, replayed and restored frames are pixel-identical.
     fn render(&self, pose: &Pose, timestamp: illixr_core::Time, seq: u64) -> StereoFrame {
-        let left = Arc::new(self.world.render(&self.rig, pose, 0));
-        let right = Arc::new(self.world.render(&self.rig, pose, 1));
-        StereoFrame { timestamp, left, right, seq }
+        let (left, right) = self.world.render_stereo(&self.rig, pose);
+        StereoFrame { timestamp, left: Arc::new(left), right: Arc::new(right), seq }
     }
 }
 

@@ -7,6 +7,26 @@
 //! to operate on actual pixels, which is what makes VIO's runtime
 //! input-dependent (paper §IV-B). The same world provides analytic depth
 //! images (distance to the room walls) for scene reconstruction.
+//!
+//! # What a frame costs
+//!
+//! The background is a product of a function of the column and a function
+//! of the row, so a `w × h` stereo frame takes `w` sines and `h` cosines
+//! (two tables, shared by both eyes), one multiply-add per pixel per eye,
+//! and one `exp` per blob pixel (≈ 38 of the lab's 240 landmarks are in
+//! view, each a square of at most 27 × 27). The eye poses and their
+//! inverses are computed once per frame, and each eye is one allocation.
+//! At QVGA the frame is bound by writing 600 KiB of pixels, not by
+//! arithmetic.
+//!
+//! # Pixels are pinned
+//!
+//! FAST corners, KLT tracks and through them every `real_vio` digest and
+//! golden file depend on the last bit of every pixel. An edit here must
+//! keep each pixel's `f32` operations and their association —
+//! `0.28 + (0.08 * sin) * cos`, then per blob in landmark order
+//! `(old + brightness * exp(-(fx² + fy²) / 2σ²)).min(1.0)` — and the tests
+//! hold the first renderer verbatim as `reference_render` to check it.
 
 use illixr_image::GrayImage;
 use illixr_math::{Pose, Vec3};
@@ -56,27 +76,45 @@ impl LandmarkWorld {
     }
 
     /// Renders the intensity image seen by `eye` (0 = left, 1 = right) of
-    /// the rig at `body_pose`.
+    /// the rig at `body_pose`: one half of [`Self::render_stereo`].
     pub fn render(&self, rig: &StereoRig, body_pose: &Pose, eye: usize) -> GrayImage {
+        self.render_eye(rig, body_pose, eye, &FrameShared::new(rig, body_pose))
+    }
+
+    /// Renders the `(left, right)` pair seen by the rig at `body_pose`,
+    /// computing once what the two eyes share.
+    pub fn render_stereo(&self, rig: &StereoRig, body_pose: &Pose) -> (GrayImage, GrayImage) {
+        let shared = FrameShared::new(rig, body_pose);
+        (self.render_eye(rig, body_pose, 0, &shared), self.render_eye(rig, body_pose, 1, &shared))
+    }
+
+    fn render_eye(
+        &self,
+        rig: &StereoRig,
+        body_pose: &Pose,
+        eye: usize,
+        shared: &FrameShared,
+    ) -> GrayImage {
         let cam = rig.camera;
-        // Low-frequency background shading keyed to view direction so the
-        // image is not flat (KLT needs *some* gradient everywhere).
-        let fwd = body_pose.transform_vector(Vec3::UNIT_Z);
-        let mut img = GrayImage::from_fn(cam.width, cam.height, |x, y| {
-            let u = x as f32 / cam.width as f32;
-            let v = y as f32 / cam.height as f32;
-            0.28 + 0.08 * (u * 6.0 + fwd.x as f32).sin() * (v * 5.0 + fwd.z as f32).cos()
-        });
+        let mut img = GrayImage::new(cam.width, cam.height);
+        for (y, &c) in shared.rows.iter().enumerate() {
+            for (px, &s) in img.row_mut(y).iter_mut().zip(&shared.columns) {
+                *px = 0.28 + s * c;
+            }
+        }
         // Splat landmarks as Gaussian blobs; nearer landmarks are larger.
+        let eye_from_world = rig.eye_pose(body_pose, eye).inverse();
         for (i, &lm) in self.landmarks.iter().enumerate() {
-            let Some(px) = rig.project_world(body_pose, lm, eye) else { continue };
-            let cam_pose = body_pose.compose(&rig.body_from_left);
-            let depth = cam_pose.inverse().transform_point(lm).z;
+            let Some(px) = cam.project(eye_from_world.transform_point(lm)) else { continue };
+            // Depth in the *left* camera sizes the blob in both eyes. On
+            // paper the right camera's z is the same number; its last bit
+            // can differ, so reading it there is a behaviour change.
+            let depth = shared.left_from_world.transform_point(lm).z;
             if depth <= 0.2 {
                 continue;
             }
             let radius = (3.5 / depth as f32).clamp(1.2, 5.0);
-            let brightness = 0.55 + 0.4 * ((i * 2654435761) % 97) as f32 / 97.0;
+            let brightness = 0.55 + 0.4 * ((i as u64 * 2654435761) % 97) as f32 / 97.0;
             splat_gaussian(&mut img, px.x as f32, px.y as f32, radius, brightness);
         }
         img
@@ -126,22 +164,57 @@ impl LandmarkWorld {
     }
 }
 
-/// Additively splats a Gaussian blob (clamped to [0, 1]).
+/// What the two eyes of one frame share.
+struct FrameShared {
+    /// `0.08 * sin(6u + fwd.x)` per column, `u = x / width`.
+    columns: Vec<f32>,
+    /// `cos(5v + fwd.z)` per row, `v = y / height`.
+    rows: Vec<f32>,
+    /// World → left camera.
+    left_from_world: Pose,
+}
+
+impl FrameShared {
+    fn new(rig: &StereoRig, body_pose: &Pose) -> Self {
+        let cam = rig.camera;
+        // Low-frequency background shading keyed to view direction so the
+        // image is not flat (KLT needs *some* gradient everywhere).
+        let fwd = body_pose.transform_vector(Vec3::UNIT_Z);
+        let column = |x: usize| {
+            let u = x as f32 / cam.width as f32;
+            0.08 * (u * 6.0 + fwd.x as f32).sin()
+        };
+        let row = |y: usize| {
+            let v = y as f32 / cam.height as f32;
+            (v * 5.0 + fwd.z as f32).cos()
+        };
+        Self {
+            columns: (0..cam.width).map(column).collect(),
+            rows: (0..cam.height).map(row).collect(),
+            left_from_world: rig.eye_pose(body_pose, 0).inverse(),
+        }
+    }
+}
+
+/// Additively splats a Gaussian blob (clamped to [0, 1]) over the part of
+/// its `(2r + 1)²` square that lies inside the image.
 fn splat_gaussian(img: &mut GrayImage, cx: f32, cy: f32, radius: f32, brightness: f32) {
     let r = (radius * 2.5).ceil() as i32;
     let inv_2s2 = 1.0 / (2.0 * radius * radius);
-    for dy in -r..=r {
-        for dx in -r..=r {
-            let x = cx as i32 + dx;
-            let y = cy as i32 + dy;
-            if x < 0 || y < 0 || x as usize >= img.width() || y as usize >= img.height() {
-                continue;
-            }
+    let clip = |center: f32, len: usize| {
+        let c = center as i32;
+        (c - r).max(0) as usize..(c + r + 1).clamp(0, len as i32) as usize
+    };
+    let xs = clip(cx, img.width());
+    if xs.is_empty() {
+        return;
+    }
+    for y in clip(cy, img.height()) {
+        let fy = y as f32 - cy;
+        for (x, px) in xs.clone().zip(&mut img.row_mut(y)[xs.clone()]) {
             let fx = x as f32 - cx;
-            let fy = y as f32 - cy;
             let w = (-(fx * fx + fy * fy) * inv_2s2).exp();
-            let old = img.get(x as usize, y as usize);
-            img.set(x as usize, y as usize, (old + brightness * w).min(1.0));
+            *px = (*px + brightness * w).min(1.0);
         }
     }
 }
@@ -259,14 +332,21 @@ mod tests {
         img.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Asserts `render` equals the reference on both eyes of `rig`.
+    /// Asserts `render` and both halves of `render_stereo` equal the
+    /// reference on both eyes of `rig`.
     fn assert_pixel_exact(world: &LandmarkWorld, rig: &StereoRig, pose: &Pose, what: &str) {
-        for eye in 0..2 {
+        let (left, right) = world.render_stereo(rig, pose);
+        for (eye, half) in [left, right].iter().enumerate() {
             let expected = reference_render(world, rig, pose, eye);
             let size = (rig.camera.width, rig.camera.height);
-            let got = world.render(rig, pose, eye);
-            assert_eq!((got.width(), got.height()), size, "{what}: eye {eye} size");
-            assert!(bits(&got) == bits(&expected), "{what}: render eye {eye} at {size:?} differs");
+            for (got, name) in [(&world.render(rig, pose, eye), "render"), (half, "render_stereo")]
+            {
+                assert_eq!((got.width(), got.height()), size, "{what}: {name} eye {eye} size");
+                assert!(
+                    bits(got) == bits(&expected),
+                    "{what}: {name} eye {eye} at {size:?} differs"
+                );
+            }
         }
     }
 

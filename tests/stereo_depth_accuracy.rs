@@ -12,8 +12,7 @@ fn stereo_depth_from_frontend_disparity_is_unbiased() {
     let rig = StereoRig::zed_mini(PinholeCamera::qvga());
     let world = LandmarkWorld::lab(27);
     let pose = Pose::IDENTITY;
-    let left = world.render(&rig, &pose, 0);
-    let right = world.render(&rig, &pose, 1);
+    let (left, right) = world.render_stereo(&rig, &pose);
     let mut fe = FrontEnd::new(FrontEndParams::default());
     let tracks = fe.process(&left, &right, None);
     let mut errs = Vec::new();
