@@ -78,24 +78,18 @@ impl LandmarkWorld {
     /// Renders the intensity image seen by `eye` (0 = left, 1 = right) of
     /// the rig at `body_pose`: one half of [`Self::render_stereo`].
     pub fn render(&self, rig: &StereoRig, body_pose: &Pose, eye: usize) -> GrayImage {
-        self.render_eye(rig, body_pose, eye, &FrameShared::new(rig, body_pose))
+        self.render_eye(&FrameShared::new(rig, body_pose), eye)
     }
 
     /// Renders the `(left, right)` pair seen by the rig at `body_pose`,
     /// computing once what the two eyes share.
     pub fn render_stereo(&self, rig: &StereoRig, body_pose: &Pose) -> (GrayImage, GrayImage) {
         let shared = FrameShared::new(rig, body_pose);
-        (self.render_eye(rig, body_pose, 0, &shared), self.render_eye(rig, body_pose, 1, &shared))
+        (self.render_eye(&shared, 0), self.render_eye(&shared, 1))
     }
 
-    fn render_eye(
-        &self,
-        rig: &StereoRig,
-        body_pose: &Pose,
-        eye: usize,
-        shared: &FrameShared,
-    ) -> GrayImage {
-        let cam = rig.camera;
+    fn render_eye(&self, shared: &FrameShared, eye: usize) -> GrayImage {
+        let cam = shared.rig.camera;
         let mut img = GrayImage::new(cam.width, cam.height);
         for (y, &c) in shared.rows.iter().enumerate() {
             for (px, &s) in img.row_mut(y).iter_mut().zip(&shared.columns) {
@@ -103,7 +97,7 @@ impl LandmarkWorld {
             }
         }
         // Splat landmarks as Gaussian blobs; nearer landmarks are larger.
-        let eye_from_world = rig.eye_pose(body_pose, eye).inverse();
+        let eye_from_world = shared.rig.eye_pose(shared.body_pose, eye).inverse();
         for (i, &lm) in self.landmarks.iter().enumerate() {
             let Some(px) = cam.project(eye_from_world.transform_point(lm)) else { continue };
             // Depth in the *left* camera sizes the blob in both eyes. On
@@ -126,7 +120,7 @@ impl LandmarkWorld {
     /// ElasticFusion consumes (dyson_lab dataset in the paper).
     pub fn render_depth(&self, rig: &StereoRig, body_pose: &Pose) -> GrayImage {
         let cam = rig.camera;
-        let cam_pose = body_pose.compose(&rig.body_from_left);
+        let cam_pose = rig.eye_pose(body_pose, 0);
         let origin = cam_pose.position;
         GrayImage::from_fn(cam.width, cam.height, |x, y| {
             let ray_cam = cam.unproject(illixr_math::Vec2::new(x as f64, y as f64)).normalized();
@@ -165,7 +159,9 @@ impl LandmarkWorld {
 }
 
 /// What the two eyes of one frame share.
-struct FrameShared {
+struct FrameShared<'a> {
+    rig: &'a StereoRig,
+    body_pose: &'a Pose,
     /// `0.08 * sin(6u + fwd.x)` per column, `u = x / width`.
     columns: Vec<f32>,
     /// `cos(5v + fwd.z)` per row, `v = y / height`.
@@ -174,8 +170,8 @@ struct FrameShared {
     left_from_world: Pose,
 }
 
-impl FrameShared {
-    fn new(rig: &StereoRig, body_pose: &Pose) -> Self {
+impl<'a> FrameShared<'a> {
+    fn new(rig: &'a StereoRig, body_pose: &'a Pose) -> Self {
         let cam = rig.camera;
         // Low-frequency background shading keyed to view direction so the
         // image is not flat (KLT needs *some* gradient everywhere).
@@ -189,6 +185,8 @@ impl FrameShared {
             (v * 5.0 + fwd.z as f32).cos()
         };
         Self {
+            rig,
+            body_pose,
             columns: (0..cam.width).map(column).collect(),
             rows: (0..cam.height).map(row).collect(),
             left_from_world: rig.eye_pose(body_pose, 0).inverse(),
@@ -203,12 +201,10 @@ fn splat_gaussian(img: &mut GrayImage, cx: f32, cy: f32, radius: f32, brightness
     let inv_2s2 = 1.0 / (2.0 * radius * radius);
     let clip = |center: f32, len: usize| {
         let c = center as i32;
-        (c - r).max(0) as usize..(c + r + 1).clamp(0, len as i32) as usize
+        let lo = (c - r).clamp(0, len as i32);
+        lo as usize..(c + r + 1).clamp(lo, len as i32) as usize
     };
     let xs = clip(cx, img.width());
-    if xs.is_empty() {
-        return;
-    }
     for y in clip(cy, img.height()) {
         let fy = y as f32 - cy;
         for (x, px) in xs.clone().zip(&mut img.row_mut(y)[xs.clone()]) {
