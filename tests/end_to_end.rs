@@ -6,7 +6,9 @@ use std::time::Duration;
 
 use illixr_testbed::platform::spec::Platform;
 use illixr_testbed::render::apps::Application;
-use illixr_testbed::system::experiment::{ExperimentConfig, IntegratedExperiment, COMPONENTS};
+use illixr_testbed::system::experiment::{
+    ExperimentConfig, ExperimentResult, IntegratedExperiment, COMPONENTS,
+};
 
 fn quick(app: Application, platform: Platform) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::paper(app, platform);
@@ -118,9 +120,12 @@ fn mtp_decomposition_is_consistent() {
 /// policy's shed/level, the supervisor report, the placement decisions
 /// and the encoded boundary trace.
 fn fingerprint(cfg: &ExperimentConfig) -> u64 {
+    fingerprint_of(IntegratedExperiment::run(cfg))
+}
+
+fn fingerprint_of(r: ExperimentResult) -> u64 {
     use std::fmt::Write;
 
-    let r = IntegratedExperiment::run(cfg);
     let mut repr = r.telemetry.to_csv();
     for s in &r.mtp {
         let ns = [s.imu_age, s.reprojection, s.swap].map(|d| d.as_nanos());
@@ -197,5 +202,41 @@ fn device_pipeline_digests_are_pinned() {
     ];
     for (what, cfg, pinned) in cases {
         assert_eq!(fingerprint(&cfg), pinned, "{what}: device pipeline bytes moved");
+    }
+}
+
+/// Span/flow tracing moves no sim-time output of the device pipeline:
+/// a traced run reports what the untraced run of the same config
+/// reports, in everything [`fingerprint`] covers and in utilisation,
+/// power and energy, which it does not. A harness may therefore trace
+/// one run and read both its figures and its spans off it.
+#[test]
+fn tracing_is_inert_to_sim_time_outputs() {
+    use illixr_testbed::core::sched::PolicyKind;
+
+    let base = |app, platform| {
+        let mut cfg = ExperimentConfig::paper(app, platform);
+        cfg.duration = Duration::from_secs(1);
+        cfg
+    };
+    let cases = [
+        ("paper default", base(Application::Platformer, Platform::Desktop)),
+        (
+            "extended + edf",
+            base(Application::Sponza, Platform::JetsonHP)
+                .with_extended_components()
+                .with_policy(PolicyKind::Edf),
+        ),
+    ];
+    for (what, cfg) in cases {
+        let plain = IntegratedExperiment::run(&cfg);
+        let traced = IntegratedExperiment::run(&cfg.with_trace());
+        assert!(!plain.tracer.is_enabled() && !traced.tracer.spans().is_empty(), "{what}");
+        assert_eq!(
+            (traced.cpu_util, traced.gpu_util, traced.power, traced.energy_joules),
+            (plain.cpu_util, plain.gpu_util, plain.power, plain.energy_joules),
+            "{what}: tracing moved utilisation, power or energy"
+        );
+        assert_eq!(fingerprint_of(traced), fingerprint_of(plain), "{what}: tracing moved bytes");
     }
 }
