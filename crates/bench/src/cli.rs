@@ -1,11 +1,11 @@
-//! Shared command-line parsing for the bench binaries.
+//! Shared command-line parsing for `paper` and the sweeps.
 //!
-//! Every figure/table binary accepts the same small flag vocabulary —
-//! `--quick` (CI-sized runs), `--trace <path>` (drive server sessions
+//! One small flag vocabulary — `--quick` (CI-sized runs), `--only <rows>`
+//! (`paper`'s row selector), `--trace <path>` (drive server sessions
 //! from a recorded boundary trace), `--seed <n>`, `--sessions <n>`,
 //! `--shards <n>`, `--write-fixture <path>` — parsed here once so the
-//! binaries agree on spelling, precedence and error messages instead
-//! of each re-implementing `std::env::args()` scans.
+//! binaries agree on spelling and error messages. A binary reads the
+//! flags it documents and ignores the rest.
 
 use std::sync::Arc;
 

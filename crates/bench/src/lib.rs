@@ -1,23 +1,14 @@
-//! The benchmark harness: one binary per figure and table of the
-//! paper's evaluation (§IV). Everything here reports *simulated* time;
-//! host-time budgets per component kernel are `perf/run.sh trace`.
+//! The benchmark harness. The `paper` binary regenerates every figure
+//! and table of the paper's evaluation (§IV) — `fig3`–`fig8`,
+//! `table3`–`table7`, `ablation_{vio,extended,offload,timewarp}` and
+//! `metrics_dump`, each a row of its `FIGURES` table (README says what
+//! each regenerates) and the integrated ones all views of one app ×
+//! platform matrix of runs; seven more binaries are the extension
+//! sweeps. Everything here reports *simulated* time; host-time budgets
+//! per component kernel are `perf/run.sh trace`.
 //!
-//! | target | regenerates |
-//! |---|---|
-//! | `fig3` | component frame rates × apps × platforms |
-//! | `fig4` | per-frame execution-time series, Platformer/desktop |
-//! | `fig5` | CPU-cycle share breakdown |
-//! | `fig6` | total power + power-rail breakdown |
-//! | `fig7` | per-frame MTP series, Platformer, all platforms |
-//! | `fig8` | IPC + top-down cycle breakdown per component |
-//! | `table3` | tuned system parameters |
-//! | `table4` | MTP mean ± std |
-//! | `table5` | SSIM / 1−FLIP, Sponza, all platforms |
-//! | `table6` | VIO + scene-reconstruction task breakdown |
-//! | `table7` | visual + audio pipeline task breakdown |
-//! | `ablation_vio` | §V-E accuracy/performance trade-off |
-//!
-//! Run everything with `cargo run -p illixr-bench --release --bin <target>`.
+//! Run everything with `cargo run -p illixr-bench --release --bin paper`,
+//! selected rows with `-- --only fig3,table4`, a sweep with `--bin <sweep>`.
 
 use illixr_platform::uarch::OpMix;
 
@@ -235,16 +226,17 @@ impl RunSummary {
     }
 }
 
-/// A sweep's `results/<stem>.txt`, accumulated while its table prints.
+/// A bench's `results/<stem>.txt`, accumulated while its table prints.
 #[derive(Debug)]
 pub struct Report {
     stem: &'static str,
     text: String,
+    claims: Vec<String>,
 }
 
 impl Report {
     pub fn new(stem: &'static str) -> Self {
-        Self { stem, text: String::new() }
+        Self { stem, text: String::new(), claims: Vec::new() }
     }
 
     /// Appends `text` and a newline to the artifact only (comments,
@@ -265,6 +257,17 @@ impl Report {
     pub fn claim(&mut self, claims: &[(&str, bool)]) {
         let pairs: Vec<String> = claims.iter().map(|(name, ok)| format!("{name}={ok}")).collect();
         self.note(pairs.join(" "));
+        self.claims.extend(pairs);
+    }
+
+    /// Every `name=bool` pair claimed so far.
+    pub fn claims(&self) -> &[String] {
+        &self.claims
+    }
+
+    /// A horizontal rule as a table row.
+    pub fn rule(&mut self, width: usize) {
+        self.line("-".repeat(width));
     }
 
     /// Writes `results/<stem>.txt` and announces the path.
@@ -282,30 +285,6 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
-/// Prints one Table VI/VII block: the measured share of each named
-/// task (from the component's host-time task histograms) beside the
-/// paper's, task names padded to `name_width`.
-pub fn print_task_shares(
-    title: &str,
-    name_width: usize,
-    paper: &[(&str, f64)],
-    tasks: &illixr_core::obs::Metrics,
-    note: &str,
-) {
-    println!("\n{title}");
-    rule(name_width + 34);
-    println!("{:<name_width$} {:>10} {:>10}", "task", "measured", "paper");
-    let shares = tasks.shares();
-    for (task, paper_share) in paper {
-        let measured =
-            shares.iter().find(|(n, _)| n == task).map(|(_, s)| *s * 100.0).unwrap_or(0.0);
-        println!("{task:<name_width$} {measured:>9.1}% {paper_share:>9.0}%");
-    }
-    if !note.is_empty() {
-        println!("  note: {note}");
-    }
-}
-
 /// Simulated duration for the integrated experiments: the paper runs
 /// ≈ 30 s; the harness defaults to 10 s to keep regeneration quick and
 /// honours `ILLIXR_SECONDS` for full-length runs.
@@ -316,16 +295,6 @@ pub fn sim_duration() -> std::time::Duration {
         .unwrap_or(10.0)
         .clamp(1.0, 600.0);
     std::time::Duration::from_secs_f64(secs)
-}
-
-/// Standard experiment config for a figure run.
-pub fn experiment_config(
-    app: illixr_render::apps::Application,
-    platform: illixr_platform::spec::Platform,
-) -> illixr_system::experiment::ExperimentConfig {
-    let mut cfg = illixr_system::experiment::ExperimentConfig::paper(app, platform);
-    cfg.duration = sim_duration();
-    cfg
 }
 
 /// Chain deadline of the contended-core sweeps. Tighter than the
@@ -344,7 +313,7 @@ pub fn contended_config(
     load: f64,
     duration: std::time::Duration,
 ) -> illixr_system::experiment::ExperimentConfig {
-    let mut cfg = experiment_config(
+    let mut cfg = illixr_system::experiment::ExperimentConfig::paper(
         illixr_render::apps::Application::Platformer,
         illixr_platform::spec::Platform::Desktop,
     )

@@ -39,5 +39,5 @@ fn main() {
         }
     }
     testbed.shutdown();
-    println!("\nDone. Try `cargo run -p illixr-bench --release --bin fig3` next.");
+    println!("\nDone. Try `cargo run -p illixr-bench --release --bin paper -- --only fig3` next.");
 }
