@@ -1,0 +1,107 @@
+//! Bit pins of the synthetic motion source.
+//!
+//! Every `edge_*`/`fault_replay` digest, every golden file and every
+//! `real_vio` estimate downstream depends on the last bit of each IMU
+//! sample, and each sample on the last bit of the trajectory under it.
+//! These FNV-1a digests over `to_bits()` were taken from the first
+//! implementation (one `sin`/`cos` per accessor per term, `Vec` term
+//! lists); an edit to `trajectory.rs` or `imu.rs` must keep each value's
+//! floating-point operations and their association — `w = 2π·f`,
+//! `θ = w·t + phase`, terms summed in index order by `Iterator::sum`.
+
+use illixr_core::Time;
+use illixr_math::Vec3;
+use illixr_sensors::imu::ImuNoise;
+use illixr_sensors::trajectory::MotionProfile;
+use illixr_sensors::{ImuModel, Trajectory};
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for byte in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn vec3(&mut self, v: Vec3) {
+        for c in [v.x, v.y, v.z] {
+            self.u64(c.to_bits());
+        }
+    }
+}
+
+/// The 1 000 instants every trajectory pin samples: 0 to ≈ 7.9 s on a
+/// step that is no multiple of any sensor period.
+fn grid() -> impl Iterator<Item = Time> {
+    (0..1000u64).map(|k| Time::from_nanos(k * 7_919_311))
+}
+
+const TRAJECTORY_SEEDS: [u64; 4] = [1, 7, 11, 4242];
+
+fn imu_digest(seed: u64) -> u64 {
+    let mut imu = ImuModel::new(Trajectory::walking(seed), ImuNoise::default(), 500.0, seed);
+    let mut h = Fnv::new();
+    for _ in 0..2000 {
+        let s = imu.next_sample();
+        h.u64(s.timestamp.as_nanos());
+        h.vec3(s.gyro);
+        h.vec3(s.accel);
+    }
+    h.0
+}
+
+fn trajectory_digest(profile: MotionProfile, seed: u64) -> u64 {
+    let traj = Trajectory::new(profile, seed);
+    let mut h = Fnv::new();
+    for t in grid() {
+        let pose = traj.pose(t);
+        h.vec3(pose.position);
+        let q = pose.orientation;
+        for c in [q.w, q.x, q.y, q.z] {
+            h.u64(c.to_bits());
+        }
+        h.vec3(traj.velocity(t));
+        h.vec3(traj.acceleration(t));
+        h.vec3(traj.angular_velocity(t));
+    }
+    h.0
+}
+
+#[test]
+fn imu_samples_are_pinned() {
+    let got = [1, 7, 11].map(imu_digest);
+    let want = [0x1079_dbae_b4a8_ba2c, 0x35e7_ae78_bd33_abd5, 0xe36c_cee2_fcc3_36ad];
+    assert_eq!(got, want, "got {got:#018x?}");
+}
+
+#[test]
+fn trajectories_are_pinned() {
+    let profiles = [MotionProfile::Gentle, MotionProfile::Walking, MotionProfile::Vigorous];
+    let got = profiles.map(|p| TRAJECTORY_SEEDS.map(|seed| trajectory_digest(p, seed)));
+    let want = [
+        [
+            0x06cc_e896_92aa_251d,
+            0x1c05_5a27_bc94_0d59,
+            0x6477_4971_7182_3673,
+            0xd7c8_b2c4_745e_d573,
+        ],
+        [
+            0x4e9e_9296_f5d8_577b,
+            0xec38_4aa1_66f9_c413,
+            0xbd6c_d5a9_bc37_1ad1,
+            0x98b5_3c78_8989_1573,
+        ],
+        [
+            0xfaed_93d4_c87b_ab31,
+            0xf7f1_8939_2bee_8397,
+            0x73a1_c789_ebf5_f579,
+            0x1647_dded_b61e_5586,
+        ],
+    ];
+    assert_eq!(got, want, "got {got:#018x?}");
+}
