@@ -16,6 +16,15 @@
 //! a flow event with a deterministic id, letting the obs exporter
 //! stitch producer→consumer causal chains across a trace.
 //!
+//! # Cost of an event
+//!
+//! The IMU and fast-pose streams carry 500 events a second a session, so
+//! the stream's own cost is most of what their consumers cost. A `put`
+//! allocates the one `Arc<Event<T>>` its readers share and makes no
+//! system call unless a reader is parked in [`SyncReader::recv`]; a
+//! receive allocates nothing, whether observability is on or off — the
+//! track and histogram names it needs are built with the handle.
+//!
 //! # Examples
 //!
 //! ```
@@ -189,12 +198,16 @@ pub struct TopicStats {
 
 /// Shared observability context for one stream: the (possibly
 /// disabled) tracer and metrics plus the scope-qualified stream name
-/// that seeds deterministic flow ids.
+/// that seeds deterministic flow ids, and the histogram name derived
+/// from it. Every name is built once here so neither `put` nor `recv`
+/// formats or allocates.
 #[derive(Clone)]
 struct TopicObs {
     tracer: Tracer,
     metrics: Metrics,
     flow_name: Arc<str>,
+    /// `topic.<flow_name>.publish_interval_ns`.
+    interval_name: Arc<str>,
 }
 
 impl TopicObs {
@@ -212,8 +225,7 @@ impl TopicObs {
         );
         let last = state.swap(now, Ordering::SeqCst);
         if self.metrics.is_enabled() && last != u64::MAX && now >= last {
-            self.metrics
-                .record_ns(&format!("topic.{}.publish_interval_ns", self.flow_name), now - last);
+            self.metrics.record_ns(&self.interval_name, now - last);
         }
     }
 
@@ -268,6 +280,7 @@ impl<T: Send + Sync + 'static> Topic<T> {
     pub fn async_reader(&self) -> AsyncReader<T> {
         AsyncReader {
             topic: self.state.clone(),
+            recv_track: self.recv_track(),
             name: self.name.clone(),
             obs: self.obs.clone(),
             last_seen: AtomicU64::new(u64::MAX),
@@ -282,9 +295,7 @@ impl<T: Send + Sync + 'static> Topic<T> {
     /// Panics when `capacity` is zero.
     pub fn sync_reader(&self, capacity: usize) -> SyncReader<T> {
         assert!(capacity > 0, "sync reader capacity must be positive");
-        let (tx, rx) = bounded(capacity);
-        self.state.subscribers.lock().push(tx);
-        SyncReader { rx, name: self.name.clone(), obs: self.obs.clone() }
+        self.subscribe(capacity)
     }
 
     /// A synchronous reader with an unbounded queue: the subscription
@@ -297,9 +308,23 @@ impl<T: Send + Sync + 'static> Topic<T> {
     /// application's input state stuck. The caller owns the memory
     /// consequence: queued events accumulate until drained.
     pub fn lossless_reader(&self) -> SyncReader<T> {
-        let (tx, rx) = bounded(usize::MAX);
+        self.subscribe(usize::MAX)
+    }
+
+    fn subscribe(&self, capacity: usize) -> SyncReader<T> {
+        let (tx, rx) = bounded(capacity);
         self.state.subscribers.lock().push(tx);
-        SyncReader { rx, name: self.name.clone(), obs: self.obs.clone() }
+        SyncReader {
+            rx,
+            recv_track: self.recv_track(),
+            name: self.name.clone(),
+            obs: self.obs.clone(),
+        }
+    }
+
+    /// The track a reader's flow ends land on, built once per reader.
+    fn recv_track(&self) -> String {
+        format!("{}.recv", self.name)
     }
 }
 
@@ -346,6 +371,7 @@ impl<T> std::fmt::Debug for Writer<T> {
 pub struct AsyncReader<T> {
     topic: Arc<TopicState<T>>,
     name: String,
+    recv_track: String,
     obs: TopicObs,
     /// Highest sequence number already reported as a flow end, so
     /// repeated `latest()` polls of one event emit one flow event.
@@ -363,7 +389,7 @@ impl<T: Send + Sync> AsyncReader<T> {
             // Report each event at most once per reader so a 500 Hz
             // poller doesn't flood the trace with duplicate flow ends.
             if self.last_seen.swap(e.seq, Ordering::SeqCst) != e.seq {
-                self.obs.on_recv(&format!("{}.recv", self.name), e.seq);
+                self.obs.on_recv(&self.recv_track, e.seq);
             }
         }
         event
@@ -394,6 +420,7 @@ impl<T> std::fmt::Debug for AsyncReader<T> {
 pub struct SyncReader<T> {
     rx: Receiver<Arc<Event<T>>>,
     name: String,
+    recv_track: String,
     obs: TopicObs,
 }
 
@@ -403,7 +430,7 @@ impl<T: Send + Sync> SyncReader<T> {
     pub fn try_recv(&self) -> Option<Arc<Event<T>>> {
         match self.rx.try_recv() {
             Ok(e) => {
-                self.obs.on_recv(&format!("{}.recv", self.name), e.seq);
+                self.obs.on_recv(&self.recv_track, e.seq);
                 Some(e)
             }
             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
@@ -414,7 +441,7 @@ impl<T: Send + Sync> SyncReader<T> {
     pub fn recv(&self) -> Option<Arc<Event<T>>> {
         let event = self.rx.recv().ok();
         if let Some(e) = &event {
-            self.obs.on_recv(&format!("{}.recv", self.name), e.seq);
+            self.obs.on_recv(&self.recv_track, e.seq);
         }
         event
     }
@@ -507,13 +534,15 @@ impl Switchboard {
     }
 
     fn handle<T: Send + Sync + 'static>(&self, name: &str, state: Arc<TopicState<T>>) -> Topic<T> {
+        let flow_name = format!("{}{}", self.tracer.scope(), name);
         Topic {
             state,
             name: name.to_owned(),
             obs: TopicObs {
                 tracer: self.tracer.clone(),
                 metrics: self.metrics.clone(),
-                flow_name: Arc::from(format!("{}{}", self.tracer.scope(), name)),
+                interval_name: Arc::from(format!("topic.{flow_name}.publish_interval_ns")),
+                flow_name: Arc::from(flow_name),
             },
         }
     }
@@ -788,6 +817,58 @@ mod tests {
         });
         handle.join().unwrap();
         assert_eq!(r.drain().len(), 32);
+    }
+
+    /// Live mode's blocking read under real contention: the consumer
+    /// parks in `recv` whenever it has drained the queue, two writers
+    /// yield at seeded random points, and the stream going away (its
+    /// last handle dropped, and with it the subscription's sender) must
+    /// still wake the consumer. A missed wake-up hangs it; the watchdog
+    /// turns that into a failure.
+    #[test]
+    fn blocking_recv_is_woken_by_every_put_and_by_the_last_drop() {
+        const PER_WRITER: u64 = 50_000;
+        let sb = Switchboard::new();
+        let t = topic::<(u64, u64)>(&sb, "s");
+        let reader = t.lossless_reader();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let consumer = std::thread::spawn(move || {
+            let mut next = [0u64; 2];
+            while let Some(event) = reader.recv() {
+                let (writer, k) = event.data;
+                assert_eq!(k, next[writer as usize], "writer {writer} out of order");
+                next[writer as usize] += 1;
+            }
+            done_tx.send(next).unwrap();
+        });
+        let writers: Vec<_> = (0..2u64)
+            .map(|writer| {
+                let w = t.writer();
+                std::thread::spawn(move || {
+                    let mut rng = 0x9e37_79b9_7f4a_7c15 ^ (writer + 1);
+                    for k in 0..PER_WRITER {
+                        w.put((writer, k));
+                        // xorshift64; yield after about one put in four.
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        if rng & 3 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        // The registry and this handle are the stream's last owners.
+        drop((t, sb));
+        let received = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("consumer hung: a wake-up was missed");
+        assert_eq!(received, [PER_WRITER; 2]);
+        consumer.join().unwrap();
     }
 
     #[test]

@@ -94,12 +94,12 @@ impl ImuModel {
     /// The ideal (noise-free) sample at time `t` — used by tests and by
     /// integrator accuracy analysis.
     pub fn ideal_sample(&self, t: Time) -> ImuSample {
-        let pose = self.trajectory.pose(t);
-        let a_world = self.trajectory.acceleration(t) + Vec3::new(0.0, GRAVITY, 0.0);
+        let at = self.trajectory.kinematics(t);
+        let a_world = at.acceleration + Vec3::new(0.0, GRAVITY, 0.0);
         ImuSample {
             timestamp: t,
-            gyro: self.trajectory.angular_velocity(t),
-            accel: pose.orientation.inverse().rotate(a_world),
+            gyro: at.angular_velocity,
+            accel: at.pose.orientation.inverse().rotate(a_world),
         }
     }
 

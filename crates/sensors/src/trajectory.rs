@@ -12,7 +12,15 @@ use illixr_math::{Pose, Quat, Vec3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One sinusoidal term: `amplitude · sin(2π·freq·t + phase)`.
+/// The most terms a list holds (the `Vigorous` profile).
+const MAX_TERMS: usize = 4;
+
+/// One sinusoidal term: `amplitude · sin(θ)`, `θ = 2π·freq·t + phase`.
+///
+/// Value and derivatives take `sin θ` or `cos θ` rather than `t`, so a
+/// caller that needs several of them evaluates each transcendental once.
+/// The operations and their association are pinned to the bit
+/// (`tests/motion_pin.rs`): `w = 2π·f`, `θ = w·t + phase`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Sinusoid {
     amplitude: f64,
@@ -21,16 +29,51 @@ struct Sinusoid {
 }
 
 impl Sinusoid {
-    fn value(&self, t: f64) -> f64 {
-        self.amplitude * (2.0 * std::f64::consts::PI * self.freq_hz * t + self.phase).sin()
+    const ZERO: Self = Self { amplitude: 0.0, freq_hz: 0.0, phase: 0.0 };
+
+    fn omega(&self) -> f64 {
+        2.0 * std::f64::consts::PI * self.freq_hz
     }
-    fn d1(&self, t: f64) -> f64 {
-        let w = 2.0 * std::f64::consts::PI * self.freq_hz;
-        self.amplitude * w * (w * t + self.phase).cos()
+    fn angle(&self, t: f64) -> f64 {
+        self.omega() * t + self.phase
     }
-    fn d2(&self, t: f64) -> f64 {
-        let w = 2.0 * std::f64::consts::PI * self.freq_hz;
-        -self.amplitude * w * w * (w * t + self.phase).sin()
+    fn value(&self, sin: f64) -> f64 {
+        self.amplitude * sin
+    }
+    fn d1(&self, cos: f64) -> f64 {
+        self.amplitude * self.omega() * cos
+    }
+    fn d2(&self, sin: f64) -> f64 {
+        -self.amplitude * self.omega() * self.omega() * sin
+    }
+}
+
+/// A sum of up to [`MAX_TERMS`] sinusoids, stored inline: a trajectory is
+/// one flat value with no heap behind it.
+#[derive(Debug, Clone, Copy)]
+struct Terms {
+    terms: [Sinusoid; MAX_TERMS],
+    len: usize,
+}
+
+impl Terms {
+    fn as_slice(&self) -> &[Sinusoid] {
+        &self.terms[..self.len]
+    }
+
+    /// `trig(θ)` of each term at `t`. Entries past the list's length
+    /// stay at their default and are never summed.
+    fn trig<T: Copy + Default>(&self, t: f64, trig: impl Fn(f64) -> T) -> [T; MAX_TERMS] {
+        let mut out = [T::default(); MAX_TERMS];
+        for (out, term) in out.iter_mut().zip(self.as_slice()) {
+            *out = trig(term.angle(t));
+        }
+        out
+    }
+
+    /// `Σ f(term, trig θ)` over the terms in index order.
+    fn sum<T: Copy>(&self, trig: &[T; MAX_TERMS], f: impl Fn(&Sinusoid, T) -> f64) -> f64 {
+        self.as_slice().iter().zip(trig).map(|(term, &x)| f(term, x)).sum()
     }
 }
 
@@ -59,8 +102,20 @@ pub enum MotionProfile {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Trajectory {
-    position: [Vec<Sinusoid>; 3],
-    attitude: [Vec<Sinusoid>; 3], // yaw, pitch, roll
+    position: [Terms; 3],
+    attitude: [Terms; 3], // yaw, pitch, roll
+}
+
+/// Pose, linear acceleration and angular velocity at one instant, from
+/// [`Trajectory::kinematics`] — what an IMU sample is made of.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Kinematics {
+    /// Pose (body → world).
+    pub pose: Pose,
+    /// Linear acceleration in the world frame, m/s².
+    pub acceleration: Vec3,
+    /// Angular velocity in the **body** frame, rad/s.
+    pub angular_velocity: Vec3,
 }
 
 impl Trajectory {
@@ -72,15 +127,17 @@ impl Trajectory {
             MotionProfile::Vigorous => (1.0, 1.1, 0.7, 1.3, 4),
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut gen_terms = |amp: f64, freq: f64| -> Vec<Sinusoid> {
-            (0..terms)
-                .map(|k| Sinusoid {
+        let mut gen_terms = |amp: f64, freq: f64| -> Terms {
+            let mut list = Terms { terms: [Sinusoid::ZERO; MAX_TERMS], len: terms };
+            for (k, term) in list.terms[..terms].iter_mut().enumerate() {
+                *term = Sinusoid {
                     // Higher harmonics have smaller amplitudes (pink-ish).
                     amplitude: amp * rng.gen_range(0.5..1.0) / (k + 1) as f64,
                     freq_hz: freq * rng.gen_range(0.6..1.4) * (k + 1) as f64,
                     phase: rng.gen_range(0.0..std::f64::consts::TAU),
-                })
-                .collect()
+                };
+            }
+            list
         };
         Self {
             position: [
@@ -106,65 +163,72 @@ impl Trajectory {
         Self::new(MotionProfile::Gentle, seed)
     }
 
-    fn sum(terms: &[Sinusoid], t: f64, f: impl Fn(&Sinusoid, f64) -> f64) -> f64 {
-        terms.iter().map(|s| f(s, t)).sum()
-    }
-
-    /// Euler angles (yaw, pitch, roll) at time `t` in seconds.
-    fn euler(&self, t: f64) -> (f64, f64, f64) {
-        (
-            Self::sum(&self.attitude[0], t, Sinusoid::value),
-            Self::sum(&self.attitude[1], t, Sinusoid::value),
-            Self::sum(&self.attitude[2], t, Sinusoid::value),
-        )
+    /// The pose with `position` and `euler` = (yaw, pitch, roll).
+    fn pose_from(position: [f64; 3], euler: [f64; 3]) -> Pose {
+        let [x, y, z] = position;
+        let [yaw, pitch, roll] = euler;
+        Pose::new(Vec3::new(x, y, z), Quat::from_euler(yaw, pitch, roll))
     }
 
     /// Pose (body → world) at time `t`.
     pub fn pose(&self, t: Time) -> Pose {
         let ts = t.as_secs_f64();
-        let p = Vec3::new(
-            Self::sum(&self.position[0], ts, Sinusoid::value),
-            Self::sum(&self.position[1], ts, Sinusoid::value),
-            Self::sum(&self.position[2], ts, Sinusoid::value),
-        );
-        let (yaw, pitch, roll) = self.euler(ts);
-        Pose::new(p, Quat::from_euler(yaw, pitch, roll))
+        let value = |list: &Terms| list.sum(&list.trig(ts, f64::sin), Sinusoid::value);
+        Self::pose_from(self.position.each_ref().map(value), self.attitude.each_ref().map(value))
     }
 
     /// Linear velocity in the world frame at time `t`, m/s.
     pub fn velocity(&self, t: Time) -> Vec3 {
         let ts = t.as_secs_f64();
-        Vec3::new(
-            Self::sum(&self.position[0], ts, Sinusoid::d1),
-            Self::sum(&self.position[1], ts, Sinusoid::d1),
-            Self::sum(&self.position[2], ts, Sinusoid::d1),
-        )
+        let [x, y, z] =
+            self.position.each_ref().map(|list| list.sum(&list.trig(ts, f64::cos), Sinusoid::d1));
+        Vec3::new(x, y, z)
     }
 
-    /// Linear acceleration in the world frame at time `t`, m/s².
-    pub fn acceleration(&self, t: Time) -> Vec3 {
-        let ts = t.as_secs_f64();
-        Vec3::new(
-            Self::sum(&self.position[0], ts, Sinusoid::d2),
-            Self::sum(&self.position[1], ts, Sinusoid::d2),
-            Self::sum(&self.position[2], ts, Sinusoid::d2),
-        )
-    }
-
-    /// Angular velocity in the **body** frame at time `t`, rad/s.
+    /// Pose, acceleration and angular velocity at time `t` in one pass:
+    /// each term's `sin θ` gives a position axis its value and second
+    /// derivative, each attitude term's `sin θ` and `cos θ` its angle and
+    /// rate. Bit for bit what the separate accessors return.
     ///
-    /// Computed from the ZYX Euler-rate kinematics:
+    /// The angular velocity follows from the ZYX Euler-rate kinematics:
     /// `ω_body = E(yaw,pitch,roll) · (yaẇ, pitcḣ, rolḣ)`.
-    pub fn angular_velocity(&self, t: Time) -> Vec3 {
+    pub fn kinematics(&self, t: Time) -> Kinematics {
         let ts = t.as_secs_f64();
-        let (_, pitch, roll) = self.euler(ts);
-        let dyaw = Self::sum(&self.attitude[0], ts, Sinusoid::d1);
-        let dpitch = Self::sum(&self.attitude[1], ts, Sinusoid::d1);
-        let droll = Self::sum(&self.attitude[2], ts, Sinusoid::d1);
+        let [(x, ax), (y, ay), (z, az)] = self.position.each_ref().map(|list| {
+            let sin = list.trig(ts, f64::sin);
+            (list.sum(&sin, Sinusoid::value), list.sum(&sin, Sinusoid::d2))
+        });
+        let [(yaw, dyaw), (pitch, dpitch), (roll, droll)] = self.attitude.each_ref().map(|list| {
+            let sin_cos = list.trig(ts, f64::sin_cos);
+            (
+                list.sum(&sin_cos, |term, (sin, _)| term.value(sin)),
+                list.sum(&sin_cos, |term, (_, cos)| term.d1(cos)),
+            )
+        });
         // Body rates for ZYX (yaw-pitch-roll) Euler angles.
         let (sr, cr) = roll.sin_cos();
         let (sp, cp) = pitch.sin_cos();
-        Vec3::new(droll - dyaw * sp, dpitch * cr + dyaw * cp * sr, -dpitch * sr + dyaw * cp * cr)
+        Kinematics {
+            pose: Self::pose_from([x, y, z], [yaw, pitch, roll]),
+            acceleration: Vec3::new(ax, ay, az),
+            angular_velocity: Vec3::new(
+                droll - dyaw * sp,
+                dpitch * cr + dyaw * cp * sr,
+                -dpitch * sr + dyaw * cp * cr,
+            ),
+        }
+    }
+
+    /// Linear acceleration in the world frame at time `t`, m/s² (a view
+    /// of [`Trajectory::kinematics`]).
+    pub fn acceleration(&self, t: Time) -> Vec3 {
+        self.kinematics(t).acceleration
+    }
+
+    /// Angular velocity in the **body** frame at time `t`, rad/s (a view
+    /// of [`Trajectory::kinematics`]).
+    pub fn angular_velocity(&self, t: Time) -> Vec3 {
+        self.kinematics(t).angular_velocity
     }
 }
 

@@ -10,10 +10,19 @@
 //! `θ = w·t + phase`, terms summed in index order by `Iterator::sum`.
 
 use illixr_core::Time;
-use illixr_math::Vec3;
+use illixr_math::{Pose, Vec3};
 use illixr_sensors::imu::ImuNoise;
 use illixr_sensors::trajectory::MotionProfile;
 use illixr_sensors::{ImuModel, Trajectory};
+
+fn vec3_bits(v: Vec3) -> [u64; 3] {
+    [v.x, v.y, v.z].map(f64::to_bits)
+}
+
+fn pose_bits(pose: Pose) -> [u64; 7] {
+    let (p, q) = (pose.position, pose.orientation);
+    [p.x, p.y, p.z, q.w, q.x, q.y, q.z].map(f64::to_bits)
+}
 
 struct Fnv(u64);
 
@@ -28,10 +37,8 @@ impl Fnv {
         }
     }
 
-    fn vec3(&mut self, v: Vec3) {
-        for c in [v.x, v.y, v.z] {
-            self.u64(c.to_bits());
-        }
+    fn all(&mut self, bits: impl IntoIterator<Item = u64>) {
+        bits.into_iter().for_each(|v| self.u64(v));
     }
 }
 
@@ -41,6 +48,8 @@ fn grid() -> impl Iterator<Item = Time> {
     (0..1000u64).map(|k| Time::from_nanos(k * 7_919_311))
 }
 
+const PROFILES: [MotionProfile; 3] =
+    [MotionProfile::Gentle, MotionProfile::Walking, MotionProfile::Vigorous];
 const TRAJECTORY_SEEDS: [u64; 4] = [1, 7, 11, 4242];
 
 fn imu_digest(seed: u64) -> u64 {
@@ -49,8 +58,8 @@ fn imu_digest(seed: u64) -> u64 {
     for _ in 0..2000 {
         let s = imu.next_sample();
         h.u64(s.timestamp.as_nanos());
-        h.vec3(s.gyro);
-        h.vec3(s.accel);
+        h.all(vec3_bits(s.gyro));
+        h.all(vec3_bits(s.accel));
     }
     h.0
 }
@@ -59,15 +68,10 @@ fn trajectory_digest(profile: MotionProfile, seed: u64) -> u64 {
     let traj = Trajectory::new(profile, seed);
     let mut h = Fnv::new();
     for t in grid() {
-        let pose = traj.pose(t);
-        h.vec3(pose.position);
-        let q = pose.orientation;
-        for c in [q.w, q.x, q.y, q.z] {
-            h.u64(c.to_bits());
-        }
-        h.vec3(traj.velocity(t));
-        h.vec3(traj.acceleration(t));
-        h.vec3(traj.angular_velocity(t));
+        h.all(pose_bits(traj.pose(t)));
+        h.all(vec3_bits(traj.velocity(t)));
+        h.all(vec3_bits(traj.acceleration(t)));
+        h.all(vec3_bits(traj.angular_velocity(t)));
     }
     h.0
 }
@@ -81,8 +85,7 @@ fn imu_samples_are_pinned() {
 
 #[test]
 fn trajectories_are_pinned() {
-    let profiles = [MotionProfile::Gentle, MotionProfile::Walking, MotionProfile::Vigorous];
-    let got = profiles.map(|p| TRAJECTORY_SEEDS.map(|seed| trajectory_digest(p, seed)));
+    let got = PROFILES.map(|p| TRAJECTORY_SEEDS.map(|seed| trajectory_digest(p, seed)));
     let want = [
         [
             0x06cc_e896_92aa_251d,
@@ -104,4 +107,26 @@ fn trajectories_are_pinned() {
         ],
     ];
     assert_eq!(got, want, "got {got:#018x?}");
+}
+
+/// The one-pass evaluation the IMU model samples is the separate
+/// accessors, bit for bit, on the pinned grid.
+#[test]
+fn kinematics_equals_the_separate_accessors() {
+    for profile in PROFILES {
+        for seed in TRAJECTORY_SEEDS {
+            let traj = Trajectory::new(profile, seed);
+            for t in grid() {
+                let at = traj.kinematics(t);
+                let what = format!("{profile:?} seed {seed} t {t}");
+                assert_eq!(pose_bits(at.pose), pose_bits(traj.pose(t)), "{what}");
+                assert_eq!(vec3_bits(at.acceleration), vec3_bits(traj.acceleration(t)), "{what}");
+                assert_eq!(
+                    vec3_bits(at.angular_velocity),
+                    vec3_bits(traj.angular_velocity(t)),
+                    "{what}"
+                );
+            }
+        }
+    }
 }
