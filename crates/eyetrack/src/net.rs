@@ -302,6 +302,7 @@ impl SegmentationNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eye::{render_eye, EyeParams};
 
     #[test]
     fn classifies_intensity_bands() {
@@ -349,5 +350,138 @@ mod tests {
     fn rejects_unaligned_input() {
         let img = GrayImage::new(33, 32);
         let _ = SegmentationNet::new().segment(&img);
+    }
+
+    /// The convolution as first written, kept verbatim as the activation
+    /// reference: the output pixel outermost, every tap read through a
+    /// clamped index. `forward` must equal it bit for bit, so each output
+    /// sees `bias`, then the non-zero taps in `(i, ky, kx)` order, then
+    /// the ReLU.
+    fn reference_forward(conv: &Conv3x3, x: &Tensor) -> Tensor {
+        assert_eq!(x.ch, conv.in_ch, "channel mismatch");
+        let get_clamped = |c: usize, y: isize, xx: isize| {
+            let yy = y.clamp(0, x.h as isize - 1) as usize;
+            let xx = xx.clamp(0, x.w as isize - 1) as usize;
+            x.get(c, yy, xx)
+        };
+        let mut out = Tensor::zeros(conv.out_ch, x.h, x.w);
+        for o in 0..conv.out_ch {
+            for y in 0..x.h {
+                for xx in 0..x.w {
+                    let mut acc = conv.bias[o];
+                    for i in 0..conv.in_ch {
+                        let base = (o * conv.in_ch + i) * 9;
+                        for ky in 0..3usize {
+                            for kx in 0..3usize {
+                                let w = conv.weights[base + ky * 3 + kx];
+                                if w == 0.0 {
+                                    continue;
+                                }
+                                let v = get_clamped(
+                                    i,
+                                    y as isize + ky as isize - 1,
+                                    xx as isize + kx as isize - 1,
+                                );
+                                acc += w * v;
+                            }
+                        }
+                    }
+                    // ReLU fused.
+                    out.set(o, y, xx, acc.max(0.0));
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `segment`'s chain up to the head, every layer run through `forward`
+    /// and through `reference_forward` on the same input and compared on
+    /// every channel, the seven filler channels included. Returns `d2`.
+    fn assert_layers_bit_exact(net: &SegmentationNet, image: &GrayImage, what: &str) -> Tensor {
+        let mut x = Tensor::zeros(1, image.height(), image.width());
+        x.data.copy_from_slice(image.as_slice());
+        type Resample = fn(&Tensor) -> Tensor;
+        let chain: [(&str, &Conv3x3, Option<Resample>); 5] = [
+            ("e1", &net.enc1, Some(max_pool2)),
+            ("e2", &net.enc2, Some(max_pool2)),
+            ("b", &net.bottleneck, Some(upsample2)),
+            ("d1", &net.dec1, Some(upsample2)),
+            ("d2", &net.dec2, None),
+        ];
+        for (name, conv, resample) in chain {
+            let out = conv.forward(&x);
+            let expected = reference_forward(conv, &x);
+            assert_eq!((out.ch, out.h, out.w), (expected.ch, expected.h, expected.w));
+            assert!(
+                bits(&out) == bits(&expected),
+                "{what}: layer {name} differs on a {}x{} input",
+                x.w,
+                x.h
+            );
+            x = match resample {
+                Some(resample) => resample(&out),
+                None => out,
+            };
+        }
+        x
+    }
+
+    /// Centre gaze and the four offsets `gaze.rs` checks, each with the
+    /// mirrored right eye the plugin renders beside it.
+    fn pinned_eyes() -> Vec<EyeParams> {
+        [(0.0, 0.0), (0.25, 0.0), (-0.25, 0.1), (0.0, -0.2), (0.3, 0.2)]
+            .into_iter()
+            .flat_map(|(gx, gy)| {
+                [gx, -gx].map(|gaze_x| EyeParams { gaze_x, gaze_y: gy, ..Default::default() })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn forward_is_bit_exact_on_rendered_eyes() {
+        let net = SegmentationNet::new();
+        for params in pinned_eyes() {
+            assert_eq!((params.width, params.height), (96, 64));
+            let what = format!("gaze ({}, {})", params.gaze_x, params.gaze_y);
+            assert_layers_bit_exact(&net, &render_eye(&params), &what);
+        }
+    }
+
+    /// 4×4 and 8×8 inputs reach 1×1 and 2×2 feature maps at the
+    /// bottleneck, where every tap but the centre is a replicated edge.
+    #[test]
+    fn forward_is_bit_exact_down_to_one_pixel_maps() {
+        let net = SegmentationNet::new();
+        for (w, h) in [(4, 4), (8, 8), (64, 32)] {
+            let image = GrayImage::from_fn(w, h, |x, y| ((x * 31 + y * 17) % 23) as f32 / 23.0);
+            assert_layers_bit_exact(&net, &image, "pattern");
+        }
+    }
+
+    /// Taken from the first implementation, so `reference_forward` itself
+    /// cannot drift: every bit of `d2` and every class of the mask for the
+    /// last pinned eye.
+    #[test]
+    fn reference_activations_and_mask_are_pinned() {
+        let net = SegmentationNet::new();
+        let image = render_eye(pinned_eyes().last().expect("ten eyes"));
+        let d2 = assert_layers_bit_exact(&net, &image, "pinned eye");
+        assert_eq!((d2.ch, d2.h, d2.w), (8, 64, 96));
+        assert_eq!(
+            fnv1a(d2.data.iter().flat_map(|v| v.to_bits().to_le_bytes())),
+            0xd05e_c3b6_c0c0_bd25
+        );
+        let mask = net.segment(&image);
+        assert_eq!(fnv1a(mask.iter().map(|&class| class as u8)), 0x1310_1686_e409_0045);
     }
 }

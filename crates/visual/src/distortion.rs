@@ -194,4 +194,45 @@ mod tests {
         let out = mesh.apply(&img);
         assert!(img.mean_abs_diff(&out) < 1e-4);
     }
+
+    /// FNV-1a over every output bit of `apply` on a `w × h` gradient with
+    /// a diagonal stripe, so neighbouring source taps differ everywhere.
+    fn apply_digest(mesh: &DistortionMesh, w: usize, h: usize) -> u64 {
+        let img = RgbImage::from_fn(w, h, |x, y| {
+            [x as f32 / w as f32, y as f32 / h as f32, ((x + 2 * y) % 7) as f32 / 7.0]
+        });
+        let out = mesh.apply(&img);
+        assert_eq!((out.width(), out.height()), (w, h));
+        out.as_slice()
+            .iter()
+            .flatten()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |hash: u64, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Taken from the first implementation (three mesh interpolations per
+    /// pixel per frame). One mesh is applied at the display size, at a
+    /// second size and at the first again: whatever `apply` keeps between
+    /// calls must follow the image size.
+    #[test]
+    fn apply_output_bits_are_pinned_across_a_size_change() {
+        for (params, square, wide) in [
+            (DistortionParams::default(), 0x71d8_2112_6ffe_85b9u64, 0x7fbe_a070_c9e3_b5e1u64),
+            (
+                DistortionParams { mesh_resolution: 8, ..Default::default() },
+                0x9b1a_31b8_eaa4_2453,
+                0xffb4_f90e_ccbc_d590,
+            ),
+        ] {
+            let mesh = DistortionMesh::new(&params);
+            let digests = [
+                apply_digest(&mesh, 96, 96),
+                apply_digest(&mesh, 64, 48),
+                apply_digest(&mesh, 96, 96),
+            ];
+            assert_eq!(digests, [square, wide, square], "mesh {}", params.mesh_resolution);
+        }
+    }
 }
