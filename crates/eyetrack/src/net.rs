@@ -11,6 +11,23 @@
 //! remaining channels carry deterministic pseudo-random filters that
 //! contribute realistic compute and memory traffic (the paper's point is
 //! the workload shape: 74 % convolution time, weights ≪ activations).
+//! The mask reads channel 0 only; the other seven are the workload, not
+//! waste, and are computed in full.
+//!
+//! # Borders and bit-exactness
+//!
+//! A tap outside the feature map reads the nearest edge pixel. Each layer
+//! copies its input once into a buffer one pixel larger on every side
+//! whose border repeats the edge, so the tap `(ky, kx)` of output row `y`
+//! is the in-bounds slice `padded[y + ky][kx..kx + w]` and a whole output
+//! row takes one tap at a time, `row[x] += weight · src[kx + x]`, with no
+//! index arithmetic per pixel. Every output pixel still sees its bias,
+//! then the non-zero taps in `(input channel, ky, kx)` order, then the
+//! ReLU, each as its own rounded `f32` operation — so every activation of
+//! every layer has the bits of the pixel-at-a-time loop it replaced. The
+//! tests keep that loop and compare. Fusing the multiply and the add,
+//! summing taps in another order or widening the accumulator would move
+//! bits.
 
 use illixr_image::GrayImage;
 
@@ -63,21 +80,42 @@ impl Tensor {
         Self { ch, h, w, data: vec![0.0; ch * h * w] }
     }
 
+    /// Row `y` of channel `c`.
     #[inline]
-    fn get(&self, c: usize, y: usize, x: usize) -> f32 {
-        self.data[(c * self.h + y) * self.w + x]
+    fn row(&self, c: usize, y: usize) -> &[f32] {
+        &self.data[(c * self.h + y) * self.w..][..self.w]
     }
 
     #[inline]
-    fn set(&mut self, c: usize, y: usize, x: usize, v: f32) {
-        self.data[(c * self.h + y) * self.w + x] = v;
+    fn row_mut(&mut self, c: usize, y: usize) -> &mut [f32] {
+        &mut self.data[(c * self.h + y) * self.w..][..self.w]
     }
 
-    #[inline]
-    fn get_clamped(&self, c: usize, y: isize, x: isize) -> f32 {
-        let yy = y.clamp(0, self.h as isize - 1) as usize;
-        let xx = x.clamp(0, self.w as isize - 1) as usize;
-        self.get(c, yy, xx)
+    /// A copy grown by one pixel on every side, the border repeating the
+    /// edge: what a tap one step outside the tensor reads.
+    fn replicate_padded(&self) -> Self {
+        let mut data = Vec::with_capacity(self.ch * (self.h + 2) * (self.w + 2));
+        for c in 0..self.ch {
+            for y in 0..self.h + 2 {
+                let row = self.row(c, y.saturating_sub(1).min(self.h - 1));
+                data.push(row[0]);
+                data.extend_from_slice(row);
+                data.push(row[self.w - 1]);
+            }
+        }
+        Self { ch: self.ch, h: self.h + 2, w: self.w + 2, data }
+    }
+}
+
+/// `row[x] += weight · src[x]`, each product and each sum rounded on its
+/// own. A zero weight adds nothing at all (not `+0.0`): that is how the
+/// convolution and the head skip the taps channel 0's pass-through zeroes.
+#[inline]
+fn add_scaled(row: &mut [f32], weight: f32, src: &[f32]) {
+    if weight != 0.0 {
+        for (acc, &v) in row.iter_mut().zip(src) {
+            *acc += weight * v;
+        }
     }
 }
 
@@ -129,32 +167,28 @@ impl Conv3x3 {
         Self { in_ch, out_ch, weights, bias }
     }
 
+    /// One output row at a time over the padded input: the row starts as
+    /// the bias, takes each non-zero tap as a whole-row `row += w · src`
+    /// in `(i, ky, kx)` order, and ends in the ReLU.
     fn forward(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.ch, self.in_ch, "channel mismatch");
+        let padded = x.replicate_padded();
         let mut out = Tensor::zeros(self.out_ch, x.h, x.w);
         for o in 0..self.out_ch {
             for y in 0..x.h {
-                for xx in 0..x.w {
-                    let mut acc = self.bias[o];
-                    for i in 0..self.in_ch {
-                        let base = (o * self.in_ch + i) * 9;
-                        for ky in 0..3usize {
-                            for kx in 0..3usize {
-                                let w = self.weights[base + ky * 3 + kx];
-                                if w == 0.0 {
-                                    continue;
-                                }
-                                let v = x.get_clamped(
-                                    i,
-                                    y as isize + ky as isize - 1,
-                                    xx as isize + kx as isize - 1,
-                                );
-                                acc += w * v;
-                            }
+                let row = out.row_mut(o, y);
+                row.fill(self.bias[o]);
+                for i in 0..self.in_ch {
+                    for ky in 0..3 {
+                        let src = padded.row(i, y + ky);
+                        for kx in 0..3 {
+                            let w = self.weights[(o * self.in_ch + i) * 9 + ky * 3 + kx];
+                            add_scaled(row, w, &src[kx..]);
                         }
                     }
-                    // ReLU fused.
-                    out.set(o, y, xx, acc.max(0.0));
+                }
+                for acc in row {
+                    *acc = acc.max(0.0);
                 }
             }
         }
@@ -162,33 +196,30 @@ impl Conv3x3 {
     }
 }
 
+/// 2×2 max pooling of an even-sized tensor: output row `(c, y)` reads
+/// input rows `(c, 2y)` and `(c, 2y + 1)`, which are adjacent in memory.
 fn max_pool2(x: &Tensor) -> Tensor {
-    let (h, w) = ((x.h / 2).max(1), (x.w / 2).max(1));
-    let mut out = Tensor::zeros(x.ch, h, w);
-    for c in 0..x.ch {
-        for y in 0..h {
-            for xx in 0..w {
-                let mut m = f32::NEG_INFINITY;
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        m = m.max(x.get_clamped(c, (2 * y + dy) as isize, (2 * xx + dx) as isize));
-                    }
-                }
-                out.set(c, y, xx, m);
-            }
+    debug_assert!(x.h.is_multiple_of(2) && x.w.is_multiple_of(2), "segment pools multiples of 4");
+    let mut out = Tensor::zeros(x.ch, x.h / 2, x.w / 2);
+    for (dst, rows) in out.data.chunks_exact_mut(out.w).zip(x.data.chunks_exact(2 * x.w)) {
+        let (top, bottom) = rows.split_at(x.w);
+        for (m, (t, b)) in dst.iter_mut().zip(top.chunks_exact(2).zip(bottom.chunks_exact(2))) {
+            *m = t[0].max(t[1]).max(b[0]).max(b[1]);
         }
     }
     out
 }
 
+/// Nearest-neighbour doubling: input row `(c, y)` becomes output rows
+/// `(c, 2y)` and `(c, 2y + 1)`, which are adjacent in memory.
 fn upsample2(x: &Tensor) -> Tensor {
     let mut out = Tensor::zeros(x.ch, x.h * 2, x.w * 2);
-    for c in 0..x.ch {
-        for y in 0..out.h {
-            for xx in 0..out.w {
-                out.set(c, y, xx, x.get(c, y / 2, xx / 2));
-            }
+    for (rows, src) in out.data.chunks_exact_mut(2 * out.w).zip(x.data.chunks_exact(x.w)) {
+        let (top, bottom) = rows.split_at_mut(2 * x.w);
+        for (pair, &v) in top.chunks_exact_mut(2).zip(src) {
+            pair.fill(v);
         }
+        bottom.copy_from_slice(top);
     }
     out
 }
@@ -255,16 +286,13 @@ impl SegmentationNet {
     }
 
     /// Runs a forward pass, returning the per-pixel class mask.
-    #[allow(clippy::needless_range_loop)] // CHW index math
     pub fn segment(&self, image: &GrayImage) -> Vec<EyeClass> {
         let (w, h) = (image.width(), image.height());
         assert!(w % 4 == 0 && h % 4 == 0, "input dimensions must be multiples of 4");
-        let mut input = Tensor::zeros(1, h, w);
-        for y in 0..h {
-            for x in 0..w {
-                input.set(0, y, x, image.get(x, y));
-            }
+        if w == 0 || h == 0 {
+            return Vec::new();
         }
+        let input = Tensor { ch: 1, h, w, data: image.as_slice().to_vec() };
         let e1 = self.enc1.forward(&input);
         let p1 = max_pool2(&e1);
         let e2 = self.enc2.forward(&p1);
@@ -274,19 +302,22 @@ impl SegmentationNet {
         let d1 = self.dec1.forward(&u1);
         let u2 = upsample2(&d1);
         let d2 = self.dec2.forward(&u2);
-        // 1×1 classification head + argmax.
+        // 1×1 classification head + argmax, a row of scores per class at
+        // a time: the bias, then each non-zero channel weight in order.
         let mut mask = Vec::with_capacity(w * h);
+        let mut scores = vec![0.0f32; 4 * w];
         for y in 0..h {
+            for (class, row) in scores.chunks_exact_mut(w).enumerate() {
+                row.fill(self.head_b[class]);
+                for c in 0..self.channels {
+                    add_scaled(row, self.head_w[class * self.channels + c], d2.row(c, y));
+                }
+            }
             for x in 0..w {
                 let mut best = 0;
                 let mut best_score = f32::NEG_INFINITY;
                 for class in 0..4 {
-                    let mut s = self.head_b[class];
-                    for c in 0..self.channels {
-                        s += self.head_w[class * self.channels + c]
-                            * d2.get(c, y, x)
-                            * if c == 0 { 1.0 } else { 0.0 };
-                    }
+                    let s = scores[class * w + x];
                     if s > best_score {
                         best_score = s;
                         best = class;
@@ -328,6 +359,7 @@ mod tests {
         let img = GrayImage::from_fn(64, 32, |x, _| x as f32 / 64.0);
         let mask = SegmentationNet::new().segment(&img);
         assert_eq!(mask.len(), 64 * 32);
+        assert!(SegmentationNet::new().segment(&GrayImage::new(0, 0)).is_empty());
     }
 
     #[test]
@@ -350,6 +382,17 @@ mod tests {
     fn rejects_unaligned_input() {
         let img = GrayImage::new(33, 32);
         let _ = SegmentationNet::new().segment(&img);
+    }
+
+    /// The per-element accessors the first implementation went through.
+    impl Tensor {
+        fn get(&self, c: usize, y: usize, x: usize) -> f32 {
+            self.data[(c * self.h + y) * self.w + x]
+        }
+
+        fn set(&mut self, c: usize, y: usize, x: usize, v: f32) {
+            self.data[(c * self.h + y) * self.w + x] = v;
+        }
     }
 
     /// The convolution as first written, kept verbatim as the activation
@@ -408,8 +451,8 @@ mod tests {
     /// and through `reference_forward` on the same input and compared on
     /// every channel, the seven filler channels included. Returns `d2`.
     fn assert_layers_bit_exact(net: &SegmentationNet, image: &GrayImage, what: &str) -> Tensor {
-        let mut x = Tensor::zeros(1, image.height(), image.width());
-        x.data.copy_from_slice(image.as_slice());
+        let mut x =
+            Tensor { ch: 1, h: image.height(), w: image.width(), data: image.as_slice().to_vec() };
         type Resample = fn(&Tensor) -> Tensor;
         let chain: [(&str, &Conv3x3, Option<Resample>); 5] = [
             ("e1", &net.enc1, Some(max_pool2)),
