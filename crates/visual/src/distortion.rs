@@ -8,6 +8,8 @@
 //! mesh and bilinearly interpolate between them — the "mesh-based"
 //! optimization that makes the pass cheap.
 
+use std::cell::RefCell;
+
 use illixr_image::RgbImage;
 use illixr_math::Vec2;
 
@@ -40,6 +42,19 @@ pub struct DistortionMesh {
     resolution: usize,
     /// `[channel][vy * (res+1) + vx]` source UVs in `[0,1]²`.
     uvs: [Vec<Vec2>; 3],
+    /// The taps of the image size [`apply`](Self::apply) saw last. They
+    /// depend on the mesh and the size only, and a display keeps its size.
+    taps: RefCell<TapTable>,
+}
+
+/// Where [`DistortionMesh::apply`] reads a `width × height` image.
+#[derive(Debug, Clone, Default)]
+struct TapTable {
+    width: usize,
+    height: usize,
+    /// `[y * width + x][channel]`: the source pixel coordinates of that
+    /// destination pixel, `None` when they fall outside the image.
+    taps: Vec<[Option<[f32; 2]>; 3]>,
 }
 
 impl DistortionMesh {
@@ -70,7 +85,7 @@ impl DistortionMesh {
                 }
             }
         }
-        Self { resolution: res, uvs }
+        Self { resolution: res, uvs, taps: RefCell::default() }
     }
 
     /// Source UV for `channel` at normalized destination `(u, v)`,
@@ -94,24 +109,39 @@ impl DistortionMesh {
             + p11 * tx * ty
     }
 
+    /// The source taps for a `w × h` image: per destination pixel centre
+    /// and channel, the mesh's source UV in pixel coordinates.
+    fn tap_table(&self, w: usize, h: usize) -> TapTable {
+        let mut taps = Vec::with_capacity(w * h);
+        for y in 0..h {
+            for x in 0..w {
+                let u = (x as f64 + 0.5) / w as f64;
+                let v = (y as f64 + 0.5) / h as f64;
+                taps.push(std::array::from_fn(|c| {
+                    let src = self.sample(c, u, v);
+                    if !(0.0..=1.0).contains(&src.x) || !(0.0..=1.0).contains(&src.y) {
+                        return None;
+                    }
+                    Some([(src.x * w as f64 - 0.5) as f32, (src.y * h as f64 - 0.5) as f32])
+                }));
+            }
+        }
+        TapTable { width: w, height: h, taps }
+    }
+
     /// Applies the distortion + chromatic-aberration correction to an
     /// image. Out-of-range source samples are black.
     pub fn apply(&self, img: &RgbImage) -> RgbImage {
         let (w, h) = (img.width(), img.height());
+        let mut table = self.taps.borrow_mut();
+        if (table.width, table.height) != (w, h) {
+            *table = self.tap_table(w, h);
+        }
         RgbImage::from_fn(w, h, |x, y| {
-            let u = (x as f64 + 0.5) / w as f64;
-            let v = (y as f64 + 0.5) / h as f64;
-            let mut out = [0.0f32; 3];
-            for (c, value) in out.iter_mut().enumerate() {
-                let src = self.sample(c, u, v);
-                if !(0.0..=1.0).contains(&src.x) || !(0.0..=1.0).contains(&src.y) {
-                    continue;
-                }
-                let sx = (src.x * w as f64 - 0.5) as f32;
-                let sy = (src.y * h as f64 - 0.5) as f32;
-                *value = img.sample_bilinear_channel(sx, sy, c);
-            }
-            out
+            let taps = &table.taps[y * w + x];
+            std::array::from_fn(|c| {
+                taps[c].map_or(0.0, |[sx, sy]| img.sample_bilinear_channel(sx, sy, c))
+            })
         })
     }
 }

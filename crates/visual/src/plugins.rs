@@ -50,7 +50,6 @@ pub struct TimewarpPlugin {
     pose_reader: Option<AsyncReader<PoseEstimate>>,
     out_writer: Option<Writer<WarpedFrame>>,
     timer: Metrics,
-    last_frame_seq: Option<u64>,
     /// When set, the pose is linearly extrapolated by its velocity over
     /// this horizon before warping — the pose *prediction* of the
     /// paper's footnote 3 ("we provide the ability to predict the pose
@@ -69,7 +68,6 @@ impl TimewarpPlugin {
             pose_reader: None,
             out_writer: None,
             timer: Metrics::new(),
-            last_frame_seq: None,
             predict_horizon: None,
         }
     }
@@ -160,11 +158,6 @@ impl Plugin for TimewarpPlugin {
             pose_age,
             warp_time: now,
         });
-        // Work factor: re-warping the same frame is as expensive as a
-        // fresh one (full-screen pass) — but note repeats for analyses.
-        let repeated = self.last_frame_seq == Some(frame.submit_time.as_nanos());
-        self.last_frame_seq = Some(frame.submit_time.as_nanos());
-        let _ = repeated;
         IterationReport::nominal()
     }
 }
