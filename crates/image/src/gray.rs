@@ -217,6 +217,43 @@ mod tests {
         assert_eq!(img.sample_bilinear(2.0, 3.0), 6.0);
     }
 
+    /// The sample as first written, kept verbatim as the bit reference
+    /// for `sample_bilinear` and for everything built from its parts.
+    fn reference_sample_bilinear(img: &GrayImage, x: f32, y: f32) -> f32 {
+        let x0 = x.floor();
+        let y0 = y.floor();
+        let fx = x - x0;
+        let fy = y - y0;
+        let (xi, yi) = (x0 as isize, y0 as isize);
+        let p00 = img.get_clamped(xi, yi);
+        let p10 = img.get_clamped(xi + 1, yi);
+        let p01 = img.get_clamped(xi, yi + 1);
+        let p11 = img.get_clamped(xi + 1, yi + 1);
+        p00 * (1.0 - fx) * (1.0 - fy)
+            + p10 * fx * (1.0 - fy)
+            + p01 * (1.0 - fx) * fy
+            + p11 * fx * fy
+    }
+
+    /// Inside, on the border, beyond it on every side, and on a 1×1
+    /// image where all four taps are the same pixel.
+    #[test]
+    fn bilinear_is_bit_exact_against_the_reference() {
+        for (w, h) in [(1, 1), (2, 1), (7, 5), (32, 24)] {
+            let img = GrayImage::from_fn(w, h, |x, y| ((x * 31 + y * 17) % 23) as f32 / 23.0 - 0.4);
+            let steps = |n: usize| {
+                (0..).map(|k| -3.25 + 0.37 * k as f32).take_while(move |&v| v < n as f32 + 3.0)
+            };
+            for y in steps(h) {
+                for x in steps(w).chain([0.0, -0.0, w as f32 - 1.0, -1.0e9, 1.0e9]) {
+                    let (got, want) =
+                        (img.sample_bilinear(x, y), reference_sample_bilinear(&img, x, y));
+                    assert_eq!(got.to_bits(), want.to_bits(), "({x}, {y}) on {w}x{h}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn downsample_halves_dimensions() {
         let img = GrayImage::from_fn(8, 6, |_, _| 0.5);

@@ -171,6 +171,135 @@ pub fn bilateral_filter(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pyramid::Pyramid;
+
+    /// The blur as first written, kept verbatim as the bit reference: the
+    /// output pixel outermost, every tap read through `get_clamped`.
+    /// `gaussian_blur` must equal it bit for bit, so each pixel of each
+    /// pass starts from `0.0` and receives its taps in ascending `i`.
+    fn reference_gaussian_blur(img: &GrayImage, sigma: f32) -> GrayImage {
+        let kernel = gaussian_kernel(sigma);
+        let radius = (kernel.len() / 2) as isize;
+        let (w, h) = (img.width(), img.height());
+        // Horizontal pass.
+        let mut tmp = GrayImage::new(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let mut acc = 0.0;
+                for (i, &kv) in kernel.iter().enumerate() {
+                    acc += kv * img.get_clamped(x as isize + i as isize - radius, y as isize);
+                }
+                tmp.set(x, y, acc);
+            }
+        }
+        // Vertical pass.
+        let mut out = GrayImage::new(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let mut acc = 0.0;
+                for (i, &kv) in kernel.iter().enumerate() {
+                    acc += kv * tmp.get_clamped(x as isize, y as isize + i as isize - radius);
+                }
+                out.set(x, y, acc);
+            }
+        }
+        out
+    }
+
+    /// The 2×2 box average as first written: every tap clamped.
+    fn reference_downsample_2x(img: &GrayImage) -> GrayImage {
+        let w = (img.width() / 2).max(1);
+        let h = (img.height() / 2).max(1);
+        GrayImage::from_fn(w, h, |x, y| {
+            let (x2, y2) = (2 * x, 2 * y);
+            let a = img.get_clamped(x2 as isize, y2 as isize);
+            let b = img.get_clamped(x2 as isize + 1, y2 as isize);
+            let c = img.get_clamped(x2 as isize, y2 as isize + 1);
+            let d = img.get_clamped(x2 as isize + 1, y2 as isize + 1);
+            (a + b + c + d) * 0.25
+        })
+    }
+
+    /// A hashed texture in `[-0.5, 0.5)`: negative values, no two
+    /// neighbours alike, the same on every platform.
+    fn texture(w: usize, h: usize) -> GrayImage {
+        GrayImage::from_fn(w, h, |x, y| {
+            let mut v = (x as u32).wrapping_mul(0x9e37_79b1) ^ (y as u32).wrapping_mul(0x85eb_ca6b);
+            v ^= v >> 15;
+            v = v.wrapping_mul(0xc2b2_ae35);
+            (v >> 8) as f32 / (1u32 << 24) as f32 - 0.5
+        })
+    }
+
+    fn bits(img: &GrayImage) -> Vec<u32> {
+        img.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn fnv1a(img: &GrayImage) -> u64 {
+        img.as_slice()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Sizes below, at and above the kernel radius in either direction.
+    const BLUR_SIZES: [(usize, usize); 7] =
+        [(1, 1), (2, 7), (5, 3), (17, 9), (96, 64), (160, 120), (320, 240)];
+
+    #[test]
+    fn gaussian_blur_is_bit_exact_against_the_reference() {
+        for sigma in [0.8, 1.0, 2.5] {
+            for (w, h) in BLUR_SIZES {
+                let img = texture(w, h);
+                let (got, want) =
+                    (gaussian_blur(&img, sigma), reference_gaussian_blur(&img, sigma));
+                assert_eq!((got.width(), got.height()), (w, h));
+                assert!(bits(&got) == bits(&want), "sigma {sigma} differs on {w}x{h}");
+            }
+        }
+    }
+
+    #[test]
+    fn gaussian_blur_of_an_empty_image_is_empty() {
+        for (w, h) in [(0, 0), (0, 5), (5, 0)] {
+            let out = gaussian_blur(&GrayImage::new(w, h), 1.0);
+            assert_eq!((out.width(), out.height(), out.as_slice().len()), (w, h, 0));
+        }
+    }
+
+    #[test]
+    fn downsample_is_bit_exact_against_the_clamped_closure() {
+        for (w, h) in [(1, 1), (1, 6), (7, 1), (5, 3), (6, 4), (320, 240)] {
+            let img = texture(w, h);
+            let (got, want) = (img.downsample_2x(), reference_downsample_2x(&img));
+            assert_eq!((got.width(), got.height()), (want.width(), want.height()));
+            assert!(bits(&got) == bits(&want), "downsample differs on {w}x{h}");
+        }
+    }
+
+    /// Taken from the first implementation, so the references themselves
+    /// cannot drift: one QVGA blur and every level of the two pyramids
+    /// the trackers build (the MSCKF front end's 3, the alternative's 4).
+    #[test]
+    fn blur_and_pyramid_levels_are_pinned() {
+        let base = texture(320, 240);
+        let levels = |n| {
+            let pyr = Pyramid::new(&base, n);
+            (0..pyr.num_levels()).map(|i| fnv1a(pyr.level(i))).collect::<Vec<u64>>()
+        };
+        assert_eq!(fnv1a(&reference_gaussian_blur(&base, 1.0)), 0x8b6d_0204_de34_f710);
+        let want = [
+            0x4773_30f5_e1b4_5dae,
+            0x9b88_28cd_73a9_f8b9,
+            0xd97a_f19c_9770_1009,
+            0xfb91_3e56_33b1_fc1b,
+        ];
+        let (three, four) = (levels(3), levels(4));
+        assert_eq!(four, want, "got {four:#018x?}");
+        assert_eq!(three, want[..3], "got {three:#018x?}");
+    }
 
     #[test]
     fn gaussian_preserves_constant_image() {

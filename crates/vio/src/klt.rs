@@ -193,6 +193,175 @@ mod tests {
         illixr_image::gaussian_blur(&img, 1.0)
     }
 
+    /// One pyramid level as first written, kept verbatim as the bit
+    /// reference: five `sample_bilinear` calls a template pixel and one a
+    /// pixel an iteration, each deriving both axes' terms afresh.
+    fn reference_refine_at_level(
+        prev: &GrayImage,
+        next: &GrayImage,
+        p: Vec2,
+        mut disp: Vec2,
+        params: &KltParams,
+    ) -> Option<(Vec2, f64)> {
+        let r = params.window_radius as i32;
+        // Precompute template values and gradients around p in `prev`.
+        let n = ((2 * r + 1) * (2 * r + 1)) as usize;
+        let mut tmpl = Vec::with_capacity(n);
+        let mut grads = Vec::with_capacity(n);
+        let mut g = Mat2::ZERO;
+        for dy in -r..=r {
+            for dx in -r..=r {
+                let x = p.x + dx as f64;
+                let y = p.y + dy as f64;
+                let v = prev.sample_bilinear(x as f32, y as f32) as f64;
+                // Central-difference gradients on the template image.
+                let gx = (prev.sample_bilinear((x + 1.0) as f32, y as f32)
+                    - prev.sample_bilinear((x - 1.0) as f32, y as f32))
+                    as f64
+                    * 0.5;
+                let gy = (prev.sample_bilinear(x as f32, (y + 1.0) as f32)
+                    - prev.sample_bilinear(x as f32, (y - 1.0) as f32))
+                    as f64
+                    * 0.5;
+                tmpl.push(v);
+                grads.push(Vec2::new(gx, gy));
+                g.m[0][0] += gx * gx;
+                g.m[0][1] += gx * gy;
+                g.m[1][0] += gx * gy;
+                g.m[1][1] += gy * gy;
+            }
+        }
+        let g_inv = g.inverse()?; // untextured window → singular → lost
+        let mut residual = f64::INFINITY;
+        for _ in 0..params.max_iterations {
+            let mut b = Vec2::ZERO;
+            let mut err_sum = 0.0;
+            let mut idx = 0;
+            for dy in -r..=r {
+                for dx in -r..=r {
+                    let x = p.x + disp.x + dx as f64;
+                    let y = p.y + disp.y + dy as f64;
+                    let v = next.sample_bilinear(x as f32, y as f32) as f64;
+                    let diff = tmpl[idx] - v;
+                    b += grads[idx] * diff;
+                    err_sum += diff.abs();
+                    idx += 1;
+                }
+            }
+            residual = err_sum / n as f64;
+            let delta = g_inv * b;
+            disp += delta;
+            if !disp.is_finite() {
+                return None;
+            }
+            if delta.norm() < params.epsilon {
+                break;
+            }
+        }
+        Some((disp, residual))
+    }
+
+    /// `track_one` over [`reference_refine_at_level`].
+    fn reference_track_one(
+        prev_pyr: &Pyramid,
+        next_pyr: &Pyramid,
+        point: Vec2,
+        guess: Vec2,
+        params: &KltParams,
+    ) -> TrackResult {
+        let levels = prev_pyr.num_levels().min(next_pyr.num_levels());
+        let mut disp = (guess - point) / (1 << (levels - 1)) as f64;
+        let mut last_residual = f64::INFINITY;
+        for level in (0..levels).rev() {
+            let p_level = point / (1 << level) as f64;
+            let (prev_img, next_img) = (prev_pyr.level(level), next_pyr.level(level));
+            match reference_refine_at_level(prev_img, next_img, p_level, disp, params) {
+                Some((d, residual)) => {
+                    disp = d;
+                    last_residual = residual;
+                }
+                None => return TrackResult::Lost,
+            }
+            if level > 0 {
+                disp *= 2.0;
+            }
+        }
+        let final_pos = point + disp;
+        let (w, h) = (next_pyr.level(0).width() as f64, next_pyr.level(0).height() as f64);
+        let r = params.window_radius as f64;
+        if final_pos.x < r || final_pos.y < r || final_pos.x >= w - r || final_pos.y >= h - r {
+            return TrackResult::Lost;
+        }
+        if last_residual > params.max_residual {
+            return TrackResult::Lost;
+        }
+        TrackResult::Ok { position: final_pos, residual: last_residual }
+    }
+
+    fn result_bits(r: &TrackResult) -> Option<[u64; 3]> {
+        match r {
+            TrackResult::Ok { position, residual } => {
+                Some([position.x, position.y, *residual].map(f64::to_bits))
+            }
+            TrackResult::Lost => None,
+        }
+    }
+
+    /// Every `TrackResult` of `track_points_pyramids` equals the reference
+    /// tracker's to the bit, on rendered frames: temporal and stereo
+    /// pairs, with and without guesses, at both trackers' parameters, for
+    /// corners, corners at fractional offsets, windows that hang over the
+    /// border and a point outside the image.
+    #[test]
+    fn tracker_is_bit_exact_against_the_reference() {
+        use crate::fast::detect_fast;
+        use illixr_sensors::camera::{PinholeCamera, StereoRig};
+        use illixr_sensors::dataset::SyntheticDataset;
+
+        let rig = StereoRig::zed_mini(PinholeCamera::qvga());
+        let ds = SyntheticDataset::vicon_room_like(11, 1.0);
+        let (left0, right0) = ds.render_frame(&rig, 3);
+        let (left1, _) = ds.render_frame(&rig, 4);
+        let corners = detect_fast(&left0, 0.12, 60, 24);
+        assert!(corners.len() >= 20, "only {} corners", corners.len());
+        let mut points: Vec<Vec2> =
+            corners.iter().map(|c| Vec2::new(c.x as f64, c.y as f64)).collect();
+        let fractional: Vec<Vec2> = points.iter().map(|&p| p + Vec2::new(0.37, -0.21)).collect();
+        points.extend(fractional);
+        points.extend([Vec2::new(1.3, 2.2), Vec2::new(318.6, 238.9), Vec2::new(-7.5, 401.0)]);
+        let guesses: Vec<Vec2> = points.iter().map(|&p| p + Vec2::new(-2.6, 0.4)).collect();
+
+        let alternative = KltParams { window_radius: 5, levels: 4, ..Default::default() };
+        let (mut tracked, mut lost) = (0, 0);
+        for params in [KltParams::default(), alternative] {
+            let pyr = |img: &GrayImage| Pyramid::new(img, params.levels);
+            let (prev, temporal, stereo) = (pyr(&left0), pyr(&left1), pyr(&right0));
+            for (what, next) in [("temporal", &temporal), ("stereo", &stereo)] {
+                for guess in [None, Some(guesses.as_slice())] {
+                    let got = track_points_pyramids(&prev, next, &points, guess, &params);
+                    assert_eq!(got.len(), points.len());
+                    for (i, (&p, r)) in points.iter().zip(&got).enumerate() {
+                        let g = guess.map_or(p, |g| g[i]);
+                        let want = reference_track_one(&prev, next, p, g, &params);
+                        assert_eq!(
+                            result_bits(r),
+                            result_bits(&want),
+                            "{what}, radius {}, guess {}, point {i} {p:?}",
+                            params.window_radius,
+                            guess.is_some()
+                        );
+                        match r {
+                            TrackResult::Ok { .. } => tracked += 1,
+                            TrackResult::Lost => lost += 1,
+                        }
+                    }
+                }
+            }
+        }
+        // Both outcomes are exercised, not one of them vacuously.
+        assert!(tracked > 100 && lost > 20, "{tracked} tracked, {lost} lost");
+    }
+
     #[test]
     fn tracks_pure_translation() {
         let a = blobs(&[(40.0, 40.0), (80.0, 50.0), (60.0, 70.0)]);

@@ -1,0 +1,146 @@
+//! Bit pins of the VIO front end as the estimators see it.
+//!
+//! `fault_replay`'s digest, `results/ablation_vio.txt`'s ATE column and
+//! every `real_vio` pose depend on the last bit of each tracked feature,
+//! and each feature on the last bit of the blur, the pyramid, the KLT
+//! samples and the FAST scores under it. These FNV-1a digests over
+//! `to_bits()` were taken from the first implementation (a clamped read
+//! per blur tap, six `sample_bilinear` calls a KLT window pixel); an edit
+//! to `illixr-image`'s stencils or to `klt.rs`/`fast.rs` must keep each
+//! value's floating-point operations and their association. The unit
+//! tests beside those kernels compare them with verbatim references; this
+//! file pins what comes out the far end, in debug and in release.
+
+use std::sync::Arc;
+
+use illixr_sensors::camera::{PinholeCamera, StereoRig};
+use illixr_sensors::dataset::SyntheticDataset;
+use illixr_sensors::types::{ImuSample, StereoFrame};
+use illixr_vio::alternative::{FrameToFrameConfig, FrameToFrameVio};
+use illixr_vio::fast::detect_fast;
+use illixr_vio::integrator::ImuState;
+use illixr_vio::msckf::{Msckf, VioConfig};
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for byte in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn state(&mut self, s: &ImuState) {
+        let (p, q, v) = (s.pose.position, s.pose.orientation, s.velocity);
+        for f in [p.x, p.y, p.z, q.w, q.x, q.y, q.z, v.x, v.y, v.z] {
+            self.u64(f.to_bits());
+        }
+    }
+}
+
+enum Input<'a> {
+    Imu(ImuSample),
+    Frame(&'a StereoFrame),
+}
+
+fn rig() -> StereoRig {
+    StereoRig::zed_mini(PinholeCamera::qvga())
+}
+
+fn dataset() -> SyntheticDataset {
+    SyntheticDataset::vicon_room_like(11, 2.0)
+}
+
+/// 30 camera frames (2 s at 15 Hz) of the sequence the perf pipeline
+/// trace runs, with the IMU samples between them, handed to an estimator
+/// that starts at ground truth.
+fn drive(mut on: impl FnMut(Input<'_>)) {
+    let (rig, ds) = (rig(), dataset());
+    assert_eq!(ds.camera_times.len(), 30);
+    let mut imu_idx = 0;
+    for (k, &t) in ds.camera_times.iter().enumerate() {
+        while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= t {
+            on(Input::Imu(ds.imu[imu_idx]));
+            imu_idx += 1;
+        }
+        let (left, right) = ds.render_frame(&rig, k);
+        on(Input::Frame(&StereoFrame {
+            timestamp: t,
+            left: Arc::new(left),
+            right: Arc::new(right),
+            seq: k as u64,
+        }));
+    }
+}
+
+fn initial_state() -> ImuState {
+    let gt0 = dataset().ground_truth[0];
+    ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity)
+}
+
+fn msckf_digest(config: VioConfig) -> u64 {
+    let mut filter = Msckf::new(config, initial_state());
+    let mut h = Fnv::new();
+    drive(|input| match input {
+        Input::Imu(s) => filter.process_imu(s),
+        Input::Frame(frame) => {
+            let out = filter.process_frame(frame, None);
+            h.state(&out.state);
+            h.u64(out.tracked_features as u64);
+            h.u64(out.update_rows as u64);
+        }
+    });
+    h.0
+}
+
+#[test]
+fn msckf_poses_are_pinned() {
+    let cam = PinholeCamera::qvga();
+    let got = [VioConfig::fast(cam), VioConfig::accurate(cam)].map(msckf_digest);
+    let want = [0xabe6_7a14_c580_9ee9, 0xd9df_5b81_c962_546b];
+    assert_eq!(got, want, "got {got:#018x?}");
+}
+
+#[test]
+fn frame_to_frame_poses_are_pinned() {
+    let mut vio = FrameToFrameVio::new(FrameToFrameConfig::default(), rig(), initial_state());
+    let mut h = Fnv::new();
+    drive(|input| match input {
+        Input::Imu(s) => vio.process_imu(s),
+        Input::Frame(frame) => {
+            let out = vio.process_frame(frame, None);
+            h.state(&out.state);
+            h.u64(out.points_used as u64);
+            h.u64(out.map_size as u64);
+        }
+    });
+    assert_eq!(h.0, 0x8ec9_48c1_c2e1_bb85, "got {:#018x}", h.0);
+}
+
+/// The candidate list in order: position, score bits, and so the grid
+/// suppression and the sort as well.
+#[test]
+fn fast_corners_are_pinned() {
+    let (rig, ds) = (rig(), dataset());
+    let mut h = Fnv::new();
+    let mut total = 0;
+    for k in [0, 7, 29] {
+        let (left, right) = ds.render_frame(&rig, k);
+        for img in [&left, &right] {
+            let corners = detect_fast(img, 0.12, 140, 24);
+            total += corners.len();
+            h.u64(corners.len() as u64);
+            for c in corners {
+                h.u64(u64::from(c.x.to_bits()));
+                h.u64(u64::from(c.y.to_bits()));
+                h.u64(u64::from(c.score.to_bits()));
+            }
+        }
+    }
+    assert!(total > 100, "only {total} corners over six images");
+    assert_eq!(h.0, 0x1186_90c2_05f3_9ec9, "got {:#018x}", h.0);
+}
