@@ -2,6 +2,57 @@
 
 use core::fmt;
 
+/// One axis of a border-clamped bilinear sample: the two pixel indices
+/// a coordinate falls between and their weights.
+///
+/// A sample is two of these (one from `x` and the width, one from `y`
+/// and the height) and a [`GrayImage::bilinear`] over them. Neither
+/// depends on the other axis, so code that samples a window derives one
+/// term per column and one per row rather than two per pixel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AxisTerm {
+    /// Index of the pixel at or below the coordinate, clamped to the axis.
+    pub i0: usize,
+    /// Index of the next pixel, clamped to the axis.
+    pub i1: usize,
+    /// Weight of `i1`: the coordinate's fractional part.
+    pub f: f32,
+    /// Weight of `i0`: `1.0 - f`.
+    pub g: f32,
+}
+
+impl AxisTerm {
+    /// The term of coordinate `v` on an axis of `len` pixels.
+    ///
+    /// `±∞` and NaN give a NaN weight and so a NaN sample; a finite
+    /// coordinate beyond the axis, however far, gives the edge pixel.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `len` is zero.
+    #[inline]
+    pub fn new(v: f32, len: usize) -> Self {
+        let v0 = v.floor();
+        let f = v - v0;
+        // The cast saturates, so the neighbour's index must too.
+        let i = v0 as isize;
+        let last = len as isize - 1;
+        Self {
+            i0: i.clamp(0, last) as usize,
+            i1: i.saturating_add(1).clamp(0, last) as usize,
+            f,
+            g: 1.0 - f,
+        }
+    }
+}
+
+/// The bilinear blend of four neighbours under two axis terms — the one
+/// place its association is written, for gray and RGB samples alike.
+#[inline]
+pub(crate) fn bilinear_blend([p00, p10, p01, p11]: [f32; 4], tx: AxisTerm, ty: AxisTerm) -> f32 {
+    p00 * tx.g * ty.g + p10 * tx.f * ty.g + p01 * tx.g * ty.f + p11 * tx.f * ty.f
+}
+
 /// A grayscale image with `f32` pixels, row-major.
 ///
 /// Pixel values are nominally in `[0, 1]` but the container does not
@@ -102,6 +153,11 @@ impl GrayImage {
     }
 
     /// Returns the pixel at `(x, y)` clamping coordinates to the border.
+    ///
+    /// For stencils that step over the border a pixel at a time
+    /// (`sobel_gradients`, `bilateral_filter`'s border path). The blur,
+    /// the pyramid and the bilinear samplers do their own, cheaper
+    /// clamping — a padded row, an [`AxisTerm`] — and do not come here.
     #[inline]
     pub fn get_clamped(&self, x: isize, y: isize) -> f32 {
         let cx = x.clamp(0, self.width as isize - 1) as usize;
@@ -110,34 +166,44 @@ impl GrayImage {
     }
 
     /// Bilinear sample at floating-point coordinates (border-clamped).
+    #[inline]
     pub fn sample_bilinear(&self, x: f32, y: f32) -> f32 {
-        let x0 = x.floor();
-        let y0 = y.floor();
-        let fx = x - x0;
-        let fy = y - y0;
-        let (xi, yi) = (x0 as isize, y0 as isize);
-        let p00 = self.get_clamped(xi, yi);
-        let p10 = self.get_clamped(xi + 1, yi);
-        let p01 = self.get_clamped(xi, yi + 1);
-        let p11 = self.get_clamped(xi + 1, yi + 1);
-        p00 * (1.0 - fx) * (1.0 - fy)
-            + p10 * fx * (1.0 - fy)
-            + p01 * (1.0 - fx) * fy
-            + p11 * fx * fy
+        self.bilinear(AxisTerm::new(x, self.width), AxisTerm::new(y, self.height))
+    }
+
+    /// The sample whose axis terms are `tx` (made from this image's
+    /// width) and `ty` (from its height): four loads and one blend.
+    ///
+    /// Terms made for another size read other pixels or panic.
+    #[inline]
+    pub fn bilinear(&self, tx: AxisTerm, ty: AxisTerm) -> f32 {
+        let (top, bottom) = (ty.i0 * self.width, ty.i1 * self.width);
+        let taps = [
+            self.data[top + tx.i0],
+            self.data[top + tx.i1],
+            self.data[bottom + tx.i0],
+            self.data[bottom + tx.i1],
+        ];
+        bilinear_blend(taps, tx, ty)
     }
 
     /// Half-resolution downsample by 2×2 box averaging.
     pub fn downsample_2x(&self) -> Self {
         let w = (self.width / 2).max(1);
         let h = (self.height / 2).max(1);
-        Self::from_fn(w, h, |x, y| {
-            let (x2, y2) = (2 * x, 2 * y);
-            let a = self.get_clamped(x2 as isize, y2 as isize);
-            let b = self.get_clamped(x2 as isize + 1, y2 as isize);
-            let c = self.get_clamped(x2 as isize, y2 as isize + 1);
-            let d = self.get_clamped(x2 as isize + 1, y2 as isize + 1);
-            (a + b + c + d) * 0.25
-        })
+        // Offset of the second tap on each axis. `2·(n/2) − 1 ≤ n − 1`, so
+        // no tap leaves the image unless the axis is one pixel long, and
+        // there the border-clamped neighbour is the pixel itself.
+        let (sx, sy) = (usize::from(self.width > 1), usize::from(self.height > 1));
+        let mut out = Self::new(w, h);
+        for (y, dst) in out.data.chunks_exact_mut(w).enumerate() {
+            let top = &self.data[2 * y * self.width..][..self.width];
+            let bottom = &self.data[(2 * y + sy) * self.width..][..self.width];
+            for (x, d) in dst.iter_mut().enumerate() {
+                *d = (top[2 * x] + top[2 * x + sx] + bottom[2 * x] + bottom[2 * x + sx]) * 0.25;
+            }
+        }
+        out
     }
 
     /// Mean pixel value (0 for empty images).
@@ -252,6 +318,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// No coordinate overflows the neighbour's index: debug builds used
+    /// to panic on `xi + 1` from `|x| ≥ 2⁶³` where release builds wrapped.
+    /// Both now return what release did.
+    #[test]
+    fn bilinear_of_non_finite_and_huge_coordinates_does_not_panic() {
+        let img = GrayImage::from_fn(4, 3, |x, y| (x + 4 * y) as f32);
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            assert!(img.sample_bilinear(bad, 1.0).is_nan());
+            assert!(img.sample_bilinear(1.0, bad).is_nan());
+        }
+        assert_eq!(img.sample_bilinear(1.0e30, 1.0), img.get(3, 1));
+        assert_eq!(img.sample_bilinear(-1.0e30, 1.0), img.get(0, 1));
+        assert_eq!(img.sample_bilinear(f32::MAX, f32::MAX), img.get(3, 2));
+        assert_eq!(img.sample_bilinear(f32::MIN, f32::MIN), img.get(0, 0));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod ssim;
 pub mod stencil;
 
 pub use flip::{flip, flip_map};
-pub use gray::GrayImage;
+pub use gray::{AxisTerm, GrayImage};
 pub use pyramid::Pyramid;
 pub use rgb::RgbImage;
 pub use ssim::{ssim, ssim_map};

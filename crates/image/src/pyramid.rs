@@ -46,11 +46,6 @@ impl Pyramid {
     pub fn level(&self, i: usize) -> &GrayImage {
         &self.levels[i]
     }
-
-    /// Iterates over levels from coarsest to finest.
-    pub fn coarse_to_fine(&self) -> impl Iterator<Item = (usize, &GrayImage)> {
-        self.levels.iter().enumerate().rev()
-    }
 }
 
 #[cfg(test)]
@@ -72,13 +67,5 @@ mod tests {
         let base = GrayImage::from_fn(20, 20, |_, _| 0.5);
         let pyr = Pyramid::new(&base, 5);
         assert!(pyr.num_levels() <= 2);
-    }
-
-    #[test]
-    fn coarse_to_fine_order() {
-        let base = GrayImage::from_fn(64, 64, |_, _| 0.0);
-        let pyr = Pyramid::new(&base, 3);
-        let order: Vec<usize> = pyr.coarse_to_fine().map(|(i, _)| i).collect();
-        assert_eq!(order, vec![2, 1, 0]);
     }
 }

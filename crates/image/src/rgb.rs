@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::gray::GrayImage;
+use crate::gray::{bilinear_blend, AxisTerm, GrayImage};
 
 /// An RGB color with `f32` channels in `[0, 1]`.
 pub type Rgb = [f32; 3];
@@ -82,45 +82,31 @@ impl RgbImage {
         self.data[cy * self.width + cx]
     }
 
+    /// The four neighbours [`bilinear_blend`] takes, under two axis terms.
+    #[inline]
+    fn taps(&self, tx: AxisTerm, ty: AxisTerm) -> [Rgb; 4] {
+        let (top, bottom) = (ty.i0 * self.width, ty.i1 * self.width);
+        [
+            self.data[top + tx.i0],
+            self.data[top + tx.i1],
+            self.data[bottom + tx.i0],
+            self.data[bottom + tx.i1],
+        ]
+    }
+
     /// Bilinear sample at floating-point coordinates (border-clamped).
     pub fn sample_bilinear(&self, x: f32, y: f32) -> Rgb {
-        let x0 = x.floor();
-        let y0 = y.floor();
-        let fx = x - x0;
-        let fy = y - y0;
-        let (xi, yi) = (x0 as isize, y0 as isize);
-        let p00 = self.get_clamped(xi, yi);
-        let p10 = self.get_clamped(xi + 1, yi);
-        let p01 = self.get_clamped(xi, yi + 1);
-        let p11 = self.get_clamped(xi + 1, yi + 1);
-        let mut out = [0.0; 3];
-        for c in 0..3 {
-            out[c] = p00[c] * (1.0 - fx) * (1.0 - fy)
-                + p10[c] * fx * (1.0 - fy)
-                + p01[c] * (1.0 - fx) * fy
-                + p11[c] * fx * fy;
-        }
-        out
+        let (tx, ty) = (AxisTerm::new(x, self.width), AxisTerm::new(y, self.height));
+        let taps = self.taps(tx, ty);
+        core::array::from_fn(|c| bilinear_blend(taps.map(|p| p[c]), tx, ty))
     }
 
     /// Bilinear sample of a single channel — used by the chromatic
     /// aberration shader which warps each channel differently.
-    #[allow(clippy::needless_range_loop)]
     pub fn sample_bilinear_channel(&self, x: f32, y: f32, channel: usize) -> f32 {
         debug_assert!(channel < 3);
-        let x0 = x.floor();
-        let y0 = y.floor();
-        let fx = x - x0;
-        let fy = y - y0;
-        let (xi, yi) = (x0 as isize, y0 as isize);
-        let p00 = self.get_clamped(xi, yi)[channel];
-        let p10 = self.get_clamped(xi + 1, yi)[channel];
-        let p01 = self.get_clamped(xi, yi + 1)[channel];
-        let p11 = self.get_clamped(xi + 1, yi + 1)[channel];
-        p00 * (1.0 - fx) * (1.0 - fy)
-            + p10 * fx * (1.0 - fy)
-            + p01 * (1.0 - fx) * fy
-            + p11 * fx * fy
+        let (tx, ty) = (AxisTerm::new(x, self.width), AxisTerm::new(y, self.height));
+        bilinear_blend(self.taps(tx, ty).map(|p| p[channel]), tx, ty)
     }
 
     /// Converts to grayscale using Rec. 709 luma weights.
@@ -182,13 +168,29 @@ mod tests {
         assert!((img.to_luma().get(0, 0) - 1.0).abs() < 1e-6);
     }
 
+    /// Both RGB samplers are the gray sampler of each channel, bit for
+    /// bit, inside the image and beyond every border.
     #[test]
-    fn bilinear_channel_matches_full_sample() {
-        let img = RgbImage::from_fn(4, 4, |x, y| [(x + y) as f32, x as f32, y as f32]);
-        let full = img.sample_bilinear(1.3, 2.7);
-        for (c, &expected) in full.iter().enumerate() {
-            assert!((img.sample_bilinear_channel(1.3, 2.7, c) - expected).abs() < 1e-6);
+    fn bilinear_samplers_match_the_gray_sample_of_each_channel() {
+        let img = RgbImage::from_fn(4, 3, |x, y| [(x + y) as f32 - 2.5, x as f32 / 3.0, y as f32]);
+        let planes = [0, 1, 2].map(|c| img.channel(c));
+        for (x, y) in [(1.3, 2.7), (0.0, 0.0), (-2.4, 1.1), (3.0, 2.0), (3.6, -0.2), (7.5, 9.25)] {
+            let full = img.sample_bilinear(x, y);
+            for (c, plane) in planes.iter().enumerate() {
+                let want = plane.sample_bilinear(x, y).to_bits();
+                assert_eq!(full[c].to_bits(), want, "({x}, {y}) channel {c}");
+                assert_eq!(img.sample_bilinear_channel(x, y, c).to_bits(), want);
+            }
         }
+    }
+
+    #[test]
+    fn bilinear_of_non_finite_and_huge_coordinates_does_not_panic() {
+        let img = RgbImage::from_fn(4, 3, |x, y| [x as f32, y as f32, 0.5]);
+        assert!(img.sample_bilinear(f32::INFINITY, 0.0).iter().all(|v| v.is_nan()));
+        assert!(img.sample_bilinear_channel(0.0, f32::NEG_INFINITY, 1).is_nan());
+        assert_eq!(img.sample_bilinear(f32::MAX, 1.0), img.get(3, 1));
+        assert_eq!(img.sample_bilinear_channel(1.0, 1.0e30, 1), 2.0);
     }
 
     #[test]

@@ -1,6 +1,29 @@
 //! Stencil kernels: Gaussian blur, Sobel gradients and the bilateral
 //! filter (the depth-preprocessing stage of scene reconstruction,
 //! Table VI "camera processing").
+//!
+//! # The blur's tap order is pinned
+//!
+//! Every pyramid level, so every KLT track and every `real_vio` pose,
+//! depends on the last bit of [`gaussian_blur`]. Its definition is the
+//! per-pixel one: each output of each pass starts from `0.0` and adds
+//! `kernel[i] * tap(i)` for `i` ascending, a tap beyond the border being
+//! the border pixel. The code runs that sum one tap at a time over a
+//! whole row instead of one pixel at a time over all taps, which changes
+//! which pixel is updated when and nothing about any pixel's own sequence
+//! of additions — so the output is the same to the bit, signed zeros
+//! included, and the inner loop has no clamp, branch or index multiply.
+//! Horizontally the border is paid once a row: the row is copied into a
+//! buffer with `radius` copies of its first pixel before it and of its
+//! last after it, which is exactly what a clamped read returned, and tap
+//! `i` of pixel `x` is then `padded[i + x]`. Vertically a tap is a whole
+//! row and the clamp is one `min`/`saturating_sub` a row; an output row
+//! reads only the `2·radius + 1` rows around it, so the horizontal pass
+//! keeps that many rows in a ring instead of a second whole image (whose
+//! fresh pages cost more than the arithmetic). No `mul_add`, no
+//! reassociation: a fused or reordered sum rounds differently. The tests
+//! keep the per-pixel loops verbatim as `reference_gaussian_blur` and
+//! compare every bit.
 
 use crate::gray::GrayImage;
 
@@ -15,6 +38,15 @@ fn gaussian_kernel(sigma: f32) -> Vec<f32> {
     k
 }
 
+/// `dst[x] += k * src[x]` over a whole row: the one loop both blur passes
+/// are made of, with the pixel innermost so it runs as vector code.
+#[inline]
+fn add_scaled(dst: &mut [f32], k: f32, src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += k * s;
+    }
+}
+
 /// Separable Gaussian blur with standard deviation `sigma`.
 ///
 /// # Panics
@@ -22,28 +54,37 @@ fn gaussian_kernel(sigma: f32) -> Vec<f32> {
 /// Panics when `sigma <= 0`.
 pub fn gaussian_blur(img: &GrayImage, sigma: f32) -> GrayImage {
     let kernel = gaussian_kernel(sigma);
-    let radius = (kernel.len() / 2) as isize;
+    let (taps, radius) = (kernel.len(), kernel.len() / 2);
     let (w, h) = (img.width(), img.height());
-    // Horizontal pass.
-    let mut tmp = GrayImage::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let mut acc = 0.0;
-            for (i, &kv) in kernel.iter().enumerate() {
-                acc += kv * img.get_clamped(x as isize + i as isize - radius, y as isize);
-            }
-            tmp.set(x, y, acc);
-        }
-    }
-    // Vertical pass.
     let mut out = GrayImage::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            let mut acc = 0.0;
+    if w == 0 || h == 0 {
+        return out;
+    }
+    let src = img.as_slice();
+    let mut padded = vec![0.0f32; w + 2 * radius];
+    // Output row `y` reads rows `y − radius ..= y + radius` of the
+    // horizontal pass, `taps` consecutive rows, so row `j` is kept in slot
+    // `j % taps` and the pass runs `radius` rows ahead of the output.
+    let mut rows = vec![0.0f32; taps * w];
+    let mut swept = 0;
+    for (y, dst) in out.as_mut_slice().chunks_exact_mut(w).enumerate() {
+        // Horizontal pass: tap `i` of pixel `x` is `padded[i + x]`.
+        while swept <= (y + radius).min(h - 1) {
+            let line = &src[swept * w..][..w];
+            padded[..radius].fill(line[0]);
+            padded[radius..radius + w].copy_from_slice(line);
+            padded[radius + w..].fill(line[w - 1]);
+            let row = &mut rows[swept % taps * w..][..w];
+            row.fill(0.0);
             for (i, &kv) in kernel.iter().enumerate() {
-                acc += kv * tmp.get_clamped(x as isize, y as isize + i as isize - radius);
+                add_scaled(row, kv, &padded[i..i + w]);
             }
-            out.set(x, y, acc);
+            swept += 1;
+        }
+        // Vertical pass: tap `i` of row `y` is row `y + i − radius`, clamped.
+        for (i, &kv) in kernel.iter().enumerate() {
+            let sy = (y + i).saturating_sub(radius).min(h - 1);
+            add_scaled(dst, kv, &rows[sy % taps * w..][..w]);
         }
     }
     out
