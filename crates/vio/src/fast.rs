@@ -63,8 +63,25 @@ pub fn detect_fast(
     // Best corner per grid cell (grid NMS keeps features spread out, as
     // VIO front ends require).
     let mut best: Vec<Option<Corner>> = vec![None; cells_x * cells_y];
+    let row = |y: usize| &img.as_slice()[y * w..(y + 1) * w];
     for y in 3..(h - 3) {
+        let (above, mid, below) = (row(y - 3), row(y), row(y + 3));
         for x in 3..(w - 3) {
+            // Quick rejection on the 4 compass points of the circle, read
+            // from three row slices: all but a few hundred pixels of a
+            // frame end here. At least 3 must agree, which is stricter
+            // than the arc it guards (a 9-arc can hold with 2), so the test
+            // is part of what this detector finds, not only a shortcut.
+            let (hi, lo) = (mid[x] + threshold, mid[x] - threshold);
+            let (mut brighter, mut darker) = (0, 0);
+            for v in [above[x], mid[x + 3], below[x], mid[x - 3]] {
+                let is_brighter = v > hi;
+                brighter += u32::from(is_brighter);
+                darker += u32::from(!is_brighter && v < lo);
+            }
+            if brighter < 3 && darker < 3 {
+                continue;
+            }
             let Some(score) = corner_score(img, x, y, threshold) else { continue };
             let idx = (y / cell) * cells_x + (x / cell);
             if best[idx].is_none_or(|c| score > c.score) {
@@ -78,29 +95,13 @@ pub fn detect_fast(
     corners
 }
 
-/// Segment test: returns the corner score when `(x, y)` passes FAST-9.
+/// Segment test on a pixel that passed the compass test: returns the
+/// corner score when `(x, y)` has a FAST-9 arc.
 fn corner_score(img: &GrayImage, x: usize, y: usize, threshold: f32) -> Option<f32> {
     let c = img.get(x, y);
     let mut brighter = [false; 16];
     let mut darker = [false; 16];
     let mut diffs = [0.0f32; 16];
-    // Quick rejection using the 4 compass points: at least 3 of them must
-    // agree for a 9-arc to exist.
-    let compass = [0usize, 4, 8, 12];
-    let mut quick_b = 0;
-    let mut quick_d = 0;
-    for &i in &compass {
-        let (dx, dy) = CIRCLE[i];
-        let v = img.get((x as i32 + dx) as usize, (y as i32 + dy) as usize);
-        if v > c + threshold {
-            quick_b += 1;
-        } else if v < c - threshold {
-            quick_d += 1;
-        }
-    }
-    if quick_b < 3 && quick_d < 3 {
-        return None;
-    }
     for (i, &(dx, dy)) in CIRCLE.iter().enumerate() {
         let v = img.get((x as i32 + dx) as usize, (y as i32 + dy) as usize);
         diffs[i] = (v - c).abs();

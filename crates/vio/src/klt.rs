@@ -4,8 +4,30 @@
 //! Tracks sparse points from one image to the next by iteratively solving
 //! the 2×2 normal equations of the brightness-constancy linearization
 //! over a window, coarse-to-fine across an image pyramid.
+//!
+//! # A window's axis terms are derived once
+//!
+//! Every value the tracker reads is a border-clamped bilinear sample, and
+//! a sample is an [`AxisTerm`] of its `x`, an `AxisTerm` of its `y` (each
+//! a `floor`, a fraction, its complement and two clamped indices) and a
+//! blend of four pixels. Over a `(2r + 1)²` window whose pixels sit at
+//! `p.x + dx`, `p.y + dy` the `x` terms take `2r + 1` distinct values and
+//! the `y` terms `2r + 1`, not `(2r + 1)²` each, because neither
+//! coordinate is computed from the other offset. So a level derives, per
+//! window offset, the terms of the three coordinates the template and its
+//! central differences use — `x as f32`, `(x + 1.0) as f32`,
+//! `(x − 1.0) as f32`, each cast from the `f64` expression it always was —
+//! and per iteration the terms of `p + disp + offset`, and every sample is
+//! [`GrayImage::bilinear`] over a pair of them: the same terms and the same
+//! blend `sample_bilinear` composes, so the same bits. What it may not do
+//! is fill one `(2r + 3)²` patch and read the gradients' neighbours out of
+//! it: `(x + 1.0) as f32` and the next offset's `x as f32` are separate
+//! roundings of `f64` sums and need not be equal. The sums into `g`, `b`
+//! and `err_sum` run `dy` outer, `dx` inner, as they always have. The
+//! tests keep the per-sample level verbatim as `reference_refine_at_level`
+//! and compare every `TrackResult` bit.
 
-use illixr_image::{GrayImage, Pyramid};
+use illixr_image::{AxisTerm, GrayImage, Pyramid};
 use illixr_math::{Mat2, Vec2};
 
 /// KLT parameters.
@@ -65,14 +87,31 @@ pub fn track_points_pyramids(
     initial_guesses: Option<&[Vec2]>,
     params: &KltParams,
 ) -> Vec<TrackResult> {
+    let mut window = Window::default();
     points
         .iter()
         .enumerate()
         .map(|(i, &p)| {
             let guess = initial_guesses.map(|g| g[i]).unwrap_or(p);
-            track_one(prev_pyr, next_pyr, p, guess, params)
+            track_one(prev_pyr, next_pyr, p, guess, params, &mut window)
         })
         .collect()
+}
+
+/// The buffers of [`refine_at_level`], each `2r + 1` or `(2r + 1)²` long
+/// once used, kept across levels and points so a call allocates once.
+#[derive(Default)]
+struct Window {
+    /// Template value and gradient per window pixel, `dy` outer.
+    tmpl: Vec<f64>,
+    grads: Vec<Vec2>,
+    /// Per window offset, the template's terms at the coordinate `c` and
+    /// at its central difference's two ends: `[c, c + 1, c − 1]`.
+    tmpl_x: Vec<[AxisTerm; 3]>,
+    tmpl_y: Vec<[AxisTerm; 3]>,
+    /// Per window offset, the terms of the current iterate in `next`.
+    next_x: Vec<AxisTerm>,
+    next_y: Vec<AxisTerm>,
 }
 
 fn track_one(
@@ -81,6 +120,7 @@ fn track_one(
     point: Vec2,
     guess: Vec2,
     params: &KltParams,
+    window: &mut Window,
 ) -> TrackResult {
     let levels = prev_pyr.num_levels().min(next_pyr.num_levels());
     // Start from the coarsest level; carry the displacement down.
@@ -91,7 +131,7 @@ fn track_one(
         let p_level = point / scale;
         let prev_img = prev_pyr.level(level);
         let next_img = next_pyr.level(level);
-        match refine_at_level(prev_img, next_img, p_level, disp, params) {
+        match refine_at_level(prev_img, next_img, p_level, disp, params, window) {
             Some((d, residual)) => {
                 disp = d;
                 last_residual = residual;
@@ -122,25 +162,28 @@ fn refine_at_level(
     p: Vec2,
     mut disp: Vec2,
     params: &KltParams,
+    window: &mut Window,
 ) -> Option<(Vec2, f64)> {
     let r = params.window_radius as i32;
+    let Window { tmpl, grads, tmpl_x, tmpl_y, next_x, next_y } = window;
+    // The template's axis terms: at each offset, a pixel on, a pixel back.
+    let terms = |c: f64, len: usize| {
+        [c as f32, (c + 1.0) as f32, (c - 1.0) as f32].map(|v| AxisTerm::new(v, len))
+    };
+    tmpl_x.clear();
+    tmpl_x.extend((-r..=r).map(|dx| terms(p.x + dx as f64, prev.width())));
+    tmpl_y.clear();
+    tmpl_y.extend((-r..=r).map(|dy| terms(p.y + dy as f64, prev.height())));
     // Precompute template values and gradients around p in `prev`.
-    let n = ((2 * r + 1) * (2 * r + 1)) as usize;
-    let mut tmpl = Vec::with_capacity(n);
-    let mut grads = Vec::with_capacity(n);
+    tmpl.clear();
+    grads.clear();
     let mut g = Mat2::ZERO;
-    for dy in -r..=r {
-        for dx in -r..=r {
-            let x = p.x + dx as f64;
-            let y = p.y + dy as f64;
-            let v = prev.sample_bilinear(x as f32, y as f32) as f64;
+    for &[y, y_plus, y_minus] in tmpl_y.iter() {
+        for &[x, x_plus, x_minus] in tmpl_x.iter() {
+            let v = prev.bilinear(x, y) as f64;
             // Central-difference gradients on the template image.
-            let gx = (prev.sample_bilinear((x + 1.0) as f32, y as f32)
-                - prev.sample_bilinear((x - 1.0) as f32, y as f32)) as f64
-                * 0.5;
-            let gy = (prev.sample_bilinear(x as f32, (y + 1.0) as f32)
-                - prev.sample_bilinear(x as f32, (y - 1.0) as f32)) as f64
-                * 0.5;
+            let gx = (prev.bilinear(x_plus, y) - prev.bilinear(x_minus, y)) as f64 * 0.5;
+            let gy = (prev.bilinear(x, y_plus) - prev.bilinear(x, y_minus)) as f64 * 0.5;
             tmpl.push(v);
             grads.push(Vec2::new(gx, gy));
             g.m[0][0] += gx * gx;
@@ -149,17 +192,26 @@ fn refine_at_level(
             g.m[1][1] += gy * gy;
         }
     }
+    let n = tmpl.len();
     let g_inv = g.inverse()?; // untextured window → singular → lost
     let mut residual = f64::INFINITY;
     for _ in 0..params.max_iterations {
+        next_x.clear();
+        next_x.extend((-r..=r).map(|dx| {
+            let x = p.x + disp.x + dx as f64;
+            AxisTerm::new(x as f32, next.width())
+        }));
+        next_y.clear();
+        next_y.extend((-r..=r).map(|dy| {
+            let y = p.y + disp.y + dy as f64;
+            AxisTerm::new(y as f32, next.height())
+        }));
         let mut b = Vec2::ZERO;
         let mut err_sum = 0.0;
         let mut idx = 0;
-        for dy in -r..=r {
-            for dx in -r..=r {
-                let x = p.x + disp.x + dx as f64;
-                let y = p.y + disp.y + dy as f64;
-                let v = next.sample_bilinear(x as f32, y as f32) as f64;
+        for &y in next_y.iter() {
+            for &x in next_x.iter() {
+                let v = next.bilinear(x, y) as f64;
                 let diff = tmpl[idx] - v;
                 b += grads[idx] * diff;
                 err_sum += diff.abs();
@@ -401,6 +453,23 @@ mod tests {
         let b = a.clone();
         let results = track_points(&a, &b, &[Vec2::new(32.0, 32.0)], None, &KltParams::default());
         assert_eq!(results[0], TrackResult::Lost);
+    }
+
+    /// A point or a guess that is not a number, or not a finite one,
+    /// is a lost track in either profile, not a panic in one of them.
+    #[test]
+    fn non_finite_point_or_guess_is_lost() {
+        let a = blobs(&[(40.0, 40.0)]);
+        let good = Vec2::new(40.0, 40.0);
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1.0e300] {
+            for bad in [Vec2::new(bad, 40.0), Vec2::new(40.0, bad)] {
+                let params = KltParams::default();
+                assert_eq!(track_points(&a, &a, &[bad], None, &params), [TrackResult::Lost]);
+                let guess = [bad];
+                let lost = track_points(&a, &a, &[good], Some(&guess), &params);
+                assert_eq!(lost, [TrackResult::Lost], "guess {bad:?}");
+            }
+        }
     }
 
     #[test]
