@@ -155,9 +155,10 @@ impl GrayImage {
     /// Returns the pixel at `(x, y)` clamping coordinates to the border.
     ///
     /// For stencils that step over the border a pixel at a time
-    /// (`sobel_gradients`, `bilateral_filter`'s border path). The blur,
-    /// the pyramid and the bilinear samplers do their own, cheaper
-    /// clamping — a padded row, an [`AxisTerm`] — and do not come here.
+    /// (`sobel_gradients`, `bilateral_filter`'s border path, `ssim_map`'s
+    /// windows). The blur, the pyramid and the bilinear samplers do their
+    /// own, cheaper clamping — a padded row, an [`AxisTerm`] — and do not
+    /// come here.
     #[inline]
     pub fn get_clamped(&self, x: isize, y: isize) -> f32 {
         let cx = x.clamp(0, self.width as isize - 1) as usize;
@@ -320,9 +321,10 @@ mod tests {
         }
     }
 
-    /// No coordinate overflows the neighbour's index: debug builds used
-    /// to panic on `xi + 1` from `|x| ≥ 2⁶³` where release builds wrapped.
-    /// Both now return what release did.
+    /// `|x| ≥ 2⁶³` saturates the index cast, and the neighbour's `+ 1`
+    /// must saturate with it, or debug builds panic where release builds
+    /// wrap. Both profiles return NaN for `±∞` and the edge pixel for a
+    /// huge finite coordinate.
     #[test]
     fn bilinear_of_non_finite_and_huge_coordinates_does_not_panic() {
         let img = GrayImage::from_fn(4, 3, |x, y| (x + 4 * y) as f32);

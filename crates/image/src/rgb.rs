@@ -74,14 +74,6 @@ impl RgbImage {
         self.data[y * self.width + x] = v;
     }
 
-    /// Border-clamped access.
-    #[inline]
-    pub fn get_clamped(&self, x: isize, y: isize) -> Rgb {
-        let cx = x.clamp(0, self.width as isize - 1) as usize;
-        let cy = y.clamp(0, self.height as isize - 1) as usize;
-        self.data[cy * self.width + cx]
-    }
-
     /// The four neighbours [`bilinear_blend`] takes, under two axis terms.
     #[inline]
     fn taps(&self, tx: AxisTerm, ty: AxisTerm) -> [Rgb; 4] {
