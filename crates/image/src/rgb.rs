@@ -74,23 +74,19 @@ impl RgbImage {
         self.data[y * self.width + x] = v;
     }
 
-    /// The four neighbours [`bilinear_blend`] takes, under two axis terms.
+    /// Where the four neighbours [`bilinear_blend`] takes sit in `data`.
     #[inline]
-    fn taps(&self, tx: AxisTerm, ty: AxisTerm) -> [Rgb; 4] {
+    fn tap_indices(&self, tx: AxisTerm, ty: AxisTerm) -> [usize; 4] {
         let (top, bottom) = (ty.i0 * self.width, ty.i1 * self.width);
-        [
-            self.data[top + tx.i0],
-            self.data[top + tx.i1],
-            self.data[bottom + tx.i0],
-            self.data[bottom + tx.i1],
-        ]
+        [top + tx.i0, top + tx.i1, bottom + tx.i0, bottom + tx.i1]
     }
 
     /// Bilinear sample at floating-point coordinates (border-clamped).
     pub fn sample_bilinear(&self, x: f32, y: f32) -> Rgb {
         let (tx, ty) = (AxisTerm::new(x, self.width), AxisTerm::new(y, self.height));
-        let taps = self.taps(tx, ty);
-        core::array::from_fn(|c| bilinear_blend(taps.map(|p| p[c]), tx, ty))
+        let [i00, i10, i01, i11] = self.tap_indices(tx, ty);
+        let (p00, p10, p01, p11) = (self.data[i00], self.data[i10], self.data[i01], self.data[i11]);
+        core::array::from_fn(|c| bilinear_blend([p00[c], p10[c], p01[c], p11[c]], tx, ty))
     }
 
     /// Bilinear sample of a single channel — used by the chromatic
@@ -98,7 +94,14 @@ impl RgbImage {
     pub fn sample_bilinear_channel(&self, x: f32, y: f32, channel: usize) -> f32 {
         debug_assert!(channel < 3);
         let (tx, ty) = (AxisTerm::new(x, self.width), AxisTerm::new(y, self.height));
-        bilinear_blend(self.taps(tx, ty).map(|p| p[channel]), tx, ty)
+        let [i00, i10, i01, i11] = self.tap_indices(tx, ty);
+        let taps = [
+            self.data[i00][channel],
+            self.data[i10][channel],
+            self.data[i01][channel],
+            self.data[i11][channel],
+        ];
+        bilinear_blend(taps, tx, ty)
     }
 
     /// Converts to grayscale using Rec. 709 luma weights.
