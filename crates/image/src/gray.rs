@@ -46,6 +46,14 @@ impl AxisTerm {
     }
 }
 
+/// Where the four neighbours of a sample sit in a row-major buffer
+/// `width` pixels wide, in the order [`bilinear_blend`] takes them.
+#[inline]
+pub(crate) fn tap_indices(width: usize, tx: AxisTerm, ty: AxisTerm) -> [usize; 4] {
+    let (top, bottom) = (ty.i0 * width, ty.i1 * width);
+    [top + tx.i0, top + tx.i1, bottom + tx.i0, bottom + tx.i1]
+}
+
 /// The bilinear blend of four neighbours under two axis terms — the one
 /// place its association is written, for gray and RGB samples alike.
 #[inline]
@@ -178,14 +186,8 @@ impl GrayImage {
     /// Terms made for another size read other pixels or panic.
     #[inline]
     pub fn bilinear(&self, tx: AxisTerm, ty: AxisTerm) -> f32 {
-        let (top, bottom) = (ty.i0 * self.width, ty.i1 * self.width);
-        let taps = [
-            self.data[top + tx.i0],
-            self.data[top + tx.i1],
-            self.data[bottom + tx.i0],
-            self.data[bottom + tx.i1],
-        ];
-        bilinear_blend(taps, tx, ty)
+        let [i00, i10, i01, i11] = tap_indices(self.width, tx, ty);
+        bilinear_blend([self.data[i00], self.data[i10], self.data[i01], self.data[i11]], tx, ty)
     }
 
     /// Half-resolution downsample by 2×2 box averaging.

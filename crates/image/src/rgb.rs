@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::gray::{bilinear_blend, AxisTerm, GrayImage};
+use crate::gray::{bilinear_blend, tap_indices, AxisTerm, GrayImage};
 
 /// An RGB color with `f32` channels in `[0, 1]`.
 pub type Rgb = [f32; 3];
@@ -74,17 +74,10 @@ impl RgbImage {
         self.data[y * self.width + x] = v;
     }
 
-    /// Where the four neighbours [`bilinear_blend`] takes sit in `data`.
-    #[inline]
-    fn tap_indices(&self, tx: AxisTerm, ty: AxisTerm) -> [usize; 4] {
-        let (top, bottom) = (ty.i0 * self.width, ty.i1 * self.width);
-        [top + tx.i0, top + tx.i1, bottom + tx.i0, bottom + tx.i1]
-    }
-
     /// Bilinear sample at floating-point coordinates (border-clamped).
     pub fn sample_bilinear(&self, x: f32, y: f32) -> Rgb {
         let (tx, ty) = (AxisTerm::new(x, self.width), AxisTerm::new(y, self.height));
-        let [i00, i10, i01, i11] = self.tap_indices(tx, ty);
+        let [i00, i10, i01, i11] = tap_indices(self.width, tx, ty);
         let (p00, p10, p01, p11) = (self.data[i00], self.data[i10], self.data[i01], self.data[i11]);
         core::array::from_fn(|c| bilinear_blend([p00[c], p10[c], p01[c], p11[c]], tx, ty))
     }
@@ -94,7 +87,7 @@ impl RgbImage {
     pub fn sample_bilinear_channel(&self, x: f32, y: f32, channel: usize) -> f32 {
         debug_assert!(channel < 3);
         let (tx, ty) = (AxisTerm::new(x, self.width), AxisTerm::new(y, self.height));
-        let [i00, i10, i01, i11] = self.tap_indices(tx, ty);
+        let [i00, i10, i01, i11] = tap_indices(self.width, tx, ty);
         let taps = [
             self.data[i00][channel],
             self.data[i10][channel],
