@@ -222,9 +222,10 @@ pub fn table6(_: &mut Matrix, out: &mut Report) {
         &vio_timer,
     );
     out.line(
-        "  note: all seven tasks present; shares skew toward matching because this \
-         scalar KLT lacks the SIMD the reference's OpenCV tracker has \
-         relative to its Eigen filter backend (see EXPERIMENTS.md)",
+        "  note: all seven tasks present; matching (two Gaussian pyramids and two \
+         pyramidal KLT passes a frame) stays the largest share because the back end \
+         here is a small dense filter, 10 clones and at most 70 features, where \
+         OpenVINS spends 57% of a frame initializing and updating (see EXPERIMENTS.md)",
     );
 
     let world = LandmarkWorld::lab(7);
