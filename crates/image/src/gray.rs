@@ -12,13 +12,13 @@ use core::fmt;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AxisTerm {
     /// Index of the pixel at or below the coordinate, clamped to the axis.
-    pub i0: usize,
+    pub(crate) i0: usize,
     /// Index of the next pixel, clamped to the axis.
-    pub i1: usize,
+    pub(crate) i1: usize,
     /// Weight of `i1`: the coordinate's fractional part.
-    pub f: f32,
+    pub(crate) f: f32,
     /// Weight of `i0`: `1.0 - f`.
-    pub g: f32,
+    pub(crate) g: f32,
 }
 
 impl AxisTerm {

@@ -196,16 +196,11 @@ fn refine_at_level(
     let g_inv = g.inverse()?; // untextured window → singular → lost
     let mut residual = f64::INFINITY;
     for _ in 0..params.max_iterations {
+        let term = |c: f64, len: usize| AxisTerm::new(c as f32, len);
         next_x.clear();
-        next_x.extend((-r..=r).map(|dx| {
-            let x = p.x + disp.x + dx as f64;
-            AxisTerm::new(x as f32, next.width())
-        }));
+        next_x.extend((-r..=r).map(|dx| term(p.x + disp.x + dx as f64, next.width())));
         next_y.clear();
-        next_y.extend((-r..=r).map(|dy| {
-            let y = p.y + disp.y + dy as f64;
-            AxisTerm::new(y as f32, next.height())
-        }));
+        next_y.extend((-r..=r).map(|dy| term(p.y + disp.y + dy as f64, next.height())));
         let mut b = Vec2::ZERO;
         let mut err_sum = 0.0;
         let mut idx = 0;

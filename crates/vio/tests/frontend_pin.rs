@@ -51,16 +51,22 @@ fn rig() -> StereoRig {
     StereoRig::zed_mini(PinholeCamera::qvga())
 }
 
+/// 30 camera frames (2 s at 15 Hz) of the sequence the perf pipeline
+/// trace runs.
 fn dataset() -> SyntheticDataset {
-    SyntheticDataset::vicon_room_like(11, 2.0)
+    let ds = SyntheticDataset::vicon_room_like(11, 2.0);
+    assert_eq!(ds.camera_times.len(), 30);
+    ds
 }
 
-/// 30 camera frames (2 s at 15 Hz) of the sequence the perf pipeline
-/// trace runs, with the IMU samples between them, handed to an estimator
-/// that starts at ground truth.
-fn drive(mut on: impl FnMut(Input<'_>)) {
-    let (rig, ds) = (rig(), dataset());
-    assert_eq!(ds.camera_times.len(), 30);
+fn ground_truth_start(ds: &SyntheticDataset) -> ImuState {
+    let gt0 = ds.ground_truth[0];
+    ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity)
+}
+
+/// Hands an estimator every rendered frame with the IMU samples up to it.
+fn drive(ds: &SyntheticDataset, mut on: impl FnMut(Input<'_>)) {
+    let rig = rig();
     let mut imu_idx = 0;
     for (k, &t) in ds.camera_times.iter().enumerate() {
         while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= t {
@@ -77,15 +83,11 @@ fn drive(mut on: impl FnMut(Input<'_>)) {
     }
 }
 
-fn initial_state() -> ImuState {
-    let gt0 = dataset().ground_truth[0];
-    ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity)
-}
-
 fn msckf_digest(config: VioConfig) -> u64 {
-    let mut filter = Msckf::new(config, initial_state());
+    let ds = dataset();
+    let mut filter = Msckf::new(config, ground_truth_start(&ds));
     let mut h = Fnv::new();
-    drive(|input| match input {
+    drive(&ds, |input| match input {
         Input::Imu(s) => filter.process_imu(s),
         Input::Frame(frame) => {
             let out = filter.process_frame(frame, None);
@@ -107,9 +109,11 @@ fn msckf_poses_are_pinned() {
 
 #[test]
 fn frame_to_frame_poses_are_pinned() {
-    let mut vio = FrameToFrameVio::new(FrameToFrameConfig::default(), rig(), initial_state());
+    let ds = dataset();
+    let mut vio =
+        FrameToFrameVio::new(FrameToFrameConfig::default(), rig(), ground_truth_start(&ds));
     let mut h = Fnv::new();
-    drive(|input| match input {
+    drive(&ds, |input| match input {
         Input::Imu(s) => vio.process_imu(s),
         Input::Frame(frame) => {
             let out = vio.process_frame(frame, None);
