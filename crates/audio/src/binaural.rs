@@ -99,11 +99,6 @@ impl BinauralDecoder {
         Self { gains, convolvers, block_len }
     }
 
-    /// Number of virtual speakers.
-    pub fn speakers(&self) -> usize {
-        self.gains.len()
-    }
-
     /// Processes one soundfield block into a stereo block.
     ///
     /// (Index-based channel loop is intentional: `gains` is a fixed-size
@@ -142,14 +137,6 @@ impl BinauralDecoder {
 #[inline]
 fn acc_assign(f: &mut f64) -> &mut f64 {
     f
-}
-
-/// One-shot convenience: psychoacoustic filter + binaural decode of a
-/// single block.
-pub fn binauralize(field: &Soundfield, bank: &HrirBank, sample_rate: f64) -> StereoBlock {
-    let filtered = psychoacoustic_filter(field, sample_rate);
-    let mut decoder = BinauralDecoder::new(bank, field.len());
-    decoder.process(&filtered)
 }
 
 /// A standard 8-speaker horizontal ring bank at `sample_rate`.
@@ -236,15 +223,5 @@ mod tests {
         let max_jump = all_left[300..].windows(2).map(|w| (w[1] - w[0]).abs()).fold(0.0, f64::max);
         let amp = all_left[300..].iter().cloned().fold(0.0, |a: f64, b| a.max(b.abs()));
         assert!(max_jump < 0.25 * amp.max(1e-9), "seam discontinuity {max_jump} vs amp {amp}");
-    }
-
-    #[test]
-    fn binauralize_one_shot_runs() {
-        let rate = 48_000.0;
-        let bank = default_ring_bank(rate);
-        let field = encode_block(&tone(512, 250.0, rate), -0.5, 0.0);
-        let out = binauralize(&field, &bank, rate);
-        assert_eq!(out.left.len(), 512);
-        assert!(rms(&out.left) + rms(&out.right) > 0.0);
     }
 }

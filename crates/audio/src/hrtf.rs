@@ -28,7 +28,6 @@ pub struct HrirPair {
 /// A bank of HRIRs for a set of directions.
 #[derive(Debug, Clone)]
 pub struct HrirBank {
-    sample_rate: f64,
     pairs: Vec<HrirPair>,
     azimuths: Vec<f64>,
 }
@@ -38,12 +37,7 @@ impl HrirBank {
     /// (radians, counter-clockwise from front/+X).
     pub fn synthesize(sample_rate: f64, azimuths: &[f64]) -> Self {
         let pairs = azimuths.iter().map(|&az| synthesize_pair(sample_rate, az)).collect();
-        Self { sample_rate, pairs, azimuths: azimuths.to_vec() }
-    }
-
-    /// Sample rate the bank was built for.
-    pub fn sample_rate(&self) -> f64 {
-        self.sample_rate
+        Self { pairs, azimuths: azimuths.to_vec() }
     }
 
     /// Number of directions.

@@ -25,7 +25,7 @@ pub mod rotation;
 pub mod sources;
 
 pub use ambisonics::{encode_block, Soundfield, CHANNELS, ORDER};
-pub use binaural::{binauralize, psychoacoustic_filter, BinauralDecoder};
+pub use binaural::{psychoacoustic_filter, BinauralDecoder};
 pub use hrtf::HrirBank;
 pub use plugins::{AudioEncodingPlugin, AudioPlaybackPlugin, BINAURAL_STREAM, SOUNDFIELD_STREAM};
 pub use rotation::{rotate_yaw, zoom_forward};

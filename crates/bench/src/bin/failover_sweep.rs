@@ -6,11 +6,11 @@
 //!   quarantined (shadowed so bystanders see identical contention)
 //!   and never come back;
 //! * **restart** — restart-only recovery: each session gets a budgeted
-//!   cold restart after `restart_delay`; once the budget is exhausted
+//!   cold restart after `RESTART_DELAY`; once the budget is exhausted
 //!   the session is lost;
 //! * **catchup** — checkpoint + catch-up replay: sessions restore the
 //!   last `ILXC` checkpoint and replay the journaled boundary events,
-//!   paying `restore_cost + catchup_per_event * journal_len` instead of
+//!   paying `RESTORE_COST + CATCHUP_PER_EVENT * journal_len` instead of
 //!   the full restart delay, without consuming the restart budget.
 //!
 //! The sweep shows catch-up strictly reducing both the session-loss
@@ -183,7 +183,7 @@ fn main() -> std::io::Result<()> {
         "# crashes at {}ms + k*{}ms; restart budget {} per session; checkpoint epoch 300ms",
         FIRST_CRASH.as_millis(),
         CRASH_SPACING.as_millis(),
-        FailoverConfig::default().restart_budget,
+        FailoverConfig::RESTART_BUDGET,
     ));
     println!("Failover sweep ({SESSIONS} sessions, {:?} simulated per cell)", DURATION);
     rule(92);

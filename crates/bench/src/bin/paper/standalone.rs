@@ -167,31 +167,6 @@ fn filter_at_start(config: VioConfig, ds: &SyntheticDataset) -> Msckf {
     Msckf::new(config, ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity))
 }
 
-/// Feeds `ds` through `filter` frame by frame, handing each stereo
-/// frame to `on_frame` after the IMU samples that precede it.
-fn drive_vio(
-    filter: &mut Msckf,
-    ds: &SyntheticDataset,
-    rig: &StereoRig,
-    mut on_frame: impl FnMut(&mut Msckf, &StereoFrame),
-) {
-    let mut imu_idx = 0;
-    for (k, &cam_t) in ds.camera_times.iter().enumerate() {
-        while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= cam_t {
-            filter.process_imu(ds.imu[imu_idx]);
-            imu_idx += 1;
-        }
-        let (left, right) = ds.render_frame(rig, k);
-        let frame = StereoFrame {
-            timestamp: cam_t,
-            left: Arc::new(left),
-            right: Arc::new(right),
-            seq: k as u64,
-        };
-        on_frame(filter, &frame);
-    }
-}
-
 /// Table VI: task-level time breakdown of VIO and scene reconstruction,
 /// from the instrumented standalone components. Host-timed.
 pub fn table6(_: &mut Matrix, out: &mut Report) {
@@ -203,9 +178,10 @@ pub fn table6(_: &mut Matrix, out: &mut Report) {
     let ds = SyntheticDataset::vicon_room_like(42, 10.0);
     let mut filter = filter_at_start(VioConfig::accurate(cam), &ds);
     let vio_timer = Metrics::new();
-    drive_vio(&mut filter, &ds, &rig, |filter, frame| {
-        filter.process_frame(frame, Some(&vio_timer));
-    });
+    for (imu, frame) in ds.replay(&rig) {
+        imu.iter().for_each(|&s| filter.process_imu(s));
+        filter.process_frame(&frame(), Some(&vio_timer));
+    }
     task_shares(
         out,
         "VIO (OpenVINS-style MSCKF, Vicon-Room-like synthetic sequence)",
@@ -391,13 +367,15 @@ pub fn ablation_vio(_: &mut Matrix, out: &mut Report) {
             let mut est = Vec::new();
             let mut gt: Vec<Pose> = Vec::new();
             let mut total = Duration::ZERO;
-            drive_vio(&mut filter, &ds, &rig, |filter, frame| {
+            for (imu, frame) in ds.replay(&rig) {
+                imu.iter().for_each(|&s| filter.process_imu(s));
+                let frame = frame();
                 let start = Instant::now();
-                let output = filter.process_frame(frame, None);
+                let output = filter.process_frame(&frame, None);
                 total += start.elapsed();
                 est.push(output.state.pose);
                 gt.push(ds.ground_truth_pose(frame.timestamp));
-            });
+            }
             let ate_cm =
                 absolute_trajectory_error(&est, &gt).expect("non-empty trajectory") * 100.0;
             row.1 += ate_cm / seeds.len() as f64;

@@ -138,7 +138,6 @@ fn run_once(cond: &Condition, plan: Plan, duration: Duration) -> ExperimentResul
             min_samples: 2,
             restore_epochs: 2,
             escalate_miss_rate: 0.6,
-            ..PlacementConfig::default()
         });
     }
     IntegratedExperiment::run(&config)

@@ -75,16 +75,6 @@ impl Boundary {
         Self { recorder, source: Some(source) }
     }
 
-    /// A boundary whose recorder and source (whichever are present)
-    /// resolve stream names under `prefix` — one handle per server
-    /// session over a shared store.
-    pub fn scoped(&self, prefix: &str) -> Self {
-        Self {
-            recorder: self.recorder.as_ref().map(|r| r.scoped(prefix)),
-            source: self.source.as_ref().map(|s| s.scoped(prefix)),
-        }
-    }
-
     pub fn is_off(&self) -> bool {
         self.recorder.is_none() && self.source.is_none()
     }

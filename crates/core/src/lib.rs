@@ -14,6 +14,9 @@
 //! * **[`time`] / [`clock`]** — a single `Clock` abstraction with a
 //!   wall-clock implementation for live runs and a virtual clock for
 //!   deterministic simulated runs.
+//! * **[`threadloop`]** — live mode, the paper's threadloop: one
+//!   supervised thread per plugin at a fixed period
+//!   ([`ThreadloopBuilder`]).
 //! * **[`sim`]** — a discrete-event scheduler that executes periodic
 //!   components on modeled CPU/GPU resources, enforcing the Fig 2
 //!   dependency structure, producing deadline misses and frame drops
@@ -27,14 +30,15 @@
 //!   span tracing, switchboard flow events, latency histograms, and
 //!   the Chrome/Perfetto trace exporter.
 //! * **[`sched`]** — glue onto the `illixr-sched` scheduling layer:
-//!   pluggable policies (rate-monotonic, EDF, adaptive degradation),
-//!   end-to-end chain deadlines, and the live worker-pool queue.
+//!   pluggable policies (rate-monotonic, EDF, adaptive degradation)
+//!   for the simulated executor, end-to-end chain deadlines, and the
+//!   placement controller.
 //! * **[`fault`]** — glue onto the `illixr-fault` layer: seeded,
 //!   deterministic fault plans (sensor faults, link faults, plugin
 //!   crashes) consulted throughout the runtime; quiet by default.
 //! * **[`supervisor`]** — crash containment: panic catch + bounded
 //!   backoff restarts, recovery-time accounting, and a stale-stream
-//!   watchdog that escalates the scheduler's degradation ladder.
+//!   watchdog that marks silent plugins degraded.
 //! * **[`boundary`]** — the §V-G record/replay mechanism (over
 //!   `illixr-trace`): the determinism boundary every physical input
 //!   crosses, with the one implementation of the crossing rule —

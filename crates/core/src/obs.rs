@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 pub use illixr_obs::export::{chrome_trace_json, metrics_csv, write_artifacts};
 pub use illixr_obs::{
-    flow_id, FlowPhase, HistogramSnapshot, LatencyHistogram, Metrics, NowSource, SpanGuard, Tracer,
+    flow_id, FlowPhase, HistogramSnapshot, LatencyHistogram, Metrics, NowSource, Tracer,
 };
 
 use crate::clock::Clock;

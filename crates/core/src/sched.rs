@@ -3,17 +3,18 @@
 //! Like [`crate::obs`], this module re-exports a below-core crate so
 //! the rest of the workspace needs no direct `illixr-sched`
 //! dependency: the sim engine embeds a [`Policy`] in its dispatch
-//! loop, the threadloop's worker pool drains a [`JobQueue`], and the
-//! experiment runner selects a [`PolicyKind`] from config.
+//! loop, the threadloop shares its release and miss arithmetic
+//! ([`release_ns`], [`is_miss`]), and the experiment runner selects a
+//! [`PolicyKind`] from config.
 //!
 //! `illixr-sched` keeps time as raw `u64` nanoseconds; the runtime
 //! converts at the boundary with [`crate::time::Time::as_nanos`].
 
 pub use illixr_sched::chain::{ChainId, ChainOutcome, ChainSpec, ChainTracker};
-pub use illixr_sched::governor::{AdaptiveGovernor, GovernorConfig};
+pub use illixr_sched::governor::AdaptiveGovernor;
 pub use illixr_sched::live::JobQueue;
 pub use illixr_sched::place::{
-    CutAssignment, Migration, PlacementConfig, PlacementController, PlacementPlan, Side,
+    Migration, PlacementConfig, PlacementController, PlacementPlan, Side,
 };
 pub use illixr_sched::policy::{Edf, Policy, PolicyKind, RateMonotonic};
 pub use illixr_sched::task::{is_miss, lateness_ns, release_ns, PriorityClass, ReadyJob};

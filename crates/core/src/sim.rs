@@ -83,6 +83,9 @@ pub struct TaskSpec {
     /// When true, a release that arrives while a previous invocation of
     /// the same task is still running or queued is *skipped* (counted as a
     /// drop) — the "forced to skip the next frame" behaviour of §IV-A1.
+    /// When false it queues behind the running instance: the rate is
+    /// preserved but latency accumulates, for components that must see
+    /// every input (the IMU integrator).
     pub drop_if_busy: bool,
     /// Dispatch priority: among queued tasks waiting for the same
     /// resource, higher priority dispatches first (FIFO within a
@@ -216,9 +219,8 @@ impl Pool {
 pub struct SimEngine {
     clock: SimClock,
     tasks: Vec<Task>,
-    cpu: Pool,
-    gpu: Pool,
-    remote: Pool,
+    /// One pool a [`Resource`], indexed by `resource as usize`.
+    pools: [Pool; 3],
     events: BinaryHeap<Reverse<Event>>,
     telemetry: std::sync::Arc<RecordLogger>,
     started: bool,
@@ -250,13 +252,9 @@ impl SimEngine {
         Self {
             clock: SimClock::new(),
             tasks: Vec::new(),
-            cpu: Pool::new(cpu_cores),
-            gpu: Pool::new(gpu_slots),
-            // Edge compute defaults to one slot; placement-aware runs
-            // size it with `set_remote_capacity`. Unused by default —
-            // no task occupies it unless one is registered on
-            // `Resource::Remote`.
-            remote: Pool::new(1),
+            // Edge compute has one slot, unused unless a task is
+            // registered on `Resource::Remote`.
+            pools: [Pool::new(cpu_cores), Pool::new(gpu_slots), Pool::new(1)],
             events: BinaryHeap::new(),
             telemetry,
             started: false,
@@ -274,17 +272,6 @@ impl SimEngine {
     /// the default is [`PolicyKind::RateMonotonic`].
     pub fn set_policy(&mut self, policy: Box<dyn Policy>) {
         self.policy = policy;
-    }
-
-    /// Sizes the [`Resource::Remote`] pool (edge-server compute
-    /// slots). Defaults to 1; call before the first `run_for`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `slots` is zero.
-    pub fn set_remote_capacity(&mut self, slots: usize) {
-        assert!(slots > 0, "remote capacity must be positive");
-        self.remote.capacity = slots;
     }
 
     /// Registers an end-to-end chain (head task first). Each tail
@@ -416,30 +403,17 @@ impl SimEngine {
             self.telemetry.log_drop(&name);
             return;
         }
-        if task.busy || task.queued {
-            // Queue behind the running instance (rate is preserved but
-            // latency accumulates). Used by components that must see every
-            // input (e.g. the IMU integrator).
-        }
         let resource = task.spec.resource;
+        let pool = &mut self.pools[resource as usize];
         // Preemptive tasks never wait: if the resource is saturated they
         // execute immediately and push every running task's finish out by
         // their cost.
-        let preempts = {
-            let pool = match resource {
-                Resource::Cpu => &self.cpu,
-                Resource::Gpu => &self.gpu,
-                Resource::Remote => &self.remote,
-            };
-            task.spec.preemptive && pool.in_use >= pool.capacity
-        };
-        if preempts {
+        if task.spec.preemptive && pool.in_use >= pool.capacity {
             self.execute_preemptively(id, now);
             return;
         }
-        let task = &mut self.tasks[id];
         task.queued = true;
-        self.pool_mut(resource).queue.push_back(job);
+        pool.queue.push_back(job);
         self.dispatch(resource, now);
     }
 
@@ -485,12 +459,7 @@ impl SimEngine {
         }
         // Delay the victims.
         let resource = self.tasks[id].spec.resource;
-        let running: Vec<TaskId> = match resource {
-            Resource::Cpu => self.cpu.running.clone(),
-            Resource::Gpu => self.gpu.running.clone(),
-            Resource::Remote => self.remote.running.clone(),
-        };
-        for victim in running {
+        for victim in self.pools[resource as usize].running.clone() {
             let t = &mut self.tasks[victim];
             if let Some(finish) = t.pending_finish {
                 let delayed = finish + cost;
@@ -518,7 +487,7 @@ impl SimEngine {
             self.note_chain_finish(id, now);
         }
         if held_slot {
-            let pool = self.pool_mut(resource);
+            let pool = &mut self.pools[resource as usize];
             pool.in_use -= 1;
             pool.running.retain(|&t| t != id);
         }
@@ -560,34 +529,18 @@ impl SimEngine {
         self.chain_outcomes.extend(outcomes);
     }
 
-    fn pool_mut(&mut self, r: Resource) -> &mut Pool {
-        match r {
-            Resource::Cpu => &mut self.cpu,
-            Resource::Gpu => &mut self.gpu,
-            Resource::Remote => &mut self.remote,
-        }
-    }
-
     fn dispatch(&mut self, resource: Resource, now: Time) {
         loop {
             // The policy picks which released job dispatches next; the
             // default rate-monotonic policy reproduces the historical
             // rule (highest static priority, FIFO within a priority).
-            let job = {
-                let Self { cpu, gpu, remote, policy, .. } = self;
-                let pool = match resource {
-                    Resource::Cpu => cpu,
-                    Resource::Gpu => gpu,
-                    Resource::Remote => remote,
-                };
-                if pool.in_use >= pool.capacity || pool.queue.is_empty() {
-                    return;
-                }
-                let pos = policy.select(pool.queue.make_contiguous());
-                pool.queue.remove(pos).expect("policy returned an in-range index")
-            };
+            let pool = &mut self.pools[resource as usize];
+            if pool.in_use >= pool.capacity || pool.queue.is_empty() {
+                return;
+            }
+            let pos = self.policy.select(pool.queue.make_contiguous());
+            let job = pool.queue.remove(pos).expect("policy returned an in-range index");
             let id = job.task;
-            let pool = self.pool_mut(resource);
             pool.in_use += 1;
             pool.running.push(id);
 
@@ -619,7 +572,7 @@ impl SimEngine {
             } else {
                 // A no-input invocation frees its slot immediately.
                 self.chains.on_abort(id);
-                let pool = self.pool_mut(resource);
+                let pool = &mut self.pools[resource as usize];
                 pool.in_use -= 1;
                 pool.running.retain(|&t| t != id);
                 self.tasks[id].busy = false;
@@ -649,8 +602,8 @@ impl std::fmt::Debug for SimEngine {
             f,
             "SimEngine({} tasks, {} cpu cores, {} gpu slots, t={})",
             self.tasks.len(),
-            self.cpu.capacity,
-            self.gpu.capacity,
+            self.pools[Resource::Cpu as usize].capacity,
+            self.pools[Resource::Gpu as usize].capacity,
             self.clock.now()
         )
     }
@@ -743,7 +696,6 @@ mod tests {
     fn remote_pool_does_not_contend_with_the_device() {
         let telemetry = Arc::new(RecordLogger::new());
         let mut engine = SimEngine::new(1, 1, telemetry.clone());
-        engine.set_remote_capacity(1);
         // A device-saturating CPU task and an equally heavy edge task:
         // neither may delay the other.
         engine.add_task(spec("cpu", Resource::Cpu, 10, true), fixed_cost(9));

@@ -114,11 +114,6 @@ impl<T: Recycle + Default> SlabFrame<T> {
         Arc::get_mut(self.value.as_mut().expect("live frame"))
             .expect("SlabFrame::make_mut on a shared frame; fill before cloning")
     }
-
-    /// Strong count of the underlying allocation (diagnostics/tests).
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(self.value.as_ref().expect("live frame"))
-    }
 }
 
 impl<T: Recycle + Default> Clone for SlabFrame<T> {

@@ -13,8 +13,8 @@
 //! Degraded ◀─────────── Running                     Failed
 //! ```
 //!
-//! * **Panic containment** — every executor (dedicated threadloop,
-//!   worker pool, simulated task runner) runs its plugin through
+//! * **Panic containment** — both executors (the threadloop and the
+//!   simulated task runner) run their plugins through
 //!   [`Supervised::invoke`], the one supervised invocation: `iterate`
 //!   and the restart `start` run under `catch_unwind`; a panic is
 //!   reported here and answered with either a restart delay
@@ -26,10 +26,8 @@
 //!   recorded and exposed for the `supervisor.recovery` histogram.
 //! * **Stale-stream watchdog** — plugins report progress on every
 //!   productive iteration; [`Supervisor::scan_stale`] marks any plugin
-//!   silent past the deadline [`PluginHealth::Degraded`] and fires the
-//!   escalation hook (wired to [`crate::sched::JobQueue::escalate`] —
-//!   the adaptive governor's degradation ladder) exactly once per
-//!   incident.
+//!   silent past the deadline [`PluginHealth::Degraded`], exactly once
+//!   per incident.
 //!
 //! All timestamps are runtime-clock nanoseconds, so the same machinery
 //! works under the wall clock (live threadloops) and the simulated
@@ -147,41 +145,24 @@ pub struct PluginReport {
     pub recovery_ns: Vec<u64>,
 }
 
-/// Hook invoked with a plugin name when the watchdog degrades it.
-type EscalationHook = Box<dyn Fn(&str) + Send>;
-
-struct State {
-    plugins: HashMap<String, PluginRecord>,
-    escalation: Option<EscalationHook>,
-}
-
 /// Shared crash-containment and liveness tracker. One per runtime
 /// context; threadloops consult it around every iteration.
 pub struct Supervisor {
     enabled: bool,
     policy: SupervisionPolicy,
-    state: Mutex<State>,
+    plugins: Mutex<HashMap<String, PluginRecord>>,
 }
 
 impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Supervisor(enabled={}, {} plugins)",
-            self.enabled,
-            self.state.lock().plugins.len()
-        )
+        write!(f, "Supervisor(enabled={}, {} plugins)", self.enabled, self.plugins.lock().len())
     }
 }
 
 impl Supervisor {
     /// A supervisor enforcing `policy`.
     pub fn new(policy: SupervisionPolicy) -> Arc<Self> {
-        Arc::new(Self {
-            enabled: true,
-            policy,
-            state: Mutex::new(State { plugins: HashMap::new(), escalation: None }),
-        })
+        Arc::new(Self { enabled: true, policy, plugins: Mutex::default() })
     }
 
     /// The historical behaviour: panics are still contained (the thread
@@ -191,7 +172,7 @@ impl Supervisor {
         Arc::new(Self {
             enabled: false,
             policy: SupervisionPolicy::disabled(),
-            state: Mutex::new(State { plugins: HashMap::new(), escalation: None }),
+            plugins: Mutex::default(),
         })
     }
 
@@ -205,16 +186,10 @@ impl Supervisor {
         self.policy
     }
 
-    /// Installs the watchdog's escalation hook (e.g. the worker pool's
-    /// `JobQueue::escalate`), replacing any previous hook.
-    pub fn set_escalation(&self, hook: impl Fn(&str) + Send + 'static) {
-        self.state.lock().escalation = Some(Box::new(hook));
-    }
-
     /// Registers `plugin` as running as of `now_ns`. Idempotent.
     pub fn register(&self, plugin: &str, now_ns: u64) {
-        let mut state = self.state.lock();
-        let rec = state.plugins.entry(plugin.to_owned()).or_default();
+        let mut plugins = self.plugins.lock();
+        let rec = plugins.entry(plugin.to_owned()).or_default();
         if rec.health.is_none() {
             rec.health = Some(PluginHealth::Running);
             rec.last_progress_ns = now_ns;
@@ -225,8 +200,8 @@ impl Supervisor {
     /// wait before restarting, or `None` when the restart budget is
     /// exhausted (the plugin transitions to [`PluginHealth::Failed`]).
     pub fn on_panic(&self, plugin: &str, now_ns: u64) -> Option<Duration> {
-        let mut state = self.state.lock();
-        let rec = state.plugins.entry(plugin.to_owned()).or_default();
+        let mut plugins = self.plugins.lock();
+        let rec = plugins.entry(plugin.to_owned()).or_default();
         rec.panics += 1;
         rec.incident_open_ns.get_or_insert(now_ns);
         if !self.enabled || rec.restarts >= self.policy.max_restarts {
@@ -242,8 +217,8 @@ impl Supervisor {
     /// incident (returning its panic→recovery latency) and feeds the
     /// stale-stream watchdog.
     pub fn note_progress(&self, plugin: &str, now_ns: u64) -> Option<u64> {
-        let mut state = self.state.lock();
-        let rec = state.plugins.entry(plugin.to_owned()).or_default();
+        let mut plugins = self.plugins.lock();
+        let rec = plugins.entry(plugin.to_owned()).or_default();
         rec.last_progress_ns = now_ns;
         if rec.health != Some(PluginHealth::Failed) {
             rec.health = Some(PluginHealth::Running);
@@ -257,9 +232,8 @@ impl Supervisor {
 
     /// Watchdog sweep at `now_ns`: every registered, running plugin
     /// with no productive iteration for longer than the watchdog
-    /// deadline is marked [`PluginHealth::Degraded`] and the escalation
-    /// hook fires once per incident. Returns the names degraded by
-    /// *this* sweep.
+    /// deadline is marked [`PluginHealth::Degraded`], once per incident.
+    /// Returns the names degraded by *this* sweep.
     pub fn scan_stale(&self, now_ns: u64) -> Vec<String> {
         let Some(deadline) = self.policy.watchdog_deadline else {
             return Vec::new();
@@ -268,9 +242,8 @@ impl Supervisor {
             return Vec::new();
         }
         let deadline_ns = deadline.as_nanos() as u64;
-        let mut state = self.state.lock();
         let mut newly_degraded = Vec::new();
-        for (name, rec) in state.plugins.iter_mut() {
+        for (name, rec) in self.plugins.lock().iter_mut() {
             if rec.health == Some(PluginHealth::Running)
                 && now_ns.saturating_sub(rec.last_progress_ns) > deadline_ns
             {
@@ -279,25 +252,20 @@ impl Supervisor {
                 newly_degraded.push(name.clone());
             }
         }
-        if let Some(hook) = &state.escalation {
-            for name in &newly_degraded {
-                hook(name);
-            }
-        }
         newly_degraded
     }
 
     /// Current health of `plugin` (None when never registered).
     pub fn health(&self, plugin: &str) -> Option<PluginHealth> {
-        self.state.lock().plugins.get(plugin).and_then(|r| r.health)
+        self.plugins.lock().get(plugin).and_then(|r| r.health)
     }
 
     /// Per-plugin supervision outcomes, sorted by name for
     /// deterministic artifacts.
     pub fn report(&self) -> Vec<PluginReport> {
-        let state = self.state.lock();
-        let mut out: Vec<PluginReport> = state
+        let mut out: Vec<PluginReport> = self
             .plugins
+            .lock()
             .iter()
             .map(|(name, r)| PluginReport {
                 name: name.clone(),
@@ -314,7 +282,7 @@ impl Supervisor {
 
     /// Total panics contained across all plugins.
     pub fn total_panics(&self) -> u32 {
-        self.state.lock().plugins.values().map(|r| r.panics).sum()
+        self.plugins.lock().values().map(|r| r.panics).sum()
     }
 
     /// All recorded panic→recovery latencies, in occurrence order per
@@ -548,25 +516,19 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_escalates_exactly_once_per_stale_window() {
-        // Edge: repeated sweeps inside one stale window fire the hook
-        // once; each progress-then-silence cycle opens a fresh window
-        // that fires exactly once more.
+    fn watchdog_degrades_exactly_once_per_stale_window() {
+        // Edge: repeated sweeps inside one stale window report the
+        // plugin once; each progress-then-silence cycle opens a fresh
+        // window that reports exactly once more.
         let sup = Supervisor::new(SupervisionPolicy::with_watchdog(Duration::from_millis(5)));
-        let fired = Arc::new(Mutex::new(0u32));
-        {
-            let fired = fired.clone();
-            sup.set_escalation(move |_| *fired.lock() += 1);
-        }
         sup.register("camera", 0);
         for window in 1..=3u64 {
             let base = window * 20_000_000;
-            // Many sweeps within the same window: one escalation total.
+            // Many sweeps within the same window: one report total.
             assert_eq!(sup.scan_stale(base).len(), 1, "window {window} opens");
             for extra in 1..=4 {
                 assert!(sup.scan_stale(base + extra).is_empty(), "no re-fire within a window");
             }
-            assert_eq!(*fired.lock(), window as u32, "exactly one escalation per window");
             assert_eq!(
                 sup.report()[0].degraded_incidents,
                 window as u32,
@@ -579,13 +541,8 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_degrades_stale_plugins_and_escalates_once() {
+    fn watchdog_degrades_stale_plugins_once_per_incident() {
         let sup = Supervisor::new(SupervisionPolicy::with_watchdog(Duration::from_millis(5)));
-        let fired = Arc::new(Mutex::new(Vec::<String>::new()));
-        {
-            let fired = fired.clone();
-            sup.set_escalation(move |name| fired.lock().push(name.to_owned()));
-        }
         sup.register("camera", 0);
         sup.register("imu", 0);
         sup.note_progress("imu", 9_000_000);
@@ -594,16 +551,14 @@ mod tests {
         assert_eq!(stale, vec!["camera".to_owned()]);
         assert_eq!(sup.health("camera"), Some(PluginHealth::Degraded));
         assert_eq!(sup.health("imu"), Some(PluginHealth::Running));
-        // Second sweep: same incident, no re-fire.
+        // Second sweep: same incident, not reported again.
         assert!(sup.scan_stale(11_000_000).is_empty());
-        assert_eq!(fired.lock().len(), 1);
         assert_eq!(sup.report().iter().find(|r| r.name == "camera").unwrap().degraded_incidents, 1);
         // Progress clears the degradation; a new silence is a new incident.
         sup.note_progress("camera", 12_000_000);
         sup.note_progress("imu", 19_000_000);
         assert_eq!(sup.health("camera"), Some(PluginHealth::Running));
         assert_eq!(sup.scan_stale(20_000_000), vec!["camera".to_owned()]);
-        assert_eq!(fired.lock().len(), 2);
     }
 
     /// Panics in its first `iterate`, then in the first `bad_restarts`

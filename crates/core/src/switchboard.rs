@@ -86,11 +86,6 @@ pub enum SwitchboardError {
         /// Payload type the stream was created with.
         registered: &'static str,
     },
-    /// [`Switchboard::register_topic`] found the stream already present.
-    AlreadyRegistered {
-        /// Stream name.
-        name: String,
-    },
 }
 
 impl std::fmt::Display for SwitchboardError {
@@ -101,9 +96,6 @@ impl std::fmt::Display for SwitchboardError {
                 "stream '{name}' already exists with a different payload type \
                  (requested {requested}, registered {registered})"
             ),
-            Self::AlreadyRegistered { name } => {
-                write!(f, "stream '{name}' is already registered")
-            }
         }
     }
 }
@@ -347,18 +339,6 @@ impl<T: Send + Sync> Writer<T> {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// Number of events published so far.
-    pub fn count(&self) -> u64 {
-        self.topic.seq.load(Ordering::SeqCst)
-    }
-
-    /// Number of events dropped because a synchronous reader's queue was
-    /// full — the runtime's freshness-over-completeness back-pressure
-    /// signal, summed over all subscribers of this stream.
-    pub fn dropped_count(&self) -> u64 {
-        self.topic.dropped.load(Ordering::Relaxed)
-    }
 }
 
 impl<T> std::fmt::Debug for Writer<T> {
@@ -594,30 +574,6 @@ impl Switchboard {
         Ok(self.handle(name, state))
     }
 
-    /// Registers stream `name`, failing when it already exists — for
-    /// callers that own a stream and want double-registration caught.
-    ///
-    /// # Errors
-    ///
-    /// [`SwitchboardError::AlreadyRegistered`] when the stream exists
-    /// (with any payload type).
-    pub fn register_topic<T: Send + Sync + 'static>(
-        &self,
-        name: &str,
-    ) -> Result<Topic<T>, SwitchboardError> {
-        if self.topics.read().contains_key(name) {
-            return Err(SwitchboardError::AlreadyRegistered { name: name.to_owned() });
-        }
-        self.topic(name)
-    }
-
-    /// Names of all streams created so far (sorted).
-    pub fn stream_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.topics.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Point-in-time counters for every stream, sorted by name: events
     /// published, events dropped to back-pressure, live synchronous
     /// subscriptions, and total queued events.
@@ -725,19 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_count_tracks_backpressure() {
-        let sb = Switchboard::new();
-        let t = topic::<u32>(&sb, "s");
-        let w = t.writer();
-        let _r = t.sync_reader(2);
-        for i in 0..10 {
-            w.put(i);
-        }
-        assert_eq!(w.count(), 10);
-        assert_eq!(w.dropped_count(), 8); // queue of 2, 10 published
-    }
-
-    #[test]
     fn lossless_reader_never_drops() {
         let sb = Switchboard::new();
         let t = topic::<u32>(&sb, "xr/input");
@@ -747,7 +690,7 @@ mod tests {
         for i in 0..5000 {
             w.put(i);
         }
-        assert_eq!(w.dropped_count(), 0);
+        assert_eq!(sb.stats()[0].dropped, 0);
         assert_eq!(r.len(), 5000);
         let values: Vec<u32> = r.drain_iter().map(|e| e.data).collect();
         assert_eq!(values.len(), 5000);
@@ -790,18 +733,6 @@ mod tests {
             }
             other => panic!("expected TypeMismatch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn register_topic_rejects_duplicates() {
-        let sb = Switchboard::new();
-        assert!(sb.register_topic::<u32>("s").is_ok());
-        assert_eq!(
-            sb.register_topic::<u32>("s").unwrap_err(),
-            SwitchboardError::AlreadyRegistered { name: "s".to_owned() }
-        );
-        // A plain typed handle is still fine.
-        assert!(sb.topic::<u32>("s").is_ok());
     }
 
     #[test]
@@ -908,14 +839,6 @@ mod tests {
         let _ = r.try_recv();
         let _ = r.try_recv();
         assert_eq!(sb.stats()[0].queue_depth, 2);
-    }
-
-    #[test]
-    fn stream_names_listed() {
-        let sb = Switchboard::new();
-        let _ = topic::<u32>(&sb, "b");
-        let _ = topic::<u32>(&sb, "a");
-        assert_eq!(sb.stream_names(), vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]

@@ -152,26 +152,6 @@ impl RecordLogger {
         })
     }
 
-    /// Relative share of total CPU time per component — the quantity
-    /// plotted in Fig 5.
-    pub fn cpu_share(&self) -> Vec<(String, f64)> {
-        let logs = self.logs.lock();
-        let mut shares: Vec<(String, f64)> = logs
-            .iter()
-            .map(|(name, log)| {
-                (name.clone(), log.records.iter().map(|r| r.cpu_time.as_secs_f64()).sum::<f64>())
-            })
-            .collect();
-        let total: f64 = shares.iter().map(|(_, s)| s).sum();
-        if total > 0.0 {
-            for (_, s) in &mut shares {
-                *s /= total;
-            }
-        }
-        shares.sort_by(|a, b| a.0.cmp(&b.0));
-        shares
-    }
-
     /// Serializes every component's records as CSV
     /// (`component,release_ns,start_ns,end_ns,cpu_ns,work_factor,missed`),
     /// the format the artifact's `results/metrics/` directories hold.
@@ -300,18 +280,6 @@ mod tests {
         let s = log.stats("app").unwrap();
         assert_eq!(s.drops, 2);
         assert_eq!(s.invocations, 1);
-    }
-
-    #[test]
-    fn cpu_share_sums_to_one() {
-        let log = RecordLogger::new();
-        log.log("a", record(0, 30, false));
-        log.log("b", record(0, 10, false));
-        let shares = log.cpu_share();
-        let total: f64 = shares.iter().map(|(_, s)| s).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        let a = shares.iter().find(|(n, _)| n == "a").unwrap().1;
-        assert!((a - 0.75).abs() < 1e-12);
     }
 
     #[test]

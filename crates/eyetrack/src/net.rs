@@ -270,21 +270,6 @@ impl SegmentationNet {
         }
     }
 
-    /// Approximate multiply-accumulate count for one forward pass on a
-    /// `w × h` input (used by the timing/energy models).
-    pub fn macs(&self, w: usize, h: usize) -> u64 {
-        let c = self.channels as u64;
-        let full = (w * h) as u64;
-        let quarter = full / 4;
-        let sixteenth = full / 16;
-        9 * c * full                    // enc1 (1→c at full res)
-            + 9 * c * c * quarter      // enc2
-            + 9 * c * c * sixteenth    // bottleneck
-            + 9 * c * c * quarter      // dec1
-            + 9 * c * c * full         // dec2
-            + 4 * c * full // head
-    }
-
     /// Runs a forward pass, returning the per-pixel class mask.
     pub fn segment(&self, image: &GrayImage) -> Vec<EyeClass> {
         let (w, h) = (image.width(), image.height());
@@ -368,13 +353,6 @@ mod tests {
         let a = SegmentationNet::new().segment(&img);
         let b = SegmentationNet::new().segment(&img);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn macs_scale_with_resolution() {
-        let net = SegmentationNet::new();
-        assert!(net.macs(64, 64) > 4 * net.macs(32, 32) / 2);
-        assert!(net.macs(64, 64) < net.macs(128, 128));
     }
 
     #[test]

@@ -191,14 +191,6 @@ impl FaultPlan {
         self
     }
 
-    /// Scales how aggressively the stochastic faults fire; windows are
-    /// unaffected. An intensity of exactly 0 disables stochastic
-    /// faults entirely.
-    pub fn with_intensity(mut self, intensity: f64) -> Self {
-        self.intensity = intensity.max(0.0);
-        self
-    }
-
     /// The canonical stress plan for a run of `duration_ns`: nominal
     /// stochastic rates scaled by `intensity`, a mid-run link outage, a
     /// camera freeze, an IMU bias jump with a noise burst, a link
@@ -262,11 +254,6 @@ impl FaultPlan {
     /// The plan seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The stochastic-fault intensity.
-    pub fn intensity(&self) -> f64 {
-        self.intensity
     }
 
     /// The scheduled windows.

@@ -112,16 +112,6 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// True when no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Nearest-rank quantile estimate for `q` in `[0, 1]`: the upper
     /// boundary of the bucket containing rank `ceil(q·count)`, clamped
     /// to the observed maximum. Returns 0 on an empty histogram.
@@ -151,17 +141,6 @@ impl LatencyHistogram {
             p90_ns: self.quantile_ns(0.90),
             p99_ns: self.quantile_ns(0.99),
         }
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
     }
 }
 
@@ -254,23 +233,5 @@ mod tests {
         let s = LatencyHistogram::new().snapshot();
         assert_eq!(s.count, 0);
         assert_eq!((s.min_ns, s.max_ns, s.p50_ns, s.mean_ns()), (0, 0, 0, 0));
-    }
-
-    #[test]
-    fn merge_matches_recording_into_one() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut whole = LatencyHistogram::new();
-        for i in 0..100u64 {
-            let v = 1_000 + i * 3_137;
-            if i % 2 == 0 {
-                a.record_ns(v);
-            } else {
-                b.record_ns(v);
-            }
-            whole.record_ns(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.snapshot(), whole.snapshot());
     }
 }

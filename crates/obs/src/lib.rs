@@ -37,4 +37,4 @@ pub mod span;
 
 pub use hist::{HistogramSnapshot, LatencyHistogram};
 pub use metrics::Metrics;
-pub use span::{flow_id, FlowPhase, NowSource, SpanGuard, Tracer};
+pub use span::{flow_id, FlowPhase, NowSource, Tracer};

@@ -204,18 +204,6 @@ impl Tracer {
         }
     }
 
-    /// Opens a span that closes (reading the clock) when dropped.
-    /// For live threadloops; simulation code records retrospectively
-    /// with [`Tracer::record_span`] instead.
-    pub fn span_guard(&self, track: &str, name: &str) -> SpanGuard {
-        SpanGuard {
-            tracer: self.clone(),
-            track: track.to_string(),
-            name: name.to_string(),
-            start_ns: self.now_ns(),
-        }
-    }
-
     /// Appends every record of `other` to this tracer's sink, in
     /// `other`'s insertion order. The exporter's sorts are stable, so
     /// records tying on their sort keys keep the merge order — callers
@@ -247,21 +235,6 @@ impl Tracer {
     /// Snapshot of all recorded counter samples.
     pub fn counters(&self) -> Vec<CounterRecord> {
         self.inner.as_ref().map_or_else(Vec::new, |i| i.counters.lock().clone())
-    }
-}
-
-/// RAII span: records `[creation, drop)` on the owning tracer.
-pub struct SpanGuard {
-    tracer: Tracer,
-    track: String,
-    name: String,
-    start_ns: u64,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let end = self.tracer.now_ns();
-        self.tracer.record_span(&self.track, &self.name, self.start_ns, end);
     }
 }
 
@@ -316,18 +289,6 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().any(|s| s.track == "s3/imu"));
         assert!(spans.iter().any(|s| s.track == "vio"));
-    }
-
-    #[test]
-    fn span_guard_reads_the_clock() {
-        let clock = Arc::new(FakeClock(AtomicU64::new(100)));
-        let t = Tracer::new(clock.clone());
-        {
-            let _g = t.span_guard("main", "work");
-            clock.0.store(250, Ordering::SeqCst);
-        }
-        let spans = t.spans();
-        assert_eq!((spans[0].start_ns, spans[0].end_ns), (100, 250));
     }
 
     #[test]

@@ -26,23 +26,13 @@ pub struct IcpResult {
 ///   the map at `initial_pose` (e.g. by TSDF raycast);
 /// * `initial_pose` — the pose prediction (previous pose or IMU prior).
 ///
+/// The total correction (and each iteration step) must stay below the
+/// given translation bounds (meters). Frame-rate odometry uses tight
+/// gates — real inter-frame motion is centimeters — which keeps the
+/// solver from confidently sliding along directions the scene does not
+/// constrain.
+///
 /// Returns `None` when too few correspondences exist.
-pub fn icp_point_to_plane(
-    live: &VertexMap,
-    model_v: &VertexMap,
-    model_n: &NormalMap,
-    width: usize,
-    initial_pose: &Pose,
-    iterations: usize,
-) -> Option<IcpResult> {
-    icp_point_to_plane_gated(live, model_v, model_n, width, initial_pose, iterations, 0.4, 0.25)
-}
-
-/// [`icp_point_to_plane`] with explicit plausibility gates: the total
-/// correction (and each iteration step) must stay below the given
-/// translation bounds (meters). Frame-rate odometry uses tight gates —
-/// real inter-frame motion is centimeters — which keeps the solver from
-/// confidently sliding along directions the scene does not constrain.
 #[allow(clippy::too_many_arguments)]
 pub fn icp_point_to_plane_gated(
     live: &VertexMap,
@@ -139,6 +129,18 @@ mod tests {
         PinholeCamera { fx: 80.0, fy: 80.0, cx: 40.0, cy: 30.0, width: 80, height: 60 }
     }
 
+    /// The solver under gates loose enough for these scenes' 2–5 cm moves.
+    fn icp(
+        live: &VertexMap,
+        model_v: &VertexMap,
+        model_n: &NormalMap,
+        width: usize,
+        initial_pose: &Pose,
+        iterations: usize,
+    ) -> Option<IcpResult> {
+        icp_point_to_plane_gated(live, model_v, model_n, width, initial_pose, iterations, 0.4, 0.25)
+    }
+
     /// Depth of a tilted plane n·p = d seen from the identity camera.
     fn plane_depth(cam: &PinholeCamera, n: Vec3, d: f64) -> DepthFrame {
         DepthFrame::from_fn(cam.width, cam.height, |x, y| {
@@ -201,8 +203,7 @@ mod tests {
         let model_v = vertex_map(&model_depth, &c);
         let model_n = normal_map(&model_v, c.width, c.height);
         let live_v = vertex_map(&live_depth, &c);
-        let result =
-            icp_point_to_plane(&live_v, &model_v, &model_n, c.width, &Pose::IDENTITY, 12).unwrap();
+        let result = icp(&live_v, &model_v, &model_n, c.width, &Pose::IDENTITY, 12).unwrap();
         // The camera moved by `moved`, so live points are closer; the
         // recovered pose should translate by ≈ moved.
         let t = result.pose.position;
@@ -216,7 +217,7 @@ mod tests {
         let depth = corner_depth(&c, Vec3::ZERO);
         let v = vertex_map(&depth, &c);
         let n = normal_map(&v, c.width, c.height);
-        let result = icp_point_to_plane(&v, &v, &n, c.width, &Pose::IDENTITY, 5).unwrap();
+        let result = icp(&v, &v, &n, c.width, &Pose::IDENTITY, 5).unwrap();
         assert!(result.pose.position.norm() < 1e-6);
         assert!(result.pose.orientation.angle() < 1e-6);
     }
@@ -230,8 +231,7 @@ mod tests {
         let model_v = vertex_map(&model_depth, &c);
         let model_n = normal_map(&model_v, c.width, c.height);
         let live_v = vertex_map(&live_depth, &c);
-        let result =
-            icp_point_to_plane(&live_v, &model_v, &model_n, c.width, &Pose::IDENTITY, 10).unwrap();
+        let result = icp(&live_v, &model_v, &model_n, c.width, &Pose::IDENTITY, 10).unwrap();
         // Along-normal motion is recovered; in-plane drift may be
         // unconstrained, so only check z.
         assert!((result.pose.position.z - 0.05).abs() < 0.01, "z {}", result.pose.position.z);
@@ -242,7 +242,7 @@ mod tests {
         let live: VertexMap = vec![None; 100];
         let model_v: VertexMap = vec![None; 100];
         let model_n: NormalMap = vec![None; 100];
-        assert!(icp_point_to_plane(&live, &model_v, &model_n, 10, &Pose::IDENTITY, 5).is_none());
+        assert!(icp(&live, &model_v, &model_n, 10, &Pose::IDENTITY, 5).is_none());
     }
 
     #[test]
@@ -252,7 +252,7 @@ mod tests {
         let v = vertex_map(&depth, &c);
         let n = normal_map(&v, c.width, c.height);
         let prior = Pose::new(Vec3::new(1.0, 2.0, 3.0), Quat::from_axis_angle(Vec3::UNIT_Y, 0.3));
-        let result = icp_point_to_plane(&v, &v, &n, c.width, &prior, 3).unwrap();
+        let result = icp(&v, &v, &n, c.width, &prior, 3).unwrap();
         assert!(result.pose.translation_distance(&prior) < 1e-6);
     }
 }

@@ -26,7 +26,7 @@ pub mod plugin;
 pub mod surfel;
 pub mod tsdf;
 
-pub use icp::{icp_point_to_plane, icp_point_to_plane_gated};
+pub use icp::icp_point_to_plane_gated;
 pub use maps::{normal_map, vertex_map, DepthFrame, NormalMap, VertexMap};
 pub use pipeline::{MapBackend, ScenePipeline};
 pub use plugin::SceneReconstructionPlugin;

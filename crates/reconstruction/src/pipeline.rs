@@ -72,11 +72,6 @@ impl ScenePipeline {
         self.refine_interval = frames;
     }
 
-    /// The current pose estimate.
-    pub fn pose(&self) -> &Pose {
-        &self.pose
-    }
-
     /// Current map size.
     pub fn map_size(&self) -> usize {
         match &self.backend {

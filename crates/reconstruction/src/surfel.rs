@@ -28,8 +28,6 @@ pub struct Surfel {
 pub struct SurfelMap {
     surfels: Vec<Surfel>,
     frame: u64,
-    /// Accumulated refinement passes (loop-closure stand-ins).
-    refinements: u64,
 }
 
 impl SurfelMap {
@@ -51,11 +49,6 @@ impl SurfelMap {
     /// The surfels.
     pub fn surfels(&self) -> &[Surfel] {
         &self.surfels
-    }
-
-    /// Number of global refinement passes performed.
-    pub fn refinements(&self) -> u64 {
-        self.refinements
     }
 
     /// Fuses a frame's vertex/normal maps (camera frame) taken at
@@ -137,7 +130,6 @@ impl SurfelMap {
     /// neighbours), so its cost is `O(map size)`, an order of magnitude
     /// above a normal frame once the map has grown.
     pub fn refine(&mut self) {
-        self.refinements += 1;
         if self.surfels.len() < 2 {
             return;
         }
@@ -234,7 +226,6 @@ mod tests {
         }
         let before = map.len();
         map.refine();
-        assert_eq!(map.refinements(), 1);
         // Confident wall surfels survive.
         assert!(map.len() as f64 > before as f64 * 0.5);
         for s in map.surfels() {

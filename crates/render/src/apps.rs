@@ -208,16 +208,6 @@ impl AppScene {
         self.app
     }
 
-    /// Total triangles in the scene.
-    pub fn triangle_count(&self) -> usize {
-        self.static_mesh.triangle_count()
-            + self
-                .dynamics
-                .iter()
-                .map(|d| self.dynamic_meshes[d.mesh_index].triangle_count())
-                .sum::<usize>()
-    }
-
     /// Advances animation/physics to absolute time `t` seconds.
     pub fn animate_to(&mut self, t: f64) {
         let dt = (t - self.time).max(0.0);
@@ -279,11 +269,6 @@ impl AppScene {
         }
         total
     }
-
-    /// Position of the first dynamic object (tests/demo telemetry).
-    pub fn first_dynamic_position(&self) -> Option<Vec3> {
-        self.dynamics.first().map(|d| d.position)
-    }
 }
 
 fn accumulate(total: &mut DrawStats, s: DrawStats) {
@@ -304,10 +289,17 @@ fn rotation_y(angle: f64) -> Mat4 {
 mod tests {
     use super::*;
 
+    /// Total triangles in the scene.
+    fn triangle_count(scene: &AppScene) -> usize {
+        let dynamic =
+            scene.dynamics.iter().map(|d| scene.dynamic_meshes[d.mesh_index].triangle_count());
+        scene.static_mesh.triangle_count() + dynamic.sum::<usize>()
+    }
+
     #[test]
     fn complexity_ordering_matches_paper() {
         let counts: Vec<usize> =
-            Application::ALL.iter().map(|a| a.build(1).triangle_count()).collect();
+            Application::ALL.iter().map(|a| triangle_count(&a.build(1))).collect();
         assert!(counts[0] > counts[1], "Sponza > Materials: {counts:?}");
         assert!(counts[1] > counts[2], "Materials > Platformer: {counts:?}");
         assert!(counts[2] > counts[3], "Platformer > AR Demo: {counts:?}");
@@ -336,13 +328,13 @@ mod tests {
     #[test]
     fn platformer_enemies_move_and_stay_in_bounds() {
         let mut scene = Application::Platformer.build(3);
-        let p0 = scene.first_dynamic_position().unwrap();
+        let p0 = scene.dynamics[0].position;
         for k in 1..200 {
             scene.animate_to(k as f64 * 0.1);
-            let p = scene.first_dynamic_position().unwrap();
+            let p = scene.dynamics[0].position;
             assert!(p.x.abs() <= 6.0 + 1e-9 && p.z.abs() <= 6.0 + 1e-9, "escaped: {p}");
         }
-        let p1 = scene.first_dynamic_position().unwrap();
+        let p1 = scene.dynamics[0].position;
         assert!((p1 - p0).norm() > 0.1, "enemy never moved");
     }
 
@@ -353,7 +345,7 @@ mod tests {
         let mut max_y = f64::NEG_INFINITY;
         for k in 0..300 {
             scene.animate_to(k as f64 * 0.02);
-            let y = scene.first_dynamic_position().unwrap().y;
+            let y = scene.dynamics[0].position.y;
             min_y = min_y.min(y);
             max_y = max_y.max(y);
         }

@@ -65,11 +65,6 @@ impl ApplicationPlugin {
             nominal_fragments: (eye_width * eye_height) as f64,
         }
     }
-
-    /// The application being rendered.
-    pub fn application(&self) -> Application {
-        self.scene.application()
-    }
 }
 
 impl Plugin for ApplicationPlugin {

@@ -88,11 +88,6 @@ impl ChainTracker {
         &self.specs
     }
 
-    /// True if `task` is a member of any registered chain.
-    pub fn is_member(&self, task: TaskId) -> bool {
-        self.specs.iter().any(|s| s.members.contains(&task))
-    }
-
     /// A job of `task` started executing at `start_ns` (its release
     /// was `release_ns`). Snapshots the upstream origin for every
     /// chain position the task occupies.

@@ -25,41 +25,24 @@ use crate::chain::ChainOutcome;
 use crate::policy::{Edf, Policy};
 use crate::task::{PriorityClass, ReadyJob};
 
-/// Tuning for the governor's control loop.
-#[derive(Clone, Copy, Debug)]
-pub struct GovernorConfig {
-    /// Chain outcomes per control window.
-    pub window: u32,
-    /// Escalate one level when a window's miss rate exceeds this.
-    pub escalate_miss_rate: f64,
-    /// A window counts toward restoration when its miss rate is below this.
-    pub restore_miss_rate: f64,
-    /// Consecutive clean windows required to step down one level.
-    pub restore_windows: u32,
-    /// Highest ladder level.
-    pub max_level: u32,
-    /// Cost multiplier applied to shortcut-capable classes at level ≥ 2.
-    pub shortcut_scale: f64,
-}
+/// Chain outcomes per control window.
+const WINDOW: u32 = 16;
+/// Escalate one level when a window's miss rate exceeds this.
+const ESCALATE_MISS_RATE: f64 = 0.25;
+/// A window counts toward restoration when its miss rate is below this.
+const RESTORE_MISS_RATE: f64 = 0.05;
+/// Consecutive clean windows required to step down one level.
+const RESTORE_WINDOWS: u32 = 4;
+/// Highest ladder level.
+const MAX_LEVEL: u32 = 3;
+/// Cost multiplier applied to shortcut-capable classes at level ≥ 2.
+const SHORTCUT_SCALE: f64 = 0.75;
 
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        Self {
-            window: 16,
-            escalate_miss_rate: 0.25,
-            restore_miss_rate: 0.05,
-            restore_windows: 4,
-            max_level: 3,
-            shortcut_scale: 0.75,
-        }
-    }
-}
-
-/// EDF with the degradation ladder. Wraps a plain [`Edf`] selector;
-/// all governor behaviour lives in the `admit`/`cost_scale`/
-/// `on_chain_outcome` hooks.
+/// EDF with the degradation ladder, starting at level 0. Wraps a plain
+/// [`Edf`] selector; all governor behaviour lives in the `admit`/
+/// `cost_scale`/`on_chain_outcome` hooks.
+#[derive(Default)]
 pub struct AdaptiveGovernor {
-    config: GovernorConfig,
     edf: Edf,
     level: u32,
     /// Outcomes and misses accumulated in the current window.
@@ -67,65 +50,22 @@ pub struct AdaptiveGovernor {
     window_missed: u32,
     /// Consecutive clean windows observed at the current level.
     clean_windows: u32,
-    /// Total jobs shed by admission control, by cause.
-    shed_rate: u64,
-    shed_class: u64,
-    /// Level transitions as (outcome index, new level), for telemetry.
-    transitions: Vec<(u64, u32)>,
-    outcomes_seen: u64,
 }
 
 impl AdaptiveGovernor {
-    pub fn new(config: GovernorConfig) -> Self {
-        Self {
-            config,
-            edf: Edf,
-            level: 0,
-            window_total: 0,
-            window_missed: 0,
-            clean_windows: 0,
-            shed_rate: 0,
-            shed_class: 0,
-            transitions: Vec::new(),
-            outcomes_seen: 0,
-        }
-    }
-
-    /// Jobs shed by rate-halving (level ≥ 1).
-    pub fn shed_rate_jobs(&self) -> u64 {
-        self.shed_rate
-    }
-
-    /// Jobs shed by class-dropping (level ≥ 3).
-    pub fn shed_class_jobs(&self) -> u64 {
-        self.shed_class
-    }
-
-    /// Level transitions as `(chain-outcome index, new level)`.
-    pub fn transitions(&self) -> &[(u64, u32)] {
-        &self.transitions
-    }
-
-    /// Highest level reached so far.
-    pub fn max_level_reached(&self) -> u32 {
-        self.transitions.iter().map(|&(_, l)| l).max().unwrap_or(0)
-    }
-
     fn close_window(&mut self) {
         let rate = self.window_missed as f64 / self.window_total.max(1) as f64;
-        if rate > self.config.escalate_miss_rate {
+        if rate > ESCALATE_MISS_RATE {
             self.clean_windows = 0;
-            if self.level < self.config.max_level {
+            if self.level < MAX_LEVEL {
                 self.level += 1;
-                self.transitions.push((self.outcomes_seen, self.level));
             }
-        } else if rate < self.config.restore_miss_rate {
+        } else if rate < RESTORE_MISS_RATE {
             if self.level > 0 {
                 self.clean_windows += 1;
-                if self.clean_windows >= self.config.restore_windows {
+                if self.clean_windows >= RESTORE_WINDOWS {
                     self.level -= 1;
                     self.clean_windows = 0;
-                    self.transitions.push((self.outcomes_seen, self.level));
                 }
             }
         } else {
@@ -151,55 +91,28 @@ impl Policy for AdaptiveGovernor {
             PriorityClass::Critical => true,
             PriorityClass::Perception | PriorityClass::Visual => {
                 // Level ≥ 1: halve the rate by shedding odd releases.
-                if self.level >= 1 && job.seq % 2 == 1 {
-                    self.shed_rate += 1;
-                    false
-                } else {
-                    true
-                }
+                self.level < 1 || job.seq.is_multiple_of(2)
             }
-            PriorityClass::Audio | PriorityClass::BestEffort => {
-                // Level ≥ 3: drop the class entirely.
-                if self.level >= 3 {
-                    self.shed_class += 1;
-                    false
-                } else {
-                    true
-                }
-            }
+            // Level ≥ 3: drop the class entirely.
+            PriorityClass::Audio | PriorityClass::BestEffort => self.level < 3,
         }
     }
 
     fn cost_scale(&self, class: PriorityClass) -> f64 {
         if self.level >= 2 && matches!(class, PriorityClass::Perception | PriorityClass::Visual) {
-            self.config.shortcut_scale
+            SHORTCUT_SCALE
         } else {
             1.0
         }
     }
 
     fn on_chain_outcome(&mut self, outcome: &ChainOutcome) {
-        self.outcomes_seen += 1;
         self.window_total += 1;
         if outcome.missed {
             self.window_missed += 1;
         }
-        if self.window_total >= self.config.window {
+        if self.window_total >= WINDOW {
             self.close_window();
-        }
-    }
-
-    /// Watchdog-driven escalation: climb one level immediately and
-    /// restart the current window, without waiting for chain misses to
-    /// accumulate — a degraded plugin's chains may never complete at
-    /// all, which is exactly when miss-rate feedback goes blind.
-    fn escalate(&mut self) {
-        self.clean_windows = 0;
-        self.window_total = 0;
-        self.window_missed = 0;
-        if self.level < self.config.max_level {
-            self.level += 1;
-            self.transitions.push((self.outcomes_seen, self.level));
         }
     }
 
@@ -237,8 +150,8 @@ mod tests {
     }
 
     #[test]
-    fn escalates_one_level_per_bad_window() {
-        let mut g = AdaptiveGovernor::new(GovernorConfig::default());
+    fn climbs_one_level_per_bad_window() {
+        let mut g = AdaptiveGovernor::default();
         assert_eq!(g.level(), 0);
         feed(&mut g, 8, 8); // 50% miss rate > 25%
         assert_eq!(g.level(), 1);
@@ -248,33 +161,14 @@ mod tests {
         assert_eq!(g.level(), 3);
         feed(&mut g, 16, 0); // capped at max_level
         assert_eq!(g.level(), 3);
-        assert_eq!(g.max_level_reached(), 3);
-    }
-
-    #[test]
-    fn watchdog_escalation_bumps_level_and_resets_window() {
-        let mut g = AdaptiveGovernor::new(GovernorConfig::default());
-        g.escalate();
-        assert_eq!(g.level(), 1);
-        g.escalate();
-        g.escalate();
-        g.escalate(); // capped at max_level
-        assert_eq!(g.level(), 3);
-        assert_eq!(g.transitions().len(), 3);
-        // The restarted window still restores hysteretically.
-        for _ in 0..4 {
-            feed(&mut g, 0, 16);
-        }
-        assert_eq!(g.level(), 2);
     }
 
     #[test]
     fn restores_hysteretically_after_consecutive_clean_windows() {
-        let cfg = GovernorConfig::default();
-        let mut g = AdaptiveGovernor::new(cfg);
+        let mut g = AdaptiveGovernor::default();
         feed(&mut g, 16, 0);
         assert_eq!(g.level(), 1);
-        // Three clean windows: not yet enough (restore_windows = 4).
+        // Three clean windows: not yet enough (RESTORE_WINDOWS = 4).
         for _ in 0..3 {
             feed(&mut g, 0, 16);
         }
@@ -285,7 +179,7 @@ mod tests {
 
     #[test]
     fn miss_rate_in_hysteresis_band_holds_level_and_resets_streak() {
-        let mut g = AdaptiveGovernor::new(GovernorConfig::default());
+        let mut g = AdaptiveGovernor::default();
         feed(&mut g, 16, 0);
         assert_eq!(g.level(), 1);
         for _ in 0..3 {
@@ -302,7 +196,7 @@ mod tests {
 
     #[test]
     fn ladder_sheds_by_class_and_never_touches_critical() {
-        let mut g = AdaptiveGovernor::new(GovernorConfig::default());
+        let mut g = AdaptiveGovernor::default();
         // Level 0: everything admitted.
         assert!(g.admit(&job(PriorityClass::Perception, 1)));
         assert!(g.admit(&job(PriorityClass::Audio, 1)));
@@ -325,8 +219,5 @@ mod tests {
         assert!(!g.admit(&job(PriorityClass::Audio, 0)));
         assert!(!g.admit(&job(PriorityClass::BestEffort, 2)));
         assert!(g.admit(&job(PriorityClass::Critical, 7)), "critical never shed");
-        assert!(g.shed_rate_jobs() > 0);
-        assert!(g.shed_class_jobs() > 0);
-        assert_eq!(g.transitions(), &[(16, 1), (32, 2), (48, 3)]);
     }
 }

@@ -25,16 +25,16 @@
 //!   misses the governor sheds load in a fixed order (halve
 //!   perception/visual rates, then take work-factor shortcuts, then
 //!   drop eye-tracking/audio-class jobs) and restores hysteretically.
-//! * **[`live`]** — a live-mode work-conserving worker pool that runs
-//!   released jobs under any [`Policy`] on OS threads, replacing
-//!   one-thread-per-plugin execution.
+//! * **[`live`]** — [`live::JobQueue`], a ready queue under a lock whose
+//!   pop order a [`Policy`] decides; the server engine wakes its shard
+//!   workers through one.
 //! * **[`place`]** — device/edge placement: a [`PlacementPlan`]
 //!   declares which pipeline cut-points run on-device vs behind a
 //!   link, and a [`PlacementController`] migrates a cut at
 //!   deterministic decision epochs using the governor's hysteresis
 //!   shape, fed by chain outcomes and a link-health probe.
 //! * **[`ring`]** / **[`shard`]** — the multi-session server's engine
-//!   primitives: bounded SPSC/MPSC rings with lossless backpressure,
+//!   primitives: bounded SPSC rings with lossless backpressure,
 //!   and the deterministic FNV-1a session→shard map.
 //!
 //! Like `illixr-obs`, this crate sits *below* `illixr-core`: it knows
@@ -52,11 +52,9 @@ pub mod shard;
 pub mod task;
 
 pub use chain::{ChainId, ChainOutcome, ChainSpec, ChainTracker};
-pub use governor::{AdaptiveGovernor, GovernorConfig};
-pub use place::{
-    CutAssignment, Migration, PlacementConfig, PlacementController, PlacementPlan, Side,
-};
+pub use governor::AdaptiveGovernor;
+pub use place::{Migration, PlacementConfig, PlacementController, PlacementPlan, Side};
 pub use policy::{Edf, Policy, PolicyKind, RateMonotonic};
-pub use ring::{mpsc_ring, spsc_ring, MpscConsumer, RingConsumer, RingProducer};
-pub use shard::{fnv1a_u32, ShardMap};
+pub use ring::{spsc_ring, RingConsumer, RingProducer};
+pub use shard::ShardMap;
 pub use task::{is_miss, lateness_ns, release_ns, PriorityClass, ReadyJob, TaskId};

@@ -1,31 +1,30 @@
-//! Live-mode execution primitive: a policy-driven ready queue for a
-//! work-conserving worker pool.
+//! A policy-driven ready queue shared across OS threads.
 //!
-//! The sim engine embeds a [`Policy`] directly in its event loop; live
-//! mode needs the same decision point across OS threads. [`JobQueue`]
-//! is that point: producers (one dispatcher thread releasing periodic
-//! jobs) `push` released jobs through the policy's admission hook, and
-//! N worker threads `pop_blocking`, each pop asking the policy to
-//! select among everything currently ready. The policy lives under the
-//! queue lock, so its view of the ready set is always consistent —
-//! which is exactly the work-conserving single-queue model EDF's
-//! optimality argument assumes.
+//! The sim engine embeds a [`Policy`] directly in its event loop; code
+//! that hands work to threads needs the same decision point behind a
+//! lock. [`JobQueue`] is that point: a producer `push`es released jobs
+//! through the policy's admission hook, and worker threads
+//! `pop_blocking`, each pop asking the policy to select among
+//! everything currently ready. The policy lives under the queue lock,
+//! so its view of the ready set is always consistent — which is exactly
+//! the work-conserving single-queue model EDF's optimality argument
+//! assumes. The multi-session server's engine wakes its shard workers
+//! through one.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
 use crate::policy::Policy;
-use crate::task::{PriorityClass, ReadyJob};
+use crate::task::ReadyJob;
 
 struct QueueState {
     ready: VecDeque<ReadyJob>,
     policy: Box<dyn Policy>,
     closed: bool,
-    shed: u64,
 }
 
 /// A shared ready queue whose pop order is decided by a [`Policy`].
-/// Wrap in an `Arc` to share between a dispatcher and workers.
+/// Wrap in an `Arc` to share between a producer and workers.
 pub struct JobQueue {
     state: Mutex<QueueState>,
     available: Condvar,
@@ -34,12 +33,7 @@ pub struct JobQueue {
 impl JobQueue {
     pub fn new(policy: Box<dyn Policy>) -> Self {
         Self {
-            state: Mutex::new(QueueState {
-                ready: VecDeque::new(),
-                policy,
-                closed: false,
-                shed: 0,
-            }),
+            state: Mutex::new(QueueState { ready: VecDeque::new(), policy, closed: false }),
             available: Condvar::new(),
         }
     }
@@ -48,11 +42,7 @@ impl JobQueue {
     /// control shed it (the caller should count a drop, not a miss).
     pub fn push(&self, job: ReadyJob) -> bool {
         let mut state = self.state.lock().unwrap();
-        if state.closed {
-            return false;
-        }
-        if !state.policy.admit(&job) {
-            state.shed += 1;
+        if state.closed || !state.policy.admit(&job) {
             return false;
         }
         state.ready.push_back(job);
@@ -95,27 +85,6 @@ impl JobQueue {
         self.state.lock().unwrap().closed = true;
         self.available.notify_all();
     }
-
-    /// Jobs shed by admission control so far.
-    pub fn shed_jobs(&self) -> u64 {
-        self.state.lock().unwrap().shed
-    }
-
-    /// Current degradation level of the underlying policy.
-    pub fn level(&self) -> u32 {
-        self.state.lock().unwrap().policy.level()
-    }
-
-    /// Current cost multiplier the policy applies to `class`.
-    pub fn cost_scale(&self, class: PriorityClass) -> f64 {
-        self.state.lock().unwrap().policy.cost_scale(class)
-    }
-
-    /// Forwards a watchdog escalation to the policy (see
-    /// [`Policy::escalate`]).
-    pub fn escalate(&self) {
-        self.state.lock().unwrap().policy.escalate();
-    }
 }
 
 #[cfg(test)]
@@ -124,6 +93,7 @@ mod tests {
 
     use super::*;
     use crate::policy::{Edf, PolicyKind};
+    use crate::task::PriorityClass;
 
     fn job(task: usize, deadline_ns: u64) -> ReadyJob {
         ReadyJob {

@@ -40,7 +40,7 @@ impl Side {
     }
 
     /// The opposite side (the migration target).
-    pub fn other(self) -> Side {
+    fn other(self) -> Side {
         match self {
             Side::Device => Side::Edge,
             Side::Edge => Side::Device,
@@ -59,15 +59,15 @@ impl Side {
 
 /// One cut-point assignment within a [`PlacementPlan`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CutAssignment {
+struct CutAssignment {
     /// Cut-point name — the component whose downstream work moves
     /// (e.g. `"vio"`).
-    pub cut: String,
+    cut: String,
     /// Initial (and, for non-adaptive cuts, permanent) side.
-    pub side: Side,
+    side: Side,
     /// When true, a [`PlacementController`] may migrate this cut at
     /// decision epochs.
-    pub adaptive: bool,
+    adaptive: bool,
 }
 
 /// A declared device/edge partitioning of the pipeline: zero or more
@@ -96,19 +96,14 @@ impl PlacementPlan {
     }
 
     /// Adds (or replaces) one cut assignment.
-    pub fn with_cut(mut self, cut: &str, side: Side, adaptive: bool) -> Self {
+    fn with_cut(mut self, cut: &str, side: Side, adaptive: bool) -> Self {
         self.cuts.retain(|c| c.cut != cut);
         self.cuts.push(CutAssignment { cut: cut.to_owned(), side, adaptive });
         self
     }
 
-    /// All cut assignments, in declaration order.
-    pub fn cuts(&self) -> &[CutAssignment] {
-        &self.cuts
-    }
-
     /// The assignment for `cut`, if declared.
-    pub fn assignment(&self, cut: &str) -> Option<&CutAssignment> {
+    fn assignment(&self, cut: &str) -> Option<&CutAssignment> {
         self.cuts.iter().find(|c| c.cut == cut)
     }
 
@@ -147,10 +142,14 @@ impl PlacementPlan {
     }
 }
 
+/// Restoring to the preferred side requires, besides a healthy link
+/// probe, an epoch miss rate at or below this.
+const RESTORE_MISS_RATE: f64 = 0.05;
+
 /// Tuning for the placement controller's decision epochs. Mirrors the
-/// governor's hysteresis ladder ([`crate::governor::GovernorConfig`]):
-/// escalate on one bad window, restore only after several consecutive
-/// clean epochs, so a flapping link cannot cause migration storms.
+/// governor's hysteresis ladder ([`crate::governor`]): escalate on one
+/// bad window, restore only after several consecutive clean epochs, so
+/// a flapping link cannot cause migration storms.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PlacementConfig {
     /// Decision-epoch period in nanoseconds. Decisions happen only at
@@ -159,9 +158,6 @@ pub struct PlacementConfig {
     /// Migrate away from the current side when the epoch's active-path
     /// miss rate exceeds this.
     pub escalate_miss_rate: f64,
-    /// Restoring to the preferred side additionally requires the
-    /// epoch's miss rate at or below this.
-    pub restore_miss_rate: f64,
     /// Consecutive clean epochs (healthy link probe + in-band miss
     /// rate) required before migrating back to the preferred side.
     pub restore_epochs: u32,
@@ -172,13 +168,7 @@ pub struct PlacementConfig {
 
 impl Default for PlacementConfig {
     fn default() -> Self {
-        Self {
-            epoch_ns: 250_000_000,
-            escalate_miss_rate: 0.25,
-            restore_miss_rate: 0.05,
-            restore_epochs: 4,
-            min_samples: 3,
-        }
+        Self { epoch_ns: 250_000_000, escalate_miss_rate: 0.25, restore_epochs: 4, min_samples: 3 }
     }
 }
 
@@ -256,11 +246,6 @@ impl PlacementController {
         self.side
     }
 
-    /// The plan's preferred (restore-target) side.
-    pub fn preferred(&self) -> Side {
-        self.preferred
-    }
-
     /// Every migration decided so far, in decision order.
     pub fn migrations(&self) -> &[Migration] {
         &self.migrations
@@ -336,7 +321,7 @@ impl PlacementController {
         } else {
             // Restore: require a healthy link probe and an in-band
             // window, several epochs in a row (the hysteresis ladder).
-            let clean = self.link_healthy && (!trusted || rate <= self.config.restore_miss_rate);
+            let clean = self.link_healthy && (!trusted || rate <= RESTORE_MISS_RATE);
             if clean {
                 self.clean_streak += 1;
                 if self.clean_streak >= self.config.restore_epochs {
@@ -380,7 +365,7 @@ mod tests {
     #[test]
     fn with_cut_replaces_earlier_assignment() {
         let plan = PlacementPlan::pinned("vio", Side::Edge).with_cut("vio", Side::Device, true);
-        assert_eq!(plan.cuts().len(), 1);
+        assert_eq!(plan.cuts.len(), 1);
         assert!(plan.is_adaptive("vio"));
         assert_eq!(plan.side_of("vio"), Side::Device);
     }

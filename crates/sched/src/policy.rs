@@ -9,7 +9,7 @@
 //! pool's dispatch lock stays cheap.
 
 use crate::chain::ChainOutcome;
-use crate::governor::{AdaptiveGovernor, GovernorConfig};
+use crate::governor::AdaptiveGovernor;
 use crate::task::{PriorityClass, ReadyJob};
 
 /// A pluggable scheduling policy over released jobs.
@@ -42,12 +42,6 @@ pub trait Policy: Send {
     /// chain deadline). The governor's primary control input.
     fn on_chain_outcome(&mut self, _outcome: &ChainOutcome) {}
 
-    /// Out-of-band escalation: a supervisor's stale-stream watchdog
-    /// declared a plugin degraded, so the system should shed load *now*
-    /// rather than wait for a window of chain misses. Non-degrading
-    /// policies ignore it.
-    fn escalate(&mut self) {}
-
     /// Current degradation level (0 = nominal). Non-governor policies
     /// are always at level 0.
     fn level(&self) -> u32 {
@@ -55,7 +49,7 @@ pub trait Policy: Send {
     }
 }
 
-/// Which policy to build — the config-file-facing enum.
+/// Which policy to build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// Static-priority FIFO: the runtime's historical behaviour.
@@ -73,7 +67,7 @@ impl PolicyKind {
         match self {
             PolicyKind::RateMonotonic => Box::new(RateMonotonic),
             PolicyKind::Edf => Box::new(Edf),
-            PolicyKind::Adaptive => Box::new(AdaptiveGovernor::new(GovernorConfig::default())),
+            PolicyKind::Adaptive => Box::new(AdaptiveGovernor::default()),
         }
     }
 
@@ -83,17 +77,6 @@ impl PolicyKind {
             PolicyKind::RateMonotonic => "rate_monotonic",
             PolicyKind::Edf => "edf",
             PolicyKind::Adaptive => "adaptive",
-        }
-    }
-
-    /// Parse a config-file string (case-insensitive, accepts a few
-    /// aliases). Returns `None` for unknown names.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "rate_monotonic" | "rm" | "fixed" => Some(PolicyKind::RateMonotonic),
-            "edf" => Some(PolicyKind::Edf),
-            "adaptive" | "governor" | "adaptive_governor" => Some(PolicyKind::Adaptive),
-            _ => None,
         }
     }
 }
@@ -124,6 +107,7 @@ impl Policy for RateMonotonic {
 /// Optimal for preemptive uniprocessor scheduling (Liu & Layland);
 /// here it runs non-preemptively per worker, which is the standard
 /// work-conserving approximation.
+#[derive(Default)]
 pub struct Edf;
 
 impl Policy for Edf {
@@ -174,13 +158,11 @@ mod tests {
     }
 
     #[test]
-    fn kind_round_trips_labels_and_parse() {
+    fn every_kind_builds_at_level_zero_under_its_label() {
         for kind in [PolicyKind::RateMonotonic, PolicyKind::Edf, PolicyKind::Adaptive] {
-            assert_eq!(PolicyKind::parse(kind.label()), Some(kind));
-            assert_eq!(kind.build().level(), 0);
+            let policy = kind.build();
+            assert_eq!(policy.name(), kind.label());
+            assert_eq!(policy.level(), 0);
         }
-        assert_eq!(PolicyKind::parse("rm"), Some(PolicyKind::RateMonotonic));
-        assert_eq!(PolicyKind::parse("governor"), Some(PolicyKind::Adaptive));
-        assert_eq!(PolicyKind::parse("nope"), None);
     }
 }

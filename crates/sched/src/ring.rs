@@ -1,4 +1,4 @@
-//! Bounded lock-free SPSC rings (and a sharded MPSC composition).
+//! Bounded lock-free SPSC rings.
 //!
 //! The multi-session server's hot path moves emissions from shard
 //! workers back to the coordinator. A mutex-protected queue would put
@@ -14,13 +14,6 @@
 //! * **no reorder** — values arrive in push order (the ring is FIFO);
 //! * **no leak** — values still in flight when both endpoints drop are
 //!   dropped exactly once.
-//!
-//! [`mpsc_ring`] composes one SPSC lane per producer with a single
-//! consumer that drains lanes in index order — many producers, one
-//! consumer, still lock-free, and deterministic *given* a deterministic
-//! assignment of messages to lanes (the server tags every message with
-//! its batch index and reorders on the consumer side, so lane-drain
-//! interleaving never affects results).
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -90,11 +83,6 @@ pub fn spsc_ring<T: Send>(capacity: usize) -> (RingProducer<T>, RingConsumer<T>)
 }
 
 impl<T: Send> RingProducer<T> {
-    /// Values the ring can hold.
-    pub fn capacity(&self) -> usize {
-        self.shared.slots.len() - 1
-    }
-
     /// Attempts to enqueue `value`; on a full ring returns it back to
     /// the caller unchanged. Never blocks, never drops.
     pub fn push(&mut self, value: T) -> Result<(), T> {
@@ -144,48 +132,6 @@ impl<T: Send> RingConsumer<T> {
         self.shared.head.store(self.shared.advance(head), Ordering::Release);
         Some(value)
     }
-
-    /// Pops everything currently visible, in FIFO order.
-    pub fn drain(&mut self) -> Vec<T> {
-        let mut out = Vec::new();
-        while let Some(v) = self.pop() {
-            out.push(v);
-        }
-        out
-    }
-}
-
-/// Consumer over `n` SPSC lanes: drains lanes in index order. Pair with
-/// per-lane [`RingProducer`]s from [`mpsc_ring`].
-pub struct MpscConsumer<T> {
-    lanes: Vec<RingConsumer<T>>,
-}
-
-/// Creates an MPSC ring as `lanes` independent SPSC lanes of
-/// `capacity` each: one producer endpoint per lane, one consumer
-/// draining them all.
-pub fn mpsc_ring<T: Send>(
-    lanes: usize,
-    capacity: usize,
-) -> (Vec<RingProducer<T>>, MpscConsumer<T>) {
-    let (producers, consumers) = (0..lanes.max(1)).map(|_| spsc_ring(capacity)).unzip();
-    (producers, MpscConsumer { lanes: consumers })
-}
-
-impl<T: Send> MpscConsumer<T> {
-    /// Pops one value, scanning lanes in index order.
-    pub fn pop(&mut self) -> Option<T> {
-        self.lanes.iter_mut().find_map(|l| l.pop())
-    }
-
-    /// Pops everything currently visible, lane by lane in index order.
-    pub fn drain_into(&mut self, out: &mut Vec<T>) {
-        for lane in &mut self.lanes {
-            while let Some(v) = lane.pop() {
-                out.push(v);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +144,7 @@ mod tests {
         for i in 0..4 {
             tx.push(i).unwrap();
         }
-        assert_eq!(rx.drain(), vec![0, 1, 2, 3]);
+        assert!((0..4).all(|i| rx.pop() == Some(i)));
         assert!(rx.pop().is_none());
     }
 
@@ -210,7 +156,7 @@ mod tests {
         assert_eq!(tx.push(12), Err(12), "full ring must hand the value back");
         assert_eq!(rx.pop(), Some(10));
         tx.push(12).unwrap();
-        assert_eq!(rx.drain(), vec![11, 12]);
+        assert_eq!((rx.pop(), rx.pop(), rx.pop()), (Some(11), Some(12), None));
     }
 
     /// The satellite's backpressure claim: a producer overrunning a
@@ -248,23 +194,5 @@ mod tests {
         drop(tx);
         drop(rx);
         assert_eq!(Arc::strong_count(&strong), 1, "ring leaked or double-dropped values");
-    }
-
-    #[test]
-    fn mpsc_lanes_preserve_per_lane_order() {
-        let (mut txs, mut rx) = mpsc_ring(3, 4);
-        for (lane, tx) in txs.iter_mut().enumerate() {
-            for i in 0..3 {
-                tx.push((lane, i)).unwrap();
-            }
-        }
-        let mut got = Vec::new();
-        rx.drain_into(&mut got);
-        assert_eq!(got.len(), 9);
-        for lane in 0..3 {
-            let per_lane: Vec<_> =
-                got.iter().filter(|(l, _)| *l == lane).map(|(_, i)| *i).collect();
-            assert_eq!(per_lane, vec![0, 1, 2], "lane {lane} reordered");
-        }
     }
 }

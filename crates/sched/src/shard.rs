@@ -9,7 +9,7 @@
 //! choice for cheap deterministic hashing (flow ids, config hashes).
 
 /// FNV-1a over the little-endian bytes of `id`.
-pub fn fnv1a_u32(id: u32) -> u64 {
+fn fnv1a_u32(id: u32) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for b in id.to_le_bytes() {
         hash ^= b as u64;

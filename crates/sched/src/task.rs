@@ -33,19 +33,6 @@ pub enum PriorityClass {
     BestEffort,
 }
 
-impl PriorityClass {
-    /// Short lowercase label for telemetry tracks.
-    pub fn label(self) -> &'static str {
-        match self {
-            PriorityClass::Critical => "critical",
-            PriorityClass::Visual => "visual",
-            PriorityClass::Perception => "perception",
-            PriorityClass::Audio => "audio",
-            PriorityClass::BestEffort => "best_effort",
-        }
-    }
-}
-
 /// One released, not-yet-dispatched job: everything a [`crate::Policy`]
 /// needs to pick the next job to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

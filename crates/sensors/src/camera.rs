@@ -66,11 +66,6 @@ impl PinholeCamera {
     pub fn unproject(&self, px: Vec2) -> Vec3 {
         Vec3::new((px.x - self.cx) / self.fx, (px.y - self.cy) / self.fy, 1.0)
     }
-
-    /// Horizontal field of view, radians.
-    pub fn fov_x(&self) -> f64 {
-        2.0 * (self.width as f64 / (2.0 * self.fx)).atan()
-    }
 }
 
 /// A stereo rig: two identical pinhole cameras offset along the body +X
@@ -175,12 +170,5 @@ mod tests {
         let shifted = Pose::new(Vec3::new(0.5, 0.0, 0.0), Quat::IDENTITY);
         let b = rig.project_world(&shifted, p, 0).unwrap();
         assert!(b.x < a.x); // camera moved right → point moves left in image
-    }
-
-    #[test]
-    fn fov_reasonable_for_vga() {
-        let cam = PinholeCamera::vga();
-        let deg = cam.fov_x().to_degrees();
-        assert!(deg > 60.0 && deg < 100.0, "fov {deg}");
     }
 }

@@ -10,6 +10,7 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Write as _};
 use std::path::Path;
+use std::sync::Arc;
 
 use illixr_core::Time;
 use illixr_math::{Pose, Quat, Vec3};
@@ -17,7 +18,7 @@ use illixr_math::{Pose, Quat, Vec3};
 use crate::camera::StereoRig;
 use crate::imu::{ImuModel, ImuNoise};
 use crate::trajectory::Trajectory;
-use crate::types::{GroundTruth, ImuSample};
+use crate::types::{GroundTruth, ImuSample, StereoFrame};
 use crate::world::LandmarkWorld;
 
 /// Errors from dataset I/O.
@@ -126,6 +127,33 @@ impl SyntheticDataset {
         let t = self.camera_times[k];
         let pose = self.trajectory.pose(t);
         self.world.render_stereo(rig, &pose)
+    }
+
+    /// Replays the sequence to an estimator: for each camera frame, the
+    /// IMU samples after the previous frame up to and including this
+    /// frame's time, and the frame itself — rendered when, and only if,
+    /// the closure is called, so a consumer that drops a frame does not
+    /// pay for it. The sensor plugins aside, this is the one place a
+    /// [`StereoFrame`] is built from a dataset.
+    pub fn replay<'a>(
+        &'a self,
+        rig: &'a StereoRig,
+    ) -> impl Iterator<Item = (&'a [ImuSample], impl FnOnce() -> StereoFrame + 'a)> + 'a {
+        let mut next_imu = 0;
+        self.camera_times.iter().enumerate().map(move |(k, &timestamp)| {
+            let first = next_imu;
+            next_imu += self.imu[first..].iter().take_while(|s| s.timestamp <= timestamp).count();
+            let frame = move || {
+                let (left, right) = self.render_frame(rig, k);
+                StereoFrame {
+                    timestamp,
+                    left: Arc::new(left),
+                    right: Arc::new(right),
+                    seq: k as u64,
+                }
+            };
+            (&self.imu[first..next_imu], frame)
+        })
     }
 
     /// Ground-truth pose interpolated at an arbitrary time.

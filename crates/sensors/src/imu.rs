@@ -86,11 +86,6 @@ impl ImuModel {
         }
     }
 
-    /// The sampling rate.
-    pub fn rate_hz(&self) -> f64 {
-        self.rate_hz
-    }
-
     /// The ideal (noise-free) sample at time `t` — used by tests and by
     /// integrator accuracy analysis.
     pub fn ideal_sample(&self, t: Time) -> ImuSample {

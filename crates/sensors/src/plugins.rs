@@ -177,15 +177,6 @@ impl SyntheticImuPlugin {
     pub fn new(trajectory: Trajectory, noise: ImuNoise, rate_hz: f64, seed: u64) -> Self {
         Self { model: ImuModel::new(trajectory, noise, rate_hz, seed), writer: None, seq: 0 }
     }
-
-    /// Sequence number the next sample will carry — equal to the number
-    /// of `iterate` calls so far, since the model draws a sample every
-    /// call even when a gap fault swallows the publish. The failover
-    /// restore path fast-forwards a fresh plugin by iterating this many
-    /// times before subscribing readers.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
 }
 
 impl Plugin for SyntheticImuPlugin {
@@ -258,11 +249,6 @@ impl OfflineImuCameraPlugin {
     /// Creates the player.
     pub fn new(dataset: Arc<SyntheticDataset>, rig: StereoRig) -> Self {
         Self { dataset, rig, imu_writer: None, cam_writer: None, next_imu: 0, next_cam: 0 }
-    }
-
-    /// True when the entire dataset has been replayed.
-    pub fn finished(&self) -> bool {
-        self.next_imu >= self.dataset.imu.len()
     }
 }
 
@@ -387,7 +373,6 @@ mod tests {
         plugin.iterate(&ctx);
         assert!(imu_reader.len() >= 50);
         assert!(cam_reader.len() >= 2);
-        assert!(!plugin.finished());
     }
 
     #[test]

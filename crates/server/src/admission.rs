@@ -83,11 +83,6 @@ impl AdmissionController {
         Self { config, log: Vec::new() }
     }
 
-    /// The thresholds.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
     /// Decides whether `session`, offering `offered` load at full rates
     /// on top of `load_before`, may attach. Logs the decision.
     pub fn admit(

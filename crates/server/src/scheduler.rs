@@ -135,11 +135,6 @@ impl BatchScheduler {
         Self { config, free_at: vec![Time::ZERO; config.workers], stats: SchedulerStats::default() }
     }
 
-    /// The pool parameters.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
-    }
-
     /// Schedules `jobs` homogeneous jobs arriving at `now` as one batch
     /// on the earliest-free worker (lowest index on ties, so placement
     /// is deterministic) and returns the batch completion time. All
@@ -148,10 +143,9 @@ impl BatchScheduler {
         self.schedule_batch_placed(now, jobs).end
     }
 
-    /// [`BatchScheduler::schedule_batch`] exposing the full placement —
-    /// which worker ran the batch and when it started — so callers can
-    /// record per-worker execution spans.
-    pub fn schedule_batch_placed(&mut self, now: Time, jobs: usize) -> BatchPlacement {
+    /// [`BatchScheduler::schedule_batch`] with the full placement: which
+    /// worker ran the batch and when it started.
+    fn schedule_batch_placed(&mut self, now: Time, jobs: usize) -> BatchPlacement {
         assert!(jobs > 0, "cannot schedule an empty batch");
         let worker = self.earliest_free();
         let start = self.free_at[worker].max(now);
@@ -168,8 +162,7 @@ impl BatchScheduler {
 
     /// Places a batch under the configured [`PlacementPolicy`].
     ///
-    /// With [`PlacementPolicy::EarliestFree`] this is exactly
-    /// [`BatchScheduler::schedule_batch_placed`] (everything accepted).
+    /// With [`PlacementPolicy::EarliestFree`] everything is accepted.
     /// With [`PlacementPolicy::DeadlineAware`] the batch is trimmed to
     /// the largest prefix that completes by `now + deadline`; the
     /// remainder is shed. Completing exactly at the deadline counts as

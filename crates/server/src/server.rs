@@ -37,8 +37,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use illixr_core::boundary::{fan_out_transform, Trace, TraceSource};
-use illixr_core::sched::{Migration, PlacementConfig, PlacementPlan, Side};
+use illixr_core::boundary::{fan_out_transform, Trace, TraceHeader, TraceSource};
+use illixr_core::sched::{Migration, PlacementPlan, Side};
 use illixr_core::TopicStats;
 
 use crate::admission::{AdmissionConfig, AdmissionRecord};
@@ -69,18 +69,6 @@ pub struct ServerConfig {
     pub duration: Duration,
     /// Server tick period: pending VIO jobs are batched every tick.
     pub server_tick: Duration,
-    /// Cloud render cost per requested frame.
-    pub render_cost: Duration,
-    /// Client-side warp cost per displayed frame.
-    pub warp_cost: Duration,
-    /// Uplink payload per VIO job (stereo frame + IMU window).
-    pub job_bytes: u64,
-    /// Downlink payload per pose estimate.
-    pub pose_bytes: u64,
-    /// Uplink payload per render request.
-    pub request_bytes: u64,
-    /// Downlink payload per rendered frame token.
-    pub token_bytes: u64,
     /// Run the real per-session MSCKF server-side. When false the
     /// server returns ground-truth poses — the cheap mode unit tests
     /// and admission studies use.
@@ -120,12 +108,6 @@ pub struct ServerConfig {
     /// link), or declare it adaptive to let the controller migrate at
     /// decision epochs.
     pub placement: PlacementPlan,
-    /// Controller tuning for an adaptive `vio` cut.
-    pub placement_config: PlacementConfig,
-    /// On-device VIO cost per camera frame when the cut runs
-    /// device-side (headset silicon is slower than the pool's edge
-    /// workers, but pays no link delay).
-    pub device_vio_cost: Duration,
     /// Crash-consistent session failover: how the engine recovers
     /// sessions whose fault domain (shard worker) crashed. The default
     /// ([`FailoverPolicy::Disabled`], no checkpoints) is bit-identical
@@ -142,7 +124,7 @@ pub enum FailoverPolicy {
     /// contention identical, but the sessions display nothing).
     Disabled,
     /// Reboot the session from scratch after
-    /// [`FailoverConfig::restart_delay`]: fresh state anchored to
+    /// [`FailoverConfig::RESTART_DELAY`]: fresh state anchored to
     /// ground truth at the recovery instant, telemetry lost.
     RestartOnly,
     /// Restore the last `ILXC` checkpoint, then replay the journaled
@@ -165,9 +147,9 @@ impl FailoverPolicy {
 
 /// Failover tuning (see [`FailoverPolicy`]), set as a whole through
 /// [`ServerBuilder::failover`]; checkpointing is the
-/// [`checkpoint_every`](Self::checkpoint_every) field. The defaults
-/// model a ~250 ms process reboot versus a ~5 ms snapshot restore plus
-/// ~2 µs per replayed boundary event.
+/// [`checkpoint_every`](Self::checkpoint_every) field. The recovery
+/// costs are constants: a ~250 ms process reboot versus a ~5 ms
+/// snapshot restore plus ~2 µs per replayed boundary event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailoverConfig {
     /// Recovery policy for crashed fault domains.
@@ -176,19 +158,22 @@ pub struct FailoverConfig {
     /// `ServerBatch` boundary at or after each multiple of this period.
     /// `None` disables checkpointing (restart-only recovery at best).
     pub checkpoint_every: Option<Duration>,
-    /// Simulated cost of rebooting a session from scratch.
-    pub restart_delay: Duration,
-    /// Simulated cost of decoding + restoring one checkpoint.
-    pub restore_cost: Duration,
-    /// Simulated cost per journaled event replayed during catch-up.
-    pub catchup_per_event: Duration,
-    /// Restarts a session may consume before it is quarantined for
-    /// good (checkpoint restores are not budgeted).
-    pub restart_budget: u32,
     /// Test-only: corrupt every stored checkpoint so recovery exercises
     /// the typed decode-error fallback path.
     #[doc(hidden)]
     pub corrupt_checkpoints: bool,
+}
+
+impl FailoverConfig {
+    /// Simulated cost of rebooting a session from scratch.
+    pub const RESTART_DELAY: Duration = Duration::from_millis(250);
+    /// Simulated cost of decoding + restoring one checkpoint.
+    pub const RESTORE_COST: Duration = Duration::from_millis(5);
+    /// Simulated cost per journaled event replayed during catch-up.
+    pub const CATCHUP_PER_EVENT: Duration = Duration::from_micros(2);
+    /// Restarts a session may consume before it is quarantined for
+    /// good (checkpoint restores are not budgeted).
+    pub const RESTART_BUDGET: u32 = 3;
 }
 
 impl Default for FailoverConfig {
@@ -196,10 +181,6 @@ impl Default for FailoverConfig {
         Self {
             policy: FailoverPolicy::Disabled,
             checkpoint_every: None,
-            restart_delay: Duration::from_millis(250),
-            restore_cost: Duration::from_millis(5),
-            catchup_per_event: Duration::from_micros(2),
-            restart_budget: 3,
             corrupt_checkpoints: false,
         }
     }
@@ -288,6 +269,25 @@ impl ReplayLoad {
 }
 
 impl ServerConfig {
+    /// Cloud render cost per requested frame.
+    pub const RENDER_COST: Duration = Duration::from_millis(5);
+    /// Client-side warp cost per displayed frame.
+    pub const WARP_COST: Duration = Duration::from_millis(1);
+    /// Uplink payload per VIO job: a QVGA stereo frame pair plus the
+    /// IMU window, ≈ 150 kB.
+    pub const JOB_BYTES: u64 = 150_000;
+    /// Downlink payload per pose estimate.
+    pub const POSE_BYTES: u64 = 64;
+    /// Uplink payload per render request.
+    pub const REQUEST_BYTES: u64 = 64;
+    /// Downlink payload per rendered frame token: a compressed
+    /// eye-buffer pair, ≈ 50 kB.
+    pub const TOKEN_BYTES: u64 = 50_000;
+    /// On-device VIO cost per camera frame when the cut runs
+    /// device-side (headset silicon is slower than the pool's edge
+    /// workers, but pays no link delay).
+    pub const DEVICE_VIO_COST: Duration = Duration::from_millis(12);
+
     /// The behaviour-preserving default plan: `vio` pinned to the edge.
     pub fn default_placement() -> PlacementPlan {
         PlacementPlan::pinned("vio", Side::Edge)
@@ -317,10 +317,10 @@ impl ServerConfig {
             self.link,
             self.scheduler,
             self.admission,
-            self.job_bytes,
-            self.pose_bytes,
-            self.request_bytes,
-            self.token_bytes,
+            Self::JOB_BYTES,
+            Self::POSE_BYTES,
+            Self::REQUEST_BYTES,
+            Self::TOKEN_BYTES,
             self.real_vio,
             self.fault_plan.is_quiet(),
         );
@@ -337,31 +337,25 @@ impl ServerConfig {
                 "|failover={},{:?},{},{},{},{},{}",
                 f.policy.label(),
                 f.checkpoint_every.map(|d| d.as_nanos()),
-                f.restart_delay.as_nanos(),
-                f.restore_cost.as_nanos(),
-                f.catchup_per_event.as_nanos(),
-                f.restart_budget,
+                FailoverConfig::RESTART_DELAY.as_nanos(),
+                FailoverConfig::RESTORE_COST.as_nanos(),
+                FailoverConfig::CATCHUP_PER_EVENT.as_nanos(),
+                FailoverConfig::RESTART_BUDGET,
                 f.corrupt_checkpoints,
             ));
         }
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
+        TraceHeader::hash_config(&repr)
     }
 }
 
 /// Builder for a [`Server`]: the only way to construct a run.
 ///
 /// Defaults model `n` sessions with distinct seeds on a Wi-Fi-class
-/// link, paper Table III/IV constants elsewhere. QVGA stereo ≈ 150 kB
-/// per job for the frame pair plus IMU window; tokens model a
-/// compressed eye-buffer pair (~50 kB), so one session takes ~12% of
-/// the downlink and ~8% of the VIO pool — the server saturates around
-/// ten clients, which is where admission control starts degrading and
-/// rejecting.
+/// link, paper Table III/IV constants elsewhere. At
+/// [`ServerConfig::JOB_BYTES`] a job and [`ServerConfig::TOKEN_BYTES`]
+/// a token, one session takes ~12% of the downlink and ~8% of the VIO
+/// pool — the server saturates around ten clients, which is where
+/// admission control starts degrading and rejecting.
 #[derive(Debug, Clone)]
 pub struct ServerBuilder {
     config: ServerConfig,
@@ -384,12 +378,6 @@ impl ServerBuilder {
                 admission: AdmissionConfig::default(),
                 duration: Duration::from_secs(10),
                 server_tick: Duration::from_millis(4),
-                render_cost: Duration::from_millis(5),
-                warp_cost: Duration::from_millis(1),
-                job_bytes: 150_000,
-                pose_bytes: 64,
-                request_bytes: 64,
-                token_bytes: 50_000,
                 real_vio: false,
                 trace: false,
                 fault_plan: Arc::new(illixr_core::fault::FaultPlan::quiet()),
@@ -399,8 +387,6 @@ impl ServerBuilder {
                 workers: 0,
                 ring_capacity: 256,
                 placement: ServerConfig::default_placement(),
-                placement_config: PlacementConfig::default(),
-                device_vio_cost: Duration::from_millis(12),
                 failover: FailoverConfig::default(),
             },
         }
@@ -510,7 +496,8 @@ impl ServerBuilder {
     }
 
     /// Escape hatch for everything else: direct access to the full
-    /// [`ServerConfig`] (payload sizes, tick period, render cost…).
+    /// [`ServerConfig`] (tick period, admission thresholds, the session
+    /// list…).
     pub fn tune(mut self, f: impl FnOnce(&mut ServerConfig)) -> Self {
         f(&mut self.config);
         self
@@ -528,11 +515,6 @@ pub struct Server {
 }
 
 impl Server {
-    /// The finished configuration (inspection/diagnostics).
-    pub fn config(&self) -> &ServerConfig {
-        &self.config
-    }
-
     /// Runs the simulation to completion and reports.
     pub fn run(self) -> ServerReport {
         Engine::new(self.config).run()
@@ -566,18 +548,6 @@ pub struct MtpStats {
     pub displayed: u64,
     /// Vsyncs with nothing new to show.
     pub dropped: u64,
-}
-
-impl MtpStats {
-    /// Dropped fraction of this session's vsyncs.
-    pub fn drop_rate(&self) -> f64 {
-        let total = self.displayed + self.dropped;
-        if total == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / total as f64
-        }
-    }
 }
 
 /// A typed view over one session's results — the read side of the
@@ -1213,7 +1183,7 @@ mod tests {
         assert_eq!((back.from, back.to), (Side::Device, Side::Edge));
         // The restore lands within the controller's recovery budget of
         // the outage clearing.
-        let budget = PlacementConfig::default().recovery_budget_ns();
+        let budget = illixr_core::sched::PlacementConfig::default().recovery_budget_ns();
         let outage_end = Time::from_millis(1000).as_nanos();
         assert!(
             back.at_ns <= outage_end + budget,

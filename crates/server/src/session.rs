@@ -68,13 +68,6 @@ impl SessionConfig {
             load_weight: 1.0,
         }
     }
-
-    /// Sets the admission load-weight multiplier (see
-    /// [`SessionConfig::load_weight`]).
-    pub fn with_load_weight(mut self, weight: f64) -> Self {
-        self.load_weight = weight;
-        self
-    }
 }
 
 /// Session lifecycle.
@@ -212,16 +205,6 @@ impl SessionTelemetry {
         sorted.sort_unstable();
         let rank = ((sorted.len() as f64 * 0.99).ceil() as usize).clamp(1, sorted.len());
         Duration::from_nanos(sorted[rank - 1])
-    }
-
-    /// Dropped fraction of vsyncs.
-    pub fn drop_rate(&self) -> f64 {
-        let total = self.frames_displayed + self.frames_dropped;
-        if total == 0 {
-            0.0
-        } else {
-            self.frames_dropped as f64 / total as f64
-        }
     }
 }
 
@@ -369,11 +352,6 @@ impl ClientSession {
         &self.trajectory
     }
 
-    /// IMU sample period.
-    pub fn imu_period(&self) -> Duration {
-        Duration::from_secs_f64(1.0 / self.config.imu_hz)
-    }
-
     /// Camera period in IMU steps: frames land exactly on IMU sample
     /// times so every frame arrives already covered by inertial data.
     /// Degraded sessions run the camera at half rate.
@@ -384,11 +362,6 @@ impl ClientSession {
         } else {
             steps
         }
-    }
-
-    /// Display refresh period.
-    pub fn vsync_period(&self) -> Duration {
-        Duration::from_secs_f64(1.0 / self.config.display_hz)
     }
 
     /// Attaches the session at `now`: starts the client plugins,
@@ -786,7 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_percentiles_and_drop_rate() {
+    fn telemetry_percentiles() {
         let t = SessionTelemetry {
             mtp_ns: (1..=100u64).map(|k| k * 1_000_000).collect(),
             frames_displayed: 100,
@@ -794,7 +767,6 @@ mod tests {
             ..SessionTelemetry::default()
         };
         assert_eq!(t.p99_mtp(), Duration::from_millis(99));
-        assert_eq!(t.drop_rate(), 0.2);
         assert_eq!(t.mean_mtp(), Duration::from_nanos(50_500_000));
     }
 }

@@ -13,7 +13,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use illixr_core::boundary::{Boundary, Trace, TraceRecorder, TraceSource};
+use illixr_core::boundary::{Boundary, Trace, TraceHeader, TraceRecorder, TraceSource};
 use illixr_core::fault::FaultPlan;
 use illixr_core::link::{Direction, LinkProfile};
 use illixr_core::obs::{Metrics, Tracer};
@@ -52,8 +52,6 @@ pub struct ExperimentConfig {
     pub platform: Platform,
     /// Simulated duration (the paper runs ≈ 30 s).
     pub duration: Duration,
-    /// System parameters (Table III).
-    pub system: SystemConfig,
     /// RNG seed (trajectory, world, sensors, jitter).
     pub seed: u64,
     /// When true, adds the "futuristic" components the paper measures
@@ -123,7 +121,6 @@ impl ExperimentConfig {
             app,
             platform,
             duration: Duration::from_secs(30),
-            system: SystemConfig::default(),
             seed: 42,
             extended: false,
             trace: false,
@@ -264,12 +261,7 @@ impl ExperimentConfig {
                 self.link_profile.name
             ));
         }
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
+        TraceHeader::hash_config(&repr)
     }
 }
 
@@ -337,9 +329,6 @@ pub struct ExperimentResult {
     /// Determinism-boundary recording (present when
     /// [`ExperimentConfig::record_boundary`] was set).
     pub boundary_trace: Option<Trace>,
-    /// Placement-plan label for the run (`"all_local"` without a
-    /// declared plan).
-    pub placement_label: String,
     /// Side the `vio` cut ended the run on ([`Side::Device`] for
     /// non-placed runs).
     pub vio_final_side: Side,
@@ -708,7 +697,8 @@ impl IntegratedExperiment {
         }
         let ctx = builder.build();
         let timing = timing_model(config.platform);
-        let sys = &config.system;
+        // The tuned system parameters of Table III.
+        let sys = &SystemConfig::default();
 
         // Placement of the vio cut (plans that keep vio device-side
         // take the exact pre-placement code path: no extra tasks, no
@@ -976,7 +966,6 @@ impl IntegratedExperiment {
             shed_jobs: engine.shed_jobs(),
             supervisor: ctx.supervisor.clone(),
             boundary_trace: recorder.map(|rec| rec.snapshot()),
-            placement_label: config.placement.label(),
             vio_final_side,
             migrations,
         }
@@ -1020,28 +1009,18 @@ pub fn image_quality(
     let gt0 = &ds.ground_truth[0];
     let init = ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity);
     let mut filter = Msckf::new(VioConfig::fast(cam), init);
-    let mut imu_idx = 0;
     let mut busy_until = 0.0f64;
     let mut dropped = 0usize;
     let mut estimates: Vec<(Time, illixr_math::Pose)> = Vec::new();
-    for (k, &cam_t) in ds.camera_times.iter().enumerate() {
-        while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= cam_t {
-            filter.process_imu(ds.imu[imu_idx]);
-            imu_idx += 1;
-        }
+    for (k, (imu, frame)) in ds.replay(&rig).enumerate() {
+        imu.iter().for_each(|&s| filter.process_imu(s));
+        let cam_t = ds.camera_times[k];
         let t = cam_t.as_secs_f64();
         if t < busy_until {
             dropped += 1;
-            continue; // platform still chewing on the previous frame
+            continue; // platform still chewing on the previous frame: never rendered
         }
-        let (left, right) = ds.render_frame(&rig, k);
-        let frame = illixr_sensors::types::StereoFrame {
-            timestamp: cam_t,
-            left: Arc::new(left),
-            right: Arc::new(right),
-            seq: k as u64,
-        };
-        let out = filter.process_frame(&frame, None);
+        let out = filter.process_frame(&frame(), None);
         let work = (out.tracked_features as f64).max(6.0) / 30.0;
         let cost = timing.cost("vio", k as u64, work).as_secs_f64();
         busy_until = t + cost.max(cam_period * 0.1);
@@ -1316,7 +1295,6 @@ mod tests {
             let run = IntegratedExperiment::run(&placed);
             assert_eq!(default_run.telemetry.records("vio"), run.telemetry.records("vio"));
             assert_eq!(default_run.mtp, run.mtp);
-            assert_eq!(run.placement_label, "all_local");
             assert_eq!(run.vio_final_side, Side::Device);
             assert!(run.migrations.is_empty());
         }
@@ -1341,7 +1319,6 @@ mod tests {
         cfg.duration = Duration::from_secs_f64(3.5);
 
         let run = IntegratedExperiment::run(&cfg);
-        assert_eq!(run.placement_label, "vio=adaptive@edge");
         let m = &run.migrations;
         assert_eq!(m.len(), 2, "one escalation + one restore: {m:?}");
         assert_eq!((m[0].from, m[0].to), (Side::Edge, Side::Device));

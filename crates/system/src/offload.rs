@@ -53,9 +53,8 @@ impl OffloadLink {
     /// jitter RNG is never drawn, but the seed *still* keys stochastic
     /// link faults (duplicate/reorder draws in the stream bridges), so
     /// two `symmetric` links in one run share a fault-outcome universe.
-    /// Thread the run seed through with [`OffloadLink::with_seed`] or
-    /// build from a profile with [`OffloadLink::from_profile`] when
-    /// fault independence matters.
+    /// Build from a profile with [`OffloadLink::from_profile`], which
+    /// threads the run seed through, when fault independence matters.
     pub fn symmetric(one_way: Duration) -> Self {
         Self { uplink: one_way, downlink: one_way, jitter_sigma: 0.0, seed: 0 }
     }
@@ -77,13 +76,6 @@ impl OffloadLink {
     /// Adds log-normal jitter with the given sigma.
     pub fn with_jitter(mut self, sigma: f64, seed: u64) -> Self {
         self.jitter_sigma = sigma;
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the RNG seed (jitter *and* stochastic link-fault
-    /// draws) without touching latency or jitter parameters.
-    pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
@@ -320,19 +312,9 @@ impl Plugin for OffloadedPlugin {
 
     fn start(&mut self, ctx: &PluginContext) {
         // The remote component lives in its own context: private
-        // switchboard, shared clock/telemetry/faults/supervision.
-        let remote_ctx = PluginContext {
-            switchboard: self.remote_switchboard.clone(),
-            phonebook: ctx.phonebook.clone(),
-            clock: ctx.clock.clone(),
-            telemetry: ctx.telemetry.clone(),
-            tracer: ctx.tracer.clone(),
-            metrics: ctx.metrics.clone(),
-            fault: ctx.fault.clone(),
-            supervisor: ctx.supervisor.clone(),
-            boundary: ctx.boundary.clone(),
-            placement: ctx.placement.clone(),
-        };
+        // switchboard, everything else shared.
+        let remote_ctx =
+            PluginContext { switchboard: self.remote_switchboard.clone(), ..ctx.clone() };
         let target = self.inner.name().to_owned();
         for make in self.pending.drain(..) {
             self.bridges.push(make(ctx, &self.remote_switchboard, self.link, &target));
@@ -556,7 +538,6 @@ mod tests {
         assert_eq!(link.downlink, Duration::from_millis(12));
         assert_eq!(link.jitter_sigma, 0.35);
         assert_eq!(link.seed, 42);
-        assert_eq!(OffloadLink::symmetric(Duration::ZERO).with_seed(7).seed, 7);
     }
 
     #[test]

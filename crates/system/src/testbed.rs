@@ -56,11 +56,7 @@ impl LiveTestbed {
             // Threads have no release offsets: a row due "before vsync"
             // has the whole period.
             let (_, deadline) = row.schedule(period, period);
-            builder = builder
-                .task(plugin, period)
-                .deadline(deadline)
-                .priority(i32::from(row.priority))
-                .class(row.class);
+            builder = builder.task(plugin, period).deadline(deadline);
         }
         let handles = builder.spawn(&ctx);
         Self { ctx, handles }

@@ -200,21 +200,6 @@ impl Checkpoint {
         }
         Ok(Self { schema_version, seed, config_hash, tag_ns, entries })
     }
-
-    /// Human-readable index: identity line plus one row per entry.
-    /// Committed next to fixtures so a binary checkpoint is reviewable.
-    pub fn index_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "checkpoint v{} seed={:#018x} config_hash={:#018x} tag_ns={}\n",
-            self.schema_version, self.seed, self.config_hash, self.tag_ns
-        ));
-        out.push_str("entry, payload_bytes\n");
-        for (name, payload) in &self.entries {
-            out.push_str(&format!("{name}, {}\n", payload.len()));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -285,14 +270,6 @@ mod tests {
         let c = sample();
         assert_eq!(c.entry("s0/session"), Some(&[1u8, 2, 3, 4][..]));
         assert!(c.entry("s9/session").is_none());
-    }
-
-    #[test]
-    fn index_text_lists_every_entry() {
-        let idx = sample().index_text();
-        assert!(idx.contains("s0/session, 4"));
-        assert!(idx.contains("s2/session, 80"));
-        assert!(idx.contains("tag_ns=2000000000"));
     }
 
     proptest! {

@@ -46,6 +46,16 @@ pub struct TraceHeader {
     pub config_hash: u64,
 }
 
+impl TraceHeader {
+    /// What [`config_hash`](Self::config_hash) holds: FNV-1a over the
+    /// text a configuration formats its recording-relevant fields into.
+    pub fn hash_config(repr: &str) -> u64 {
+        repr.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+}
+
 /// One boundary event: a tagged opaque payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -193,25 +203,6 @@ impl Trace {
         }
         Ok(Self { header: TraceHeader { schema_version, seed, config_hash }, streams })
     }
-
-    /// Human-readable index: one row per stream with record count,
-    /// payload bytes and tag span. Committed next to fixtures so a
-    /// binary trace is reviewable.
-    pub fn index_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "trace v{} seed={:#018x} config_hash={:#018x}\n",
-            self.header.schema_version, self.header.seed, self.header.config_hash
-        ));
-        out.push_str("stream, records, payload_bytes, first_tag_ns, last_tag_ns\n");
-        for (name, records) in &self.streams {
-            let bytes: usize = records.iter().map(|r| r.payload.len()).sum();
-            let first = records.first().map(|r| r.tag_ns).unwrap_or(0);
-            let last = records.last().map(|r| r.tag_ns).unwrap_or(0);
-            out.push_str(&format!("{name}, {}, {bytes}, {first}, {last}\n", records.len()));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -277,13 +268,6 @@ mod tests {
         let mut bytes = sample().encode();
         bytes.push(0);
         assert_eq!(Trace::decode(&bytes), Err(TraceError::TrailingBytes { remaining: 1 }));
-    }
-
-    #[test]
-    fn index_text_lists_every_stream() {
-        let idx = sample().index_text();
-        assert!(idx.contains("imu, 2, 3, 1000, 3000"));
-        assert!(idx.contains("camera, 1, 80, 2000, 2000"));
     }
 
     proptest! {

@@ -11,7 +11,7 @@
 //! single trace into a scalable load generator.
 //!
 //! * **[`mod@format`]** — [`Trace`], [`TraceHeader`], [`TraceRecord`]: the
-//!   versioned, length-prefixed binary container and its text index.
+//!   versioned, length-prefixed binary container.
 //! * **[`checkpoint`]** — [`Checkpoint`]: the `ILXC` snapshot sibling
 //!   of the trace container — versioned, length-prefixed, strictly
 //!   decoded session-state snapshots for crash-consistent failover,

@@ -124,11 +124,6 @@ impl FrameToFrameVio {
         }
     }
 
-    /// The current state estimate.
-    pub fn state(&self) -> &ImuState {
-        &self.state
-    }
-
     /// Buffers an IMU sample.
     pub fn process_imu(&mut self, sample: ImuSample) {
         self.imu_buffer.push(sample);
@@ -367,7 +362,6 @@ mod tests {
 
     use illixr_sensors::camera::PinholeCamera;
     use illixr_sensors::dataset::SyntheticDataset;
-    use std::sync::Arc;
 
     #[test]
     fn pnp_recovers_small_pose_offset() {
@@ -407,21 +401,14 @@ mod tests {
         let gt0 = ds.ground_truth[0];
         let init = ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity);
         let mut vio = FrameToFrameVio::new(FrameToFrameConfig::default(), rig, init);
-        let mut imu_idx = 0;
         let mut worst = 0.0f64;
         let mut any_visual = false;
-        for (k, &t) in ds.camera_times.iter().enumerate() {
-            while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= t {
-                vio.process_imu(ds.imu[imu_idx]);
-                imu_idx += 1;
-            }
-            let (l, r) = ds.render_frame(&rig, k);
-            let out = vio.process_frame(
-                &StereoFrame { timestamp: t, left: Arc::new(l), right: Arc::new(r), seq: k as u64 },
-                None,
-            );
+        for (imu, frame) in ds.replay(&rig) {
+            imu.iter().for_each(|&s| vio.process_imu(s));
+            let frame = frame();
+            let out = vio.process_frame(&frame, None);
             any_visual |= out.points_used > 0;
-            let err = out.state.pose.translation_distance(&ds.ground_truth_pose(t));
+            let err = out.state.pose.translation_distance(&ds.ground_truth_pose(frame.timestamp));
             worst = worst.max(err);
         }
         assert!(any_visual, "the PnP stage never fired");
@@ -443,19 +430,10 @@ mod tests {
             rig,
             ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity),
         );
-        let mut imu_idx = 0;
         let mut max_map = 0;
-        for (k, &t) in ds.camera_times.iter().enumerate() {
-            while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= t {
-                vio.process_imu(ds.imu[imu_idx]);
-                imu_idx += 1;
-            }
-            let (l, r) = ds.render_frame(&rig, k);
-            let out = vio.process_frame(
-                &StereoFrame { timestamp: t, left: Arc::new(l), right: Arc::new(r), seq: k as u64 },
-                None,
-            );
-            max_map = max_map.max(out.map_size);
+        for (imu, frame) in ds.replay(&rig) {
+            imu.iter().for_each(|&s| vio.process_imu(s));
+            max_map = max_map.max(vio.process_frame(&frame(), None).map_size);
         }
         // Budget 60 features + short age → map stays small.
         assert!(max_map < 200, "map grew to {max_map}");

@@ -78,11 +78,6 @@ impl FrontEnd {
         Self { params, prev_left_pyramid: None, tracks: Vec::new(), next_id: 0 }
     }
 
-    /// Currently live tracks.
-    pub fn tracks(&self) -> &[TrackedFeature] {
-        &self.tracks
-    }
-
     /// Ingests a stereo pair, returning the updated track set.
     ///
     /// When `timer` is provided, time is attributed to the Table VI task
@@ -186,12 +181,6 @@ impl FrontEnd {
         self.prev_left_pyramid = Some(left_pyr);
         self.tracks.clone()
     }
-
-    /// Removes a track by id (the back end calls this when a feature is
-    /// consumed by an MSCKF update).
-    pub fn remove_track(&mut self, id: u64) {
-        self.tracks.retain(|t| t.id != id);
-    }
 }
 
 #[cfg(test)]
@@ -257,16 +246,6 @@ mod tests {
         let img = scene(0.0);
         let tracks = fe.process(&img, &img, None);
         assert!(tracks.len() <= 5);
-    }
-
-    #[test]
-    fn remove_track_frees_slot() {
-        let mut fe = FrontEnd::new(FrontEndParams::default());
-        let img = scene(0.0);
-        let tracks = fe.process(&img, &img, None);
-        let victim = tracks[0].id;
-        fe.remove_track(victim);
-        assert!(fe.tracks().iter().all(|t| t.id != victim));
     }
 
     #[test]

@@ -594,21 +594,11 @@ mod tests {
         let init = ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity);
         let mut filter = Msckf::new(VioConfig::fast(PinholeCamera::qvga()), init);
 
-        let mut imu_idx = 0;
-        for (k, &cam_t) in ds.camera_times.iter().enumerate() {
-            while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= cam_t {
-                filter.process_imu(ds.imu[imu_idx]);
-                imu_idx += 1;
-            }
-            let (left, right) = ds.render_frame(&rig, k);
-            let frame = StereoFrame {
-                timestamp: cam_t,
-                left: Arc::new(left),
-                right: Arc::new(right),
-                seq: k as u64,
-            };
+        for (imu, frame) in ds.replay(&rig) {
+            imu.iter().for_each(|&s| filter.process_imu(s));
+            let frame = frame();
             let out = filter.process_frame(&frame, None);
-            assert!(out.state.pose.is_finite(), "filter diverged at frame {k}");
+            assert!(out.state.pose.is_finite(), "filter diverged at frame {}", frame.seq);
         }
 
         // Dead-reckoning baseline over the same noisy IMU stream.
@@ -632,23 +622,13 @@ mod tests {
         let gt0 = &ds.ground_truth[0];
         let init = ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity);
         let mut filter = Msckf::new(VioConfig::fast(PinholeCamera::qvga()), init);
-        let mut imu_idx = 0;
         let mut total_updates = 0;
-        for (k, &cam_t) in ds.camera_times.iter().enumerate() {
-            while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= cam_t {
-                filter.process_imu(ds.imu[imu_idx]);
-                imu_idx += 1;
-            }
-            let (left, right) = ds.render_frame(&rig, k);
-            let frame = StereoFrame {
-                timestamp: cam_t,
-                left: Arc::new(left),
-                right: Arc::new(right),
-                seq: k as u64,
-            };
+        for (imu, frame) in ds.replay(&rig) {
+            imu.iter().for_each(|&s| filter.process_imu(s));
+            let frame = frame();
             let out = filter.process_frame(&frame, None);
             total_updates += out.msckf_features + out.slam_features;
-            assert!(out.tracked_features > 0, "no features tracked at frame {k}");
+            assert!(out.tracked_features > 0, "no features tracked at frame {}", frame.seq);
         }
         assert!(total_updates > 10, "only {total_updates} feature updates fired");
     }
@@ -661,22 +641,9 @@ mod tests {
         let gt0 = &ds.ground_truth[0];
         let mut filter =
             Msckf::new(cfg, ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity));
-        let mut imu_idx = 0;
-        for (k, &cam_t) in ds.camera_times.iter().enumerate() {
-            while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= cam_t {
-                filter.process_imu(ds.imu[imu_idx]);
-                imu_idx += 1;
-            }
-            let (left, right) = ds.render_frame(&rig, k);
-            filter.process_frame(
-                &StereoFrame {
-                    timestamp: cam_t,
-                    left: Arc::new(left),
-                    right: Arc::new(right),
-                    seq: k as u64,
-                },
-                None,
-            );
+        for (imu, frame) in ds.replay(&rig) {
+            imu.iter().for_each(|&s| filter.process_imu(s));
+            filter.process_frame(&frame(), None);
             assert!(filter.clones.len() <= cfg.window_size);
             assert_eq!(filter.cov.rows(), IMU_DIM + filter.clones.len() * CLONE_DIM);
         }
@@ -692,22 +659,9 @@ mod tests {
             ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity),
         );
         let timer = Metrics::new();
-        let mut imu_idx = 0;
-        for (k, &cam_t) in ds.camera_times.iter().enumerate() {
-            while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= cam_t {
-                filter.process_imu(ds.imu[imu_idx]);
-                imu_idx += 1;
-            }
-            let (left, right) = ds.render_frame(&rig, k);
-            filter.process_frame(
-                &StereoFrame {
-                    timestamp: cam_t,
-                    left: Arc::new(left),
-                    right: Arc::new(right),
-                    seq: k as u64,
-                },
-                Some(&timer),
-            );
+        for (imu, frame) in ds.replay(&rig) {
+            imu.iter().for_each(|&s| filter.process_imu(s));
+            filter.process_frame(&frame(), Some(&timer));
         }
         let names: Vec<String> = timer.shares().into_iter().map(|(n, _)| n).collect();
         for expected in [

@@ -2,7 +2,6 @@
 //! a synchronous dependence; IMU → integrator is synchronous; integrator
 //! publishes the fast pose that reprojection reads asynchronously).
 
-use illixr_core::obs::Metrics;
 use illixr_core::plugin::{IterationReport, Plugin, PluginContext};
 use illixr_core::switchboard::{SyncReader, Writer};
 use illixr_sensors::types::{streams, ImuSample, PoseEstimate, StereoFrame};
@@ -69,7 +68,6 @@ impl TrackerStreams {
 pub struct VioPlugin {
     filter: Msckf,
     streams: TrackerStreams,
-    timer: Metrics,
     nominal_features: f64,
 }
 
@@ -81,14 +79,8 @@ impl VioPlugin {
         Self {
             filter: Msckf::new(config, initial),
             streams: TrackerStreams::default(),
-            timer: Metrics::new(),
             nominal_features,
         }
-    }
-
-    /// Task-level timing (Table VI instrumentation).
-    pub fn task_metrics(&self) -> Metrics {
-        self.timer.clone()
     }
 
     /// The current state estimate.
@@ -110,7 +102,7 @@ impl Plugin for VioPlugin {
         let Some(frame) = self.streams.next_frame(|s| self.filter.process_imu(s)) else {
             return IterationReport::skipped();
         };
-        let out = self.filter.process_frame(&frame, Some(&self.timer));
+        let out = self.filter.process_frame(&frame, None);
         self.streams.publish(frame.timestamp, &out.state);
         // Input-dependent work: tracked features plus update volume,
         // relative to the nominal budget.
@@ -250,7 +242,6 @@ impl Plugin for ImuIntegratorPlugin {
 pub struct AlternativeVioPlugin {
     tracker: crate::alternative::FrameToFrameVio,
     streams: TrackerStreams,
-    timer: Metrics,
 }
 
 impl AlternativeVioPlugin {
@@ -263,13 +254,7 @@ impl AlternativeVioPlugin {
         Self {
             tracker: crate::alternative::FrameToFrameVio::new(config, rig, initial),
             streams: TrackerStreams::default(),
-            timer: Metrics::new(),
         }
-    }
-
-    /// Task-level timing.
-    pub fn task_metrics(&self) -> Metrics {
-        self.timer.clone()
     }
 }
 
@@ -286,7 +271,7 @@ impl Plugin for AlternativeVioPlugin {
         let Some(frame) = self.streams.next_frame(|s| self.tracker.process_imu(s)) else {
             return IterationReport::skipped();
         };
-        let out = self.tracker.process_frame(&frame, Some(&self.timer));
+        let out = self.tracker.process_frame(&frame, None);
         self.streams.publish(frame.timestamp, &out.state);
         // Lightweight tracker: roughly half the nominal MSCKF work.
         IterationReport::with_work(0.4 + 0.2 * out.points_used as f64 / 60.0)

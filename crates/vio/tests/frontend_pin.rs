@@ -11,11 +11,8 @@
 //! tests beside those kernels compare them with verbatim references; this
 //! file pins what comes out the far end, in debug and in release.
 
-use std::sync::Arc;
-
 use illixr_sensors::camera::{PinholeCamera, StereoRig};
 use illixr_sensors::dataset::SyntheticDataset;
-use illixr_sensors::types::{ImuSample, StereoFrame};
 use illixr_vio::alternative::{FrameToFrameConfig, FrameToFrameVio};
 use illixr_vio::fast::detect_fast;
 use illixr_vio::integrator::ImuState;
@@ -42,11 +39,6 @@ impl Fnv {
     }
 }
 
-enum Input<'a> {
-    Imu(ImuSample),
-    Frame(&'a StereoFrame),
-}
-
 fn rig() -> StereoRig {
     StereoRig::zed_mini(PinholeCamera::qvga())
 }
@@ -64,38 +56,17 @@ fn ground_truth_start(ds: &SyntheticDataset) -> ImuState {
     ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity)
 }
 
-/// Hands an estimator every rendered frame with the IMU samples up to it.
-fn drive(ds: &SyntheticDataset, mut on: impl FnMut(Input<'_>)) {
-    let rig = rig();
-    let mut imu_idx = 0;
-    for (k, &t) in ds.camera_times.iter().enumerate() {
-        while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= t {
-            on(Input::Imu(ds.imu[imu_idx]));
-            imu_idx += 1;
-        }
-        let (left, right) = ds.render_frame(&rig, k);
-        on(Input::Frame(&StereoFrame {
-            timestamp: t,
-            left: Arc::new(left),
-            right: Arc::new(right),
-            seq: k as u64,
-        }));
-    }
-}
-
 fn msckf_digest(config: VioConfig) -> u64 {
     let ds = dataset();
     let mut filter = Msckf::new(config, ground_truth_start(&ds));
     let mut h = Fnv::new();
-    drive(&ds, |input| match input {
-        Input::Imu(s) => filter.process_imu(s),
-        Input::Frame(frame) => {
-            let out = filter.process_frame(frame, None);
-            h.state(&out.state);
-            h.u64(out.tracked_features as u64);
-            h.u64(out.update_rows as u64);
-        }
-    });
+    for (imu, frame) in ds.replay(&rig()) {
+        imu.iter().for_each(|&s| filter.process_imu(s));
+        let out = filter.process_frame(&frame(), None);
+        h.state(&out.state);
+        h.u64(out.tracked_features as u64);
+        h.u64(out.update_rows as u64);
+    }
     h.0
 }
 
@@ -113,15 +84,13 @@ fn frame_to_frame_poses_are_pinned() {
     let mut vio =
         FrameToFrameVio::new(FrameToFrameConfig::default(), rig(), ground_truth_start(&ds));
     let mut h = Fnv::new();
-    drive(&ds, |input| match input {
-        Input::Imu(s) => vio.process_imu(s),
-        Input::Frame(frame) => {
-            let out = vio.process_frame(frame, None);
-            h.state(&out.state);
-            h.u64(out.points_used as u64);
-            h.u64(out.map_size as u64);
-        }
-    });
+    for (imu, frame) in ds.replay(&rig()) {
+        imu.iter().for_each(|&s| vio.process_imu(s));
+        let out = vio.process_frame(&frame(), None);
+        h.state(&out.state);
+        h.u64(out.points_used as u64);
+        h.u64(out.map_size as u64);
+    }
     assert_eq!(h.0, 0x8ec9_48c1_c2e1_bb85, "got {:#018x}", h.0);
 }
 

@@ -45,16 +45,10 @@ pub struct WarpedFrame {
 pub struct TimewarpPlugin {
     config: ReprojectionConfig,
     mesh: DistortionMesh,
-    apply_distortion: bool,
     frame_reader: Option<AsyncReader<RenderedFrame>>,
     pose_reader: Option<AsyncReader<PoseEstimate>>,
     out_writer: Option<Writer<WarpedFrame>>,
     timer: Metrics,
-    /// When set, the pose is linearly extrapolated by its velocity over
-    /// this horizon before warping — the pose *prediction* of the
-    /// paper's footnote 3 ("we provide the ability to predict the pose
-    /// when the frame will actually be displayed").
-    predict_horizon: Option<std::time::Duration>,
 }
 
 impl TimewarpPlugin {
@@ -63,29 +57,11 @@ impl TimewarpPlugin {
         Self {
             config,
             mesh: DistortionMesh::new(&distortion),
-            apply_distortion: true,
             frame_reader: None,
             pose_reader: None,
             out_writer: None,
             timer: Metrics::new(),
-            predict_horizon: None,
         }
-    }
-
-    /// Disables the distortion/chromatic pass (for A/B experiments).
-    pub fn without_distortion(mut self) -> Self {
-        self.apply_distortion = false;
-        self
-    }
-
-    /// Enables pose prediction: extrapolate the freshest pose by its
-    /// velocity over `horizon` (typically one display period) before
-    /// warping. Reduces effective MTP at the risk of misprediction
-    /// (paper footnote 6 explains why the reported MTP metric does not
-    /// credit prediction).
-    pub fn with_pose_prediction(mut self, horizon: std::time::Duration) -> Self {
-        self.predict_horizon = Some(horizon);
-        self
     }
 
     /// Task-level timing (Table VII instrumentation).
@@ -122,7 +98,7 @@ impl Plugin for TimewarpPlugin {
         let Some(frame) = self.frame_reader.as_ref().expect("started").latest() else {
             return IterationReport::skipped();
         };
-        let mut pose_est = self
+        let pose_est = self
             .pose_reader
             .as_ref()
             .expect("started")
@@ -131,23 +107,14 @@ impl Plugin for TimewarpPlugin {
             .unwrap_or_else(PoseEstimate::identity);
         let now = ctx.clock.now();
         let pose_age = now - pose_est.timestamp;
-        if let Some(horizon) = self.predict_horizon {
-            // Linear extrapolation to the predicted display time.
-            let dt = (pose_age + horizon).as_secs_f64();
-            pose_est.pose.position += pose_est.velocity * dt;
-        }
 
         let warp = |img: &RgbImage| {
             let warped = {
                 let _g = self.timer.host_scope("reprojection");
                 reproject(img, &frame.render_pose.pose, &pose_est.pose, &self.config)
             };
-            if self.apply_distortion {
-                let _g = self.timer.host_scope("distortion+chromatic");
-                self.mesh.apply(&warped)
-            } else {
-                warped
-            }
+            let _g = self.timer.host_scope("distortion+chromatic");
+            self.mesh.apply(&warped)
         };
         let left = Arc::new(warp(&frame.left));
         let right = Arc::new(warp(&frame.right));
@@ -179,18 +146,12 @@ pub struct HologramPlugin {
     config: HologramConfig,
     display_reader: Option<AsyncReader<WarpedFrame>>,
     out_writer: Option<Writer<HologramResult>>,
-    timer: Metrics,
 }
 
 impl HologramPlugin {
     /// Creates the plugin.
     pub fn new(config: HologramConfig) -> Self {
-        Self { config, display_reader: None, out_writer: None, timer: Metrics::new() }
-    }
-
-    /// Task-level timing (Table VII instrumentation).
-    pub fn task_metrics(&self) -> Metrics {
-        self.timer.clone()
+        Self { config, display_reader: None, out_writer: None }
     }
 }
 
@@ -240,7 +201,7 @@ impl Plugin for HologramPlugin {
                     }
                 },
             );
-        let holo = compute_hologram(&[near, far], &self.config, Some(&self.timer));
+        let holo = compute_hologram(&[near, far], &self.config, None);
         self.out_writer
             .as_ref()
             .expect("started")
@@ -326,33 +287,6 @@ mod tests {
         let names: Vec<String> = tw.task_metrics().shares().into_iter().map(|(n, _)| n).collect();
         assert!(names.iter().any(|n| n == "reprojection"));
         assert!(names.iter().any(|n| n == "distortion+chromatic"));
-    }
-
-    #[test]
-    fn pose_prediction_extrapolates_along_velocity() {
-        let clock = SimClock::new();
-        let ctx = RuntimeBuilder::new(Arc::new(clock.clone())).build();
-        let out =
-            ctx.switchboard.topic::<WarpedFrame>(DISPLAY_STREAM).expect("stream").sync_reader(8);
-        let mut tw = TimewarpPlugin::new(
-            ReprojectionConfig::rotational(1.2, 1.0),
-            DistortionParams::default(),
-        )
-        .with_pose_prediction(std::time::Duration::from_millis(8));
-        tw.start(&ctx);
-        publish_frame(&ctx, Time::ZERO);
-        ctx.switchboard.topic::<PoseEstimate>(streams::FAST_POSE).expect("stream").writer().put(
-            PoseEstimate {
-                timestamp: Time::from_millis(10),
-                pose: Pose::IDENTITY,
-                velocity: Vec3::new(1.0, 0.0, 0.0), // 1 m/s along +X
-            },
-        );
-        clock.advance_to(Time::from_millis(12));
-        tw.iterate(&ctx);
-        let frame = out.try_recv().unwrap();
-        // age (2 ms) + horizon (8 ms) at 1 m/s → 10 mm along +X.
-        assert!((frame.display_pose.pose.position.x - 0.010).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 use illixr_testbed::sensors::camera::{PinholeCamera, StereoRig};
 use illixr_testbed::sensors::dataset::SyntheticDataset;
-use illixr_testbed::sensors::types::StereoFrame;
 use illixr_testbed::vio::alternative::{FrameToFrameConfig, FrameToFrameVio};
 use illixr_testbed::vio::integrator::ImuState;
-use std::sync::Arc;
 
 #[test]
 fn alternative_vio_never_diverges_across_seeds() {
@@ -17,19 +15,13 @@ fn alternative_vio_never_diverges_across_seeds() {
             rig,
             ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity),
         );
-        let mut imu_idx = 0;
         let mut worst = 0.0f64;
-        for (k, &t) in ds.camera_times.iter().enumerate() {
-            while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= t {
-                vio.process_imu(ds.imu[imu_idx]);
-                imu_idx += 1;
-            }
-            let (l, r) = ds.render_frame(&rig, k);
-            let out = vio.process_frame(
-                &StereoFrame { timestamp: t, left: Arc::new(l), right: Arc::new(r), seq: k as u64 },
-                None,
-            );
-            worst = worst.max(out.state.pose.translation_distance(&ds.ground_truth_pose(t)));
+        for (imu, frame) in ds.replay(&rig) {
+            imu.iter().for_each(|&s| vio.process_imu(s));
+            let frame = frame();
+            let out = vio.process_frame(&frame, None);
+            let truth = ds.ground_truth_pose(frame.timestamp);
+            worst = worst.max(out.state.pose.translation_distance(&truth));
         }
         // The lightweight tracker's accuracy class is decimeters-to-
         // low-meters depending on the trajectory (vs the MSCKF's

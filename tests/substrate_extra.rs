@@ -151,10 +151,8 @@ fn msckf_update_shrinks_uncertainty_and_corrects_pose() {
     // estimate must move toward truth (Jacobian signs correct) rather
     // than away from it (signs flipped).
     use illixr_testbed::sensors::dataset::SyntheticDataset;
-    use illixr_testbed::sensors::types::StereoFrame;
     use illixr_testbed::vio::integrator::ImuState;
     use illixr_testbed::vio::msckf::{Msckf, VioConfig};
-    use std::sync::Arc;
 
     let ds = SyntheticDataset::vicon_room_like(61, 2.0);
     let rig = StereoRig::zed_mini(PinholeCamera::qvga());
@@ -166,17 +164,9 @@ fn msckf_update_shrinks_uncertainty_and_corrects_pose() {
     let mut filter = Msckf::new(VioConfig::fast(PinholeCamera::qvga()), init);
 
     let initial_err = offset.norm();
-    let mut imu_idx = 0;
-    for (k, &t) in ds.camera_times.iter().enumerate() {
-        while imu_idx < ds.imu.len() && ds.imu[imu_idx].timestamp <= t {
-            filter.process_imu(ds.imu[imu_idx]);
-            imu_idx += 1;
-        }
-        let (l, r) = ds.render_frame(&rig, k);
-        filter.process_frame(
-            &StereoFrame { timestamp: t, left: Arc::new(l), right: Arc::new(r), seq: k as u64 },
-            None,
-        );
+    for (imu, frame) in ds.replay(&rig) {
+        imu.iter().for_each(|&s| filter.process_imu(s));
+        filter.process_frame(&frame(), None);
     }
     let final_err = filter
         .state()
