@@ -25,7 +25,7 @@ use illixr_sensors::camera::{PinholeCamera, StereoRig};
 use illixr_sensors::dataset::SyntheticDataset;
 use illixr_sensors::plugins::OfflineImuCameraPlugin;
 use illixr_sensors::trajectory::Trajectory;
-use illixr_sensors::types::{streams, ImuSample, PoseEstimate, StereoFrame};
+use illixr_sensors::types::{streams, CameraFrame, ImuSample, PoseEstimate};
 use illixr_sensors::world::LandmarkWorld;
 use illixr_system::config::SystemConfig;
 use illixr_system::experiment::{image_quality, ImageQualityResult};
@@ -180,7 +180,7 @@ pub fn table6(_: &mut Matrix, out: &mut Report) {
     let vio_timer = Metrics::new();
     for (imu, frame) in ds.replay(&rig) {
         imu.iter().for_each(|&s| filter.process_imu(s));
-        filter.process_frame(&frame(), Some(&vio_timer));
+        filter.process_frame(&frame.stereo(), Some(&vio_timer));
     }
     task_shares(
         out,
@@ -369,7 +369,7 @@ pub fn ablation_vio(_: &mut Matrix, out: &mut Report) {
             let mut total = Duration::ZERO;
             for (imu, frame) in ds.replay(&rig) {
                 imu.iter().for_each(|&s| filter.process_imu(s));
-                let frame = frame();
+                let frame = frame.stereo();
                 let start = Instant::now();
                 let output = filter.process_frame(&frame, None);
                 total += start.elapsed();
@@ -414,7 +414,7 @@ fn offload_run(link: Option<OffloadLink>) -> (f64, f64) {
     let mut vio: Box<dyn Plugin> = match link {
         Some(link) => Box::new(
             OffloadedPlugin::new(Box::new(vio), link)
-                .uplink::<StereoFrame>(streams::CAMERA)
+                .uplink::<CameraFrame>(streams::CAMERA)
                 .uplink::<ImuSample>(streams::IMU)
                 .downlink::<PoseEstimate>(streams::SLOW_POSE),
         ),

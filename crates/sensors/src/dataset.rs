@@ -18,7 +18,7 @@ use illixr_math::{Pose, Quat, Vec3};
 use crate::camera::StereoRig;
 use crate::imu::{ImuModel, ImuNoise};
 use crate::trajectory::Trajectory;
-use crate::types::{GroundTruth, ImuSample, StereoFrame};
+use crate::types::{CameraFrame, GroundTruth, ImuSample};
 use crate::world::LandmarkWorld;
 
 /// Errors from dataset I/O.
@@ -62,8 +62,9 @@ pub struct SyntheticDataset {
     pub ground_truth: Vec<GroundTruth>,
     /// The trajectory that generated this dataset.
     pub trajectory: Trajectory,
-    /// The world observed by the camera.
-    pub world: LandmarkWorld,
+    /// The world observed by the camera, shared with every
+    /// [`CameraFrame`] the dataset hands out.
+    pub world: Arc<LandmarkWorld>,
 }
 
 impl SyntheticDataset {
@@ -101,7 +102,7 @@ impl SyntheticDataset {
         }
         let n_cam = (duration_s * camera_hz).ceil() as usize;
         let camera_times = (0..n_cam).map(|k| Time::from_secs_f64(k as f64 / camera_hz)).collect();
-        Self { imu, camera_times, ground_truth, trajectory, world }
+        Self { imu, camera_times, ground_truth, trajectory, world: Arc::new(world) }
     }
 
     /// A ready-made 10-second walking sequence on the lab world — the
@@ -129,30 +130,26 @@ impl SyntheticDataset {
         self.world.render_stereo(rig, &pose)
     }
 
+    /// Camera frame `k` as the `camera` stream carries it: rendered when,
+    /// and only if, someone calls [`CameraFrame::stereo`] on it.
+    pub fn frame(&self, rig: &StereoRig, k: usize) -> CameraFrame {
+        let t = self.camera_times[k];
+        CameraFrame::new(t, k as u64, self.world.clone(), *rig, self.trajectory.pose(t))
+    }
+
     /// Replays the sequence to an estimator: for each camera frame, the
     /// IMU samples after the previous frame up to and including this
-    /// frame's time, and the frame itself — rendered when, and only if,
-    /// the closure is called, so a consumer that drops a frame does not
-    /// pay for it. The sensor plugins aside, this is the one place a
-    /// [`StereoFrame`] is built from a dataset.
+    /// frame's time, and the frame itself — so a consumer that drops a
+    /// frame does not pay for its pixels.
     pub fn replay<'a>(
         &'a self,
         rig: &'a StereoRig,
-    ) -> impl Iterator<Item = (&'a [ImuSample], impl FnOnce() -> StereoFrame + 'a)> + 'a {
+    ) -> impl Iterator<Item = (&'a [ImuSample], CameraFrame)> + 'a {
         let mut next_imu = 0;
         self.camera_times.iter().enumerate().map(move |(k, &timestamp)| {
             let first = next_imu;
             next_imu += self.imu[first..].iter().take_while(|s| s.timestamp <= timestamp).count();
-            let frame = move || {
-                let (left, right) = self.render_frame(rig, k);
-                StereoFrame {
-                    timestamp,
-                    left: Arc::new(left),
-                    right: Arc::new(right),
-                    seq: k as u64,
-                }
-            };
-            (&self.imu[first..next_imu], frame)
+            (&self.imu[first..next_imu], self.frame(rig, k))
         })
     }
 

@@ -18,7 +18,9 @@
 //! * [`plugins`] — the `camera` and `imu` plugins, in interchangeable
 //!   *live-synthetic* and *offline-player* variants publishing to the same
 //!   switchboard streams (paper §II-B: "appearing indistinguishable from a
-//!   real camera/IMU to the rest of the system");
+//!   real camera/IMU to the rest of the system"); the camera stream
+//!   carries the view, and the first consumer that reads pixels renders
+//!   them ([`types::CameraFrame`]);
 //! * [`wire`] — boundary payload codecs: how a camera frame (by pose)
 //!   and an IMU sample cross the record/replay determinism boundary.
 
@@ -36,5 +38,5 @@ pub use dataset::SyntheticDataset;
 pub use imu::ImuModel;
 pub use plugins::{OfflineImuCameraPlugin, SyntheticCameraPlugin, SyntheticImuPlugin};
 pub use trajectory::Trajectory;
-pub use types::{ImuSample, PoseEstimate, StereoFrame};
+pub use types::{CameraFrame, ImuSample, PoseEstimate, StereoFrame};
 pub use world::LandmarkWorld;

@@ -10,12 +10,19 @@
 //! * [`OfflineImuCameraPlugin`] — the offline player, replaying a
 //!   pre-generated [`SyntheticDataset`] (the stand-in for EuRoC
 //!   playback). Downstream plugins cannot tell the difference.
+//!
+//! Neither camera renders. Both publish a [`CameraFrame`] — the view the
+//! pixels are a pure function of — and the first consumer that calls
+//! [`CameraFrame::stereo`] renders the pair for every holder of the frame
+//! (`crate::types` has the contract). Live, replayed, frozen and restored
+//! frames are all built the same way, so they are pixel-identical by
+//! construction. In live mode the render's host time is therefore the VIO
+//! thread's, not the camera thread's; simulated cost is unaffected.
 
 use std::sync::Arc;
 
 use illixr_core::plugin::{IterationReport, Plugin, PluginContext};
 use illixr_core::switchboard::Writer;
-#[cfg(test)]
 use illixr_core::Time;
 
 use illixr_math::Pose;
@@ -24,33 +31,31 @@ use crate::camera::StereoRig;
 use crate::dataset::SyntheticDataset;
 use crate::imu::{ImuModel, ImuNoise};
 use crate::trajectory::Trajectory;
-use crate::types::{streams, ImuSample, StereoFrame};
+use crate::types::{streams, CameraFrame, ImuSample};
 use crate::wire;
 use crate::world::LandmarkWorld;
 
 /// Publishes synthetic stereo frames on the `camera` stream.
 ///
-/// Each `iterate` renders the frame for the current clock time from the
-/// world, so the frame content truly depends on the trajectory. The
-/// context's fault plan can drop frames (a skipped iteration) or freeze
-/// the feed (re-publishing the last frame with its stale timestamp, the
-/// way a wedged camera driver repeats its DMA buffer).
+/// Each `iterate` publishes the view for the current clock time, so the
+/// frame content truly depends on the trajectory. The context's fault
+/// plan can drop frames (a skipped iteration) or freeze the feed
+/// (re-publishing the last frame with its stale timestamp, the way a
+/// wedged camera driver repeats its DMA buffer).
 pub struct SyntheticCameraPlugin {
     trajectory: Trajectory,
     world: Arc<LandmarkWorld>,
     rig: StereoRig,
-    writer: Option<Writer<StereoFrame>>,
+    writer: Option<Writer<CameraFrame>>,
     seq: u64,
-    last_frame: Option<StereoFrame>,
-    /// Pose behind `last_frame`, kept so a frozen (repeated) frame can
-    /// be recorded at the boundary by its pose rather than its pixels.
-    last_pose: Option<Pose>,
+    /// The last *fresh* frame: what a freeze window repeats.
+    last_frame: Option<CameraFrame>,
 }
 
 impl SyntheticCameraPlugin {
     /// Creates the plugin.
     pub fn new(trajectory: Trajectory, world: Arc<LandmarkWorld>, rig: StereoRig) -> Self {
-        Self { trajectory, world, rig, writer: None, seq: 0, last_frame: None, last_pose: None }
+        Self { trajectory, world, rig, writer: None, seq: 0, last_frame: None }
     }
 
     /// Sequence number the next fresh frame will carry. Part of the
@@ -60,37 +65,29 @@ impl SyntheticCameraPlugin {
     }
 
     /// `(timestamp, seq)` of the last *fresh* frame published, if any.
-    /// Enough to reconstruct the frame at restore time: the content is
-    /// a pure function of the trajectory pose at that timestamp.
-    pub fn last_frame_info(&self) -> Option<(illixr_core::Time, u64)> {
+    /// Enough to rebuild the frame at restore time: its view is the
+    /// trajectory pose at that timestamp, and its pixels are a pure
+    /// function of the view.
+    pub fn last_frame_info(&self) -> Option<(Time, u64)> {
         self.last_frame.as_ref().map(|f| (f.timestamp, f.seq))
     }
 
     /// Restores the plugin to a snapshotted state: the next sequence
-    /// number plus the identity of the last fresh frame, which is
-    /// re-rendered from the trajectory (deterministic, so the restored
-    /// frame is pixel-identical to the snapshotted one). Nothing is
-    /// published.
-    pub fn restore_state(&mut self, seq: u64, last: Option<(illixr_core::Time, u64)>) {
+    /// number plus the identity of the last fresh frame, whose view is
+    /// rebuilt from the trajectory. Nothing is rendered and nothing is
+    /// published; a freeze window that later repeats the frame yields
+    /// pixels identical to the snapshotted one's if anyone reads them.
+    pub fn restore_state(&mut self, seq: u64, last: Option<(Time, u64)>) {
         self.seq = seq;
-        match last {
-            Some((timestamp, frame_seq)) => {
-                let pose = self.trajectory.pose(timestamp);
-                self.last_frame = Some(self.render(&pose, timestamp, frame_seq));
-                self.last_pose = Some(pose);
-            }
-            None => {
-                self.last_frame = None;
-                self.last_pose = None;
-            }
-        }
+        self.last_frame = last.map(|(timestamp, frame_seq)| {
+            self.frame(timestamp, frame_seq, self.trajectory.pose(timestamp))
+        });
     }
 
-    /// The stereo pair seen from `pose` — a pure function of the
-    /// world, so live, replayed and restored frames are pixel-identical.
-    fn render(&self, pose: &Pose, timestamp: illixr_core::Time, seq: u64) -> StereoFrame {
-        let (left, right) = self.world.render_stereo(&self.rig, pose);
-        StereoFrame { timestamp, left: Arc::new(left), right: Arc::new(right), seq }
+    /// The frame seen from `pose` — the one constructor live, replayed
+    /// and restored frames share.
+    fn frame(&self, timestamp: Time, seq: u64, pose: Pose) -> CameraFrame {
+        CameraFrame::new(timestamp, seq, self.world.clone(), self.rig, pose)
     }
 }
 
@@ -101,7 +98,7 @@ impl Plugin for SyntheticCameraPlugin {
 
     fn start(&mut self, ctx: &PluginContext) {
         self.writer =
-            Some(ctx.switchboard.topic::<StereoFrame>(streams::CAMERA).expect("stream").writer());
+            Some(ctx.switchboard.topic::<CameraFrame>(streams::CAMERA).expect("stream").writer());
     }
 
     fn iterate(&mut self, ctx: &PluginContext) -> IterationReport {
@@ -109,13 +106,13 @@ impl Plugin for SyntheticCameraPlugin {
         let writer = self.writer.as_ref().expect("start() must run before iterate()");
         if let Some(due) = ctx.boundary.replay_due(streams::CAMERA, t.as_nanos()) {
             // Replay: publish every recorded frame that has come due,
-            // re-rendered from its recorded pose.
+            // as the view from its recorded pose.
             let transform = due.transform();
             let mut report = IterationReport::skipped();
             for (tag, payload) in due {
                 let rec = wire::decode_camera(&payload, tag, &transform)
                     .expect("corrupt camera boundary record");
-                writer.put(self.render(&rec.pose, rec.timestamp, rec.seq));
+                writer.put(self.frame(rec.timestamp, rec.seq, rec.pose));
                 report = IterationReport::with_work(rec.work_factor);
             }
             return report;
@@ -136,19 +133,18 @@ impl Plugin for SyntheticCameraPlugin {
                             timestamp: last.timestamp,
                             seq,
                             work_factor: 0.1,
-                            pose: self.last_pose.expect("last_frame implies last_pose"),
+                            pose: last.pose(),
                         };
                         wire::encode_camera(&rec, t)
                     });
-                    writer.put(StereoFrame { seq, ..last.clone() });
+                    writer.put(last.repeated_as(seq));
                     return IterationReport::with_work(0.1);
                 }
             }
         }
         let pose = self.trajectory.pose(t);
-        let frame = self.render(&pose, t, seq);
+        let frame = self.frame(t, seq, pose);
         self.last_frame = Some(frame.clone());
-        self.last_pose = Some(pose);
         ctx.boundary.record_with(streams::CAMERA, t.as_nanos(), || {
             wire::encode_camera(
                 &wire::CameraRecord { timestamp: t, seq, work_factor: 1.0, pose },
@@ -240,7 +236,7 @@ pub struct OfflineImuCameraPlugin {
     dataset: Arc<SyntheticDataset>,
     rig: StereoRig,
     imu_writer: Option<Writer<ImuSample>>,
-    cam_writer: Option<Writer<StereoFrame>>,
+    cam_writer: Option<Writer<CameraFrame>>,
     next_imu: usize,
     next_cam: usize,
 }
@@ -261,7 +257,7 @@ impl Plugin for OfflineImuCameraPlugin {
         self.imu_writer =
             Some(ctx.switchboard.topic::<ImuSample>(streams::IMU).expect("stream").writer());
         self.cam_writer =
-            Some(ctx.switchboard.topic::<StereoFrame>(streams::CAMERA).expect("stream").writer());
+            Some(ctx.switchboard.topic::<CameraFrame>(streams::CAMERA).expect("stream").writer());
     }
 
     fn iterate(&mut self, ctx: &PluginContext) -> IterationReport {
@@ -282,14 +278,10 @@ impl Plugin for OfflineImuCameraPlugin {
         while self.next_cam < self.dataset.camera_times.len()
             && self.dataset.camera_times[self.next_cam] <= now
         {
-            let t = self.dataset.camera_times[self.next_cam];
-            let (left, right) = self.dataset.render_frame(&self.rig, self.next_cam);
-            self.cam_writer.as_ref().expect("start() must run before iterate()").put(StereoFrame {
-                timestamp: t,
-                left: Arc::new(left),
-                right: Arc::new(right),
-                seq: self.next_cam as u64,
-            });
+            self.cam_writer
+                .as_ref()
+                .expect("start() must run before iterate()")
+                .put(self.dataset.frame(&self.rig, self.next_cam));
             self.next_cam += 1;
             emitted += 1;
         }
@@ -313,11 +305,27 @@ mod tests {
         (ctx, clock)
     }
 
+    /// A context whose fault plan freezes the camera from 50 to 200 ms.
+    fn frozen_camera_ctx() -> (PluginContext, SimClock) {
+        use illixr_core::fault::{FaultKind, FaultPlan, FaultWindow};
+        let clock = SimClock::new();
+        let plan = FaultPlan::new(9).with_window(FaultWindow::new(
+            FaultKind::CameraFreeze,
+            "camera",
+            Time::from_millis(50).as_nanos(),
+            Time::from_millis(200).as_nanos(),
+            1.0,
+        ));
+        let ctx =
+            RuntimeBuilder::new(Arc::new(clock.clone())).with_fault_plan(Arc::new(plan)).build();
+        (ctx, clock)
+    }
+
     #[test]
     fn synthetic_camera_publishes_frames() {
         let (ctx, clock) = sim_ctx();
         let reader =
-            ctx.switchboard.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(16);
+            ctx.switchboard.topic::<CameraFrame>(streams::CAMERA).expect("stream").sync_reader(16);
         let world = Arc::new(LandmarkWorld::new(50, illixr_math::Vec3::new(3.0, 2.0, 3.0), 1));
         let rig = StereoRig::zed_mini(PinholeCamera::qvga());
         let mut plugin = SyntheticCameraPlugin::new(Trajectory::walking(1), world, rig);
@@ -326,7 +334,9 @@ mod tests {
         plugin.iterate(&ctx);
         let frame = reader.try_recv().unwrap();
         assert_eq!(frame.timestamp, Time::from_millis(66));
-        assert_eq!(frame.left.width(), 320);
+        assert!(!frame.is_rendered(), "publishing renders nothing");
+        assert_eq!(frame.stereo().left.width(), 320);
+        assert!(frame.is_rendered());
     }
 
     #[test]
@@ -351,7 +361,7 @@ mod tests {
         let imu_reader =
             ctx.switchboard.topic::<ImuSample>(streams::IMU).expect("stream").sync_reader(4096);
         let cam_reader =
-            ctx.switchboard.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(64);
+            ctx.switchboard.topic::<CameraFrame>(streams::CAMERA).expect("stream").sync_reader(64);
         let ds = Arc::new(SyntheticDataset::generate(
             Trajectory::walking(3),
             LandmarkWorld::new(40, illixr_math::Vec3::new(3.0, 2.0, 3.0), 3),
@@ -377,19 +387,9 @@ mod tests {
 
     #[test]
     fn camera_freeze_window_repeats_the_stale_frame() {
-        use illixr_core::fault::{FaultKind, FaultPlan, FaultWindow};
-        let clock = SimClock::new();
-        let plan = FaultPlan::new(9).with_window(FaultWindow::new(
-            FaultKind::CameraFreeze,
-            "camera",
-            Time::from_millis(50).as_nanos(),
-            Time::from_millis(200).as_nanos(),
-            1.0,
-        ));
-        let ctx =
-            RuntimeBuilder::new(Arc::new(clock.clone())).with_fault_plan(Arc::new(plan)).build();
+        let (ctx, clock) = frozen_camera_ctx();
         let reader =
-            ctx.switchboard.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(16);
+            ctx.switchboard.topic::<CameraFrame>(streams::CAMERA).expect("stream").sync_reader(16);
         let world = Arc::new(LandmarkWorld::new(50, illixr_math::Vec3::new(3.0, 2.0, 3.0), 1));
         let rig = StereoRig::zed_mini(PinholeCamera::qvga());
         let mut plugin = SyntheticCameraPlugin::new(Trajectory::walking(1), world, rig);
@@ -401,8 +401,57 @@ mod tests {
         let frames = reader.drain();
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[1].timestamp, frames[0].timestamp, "frozen frame keeps stale stamp");
-        assert_eq!(frames[1].seq, 1, "sequence numbering still advances");
-        assert!(Arc::ptr_eq(&frames[0].left, &frames[1].left), "same image repeated");
+        assert_eq!(frames[1].data.seq, 1, "sequence numbering still advances");
+        assert!(
+            Arc::ptr_eq(&frames[0].stereo().left, &frames[1].stereo().left),
+            "same image repeated"
+        );
+    }
+
+    #[test]
+    fn restored_camera_repeats_the_snapshotted_frame_pixel_exact() {
+        let world = Arc::new(LandmarkWorld::new(50, illixr_math::Vec3::new(3.0, 2.0, 3.0), 1));
+        let rig = StereoRig::zed_mini(PinholeCamera::qvga());
+        let trajectory = Trajectory::walking(1);
+
+        // The instance that dies: one fresh frame, then a snapshot.
+        let (ctx, clock) = sim_ctx();
+        let reader =
+            ctx.switchboard.topic::<CameraFrame>(streams::CAMERA).expect("stream").sync_reader(16);
+        let mut plugin = SyntheticCameraPlugin::new(trajectory.clone(), world.clone(), rig);
+        plugin.start(&ctx);
+        clock.advance_to(Time::from_millis(33));
+        plugin.iterate(&ctx);
+        let original = reader.try_recv().unwrap().stereo();
+        let (seq, last) = (plugin.seq(), plugin.last_frame_info());
+
+        // Its replacement, restored from the snapshot into a freeze window.
+        let (ctx, clock) = frozen_camera_ctx();
+        let reader =
+            ctx.switchboard.topic::<CameraFrame>(streams::CAMERA).expect("stream").sync_reader(16);
+        let mut restored = SyntheticCameraPlugin::new(trajectory.clone(), world.clone(), rig);
+        restored.start(&ctx);
+        restored.restore_state(seq, last);
+        assert_eq!(restored.last_frame_info(), last);
+        for ms in [66, 133] {
+            clock.advance_to(Time::from_millis(ms));
+            restored.iterate(&ctx);
+        }
+        let repeats = reader.drain();
+        assert_eq!(repeats.len(), 2);
+        assert_eq!(repeats[0].timestamp, original.timestamp, "the snapshotted frame, repeated");
+        assert_eq!((repeats[0].data.seq, repeats[1].data.seq), (1, 2));
+        // Both repeats went out before anyone read the restored frame;
+        // the first read renders once for both.
+        assert!(repeats.iter().all(|f| !f.is_rendered()), "restore and repeat render nothing");
+        let second = repeats[1].stereo();
+        assert!(repeats[0].is_rendered(), "one cell behind every repeat");
+        assert!(Arc::ptr_eq(&repeats[0].stereo().left, &second.left));
+        assert_eq!(second.left.as_slice(), original.left.as_slice());
+        assert_eq!(second.right.as_slice(), original.right.as_slice());
+        let (left, right) = world.render_stereo(&rig, &trajectory.pose(original.timestamp));
+        assert_eq!(second.left.as_slice(), left.as_slice(), "restored frame is the world's render");
+        assert_eq!(second.right.as_slice(), right.as_slice());
     }
 
     #[test]
@@ -484,7 +533,7 @@ mod tests {
             .with_recorder(recorder.clone())
             .build();
         let cam_reader =
-            ctx.switchboard.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(64);
+            ctx.switchboard.topic::<CameraFrame>(streams::CAMERA).expect("stream").sync_reader(64);
         let imu_reader =
             ctx.switchboard.topic::<ImuSample>(streams::IMU).expect("stream").sync_reader(4096);
         let mut camera = SyntheticCameraPlugin::new(Trajectory::walking(1), world(), rig);
@@ -503,6 +552,21 @@ mod tests {
         let rec_samples = imu_reader.drain();
         let trace = Arc::new(recorder.snapshot());
         assert!(trace.stream("camera").is_some() && trace.stream("imu").is_some());
+        // Live frames, fresh and frozen, are the world's render at the
+        // trajectory pose of their (possibly stale) timestamp — and so is
+        // what the boundary recorded for them.
+        let (live_world, live_trajectory) = (world(), Trajectory::walking(1));
+        let transform = illixr_core::boundary::SessionTransform::IDENTITY;
+        for (frame, rec) in rec_frames.iter().zip(trace.stream("camera").unwrap()) {
+            let rec = wire::decode_camera(&rec.payload, rec.tag_ns, &transform).unwrap();
+            assert_eq!((rec.timestamp, rec.seq), (frame.timestamp, frame.data.seq));
+            let stereo = frame.stereo();
+            for pose in [live_trajectory.pose(frame.timestamp), rec.pose] {
+                let (left, right) = live_world.render_stereo(&rig, &pose);
+                assert_eq!(stereo.left.as_slice(), left.as_slice());
+                assert_eq!(stereo.right.as_slice(), right.as_slice());
+            }
+        }
 
         // Replay under a quiet plan, same iterate schedule: published
         // values must match bit-for-bit and the re-recorded trace must
@@ -514,7 +578,7 @@ mod tests {
             .with_recorder(rerec.clone())
             .build();
         let cam_reader2 =
-            ctx2.switchboard.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(64);
+            ctx2.switchboard.topic::<CameraFrame>(streams::CAMERA).expect("stream").sync_reader(64);
         let imu_reader2 =
             ctx2.switchboard.topic::<ImuSample>(streams::IMU).expect("stream").sync_reader(4096);
         let mut camera2 = SyntheticCameraPlugin::new(Trajectory::walking(99), world(), rig);
@@ -534,12 +598,9 @@ mod tests {
         assert_eq!(rec_frames.len(), rep_frames.len());
         for (a, b) in rec_frames.iter().zip(rep_frames.iter()) {
             assert_eq!(a.timestamp, b.timestamp);
-            assert_eq!(a.seq, b.seq);
-            assert_eq!(
-                a.left.as_slice(),
-                b.left.as_slice(),
-                "re-rendered frame must be pixel-exact"
-            );
+            assert_eq!(a.data.seq, b.data.seq);
+            let (a, b) = (a.stereo(), b.stereo());
+            assert_eq!(a.left.as_slice(), b.left.as_slice(), "replayed frame must be pixel-exact");
             assert_eq!(a.right.as_slice(), b.right.as_slice());
         }
         assert_eq!(

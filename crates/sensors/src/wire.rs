@@ -4,8 +4,9 @@
 //! sensors is smaller than the published value: an IMU record is the
 //! post-fault measurement (56 bytes), and a camera record is the head
 //! pose the frame was rendered from (80 bytes) — the frame image is a
-//! pure function of `(world(seed), rig, pose)`, so replay re-renders
-//! instead of storing ~600 kB of pixels per frame.
+//! pure function of `(world(seed), rig, pose)`, so replay republishes
+//! the view ([`CameraFrame`](crate::types::CameraFrame)) instead of
+//! storing ~600 kB of pixels per frame.
 //!
 //! Timestamps are stored as signed deltas from the record tag (the
 //! boundary-crossing time): a replay transform that dilates tags scales
@@ -26,7 +27,7 @@ use illixr_math::{Pose, Quat, Vec3};
 use crate::types::ImuSample;
 
 /// The boundary-side content of one camera frame: everything needed to
-/// re-render and re-publish it.
+/// re-publish it, and for a reader to render it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraRecord {
     /// Published frame timestamp (stale inside a freeze window).

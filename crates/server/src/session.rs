@@ -26,7 +26,7 @@ use illixr_sensors::camera::{PinholeCamera, StereoRig};
 use illixr_sensors::imu::ImuNoise;
 use illixr_sensors::plugins::{SyntheticCameraPlugin, SyntheticImuPlugin};
 use illixr_sensors::trajectory::Trajectory;
-use illixr_sensors::types::{streams, ImuSample, PoseEstimate, StereoFrame};
+use illixr_sensors::types::{streams, CameraFrame, ImuSample, PoseEstimate};
 use illixr_sensors::world::LandmarkWorld;
 use illixr_vio::integrator::ImuState;
 use illixr_vio::plugins::ImuIntegratorPlugin;
@@ -106,17 +106,21 @@ impl SessionState {
 /// One unit of offloaded VIO work: a camera frame plus the IMU window
 /// covering it.
 ///
-/// Zero-copy by construction: the stereo images are `Arc`-shared and
-/// the IMU window lives in a pooled [`SlabFrame`], so cloning a job —
-/// uplink queue, scheduler batch, VIO worker — never copies payload
-/// bytes, and dropping the last clone recycles the window's allocation
-/// into the owning session's slab pool.
+/// The frame is the camera stream's [`CameraFrame`] — the view, not
+/// pixels: a server running real VIO renders it when the filter reads it
+/// (`CameraFrame::stereo`), and ideal VIO, which reads only
+/// `frame.timestamp`, never does. Zero-copy by construction: clones of
+/// the frame share its view and any rendered pair, and the IMU window
+/// lives in a pooled [`SlabFrame`], so cloning a job — uplink queue,
+/// scheduler batch, VIO worker — never copies payload bytes, and
+/// dropping the last clone recycles the window's allocation into the
+/// owning session's slab pool.
 #[derive(Debug, Clone)]
 pub struct VioJob {
     /// Originating session.
     pub session: u32,
     /// The frame to process.
-    pub frame: StereoFrame,
+    pub frame: CameraFrame,
     /// IMU samples since the previous frame, through the frame time.
     pub imu: SlabFrame<Vec<ImuSample>>,
 }
@@ -224,7 +228,7 @@ pub struct ClientSession {
     imu: SyntheticImuPlugin,
     integrator: ImuIntegratorPlugin,
     /// Uplink taps: what the remote-VIO client ships to the server.
-    camera_reader: Option<SyncReader<StereoFrame>>,
+    camera_reader: Option<SyncReader<CameraFrame>>,
     imu_reader: Option<SyncReader<ImuSample>>,
     /// Server pose estimates re-enter the client pipeline here.
     slow_pose_writer: Option<Writer<PoseEstimate>>,
@@ -334,7 +338,7 @@ impl ClientSession {
     /// Attaches a determinism boundary. A recording boundary captures
     /// this session's sensor inputs; a replaying one feeds them back —
     /// in which case the trajectory, world and sensor plugins are
-    /// rebuilt from the *trace header's* seed so re-rendered frames and
+    /// rebuilt from the *trace header's* seed so replayed frames and
     /// ground truth match the recorded session, not this session's
     /// config seed. Call before [`ClientSession::connect`].
     pub fn with_boundary(mut self, boundary: Boundary) -> Self {
@@ -393,7 +397,7 @@ impl ClientSession {
     fn subscribe(&mut self) {
         let sb = &self.ctx.switchboard;
         self.camera_reader =
-            Some(sb.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(8));
+            Some(sb.topic::<CameraFrame>(streams::CAMERA).expect("stream").sync_reader(8));
         self.imu_reader =
             Some(sb.topic::<ImuSample>(streams::IMU).expect("stream").sync_reader(2048));
         self.slow_pose_writer =
@@ -414,8 +418,9 @@ impl ClientSession {
         }
     }
 
-    /// One camera tick: render the frame for the current clock time and
-    /// package it with the accumulated IMU window as an offload job.
+    /// One camera tick: take the (unrendered) frame for the current clock
+    /// time and package it with the accumulated IMU window as an offload
+    /// job.
     /// `None` when no frame was published this tick — a recorded camera
     /// drop during replay, or a replayed frame not yet due under the
     /// session's transform; the IMU window keeps accumulating.

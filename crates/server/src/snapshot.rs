@@ -10,8 +10,9 @@
 //! checkpoint fixture test pins.
 //!
 //! What is *not* here is as deliberate as what is: the camera's last
-//! frame is stored as `(timestamp, seq)` and re-rendered from the
-//! trajectory at restore (frame content is a pure function of pose);
+//! frame is stored as `(timestamp, seq)` and its view rebuilt from the
+//! trajectory at restore (frame content is a pure function of pose, and
+//! nothing is rendered unless a freeze window's repeat is read);
 //! the IMU model is fast-forwarded by `imu_iterations` rather than
 //! serializing its RNG; switchboard topics are re-seeded from the
 //! snapshotted latest values. Restore is therefore a *reconstruction*

@@ -1020,7 +1020,7 @@ pub fn image_quality(
             dropped += 1;
             continue; // platform still chewing on the previous frame: never rendered
         }
-        let out = filter.process_frame(&frame(), None);
+        let out = filter.process_frame(&frame.stereo(), None);
         let work = (out.tracked_features as f64).max(6.0) / 30.0;
         let cost = timing.cost("vio", k as u64, work).as_secs_f64();
         busy_until = t + cost.max(cam_period * 0.1);

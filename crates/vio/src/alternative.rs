@@ -405,7 +405,7 @@ mod tests {
         let mut any_visual = false;
         for (imu, frame) in ds.replay(&rig) {
             imu.iter().for_each(|&s| vio.process_imu(s));
-            let frame = frame();
+            let frame = frame.stereo();
             let out = vio.process_frame(&frame, None);
             any_visual |= out.points_used > 0;
             let err = out.state.pose.translation_distance(&ds.ground_truth_pose(frame.timestamp));
@@ -433,7 +433,7 @@ mod tests {
         let mut max_map = 0;
         for (imu, frame) in ds.replay(&rig) {
             imu.iter().for_each(|&s| vio.process_imu(s));
-            max_map = max_map.max(vio.process_frame(&frame(), None).map_size);
+            max_map = max_map.max(vio.process_frame(&frame.stereo(), None).map_size);
         }
         // Budget 60 features + short age → map stays small.
         assert!(max_map < 200, "map grew to {max_map}");

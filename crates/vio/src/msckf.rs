@@ -596,7 +596,7 @@ mod tests {
 
         for (imu, frame) in ds.replay(&rig) {
             imu.iter().for_each(|&s| filter.process_imu(s));
-            let frame = frame();
+            let frame = frame.stereo();
             let out = filter.process_frame(&frame, None);
             assert!(out.state.pose.is_finite(), "filter diverged at frame {}", frame.seq);
         }
@@ -625,7 +625,7 @@ mod tests {
         let mut total_updates = 0;
         for (imu, frame) in ds.replay(&rig) {
             imu.iter().for_each(|&s| filter.process_imu(s));
-            let frame = frame();
+            let frame = frame.stereo();
             let out = filter.process_frame(&frame, None);
             total_updates += out.msckf_features + out.slam_features;
             assert!(out.tracked_features > 0, "no features tracked at frame {}", frame.seq);
@@ -643,7 +643,7 @@ mod tests {
             Msckf::new(cfg, ImuState::from_pose(gt0.timestamp, gt0.pose, gt0.velocity));
         for (imu, frame) in ds.replay(&rig) {
             imu.iter().for_each(|&s| filter.process_imu(s));
-            filter.process_frame(&frame(), None);
+            filter.process_frame(&frame.stereo(), None);
             assert!(filter.clones.len() <= cfg.window_size);
             assert_eq!(filter.cov.rows(), IMU_DIM + filter.clones.len() * CLONE_DIM);
         }
@@ -661,7 +661,7 @@ mod tests {
         let timer = Metrics::new();
         for (imu, frame) in ds.replay(&rig) {
             imu.iter().for_each(|&s| filter.process_imu(s));
-            filter.process_frame(&frame(), Some(&timer));
+            filter.process_frame(&frame.stereo(), Some(&timer));
         }
         let names: Vec<String> = timer.shares().into_iter().map(|(n, _)| n).collect();
         for expected in [

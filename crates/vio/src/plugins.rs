@@ -4,7 +4,7 @@
 
 use illixr_core::plugin::{IterationReport, Plugin, PluginContext};
 use illixr_core::switchboard::{SyncReader, Writer};
-use illixr_sensors::types::{streams, ImuSample, PoseEstimate, StereoFrame};
+use illixr_sensors::types::{streams, CameraFrame, ImuSample, PoseEstimate, StereoFrame};
 
 use crate::integrator::{ImuState, Scheme};
 use crate::msckf::{Msckf, VioConfig};
@@ -14,13 +14,13 @@ use crate::msckf::{Msckf, VioConfig};
 /// pose out, and the frame gate between them.
 #[derive(Default)]
 struct TrackerStreams {
-    camera_reader: Option<SyncReader<StereoFrame>>,
+    camera_reader: Option<SyncReader<CameraFrame>>,
     imu_reader: Option<SyncReader<ImuSample>>,
     pose_writer: Option<Writer<PoseEstimate>>,
     /// A frame waiting for IMU coverage (frames must not be processed
     /// before IMU samples spanning their timestamp have arrived —
     /// essential when sensors arrive over a jittery link).
-    pending_frame: Option<StereoFrame>,
+    pending_frame: Option<CameraFrame>,
     latest_imu: illixr_core::Time,
 }
 
@@ -28,7 +28,7 @@ impl TrackerStreams {
     fn start(&mut self, ctx: &PluginContext) {
         let sb = &ctx.switchboard;
         self.camera_reader =
-            Some(sb.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(8));
+            Some(sb.topic::<CameraFrame>(streams::CAMERA).expect("stream").sync_reader(8));
         self.imu_reader =
             Some(sb.topic::<ImuSample>(streams::IMU).expect("stream").sync_reader(2048));
         self.pose_writer =
@@ -39,7 +39,9 @@ impl TrackerStreams {
     /// one camera frame (the component runs at the camera rate). A frame
     /// is held until IMU samples covering its timestamp have arrived, so
     /// delayed/jittery sensor delivery (e.g. an offloaded link) never
-    /// loses motion.
+    /// loses motion. The tracker reads pixels, so this is where the
+    /// frame is rendered — on the tracker's iteration, and only once it
+    /// is released.
     fn next_frame(&mut self, mut on_imu: impl FnMut(ImuSample)) -> Option<StereoFrame> {
         let imu = self.imu_reader.as_ref().expect("start() must run before iterate()");
         for s in imu.drain_iter() {
@@ -51,7 +53,7 @@ impl TrackerStreams {
             self.pending_frame = cam.try_recv().map(|e| e.data.clone());
         }
         let latest_imu = self.latest_imu;
-        self.pending_frame.take_if(|f| latest_imu >= f.timestamp)
+        self.pending_frame.take_if(|f| latest_imu >= f.timestamp).map(|f| f.stereo())
     }
 
     fn publish(&self, timestamp: illixr_core::Time, state: &ImuState) {
@@ -375,23 +377,26 @@ mod tests {
 
     #[test]
     fn vio_holds_frames_until_imu_coverage() {
-        use illixr_sensors::types::StereoFrame;
         let clock = SimClock::new();
         let ctx = RuntimeBuilder::new(Arc::new(clock.clone())).build();
         let init = ImuState::identity();
         let mut vio = VioPlugin::new(VioConfig::fast(PinholeCamera::qvga()), init);
         vio.start(&ctx);
-        let img = Arc::new(illixr_image::GrayImage::new(320, 240));
-        // A frame at t=100 ms with no IMU coverage yet → held.
-        ctx.switchboard.topic::<StereoFrame>(streams::CAMERA).expect("stream").writer().put(
-            StereoFrame {
-                timestamp: Time::from_millis(100),
-                left: img.clone(),
-                right: img.clone(),
-                seq: 0,
-            },
+        // A frame at t=100 ms with no IMU coverage yet → held, unrendered.
+        let frame = CameraFrame::new(
+            Time::from_millis(100),
+            0,
+            Arc::new(illixr_sensors::world::LandmarkWorld::lab(1)),
+            StereoRig::zed_mini(PinholeCamera::qvga()),
+            illixr_math::Pose::IDENTITY,
         );
+        ctx.switchboard
+            .topic::<CameraFrame>(streams::CAMERA)
+            .expect("stream")
+            .writer()
+            .put(frame.clone());
         assert!(!vio.iterate(&ctx).did_work, "frame processed without IMU coverage");
+        assert!(!frame.is_rendered(), "a held frame is not rendered");
         // IMU up to 99 ms: still not covered.
         let imu_writer = ctx
             .switchboard
@@ -411,6 +416,7 @@ mod tests {
             accel: illixr_math::Vec3::new(0.0, 9.80665, 0.0),
         });
         assert!(vio.iterate(&ctx).did_work, "covered frame must be processed");
+        assert!(frame.is_rendered(), "the tracker read the frame's pixels");
     }
 
     #[test]

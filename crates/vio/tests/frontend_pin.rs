@@ -62,7 +62,7 @@ fn msckf_digest(config: VioConfig) -> u64 {
     let mut h = Fnv::new();
     for (imu, frame) in ds.replay(&rig()) {
         imu.iter().for_each(|&s| filter.process_imu(s));
-        let out = filter.process_frame(&frame(), None);
+        let out = filter.process_frame(&frame.stereo(), None);
         h.state(&out.state);
         h.u64(out.tracked_features as u64);
         h.u64(out.update_rows as u64);
@@ -86,7 +86,7 @@ fn frame_to_frame_poses_are_pinned() {
     let mut h = Fnv::new();
     for (imu, frame) in ds.replay(&rig()) {
         imu.iter().for_each(|&s| vio.process_imu(s));
-        let out = vio.process_frame(&frame(), None);
+        let out = vio.process_frame(&frame.stereo(), None);
         h.state(&out.state);
         h.u64(out.points_used as u64);
         h.u64(out.map_size as u64);

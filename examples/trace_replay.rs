@@ -107,9 +107,10 @@ fn main() {
         .with_recorder(rerecorder.clone())
         .build();
     // Under replay the sensor plugins are only the boundary's decoders:
-    // the camera re-renders each recorded pose in the world of the trace
-    // header's seed, the IMU model is never sampled, and the trajectory
-    // only supplies VIO's initial state.
+    // the camera publishes each recorded pose as a view of the world of
+    // the trace header's seed (VIO renders it when it reads the frame),
+    // the IMU model is never sampled, and the trajectory only supplies
+    // VIO's initial state.
     let replayed = run(&ctx_b, &clock_b, trace.header.seed, false);
 
     // --- Compare ----------------------------------------------------------

@@ -18,7 +18,7 @@ fn alternative_vio_never_diverges_across_seeds() {
         let mut worst = 0.0f64;
         for (imu, frame) in ds.replay(&rig) {
             imu.iter().for_each(|&s| vio.process_imu(s));
-            let frame = frame();
+            let frame = frame.stereo();
             let out = vio.process_frame(&frame, None);
             let truth = ds.ground_truth_pose(frame.timestamp);
             worst = worst.max(out.state.pose.translation_distance(&truth));

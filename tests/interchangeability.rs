@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use illixr_testbed::core::plugin::{Plugin, PluginRegistry, RuntimeBuilder};
-use illixr_testbed::core::{Clock, SimClock, Time};
+use illixr_testbed::core::{Clock, SimClock, SwitchboardError, Time};
 use illixr_testbed::sensors::camera::{PinholeCamera, StereoRig};
 use illixr_testbed::sensors::dataset::SyntheticDataset;
 use illixr_testbed::sensors::imu::ImuNoise;
@@ -14,7 +14,7 @@ use illixr_testbed::sensors::plugins::{
     OfflineImuCameraPlugin, SyntheticCameraPlugin, SyntheticImuPlugin,
 };
 use illixr_testbed::sensors::trajectory::Trajectory;
-use illixr_testbed::sensors::types::{streams, ImuSample, PoseEstimate, StereoFrame};
+use illixr_testbed::sensors::types::{streams, CameraFrame, ImuSample, PoseEstimate, StereoFrame};
 use illixr_testbed::sensors::world::LandmarkWorld;
 use illixr_testbed::vio::integrator::{ImuState, Scheme};
 use illixr_testbed::vio::msckf::VioConfig;
@@ -61,7 +61,7 @@ fn offline_and_synthetic_providers_are_interchangeable() {
     );
     // Provider B: live-synthetic camera + IMU (two plugins, same streams,
     // same underlying trajectory).
-    let world = Arc::new(ds.world.clone());
+    let world = ds.world.clone();
     let err_synth = track_with_provider(
         vec![
             Box::new(SyntheticCameraPlugin::new(ds.trajectory.clone(), world, rig())),
@@ -181,12 +181,22 @@ fn plugin_registry_builds_alternatives_by_name() {
     let ctx = RuntimeBuilder::new(Arc::new(clock.clone())).build();
     for name in ["camera_imu/offline", "camera_imu/synthetic"] {
         let cam_reader =
-            ctx.switchboard.topic::<StereoFrame>(streams::CAMERA).expect("stream").sync_reader(16);
+            ctx.switchboard.topic::<CameraFrame>(streams::CAMERA).expect("stream").sync_reader(16);
         let mut plugin = registry.build(name, &ctx).expect("registered plugin builds");
         plugin.start(&ctx);
         clock.advance_to(clock.now() + std::time::Duration::from_millis(100));
         plugin.iterate(&ctx);
         assert!(!cam_reader.is_empty(), "{name} published no camera frames");
+    }
+    // The stream carries the view, not pixels: a reader written against
+    // the rendered type is told so, not left waiting on an empty stream.
+    match ctx.switchboard.topic::<StereoFrame>(streams::CAMERA) {
+        Err(SwitchboardError::TypeMismatch { name, requested, registered }) => {
+            assert_eq!(name, streams::CAMERA);
+            assert!(requested.ends_with("StereoFrame"), "requested {requested}");
+            assert!(registered.ends_with("CameraFrame"), "registered {registered}");
+        }
+        Ok(_) => panic!("camera stream handed out as StereoFrame"),
     }
 }
 

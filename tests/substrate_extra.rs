@@ -166,7 +166,7 @@ fn msckf_update_shrinks_uncertainty_and_corrects_pose() {
     let initial_err = offset.norm();
     for (imu, frame) in ds.replay(&rig) {
         imu.iter().for_each(|&s| filter.process_imu(s));
-        filter.process_frame(&frame(), None);
+        filter.process_frame(&frame.stereo(), None);
     }
     let final_err = filter
         .state()
