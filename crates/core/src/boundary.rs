@@ -75,10 +75,6 @@ impl Boundary {
         Self { recorder, source: Some(source) }
     }
 
-    pub fn is_off(&self) -> bool {
-        self.recorder.is_none() && self.source.is_none()
-    }
-
     /// The replay source, when this boundary replays.
     pub fn source(&self) -> Option<&TraceSource> {
         self.source.as_ref()
@@ -204,7 +200,6 @@ mod tests {
     #[test]
     fn off_boundary_is_inert() {
         let b = Boundary::off();
-        assert!(b.is_off());
         b.record_with("imu", 1, || unreachable!("an off boundary never encodes"));
         assert!(b.replay_due("imu", u64::MAX).is_none() && b.source().is_none());
     }

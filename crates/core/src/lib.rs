@@ -9,8 +9,8 @@
 //!   the only way plugins communicate.
 //! * **[`plugin`]** — the plugin trait and registry. Components are
 //!   interchangeable as long as they speak the same event streams; Rust's
-//!   static registration replaces the paper's shared-object loader.
-//! * **[`phonebook`]** — typed service lookup (clock, switchboard, …).
+//!   static registration replaces the paper's shared-object loader, and
+//!   the [`PluginContext`]'s typed fields replace its service phonebook.
 //! * **[`time`] / [`clock`]** — a single `Clock` abstraction with a
 //!   wall-clock implementation for live runs and a virtual clock for
 //!   deterministic simulated runs.
@@ -67,7 +67,6 @@ pub mod clock;
 pub mod fault;
 pub mod link;
 pub mod obs;
-pub mod phonebook;
 pub mod plugin;
 pub mod sched;
 pub mod sim;
@@ -81,7 +80,6 @@ pub mod time;
 pub use boundary::{Boundary, SessionTransform, Trace, TraceRecorder, TraceSource};
 pub use clock::{Clock, SimClock, WallClock};
 pub use link::{Direction, LinkProfile};
-pub use phonebook::{Phonebook, PhonebookError};
 pub use plugin::{Plugin, PluginContext, PluginRegistry, RuntimeBuilder};
 pub use slab::{Recycle, SlabFrame, SlabPool};
 pub use supervisor::{PluginHealth, SupervisionPolicy, Supervisor};

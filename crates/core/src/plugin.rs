@@ -19,22 +19,18 @@ use crate::boundary::{Boundary, TraceRecorder, TraceSource};
 use crate::clock::Clock;
 use crate::fault::FaultPlan;
 use crate::obs::{Metrics, Tracer};
-use crate::phonebook::Phonebook;
-use crate::sched::PlacementPlan;
 use crate::supervisor::{SupervisionPolicy, Supervisor};
 use crate::switchboard::Switchboard;
 use crate::telemetry::RecordLogger;
 
 /// Everything a plugin can reach: the switchboard for streams, the
-/// phonebook for services, the runtime clock, the telemetry logger,
-/// the observability handles, the fault-injection plan and the
-/// supervisor. Constructed by [`RuntimeBuilder`].
+/// runtime clock, the telemetry logger, the observability handles, the
+/// fault-injection plan and the supervisor. These typed fields are the
+/// service directory. Constructed by [`RuntimeBuilder`].
 #[derive(Clone)]
 pub struct PluginContext {
     /// Event-stream registry.
     pub switchboard: Switchboard,
-    /// Service registry.
-    pub phonebook: Phonebook,
     /// The runtime clock (wall or virtual).
     pub clock: Arc<dyn Clock>,
     /// Telemetry sink.
@@ -53,12 +49,6 @@ pub struct PluginContext {
     /// Record/replay determinism boundary ([`Boundary::off`] by
     /// default — a guaranteed no-op).
     pub boundary: Arc<Boundary>,
-    /// Device/edge placement plan ([`PlacementPlan::all_local`] by
-    /// default — everything on-device, the historical behaviour).
-    /// Consulted when wiring offloadable cut-points so benches and
-    /// examples declare placement instead of hand-wiring offload
-    /// plumbing.
-    pub placement: Arc<PlacementPlan>,
 }
 
 /// Builds a [`PluginContext`] — the single entry point into the
@@ -88,7 +78,6 @@ pub struct RuntimeBuilder {
     telemetry: Option<Arc<RecordLogger>>,
     recorder: Option<TraceRecorder>,
     source: Option<TraceSource>,
-    placement: Arc<PlacementPlan>,
 }
 
 impl RuntimeBuilder {
@@ -105,17 +94,7 @@ impl RuntimeBuilder {
             telemetry: None,
             recorder: None,
             source: None,
-            placement: Arc::new(PlacementPlan::all_local()),
         }
-    }
-
-    /// Declares the device/edge placement plan: which pipeline
-    /// cut-points run on-device vs behind a link, and whether the
-    /// placement controller may migrate them. The default —
-    /// [`PlacementPlan::all_local`] — changes nothing.
-    pub fn with_placement(mut self, plan: PlacementPlan) -> Self {
-        self.placement = Arc::new(plan);
-        self
     }
 
     /// Records switchboard, threadloop and plugin activity through
@@ -169,7 +148,7 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Builds the context with a fresh switchboard and phonebook.
+    /// Builds the context with a fresh switchboard.
     pub fn build(self) -> PluginContext {
         let supervisor = match self.supervision {
             Some(policy) => Supervisor::new(policy),
@@ -182,7 +161,6 @@ impl RuntimeBuilder {
         };
         PluginContext {
             switchboard: Switchboard::with_obs(self.tracer.clone(), self.metrics.clone()),
-            phonebook: Phonebook::new(),
             clock: self.clock,
             telemetry: self.telemetry.unwrap_or_else(|| Arc::new(RecordLogger::new())),
             tracer: self.tracer,
@@ -190,7 +168,6 @@ impl RuntimeBuilder {
             fault: self.fault,
             supervisor,
             boundary: Arc::new(boundary),
-            placement: self.placement,
         }
     }
 }
@@ -199,7 +176,6 @@ impl std::fmt::Debug for PluginContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PluginContext")
             .field("switchboard", &self.switchboard)
-            .field("phonebook", &self.phonebook)
             .finish_non_exhaustive()
     }
 }
@@ -377,19 +353,6 @@ mod tests {
         assert!(!ctx.supervisor.is_enabled());
         assert!(!ctx.tracer.is_enabled());
         assert!(!ctx.metrics.is_enabled());
-        assert!(ctx.placement.is_all_local());
-    }
-
-    #[test]
-    fn builder_wires_a_placement_plan() {
-        use crate::sched::{PlacementPlan, Side};
-
-        let ctx = RuntimeBuilder::new(Arc::new(WallClock::new()))
-            .with_placement(PlacementPlan::adaptive("vio", Side::Edge))
-            .build();
-        assert!(!ctx.placement.is_all_local());
-        assert_eq!(ctx.placement.side_of("vio"), Side::Edge);
-        assert!(ctx.placement.is_adaptive("vio"));
     }
 
     #[test]
@@ -412,7 +375,9 @@ mod tests {
     fn builder_defaults_to_an_off_boundary_and_wires_record_replay() {
         use crate::boundary::{TraceRecorder, TraceSource};
 
-        assert!(ctx().boundary.is_off());
+        let off = ctx().boundary;
+        off.record_with("imu", 7, || unreachable!("the default boundary records nothing"));
+        assert!(off.source().is_none());
         let recorder = TraceRecorder::new(1, 2);
         let recording =
             RuntimeBuilder::new(Arc::new(WallClock::new())).with_recorder(recorder.clone()).build();

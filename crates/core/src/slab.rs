@@ -85,7 +85,7 @@ impl<T: Recycle + Default> SlabPool<T> {
     }
 
     /// Recycled allocations currently waiting for reuse.
-    pub fn free_count(&self) -> usize {
+    pub(crate) fn free_count(&self) -> usize {
         self.inner.free.lock().unwrap().len()
     }
 }
@@ -101,7 +101,7 @@ pub struct SlabFrame<T: Recycle + Default> {
 impl<T: Recycle + Default> SlabFrame<T> {
     /// A frame not backed by any pool (drops its storage normally).
     /// Lets payload types default-construct outside pooled contexts.
-    pub fn detached(value: T) -> Self {
+    pub(crate) fn detached(value: T) -> Self {
         Self { value: Some(Arc::new(value)), pool: Weak::new() }
     }
 

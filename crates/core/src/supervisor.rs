@@ -25,7 +25,7 @@
 //!   restart closes the incident; the panic→recovery latency is
 //!   recorded and exposed for the `supervisor.recovery` histogram.
 //! * **Stale-stream watchdog** — plugins report progress on every
-//!   productive iteration; [`Supervisor::scan_stale`] marks any plugin
+//!   productive iteration; a watchdog sweep marks any plugin
 //!   silent past the deadline [`PluginHealth::Degraded`], exactly once
 //!   per incident.
 //!
@@ -86,7 +86,7 @@ impl SupervisionPolicy {
     /// at [`SupervisionPolicy::backoff_max`] for any attempt number —
     /// the exponential is clamped before constructing a `Duration`, so
     /// arbitrarily late attempts cannot overflow.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let exp = attempt.saturating_sub(1).min(i32::MAX as u32) as i32;
         let secs = self.backoff_initial.as_secs_f64() * self.backoff_factor.powi(exp);
         if !secs.is_finite() || secs >= self.backoff_max.as_secs_f64() {
@@ -199,7 +199,7 @@ impl Supervisor {
     /// Reports a contained panic at `now_ns`. Returns the backoff to
     /// wait before restarting, or `None` when the restart budget is
     /// exhausted (the plugin transitions to [`PluginHealth::Failed`]).
-    pub fn on_panic(&self, plugin: &str, now_ns: u64) -> Option<Duration> {
+    pub(crate) fn on_panic(&self, plugin: &str, now_ns: u64) -> Option<Duration> {
         let mut plugins = self.plugins.lock();
         let rec = plugins.entry(plugin.to_owned()).or_default();
         rec.panics += 1;
@@ -216,7 +216,7 @@ impl Supervisor {
     /// Reports a productive iteration at `now_ns`: clears any open
     /// incident (returning its panic→recovery latency) and feeds the
     /// stale-stream watchdog.
-    pub fn note_progress(&self, plugin: &str, now_ns: u64) -> Option<u64> {
+    pub(crate) fn note_progress(&self, plugin: &str, now_ns: u64) -> Option<u64> {
         let mut plugins = self.plugins.lock();
         let rec = plugins.entry(plugin.to_owned()).or_default();
         rec.last_progress_ns = now_ns;
@@ -234,7 +234,7 @@ impl Supervisor {
     /// with no productive iteration for longer than the watchdog
     /// deadline is marked [`PluginHealth::Degraded`], once per incident.
     /// Returns the names degraded by *this* sweep.
-    pub fn scan_stale(&self, now_ns: u64) -> Vec<String> {
+    pub(crate) fn scan_stale(&self, now_ns: u64) -> Vec<String> {
         let Some(deadline) = self.policy.watchdog_deadline else {
             return Vec::new();
         };
@@ -331,7 +331,7 @@ impl Supervised {
 
     /// True once the restart budget is exhausted: every further
     /// [`invoke`](Self::invoke) returns `None` without running anything.
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.state == RunState::Dead
     }
 

@@ -10,20 +10,31 @@
 //!   dependence, e.g. reprojection sampling the freshest pose).
 //!
 //! Streams are obtained through typed [`Topic`] handles; a payload-type
-//! conflict or duplicate registration surfaces as a [`SwitchboardError`]
-//! instead of a panic. When the switchboard is built with
-//! [`Switchboard::with_obs`], every `put`/`recv` pair additionally emits
-//! a flow event with a deterministic id, letting the obs exporter
-//! stitch producer→consumer causal chains across a trace.
+//! conflict surfaces as a [`SwitchboardError`] instead of a panic. When
+//! the switchboard is built with [`Switchboard::with_obs`], every
+//! `put`/receive pair additionally emits a flow event with a
+//! deterministic id, letting the obs exporter stitch producer→consumer
+//! causal chains across a trace.
 //!
-//! # Cost of an event
+//! # One stream, one lock
+//!
+//! Every receive polls: a plugin's `iterate` runs on the threadloop's
+//! period or the simulator's schedule and asks its readers what has
+//! arrived, so no reader ever sleeps on a stream and nothing here wakes
+//! one. A stream is one object; `Topic`, `Writer`, `AsyncReader` and
+//! `SyncReader` are references to it. Its one lock guards the sequence
+//! counter, the latest event and the list of subscriptions, and a `put`
+//! assigns the `seq`, replaces `latest` and pushes every subscription's
+//! queue inside one critical section. Queue order is therefore `seq`
+//! order is `latest` order, for any number of writer threads: two
+//! writers cannot interleave between taking a `seq` and queuing it.
 //!
 //! The IMU and fast-pose streams carry 500 events a second a session, so
 //! the stream's own cost is most of what their consumers cost. A `put`
-//! allocates the one `Arc<Event<T>>` its readers share and makes no
-//! system call unless a reader is parked in [`SyncReader::recv`]; a
-//! receive allocates nothing, whether observability is on or off — the
-//! track and histogram names it needs are built with the handle.
+//! costs that one lock, the one `Arc<Event<T>>` its readers share and one
+//! queue push a subscriber; a receive is one queue pop or one clone of
+//! `latest`, and allocates nothing whether observability is on or off —
+//! the track and histogram names it needs are built with the stream.
 //!
 //! # Examples
 //!
@@ -47,12 +58,11 @@
 //! assert!(sb.topic::<u32>("imu").is_err());
 //! ```
 
-use std::any::{type_name, Any, TypeId};
-use std::collections::HashMap;
+use std::any::{type_name, Any};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Mutex, RwLock};
 
 use crate::obs::{flow_id, FlowPhase, Metrics, Tracer};
@@ -102,72 +112,134 @@ impl std::fmt::Display for SwitchboardError {
 
 impl std::error::Error for SwitchboardError {}
 
+/// One synchronous reader's queue, shared between the stream (which
+/// pushes under its lock) and the one [`SyncReader`] that pops. The
+/// reader is not `Clone`, so a reference count of one means the reader
+/// is gone for good.
+struct Subscription<T> {
+    /// Grown on demand: a queue drained as fast as it fills stays a few
+    /// slots long whatever its capacity.
+    queue: Mutex<VecDeque<Arc<Event<T>>>>,
+    capacity: usize,
+}
+
+/// What a stream's one lock guards.
+struct Shared<T> {
+    seq: u64,
+    latest: Option<Arc<Event<T>>>,
+    subscribers: Vec<Arc<Subscription<T>>>,
+    dropped: u64,
+}
+
+/// One stream. Every name is built once here so neither `put` nor a
+/// receive formats or allocates.
 struct TopicState<T> {
-    latest: RwLock<Option<Arc<Event<T>>>>,
-    subscribers: Mutex<Vec<Sender<Arc<Event<T>>>>>,
-    seq: AtomicU64,
-    dropped: AtomicU64,
+    name: Box<str>,
+    /// `<name>.recv`: the track readers' flow ends land on.
+    recv_track: Box<str>,
+    /// The tracer's scope plus the stream name; seeds deterministic
+    /// flow ids.
+    flow_name: Box<str>,
+    /// `topic.<flow_name>.publish_interval_ns`.
+    interval_name: Box<str>,
+    tracer: Tracer,
+    metrics: Metrics,
+    shared: Mutex<Shared<T>>,
     last_publish_ns: AtomicU64,
 }
 
-impl<T> Default for TopicState<T> {
-    fn default() -> Self {
+impl<T> TopicState<T> {
+    fn new(name: &str, tracer: &Tracer, metrics: &Metrics) -> Self {
+        let flow_name = format!("{}{}", tracer.scope(), name);
         Self {
-            latest: RwLock::new(None),
-            subscribers: Mutex::new(Vec::new()),
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            name: name.into(),
+            recv_track: format!("{name}.recv").into(),
+            interval_name: format!("topic.{flow_name}.publish_interval_ns").into(),
+            flow_name: flow_name.into(),
+            tracer: tracer.clone(),
+            metrics: metrics.clone(),
+            shared: Mutex::new(Shared {
+                seq: 0,
+                latest: None,
+                subscribers: Vec::new(),
+                dropped: 0,
+            }),
             last_publish_ns: AtomicU64::new(u64::MAX),
         }
     }
-}
 
-impl<T: Send + Sync> TopicState<T> {
-    fn publish(&self, data: T) -> Arc<Event<T>> {
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
+    fn publish(&self, data: T) -> u64 {
+        let mut guard = self.shared.lock();
+        let shared = &mut *guard;
+        let seq = shared.seq;
+        shared.seq += 1;
         let event = Arc::new(Event { seq, data });
-        *self.latest.write() = Some(event.clone());
-        let mut subs = self.subscribers.lock();
-        subs.retain(|tx| match tx.try_send(event.clone()) {
-            Ok(()) => true,
-            Err(crossbeam::channel::TrySendError::Full(_)) => {
+        let Shared { subscribers, dropped, .. } = shared;
+        subscribers.retain(|sub| {
+            // A subscription only the stream still holds lost its reader.
+            if Arc::strong_count(sub) == 1 {
+                return false;
+            }
+            let mut queue = sub.queue.lock();
+            if queue.len() < sub.capacity {
+                queue.push_back(event.clone());
+            } else {
                 // Back-pressure policy: drop the event for this slow
                 // consumer but keep the subscription. The paper's runtime
                 // similarly favours freshness over completeness when a
                 // consumer cannot keep up.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                true
+                *dropped += 1;
             }
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => false,
+            true
         });
-        event
+        shared.latest = Some(event);
+        seq
+    }
+
+    fn latest(&self) -> Option<Arc<Event<T>>> {
+        self.shared.lock().latest.clone()
+    }
+
+    fn on_put(&self, seq: u64) {
+        if !self.tracer.is_enabled() {
+            return;
+        }
+        let now = self.tracer.now_ns();
+        self.flow(&self.name, seq, now, FlowPhase::Begin);
+        let last = self.last_publish_ns.swap(now, Ordering::SeqCst);
+        if self.metrics.is_enabled() && last != u64::MAX && now >= last {
+            self.metrics.record_ns(&self.interval_name, now - last);
+        }
+    }
+
+    fn on_recv(&self, seq: u64) {
+        if self.tracer.is_enabled() {
+            self.flow(&self.recv_track, seq, self.tracer.now_ns(), FlowPhase::End);
+        }
+    }
+
+    fn flow(&self, track: &str, seq: u64, now: u64, phase: FlowPhase) {
+        self.tracer.flow(track, &self.flow_name, flow_id(&self.flow_name, seq), now, phase);
     }
 }
 
-/// Type-erased view of a topic's counters, so the switchboard can
-/// report on streams whose payload type it no longer knows.
-trait TopicMeta: Send + Sync {
-    fn seq(&self) -> u64;
-    fn dropped(&self) -> u64;
-    fn subscribers(&self) -> usize;
-    fn queue_depth(&self) -> usize;
+/// Type-erased view of a stream: its counters, for a switchboard that
+/// no longer knows the payload type, and (as `Any`) the way back to the
+/// typed stream for a caller that does.
+trait TopicMeta: Any + Send + Sync {
+    fn stats(&self) -> TopicStats;
 }
 
-impl<T: Send + Sync> TopicMeta for TopicState<T> {
-    fn seq(&self) -> u64 {
-        self.seq.load(Ordering::SeqCst)
-    }
-
-    fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    fn subscribers(&self) -> usize {
-        self.subscribers.lock().len()
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.subscribers.lock().iter().map(Sender::len).sum()
+impl<T: Send + Sync + 'static> TopicMeta for TopicState<T> {
+    fn stats(&self) -> TopicStats {
+        let shared = self.shared.lock();
+        TopicStats {
+            name: self.name.to_string(),
+            seq: shared.seq,
+            dropped: shared.dropped,
+            subscribers: shared.subscribers.len(),
+            queue_depth: shared.subscribers.iter().map(|sub| sub.queue.lock().len()).sum(),
+        }
     }
 }
 
@@ -180,7 +252,7 @@ pub struct TopicStats {
     pub seq: u64,
     /// Events dropped across all synchronous readers (back-pressure).
     pub dropped: u64,
-    /// Live synchronous subscriptions (disconnected readers are only
+    /// Live synchronous subscriptions (a dropped reader's is only
     /// garbage-collected on the next publish, so this can briefly
     /// over-count).
     pub subscribers: usize,
@@ -188,95 +260,28 @@ pub struct TopicStats {
     pub queue_depth: usize,
 }
 
-/// Shared observability context for one stream: the (possibly
-/// disabled) tracer and metrics plus the scope-qualified stream name
-/// that seeds deterministic flow ids, and the histogram name derived
-/// from it. Every name is built once here so neither `put` nor `recv`
-/// formats or allocates.
-#[derive(Clone)]
-struct TopicObs {
-    tracer: Tracer,
-    metrics: Metrics,
-    flow_name: Arc<str>,
-    /// `topic.<flow_name>.publish_interval_ns`.
-    interval_name: Arc<str>,
-}
-
-impl TopicObs {
-    fn on_put(&self, track: &str, state: &AtomicU64, seq: u64) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let now = self.tracer.now_ns();
-        self.tracer.flow(
-            track,
-            &self.flow_name,
-            flow_id(&self.flow_name, seq),
-            now,
-            FlowPhase::Begin,
-        );
-        let last = state.swap(now, Ordering::SeqCst);
-        if self.metrics.is_enabled() && last != u64::MAX && now >= last {
-            self.metrics.record_ns(&self.interval_name, now - last);
-        }
-    }
-
-    fn on_recv(&self, track: &str, seq: u64) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let now = self.tracer.now_ns();
-        self.tracer.flow(
-            track,
-            &self.flow_name,
-            flow_id(&self.flow_name, seq),
-            now,
-            FlowPhase::End,
-        );
-    }
-}
-
 /// Typed handle onto one stream, from [`Switchboard::topic`]. Vends
 /// writers and readers; cloning is cheap and clones address the same
 /// stream.
 pub struct Topic<T> {
     state: Arc<TopicState<T>>,
-    name: String,
-    obs: TopicObs,
 }
 
 impl<T> Clone for Topic<T> {
     fn clone(&self) -> Self {
-        Self { state: self.state.clone(), name: self.name.clone(), obs: self.obs.clone() }
-    }
-}
-
-impl<T> std::fmt::Debug for Topic<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Topic<{}>({})", type_name::<T>(), self.name)
+        Self { state: self.state.clone() }
     }
 }
 
 impl<T: Send + Sync + 'static> Topic<T> {
-    /// Stream name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// A writer publishing onto this stream.
     pub fn writer(&self) -> Writer<T> {
-        Writer { topic: self.state.clone(), name: self.name.clone(), obs: self.obs.clone() }
+        Writer { topic: self.state.clone() }
     }
 
     /// An asynchronous (latest-value) reader.
     pub fn async_reader(&self) -> AsyncReader<T> {
-        AsyncReader {
-            topic: self.state.clone(),
-            recv_track: self.recv_track(),
-            name: self.name.clone(),
-            obs: self.obs.clone(),
-            last_seen: AtomicU64::new(u64::MAX),
-        }
+        AsyncReader { topic: self.state.clone(), last_seen: AtomicU64::new(u64::MAX) }
     }
 
     /// A synchronous (every-value) reader buffering up to `capacity`
@@ -304,55 +309,29 @@ impl<T: Send + Sync + 'static> Topic<T> {
     }
 
     fn subscribe(&self, capacity: usize) -> SyncReader<T> {
-        let (tx, rx) = bounded(capacity);
-        self.state.subscribers.lock().push(tx);
-        SyncReader {
-            rx,
-            recv_track: self.recv_track(),
-            name: self.name.clone(),
-            obs: self.obs.clone(),
-        }
-    }
-
-    /// The track a reader's flow ends land on, built once per reader.
-    fn recv_track(&self) -> String {
-        format!("{}.recv", self.name)
+        let sub = Arc::new(Subscription { queue: Mutex::new(VecDeque::new()), capacity });
+        self.state.shared.lock().subscribers.push(sub.clone());
+        SyncReader { topic: self.state.clone(), sub }
     }
 }
 
 /// Publishes events onto a named stream.
 pub struct Writer<T> {
     topic: Arc<TopicState<T>>,
-    name: String,
-    obs: TopicObs,
 }
 
 impl<T: Send + Sync> Writer<T> {
     /// Publishes an event, delivering it to all synchronous readers and
     /// making it the stream's latest value.
     pub fn put(&self, data: T) {
-        let event = self.topic.publish(data);
-        self.obs.on_put(&self.name, &self.topic.last_publish_ns, event.seq);
-    }
-
-    /// Stream name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl<T> std::fmt::Debug for Writer<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Writer<{}>({})", type_name::<T>(), self.name)
+        let seq = self.topic.publish(data);
+        self.topic.on_put(seq);
     }
 }
 
 /// Reads the latest value of a stream (asynchronous dependence).
 pub struct AsyncReader<T> {
     topic: Arc<TopicState<T>>,
-    name: String,
-    recv_track: String,
-    obs: TopicObs,
     /// Highest sequence number already reported as a flow end, so
     /// repeated `latest()` polls of one event emit one flow event.
     last_seen: AtomicU64,
@@ -364,12 +343,12 @@ impl<T: Send + Sync> AsyncReader<T> {
     /// This is the one latest-value accessor; the payload is a
     /// dereference away (`reader.latest().unwrap().data`).
     pub fn latest(&self) -> Option<Arc<Event<T>>> {
-        let event = self.topic.latest.read().clone();
+        let event = self.topic.latest();
         if let Some(e) = &event {
             // Report each event at most once per reader so a 500 Hz
             // poller doesn't flood the trace with duplicate flow ends.
             if self.last_seen.swap(e.seq, Ordering::SeqCst) != e.seq {
-                self.obs.on_recv(&self.recv_track, e.seq);
+                self.topic.on_recv(e.seq);
             }
         }
         event
@@ -380,50 +359,24 @@ impl<T: Send + Sync> AsyncReader<T> {
     /// untouched, so checkpoints and other out-of-band inspectors can
     /// peek mid-run without perturbing the trace a live run would emit.
     pub fn peek_latest(&self) -> Option<Arc<Event<T>>> {
-        self.topic.latest.read().clone()
-    }
-
-    /// Stream name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl<T> std::fmt::Debug for AsyncReader<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "AsyncReader<{}>({})", type_name::<T>(), self.name)
+        self.topic.latest()
     }
 }
 
 /// Receives every event on a stream (synchronous dependence), buffered in
-/// a bounded queue.
+/// a bounded queue. Deliberately not `Clone`: the stream collects a
+/// subscription once its one reader is dropped.
 pub struct SyncReader<T> {
-    rx: Receiver<Arc<Event<T>>>,
-    name: String,
-    recv_track: String,
-    obs: TopicObs,
+    topic: Arc<TopicState<T>>,
+    sub: Arc<Subscription<T>>,
 }
 
 impl<T: Send + Sync> SyncReader<T> {
-    /// Pops the next event without blocking; `None` when the queue is
-    /// empty.
+    /// Pops the next event; `None` when the queue is empty.
     pub fn try_recv(&self) -> Option<Arc<Event<T>>> {
-        match self.rx.try_recv() {
-            Ok(e) => {
-                self.obs.on_recv(&self.recv_track, e.seq);
-                Some(e)
-            }
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
-    }
-
-    /// Blocks until the next event arrives (live mode only).
-    pub fn recv(&self) -> Option<Arc<Event<T>>> {
-        let event = self.rx.recv().ok();
-        if let Some(e) = &event {
-            self.obs.on_recv(&self.recv_track, e.seq);
-        }
-        event
+        let event = self.sub.queue.lock().pop_front()?;
+        self.topic.on_recv(event.seq);
+        Some(event)
     }
 
     /// Drains currently queued events lazily, without allocating.
@@ -440,23 +393,36 @@ impl<T: Send + Sync> SyncReader<T> {
 
     /// Number of events currently queued.
     pub fn len(&self) -> usize {
-        self.rx.len()
+        self.sub.queue.lock().len()
     }
 
     /// True when no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
+        self.len() == 0
     }
+}
 
-    /// Stream name.
-    pub fn name(&self) -> &str {
-        &self.name
+impl<T> std::fmt::Debug for Topic<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Topic<{}>({})", type_name::<T>(), self.state.name)
+    }
+}
+
+impl<T> std::fmt::Debug for Writer<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Writer<{}>({})", type_name::<T>(), self.topic.name)
+    }
+}
+
+impl<T> std::fmt::Debug for AsyncReader<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "AsyncReader<{}>({})", type_name::<T>(), self.topic.name)
     }
 }
 
 impl<T> std::fmt::Debug for SyncReader<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SyncReader<{}>({})", type_name::<T>(), self.name)
+        write!(f, "SyncReader<{}>({})", type_name::<T>(), self.topic.name)
     }
 }
 
@@ -473,11 +439,6 @@ impl<T: Send + Sync> Iterator for DrainIter<'_, T> {
     fn next(&mut self) -> Option<Self::Item> {
         self.reader.try_recv()
     }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        // Lower bound 0: concurrent consumers may win the race.
-        (0, None)
-    }
 }
 
 /// The stream registry: hands out typed [`Topic`] handles for named
@@ -489,13 +450,24 @@ pub struct Switchboard {
     metrics: Metrics,
 }
 
-/// A registered stream: the typed topic behind an `Any` for readers and
-/// writers, plus a type-erased counter view for [`Switchboard::stats`].
+/// A registered stream and the name of its payload type.
 struct TopicEntry {
-    type_id: TypeId,
     type_name: &'static str,
-    topic: Arc<dyn Any + Send + Sync>,
-    meta: Arc<dyn TopicMeta>,
+    topic: Arc<dyn TopicMeta>,
+}
+
+impl TopicEntry {
+    fn typed<T: Send + Sync + 'static>(&self, name: &str) -> Result<Topic<T>, SwitchboardError> {
+        let topic: Arc<dyn Any + Send + Sync> = self.topic.clone();
+        match topic.downcast::<TopicState<T>>() {
+            Ok(state) => Ok(Topic { state }),
+            Err(_) => Err(SwitchboardError::TypeMismatch {
+                name: name.to_owned(),
+                requested: type_name::<T>(),
+                registered: self.type_name,
+            }),
+        }
+    }
 }
 
 impl Switchboard {
@@ -505,26 +477,12 @@ impl Switchboard {
     }
 
     /// Creates an empty switchboard that emits flow events through
-    /// `tracer` on every `put`/`recv` and per-topic publish-interval
+    /// `tracer` on every `put`/receive and per-topic publish-interval
     /// histograms into `metrics`. Flow ids are seeded with the
     /// tracer's scope, so per-session scoped tracers keep sessions
     /// distinguishable.
     pub fn with_obs(tracer: Tracer, metrics: Metrics) -> Self {
-        Self { topics: Arc::new(RwLock::new(HashMap::new())), tracer, metrics }
-    }
-
-    fn handle<T: Send + Sync + 'static>(&self, name: &str, state: Arc<TopicState<T>>) -> Topic<T> {
-        let flow_name = format!("{}{}", self.tracer.scope(), name);
-        Topic {
-            state,
-            name: name.to_owned(),
-            obs: TopicObs {
-                tracer: self.tracer.clone(),
-                metrics: self.metrics.clone(),
-                interval_name: Arc::from(format!("topic.{flow_name}.publish_interval_ns")),
-                flow_name: Arc::from(flow_name),
-            },
-        }
+        Self { topics: Arc::default(), tracer, metrics }
     }
 
     /// Returns a typed handle onto stream `name`, creating the stream
@@ -540,56 +498,25 @@ impl Switchboard {
     ) -> Result<Topic<T>, SwitchboardError> {
         // Fast path: topic exists.
         if let Some(entry) = self.topics.read().get(name) {
-            return entry
-                .topic
-                .clone()
-                .downcast::<TopicState<T>>()
-                .map(|state| self.handle(name, state))
-                .map_err(|_| SwitchboardError::TypeMismatch {
-                    name: name.to_owned(),
-                    requested: type_name::<T>(),
-                    registered: entry.type_name,
-                });
+            return entry.typed(name);
         }
         // Slow path: create it (another thread may have won the race).
-        let mut topics = self.topics.write();
-        let entry = topics.entry(name.to_owned()).or_insert_with(|| {
-            let topic = Arc::new(TopicState::<T>::default());
-            TopicEntry {
-                type_id: TypeId::of::<T>(),
-                type_name: type_name::<T>(),
-                topic: topic.clone(),
-                meta: topic,
-            }
-        });
-        if entry.type_id != TypeId::of::<T>() {
-            return Err(SwitchboardError::TypeMismatch {
-                name: name.to_owned(),
-                requested: type_name::<T>(),
-                registered: entry.type_name,
-            });
-        }
-        let state =
-            entry.topic.clone().downcast::<TopicState<T>>().expect("type id verified above");
-        Ok(self.handle(name, state))
+        self.topics
+            .write()
+            .entry(name.to_owned())
+            .or_insert_with(|| {
+                let topic = Arc::new(TopicState::<T>::new(name, &self.tracer, &self.metrics));
+                TopicEntry { type_name: type_name::<T>(), topic }
+            })
+            .typed(name)
     }
 
     /// Point-in-time counters for every stream, sorted by name: events
     /// published, events dropped to back-pressure, live synchronous
     /// subscriptions, and total queued events.
     pub fn stats(&self) -> Vec<TopicStats> {
-        let mut stats: Vec<TopicStats> = self
-            .topics
-            .read()
-            .iter()
-            .map(|(name, entry)| TopicStats {
-                name: name.clone(),
-                seq: entry.meta.seq(),
-                dropped: entry.meta.dropped(),
-                subscribers: entry.meta.subscribers(),
-                queue_depth: entry.meta.queue_depth(),
-            })
-            .collect();
+        let mut stats: Vec<TopicStats> =
+            self.topics.read().values().map(|entry| entry.topic.stats()).collect();
         stats.sort_by(|a, b| a.name.cmp(&b.name));
         stats
     }
@@ -750,56 +677,78 @@ mod tests {
         assert_eq!(r.drain().len(), 32);
     }
 
-    /// Live mode's blocking read under real contention: the consumer
-    /// parks in `recv` whenever it has drained the queue, two writers
-    /// yield at seeded random points, and the stream going away (its
-    /// last handle dropped, and with it the subscription's sender) must
-    /// still wake the consumer. A missed wake-up hangs it; the watchdog
-    /// turns that into a failure.
+    /// The stream's invariant under real contention: two writers race
+    /// on one stream and a polling reader must pop `seq` 0, 1, 2, … with
+    /// no gap and no swap, ending on the event `latest` holds. A gap
+    /// panics the consumer and a lost event hangs it; the watchdog turns
+    /// both into a failure.
     #[test]
-    fn blocking_recv_is_woken_by_every_put_and_by_the_last_drop() {
-        const PER_WRITER: u64 = 50_000;
+    fn queue_order_is_seq_order_under_two_writers() {
+        const PER_WRITER: u64 = 100_000;
         let sb = Switchboard::new();
-        let t = topic::<(u64, u64)>(&sb, "s");
+        let t = topic::<u64>(&sb, "s");
         let reader = t.lossless_reader();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let consumer = std::thread::spawn(move || {
-            let mut next = [0u64; 2];
-            while let Some(event) = reader.recv() {
-                let (writer, k) = event.data;
-                assert_eq!(k, next[writer as usize], "writer {writer} out of order");
-                next[writer as usize] += 1;
-            }
-            done_tx.send(next).unwrap();
-        });
-        let writers: Vec<_> = (0..2u64)
-            .map(|writer| {
-                let w = t.writer();
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                let (w, start) = (t.writer(), start.clone());
                 std::thread::spawn(move || {
-                    let mut rng = 0x9e37_79b9_7f4a_7c15 ^ (writer + 1);
+                    start.wait();
                     for k in 0..PER_WRITER {
-                        w.put((writer, k));
-                        // xorshift64; yield after about one put in four.
-                        rng ^= rng << 13;
-                        rng ^= rng >> 7;
-                        rng ^= rng << 17;
-                        if rng & 3 == 0 {
-                            std::thread::yield_now();
-                        }
+                        w.put(k);
                     }
                 })
             })
             .collect();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let consumer = std::thread::spawn(move || {
+            start.wait();
+            let mut next = 0;
+            while next < 2 * PER_WRITER {
+                match reader.try_recv() {
+                    Some(event) => {
+                        assert_eq!(event.seq, next, "queue order is not seq order");
+                        next += 1;
+                    }
+                    None => std::thread::yield_now(),
+                }
+            }
+            done_tx.send(()).unwrap();
+        });
         for w in writers {
             w.join().unwrap();
         }
-        // The registry and this handle are the stream's last owners.
-        drop((t, sb));
-        let received = done_rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("consumer hung: a wake-up was missed");
-        assert_eq!(received, [PER_WRITER; 2]);
-        consumer.join().unwrap();
+        let finished = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+        consumer.join().expect("consumer saw a gap");
+        finished.expect("consumer hung: an event was lost");
+        assert_eq!(t.async_reader().latest().unwrap().seq, 2 * PER_WRITER - 1);
+        let stats = &sb.stats()[0];
+        assert_eq!((stats.seq, stats.dropped, stats.queue_depth), (2 * PER_WRITER, 0, 0));
+    }
+
+    #[test]
+    fn a_dropped_reader_is_collected_at_the_next_publish() {
+        let sb = Switchboard::new();
+        let t = topic::<u32>(&sb, "s");
+        let w = t.writer();
+        let gone = t.sync_reader(1);
+        let kept = t.sync_reader(4);
+        assert_eq!(sb.stats()[0].subscribers, 2);
+        drop(gone);
+        assert_eq!(sb.stats()[0].subscribers, 2, "collected by a publish, not by the drop");
+        w.put(7);
+        let stats = &sb.stats()[0];
+        assert_eq!((stats.subscribers, stats.dropped, stats.queue_depth), (1, 0, 1));
+        assert_eq!(**kept.try_recv().unwrap(), 7);
+    }
+
+    #[test]
+    fn handles_cross_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Topic<u32>>();
+        assert_send_sync::<Writer<u32>>();
+        assert_send_sync::<AsyncReader<u32>>();
+        assert_send_sync::<SyncReader<u32>>();
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl FrameRecord {
     }
 
     /// Response latency `end - release` (includes queueing).
-    pub fn response_time(&self) -> Duration {
+    pub(crate) fn response_time(&self) -> Duration {
         self.end - self.release
     }
 }
@@ -92,7 +92,7 @@ impl RecordLogger {
     }
 
     /// Counts a dropped (skipped) release for `component`.
-    pub fn log_drop(&self, component: &str) {
+    pub(crate) fn log_drop(&self, component: &str) {
         self.logs.lock().entry(component.to_owned()).or_default().drops += 1;
     }
 

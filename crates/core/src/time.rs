@@ -74,7 +74,7 @@ impl Time {
 
     /// The duration elapsed since `earlier`, saturating to zero.
     #[inline]
-    pub fn duration_since(self, earlier: Self) -> Duration {
+    pub(crate) fn duration_since(self, earlier: Self) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
 

@@ -42,14 +42,8 @@ pub mod session;
 pub mod snapshot;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, AdmissionRecord};
-pub use illixr_core::sched::{
-    Migration, PlacementConfig, PlacementController, PlacementPlan, Side,
-};
 pub use link::{Direction, DirectionStats, LinkConfig, SharedLink};
-pub use scheduler::{
-    BatchPlacement, BatchScheduler, BoundedPlacement, PlacementPolicy, SchedulerConfig,
-    SchedulerStats,
-};
+pub use scheduler::{BatchScheduler, PlacementPolicy, SchedulerConfig, SchedulerStats};
 pub use server::{
     FailoverConfig, FailoverIncident, FailoverPolicy, MtpStats, ReplayLoad, Server, ServerBuilder,
     ServerConfig, ServerReport, SessionHandle, SessionReport,

@@ -119,7 +119,7 @@ pub struct SharedLink {
     up: DirectionStats,
     down: DirectionStats,
     fault: Arc<FaultPlan>,
-    boundary: Arc<Boundary>,
+    boundary: Boundary,
 }
 
 impl SharedLink {
@@ -133,7 +133,7 @@ impl SharedLink {
             up: DirectionStats::default(),
             down: DirectionStats::default(),
             fault: Arc::new(FaultPlan::quiet()),
-            boundary: Arc::new(Boundary::off()),
+            boundary: Boundary::off(),
         }
     }
 
@@ -150,7 +150,7 @@ impl SharedLink {
     /// every transfer's `(queue wait, delivery delay)` on
     /// `link/uplink` / `link/downlink`, and a replaying one feeds those
     /// delays back instead of consulting jitter RNG or fault windows.
-    pub fn with_boundary(mut self, boundary: Arc<Boundary>) -> Self {
+    pub(crate) fn with_boundary(mut self, boundary: Boundary) -> Self {
         self.boundary = boundary;
         self
     }
@@ -227,7 +227,7 @@ impl SharedLink {
 
     /// How long a transfer issued at `now` would wait before its first
     /// byte goes out — the direction's current queue depth in time.
-    pub fn queue_delay(&self, direction: Direction, now: Time) -> Duration {
+    pub(crate) fn queue_delay(&self, direction: Direction, now: Time) -> Duration {
         let busy_until = match direction {
             Direction::Uplink => self.up_busy_until,
             Direction::Downlink => self.down_busy_until,

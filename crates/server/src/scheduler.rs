@@ -95,7 +95,7 @@ impl SchedulerStats {
 
 /// Where one batch landed: the worker index and its execution window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchPlacement {
+pub(crate) struct BatchPlacement {
     /// Index of the worker that ran the batch.
     pub worker: usize,
     /// When the worker picked the batch up (`>=` arrival).
@@ -106,7 +106,7 @@ pub struct BatchPlacement {
 
 /// Result of a deadline-bounded placement: what ran and what was shed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedPlacement {
+pub(crate) struct BoundedPlacement {
     /// Where the accepted jobs ran (`None` when everything was shed).
     pub placement: Option<BatchPlacement>,
     /// Jobs scheduled onto the worker.
@@ -168,7 +168,7 @@ impl BatchScheduler {
     /// remainder is shed. Completing exactly at the deadline counts as
     /// making it, mirroring the strict-miss convention in
     /// `illixr-sched`.
-    pub fn schedule_batch_bounded(&mut self, now: Time, jobs: usize) -> BoundedPlacement {
+    pub(crate) fn schedule_batch_bounded(&mut self, now: Time, jobs: usize) -> BoundedPlacement {
         assert!(jobs > 0, "cannot schedule an empty batch");
         let accepted = match self.config.placement {
             PlacementPolicy::EarliestFree => jobs,

@@ -38,7 +38,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use illixr_core::boundary::{fan_out_transform, Trace, TraceHeader, TraceSource};
-use illixr_core::sched::{Migration, PlacementPlan, Side};
 use illixr_core::TopicStats;
 
 use crate::admission::{AdmissionConfig, AdmissionRecord};
@@ -100,14 +99,6 @@ pub struct ServerConfig {
     /// Capacity of each shard's emission ring. Small capacities
     /// exercise backpressure (workers block, never drop).
     pub ring_capacity: usize,
-    /// Where the `"vio"` cut runs. The server's preferred side is
-    /// [`Side::Edge`] — offloaded VIO *is* this server's reason to
-    /// exist — so the default plan pins `vio` to the edge and is
-    /// byte-identical to the pre-placement behaviour. Pin it to
-    /// [`Side::Device`] to run VIO on-headset (jobs never touch the
-    /// link), or declare it adaptive to let the controller migrate at
-    /// decision epochs.
-    pub placement: PlacementPlan,
     /// Crash-consistent session failover: how the engine recovers
     /// sessions whose fault domain (shard worker) crashed. The default
     /// ([`FailoverPolicy::Disabled`], no checkpoints) is bit-identical
@@ -254,7 +245,7 @@ impl ReplayLoad {
 
     /// The boundary source for synthetic session `index`: independent
     /// cursors over the shared trace, the session's own transform.
-    pub fn session_source(&self, index: usize) -> TraceSource {
+    pub(crate) fn session_source(&self, index: usize) -> TraceSource {
         TraceSource::with_transform(
             self.trace.clone(),
             fan_out_transform(
@@ -283,25 +274,9 @@ impl ServerConfig {
     /// Downlink payload per rendered frame token: a compressed
     /// eye-buffer pair, ≈ 50 kB.
     pub const TOKEN_BYTES: u64 = 50_000;
-    /// On-device VIO cost per camera frame when the cut runs
-    /// device-side (headset silicon is slower than the pool's edge
-    /// workers, but pays no link delay).
-    pub const DEVICE_VIO_COST: Duration = Duration::from_millis(12);
-
-    /// The behaviour-preserving default plan: `vio` pinned to the edge.
-    pub fn default_placement() -> PlacementPlan {
-        PlacementPlan::pinned("vio", Side::Edge)
-    }
-
-    /// True when this run's placement is the edge-pinned default (no
-    /// device path, no controller — the pre-placement code path).
-    pub fn placement_is_default(&self) -> bool {
-        self.placement == Self::default_placement()
-    }
-
     /// True when failover is fully default (no policy, no checkpoints —
     /// the pre-failover code path).
-    pub fn failover_is_default(&self) -> bool {
+    pub(crate) fn failover_is_default(&self) -> bool {
         self.failover == FailoverConfig::default()
     }
 
@@ -324,12 +299,7 @@ impl ServerConfig {
             self.real_vio,
             self.fault_plan.is_quiet(),
         );
-        // Folded in only when non-default so pre-placement trace
-        // fixtures keep their identities.
-        if !self.placement_is_default() {
-            repr.push_str(&format!("|place={}", self.placement.label()));
-        }
-        // Same discipline for failover: default runs keep their
+        // Folded in only when non-default, so default runs keep their
         // pre-failover trace identities.
         if !self.failover_is_default() {
             let f = &self.failover;
@@ -386,7 +356,6 @@ impl ServerBuilder {
                 shards: 8,
                 workers: 0,
                 ring_capacity: 256,
-                placement: ServerConfig::default_placement(),
                 failover: FailoverConfig::default(),
             },
         }
@@ -466,14 +435,6 @@ impl ServerBuilder {
     /// Shared-link parameters.
     pub fn link(mut self, link: LinkConfig) -> Self {
         self.config.link = link;
-        self
-    }
-
-    /// Where the `"vio"` cut runs (see [`ServerConfig::placement`]).
-    /// The default pins it to the edge, the server's historical
-    /// behaviour.
-    pub fn placement(mut self, plan: PlacementPlan) -> Self {
-        self.config.placement = plan;
         self
     }
 
@@ -623,13 +584,6 @@ pub struct ServerReport {
     /// Determinism-boundary recording (present when boundary recording
     /// was enabled).
     pub boundary_trace: Option<Trace>,
-    /// The run's placement plan label (`"vio=edge"` by default).
-    pub placement_label: String,
-    /// Side the `vio` cut ended the run on.
-    pub final_side: Side,
-    /// Every placement migration the controller decided (or replayed),
-    /// in decision order. Empty for pinned plans.
-    pub migrations: Vec<Migration>,
     /// Every fault-domain crash and its recovery outcome, in crash
     /// order. Empty unless worker-crash faults fired.
     pub failover_incidents: Vec<FailoverIncident>,
@@ -756,24 +710,6 @@ impl ServerReport {
             self.pool_utilization,
             self.scheduler.shed_jobs,
         ));
-        // Placement lines appear only for non-default plans, so every
-        // pre-placement golden summary stays byte-identical.
-        if self.placement_label != ServerConfig::default_placement().label() {
-            out.push_str(&format!(
-                "placement={} final={} migrations={}\n",
-                self.placement_label,
-                self.final_side.label(),
-                self.migrations.len(),
-            ));
-            for m in &self.migrations {
-                out.push_str(&format!(
-                    "migration t={:.3}s {}->{}\n",
-                    m.at_ns as f64 / 1e9,
-                    m.from.label(),
-                    m.to.label(),
-                ));
-            }
-        }
         // Failover lines appear only when a fault domain actually
         // crashed, so every pre-failover golden summary stays
         // byte-identical.
@@ -1130,79 +1066,6 @@ mod tests {
             capped_wait < Duration::from_millis(60).as_nanos() as f64,
             "deadline-aware pickup delay must stay inside the budget: {capped_wait} ns"
         );
-    }
-
-    #[test]
-    fn device_pinned_placement_bypasses_the_link() {
-        let edge = quick(1).build().run();
-        let device = quick(1).placement(PlacementPlan::pinned("vio", Side::Device)).build().run();
-        // VIO jobs no longer cross the uplink — only render requests do.
-        assert!(
-            device.uplink.transfers < edge.uplink.transfers,
-            "device placement must shed uplink jobs: {} vs {}",
-            device.uplink.transfers,
-            edge.uplink.transfers
-        );
-        let s = device.session(0).unwrap();
-        assert!(s.telemetry().poses_received >= 20, "on-device VIO still produces poses");
-        // A device-pinned plan is all-local by definition, and that is
-        // the label the summary carries.
-        assert!(device.summary_text().contains("placement=all_local final=device migrations=0"));
-        // The default-placement summary carries no placement lines.
-        assert!(!edge.summary_text().contains("placement="));
-    }
-
-    #[test]
-    fn adaptive_placement_migrates_under_uplink_outage_and_recovers() {
-        use illixr_core::fault::{FaultKind, FaultPlan, FaultWindow};
-        let outage = || {
-            FaultPlan::new(7).with_window(FaultWindow::new(
-                FaultKind::LinkOutage,
-                "uplink",
-                Time::from_millis(500).as_nanos(),
-                Time::from_millis(1000).as_nanos(),
-                1.0,
-            ))
-        };
-        let run = || {
-            ServerBuilder::new()
-                .sessions(1)
-                .duration(Duration::from_secs(3))
-                .placement(PlacementPlan::adaptive("vio", Side::Edge))
-                .fault_plan(outage())
-                .build()
-                .run()
-        };
-        let report = run();
-        assert_eq!(report.migrations.len(), 2, "one escalation, one restore: {:?}", {
-            &report.migrations
-        });
-        let away = report.migrations[0];
-        let back = report.migrations[1];
-        assert_eq!((away.from, away.to), (Side::Edge, Side::Device));
-        assert_eq!((back.from, back.to), (Side::Device, Side::Edge));
-        // The restore lands within the controller's recovery budget of
-        // the outage clearing.
-        let budget = illixr_core::sched::PlacementConfig::default().recovery_budget_ns();
-        let outage_end = Time::from_millis(1000).as_nanos();
-        assert!(
-            back.at_ns <= outage_end + budget,
-            "restore at {} ns blew the {} ns budget past the outage end",
-            back.at_ns,
-            budget
-        );
-        assert_eq!(report.final_side, Side::Edge);
-        // Same-seed rerun reproduces the decisions bit-for-bit.
-        assert_eq!(report.summary_text(), run().summary_text());
-
-        // A quiet plan migrates nothing.
-        let quiet = ServerBuilder::new()
-            .sessions(1)
-            .duration(Duration::from_secs(3))
-            .placement(PlacementPlan::adaptive("vio", Side::Edge))
-            .build()
-            .run();
-        assert!(quiet.migrations.is_empty(), "quiet fault plan must not migrate");
     }
 
     #[test]

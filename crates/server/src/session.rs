@@ -341,7 +341,7 @@ impl ClientSession {
     /// rebuilt from the *trace header's* seed so replayed frames and
     /// ground truth match the recorded session, not this session's
     /// config seed. Call before [`ClientSession::connect`].
-    pub fn with_boundary(mut self, boundary: Boundary) -> Self {
+    pub(crate) fn with_boundary(mut self, boundary: Boundary) -> Self {
         if let Some(src) = boundary.source() {
             (self.trajectory, self.camera, self.imu, self.integrator) =
                 Self::sensor_pipeline(src.header().seed, &self.config);
@@ -359,7 +359,7 @@ impl ClientSession {
     /// Camera period in IMU steps: frames land exactly on IMU sample
     /// times so every frame arrives already covered by inertial data.
     /// Degraded sessions run the camera at half rate.
-    pub fn camera_steps(&self) -> u64 {
+    pub(crate) fn camera_steps(&self) -> u64 {
         let steps = (self.config.imu_hz / self.config.camera_hz).round().max(1.0) as u64;
         if self.state == SessionState::Degraded {
             steps * 2
@@ -532,7 +532,7 @@ impl ClientSession {
     }
 
     /// Detaches the session.
-    pub fn disconnect(&mut self) {
+    pub(crate) fn disconnect(&mut self) {
         self.camera.stop();
         self.imu.stop();
         self.integrator.stop();
@@ -540,7 +540,7 @@ impl ClientSession {
     }
 
     /// The freshest local pose estimate, if any.
-    pub fn latest_fast_pose(&self) -> Option<PoseEstimate> {
+    pub(crate) fn latest_fast_pose(&self) -> Option<PoseEstimate> {
         self.fast_pose.as_ref().and_then(|r| r.latest()).map(|p| **p)
     }
 
@@ -600,7 +600,7 @@ impl ClientSession {
     /// Rebuilds a session from a snapshot, on a fresh private
     /// [`illixr_core::SimClock`] (returned so the caller can drive
     /// catch-up replay through it before handing the session the live
-    /// lane runtime via [`ClientSession::adopt_runtime`]).
+    /// lane runtime via `adopt_runtime`).
     ///
     /// The reconstruction retraces [`ClientSession::connect`]'s start
     /// order exactly — plugins start, the IMU model fast-forwards by
@@ -662,7 +662,7 @@ impl ClientSession {
     /// replay: the shared clock plus the lane's tracer and metrics.
     /// Every plugin reads these through the context by reference, so
     /// the swap takes effect at the next event.
-    pub fn adopt_runtime(
+    pub(crate) fn adopt_runtime(
         &mut self,
         clock: Arc<dyn Clock>,
         tracer: illixr_core::obs::Tracer,

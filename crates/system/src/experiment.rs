@@ -676,8 +676,7 @@ impl IntegratedExperiment {
         let mut builder = RuntimeBuilder::new(Arc::new(clock.clone()))
             .with_obs(tracer.clone(), metrics.clone())
             .with_telemetry(telemetry.clone())
-            .with_fault_plan(config.fault_plan.clone())
-            .with_placement(config.placement.clone());
+            .with_fault_plan(config.fault_plan.clone());
         if let Some(policy) = config.supervision {
             builder = builder.with_supervision(policy);
         }
