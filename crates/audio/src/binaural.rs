@@ -29,6 +29,22 @@ pub struct StereoBlock {
 pub fn psychoacoustic_filter(field: &Soundfield, sample_rate: f64) -> Soundfield {
     let n = field.len();
     let fft_len = next_power_of_two(n.max(2));
+    // The shelf is the same for every channel: one gain per bin per call.
+    let gains: Vec<f64> = (0..fft_len)
+        .map(|k| {
+            // Bin frequency (symmetric for the upper half).
+            let bin = if k <= fft_len / 2 { k } else { fft_len - k };
+            let freq = bin as f64 * sample_rate / fft_len as f64;
+            // Gentle shelf: -3 dB below 120 Hz, unity above 500 Hz.
+            if freq < 120.0 {
+                0.7
+            } else if freq < 500.0 {
+                0.7 + 0.3 * (freq - 120.0) / 380.0
+            } else {
+                1.0
+            }
+        })
+        .collect();
     let mut out = field.clone();
     for ch in 0..CHANNELS {
         let mut buf = vec![Complex::ZERO; fft_len];
@@ -36,18 +52,7 @@ pub fn psychoacoustic_filter(field: &Soundfield, sample_rate: f64) -> Soundfield
             dst.re = src;
         }
         fft_in_place(&mut buf);
-        for (k, v) in buf.iter_mut().enumerate() {
-            // Bin frequency (symmetric for the upper half).
-            let bin = if k <= fft_len / 2 { k } else { fft_len - k };
-            let freq = bin as f64 * sample_rate / fft_len as f64;
-            // Gentle shelf: -3 dB below 120 Hz, unity above 500 Hz.
-            let gain = if freq < 120.0 {
-                0.7
-            } else if freq < 500.0 {
-                0.7 + 0.3 * (freq - 120.0) / 380.0
-            } else {
-                1.0
-            };
+        for (v, &gain) in buf.iter_mut().zip(&gains) {
             *v = v.scale(gain);
         }
         ifft_in_place(&mut buf);
@@ -120,11 +125,11 @@ impl BinauralDecoder {
                 for ch in 0..CHANNELS {
                     acc += g[ch] * field.data[ch][i];
                 }
-                *acc_assign(f) = acc;
+                *f = acc;
             }
-            // HRTF convolution (streaming, state carried across blocks).
-            let l = conv_l.process(&feed);
-            let r = conv_r.process(&feed);
+            // HRTF convolution (streaming, state carried across blocks). Both
+            // ears filter the same feed: one forward transform serves the pair.
+            let (l, r) = OverlapSave::process_pair(conv_l, conv_r, &feed);
             for i in 0..self.block_len {
                 left[i] += l[i];
                 right[i] += r[i];
@@ -132,11 +137,6 @@ impl BinauralDecoder {
         }
         StereoBlock { left, right }
     }
-}
-
-#[inline]
-fn acc_assign(f: &mut f64) -> &mut f64 {
-    f
 }
 
 /// A standard 8-speaker horizontal ring bank at `sample_rate`.
@@ -156,6 +156,45 @@ mod tests {
 
     fn rms(x: &[f64]) -> f64 {
         (x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64).sqrt()
+    }
+
+    fn fnv1a(samples: impl IntoIterator<Item = f64>) -> u64 {
+        samples
+            .into_iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |hash: u64, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Taken from the decoder that ran a left and a right convolver over
+    /// each speaker feed on their own, and from the shelf that computed its
+    /// gain per bin per channel: every bit of four streamed 1024-sample
+    /// blocks through both stages.
+    #[test]
+    fn filter_and_decoder_output_bits_are_pinned() {
+        let rate = 48_000.0;
+        let mut decoder = BinauralDecoder::new(&default_ring_bank(rate), 1024);
+        let signal = tone(4096, 440.0, rate);
+        let mut digests = Vec::new();
+        for (k, chunk) in signal.chunks(1024).enumerate() {
+            let field = encode_block(chunk, 0.4 + 0.3 * k as f64, 0.1);
+            let shaped = psychoacoustic_filter(&field, rate);
+            let out = decoder.process(&shaped);
+            digests.push(fnv1a(shaped.data.iter().flatten().copied()));
+            digests.push(fnv1a(out.left.into_iter().chain(out.right)));
+        }
+        let want: [u64; 8] = [
+            0x13b0_cc99_4c01_dda2,
+            0x8ede_3c2f_bf85_b2bb,
+            0x508f_df42_5293_2b52,
+            0x1ed4_8ee2_36dd_e36f,
+            0xbab9_3e98_14ed_7b5f,
+            0x7aff_6ed1_3959_e39b,
+            0x799e_5b03_5065_b4d5,
+            0x61ad_2b5d_b954_953f,
+        ];
+        assert_eq!(digests, want, "got {digests:#018x?}");
     }
 
     #[test]

@@ -229,8 +229,9 @@ pub fn table6(_: &mut Matrix, out: &mut Report) {
         &scene_timer,
     );
     out.line(
-        "  note: all five tasks present; the scalar bilateral filter is relatively \
-         more expensive than ElasticFusion's CUDA kernel (see EXPERIMENTS.md)",
+        "  note: all five tasks present; the bilateral filter (49 taps a pixel, each a \
+         division and a table lookup, swept a row at a time) stays relatively more \
+         expensive on a CPU than ElasticFusion's CUDA kernel (see EXPERIMENTS.md)",
     );
 }
 
@@ -270,7 +271,9 @@ pub fn table7(_: &mut Matrix, out: &mut Report) {
     );
     out.line(
         "  note: paper's other 78% is GPU-driver work (FBO 24%, OpenGL state 54%) that a \
-         CPU reimplementation has no analogue for; the uarch model charges it in fig8",
+         CPU reimplementation has no analogue for; the uarch model charges it in fig8. \
+         Both eyes are sampled through one warp map, so reprojection is one map and two \
+         samplings a frame and the per-eye distortion pass is the larger share",
     );
 
     let holo_timer = Metrics::new();

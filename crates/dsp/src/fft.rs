@@ -1,5 +1,23 @@
 //! Iterative radix-2 Cooley-Tukey FFT, plus 2-D transforms for the
 //! hologram propagation kernels.
+//!
+//! # The twiddle recurrence is pinned
+//!
+//! Every audio block and hologram plane depends on the last bit of a
+//! transform, and a stage's twiddle factors are *defined* by a recurrence:
+//! `w₀ = 1`, `wₖ₊₁ = wₖ · cis(±2π / len)`, each product rounded as
+//! [`Complex`] multiplies. That is not `cis(±2πk / len)` to the bit, and it
+//! is what every block of every stage of every call used to walk for
+//! itself. The factors depend on `(len, direction)` and nothing else, so
+//! they are built by that same recurrence once a process and read from a
+//! table afterwards: every butterfly multiplies by the bits it always did,
+//! and the serial dependence `w *= wlen` leaves the inner loop. No plan
+//! object and nothing to configure — [`fft_in_place`] and its callers are
+//! unchanged. The tests keep the walking transform verbatim as
+//! `reference_transform` and compare every bit, both directions, every
+//! power of two to 4096.
+
+use std::sync::OnceLock;
 
 use crate::complex::Complex;
 
@@ -100,6 +118,28 @@ fn transform_2d(data: &mut [Complex], width: usize, height: usize, inverse: bool
     }
 }
 
+/// The `len / 2` twiddle factors of the butterfly stage of length `len`, in
+/// one direction, by the module's recurrence. One table per `(len,
+/// direction)` for the life of the process; a transform of length `n` reads
+/// `n − 1` factors in all, as much memory as its own buffer.
+fn stage_twiddles(len: usize, inverse: bool) -> &'static [Complex] {
+    static TABLES: [[OnceLock<Box<[Complex]>>; usize::BITS as usize]; 2] =
+        [const { [const { OnceLock::new() }; usize::BITS as usize] }; 2];
+    TABLES[usize::from(inverse)][len.trailing_zeros() as usize].get_or_init(|| {
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+        let wlen = Complex::cis(ang);
+        let mut w = Complex::ONE;
+        (0..len / 2)
+            .map(|_| {
+                let factor = w;
+                w *= wlen;
+                factor
+            })
+            .collect()
+    })
+}
+
 fn transform(data: &mut [Complex], inverse: bool) {
     let n = data.len();
     assert!(n.is_power_of_two(), "FFT length {n} must be a power of two");
@@ -115,19 +155,16 @@ fn transform(data: &mut [Complex], inverse: bool) {
         }
     }
     // Butterfly stages.
-    let sign = if inverse { 1.0 } else { -1.0 };
     let mut len = 2;
     while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Complex::ONE;
-            for k in 0..len / 2 {
-                let u = data[start + k];
-                let v = data[start + k + len / 2] * w;
-                data[start + k] = u + v;
-                data[start + k + len / 2] = u - v;
-                w *= wlen;
+        let twiddles = stage_twiddles(len, inverse);
+        for block in data.chunks_exact_mut(len) {
+            let (lower, upper) = block.split_at_mut(len / 2);
+            for ((a, b), &w) in lower.iter_mut().zip(upper).zip(twiddles) {
+                let u = *a;
+                let v = *b * w;
+                *a = u + v;
+                *b = u - v;
             }
         }
         len <<= 1;
@@ -143,6 +180,105 @@ pub fn next_power_of_two(n: usize) -> usize {
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    /// The transform as first written, kept verbatim as the bit reference:
+    /// every block of every stage walks `w *= wlen` from `Complex::ONE`.
+    /// `transform` must equal it bit for bit.
+    fn reference_transform(data: &mut [Complex], inverse: bool) {
+        let n = data.len();
+        assert!(n.is_power_of_two(), "FFT length {n} must be a power of two");
+        if n <= 1 {
+            return;
+        }
+        // Bit-reversal permutation.
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = i.reverse_bits() >> (usize::BITS - bits);
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        // Butterfly stages.
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::cis(ang);
+            for start in (0..n).step_by(len) {
+                let mut w = Complex::ONE;
+                for k in 0..len / 2 {
+                    let u = data[start + k];
+                    let v = data[start + k + len / 2] * w;
+                    data[start + k] = u + v;
+                    data[start + k + len / 2] = u - v;
+                    w *= wlen;
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    /// `transform_2d` as first written, over the reference transform.
+    fn reference_transform_2d(data: &mut [Complex], width: usize, height: usize, inverse: bool) {
+        for row in data.chunks_mut(width) {
+            reference_transform(row, inverse);
+        }
+        let mut col = vec![Complex::ZERO; height];
+        for c in 0..width {
+            for r in 0..height {
+                col[r] = data[r * width + c];
+            }
+            reference_transform(&mut col, inverse);
+            for r in 0..height {
+                data[r * width + c] = col[r];
+            }
+        }
+    }
+
+    /// A hashed signal in `[-1, 1)²`: no symmetry for a wrong twiddle to
+    /// hide behind, the same on every platform.
+    fn hashed_signal(n: usize) -> Vec<Complex> {
+        let unit = |i: u64| {
+            let mut v = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            v ^= v >> 29;
+            v = v.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            (v >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        (0..n as u64).map(|i| Complex::new(unit(2 * i), unit(2 * i + 1))).collect()
+    }
+
+    fn bits(data: &[Complex]) -> Vec<(u64, u64)> {
+        data.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn transform_is_bit_exact_against_the_reference() {
+        for log2 in 1..=12 {
+            let signal = hashed_signal(1 << log2);
+            for inverse in [false, true] {
+                let (mut got, mut want) = (signal.clone(), signal.clone());
+                transform(&mut got, inverse);
+                reference_transform(&mut want, inverse);
+                assert!(bits(&got) == bits(&want), "n = 2^{log2}, inverse {inverse}");
+            }
+        }
+    }
+
+    #[test]
+    fn transform_2d_is_bit_exact_against_the_reference() {
+        for (w, h) in [(32, 32), (64, 16)] {
+            let signal = hashed_signal(w * h);
+            let (mut got, mut want) = (signal.clone(), signal.clone());
+            fft_2d(&mut got, w, h);
+            reference_transform_2d(&mut want, w, h, false);
+            assert!(bits(&got) == bits(&want), "fft_2d {w}x{h}");
+            ifft_2d(&mut got, w, h);
+            reference_transform_2d(&mut want, w, h, true);
+            let scale = 1.0 / (w * h) as f64;
+            want.iter_mut().for_each(|v| *v = v.scale(scale));
+            assert!(bits(&got) == bits(&want), "ifft_2d {w}x{h}");
+        }
+    }
 
     #[test]
     fn impulse_has_flat_spectrum() {

@@ -24,6 +24,11 @@
 //! reassociation: a fused or reordered sum rounds differently. The tests
 //! keep the per-pixel loops verbatim as `reference_gaussian_blur` and
 //! compare every bit.
+//!
+//! [`bilateral_filter`] is pinned the same way — `preprocess_depth` feeds
+//! every ICP pose and surfel — and swept the same way: one of its
+//! `(2r + 1)²` taps at a time across a whole interior row. Its section
+//! states the argument.
 
 use crate::gray::GrayImage;
 
@@ -113,12 +118,73 @@ pub fn sobel_gradients(img: &GrayImage) -> (GrayImage, GrayImage) {
     (gx, gy)
 }
 
+/// Entries of the bilateral filter's range table over `|Δv| ∈ [0, 4σ)`;
+/// entry `RANGE_LUT_SIZE` is the zero weight of everything beyond.
+const RANGE_LUT_SIZE: usize = 256;
+
+/// The range-table entry of every pixel of `src` against the pixel of
+/// `center` under it: `⌊|v − c| / max_dr · 255⌋`, or the zero entry from
+/// `max_dr` on.
+///
+/// This is the per-pixel filter's `(a / max_dr * 255.0) as usize` without
+/// the cast, which saturates and so compiles to scalar code. Below `max_dr`
+/// the quotient is in `[0, 255]`, and a NaN (the cast's `0`) fails `> 0.0`,
+/// so after the clamp `q + 2²³` is exact to the integer: its mantissa is
+/// `q` rounded to nearest, one more than the floor exactly when taking 2²³
+/// off again leaves more than `q`. Compares, adds and a mask — the loop
+/// runs as vector code.
+#[inline]
+fn range_indices(idx: &mut [u32], src: &[f32], center: &[f32], max_dr: f32) {
+    const ROUND: f32 = 8_388_608.0; // 2²³
+    for ((i, &v), &c) in idx.iter_mut().zip(src).zip(center) {
+        let a = (v - c).abs();
+        let q = a / max_dr * (RANGE_LUT_SIZE - 1) as f32;
+        let q = if q > 0.0 { q } else { 0.0 };
+        let q = if q < (RANGE_LUT_SIZE - 1) as f32 { q } else { (RANGE_LUT_SIZE - 1) as f32 };
+        let t = q + ROUND;
+        let floor = (t.to_bits() & 0x007f_ffff) - u32::from(t - ROUND > q);
+        *i = if a >= max_dr { RANGE_LUT_SIZE as u32 } else { floor };
+    }
+}
+
+/// One tap of the bilateral filter across a whole interior row: `wgt =
+/// spatial · lut[idx]`, added to a pixel's sums unless the tap is invalid.
+#[inline]
+fn add_tap(
+    acc: &mut [f32],
+    weight: &mut [f32],
+    spatial: f32,
+    lut: &[f32; RANGE_LUT_SIZE + 1],
+    idx: &[u32],
+    src: &[f32],
+    invalid_below: f32,
+) {
+    for (((a, wt), &i), &v) in acc.iter_mut().zip(weight.iter_mut()).zip(idx).zip(src) {
+        let wgt = spatial * lut[i as usize];
+        let valid = v > invalid_below;
+        *a = if valid { *a + wgt * v } else { *a };
+        *wt = if valid { *wt + wgt } else { *wt };
+    }
+}
+
 /// Edge-preserving bilateral filter.
 ///
 /// `sigma_space` controls the spatial footprint, `sigma_range` the
 /// intensity similarity. Pixels with value `<= invalid_below` are treated
 /// as invalid (depth holes) and skipped, matching ElasticFusion's
 /// invalid-depth rejection.
+///
+/// # The tap order is pinned
+///
+/// A pixel's output is `acc / weight`, both sums starting from `0.0` and
+/// taking the `(2r + 1)²` taps row by row, left to right. Away from the
+/// border the code runs that one tap at a time across a whole row into
+/// per-row `acc`/`weight` buffers — the order of pixels changes, no
+/// pixel's own sequence of additions does — and a skipped tap is a select
+/// that keeps the old sum, so the output equals the per-pixel loop's to the
+/// bit. Border pixels, and every pixel of an image narrower than the
+/// kernel, take the clamped per-pixel loop as before. The tests keep that
+/// loop verbatim as `reference_bilateral_filter` and compare every bit.
 ///
 /// # Panics
 ///
@@ -146,64 +212,84 @@ pub fn bilateral_filter(
     }
     // Range weights from a lookup table over |Δv| up to 4σ (the standard
     // real-time bilateral optimization; beyond 4σ the weight is ~0).
-    const LUT_SIZE: usize = 256;
     let max_dr = 4.0 * sigma_range;
-    let lut: Vec<f32> = (0..LUT_SIZE)
-        .map(|i| {
-            let dr = i as f32 / (LUT_SIZE - 1) as f32 * max_dr;
-            (-dr * dr * inv_2sr).exp()
-        })
-        .collect();
+    let mut lut = [0.0f32; RANGE_LUT_SIZE + 1];
+    for (i, entry) in lut[..RANGE_LUT_SIZE].iter_mut().enumerate() {
+        let dr = i as f32 / (RANGE_LUT_SIZE - 1) as f32 * max_dr;
+        *entry = (-dr * dr * inv_2sr).exp();
+    }
     let range_weight = |dr: f32| -> f32 {
         let a = dr.abs();
         if a >= max_dr {
             0.0
         } else {
-            lut[(a / max_dr * (LUT_SIZE - 1) as f32) as usize]
+            lut[(a / max_dr * (RANGE_LUT_SIZE - 1) as f32) as usize]
+        }
+    };
+    // The per-pixel filter, every tap clamped to the image.
+    let clamped = |x: usize, y: usize| -> f32 {
+        let center = img.get(x, y);
+        if center <= invalid_below {
+            return 0.0;
+        }
+        let mut acc = 0.0;
+        let mut weight = 0.0;
+        for dy in -radius..=radius {
+            for dx in -radius..=radius {
+                let v = img.get_clamped(x as isize + dx, y as isize + dy);
+                if v <= invalid_below {
+                    continue;
+                }
+                let wgt = spatial[((dy + radius) * side as isize + dx + radius) as usize]
+                    * range_weight(v - center);
+                acc += wgt * v;
+                weight += wgt;
+            }
+        }
+        if weight > 0.0 {
+            acc / weight
+        } else {
+            0.0
         }
     };
     let mut out = GrayImage::new(w, h);
     let data = img.as_slice();
     let r = radius as usize;
+    // Pixels `r .. w − r` of rows `r .. h − r` read no pixel off the image.
+    let inner = w.saturating_sub(2 * r);
+    let mut acc = vec![0.0f32; inner];
+    let mut weight = vec![0.0f32; inner];
+    let mut idx = vec![0u32; inner];
     for y in 0..h {
-        let interior_y = y >= r && y + r < h;
-        for x in 0..w {
-            let center = img.get(x, y);
-            if center <= invalid_below {
-                out.set(x, y, 0.0);
-                continue;
+        let dst = out.row_mut(y);
+        if inner == 0 || y < r || y + r >= h {
+            for (x, d) in dst.iter_mut().enumerate() {
+                *d = clamped(x, y);
             }
-            let mut acc = 0.0;
-            let mut weight = 0.0;
-            if interior_y && x >= r && x + r < w {
-                // Interior fast path: direct indexing, no clamping.
-                let mut k = 0;
-                for dy in 0..side {
-                    let row = (y + dy - r) * w + (x - r);
-                    for v in &data[row..row + side] {
-                        let wgt = spatial[k] * range_weight(v - center);
-                        if *v > invalid_below {
-                            acc += wgt * v;
-                            weight += wgt;
-                        }
-                        k += 1;
-                    }
-                }
+            continue;
+        }
+        for x in (0..r).chain(w - r..w) {
+            dst[x] = clamped(x, y);
+        }
+        // Tap `(dy, dx)` of interior pixel `r + j` is pixel `dx + j` of row
+        // `y + dy − r`.
+        let center = &data[y * w + r..][..inner];
+        acc.fill(0.0);
+        weight.fill(0.0);
+        for (k, &sk) in spatial.iter().enumerate() {
+            let src = &data[(y + k / side - r) * w + k % side..][..inner];
+            range_indices(&mut idx, src, center, max_dr);
+            add_tap(&mut acc, &mut weight, sk, &lut, &idx, src, invalid_below);
+        }
+        for (((d, &c), &a), &wt) in dst[r..].iter_mut().zip(center).zip(&acc).zip(&weight) {
+            // A NaN centre is not `<= invalid_below`: it is filtered.
+            *d = if c <= invalid_below {
+                0.0
+            } else if wt > 0.0 {
+                a / wt
             } else {
-                for dy in -radius..=radius {
-                    for dx in -radius..=radius {
-                        let v = img.get_clamped(x as isize + dx, y as isize + dy);
-                        if v <= invalid_below {
-                            continue;
-                        }
-                        let wgt = spatial[((dy + radius) * side as isize + dx + radius) as usize]
-                            * range_weight(v - center);
-                        acc += wgt * v;
-                        weight += wgt;
-                    }
-                }
-            }
-            out.set(x, y, if weight > 0.0 { acc / weight } else { 0.0 });
+                0.0
+            };
         }
     }
     out
@@ -261,6 +347,98 @@ mod tests {
         })
     }
 
+    /// The bilateral filter as first written, kept verbatim as the bit
+    /// reference: the output pixel outermost, its taps row by row, the range
+    /// weight through a saturating `as usize` cast. `bilateral_filter` must
+    /// equal it bit for bit.
+    fn reference_bilateral_filter(
+        img: &GrayImage,
+        sigma_space: f32,
+        sigma_range: f32,
+        invalid_below: f32,
+    ) -> GrayImage {
+        assert!(sigma_space > 0.0 && sigma_range > 0.0, "sigmas must be positive");
+        let radius = (2.0 * sigma_space).ceil() as isize;
+        let (w, h) = (img.width(), img.height());
+        let inv_2ss = 1.0 / (2.0 * sigma_space * sigma_space);
+        let inv_2sr = 1.0 / (2.0 * sigma_range * sigma_range);
+        // Precompute the spatial kernel; only the range term depends on
+        // pixel values.
+        let side = (2 * radius + 1) as usize;
+        let mut spatial = vec![0.0f32; side * side];
+        for dy in -radius..=radius {
+            for dx in -radius..=radius {
+                let ds = (dx * dx + dy * dy) as f32;
+                spatial[((dy + radius) * side as isize + dx + radius) as usize] =
+                    (-ds * inv_2ss).exp();
+            }
+        }
+        // Range weights from a lookup table over |Δv| up to 4σ (the standard
+        // real-time bilateral optimization; beyond 4σ the weight is ~0).
+        const LUT_SIZE: usize = 256;
+        let max_dr = 4.0 * sigma_range;
+        let lut: Vec<f32> = (0..LUT_SIZE)
+            .map(|i| {
+                let dr = i as f32 / (LUT_SIZE - 1) as f32 * max_dr;
+                (-dr * dr * inv_2sr).exp()
+            })
+            .collect();
+        let range_weight = |dr: f32| -> f32 {
+            let a = dr.abs();
+            if a >= max_dr {
+                0.0
+            } else {
+                lut[(a / max_dr * (LUT_SIZE - 1) as f32) as usize]
+            }
+        };
+        let mut out = GrayImage::new(w, h);
+        let data = img.as_slice();
+        let r = radius as usize;
+        for y in 0..h {
+            let interior_y = y >= r && y + r < h;
+            for x in 0..w {
+                let center = img.get(x, y);
+                if center <= invalid_below {
+                    out.set(x, y, 0.0);
+                    continue;
+                }
+                let mut acc = 0.0;
+                let mut weight = 0.0;
+                if interior_y && x >= r && x + r < w {
+                    // Interior fast path: direct indexing, no clamping.
+                    let mut k = 0;
+                    for dy in 0..side {
+                        let row = (y + dy - r) * w + (x - r);
+                        for v in &data[row..row + side] {
+                            let wgt = spatial[k] * range_weight(v - center);
+                            if *v > invalid_below {
+                                acc += wgt * v;
+                                weight += wgt;
+                            }
+                            k += 1;
+                        }
+                    }
+                } else {
+                    for dy in -radius..=radius {
+                        for dx in -radius..=radius {
+                            let v = img.get_clamped(x as isize + dx, y as isize + dy);
+                            if v <= invalid_below {
+                                continue;
+                            }
+                            let wgt = spatial
+                                [((dy + radius) * side as isize + dx + radius) as usize]
+                                * range_weight(v - center);
+                            acc += wgt * v;
+                            weight += wgt;
+                        }
+                    }
+                }
+                out.set(x, y, if weight > 0.0 { acc / weight } else { 0.0 });
+            }
+        }
+        out
+    }
+
     /// A hashed texture in `[-0.5, 0.5)`: negative values, no two
     /// neighbours alike, the same on every platform.
     fn texture(w: usize, h: usize) -> GrayImage {
@@ -283,6 +461,77 @@ mod tests {
             .fold(0xcbf2_9ce4_8422_2325, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             })
+    }
+
+    /// A depth-like frame in metres: two slanted walls meeting in a step of
+    /// 1.3 m (more than 4σ of every range sigma below), millimetre noise so
+    /// neighbours land all over the range table, and with `holes` a
+    /// scattering of `0.0` and negative pixels, some of them adjacent.
+    fn depth_scene(w: usize, h: usize, holes: bool) -> GrayImage {
+        let noise = texture(w, h);
+        GrayImage::from_fn(w, h, |x, y| {
+            let wall = if 3 * x < 2 * w { 1.6 } else { 2.9 };
+            let v = wall + 0.004 * x as f32 + 0.0025 * y as f32 + 0.03 * noise.get(x, y);
+            match (holes, (x * 7 + y * 13) % 29) {
+                (true, 0 | 1) => 0.0,
+                (true, 2) => -0.25,
+                _ => v,
+            }
+        })
+    }
+
+    /// Narrower than every kernel, exactly one kernel, wider than one and
+    /// narrower than another, and the QVGA frame the pipeline filters.
+    const BILATERAL_SIZES: [(usize, usize); 5] = [(1, 1), (5, 4), (7, 7), (9, 40), (320, 240)];
+
+    /// `preprocess_depth`'s sigmas, then a radius-2 and a radius-5 kernel.
+    const BILATERAL_SIGMAS: [(f32, f32); 3] = [(1.5, 0.08), (0.8, 0.05), (2.5, 0.2)];
+
+    #[test]
+    fn bilateral_filter_is_bit_exact_against_the_reference() {
+        for (sigma_space, sigma_range) in BILATERAL_SIGMAS {
+            for (w, h) in BILATERAL_SIZES {
+                for holes in [false, true] {
+                    let img = depth_scene(w, h, holes);
+                    let got = bilateral_filter(&img, sigma_space, sigma_range, 0.0);
+                    let want = reference_bilateral_filter(&img, sigma_space, sigma_range, 0.0);
+                    assert_eq!((got.width(), got.height()), (w, h));
+                    assert!(
+                        bits(&got) == bits(&want),
+                        "sigmas {sigma_space}/{sigma_range} differ on {w}x{h}, holes {holes}"
+                    );
+                }
+            }
+            // Negative pixels that are valid: nothing is at or below −1.
+            let img = texture(40, 23);
+            let got = bilateral_filter(&img, sigma_space, sigma_range, -1.0);
+            let want = reference_bilateral_filter(&img, sigma_space, sigma_range, -1.0);
+            assert!(bits(&got) == bits(&want), "sigmas {sigma_space}/{sigma_range}: texture");
+        }
+    }
+
+    /// Values the range table never sees in a depth frame must still take
+    /// the reference's entry: NaN and infinite pixels, as a neighbour and as
+    /// the centre.
+    #[test]
+    fn bilateral_filter_matches_the_reference_on_non_finite_pixels() {
+        let mut img = depth_scene(24, 16, true);
+        img.set(8, 8, f32::NAN);
+        img.set(15, 6, f32::INFINITY);
+        img.set(4, 11, f32::NEG_INFINITY);
+        let got = bilateral_filter(&img, 1.5, 0.08, 0.0);
+        let want = reference_bilateral_filter(&img, 1.5, 0.08, 0.0);
+        assert!(bits(&got) == bits(&want));
+    }
+
+    /// Taken from the first implementation, so the reference itself cannot
+    /// drift: the QVGA frame with holes under `preprocess_depth`'s sigmas.
+    #[test]
+    fn bilateral_qvga_output_is_pinned() {
+        let img = depth_scene(320, 240, true);
+        let want = 0x43a3_fad2_d40a_117c;
+        assert_eq!(fnv1a(&reference_bilateral_filter(&img, 1.5, 0.08, 0.0)), want);
+        assert_eq!(fnv1a(&bilateral_filter(&img, 1.5, 0.08, 0.0)), want);
     }
 
     /// Sizes below, at and above the kernel radius in either direction.

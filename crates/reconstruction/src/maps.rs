@@ -109,6 +109,46 @@ mod tests {
         assert!((filtered.get(20, 20) - 2.0).abs() < 0.35);
     }
 
+    /// Taken from the per-pixel bilateral filter: FNV-1a over every bit of
+    /// `preprocess_depth` on two rendered QVGA `render_depth` frames, the
+    /// second with scattered `<= 0` holes punched in and a strip pushed back
+    /// by more than 4σ of the range kernel. `illixr-image` compares the
+    /// filter against its verbatim predecessor on synthetic frames; this is
+    /// the same check on the frames the pipeline filters.
+    #[test]
+    fn preprocess_bits_are_pinned_on_rendered_depth() {
+        use illixr_core::Time;
+        use illixr_sensors::camera::StereoRig;
+        use illixr_sensors::trajectory::Trajectory;
+        use illixr_sensors::world::LandmarkWorld;
+
+        let world = LandmarkWorld::new(60, Vec3::new(4.0, 2.5, 4.0), 3);
+        let rig = StereoRig::zed_mini(PinholeCamera::qvga());
+        let traj = Trajectory::gentle(3);
+        let clean = world.render_depth(&rig, &traj.pose(Time::from_millis(400)));
+        let mut holed = world.render_depth(&rig, &traj.pose(Time::from_millis(900)));
+        for y in 0..holed.height() {
+            for x in 0..holed.width() {
+                match (x * 7 + y * 13) % 29 {
+                    0 | 1 => holed.set(x, y, 0.0),
+                    2 => holed.set(x, y, -0.25),
+                    _ if (100..140).contains(&x) => holed.set(x, y, holed.get(x, y) + 0.5),
+                    _ => {}
+                }
+            }
+        }
+        let digest = |img: &DepthFrame| {
+            img.as_slice()
+                .iter()
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325, |hash: u64, byte| {
+                    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        };
+        let got = [digest(&preprocess_depth(&clean)), digest(&preprocess_depth(&holed))];
+        assert_eq!(got, [0x5a45_df56_800c_349c, 0xa4bd_ed04_e694_74ac], "got {got:#018x?}");
+    }
+
     #[test]
     #[should_panic]
     fn size_mismatch_panics() {

@@ -20,7 +20,7 @@ use illixr_sensors::types::{streams, PoseEstimate};
 
 use crate::distortion::{DistortionMesh, DistortionParams};
 use crate::hologram::{compute_hologram, HologramConfig};
-use crate::reprojection::{reproject, ReprojectionConfig};
+use crate::reprojection::{ReprojectionConfig, WarpMap};
 
 /// Stream carrying final (reprojected + corrected) display frames.
 pub const DISPLAY_STREAM: &str = "display";
@@ -108,16 +108,27 @@ impl Plugin for TimewarpPlugin {
         let now = ctx.clock.now();
         let pose_age = now - pose_est.timestamp;
 
-        let warp = |img: &RgbImage| {
-            let warped = {
-                let _g = self.timer.host_scope("reprojection");
-                reproject(img, &frame.render_pose.pose, &pose_est.pose, &self.config)
+        // Both eyes are warped between the same two poses, so where a display
+        // pixel reads the eye buffer is computed once and sampled twice.
+        let (left, right) = {
+            let _g = self.timer.host_scope("reprojection");
+            let map_for = |img: &RgbImage| {
+                let (render, display) = (&frame.render_pose.pose, &pose_est.pose);
+                WarpMap::new(img.width(), img.height(), render, display, &self.config)
             };
-            let _g = self.timer.host_scope("distortion+chromatic");
-            self.mesh.apply(&warped)
+            let map = map_for(&frame.left);
+            let left = map.sample(&frame.left);
+            let right = if map.fits(&frame.right) {
+                map.sample(&frame.right)
+            } else {
+                map_for(&frame.right).sample(&frame.right)
+            };
+            (left, right)
         };
-        let left = Arc::new(warp(&frame.left));
-        let right = Arc::new(warp(&frame.right));
+        let (left, right) = {
+            let _g = self.timer.host_scope("distortion+chromatic");
+            (Arc::new(self.mesh.apply(&left)), Arc::new(self.mesh.apply(&right)))
+        };
         self.out_writer.as_ref().expect("started").put(WarpedFrame {
             left,
             right,
@@ -260,6 +271,91 @@ mod tests {
         assert_eq!(frame.pose_age, std::time::Duration::from_millis(2));
         assert_eq!(frame.warp_time, Time::from_millis(16));
         assert_eq!(frame.left.width(), 64);
+    }
+
+    fn striped_eye(w: usize, h: usize, shift: usize) -> Arc<RgbImage> {
+        Arc::new(RgbImage::from_fn(w, h, |x, y| {
+            [x as f32 / w as f32, y as f32 / h as f32, ((x + shift + 2 * y) % 7) as f32 / 7.0]
+        }))
+    }
+
+    fn pin_config() -> ReprojectionConfig {
+        ReprojectionConfig::translational(1.2, 1.0, 2.0)
+    }
+
+    fn pin_poses() -> (Pose, Pose) {
+        (
+            Pose::new(Vec3::new(0.1, 1.6, -0.3), Quat::IDENTITY),
+            Pose::new(
+                Vec3::new(0.12, 1.59, -0.28),
+                Quat::from_axis_angle(Vec3::new(0.2, 1.0, 0.1).normalized(), 0.06),
+            ),
+        )
+    }
+
+    /// One translational frame through the plugin, a head turn and a step
+    /// between its render and display poses.
+    fn warp_one_frame(left: Arc<RgbImage>, right: Arc<RgbImage>) -> WarpedFrame {
+        let clock = SimClock::new();
+        let ctx = RuntimeBuilder::new(Arc::new(clock.clone())).build();
+        let out =
+            ctx.switchboard.topic::<WarpedFrame>(DISPLAY_STREAM).expect("stream").sync_reader(8);
+        let mut tw = TimewarpPlugin::new(pin_config(), DistortionParams::default());
+        tw.start(&ctx);
+        let (render, display) = pin_poses();
+        ctx.switchboard.topic::<RenderedFrame>(EYEBUFFER_STREAM).expect("stream").writer().put(
+            RenderedFrame {
+                render_pose: PoseEstimate {
+                    timestamp: Time::ZERO,
+                    pose: render,
+                    velocity: Vec3::ZERO,
+                },
+                submit_time: Time::ZERO,
+                left,
+                right,
+            },
+        );
+        ctx.switchboard.topic::<PoseEstimate>(streams::FAST_POSE).expect("stream").writer().put(
+            PoseEstimate { timestamp: Time::from_millis(14), pose: display, velocity: Vec3::ZERO },
+        );
+        clock.advance_to(Time::from_millis(16));
+        assert!(tw.iterate(&ctx).did_work);
+        out.try_recv().unwrap().data.clone()
+    }
+
+    fn digest(img: &RgbImage) -> u64 {
+        img.as_slice()
+            .iter()
+            .flatten()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |hash: u64, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Taken from the plugin that warped each eye on its own (two
+    /// `reproject` calls a frame): FNV-1a over every bit of both corrected
+    /// eyes of one frame whose eyes differ.
+    #[test]
+    fn timewarp_frame_bits_are_pinned_for_both_eyes() {
+        let frame = warp_one_frame(striped_eye(96, 96, 0), striped_eye(96, 96, 3));
+        let got = [digest(&frame.left), digest(&frame.right)];
+        assert_eq!(got, [0xa1f9_fa17_09a3_bd46, 0x9870_db9b_8216_9c64], "got {got:#018x?}");
+    }
+
+    /// A right eye of another size gets a map of its own, not the left's.
+    #[test]
+    fn timewarp_warps_eyes_of_different_sizes_each_through_its_own_map() {
+        let (left, right) = (striped_eye(96, 96, 0), striped_eye(64, 48, 3));
+        let frame = warp_one_frame(left.clone(), right.clone());
+        let mesh = DistortionMesh::new(&DistortionParams::default());
+        let (render, display) = pin_poses();
+        for (got, eye) in [(&frame.left, &left), (&frame.right, &right)] {
+            let map = WarpMap::new(eye.width(), eye.height(), &render, &display, &pin_config());
+            let want = mesh.apply(&map.sample(eye));
+            assert_eq!((got.width(), got.height()), (eye.width(), eye.height()));
+            assert_eq!(digest(got), digest(&want));
+        }
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! optionally add a translational correction assuming a constant scene
 //! depth (positional timewarp, which the paper notes was implemented
 //! later), then sample the rendered image where that ray landed.
+//!
+//! Everything before the sample depends on the two poses, the
+//! configuration and the image size — not on the image. [`WarpMap`] is that
+//! part, and both eyes of a frame are sampled through one map; a map
+//! carries its size and refuses an image of another. [`reproject`] is a map
+//! built and sampled once, the same expressions in the same order, which
+//! the tests pin against the one-closure-a-pixel `reference_reproject`.
 
 use illixr_image::RgbImage;
 use illixr_math::{Pose, Vec3};
@@ -39,7 +46,107 @@ impl ReprojectionConfig {
     }
 }
 
-/// Warps `rendered` (drawn at `render_pose`) to `display_pose`.
+/// Where each display pixel of one warp reads the rendered image: the
+/// image-independent part of [`reproject`] (unproject, rotate, re-aim,
+/// project — nearly all of its time), kept so that both eyes of a frame,
+/// warped between the same two poses, pay for it once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WarpMap {
+    width: usize,
+    height: usize,
+    /// Row-major source coordinates; `None` where the ray leaves the
+    /// rendered image or points behind the render eye.
+    sources: Vec<Option<(f32, f32)>>,
+}
+
+impl WarpMap {
+    /// Builds the map of a `width × height` image drawn at `render_pose`
+    /// and displayed at `display_pose`.
+    ///
+    /// Both poses are eye poses looking along their −Z axes.
+    pub fn new(
+        width: usize,
+        height: usize,
+        render_pose: &Pose,
+        display_pose: &Pose,
+        config: &ReprojectionConfig,
+    ) -> Self {
+        let (w, h) = (width, height);
+        let tan_half_y = (config.fov_y / 2.0).tan();
+        let tan_half_x = tan_half_y * config.aspect;
+        // Rotation taking display-eye directions into render-eye directions.
+        let q_rel = render_pose.orientation.inverse() * display_pose.orientation;
+        // Translation of the display eye expressed in the render eye frame.
+        let t_rel =
+            render_pose.orientation.inverse().rotate(display_pose.position - render_pose.position);
+        let source = |x: usize, y: usize| {
+            // Pixel → normalized device coords → ray in the display eye.
+            let ndc_x = (x as f64 + 0.5) / w as f64 * 2.0 - 1.0;
+            let ndc_y = 1.0 - (y as f64 + 0.5) / h as f64 * 2.0;
+            let dir_display = Vec3::new(ndc_x * tan_half_x, ndc_y * tan_half_y, -1.0);
+            // Rotate into the render eye.
+            let mut dir_render = q_rel.rotate(dir_display);
+            if config.translational {
+                // The ray hits the assumed-depth plane at p = t_rel + s·dir
+                // (display-eye origin offset by t_rel in the render frame).
+                // Re-aim the render-eye ray at that world point.
+                let s = config.assumed_depth / (-dir_display.z).max(1e-6);
+                let p = t_rel + dir_render * s;
+                dir_render = p;
+            }
+            if dir_render.z >= -1e-6 {
+                return None; // behind the render eye
+            }
+            // Project into the rendered image.
+            let u = dir_render.x / -dir_render.z / tan_half_x;
+            let v = dir_render.y / -dir_render.z / tan_half_y;
+            if u.abs() > 1.0 || v.abs() > 1.0 {
+                return None;
+            }
+            let src_x = (u + 1.0) * 0.5 * w as f64 - 0.5;
+            let src_y = (1.0 - v) * 0.5 * h as f64 - 0.5;
+            Some((src_x as f32, src_y as f32))
+        };
+        let mut sources = Vec::with_capacity(w * h);
+        for y in 0..h {
+            sources.extend((0..w).map(|x| source(x, y)));
+        }
+        Self { width, height, sources }
+    }
+
+    /// True when the map was built for images of `image`'s size.
+    pub fn fits(&self, image: &RgbImage) -> bool {
+        (self.width, self.height) == (image.width(), image.height())
+    }
+
+    /// Warps `rendered` through the map. Pixels whose source ray falls
+    /// outside the rendered image are filled black (the visible "pull-in"
+    /// at frame edges real timewarp exhibits).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the map was built for another image size.
+    pub fn sample(&self, rendered: &RgbImage) -> RgbImage {
+        assert!(
+            self.fits(rendered),
+            "a {}x{} warp map cannot sample a {}x{} image",
+            self.width,
+            self.height,
+            rendered.width(),
+            rendered.height()
+        );
+        let mut out = RgbImage::new(self.width, self.height);
+        for (dst, source) in out.as_mut_slice().iter_mut().zip(&self.sources) {
+            if let Some((x, y)) = *source {
+                *dst = rendered.sample_bilinear(x, y);
+            }
+        }
+        out
+    }
+}
+
+/// Warps `rendered` (drawn at `render_pose`) to `display_pose`: a
+/// [`WarpMap`] of the image's size, sampled once.
 ///
 /// Both poses are eye poses looking along their −Z axes. Pixels whose
 /// source ray falls outside the rendered image are filled black (the
@@ -50,42 +157,8 @@ pub fn reproject(
     display_pose: &Pose,
     config: &ReprojectionConfig,
 ) -> RgbImage {
-    let (w, h) = (rendered.width(), rendered.height());
-    let tan_half_y = (config.fov_y / 2.0).tan();
-    let tan_half_x = tan_half_y * config.aspect;
-    // Rotation taking display-eye directions into render-eye directions.
-    let q_rel = render_pose.orientation.inverse() * display_pose.orientation;
-    // Translation of the display eye expressed in the render eye frame.
-    let t_rel =
-        render_pose.orientation.inverse().rotate(display_pose.position - render_pose.position);
-    RgbImage::from_fn(w, h, |x, y| {
-        // Pixel → normalized device coords → ray in the display eye.
-        let ndc_x = (x as f64 + 0.5) / w as f64 * 2.0 - 1.0;
-        let ndc_y = 1.0 - (y as f64 + 0.5) / h as f64 * 2.0;
-        let dir_display = Vec3::new(ndc_x * tan_half_x, ndc_y * tan_half_y, -1.0);
-        // Rotate into the render eye.
-        let mut dir_render = q_rel.rotate(dir_display);
-        if config.translational {
-            // The ray hits the assumed-depth plane at p = t_rel + s·dir
-            // (display-eye origin offset by t_rel in the render frame).
-            // Re-aim the render-eye ray at that world point.
-            let s = config.assumed_depth / (-dir_display.z).max(1e-6);
-            let p = t_rel + dir_render * s;
-            dir_render = p;
-        }
-        if dir_render.z >= -1e-6 {
-            return [0.0, 0.0, 0.0]; // behind the render eye
-        }
-        // Project into the rendered image.
-        let u = dir_render.x / -dir_render.z / tan_half_x;
-        let v = dir_render.y / -dir_render.z / tan_half_y;
-        if u.abs() > 1.0 || v.abs() > 1.0 {
-            return [0.0, 0.0, 0.0];
-        }
-        let src_x = (u + 1.0) * 0.5 * w as f64 - 0.5;
-        let src_y = (1.0 - v) * 0.5 * h as f64 - 0.5;
-        rendered.sample_bilinear(src_x as f32, src_y as f32)
-    })
+    WarpMap::new(rendered.width(), rendered.height(), render_pose, display_pose, config)
+        .sample(rendered)
 }
 
 #[cfg(test)]
@@ -102,6 +175,115 @@ mod tests {
 
     fn config() -> ReprojectionConfig {
         ReprojectionConfig::rotational(1.2, 1.0)
+    }
+
+    /// The warp as first written, kept verbatim as the bit reference: one
+    /// closure a pixel, unproject → rotate → project → sample in one go.
+    /// `reproject` must equal it bit for bit.
+    fn reference_reproject(
+        rendered: &RgbImage,
+        render_pose: &Pose,
+        display_pose: &Pose,
+        config: &ReprojectionConfig,
+    ) -> RgbImage {
+        let (w, h) = (rendered.width(), rendered.height());
+        let tan_half_y = (config.fov_y / 2.0).tan();
+        let tan_half_x = tan_half_y * config.aspect;
+        // Rotation taking display-eye directions into render-eye directions.
+        let q_rel = render_pose.orientation.inverse() * display_pose.orientation;
+        // Translation of the display eye expressed in the render eye frame.
+        let t_rel =
+            render_pose.orientation.inverse().rotate(display_pose.position - render_pose.position);
+        RgbImage::from_fn(w, h, |x, y| {
+            // Pixel → normalized device coords → ray in the display eye.
+            let ndc_x = (x as f64 + 0.5) / w as f64 * 2.0 - 1.0;
+            let ndc_y = 1.0 - (y as f64 + 0.5) / h as f64 * 2.0;
+            let dir_display = Vec3::new(ndc_x * tan_half_x, ndc_y * tan_half_y, -1.0);
+            // Rotate into the render eye.
+            let mut dir_render = q_rel.rotate(dir_display);
+            if config.translational {
+                // The ray hits the assumed-depth plane at p = t_rel + s·dir
+                // (display-eye origin offset by t_rel in the render frame).
+                // Re-aim the render-eye ray at that world point.
+                let s = config.assumed_depth / (-dir_display.z).max(1e-6);
+                let p = t_rel + dir_render * s;
+                dir_render = p;
+            }
+            if dir_render.z >= -1e-6 {
+                return [0.0, 0.0, 0.0]; // behind the render eye
+            }
+            // Project into the rendered image.
+            let u = dir_render.x / -dir_render.z / tan_half_x;
+            let v = dir_render.y / -dir_render.z / tan_half_y;
+            if u.abs() > 1.0 || v.abs() > 1.0 {
+                return [0.0, 0.0, 0.0];
+            }
+            let src_x = (u + 1.0) * 0.5 * w as f64 - 0.5;
+            let src_y = (1.0 - v) * 0.5 * h as f64 - 0.5;
+            rendered.sample_bilinear(src_x as f32, src_y as f32)
+        })
+    }
+
+    fn bits(img: &RgbImage) -> Vec<u32> {
+        img.as_slice().iter().flatten().map(|v| v.to_bits()).collect()
+    }
+
+    /// A gradient with a diagonal stripe at the display size and at a
+    /// non-square one: neighbouring source taps differ everywhere.
+    fn striped(w: usize, h: usize) -> RgbImage {
+        RgbImage::from_fn(w, h, |x, y| {
+            [x as f32 / w as f32, y as f32 / h as f32, ((x + 2 * y) % 7) as f32 / 7.0]
+        })
+    }
+
+    #[test]
+    fn reproject_is_bit_exact_against_the_reference() {
+        let tilt = Quat::from_axis_angle(Vec3::new(0.3, 1.0, -0.2).normalized(), 0.07);
+        let poses = [
+            // A head turn and a step between render and display.
+            (
+                Pose::new(Vec3::new(0.1, 1.6, -0.3), Quat::from_axis_angle(Vec3::UNIT_Y, 0.4)),
+                Pose::new(
+                    Vec3::new(0.13, 1.58, -0.27),
+                    Quat::from_axis_angle(Vec3::UNIT_Y, 0.4) * tilt,
+                ),
+            ),
+            // A turn that pulls the edges in.
+            (Pose::IDENTITY, Pose::new(Vec3::ZERO, Quat::from_axis_angle(Vec3::UNIT_Y, 0.5))),
+            // More than a right angle: rays land behind the render eye.
+            (
+                Pose::IDENTITY,
+                Pose::new(Vec3::new(0.0, 0.0, 0.4), Quat::from_axis_angle(Vec3::UNIT_X, 1.9)),
+            ),
+        ];
+        for (w, h) in [(96, 96), (64, 48)] {
+            let img = striped(w, h);
+            let aspect = w as f64 / h as f64;
+            let configs = [
+                ReprojectionConfig::rotational(1.2, aspect),
+                ReprojectionConfig::translational(1.2, aspect, 2.0),
+            ];
+            for (render, display) in &poses {
+                for cfg in &configs {
+                    let got = reproject(&img, render, display, cfg);
+                    let want = reference_reproject(&img, render, display, cfg);
+                    assert_eq!((got.width(), got.height()), (w, h));
+                    assert!(
+                        bits(&got) == bits(&want),
+                        "{w}x{h}, translational {}, display {display:?}",
+                        cfg.translational
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "96x96 warp map cannot sample a 64x48 image")]
+    fn a_map_refuses_an_image_of_another_size() {
+        let map = WarpMap::new(96, 96, &Pose::IDENTITY, &Pose::IDENTITY, &config());
+        assert!(map.fits(&striped(96, 96)) && !map.fits(&striped(64, 48)));
+        map.sample(&striped(64, 48));
     }
 
     #[test]
