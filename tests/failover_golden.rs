@@ -21,9 +21,13 @@ use std::time::Duration;
 use illixr_core::boundary::{Checkpoint, CheckpointError};
 use illixr_core::fault::{FaultKind, FaultPlan, FaultWindow, StochasticRates};
 use illixr_core::{Clock, SimClock, Time};
+use illixr_sched::ShardMap;
 use illixr_server::session::SessionTelemetry;
 use illixr_server::snapshot::SessionSnapshot;
-use illixr_server::{ClientSession, FailoverConfig, FailoverPolicy, ServerBuilder, SessionConfig};
+use illixr_server::{
+    ClientSession, FailoverConfig, FailoverPolicy, LinkConfig, PlacementPolicy, SchedulerConfig,
+    ServerBuilder, SessionConfig, SessionState,
+};
 
 const CRASH_AT: Duration = Duration::from_millis(900);
 
@@ -60,6 +64,25 @@ fn sensor_fault_plan() -> FaultPlan {
 
 fn base(n: usize) -> ServerBuilder {
     ServerBuilder::new().sessions(n).duration(Duration::from_secs(2)).shards(4).workers(1)
+}
+
+/// `base(n)` on `server_golden::at_scale`'s link and VIO pool, wide
+/// enough that every session is admitted at full rate: all of them
+/// connect at t = 0 and tick in step.
+fn open(n: usize) -> ServerBuilder {
+    base(n)
+        .link(LinkConfig {
+            uplink_bps: 30e9,
+            downlink_bps: 100e9,
+            base_latency: Duration::from_millis(2),
+            jitter_sigma: 0.0,
+            seed: 0,
+        })
+        .scheduler(SchedulerConfig {
+            workers: 256,
+            placement: PlacementPolicy::DeadlineAware { deadline: Duration::from_millis(30) },
+            ..SchedulerConfig::default()
+        })
 }
 
 /// Per-frame display log at and after `after`, formatted byte-stably.
@@ -169,17 +192,48 @@ fn armed_failover_without_crashes_is_bitwise_inert() {
 /// Criterion (c): the whole crash-quarantine-recover pipeline is
 /// deterministic — same seed, same report — and invariant to the
 /// worker count (crash injection lives in the plan, not the threads).
+///
+/// At 8 sessions a batch reaches the engine's 16-item parallel
+/// threshold only when IMU, camera and vsync ticks coincide, so the
+/// crash need not land in a forked batch. The 32-session case makes it:
+/// every session is admitted at full rate and connects at t = 0, so
+/// every IMU instant is one batch of all 32 IMU ticks (they sort first
+/// among same-time events), and the crash is checked to land on one.
 #[test]
 fn failover_runs_are_bit_identical_across_reruns_and_worker_counts() {
-    let run = |workers: usize| {
-        base(8).workers(workers).fault_plan(crash_plan()).failover(catchup()).build().run()
+    let run = |builder: ServerBuilder, workers: usize| {
+        builder.workers(workers).fault_plan(crash_plan()).failover(catchup()).build().run()
     };
-    let a = run(1);
+    let a = run(base(8), 1);
     assert!(!a.failover_incidents.is_empty(), "crash must fire");
-    let b = run(1);
+    let b = run(base(8), 1);
     assert_eq!(a.summary_text(), b.summary_text(), "same-seed failover rerun diverged");
-    let c = run(4);
+    let c = run(base(8), 4);
     assert_eq!(a.summary_text(), c.summary_text(), "failover output depends on worker count");
+
+    let wide = run(open(32), 1);
+    assert_eq!(wide.count(SessionState::Rejected), 0, "the open profile must admit all 32");
+    assert_eq!(wide.degraded(), 0, "the open profile must admit all 32 at full rate");
+    let map = ShardMap::new(4);
+    let shard1: HashSet<u32> = (0..32).filter(|&id| map.shard_of(id) == 1).collect();
+    let crashed: HashSet<u32> = wide.failover_incidents.iter().map(|i| i.session).collect();
+    assert_eq!(crashed, shard1, "the crash must quarantine exactly shard 1's sessions");
+    let imu_hz = SessionConfig::new(11).imu_hz;
+    for i in &wide.failover_incidents {
+        let step = (i.crashed_at.as_secs_f64() * imu_hz).round();
+        assert_eq!(
+            Time::from_secs_f64(step / imu_hz),
+            i.crashed_at,
+            "the crash must land on a 32-wide IMU batch"
+        );
+    }
+    for workers in [2, 4] {
+        assert_eq!(
+            wide.summary_text(),
+            run(open(32), workers).summary_text(),
+            "32-session failover output depends on worker count ({workers} workers)"
+        );
+    }
 }
 
 /// Criterion (d): a corrupt checkpoint is a typed decode error at the
