@@ -45,7 +45,7 @@ pub enum FaultKind {
     LinkReorder,
     /// A plugin panics at its next iteration inside the window.
     PluginCrash,
-    /// An engine shard worker dies at its next batch inside the window
+    /// An engine shard dies at its next batch inside the window
     /// (target `shard/{N}`, or empty for every shard). The sessions on
     /// that shard are quarantined until failover recovers them.
     WorkerCrash,

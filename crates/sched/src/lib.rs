@@ -26,16 +26,19 @@
 //!   perception/visual rates, then take work-factor shortcuts, then
 //!   drop eye-tracking/audio-class jobs) and restores hysteretically.
 //! * **[`live`]** — [`live::JobQueue`], a ready queue under a lock whose
-//!   pop order a [`Policy`] decides; the server engine wakes its shard
-//!   workers through one.
+//!   pop order a [`Policy`] decides.
 //! * **[`place`]** — device/edge placement: a [`PlacementPlan`]
 //!   declares which pipeline cut-points run on-device vs behind a
 //!   link, and a [`PlacementController`] migrates a cut at
 //!   deterministic decision epochs using the governor's hysteresis
 //!   shape, fed by chain outcomes and a link-health probe.
-//! * **[`ring`]** / **[`shard`]** — the multi-session server's engine
-//!   primitives: bounded SPSC rings with lossless backpressure,
-//!   and the deterministic FNV-1a session→shard map.
+//! * **[`shard`]** — the multi-session server's deterministic FNV-1a
+//!   session→shard map.
+//! * **[`ring`]** — bounded SPSC rings with lossless backpressure.
+//!
+//! [`live`] and [`ring`] are no longer engine building blocks: the
+//! server's engine runs a wide batch as one scoped fork-join and needs
+//! neither a wake-up queue nor an emission ring.
 //!
 //! Like `illixr-obs`, this crate sits *below* `illixr-core`: it knows
 //! nothing about plugins, switchboards or `Time` — all timestamps are

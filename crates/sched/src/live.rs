@@ -8,8 +8,12 @@
 //! everything currently ready. The policy lives under the queue lock,
 //! so its view of the ready set is always consistent — which is exactly
 //! the work-conserving single-queue model EDF's optimality argument
-//! assumes. The multi-session server's engine wakes its shard workers
-//! through one.
+//! assumes.
+//!
+//! Not an engine building block: the multi-session server's engine woke
+//! its shard workers through one until it ran wide batches as scoped
+//! fork-joins instead. Only this module's tests and `perf/`'s
+//! `sched.queue.push_pop_ns` row still use it.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

@@ -1,11 +1,16 @@
 //! Bounded lock-free SPSC rings.
 //!
-//! The multi-session server's hot path moves emissions from shard
-//! workers back to the coordinator. A mutex-protected queue would put
-//! every worker through one lock per message; a classic Lamport ring
-//! needs only one atomic load and one atomic store per side, and its
-//! bounded capacity gives natural backpressure: a full ring makes the
-//! producer wait (spin + yield), it never drops or reorders.
+//! A mutex-protected queue puts every message through one lock; a
+//! classic Lamport ring needs only one atomic load and one atomic store
+//! per side, and its bounded capacity gives natural backpressure: a
+//! full ring makes the producer wait (spin + yield), it never drops or
+//! reorders.
+//!
+//! Not an engine building block: the multi-session server's engine
+//! shipped shard emissions back to its coordinator over these rings
+//! until it ran wide batches as scoped fork-joins, whose join hands the
+//! emissions back. Only this module's tests and `perf/`'s
+//! `sched.ring.push_pop_ns` row still use it.
 //!
 //! Invariants (checked by the unit tests):
 //!

@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn camera_frame_crosses_threads() {
-        // It rides in a `VioJob` from the coordinator to shard workers.
+        // It rides in a `VioJob` from the coordinator to forked shards.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<CameraFrame>();
     }

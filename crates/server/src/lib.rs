@@ -22,9 +22,9 @@
 //! * [`admission::AdmissionController`] — accept / degrade / reject on
 //!   a projected-load estimate;
 //! * `engine` (private) — the event-driven session engine: sessions as
-//!   lightweight state machines sharded (FNV) across a fixed worker
-//!   pool, emissions returning over bounded SPSC rings, same-time event
-//!   batches fanned out in parallel with bit-identical results;
+//!   lightweight state machines sharded (FNV) on one coordinator, wide
+//!   same-time batches forked across scoped threads with bit-identical
+//!   results;
 //! * [`server::ServerBuilder`] / [`server::Server`] — the public API:
 //!   configure a run, execute it, read per-session results through
 //!   typed [`server::SessionHandle`]s.

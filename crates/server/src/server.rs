@@ -93,21 +93,20 @@ pub struct ServerConfig {
     /// this (the shard-invariance golden test pins it); it only tunes
     /// parallel granularity.
     pub shards: usize,
-    /// Engine worker threads for wide batches. `0` = auto (available
-    /// parallelism). Results are invariant to this too.
+    /// Threads a wide batch (16 or more shard items) is forked across,
+    /// the coordinator included; narrower batches run on the
+    /// coordinator alone. `0` = auto (available parallelism); capped at
+    /// `shards`. Results are invariant to this too.
     pub workers: usize,
-    /// Capacity of each shard's emission ring. Small capacities
-    /// exercise backpressure (workers block, never drop).
-    pub ring_capacity: usize,
     /// Crash-consistent session failover: how the engine recovers
-    /// sessions whose fault domain (shard worker) crashed. The default
+    /// sessions whose fault domain (their shard) crashed. The default
     /// ([`FailoverPolicy::Disabled`], no checkpoints) is bit-identical
     /// to the historical engine.
     pub failover: FailoverConfig,
 }
 
 /// How the engine recovers sessions lost to a crashed fault domain
-/// (a shard worker killed by a `FaultKind::WorkerCrash` window).
+/// (a shard killed by a `FaultKind::WorkerCrash` window).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailoverPolicy {
     /// No recovery: a crashed shard quarantines its sessions for the
@@ -282,7 +281,7 @@ impl ServerConfig {
 
     /// FNV-1a hash of the recording-relevant configuration, stamped
     /// into trace headers for provenance. Engine knobs (shards,
-    /// workers, ring capacity) are deliberately excluded: results are
+    /// workers) are deliberately excluded: results are
     /// invariant to them, so they must not fork trace identities.
     pub fn config_hash(&self) -> u64 {
         let mut repr = format!(
@@ -355,7 +354,6 @@ impl ServerBuilder {
                 replay: None,
                 shards: 8,
                 workers: 0,
-                ring_capacity: 256,
                 failover: FailoverConfig::default(),
             },
         }
@@ -416,13 +414,6 @@ impl ServerBuilder {
     /// Engine worker threads (`0` = auto; results are invariant).
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
-        self
-    }
-
-    /// Per-shard emission-ring capacity (small values exercise
-    /// backpressure; results are invariant).
-    pub fn ring_capacity(mut self, capacity: usize) -> Self {
-        self.config.ring_capacity = capacity;
         self
     }
 
@@ -935,33 +926,6 @@ mod tests {
         let one = run(1);
         assert_eq!(one, run(4));
         assert_eq!(one, run(7));
-    }
-
-    #[test]
-    fn reports_are_invariant_to_worker_count_and_ring_capacity() {
-        // Forcing workers=4 with a tiny ring exercises the threaded
-        // fan-out path and ring backpressure; the report must match the
-        // inline path bit-for-bit.
-        let inline = quick(8)
-            .tune(|c| {
-                c.admission.degrade_threshold = 10.0;
-                c.admission.reject_threshold = 10.0;
-            })
-            .workers(1)
-            .build()
-            .run()
-            .summary_text();
-        let threaded = quick(8)
-            .tune(|c| {
-                c.admission.degrade_threshold = 10.0;
-                c.admission.reject_threshold = 10.0;
-            })
-            .workers(4)
-            .ring_capacity(2)
-            .build()
-            .run()
-            .summary_text();
-        assert_eq!(inline, threaded);
     }
 
     #[test]

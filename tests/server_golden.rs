@@ -1,14 +1,12 @@
 //! Golden tests for the event-driven session engine at scale: a
 //! 256-session trace-driven run must be bit-identical across reruns,
-//! reports must be invariant to the engine's shard/worker/ring knobs
-//! (they only change *where* work executes, never *what* it computes),
-//! and the bounded emission rings must lose and reorder nothing under
-//! backpressure.
+//! and reports must be invariant to the engine's shard and worker
+//! counts (they only change *where* work executes, never *what* it
+//! computes) — including on batches wide enough to fork across threads.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use illixr_sched::ring::spsc_ring;
 use illixr_server::server::ReplayLoad;
 use illixr_server::{LinkConfig, PlacementPolicy, SchedulerConfig, ServerBuilder, SessionState};
 
@@ -70,42 +68,15 @@ fn reports_are_invariant_to_shard_count_at_scale() {
     assert_eq!(one, run(32), "shard count leaked into results");
 }
 
-/// Tiny rings force the emission path to block on backpressure; with
-/// worker threads racing the coordinator the report must still match
-/// the inline (single-threaded) run byte for byte — nothing lost,
-/// nothing reordered.
+/// At 64 sessions, all admitted and connected at t = 0, every IMU
+/// instant is a batch of 64 ticks — four times the engine's parallel
+/// threshold — so with more than one worker those batches run as
+/// scoped fork-joins across threads. The report must match the inline
+/// (single-threaded) run byte for byte.
 #[test]
-fn tiny_rings_under_worker_threads_match_inline_run() {
-    let run = |workers: usize, ring: usize| {
-        at_scale(64).workers(workers).ring_capacity(ring).build().run().summary_text()
-    };
-    let inline = run(1, 256);
-    assert_eq!(inline, run(4, 2), "backpressured threaded run diverged from inline run");
-}
-
-/// Unit-level ring check: a capacity-4 SPSC ring carrying 10,000
-/// sequenced items across a thread boundary delivers every item in
-/// order (push_blocking spins on full, pop on empty).
-#[test]
-fn spsc_ring_backpressure_loses_and_reorders_nothing() {
-    const ITEMS: u64 = 10_000;
-    let (producer, mut consumer) = spsc_ring::<u64>(4);
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            let mut producer = producer;
-            for i in 0..ITEMS {
-                producer.push_blocking(i);
-            }
-        });
-        let mut expected = 0u64;
-        while expected < ITEMS {
-            if let Some(v) = consumer.pop() {
-                assert_eq!(v, expected, "ring reordered or dropped an item");
-                expected += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        assert!(consumer.pop().is_none(), "ring delivered an extra item");
-    });
+fn forked_batches_match_inline_run() {
+    let run = |workers: usize| at_scale(64).workers(workers).build().run().summary_text();
+    let inline = run(1);
+    assert_eq!(inline, run(2), "two-worker run diverged from the inline run");
+    assert_eq!(inline, run(4), "four-worker run diverged from the inline run");
 }
