@@ -19,15 +19,19 @@
 //! A tap outside the feature map reads the nearest edge pixel. Each layer
 //! copies its input once into a buffer one pixel larger on every side
 //! whose border repeats the edge, so the tap `(ky, kx)` of output row `y`
-//! is the in-bounds slice `padded[y + ky][kx..kx + w]` and a whole output
-//! row takes one tap at a time, `row[x] += weight · src[kx + x]`, with no
-//! index arithmetic per pixel. Every output pixel still sees its bias,
-//! then the non-zero taps in `(input channel, ky, kx)` order, then the
-//! ReLU, each as its own rounded `f32` operation — so every activation of
-//! every layer has the bits of the pixel-at-a-time loop it replaced. The
-//! tests keep that loop and compare. Fusing the multiply and the add,
-//! summing taps in another order or widening the accumulator would move
-//! bits.
+//! is the in-bounds slice `padded[y + ky][kx..kx + w]`, with no index
+//! arithmetic per pixel. A row is cut into tiles of 16 output pixels: a
+//! tile's 16 accumulators stay in registers while it takes every tap of
+//! every input channel, `acc[x] += weight · src[kx + x]`, and are written
+//! once. The `w % 16` pixels left at the row's end take one tap at a time
+//! across all of them in memory. Either way every output pixel sees its
+//! bias, then the non-zero taps in `(input channel, ky, kx)` order, then
+//! the ReLU, each as its own rounded `f32` operation — so every activation
+//! of every layer has the bits of the pixel-at-a-time loop it replaced. The
+//! tests keep that loop and compare, on maps whose widths are whole tiles,
+//! tiles and a remainder, and less than one tile. Fusing the multiply and
+//! the add, summing taps in another order or widening the accumulator
+//! would move bits.
 
 use illixr_image::GrayImage;
 
@@ -119,6 +123,10 @@ fn add_scaled(row: &mut [f32], weight: f32, src: &[f32]) {
     }
 }
 
+/// Output pixels [`Conv3x3::forward`] accumulates at once, in registers,
+/// across all of their taps.
+const TILE: usize = 16;
+
 /// A 3×3 convolution layer with per-output-channel bias.
 #[derive(Debug, Clone)]
 struct Conv3x3 {
@@ -167,27 +175,45 @@ impl Conv3x3 {
         Self { in_ch, out_ch, weights, bias }
     }
 
-    /// One output row at a time over the padded input: the row starts as
-    /// the bias, takes each non-zero tap as a whole-row `row += w · src`
-    /// in `(i, ky, kx)` order, and ends in the ReLU.
+    /// One output row at a time over the padded input, [`TILE`] pixels at
+    /// a time: a tile's accumulators start as the bias, take each non-zero
+    /// tap in `(i, ky, kx)` order, and end in the ReLU. The `w % TILE`
+    /// pixels left at the row's end do the same one tap at a time across
+    /// all of them, `rest += w · src`.
     fn forward(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.ch, self.in_ch, "channel mismatch");
         let padded = x.replicate_padded();
         let mut out = Tensor::zeros(self.out_ch, x.h, x.w);
+        let tiled = x.w - x.w % TILE;
         for o in 0..self.out_ch {
+            let weights = &self.weights[o * self.in_ch * 9..][..self.in_ch * 9];
             for y in 0..x.h {
                 let row = out.row_mut(o, y);
-                row.fill(self.bias[o]);
-                for i in 0..self.in_ch {
-                    for ky in 0..3 {
-                        let src = padded.row(i, y + ky);
-                        for kx in 0..3 {
-                            let w = self.weights[(o * self.in_ch + i) * 9 + ky * 3 + kx];
-                            add_scaled(row, w, &src[kx..]);
+                let (tiles, rest) = row.split_at_mut(tiled);
+                for (t, dst) in tiles.chunks_exact_mut(TILE).enumerate() {
+                    let mut acc = [self.bias[o]; TILE];
+                    for (i, taps) in weights.chunks_exact(9).enumerate() {
+                        for (ky, taps) in taps.chunks_exact(3).enumerate() {
+                            let src = &padded.row(i, y + ky)[t * TILE..];
+                            for (kx, &w) in taps.iter().enumerate() {
+                                add_scaled(&mut acc, w, &src[kx..kx + TILE]);
+                            }
+                        }
+                    }
+                    for (d, a) in dst.iter_mut().zip(acc) {
+                        *d = a.max(0.0);
+                    }
+                }
+                rest.fill(self.bias[o]);
+                for (i, taps) in weights.chunks_exact(9).enumerate() {
+                    for (ky, taps) in taps.chunks_exact(3).enumerate() {
+                        let src = &padded.row(i, y + ky)[tiled..];
+                        for (kx, &w) in taps.iter().enumerate() {
+                            add_scaled(rest, w, &src[kx..]);
                         }
                     }
                 }
-                for acc in row {
+                for acc in rest {
                     *acc = acc.max(0.0);
                 }
             }

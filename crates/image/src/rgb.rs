@@ -75,18 +75,31 @@ impl RgbImage {
     }
 
     /// Bilinear sample at floating-point coordinates (border-clamped).
+    #[inline]
     pub fn sample_bilinear(&self, x: f32, y: f32) -> Rgb {
-        let (tx, ty) = (AxisTerm::new(x, self.width), AxisTerm::new(y, self.height));
+        self.bilinear(AxisTerm::new(x, self.width), AxisTerm::new(y, self.height))
+    }
+
+    /// The sample whose axis terms are `tx` (made from this image's
+    /// width) and `ty` (from its height): each channel blended as
+    /// [`GrayImage::bilinear`] blends its one.
+    ///
+    /// Terms made for another size read other pixels or panic.
+    #[inline]
+    pub fn bilinear(&self, tx: AxisTerm, ty: AxisTerm) -> Rgb {
         let [i00, i10, i01, i11] = tap_indices(self.width, tx, ty);
         let (p00, p10, p01, p11) = (self.data[i00], self.data[i10], self.data[i01], self.data[i11]);
         core::array::from_fn(|c| bilinear_blend([p00[c], p10[c], p01[c], p11[c]], tx, ty))
     }
 
-    /// Bilinear sample of a single channel — used by the chromatic
-    /// aberration shader which warps each channel differently.
-    pub fn sample_bilinear_channel(&self, x: f32, y: f32, channel: usize) -> f32 {
-        debug_assert!(channel < 3);
-        let (tx, ty) = (AxisTerm::new(x, self.width), AxisTerm::new(y, self.height));
+    /// One channel of [`bilinear`](Self::bilinear) — for the chromatic
+    /// aberration pass, which warps each channel differently.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `channel > 2`, and as `bilinear` does.
+    #[inline]
+    pub fn bilinear_channel(&self, tx: AxisTerm, ty: AxisTerm, channel: usize) -> f32 {
         let [i00, i10, i01, i11] = tap_indices(self.width, tx, ty);
         let taps = [
             self.data[i00][channel],
@@ -156,18 +169,20 @@ mod tests {
         assert!((img.to_luma().get(0, 0) - 1.0).abs() < 1e-6);
     }
 
-    /// Both RGB samplers are the gray sampler of each channel, bit for
+    /// Every RGB sampler is the gray sampler of each channel, bit for
     /// bit, inside the image and beyond every border.
     #[test]
     fn bilinear_samplers_match_the_gray_sample_of_each_channel() {
         let img = RgbImage::from_fn(4, 3, |x, y| [(x + y) as f32 - 2.5, x as f32 / 3.0, y as f32]);
         let planes = [0, 1, 2].map(|c| img.channel(c));
         for (x, y) in [(1.3, 2.7), (0.0, 0.0), (-2.4, 1.1), (3.0, 2.0), (3.6, -0.2), (7.5, 9.25)] {
-            let full = img.sample_bilinear(x, y);
+            let (tx, ty) = (AxisTerm::new(x, 4), AxisTerm::new(y, 3));
+            let (full, by_terms) = (img.sample_bilinear(x, y), img.bilinear(tx, ty));
             for (c, plane) in planes.iter().enumerate() {
                 let want = plane.sample_bilinear(x, y).to_bits();
                 assert_eq!(full[c].to_bits(), want, "({x}, {y}) channel {c}");
-                assert_eq!(img.sample_bilinear_channel(x, y, c).to_bits(), want);
+                assert_eq!(by_terms[c].to_bits(), want);
+                assert_eq!(img.bilinear_channel(tx, ty, c).to_bits(), want);
             }
         }
     }
@@ -175,10 +190,12 @@ mod tests {
     #[test]
     fn bilinear_of_non_finite_and_huge_coordinates_does_not_panic() {
         let img = RgbImage::from_fn(4, 3, |x, y| [x as f32, y as f32, 0.5]);
+        let channel_at =
+            |x: f32, y: f32, c| img.bilinear_channel(AxisTerm::new(x, 4), AxisTerm::new(y, 3), c);
         assert!(img.sample_bilinear(f32::INFINITY, 0.0).iter().all(|v| v.is_nan()));
-        assert!(img.sample_bilinear_channel(0.0, f32::NEG_INFINITY, 1).is_nan());
+        assert!(channel_at(0.0, f32::NEG_INFINITY, 1).is_nan());
         assert_eq!(img.sample_bilinear(f32::MAX, 1.0), img.get(3, 1));
-        assert_eq!(img.sample_bilinear_channel(1.0, 1.0e30, 1), 2.0);
+        assert_eq!(channel_at(1.0, 1.0e30, 1), 2.0);
     }
 
     #[test]

@@ -149,6 +149,9 @@ fn range_indices(idx: &mut [u32], src: &[f32], center: &[f32], max_dr: f32) {
 
 /// One tap of the bilateral filter across a whole interior row: `wgt =
 /// spatial · lut[idx]`, added to a pixel's sums unless the tap is invalid.
+///
+/// [`range_indices`] writes no index above `RANGE_LUT_SIZE`; the `min`
+/// says so to the compiler, so the table read has no bounds check.
 #[inline]
 fn add_tap(
     acc: &mut [f32],
@@ -160,7 +163,7 @@ fn add_tap(
     invalid_below: f32,
 ) {
     for (((a, wt), &i), &v) in acc.iter_mut().zip(weight.iter_mut()).zip(idx).zip(src) {
-        let wgt = spatial * lut[i as usize];
+        let wgt = spatial * lut[(i as usize).min(RANGE_LUT_SIZE)];
         let valid = v > invalid_below;
         *a = if valid { *a + wgt * v } else { *a };
         *wt = if valid { *wt + wgt } else { *wt };

@@ -72,7 +72,10 @@ impl SurfelMap {
         // (Brute-force projective association; ElasticFusion uses GPU
         // index maps — same semantics.)
         let world_to_cam = cam_pose.inverse();
-        let mut index_map: Vec<Option<usize>> = vec![None; w * h];
+        // Per pixel, the nearest surfel so far and its camera-frame depth,
+        // kept so it is not transformed again; `NONE` where none projects.
+        const NONE: usize = usize::MAX;
+        let mut index_map = vec![(NONE, 0.0); w * h];
         for (i, s) in self.surfels.iter().enumerate() {
             let p_cam = world_to_cam.transform_point(s.position);
             if p_cam.z <= 0.05 {
@@ -81,15 +84,9 @@ impl SurfelMap {
             if let Some(px) = cam.project(p_cam) {
                 let idx = px.y as usize * w + px.x as usize;
                 // Keep the nearest surfel per pixel.
-                let better = match index_map[idx] {
-                    None => true,
-                    Some(j) => {
-                        let other = world_to_cam.transform_point(self.surfels[j].position);
-                        p_cam.z < other.z
-                    }
-                };
-                if better {
-                    index_map[idx] = Some(i);
+                let (j, z) = index_map[idx];
+                if j == NONE || p_cam.z < z {
+                    index_map[idx] = (i, p_cam.z);
                 }
             }
         }
@@ -101,7 +98,7 @@ impl SurfelMap {
                 let n_world = cam_pose.transform_vector(n);
                 let radius = (v.z * stride as f64 / cam.fx).max(0.002);
                 match index_map[idx] {
-                    Some(i) if (self.surfels[i].position - p_world).norm() < 0.1 => {
+                    (i, _) if i != NONE && (self.surfels[i].position - p_world).norm() < 0.1 => {
                         let s = &mut self.surfels[i];
                         let c = s.confidence;
                         s.position = (s.position * c + p_world) / (c + 1.0);

@@ -7,10 +7,18 @@
 //! evaluate the distortion polynomial only at the vertices of a coarse
 //! mesh and bilinearly interpolate between them — the "mesh-based"
 //! optimization that makes the pass cheap.
+//!
+//! Where an output pixel reads each channel depends on the mesh and the
+//! image size, not on the image. [`DistortionMesh::apply`] keeps those reads
+//! for the size it saw last as a table of [`AxisTerm`] pairs, one per pixel
+//! and channel, so a frame costs three four-tap blends a pixel: no mesh
+//! interpolation, floor, cast or border clamp. The tests pin its output
+//! bits with digests taken from the first implementation, which did all of
+//! that per pixel per frame.
 
 use std::cell::RefCell;
 
-use illixr_image::RgbImage;
+use illixr_image::{AxisTerm, RgbImage};
 use illixr_math::Vec2;
 
 /// Radial distortion parameters.
@@ -52,9 +60,10 @@ pub struct DistortionMesh {
 struct TapTable {
     width: usize,
     height: usize,
-    /// `[y * width + x][channel]`: the source pixel coordinates of that
-    /// destination pixel, `None` when they fall outside the image.
-    taps: Vec<[Option<[f32; 2]>; 3]>,
+    /// `[y * width + x][channel]`: the axis terms of the source pixel
+    /// coordinates of that destination pixel, `None` when they fall
+    /// outside the image.
+    taps: Vec<[Option<(AxisTerm, AxisTerm)>; 3]>,
 }
 
 impl DistortionMesh {
@@ -110,7 +119,8 @@ impl DistortionMesh {
     }
 
     /// The source taps for a `w × h` image: per destination pixel centre
-    /// and channel, the mesh's source UV in pixel coordinates.
+    /// and channel, the axis terms of the mesh's source UV in pixel
+    /// coordinates.
     fn tap_table(&self, w: usize, h: usize) -> TapTable {
         let mut taps = Vec::with_capacity(w * h);
         for y in 0..h {
@@ -122,7 +132,9 @@ impl DistortionMesh {
                     if !(0.0..=1.0).contains(&src.x) || !(0.0..=1.0).contains(&src.y) {
                         return None;
                     }
-                    Some([(src.x * w as f64 - 0.5) as f32, (src.y * h as f64 - 0.5) as f32])
+                    let (sx, sy) =
+                        ((src.x * w as f64 - 0.5) as f32, (src.y * h as f64 - 0.5) as f32);
+                    Some((AxisTerm::new(sx, w), AxisTerm::new(sy, h)))
                 }));
             }
         }
@@ -137,12 +149,13 @@ impl DistortionMesh {
         if (table.width, table.height) != (w, h) {
             *table = self.tap_table(w, h);
         }
-        RgbImage::from_fn(w, h, |x, y| {
-            let taps = &table.taps[y * w + x];
-            std::array::from_fn(|c| {
-                taps[c].map_or(0.0, |[sx, sy]| img.sample_bilinear_channel(sx, sy, c))
-            })
-        })
+        let mut out = RgbImage::new(w, h);
+        for (dst, taps) in out.as_mut_slice().iter_mut().zip(&table.taps) {
+            *dst = std::array::from_fn(|c| {
+                taps[c].map_or(0.0, |(tx, ty)| img.bilinear_channel(tx, ty, c))
+            });
+        }
+        out
     }
 }
 
