@@ -272,8 +272,9 @@ pub fn table7(_: &mut Matrix, out: &mut Report) {
     out.line(
         "  note: paper's other 78% is GPU-driver work (FBO 24%, OpenGL state 54%) that a \
          CPU reimplementation has no analogue for; the uarch model charges it in fig8. \
-         Both eyes are sampled through one warp map, so reprojection is one map and two \
-         samplings a frame and the per-eye distortion pass is the larger share",
+         Both eyes are sampled through one warp map that stores each pixel's bilinear \
+         axis terms, and the distortion pass reads taps it cached for the frame size, so \
+         building the map once a frame is most of the reprojection share",
     );
 
     let holo_timer = Metrics::new();
