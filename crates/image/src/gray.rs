@@ -9,12 +9,15 @@ use core::fmt;
 /// and the height) and a [`GrayImage::bilinear`] over them. Neither
 /// depends on the other axis, so code that samples a window derives one
 /// term per column and one per row rather than two per pixel.
+///
+/// Indices are `u32`, so a term is 16 bytes: the display passes keep one
+/// pair per pixel (and per channel) in their tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AxisTerm {
     /// Index of the pixel at or below the coordinate, clamped to the axis.
-    pub(crate) i0: usize,
+    pub(crate) i0: u32,
     /// Index of the next pixel, clamped to the axis.
-    pub(crate) i1: usize,
+    pub(crate) i1: u32,
     /// Weight of `i1`: the coordinate's fractional part.
     pub(crate) f: f32,
     /// Weight of `i0`: `1.0 - f`.
@@ -29,17 +32,18 @@ impl AxisTerm {
     ///
     /// # Panics
     ///
-    /// Panics when `len` is zero.
+    /// Panics when `len` is zero or above 2³².
     #[inline]
     pub fn new(v: f32, len: usize) -> Self {
+        let last = len.checked_sub(1).and_then(|l| u32::try_from(l).ok());
+        let last = i64::from(last.expect("an axis has 1 to 2³² pixels"));
         let v0 = v.floor();
         let f = v - v0;
         // The cast saturates, so the neighbour's index must too.
-        let i = v0 as isize;
-        let last = len as isize - 1;
+        let i = v0 as i64;
         Self {
-            i0: i.clamp(0, last) as usize,
-            i1: i.saturating_add(1).clamp(0, last) as usize,
+            i0: i.clamp(0, last) as u32,
+            i1: i.saturating_add(1).clamp(0, last) as u32,
             f,
             g: 1.0 - f,
         }
@@ -50,8 +54,9 @@ impl AxisTerm {
 /// `width` pixels wide, in the order [`bilinear_blend`] takes them.
 #[inline]
 pub(crate) fn tap_indices(width: usize, tx: AxisTerm, ty: AxisTerm) -> [usize; 4] {
-    let (top, bottom) = (ty.i0 * width, ty.i1 * width);
-    [top + tx.i0, top + tx.i1, bottom + tx.i0, bottom + tx.i1]
+    let (top, bottom) = (ty.i0 as usize * width, ty.i1 as usize * width);
+    let (left, right) = (tx.i0 as usize, tx.i1 as usize);
+    [top + left, top + right, bottom + left, bottom + right]
 }
 
 /// The bilinear blend of four neighbours under two axis terms — the one
@@ -338,6 +343,22 @@ mod tests {
         assert_eq!(img.sample_bilinear(-1.0e30, 1.0), img.get(0, 1));
         assert_eq!(img.sample_bilinear(f32::MAX, f32::MAX), img.get(3, 2));
         assert_eq!(img.sample_bilinear(f32::MIN, f32::MIN), img.get(0, 0));
+    }
+
+    /// Indices are `u32`: the longest axis a term takes is 2³² pixels...
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn axis_terms_take_an_axis_of_two_to_the_thirty_second_pixels() {
+        let term = AxisTerm::new(5.0e9, 1 << 32);
+        assert_eq!((term.i0, term.i1), (u32::MAX, u32::MAX));
+    }
+
+    /// ...and a longer one is refused, not read at a truncated index.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "an axis has 1 to 2³² pixels")]
+    fn axis_terms_refuse_a_longer_axis() {
+        AxisTerm::new(0.5, (1 << 32) + 1);
     }
 
     #[test]
