@@ -35,7 +35,7 @@ pub struct HrirBank {
 impl HrirBank {
     /// Synthesizes a bank for the given horizontal-plane azimuths
     /// (radians, counter-clockwise from front/+X).
-    pub fn synthesize(sample_rate: f64, azimuths: &[f64]) -> Self {
+    pub(crate) fn synthesize(sample_rate: f64, azimuths: &[f64]) -> Self {
         let pairs = azimuths.iter().map(|&az| synthesize_pair(sample_rate, az)).collect();
         Self { pairs, azimuths: azimuths.to_vec() }
     }
@@ -56,7 +56,7 @@ impl HrirBank {
     }
 
     /// The azimuth of direction index `i`.
-    pub fn azimuth(&self, i: usize) -> f64 {
+    pub(crate) fn azimuth(&self, i: usize) -> f64 {
         self.azimuths[i]
     }
 }

@@ -24,9 +24,9 @@ pub mod plugins;
 pub mod rotation;
 pub mod sources;
 
-pub use ambisonics::{encode_block, Soundfield, CHANNELS, ORDER};
+pub use ambisonics::{encode_block, Soundfield};
 pub use binaural::{psychoacoustic_filter, BinauralDecoder};
 pub use hrtf::HrirBank;
-pub use plugins::{AudioEncodingPlugin, AudioPlaybackPlugin, BINAURAL_STREAM, SOUNDFIELD_STREAM};
-pub use rotation::{rotate_yaw, zoom_forward};
+pub use plugins::{AudioEncodingPlugin, AudioPlaybackPlugin};
+pub use rotation::rotate_yaw;
 pub use sources::SoundSource;

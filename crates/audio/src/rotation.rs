@@ -42,7 +42,7 @@ pub fn rotate_yaw(field: &Soundfield, yaw: f64) -> Soundfield {
 /// # Panics
 ///
 /// Panics when `amount` is outside [-1, 1].
-pub fn zoom_forward(field: &Soundfield, amount: f64) -> Soundfield {
+pub(crate) fn zoom_forward(field: &Soundfield, amount: f64) -> Soundfield {
     assert!((-1.0..=1.0).contains(&amount), "zoom amount must be in [-1, 1]");
     let mut out = field.clone();
     let a = amount;

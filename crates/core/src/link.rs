@@ -104,7 +104,7 @@ impl LinkProfile {
     }
 
     /// Bandwidth of one direction, bits per second.
-    pub fn bps(&self, direction: Direction) -> f64 {
+    pub(crate) fn bps(&self, direction: Direction) -> f64 {
         match direction {
             Direction::Uplink => self.uplink_bps,
             Direction::Downlink => self.downlink_bps,

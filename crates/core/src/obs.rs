@@ -17,7 +17,7 @@ use crate::clock::Clock;
 use crate::switchboard::Switchboard;
 
 /// Adapts any runtime [`Clock`] to the obs layer's [`NowSource`].
-pub struct ClockNow(pub Arc<dyn Clock>);
+pub(crate) struct ClockNow(pub Arc<dyn Clock>);
 
 impl NowSource for ClockNow {
     fn now_ns(&self) -> u64 {

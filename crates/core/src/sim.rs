@@ -112,7 +112,7 @@ pub struct TaskSpec {
 
 /// The function executed at dispatch: performs the component's real work
 /// and returns its modeled cost.
-pub type TaskRunner = Box<dyn FnMut(Dispatch) -> ExecOutcome>;
+pub(crate) type TaskRunner = Box<dyn FnMut(Dispatch) -> ExecOutcome>;
 
 struct Task {
     spec: TaskSpec,

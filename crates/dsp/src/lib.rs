@@ -26,6 +26,5 @@ pub mod window;
 
 pub use complex::Complex;
 pub use convolution::{convolve_direct, fft_convolve, OverlapSave};
-pub use fft::{fft, fft_2d, fft_in_place, ifft, ifft_2d, ifft_in_place, rfft};
+pub use fft::{fft, fft_2d, fft_in_place, ifft, ifft_2d, ifft_in_place};
 pub use filter::Biquad;
-pub use window::{hamming, hann};

@@ -25,10 +25,10 @@ impl Default for EyeParams {
 }
 
 /// Maximum gaze magnitude (radians) that maps inside the eye opening.
-pub const MAX_GAZE_RAD: f64 = 0.5;
+pub(crate) const MAX_GAZE_RAD: f64 = 0.5;
 
 /// Pixel offset of the iris center for a gaze angle.
-pub fn gaze_to_offset(params: &EyeParams) -> (f64, f64) {
+pub(crate) fn gaze_to_offset(params: &EyeParams) -> (f64, f64) {
     let scale_x = params.width as f64 * 0.25 / MAX_GAZE_RAD;
     let scale_y = params.height as f64 * 0.25 / MAX_GAZE_RAD;
     (params.gaze_x * scale_x, params.gaze_y * scale_y)

@@ -5,7 +5,7 @@ use crate::net::EyeClass;
 
 /// A gaze estimate for one eye.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GazeEstimate {
+pub(crate) struct GazeEstimate {
     /// Horizontal gaze angle, radians.
     pub gaze_x: f64,
     /// Vertical gaze angle, radians.
@@ -17,7 +17,7 @@ pub struct GazeEstimate {
 
 /// Estimates gaze from a segmentation mask by inverting the
 /// pupil-centroid → gaze mapping of the synthetic eye model.
-pub fn estimate_gaze(mask: &[EyeClass], width: usize, height: usize) -> GazeEstimate {
+pub(crate) fn estimate_gaze(mask: &[EyeClass], width: usize, height: usize) -> GazeEstimate {
     assert_eq!(mask.len(), width * height, "mask size mismatch");
     let mut sum_x = 0.0f64;
     let mut sum_y = 0.0f64;

@@ -27,6 +27,5 @@ pub mod net;
 pub mod plugin;
 
 pub use eye::{render_eye, EyeParams};
-pub use gaze::{estimate_gaze, GazeEstimate};
 pub use net::SegmentationNet;
 pub use plugin::EyeTrackingPlugin;

@@ -54,7 +54,7 @@ impl EyeClass {
     /// # Panics
     ///
     /// Panics for indices above 3.
-    pub fn from_index(i: usize) -> Self {
+    pub(crate) fn from_index(i: usize) -> Self {
         match i {
             0 => Self::Background,
             1 => Self::Sclera,
@@ -67,7 +67,7 @@ impl EyeClass {
 
 /// A `channels × height × width` activation tensor.
 #[derive(Debug, Clone)]
-pub struct Tensor {
+pub(crate) struct Tensor {
     /// Channels.
     pub ch: usize,
     /// Height.
@@ -80,7 +80,7 @@ pub struct Tensor {
 
 impl Tensor {
     /// A zero tensor.
-    pub fn zeros(ch: usize, h: usize, w: usize) -> Self {
+    pub(crate) fn zeros(ch: usize, h: usize, w: usize) -> Self {
         Self { ch, h, w, data: vec![0.0; ch * h * w] }
     }
 

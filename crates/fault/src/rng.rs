@@ -12,7 +12,7 @@
 
 /// The SplitMix64 output function: a strong 64-bit mixer.
 #[inline]
-pub fn mix(mut z: u64) -> u64 {
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -21,7 +21,7 @@ pub fn mix(mut z: u64) -> u64 {
 
 /// FNV-1a over a byte string, for hashing target names into the key.
 #[inline]
-pub fn hash_str(s: &str) -> u64 {
+pub(crate) fn hash_str(s: &str) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for b in s.as_bytes() {
         h ^= *b as u64;
@@ -32,20 +32,20 @@ pub fn hash_str(s: &str) -> u64 {
 
 /// A uniform sample in `[0, 1)` derived from the mixed key.
 #[inline]
-pub fn unit(key: u64) -> f64 {
+pub(crate) fn unit(key: u64) -> f64 {
     // 53 bits of mantissa, the standard u64 → f64 construction.
     (mix(key) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A deterministic Bernoulli trial: true with probability `p`.
 #[inline]
-pub fn chance(key: u64, p: f64) -> bool {
+pub(crate) fn chance(key: u64, p: f64) -> bool {
     p > 0.0 && unit(key) < p
 }
 
 /// A deterministic sample in `[-1, 1]`, for bounded perturbations.
 #[inline]
-pub fn signed_unit(key: u64) -> f64 {
+pub(crate) fn signed_unit(key: u64) -> f64 {
     unit(key) * 2.0 - 1.0
 }
 

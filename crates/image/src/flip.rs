@@ -41,7 +41,7 @@ pub fn flip(reference: &RgbImage, test: &RgbImage) -> f32 {
 /// # Panics
 ///
 /// Panics when image sizes differ.
-pub fn flip_map(reference: &RgbImage, test: &RgbImage) -> GrayImage {
+pub(crate) fn flip_map(reference: &RgbImage, test: &RgbImage) -> GrayImage {
     assert_eq!(
         (reference.width(), reference.height()),
         (test.width(), test.height()),

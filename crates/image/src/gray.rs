@@ -107,7 +107,7 @@ impl GrayImage {
     /// # Panics
     ///
     /// Panics when `data.len() != width * height`.
-    pub fn from_vec(width: usize, height: usize, data: Vec<f32>) -> Self {
+    pub(crate) fn from_vec(width: usize, height: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), width * height, "pixel buffer size mismatch");
         Self { width, height, data }
     }
@@ -132,7 +132,7 @@ impl GrayImage {
 
     /// Mutable raw pixel slice.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
@@ -173,7 +173,7 @@ impl GrayImage {
     /// own, cheaper clamping — a padded row, an [`AxisTerm`] — and do not
     /// come here.
     #[inline]
-    pub fn get_clamped(&self, x: isize, y: isize) -> f32 {
+    pub(crate) fn get_clamped(&self, x: isize, y: isize) -> f32 {
         let cx = x.clamp(0, self.width as isize - 1) as usize;
         let cy = y.clamp(0, self.height as isize - 1) as usize;
         self.data[cy * self.width + cx]
@@ -196,7 +196,7 @@ impl GrayImage {
     }
 
     /// Half-resolution downsample by 2×2 box averaging.
-    pub fn downsample_2x(&self) -> Self {
+    pub(crate) fn downsample_2x(&self) -> Self {
         let w = (self.width / 2).max(1);
         let h = (self.height / 2).max(1);
         // Offset of the second tap on each axis. `2·(n/2) − 1 ≤ n − 1`, so

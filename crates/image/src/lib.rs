@@ -22,9 +22,9 @@ pub mod rgb;
 pub mod ssim;
 pub mod stencil;
 
-pub use flip::{flip, flip_map};
+pub use flip::flip;
 pub use gray::{AxisTerm, GrayImage};
 pub use pyramid::Pyramid;
 pub use rgb::RgbImage;
-pub use ssim::{ssim, ssim_map};
-pub use stencil::{bilateral_filter, gaussian_blur, sobel_gradients};
+pub use ssim::ssim;
+pub use stencil::{bilateral_filter, gaussian_blur};

@@ -5,7 +5,7 @@ use core::fmt;
 use crate::gray::{bilinear_blend, tap_indices, AxisTerm, GrayImage};
 
 /// An RGB color with `f32` channels in `[0, 1]`.
-pub type Rgb = [f32; 3];
+pub(crate) type Rgb = [f32; 3];
 
 /// An RGB image with `f32` channels, row-major.
 ///

@@ -34,7 +34,7 @@ pub fn ssim(a: &GrayImage, b: &GrayImage) -> f32 {
 /// # Panics
 ///
 /// Panics when the image sizes differ.
-pub fn ssim_map(a: &GrayImage, b: &GrayImage) -> GrayImage {
+pub(crate) fn ssim_map(a: &GrayImage, b: &GrayImage) -> GrayImage {
     assert_eq!((a.width(), a.height()), (b.width(), b.height()), "SSIM: image size mismatch");
     let (w, h) = (a.width(), a.height());
     let mut out = GrayImage::new(w, h);

@@ -96,7 +96,7 @@ pub fn gaussian_blur(img: &GrayImage, sigma: f32) -> GrayImage {
 }
 
 /// Sobel gradients: returns `(gx, gy)` images.
-pub fn sobel_gradients(img: &GrayImage) -> (GrayImage, GrayImage) {
+pub(crate) fn sobel_gradients(img: &GrayImage) -> (GrayImage, GrayImage) {
     let (w, h) = (img.width(), img.height());
     let mut gx = GrayImage::new(w, h);
     let mut gy = GrayImage::new(w, h);

@@ -11,13 +11,13 @@
 use std::sync::OnceLock;
 
 /// Buckets per octave (ratio 2^(1/4) ≈ 1.189).
-pub const SUB_BUCKETS: u32 = 4;
+pub(crate) const SUB_BUCKETS: u32 = 4;
 /// Octaves covered above the 1 µs floor (2^36 µs ≈ 19 hours).
-pub const OCTAVES: u32 = 36;
+pub(crate) const OCTAVES: u32 = 36;
 /// Total bucket count: underflow + `OCTAVES * SUB_BUCKETS` geometric buckets.
-pub const NUM_BUCKETS: usize = 1 + (OCTAVES * SUB_BUCKETS) as usize;
+pub(crate) const NUM_BUCKETS: usize = 1 + (OCTAVES * SUB_BUCKETS) as usize;
 /// Upper bound of the underflow bucket, in nanoseconds.
-pub const FLOOR_NS: u64 = 1_000;
+pub(crate) const FLOOR_NS: u64 = 1_000;
 
 fn boundaries() -> &'static [u64; NUM_BUCKETS] {
     static TABLE: OnceLock<[u64; NUM_BUCKETS]> = OnceLock::new();
@@ -35,14 +35,14 @@ fn boundaries() -> &'static [u64; NUM_BUCKETS] {
 /// # Panics
 ///
 /// Panics when `idx >= NUM_BUCKETS`.
-pub fn bucket_upper_bound_ns(idx: usize) -> u64 {
+pub(crate) fn bucket_upper_bound_ns(idx: usize) -> u64 {
     boundaries()[idx]
 }
 
 /// Index of the bucket that `ns` falls into. Buckets are half-open
 /// `(lower, upper]`; values above the top boundary land in the last
 /// (overflow) bucket.
-pub fn bucket_index(ns: u64) -> usize {
+pub(crate) fn bucket_index(ns: u64) -> usize {
     let table = boundaries();
     match table.binary_search(&ns) {
         Ok(i) => i,
@@ -99,12 +99,12 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { counts: vec![0; NUM_BUCKETS], count: 0, sum_ns: 0, min_ns: u64::MAX, max_ns: 0 }
     }
 
     /// Records one sample.
-    pub fn record_ns(&mut self, ns: u64) {
+    pub(crate) fn record_ns(&mut self, ns: u64) {
         self.counts[bucket_index(ns)] += 1;
         self.count += 1;
         self.sum_ns += u128::from(ns);
@@ -115,7 +115,7 @@ impl LatencyHistogram {
     /// Nearest-rank quantile estimate for `q` in `[0, 1]`: the upper
     /// boundary of the bucket containing rank `ceil(q·count)`, clamped
     /// to the observed maximum. Returns 0 on an empty histogram.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -131,7 +131,7 @@ impl LatencyHistogram {
     }
 
     /// Summarises the histogram.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count,
             sum_ns: self.sum_ns,

@@ -18,7 +18,7 @@ impl SplitMix64 {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -27,12 +27,12 @@ impl SplitMix64 {
     }
 
     /// Uniform sample in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Standard normal sample (Box-Muller).
-    pub fn next_gaussian(&mut self) -> f64 {
+    pub(crate) fn next_gaussian(&mut self) -> f64 {
         // Avoid ln(0).
         let u1 = self.next_f64().max(1e-300);
         let u2 = self.next_f64();
@@ -51,7 +51,7 @@ impl SplitMix64 {
 /// the FNV prime (2⁴⁰ + 0x1b3), and it is pinned: every timing-model
 /// jitter draw, and so every tracked `results/*.txt` and every digest,
 /// depends on the value as written.
-pub fn seed_from(name: &str, counter: u64) -> u64 {
+pub(crate) fn seed_from(name: &str, counter: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {
         h ^= b as u64;

@@ -50,7 +50,7 @@ impl MtpCalculator {
     }
 
     /// The next vsync boundary at or after `t`.
-    pub fn next_vsync(&self, t: Time) -> Time {
+    pub(crate) fn next_vsync(&self, t: Time) -> Time {
         let period = self.vsync_period.as_nanos() as u64;
         let n = t.as_nanos().div_ceil(period);
         Time::from_nanos(n * period)

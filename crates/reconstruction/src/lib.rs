@@ -27,8 +27,7 @@ pub mod surfel;
 pub mod tsdf;
 
 pub use icp::icp_point_to_plane_gated;
-pub use maps::{normal_map, vertex_map, DepthFrame, NormalMap, VertexMap};
-pub use pipeline::{MapBackend, ScenePipeline};
+pub use maps::{normal_map, vertex_map, NormalMap, VertexMap};
+pub use pipeline::ScenePipeline;
 pub use plugin::SceneReconstructionPlugin;
-pub use surfel::SurfelMap;
 pub use tsdf::TsdfVolume;

@@ -6,7 +6,7 @@ use illixr_math::Vec3;
 use illixr_sensors::camera::PinholeCamera;
 
 /// A depth image in meters; `<= 0` marks invalid pixels.
-pub type DepthFrame = GrayImage;
+pub(crate) type DepthFrame = GrayImage;
 
 /// Per-pixel camera-frame 3-D points (`None` where depth is invalid).
 pub type VertexMap = Vec<Option<Vec3>>;

@@ -48,7 +48,7 @@ impl TsdfVolume {
     }
 
     /// Number of voxels with non-zero integration weight.
-    pub fn occupied_voxels(&self) -> usize {
+    pub(crate) fn occupied_voxels(&self) -> usize {
         self.weight.iter().filter(|&&w| w > 0.0).count()
     }
 
@@ -104,7 +104,7 @@ impl TsdfVolume {
 
     /// Trilinear TSDF sample at a world point; `None` outside the volume
     /// or in unobserved space.
-    pub fn sample(&self, p: Vec3) -> Option<f64> {
+    pub(crate) fn sample(&self, p: Vec3) -> Option<f64> {
         let g = (p - self.origin) / self.voxel_size - Vec3::splat(0.5);
         let (x0, y0, z0) = (g.x.floor() as isize, g.y.floor() as isize, g.z.floor() as isize);
         if x0 < 0
@@ -140,7 +140,7 @@ impl TsdfVolume {
 
     /// Raycasts the volume from `cam_pose`, producing predicted vertex
     /// and normal maps (the model the next frame's ICP aligns against).
-    pub fn raycast(
+    pub(crate) fn raycast(
         &self,
         cam: &PinholeCamera,
         cam_pose: &Pose,

@@ -41,7 +41,7 @@ impl Application {
 
     /// Relative rendering cost vs. Platformer ≈ 1 (drives the timing
     /// model; ordering matches the paper's complexity grading).
-    pub fn render_cost_factor(self) -> f64 {
+    pub(crate) fn render_cost_factor(self) -> f64 {
         match self {
             Application::Sponza => 3.2,
             Application::Materials => 2.1,
@@ -86,7 +86,7 @@ pub struct AppScene {
 
 impl AppScene {
     /// Builds the scene for `app`.
-    pub fn new(app: Application, seed: u64) -> Self {
+    pub(crate) fn new(app: Application, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA55);
         let mut static_mesh = Mesh::new();
         let mut dynamic_meshes = Vec::new();
@@ -204,7 +204,7 @@ impl AppScene {
     }
 
     /// Which application this scene belongs to.
-    pub fn application(&self) -> Application {
+    pub(crate) fn application(&self) -> Application {
         self.app
     }
 

@@ -22,6 +22,5 @@ pub mod plugin;
 pub mod raster;
 
 pub use apps::{AppScene, Application};
-pub use mesh::{Mesh, Vertex};
 pub use plugin::{ApplicationPlugin, RenderedFrame, EYEBUFFER_STREAM};
 pub use raster::Rasterizer;

@@ -4,7 +4,7 @@ use illixr_math::{Mat4, Vec3};
 
 /// A mesh vertex.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Vertex {
+pub(crate) struct Vertex {
     /// Object-space position.
     pub position: Vec3,
     /// Object-space normal.
@@ -15,7 +15,7 @@ pub struct Vertex {
 
 /// An indexed triangle mesh.
 #[derive(Debug, Clone, Default)]
-pub struct Mesh {
+pub(crate) struct Mesh {
     /// Vertices.
     pub vertices: Vec<Vertex>,
     /// Triangle index triples.
@@ -24,17 +24,17 @@ pub struct Mesh {
 
 impl Mesh {
     /// Creates an empty mesh.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of triangles.
-    pub fn triangle_count(&self) -> usize {
+    pub(crate) fn triangle_count(&self) -> usize {
         self.indices.len()
     }
 
     /// Appends another mesh transformed by `transform`.
-    pub fn append(&mut self, other: &Mesh, transform: &Mat4) {
+    pub(crate) fn append(&mut self, other: &Mesh, transform: &Mat4) {
         let base = self.vertices.len() as u32;
         for v in &other.vertices {
             self.vertices.push(Vertex {
@@ -49,7 +49,7 @@ impl Mesh {
     }
 
     /// An axis-aligned box of the given half-extents.
-    pub fn cuboid(half: Vec3, color: [f32; 3]) -> Self {
+    pub(crate) fn cuboid(half: Vec3, color: [f32; 3]) -> Self {
         let mut mesh = Self::new();
         let faces: [(Vec3, Vec3, Vec3); 6] = [
             (Vec3::UNIT_Z, Vec3::UNIT_X, Vec3::UNIT_Y),
@@ -74,7 +74,7 @@ impl Mesh {
     }
 
     /// A UV sphere.
-    pub fn sphere(radius: f64, rings: usize, sectors: usize, color: [f32; 3]) -> Self {
+    pub(crate) fn sphere(radius: f64, rings: usize, sectors: usize, color: [f32; 3]) -> Self {
         assert!(rings >= 2 && sectors >= 3, "sphere tessellation too coarse");
         let mut mesh = Self::new();
         for r in 0..=rings {
@@ -98,7 +98,7 @@ impl Mesh {
     }
 
     /// A vertical cylinder (for columns).
-    pub fn cylinder(radius: f64, height: f64, sectors: usize, color: [f32; 3]) -> Self {
+    pub(crate) fn cylinder(radius: f64, height: f64, sectors: usize, color: [f32; 3]) -> Self {
         assert!(sectors >= 3, "cylinder tessellation too coarse");
         let mut mesh = Self::new();
         let half = height / 2.0;
@@ -126,7 +126,7 @@ impl Mesh {
 
     /// A horizontal plane (floor) at y=0 spanning ±half with a grid of
     /// `cells²` quads (so lighting interpolates nicely).
-    pub fn floor(half: f64, cells: usize, color: [f32; 3]) -> Self {
+    pub(crate) fn floor(half: f64, cells: usize, color: [f32; 3]) -> Self {
         let cells = cells.max(1);
         let mut mesh = Self::new();
         let step = 2.0 * half / cells as f64;

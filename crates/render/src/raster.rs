@@ -49,7 +49,7 @@ impl Rasterizer {
     }
 
     /// Clears color (to `clear_color`) and depth.
-    pub fn clear(&mut self, clear_color: [f32; 3]) {
+    pub(crate) fn clear(&mut self, clear_color: [f32; 3]) {
         for p in self.color.as_mut_slice() {
             *p = clear_color;
         }
@@ -70,7 +70,7 @@ impl Rasterizer {
     }
 
     /// Draws a mesh with the given model and view-projection matrices.
-    pub fn draw(&mut self, mesh: &Mesh, model: &Mat4, view_proj: &Mat4) -> DrawStats {
+    pub(crate) fn draw(&mut self, mesh: &Mesh, model: &Mat4, view_proj: &Mat4) -> DrawStats {
         let mvp = *view_proj * *model;
         let mut stats = DrawStats { triangles_in: mesh.triangle_count(), ..Default::default() };
         // Transform + shade vertices.

@@ -120,7 +120,7 @@ impl PlacementPlan {
     /// True when the plan changes nothing: no cut leaves the device
     /// and none is adaptive. Such a plan must be bit-identical to no
     /// plan at all.
-    pub fn is_all_local(&self) -> bool {
+    pub(crate) fn is_all_local(&self) -> bool {
         self.cuts.iter().all(|c| c.side == Side::Device && !c.adaptive)
     }
 

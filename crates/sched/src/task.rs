@@ -9,7 +9,7 @@
 
 /// Identifies a task within one scheduler instance. Assigned densely
 /// from zero in registration order, so it doubles as a vector index.
-pub type TaskId = usize;
+pub(crate) type TaskId = usize;
 
 /// Semantic class of a task, ordered by how early the degradation
 /// ladder is allowed to touch it (later variants are shed sooner).

@@ -132,7 +132,7 @@ impl SyntheticDataset {
 
     /// Camera frame `k` as the `camera` stream carries it: rendered when,
     /// and only if, someone calls [`CameraFrame::stereo`] on it.
-    pub fn frame(&self, rig: &StereoRig, k: usize) -> CameraFrame {
+    pub(crate) fn frame(&self, rig: &StereoRig, k: usize) -> CameraFrame {
         let t = self.camera_times[k];
         CameraFrame::new(t, k as u64, self.world.clone(), *rig, self.trajectory.pose(t))
     }

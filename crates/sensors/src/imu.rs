@@ -14,7 +14,7 @@ use crate::trajectory::Trajectory;
 use crate::types::ImuSample;
 
 /// Standard gravity, m/s².
-pub const GRAVITY: f64 = 9.80665;
+pub(crate) const GRAVITY: f64 = 9.80665;
 
 /// IMU noise/bias parameters (continuous-time densities).
 #[derive(Debug, Clone, Copy, PartialEq)]

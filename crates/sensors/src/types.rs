@@ -96,14 +96,14 @@ impl CameraFrame {
 
     /// The same frame — timestamp, view and (shared) pixels — under
     /// another sequence number: what a wedged camera driver re-delivers.
-    pub fn repeated_as(&self, seq: u64) -> Self {
+    pub(crate) fn repeated_as(&self, seq: u64) -> Self {
         Self { seq, ..self.clone() }
     }
 
     /// The body pose the frame was taken from; with the world and rig it
     /// is the frame's whole content, which is why the record/replay
     /// boundary stores it instead of pixels.
-    pub fn pose(&self) -> Pose {
+    pub(crate) fn pose(&self) -> Pose {
         self.view.pose
     }
 

@@ -104,7 +104,7 @@ impl AdmissionController {
     }
 
     /// All decisions taken so far, in order.
-    pub fn records(&self) -> &[AdmissionRecord] {
+    pub(crate) fn records(&self) -> &[AdmissionRecord] {
         &self.log
     }
 }

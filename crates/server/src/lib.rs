@@ -46,7 +46,7 @@ pub use link::{Direction, DirectionStats, LinkConfig, SharedLink};
 pub use scheduler::{BatchScheduler, PlacementPolicy, SchedulerConfig, SchedulerStats};
 pub use server::{
     FailoverConfig, FailoverIncident, FailoverPolicy, MtpStats, ReplayLoad, Server, ServerBuilder,
-    ServerConfig, ServerReport, SessionHandle, SessionReport,
+    ServerConfig, ServerReport, SessionHandle,
 };
 pub use session::{
     ClientSession, DisplayedFrame, RenderRequest, RenderToken, SessionConfig, SessionState,

@@ -141,7 +141,7 @@ impl SharedLink {
     /// (targets `"uplink"` / `"downlink"`) defers the transfer's first
     /// byte to the window's end, and a `LinkJitterSpike` multiplies the
     /// propagation term.
-    pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
+    pub(crate) fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.fault = plan;
         self
     }
@@ -236,7 +236,7 @@ impl SharedLink {
     }
 
     /// Counters for one direction.
-    pub fn stats(&self, direction: Direction) -> &DirectionStats {
+    pub(crate) fn stats(&self, direction: Direction) -> &DirectionStats {
         match direction {
             Direction::Uplink => &self.up,
             Direction::Downlink => &self.down,

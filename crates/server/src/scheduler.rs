@@ -202,7 +202,7 @@ impl BatchScheduler {
     }
 
     /// Fraction of pool capacity used over a horizon.
-    pub fn utilization(&self, horizon: Duration) -> f64 {
+    pub(crate) fn utilization(&self, horizon: Duration) -> f64 {
         if horizon.is_zero() {
             0.0
         } else {
@@ -211,7 +211,7 @@ impl BatchScheduler {
     }
 
     /// Run counters.
-    pub fn stats(&self) -> &SchedulerStats {
+    pub(crate) fn stats(&self) -> &SchedulerStats {
         &self.stats
     }
 }

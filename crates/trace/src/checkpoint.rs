@@ -53,7 +53,7 @@ use std::fmt;
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 
 /// File magic: "ILXC" (ILLIXR Checkpoint).
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"ILXC";
+pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"ILXC";
 
 /// Current checkpoint schema version. Bump on any layout change —
 /// decoders reject unknown versions rather than guessing (a checkpoint

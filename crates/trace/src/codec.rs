@@ -46,7 +46,7 @@ impl ByteWriter {
         self.buf
     }
 
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
@@ -99,7 +99,7 @@ impl<'a> ByteReader<'a> {
         self.remaining() == 0
     }
 
-    pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError { offset: self.pos, needed: n, remaining: self.remaining() });
         }

@@ -28,7 +28,7 @@ use std::fmt;
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 
 /// File magic: "ILXT" (ILLIXR Trace).
-pub const MAGIC: [u8; 4] = *b"ILXT";
+pub(crate) const MAGIC: [u8; 4] = *b"ILXT";
 
 /// Current container schema version. Bump on any layout change.
 pub const SCHEMA_VERSION: u32 = 1;

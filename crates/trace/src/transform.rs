@@ -27,13 +27,13 @@ pub struct SessionTransform {
 impl SessionTransform {
     pub const IDENTITY: Self = Self { offset_ns: 0, dilation: 1.0 };
 
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         *self == Self::IDENTITY
     }
 
     /// Transform a recorded tag into this session's timeline:
     /// `tag' = offset + round(dilation · tag)`.
-    pub fn apply(&self, tag_ns: u64) -> u64 {
+    pub(crate) fn apply(&self, tag_ns: u64) -> u64 {
         if self.is_identity() {
             return tag_ns;
         }

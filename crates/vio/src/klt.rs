@@ -80,7 +80,7 @@ pub fn track_points(
 /// Like [`track_points`] but over pre-built pyramids — front ends build
 /// each image's pyramid once and reuse it for temporal and stereo
 /// tracking (and across frames).
-pub fn track_points_pyramids(
+pub(crate) fn track_points_pyramids(
     prev_pyr: &Pyramid,
     next_pyr: &Pyramid,
     points: &[Vec2],

@@ -38,7 +38,6 @@ pub mod triangulate;
 pub use alternative::{FrameToFrameConfig, FrameToFrameVio};
 pub use fast::{detect_fast, Corner};
 pub use frontend::{FrontEnd, TrackedFeature};
-pub use integrator::{propagate, propagate_rk4, ImuState};
+pub use integrator::{propagate, ImuState};
 pub use msckf::{Msckf, VioConfig};
 pub use plugins::{AlternativeVioPlugin, GroundTruthPosePlugin, ImuIntegratorPlugin, VioPlugin};
-pub use triangulate::triangulate_feature;

@@ -559,7 +559,7 @@ impl Msckf {
 }
 
 /// Approximate 95th-percentile chi-square quantile (Wilson-Hilferty).
-pub fn chi2_95(dof: usize) -> f64 {
+pub(crate) fn chi2_95(dof: usize) -> f64 {
     let k = dof.max(1) as f64;
     let z = 1.6449; // Φ⁻¹(0.95)
     let t = 1.0 - 2.0 / (9.0 * k) + z * (2.0 / (9.0 * k)).sqrt();

@@ -8,7 +8,7 @@ use illixr_math::{Cholesky, DMatrix, Pose, Vec2, Vec3};
 /// (camera-to-world) and the normalized image coordinates
 /// `(x/z, y/z)` in that camera.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Observation {
+pub(crate) struct Observation {
     /// Camera-to-world pose at the time of observation.
     pub cam_pose: Pose,
     /// Normalized (undistorted, focal-length-removed) image point.
@@ -25,7 +25,7 @@ pub struct Observation {
 ///
 /// Returns `None` when the geometry is degenerate (insufficient
 /// parallax, point behind a camera, or a singular system).
-pub fn triangulate_feature(observations: &[Observation]) -> Option<Vec3> {
+pub(crate) fn triangulate_feature(observations: &[Observation]) -> Option<Vec3> {
     if observations.len() < 2 {
         return None;
     }

@@ -21,4 +21,4 @@ pub mod reprojection;
 pub use distortion::{DistortionMesh, DistortionParams};
 pub use hologram::{Hologram, HologramConfig};
 pub use plugins::{HologramPlugin, TimewarpPlugin, WarpedFrame, DISPLAY_STREAM};
-pub use reprojection::{reproject, ReprojectionConfig, WarpMap};
+pub use reprojection::{reproject, ReprojectionConfig};
