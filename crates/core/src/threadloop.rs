@@ -474,7 +474,10 @@ mod tests {
     #[test]
     fn watchdog_degrades_silent_plugin_and_leaves_the_productive_one_running() {
         let ctx = RuntimeBuilder::new(Arc::new(WallClock::new()))
-            .with_supervision(SupervisionPolicy::with_watchdog(Duration::from_millis(10)))
+            .with_supervision(SupervisionPolicy {
+                watchdog_deadline: Some(Duration::from_millis(10)),
+                ..SupervisionPolicy::default()
+            })
             .build();
         let handles = ThreadloopBuilder::new()
             .task(Box::new(Mute), Duration::from_millis(5))
