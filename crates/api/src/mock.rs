@@ -2,7 +2,7 @@
 //! modeled on webxr-api's headless `MockDiscovery`.
 //!
 //! Poses come from a seeded [`Trajectory`]; input follows the shared
-//! [`scripted_input`] script; hit-tests intersect a floor plane at
+//! `scripted_input` script; hit-tests intersect a floor plane at
 //! `y = 0`. Two devices built from the same [`MockConfig`] replay
 //! bit-identical frame and event streams, which makes this the backend
 //! golden tests negotiate against.

@@ -24,7 +24,7 @@
 //! * **[`telemetry`]** — the invocation log (§III-E): one
 //!   [`FrameRecord`] per component invocation, from either executor;
 //!   obs data (spans, `exec.*`/`response.*`/`sched.*` histograms) is
-//!   derived from it by [`telemetry::export_invocation`] and nowhere
+//!   derived from it by `telemetry::export_invocation` and nowhere
 //!   else.
 //! * **[`obs`]** — glue onto the `illixr-obs` observability layer:
 //!   span tracing, switchboard flow events, latency histograms, and

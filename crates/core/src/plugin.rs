@@ -44,7 +44,7 @@ pub struct PluginContext {
     /// guaranteed no-op).
     pub fault: Arc<FaultPlan>,
     /// Crash containment and liveness tracking
-    /// ([`Supervisor::disabled`] by default).
+    /// (`Supervisor::disabled` by default).
     pub supervisor: Arc<Supervisor>,
     /// Record/replay determinism boundary ([`Boundary::off`] by
     /// default — a guaranteed no-op).

@@ -2,7 +2,7 @@
 //! Tables IV–V.
 //!
 //! For one `(application, platform)` pair this puts each row of
-//! [`STANDARD_PIPELINE`] — the plugin graph of Fig 1/2 — on the
+//! `STANDARD_PIPELINE` — the plugin graph of Fig 1/2 — on the
 //! discrete-event scheduler, with per-invocation costs from the platform
 //! timing model and real algorithm execution for every component.
 //! Thirty simulated seconds later the telemetry holds exactly the

@@ -1,4 +1,4 @@
-//! Live-mode execution: each row of [`STANDARD_PIPELINE`] on its own
+//! Live-mode execution: each row of `STANDARD_PIPELINE` on its own
 //! thread and the wall clock — how the testbed runs when you actually
 //! want to *use* it rather than model a platform.
 
