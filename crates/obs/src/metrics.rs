@@ -1,10 +1,8 @@
 //! Named-histogram and gauge registry.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
 
@@ -55,7 +53,7 @@ impl Metrics {
     /// Adds one sample to the named histogram (created on first use).
     pub fn record_ns(&self, name: &str, ns: u64) {
         if let Some(inner) = &self.inner {
-            let mut hists = inner.hists.lock();
+            let mut hists = inner.hists.lock().unwrap();
             if let Some(h) = hists.get_mut(name) {
                 h.record_ns(ns);
             } else {
@@ -96,26 +94,26 @@ impl Metrics {
     /// Sets (overwrites) the named gauge.
     pub fn set_gauge(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.gauges.lock().insert(name.to_string(), value);
+            inner.gauges.lock().unwrap().insert(name.to_string(), value);
         }
     }
 
     /// Snapshot of one histogram, if it exists.
     pub fn snapshot(&self, name: &str) -> Option<HistogramSnapshot> {
-        self.inner.as_ref()?.hists.lock().get(name).map(LatencyHistogram::snapshot)
+        self.inner.as_ref()?.hists.lock().unwrap().get(name).map(LatencyHistogram::snapshot)
     }
 
     /// Snapshots of every histogram, in name order.
     pub fn snapshots(&self) -> Vec<(String, HistogramSnapshot)> {
         self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.hists.lock().iter().map(|(n, h)| (n.clone(), h.snapshot())).collect()
+            i.hists.lock().unwrap().iter().map(|(n, h)| (n.clone(), h.snapshot())).collect()
         })
     }
 
     /// Every gauge, in name order.
     pub fn gauges(&self) -> Vec<(String, f64)> {
         self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.gauges.lock().iter().map(|(n, v)| (n.clone(), *v)).collect()
+            i.gauges.lock().unwrap().iter().map(|(n, v)| (n.clone(), *v)).collect()
         })
     }
 }
