@@ -215,4 +215,87 @@ mod tests {
         handle.join().unwrap();
         assert_eq!(pool.free_count(), 1, "last drop on either thread recycles");
     }
+
+    /// Two threads take, fill, clone across to each other and drop 10⁵
+    /// frames in all, so takes and last drops race on the free list from
+    /// both sides. Each frame is filled with a tag unique to it, and every
+    /// holder checks the tag when it receives the frame and again before
+    /// it lets go: an allocation recycled while still shared would show
+    /// the next owner's tag. A channel forces each cross-thread hand-off,
+    /// xorshift-seeded yields vary the interleaving, and the watchdog
+    /// fails a stuck run before any join.
+    #[test]
+    fn frames_are_never_shared_after_recycling_under_contention() {
+        use std::sync::mpsc::{self, RecvTimeoutError};
+        use std::time::Duration;
+
+        const FRAMES: u64 = 50_000; // a thread
+        const LEN: usize = 8;
+        // One slot: every round returns more frames than the list holds.
+        const MAX_FREE: usize = 1;
+        fn check(frame: &SlabFrame<Vec<u64>>, tag: u64) {
+            assert!(
+                frame.len() == LEN && frame.iter().all(|&v| v == tag),
+                "frame {tag:#x} seen with another holder's contents: {:?}",
+                &frame[..]
+            );
+        }
+
+        let pool: SlabPool<Vec<u64>> = SlabPool::new(MAX_FREE);
+        let (to_b, from_a) = mpsc::sync_channel(4);
+        let (to_a, from_b) = mpsc::sync_channel(4);
+        let (done_tx, done_rx) = mpsc::channel();
+        let workers: Vec<_> = [(0u64, to_b, from_b), (1, to_a, from_a)]
+            .into_iter()
+            .map(|(id, tx, rx)| {
+                let (pool, done) = (pool.clone(), done_tx.clone());
+                std::thread::spawn(move || {
+                    let mut rng = 0x9e37_79b9_7f4a_7c15_u64 ^ (id + 1);
+                    let mut held: Option<(u64, SlabFrame<Vec<u64>>)> = None;
+                    let mut recycled = 0u64;
+                    for i in 0..FRAMES {
+                        let tag = (id << 32) | i;
+                        let mut frame = pool.take();
+                        assert!(frame.is_empty(), "a recycled allocation came back uncleared");
+                        recycled += u64::from(frame.capacity() > 0);
+                        frame.make_mut().extend(std::iter::repeat_n(tag, LEN));
+                        tx.send(frame.clone()).unwrap();
+                        // Keep our clone one more round, so a frame's last
+                        // drop lands on either thread.
+                        if let Some((old_tag, old)) = held.replace((tag, frame)) {
+                            check(&old, old_tag);
+                        }
+                        let theirs = rx.recv().unwrap();
+                        let their_tag = ((1 - id) << 32) | i;
+                        check(&theirs, their_tag);
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        if rng & 1 == 0 {
+                            std::thread::yield_now();
+                        }
+                        check(&theirs, their_tag);
+                        drop(theirs);
+                        assert!(pool.free_count() <= MAX_FREE, "free list above its bound");
+                    }
+                    done.send(recycled).unwrap();
+                })
+            })
+            .collect();
+        drop(done_tx);
+        let mut recycled = 0;
+        for _ in 0..2 {
+            match done_rx.recv_timeout(Duration::from_secs(30)) {
+                Ok(n) => recycled += n,
+                Err(RecvTimeoutError::Timeout) => panic!("a worker made no progress in 30 s"),
+                // A worker panicked; its join below reports it.
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        for worker in workers {
+            worker.join().expect("worker panicked");
+        }
+        assert!(pool.free_count() <= MAX_FREE);
+        assert!(recycled > FRAMES, "only {recycled} of {} takes reused storage", 2 * FRAMES);
+    }
 }
