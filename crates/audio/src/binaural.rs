@@ -149,6 +149,7 @@ pub fn default_ring_bank(sample_rate: f64) -> HrirBank {
 mod tests {
     use super::*;
     use crate::ambisonics::encode_block;
+    use illixr_core::boundary::fnv1a;
 
     fn tone(len: usize, freq: f64, rate: f64) -> Vec<f64> {
         (0..len).map(|i| (std::f64::consts::TAU * freq * i as f64 / rate).sin() * 0.5).collect()
@@ -158,13 +159,8 @@ mod tests {
         (x.iter().map(|v| v * v).sum::<f64>() / x.len() as f64).sqrt()
     }
 
-    fn fnv1a(samples: impl IntoIterator<Item = f64>) -> u64 {
-        samples
-            .into_iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |hash: u64, byte| {
-                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+    fn digest(samples: impl IntoIterator<Item = f64>) -> u64 {
+        fnv1a(samples.into_iter().flat_map(|v| v.to_bits().to_le_bytes()))
     }
 
     /// Taken from the decoder that ran a left and a right convolver over
@@ -181,8 +177,8 @@ mod tests {
             let field = encode_block(chunk, 0.4 + 0.3 * k as f64, 0.1);
             let shaped = psychoacoustic_filter(&field, rate);
             let out = decoder.process(&shaped);
-            digests.push(fnv1a(shaped.data.iter().flatten().copied()));
-            digests.push(fnv1a(out.left.into_iter().chain(out.right)));
+            digests.push(digest(shaped.data.iter().flatten().copied()));
+            digests.push(digest(out.left.into_iter().chain(out.right)));
         }
         let want: [u64; 8] = [
             0x13b0_cc99_4c01_dda2,

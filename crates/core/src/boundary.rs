@@ -40,6 +40,7 @@ pub use illixr_trace::checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_SCHEM
 pub use illixr_trace::codec::{ByteReader, ByteWriter, CodecError};
 pub use illixr_trace::divergence::{first_divergence, Divergence};
 pub use illixr_trace::format::{Trace, TraceError, TraceHeader, TraceRecord, SCHEMA_VERSION};
+pub use illixr_trace::hash::{fnv1a, splitmix64};
 pub use illixr_trace::recorder::TraceRecorder;
 pub use illixr_trace::source::TraceSource;
 pub use illixr_trace::transform::{fan_out_transform, SessionTransform};

@@ -226,7 +226,9 @@ mod tests {
     }
 
     /// A hashed signal in `[-1, 1)²`: no symmetry for a wrong twiddle to
-    /// hide behind, the same on every platform.
+    /// hide behind, the same on every platform. The mixer borrows one
+    /// SplitMix64 constant but is a different function, and a test input
+    /// rather than a hash anything records, so it stays as written.
     fn hashed_signal(n: usize) -> Vec<Complex> {
         let unit = |i: u64| {
             let mut v = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);

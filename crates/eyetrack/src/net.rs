@@ -345,6 +345,7 @@ impl SegmentationNet {
 mod tests {
     use super::*;
     use crate::eye::{render_eye, EyeParams};
+    use illixr_core::boundary::fnv1a;
 
     #[test]
     fn classifies_intensity_bands() {
@@ -443,12 +444,6 @@ mod tests {
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data.iter().map(|v| v.to_bits()).collect()
-    }
-
-    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
     }
 
     /// `segment`'s chain up to the head, every layer run through `forward`

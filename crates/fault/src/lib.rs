@@ -15,13 +15,14 @@
 //! * **[`views`]** — [`SensorFaults`] / [`LinkFaults`]: the domain
 //!   queries the wiring points ask (drop this frame? outage until
 //!   when? duplicate this message?).
-//! * **[`rng`]** — the stateless SplitMix64-mixer underneath.
+//! * **[`rng`]** — uniform and Bernoulli draws over the stateless
+//!   mixer underneath, [`illixr_trace::splitmix64`].
 //!
 //! Like `illixr-obs` and `illixr-sched`, this crate sits *below*
-//! `illixr-core`: it knows nothing about plugins, switchboards or
-//! `Time` — all timestamps are raw `u64` nanoseconds — so the runtime,
-//! the offload bridges and the multi-session server can all consume
-//! one fault vocabulary.
+//! `illixr-core`, above only `illixr-trace` (for the two hashes): it
+//! knows nothing about plugins, switchboards or `Time` — all timestamps
+//! are raw `u64` nanoseconds — so the runtime, the offload bridges and
+//! the multi-session server can all consume one fault vocabulary.
 
 pub mod plan;
 pub mod rng;

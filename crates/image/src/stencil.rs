@@ -302,6 +302,7 @@ pub fn bilateral_filter(
 mod tests {
     use super::*;
     use crate::pyramid::Pyramid;
+    use illixr_trace::fnv1a;
 
     /// The blur as first written, kept verbatim as the bit reference: the
     /// output pixel outermost, every tap read through `get_clamped`.
@@ -457,13 +458,8 @@ mod tests {
         img.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    fn fnv1a(img: &GrayImage) -> u64 {
-        img.as_slice()
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+    fn digest(img: &GrayImage) -> u64 {
+        fnv1a(img.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()))
     }
 
     /// A depth-like frame in metres: two slanted walls meeting in a step of
@@ -533,8 +529,8 @@ mod tests {
     fn bilateral_qvga_output_is_pinned() {
         let img = depth_scene(320, 240, true);
         let want = 0x43a3_fad2_d40a_117c;
-        assert_eq!(fnv1a(&reference_bilateral_filter(&img, 1.5, 0.08, 0.0)), want);
-        assert_eq!(fnv1a(&bilateral_filter(&img, 1.5, 0.08, 0.0)), want);
+        assert_eq!(digest(&reference_bilateral_filter(&img, 1.5, 0.08, 0.0)), want);
+        assert_eq!(digest(&bilateral_filter(&img, 1.5, 0.08, 0.0)), want);
     }
 
     /// Sizes below, at and above the kernel radius in either direction.
@@ -580,9 +576,9 @@ mod tests {
         let base = texture(320, 240);
         let levels = |n| {
             let pyr = Pyramid::new(&base, n);
-            (0..pyr.num_levels()).map(|i| fnv1a(pyr.level(i))).collect::<Vec<u64>>()
+            (0..pyr.num_levels()).map(|i| digest(pyr.level(i))).collect::<Vec<u64>>()
         };
-        assert_eq!(fnv1a(&reference_gaussian_blur(&base, 1.0)), 0x8b6d_0204_de34_f710);
+        assert_eq!(digest(&reference_gaussian_blur(&base, 1.0)), 0x8b6d_0204_de34_f710);
         let want = [
             0x4773_30f5_e1b4_5dae,
             0x9b88_28cd_73a9_f8b9,

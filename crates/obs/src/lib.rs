@@ -26,9 +26,11 @@
 //! in every bench bin), so a fixed-seed run exports bit-identical
 //! artifacts.
 //!
-//! This crate deliberately sits *below* `illixr-core`: it knows nothing
-//! about `Time`, plugins, or the switchboard. Times are raw `u64`
-//! nanoseconds and the clock is abstracted behind [`NowSource`].
+//! This crate deliberately sits *below* `illixr-core`, above only
+//! `illixr-trace` (whose [`fnv1a`](illixr_trace::fnv1a) makes the flow
+//! ids): it knows nothing about `Time`, plugins, or the switchboard.
+//! Times are raw `u64` nanoseconds and the clock is abstracted behind
+//! [`NowSource`].
 
 pub mod export;
 pub mod hist;

@@ -4,6 +4,11 @@
 //! across runs and machines and (b) independent of call ordering between
 //! components. SplitMix64 seeded per `(component, invocation)` gives both
 //! without threading RNG state through the scheduler.
+//!
+//! A stated exception to "one FNV-1a, one SplitMix64" (both live in
+//! `illixr-trace`): `seed_from` is not FNV-1a — its multiplier differs
+//! and every jitter draw is pinned to it — and the generator's three-line
+//! step does not justify a platform → trace dependency edge.
 
 /// SplitMix64 pseudo-random generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

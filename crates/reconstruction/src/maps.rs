@@ -117,6 +117,7 @@ mod tests {
     /// the same check on the frames the pipeline filters.
     #[test]
     fn preprocess_bits_are_pinned_on_rendered_depth() {
+        use illixr_core::boundary::fnv1a;
         use illixr_core::Time;
         use illixr_sensors::camera::StereoRig;
         use illixr_sensors::trajectory::Trajectory;
@@ -137,14 +138,8 @@ mod tests {
                 }
             }
         }
-        let digest = |img: &DepthFrame| {
-            img.as_slice()
-                .iter()
-                .flat_map(|v| v.to_bits().to_le_bytes())
-                .fold(0xcbf2_9ce4_8422_2325, |hash: u64, byte| {
-                    (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-                })
-        };
+        let digest =
+            |img: &DepthFrame| fnv1a(img.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()));
         let got = [digest(&preprocess_depth(&clean)), digest(&preprocess_depth(&holed))];
         assert_eq!(got, [0x5a45_df56_800c_349c, 0xa4bd_ed04_e694_74ac], "got {got:#018x?}");
     }

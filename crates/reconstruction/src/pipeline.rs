@@ -248,6 +248,7 @@ impl ScenePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use illixr_core::boundary::fnv1a;
     use illixr_core::Time;
     use illixr_sensors::camera::StereoRig;
     use illixr_sensors::trajectory::Trajectory;
@@ -407,24 +408,18 @@ mod tests {
         let cam = PinholeCamera::qvga();
         let rig = StereoRig::zed_mini(cam);
         let mut pipe = ScenePipeline::elastic_fusion_like(cam, traj.pose(Time::ZERO));
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut bytes = Vec::new();
         for k in 0..30 {
             let depth = world.render_depth(&rig, &traj.pose(Time::from_millis(k * 66)));
-            for v in depth.as_slice() {
-                fold(&v.to_bits().to_le_bytes());
-            }
+            bytes.extend(depth.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()));
             let out = pipe.process(&depth, None, None);
             let (p, q) = (out.pose.position, out.pose.orientation);
             for v in [p.x, p.y, p.z, q.w, q.x, q.y, q.z, out.icp_residual] {
-                fold(&v.to_bits().to_le_bytes());
+                bytes.extend(v.to_bits().to_le_bytes());
             }
-            fold(&(out.map_size as u64).to_le_bytes());
+            bytes.extend((out.map_size as u64).to_le_bytes());
         }
+        let hash = fnv1a(bytes);
         assert_eq!(hash, 0xa56b_0fdc_fc97_01a7, "got {hash:#018x}");
     }
 

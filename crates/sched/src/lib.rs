@@ -4,7 +4,7 @@
 //! testbed should enable (§VI): its own runtime only offers fixed-rate
 //! threadloops, and the QoE losses of §IV all trace back to deadline
 //! misses along the IMU → VIO → reprojection chain. This crate supplies
-//! the missing machinery as a small, dependency-free library:
+//! the missing machinery as a small, std-only library:
 //!
 //! * **[`task`]** — the periodic task model: each plugin iteration is a
 //!   released *job* with a period, a relative deadline, a priority
@@ -32,8 +32,8 @@
 //!   link, and a [`PlacementController`] migrates a cut at
 //!   deterministic decision epochs using the governor's hysteresis
 //!   shape, fed by chain outcomes and a link-health probe.
-//! * **[`shard`]** — the multi-session server's deterministic FNV-1a
-//!   session→shard map.
+//! * **[`shard`]** — the multi-session server's deterministic
+//!   session→shard map, [`illixr_trace::fnv1a`] of the session id.
 //! * **[`ring`]** — bounded SPSC rings with lossless backpressure.
 //!
 //! [`live`] and [`ring`] are no longer engine building blocks: the
@@ -42,10 +42,11 @@
 //! `sched.queue.push_pop_ns` and `sched.ring.push_pop_ns` rows reach
 //! them.
 //!
-//! Like `illixr-obs`, this crate sits *below* `illixr-core`: it knows
-//! nothing about plugins, switchboards or `Time` — all timestamps are
-//! raw `u64` nanoseconds — so the runtime, the experiment runner and
-//! the multi-session server can all share one scheduling vocabulary.
+//! Like `illixr-obs`, this crate sits *below* `illixr-core`, above only
+//! `illixr-trace` (for the hash): it knows nothing about plugins,
+//! switchboards or `Time` — all timestamps are raw `u64` nanoseconds —
+//! so the runtime, the experiment runner and the multi-session server
+//! can all share one scheduling vocabulary.
 
 pub mod chain;
 pub mod governor;

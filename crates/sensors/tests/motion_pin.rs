@@ -9,6 +9,9 @@
 //! floating-point operations and their association — `w = 2π·f`,
 //! `θ = w·t + phase`, terms summed in index order by `Iterator::sum`.
 
+use std::iter;
+
+use illixr_core::boundary::fnv1a;
 use illixr_core::Time;
 use illixr_math::{Pose, Vec3};
 use illixr_sensors::imu::ImuNoise;
@@ -24,22 +27,9 @@ fn pose_bits(pose: Pose) -> [u64; 7] {
     [p.x, p.y, p.z, q.w, q.x, q.y, q.z].map(f64::to_bits)
 }
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn all(&mut self, bits: impl IntoIterator<Item = u64>) {
-        bits.into_iter().for_each(|v| self.u64(v));
-    }
+/// FNV-1a over each word's little-endian bytes, in order.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    fnv1a(words.into_iter().flat_map(u64::to_le_bytes))
 }
 
 /// The 1 000 instants every trajectory pin samples: 0 to ≈ 7.9 s on a
@@ -54,26 +44,18 @@ const TRAJECTORY_SEEDS: [u64; 4] = [1, 7, 11, 4242];
 
 fn imu_digest(seed: u64) -> u64 {
     let mut imu = ImuModel::new(Trajectory::walking(seed), ImuNoise::default(), 500.0, seed);
-    let mut h = Fnv::new();
-    for _ in 0..2000 {
+    digest((0..2000).flat_map(|_| {
         let s = imu.next_sample();
-        h.u64(s.timestamp.as_nanos());
-        h.all(vec3_bits(s.gyro));
-        h.all(vec3_bits(s.accel));
-    }
-    h.0
+        iter::once(s.timestamp.as_nanos()).chain(vec3_bits(s.gyro)).chain(vec3_bits(s.accel))
+    }))
 }
 
 fn trajectory_digest(profile: MotionProfile, seed: u64) -> u64 {
     let traj = Trajectory::new(profile, seed);
-    let mut h = Fnv::new();
-    for t in grid() {
-        h.all(pose_bits(traj.pose(t)));
-        h.all(vec3_bits(traj.velocity(t)));
-        h.all(vec3_bits(traj.acceleration(t)));
-        h.all(vec3_bits(traj.angular_velocity(t)));
-    }
-    h.0
+    digest(grid().flat_map(|t| {
+        let v = [traj.velocity(t), traj.acceleration(t), traj.angular_velocity(t)];
+        pose_bits(traj.pose(t)).into_iter().chain(v.into_iter().flat_map(vec3_bits))
+    }))
 }
 
 #[test]

@@ -27,16 +27,21 @@
 //!   fan-out derivation (session 0 is always the identity).
 //! * **[`divergence`]** — first-diverging-record reports so golden
 //!   tests fail with `(stream, tag_ns)` coordinates, not a bare assert.
+//! * **[`hash`]** — [`fnv1a`] and [`splitmix64`], the repository's one
+//!   content hash and one mixer: config hashes, flow ids, the shard map,
+//!   fault trials, fan-out transforms and every bit pin's digest.
 //!
-//! Like `illixr-obs`, `illixr-sched` and `illixr-fault`, this crate
-//! sits *below* `illixr-core`: all timestamps are raw `u64`
-//! nanoseconds and all payloads opaque bytes, so sensors, links and
-//! the multi-session server share one trace vocabulary.
+//! This crate is the bottom of the four std-only crates under
+//! `illixr-core` (`illixr-obs`, `illixr-sched` and `illixr-fault` take
+//! their hashes from it) and depends on nothing: all timestamps are raw
+//! `u64` nanoseconds and all payloads opaque bytes, so sensors, links
+//! and the multi-session server share one trace vocabulary.
 
 pub mod checkpoint;
 pub mod codec;
 pub mod divergence;
 pub mod format;
+pub mod hash;
 pub mod recorder;
 pub mod source;
 pub mod transform;
@@ -45,6 +50,7 @@ pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_SCHEMA_VERSION};
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use divergence::{first_divergence, Divergence};
 pub use format::{Trace, TraceError, TraceHeader, TraceRecord, SCHEMA_VERSION};
+pub use hash::{fnv1a, splitmix64};
 pub use recorder::TraceRecorder;
 pub use source::TraceSource;
 pub use transform::{fan_out_transform, SessionTransform};

@@ -11,6 +11,7 @@
 //! tests beside those kernels compare them with verbatim references; this
 //! file pins what comes out the far end, in debug and in release.
 
+use illixr_core::boundary::fnv1a;
 use illixr_sensors::camera::{PinholeCamera, StereoRig};
 use illixr_sensors::dataset::SyntheticDataset;
 use illixr_vio::alternative::{FrameToFrameConfig, FrameToFrameVio};
@@ -18,25 +19,14 @@ use illixr_vio::fast::detect_fast;
 use illixr_vio::integrator::ImuState;
 use illixr_vio::msckf::{Msckf, VioConfig};
 
-struct Fnv(u64);
+/// FNV-1a over each word's little-endian bytes, in order.
+fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+    fnv1a(words.into_iter().flat_map(u64::to_le_bytes))
+}
 
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn state(&mut self, s: &ImuState) {
-        let (p, q, v) = (s.pose.position, s.pose.orientation, s.velocity);
-        for f in [p.x, p.y, p.z, q.w, q.x, q.y, q.z, v.x, v.y, v.z] {
-            self.u64(f.to_bits());
-        }
-    }
+fn state_bits(s: &ImuState) -> [u64; 10] {
+    let (p, q, v) = (s.pose.position, s.pose.orientation, s.velocity);
+    [p.x, p.y, p.z, q.w, q.x, q.y, q.z, v.x, v.y, v.z].map(f64::to_bits)
 }
 
 fn rig() -> StereoRig {
@@ -57,17 +47,14 @@ fn ground_truth_start(ds: &SyntheticDataset) -> ImuState {
 }
 
 fn msckf_digest(config: VioConfig) -> u64 {
-    let ds = dataset();
+    let (ds, rig) = (dataset(), rig());
     let mut filter = Msckf::new(config, ground_truth_start(&ds));
-    let mut h = Fnv::new();
-    for (imu, frame) in ds.replay(&rig()) {
+    digest(ds.replay(&rig).flat_map(|(imu, frame)| {
         imu.iter().for_each(|&s| filter.process_imu(s));
         let out = filter.process_frame(&frame.stereo(), None);
-        h.state(&out.state);
-        h.u64(out.tracked_features as u64);
-        h.u64(out.update_rows as u64);
-    }
-    h.0
+        let counts = [out.tracked_features as u64, out.update_rows as u64];
+        state_bits(&out.state).into_iter().chain(counts)
+    }))
 }
 
 #[test]
@@ -80,18 +67,15 @@ fn msckf_poses_are_pinned() {
 
 #[test]
 fn frame_to_frame_poses_are_pinned() {
-    let ds = dataset();
-    let mut vio =
-        FrameToFrameVio::new(FrameToFrameConfig::default(), rig(), ground_truth_start(&ds));
-    let mut h = Fnv::new();
-    for (imu, frame) in ds.replay(&rig()) {
+    let (ds, rig) = (dataset(), rig());
+    let mut vio = FrameToFrameVio::new(FrameToFrameConfig::default(), rig, ground_truth_start(&ds));
+    let got = digest(ds.replay(&rig).flat_map(|(imu, frame)| {
         imu.iter().for_each(|&s| vio.process_imu(s));
         let out = vio.process_frame(&frame.stereo(), None);
-        h.state(&out.state);
-        h.u64(out.points_used as u64);
-        h.u64(out.map_size as u64);
-    }
-    assert_eq!(h.0, 0x8ec9_48c1_c2e1_bb85, "got {:#018x}", h.0);
+        let counts = [out.points_used as u64, out.map_size as u64];
+        state_bits(&out.state).into_iter().chain(counts)
+    }));
+    assert_eq!(got, 0x8ec9_48c1_c2e1_bb85, "got {got:#018x}");
 }
 
 /// The candidate list in order: position, score bits, and so the grid
@@ -99,21 +83,20 @@ fn frame_to_frame_poses_are_pinned() {
 #[test]
 fn fast_corners_are_pinned() {
     let (rig, ds) = (rig(), dataset());
-    let mut h = Fnv::new();
+    let mut words = Vec::new();
     let mut total = 0;
     for k in [0, 7, 29] {
         let (left, right) = ds.render_frame(&rig, k);
         for img in [&left, &right] {
             let corners = detect_fast(img, 0.12, 140, 24);
             total += corners.len();
-            h.u64(corners.len() as u64);
+            words.push(corners.len() as u64);
             for c in corners {
-                h.u64(u64::from(c.x.to_bits()));
-                h.u64(u64::from(c.y.to_bits()));
-                h.u64(u64::from(c.score.to_bits()));
+                words.extend([c.x.to_bits(), c.y.to_bits(), c.score.to_bits()].map(u64::from));
             }
         }
     }
     assert!(total > 100, "only {total} corners over six images");
-    assert_eq!(h.0, 0x1186_90c2_05f3_9ec9, "got {:#018x}", h.0);
+    let got = digest(words);
+    assert_eq!(got, 0x1186_90c2_05f3_9ec9, "got {got:#018x}");
 }

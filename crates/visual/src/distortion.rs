@@ -162,6 +162,7 @@ impl DistortionMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use illixr_core::boundary::fnv1a;
     use illixr_image::draw::checkerboard;
 
     #[test]
@@ -246,13 +247,7 @@ mod tests {
         });
         let out = mesh.apply(&img);
         assert_eq!((out.width(), out.height()), (w, h));
-        out.as_slice()
-            .iter()
-            .flatten()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |hash: u64, byte| {
-                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+        fnv1a(out.as_slice().iter().flatten().flat_map(|v| v.to_bits().to_le_bytes()))
     }
 
     /// Taken from the first implementation (three mesh interpolations per

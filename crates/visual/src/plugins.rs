@@ -220,6 +220,7 @@ impl Plugin for HologramPlugin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use illixr_core::boundary::fnv1a;
     use illixr_core::plugin::RuntimeBuilder;
     use illixr_core::SimClock;
     use illixr_math::{Pose, Quat, Vec3};
@@ -320,13 +321,7 @@ mod tests {
     }
 
     fn digest(img: &RgbImage) -> u64 {
-        img.as_slice()
-            .iter()
-            .flatten()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |hash: u64, byte| {
-                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+        fnv1a(img.as_slice().iter().flatten().flat_map(|v| v.to_bits().to_le_bytes()))
     }
 
     /// Taken from the plugin that warped each eye on its own (two

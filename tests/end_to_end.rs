@@ -4,6 +4,7 @@
 
 use std::time::Duration;
 
+use illixr_testbed::core::boundary::fnv1a;
 use illixr_testbed::platform::spec::Platform;
 use illixr_testbed::render::apps::Application;
 use illixr_testbed::system::experiment::{
@@ -137,12 +138,7 @@ fn fingerprint_of(r: ExperimentResult) -> u64 {
     writeln!(repr, "{:?}", r.supervisor.report()).unwrap();
     writeln!(repr, "{:?} {:?}", r.vio_final_side, r.migrations).unwrap();
     let trace = r.boundary_trace.map(|t| t.encode()).unwrap_or_default();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in repr.bytes().chain(trace) {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    fnv1a(repr.bytes().chain(trace))
 }
 
 /// The device goldens compare run against run inside one build; this
