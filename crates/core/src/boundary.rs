@@ -36,10 +36,10 @@
 //! replays identically even when the replay side runs a quiet plan
 //! under supervision.
 
-pub use illixr_trace::checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_SCHEMA_VERSION};
-pub use illixr_trace::codec::{ByteReader, ByteWriter, CodecError};
+pub use illixr_trace::checkpoint::{Checkpoint, CHECKPOINT_SCHEMA_VERSION};
+pub use illixr_trace::codec::{ByteReader, ByteWriter, DecodeError};
 pub use illixr_trace::divergence::{first_divergence, Divergence};
-pub use illixr_trace::format::{Trace, TraceError, TraceHeader, TraceRecord, SCHEMA_VERSION};
+pub use illixr_trace::format::{Trace, TraceHeader, TraceRecord, SCHEMA_VERSION};
 pub use illixr_trace::hash::{fnv1a, splitmix64};
 pub use illixr_trace::recorder::TraceRecorder;
 pub use illixr_trace::source::TraceSource;

@@ -21,15 +21,16 @@
 //! Versioning policy: the schema version is bumped on any layout
 //! change; decoders reject unknown versions rather than guessing
 //! (replay correctness beats forward compatibility — a trace is a
-//! *measurement*, not a document).
+//! *measurement*, not a document). The prelude, the stream names, the
+//! counted lists and the exact-length check are [`crate::codec`]'s
+//! steps, shared with the `ILXC` checkpoint, and every failure is a
+//! [`DecodeError`].
 
-use std::fmt;
-
-use crate::codec::{ByteReader, ByteWriter, CodecError};
+use crate::codec::{ByteReader, ByteWriter, DecodeError};
 use crate::hash::fnv1a;
 
 /// File magic: "ILXT" (ILLIXR Trace).
-pub(crate) const MAGIC: [u8; 4] = *b"ILXT";
+const MAGIC: [u8; 4] = *b"ILXT";
 
 /// Current container schema version. Bump on any layout change.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -64,50 +65,6 @@ pub struct TraceRecord {
     /// Payload bytes; the codec lives with the type that owns the
     /// stream, not with the container.
     pub payload: Vec<u8>,
-}
-
-/// Decode failure modes. Anything structurally suspect is rejected —
-/// a trace that half-decodes would replay as a half-truth.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// The buffer does not start with the `ILXT` magic.
-    BadMagic { found: [u8; 4] },
-    /// Header version this decoder does not understand.
-    UnsupportedVersion { found: u32, supported: u32 },
-    /// The buffer ended mid-structure.
-    Truncated(CodecError),
-    /// A stream name was not valid UTF-8.
-    BadStreamName { stream_index: usize },
-    /// Bytes remained after the last declared record.
-    TrailingBytes { remaining: usize },
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceError::BadMagic { found } => {
-                write!(f, "bad trace magic {found:?}, expected {MAGIC:?}")
-            }
-            TraceError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported trace schema version {found} (this build reads {supported})")
-            }
-            TraceError::Truncated(e) => write!(f, "truncated trace: {e}"),
-            TraceError::BadStreamName { stream_index } => {
-                write!(f, "stream {stream_index} has a non-UTF-8 name")
-            }
-            TraceError::TrailingBytes { remaining } => {
-                write!(f, "{remaining} trailing bytes after the last record")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-impl From<CodecError> for TraceError {
-    fn from(e: CodecError) -> Self {
-        TraceError::Truncated(e)
-    }
 }
 
 /// A decoded (or snapshot) trace: header plus per-stream record lists.
@@ -149,8 +106,7 @@ impl Trace {
         w.put_u64(self.header.config_hash);
         w.put_u32(self.streams.len() as u32);
         for (name, records) in &self.streams {
-            w.put_u16(name.len() as u16);
-            w.put_bytes(name.as_bytes());
+            w.put_name(name);
             w.put_u64(records.len() as u64);
             for rec in records {
                 w.put_u64(rec.tag_ns);
@@ -163,44 +119,27 @@ impl Trace {
 
     /// Strict decode: magic, version, structure and exact length are
     /// all enforced.
-    pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
+    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = ByteReader::new(bytes);
-        let magic: [u8; 4] = r.take_bytes(4)?.try_into().unwrap();
-        if magic != MAGIC {
-            return Err(TraceError::BadMagic { found: magic });
-        }
-        let schema_version = r.take_u32()?;
-        if schema_version != SCHEMA_VERSION {
-            return Err(TraceError::UnsupportedVersion {
-                found: schema_version,
-                supported: SCHEMA_VERSION,
-            });
-        }
+        r.take_prelude(MAGIC, SCHEMA_VERSION)?;
         let seed = r.take_u64()?;
         let config_hash = r.take_u64()?;
         let stream_count = r.take_u32()? as usize;
-        let mut streams = Vec::with_capacity(stream_count);
-        for stream_index in 0..stream_count {
-            let name_len = r.take_u16()? as usize;
-            let name = std::str::from_utf8(r.take_bytes(name_len)?)
-                .map_err(|_| TraceError::BadStreamName { stream_index })?
-                .to_string();
+        let streams = r.take_list(stream_count, |r, index| {
+            let name = r.take_name(index)?;
             let record_count = r.take_u64()? as usize;
-            // Capacity is clamped so a corrupt count cannot trigger a
-            // huge allocation before the reads below catch it.
-            let mut records = Vec::with_capacity(record_count.min(1 << 16));
-            for _ in 0..record_count {
+            let records = r.take_list(record_count, |r, _| {
                 let tag_ns = r.take_u64()?;
                 let len = r.take_u32()? as usize;
-                let payload = r.take_bytes(len)?.to_vec();
-                records.push(TraceRecord { tag_ns, payload });
-            }
-            streams.push((name, records));
-        }
-        if !r.is_empty() {
-            return Err(TraceError::TrailingBytes { remaining: r.remaining() });
-        }
-        Ok(Self { header: TraceHeader { schema_version, seed, config_hash }, streams })
+                Ok(TraceRecord { tag_ns, payload: r.take_bytes(len)?.to_vec() })
+            })?;
+            Ok((name, records))
+        })?;
+        r.finish()?;
+        Ok(Self {
+            header: TraceHeader { schema_version: SCHEMA_VERSION, seed, config_hash },
+            streams,
+        })
     }
 }
 
@@ -234,42 +173,6 @@ mod tests {
         // Pinned across commits: a recording's config hash is checked at
         // replay time against the replaying configuration's.
         assert_eq!(back.header.config_hash, 0xf7ce_a3f2_f6cb_f86d);
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let mut bytes = sample().encode();
-        bytes[0] = b'X';
-        assert!(matches!(Trace::decode(&bytes), Err(TraceError::BadMagic { .. })));
-    }
-
-    #[test]
-    fn rejects_unsupported_version() {
-        let mut bytes = sample().encode();
-        bytes[4] = 0xFF;
-        assert!(matches!(
-            Trace::decode(&bytes),
-            Err(TraceError::UnsupportedVersion { found, .. }) if found != SCHEMA_VERSION
-        ));
-    }
-
-    #[test]
-    fn rejects_every_truncation_point() {
-        let bytes = sample().encode();
-        for cut in 0..bytes.len() {
-            let err = Trace::decode(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, TraceError::Truncated(_) | TraceError::BadMagic { .. }),
-                "cut at {cut} gave {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn rejects_trailing_bytes() {
-        let mut bytes = sample().encode();
-        bytes.push(0);
-        assert_eq!(Trace::decode(&bytes), Err(TraceError::TrailingBytes { remaining: 1 }));
     }
 
     proptest! {

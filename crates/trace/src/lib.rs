@@ -16,9 +16,10 @@
 //!   of the trace container — versioned, length-prefixed, strictly
 //!   decoded session-state snapshots for crash-consistent failover,
 //!   plus the crash-record replay contract docs.
-//! * **[`codec`]** — bounds-checked little-endian primitives shared by
-//!   the container and the payload codecs living next to the types
-//!   they serialize.
+//! * **[`codec`]** — the one strict decoder: bounds-checked
+//!   little-endian primitives, the steps every format repeats, and
+//!   [`DecodeError`], shared by both containers and the payload codecs
+//!   living next to the types they serialize.
 //! * **[`recorder`]** — [`TraceRecorder`]: a cloneable sink the wiring
 //!   points call with `(stream, tag_ns, payload)`.
 //! * **[`source`]** — [`TraceSource`]: cursor-per-stream replay with an
@@ -46,10 +47,10 @@ pub mod recorder;
 pub mod source;
 pub mod transform;
 
-pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_SCHEMA_VERSION};
-pub use codec::{ByteReader, ByteWriter, CodecError};
+pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA_VERSION};
+pub use codec::{ByteReader, ByteWriter, DecodeError};
 pub use divergence::{first_divergence, Divergence};
-pub use format::{Trace, TraceError, TraceHeader, TraceRecord, SCHEMA_VERSION};
+pub use format::{Trace, TraceHeader, TraceRecord, SCHEMA_VERSION};
 pub use hash::{fnv1a, splitmix64};
 pub use recorder::TraceRecorder;
 pub use source::TraceSource;

@@ -18,7 +18,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use illixr_core::boundary::{Checkpoint, CheckpointError};
+use illixr_core::boundary::{Checkpoint, DecodeError};
 use illixr_core::fault::{FaultKind, FaultPlan, FaultWindow, StochasticRates};
 use illixr_core::{Clock, SimClock, Time};
 use illixr_sched::ShardMap;
@@ -246,7 +246,7 @@ fn corrupt_checkpoint_yields_typed_error_and_restart_fallback() {
     let mut bytes = ck.encode();
     bytes.pop();
     assert!(
-        matches!(Checkpoint::decode(&bytes), Err(CheckpointError::Truncated(_))),
+        matches!(Checkpoint::decode(&bytes), Err(DecodeError::Truncated { .. })),
         "dropping the final byte must decode to a typed truncation error"
     );
 
@@ -337,7 +337,7 @@ fn corrupted_fixture_bytes_are_rejected() {
     }
     let mut flipped = bytes.clone();
     flipped[0] ^= 0xFF;
-    assert!(matches!(Checkpoint::decode(&flipped), Err(CheckpointError::BadMagic { .. })));
+    assert!(matches!(Checkpoint::decode(&flipped), Err(DecodeError::BadMagic { .. })));
 }
 
 /// Regenerates the committed fixture after an intentional schema bump:

@@ -12,13 +12,17 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use illixr_core::boundary::{Boundary, Trace, TraceError, TraceSource};
+use illixr_core::boundary::{
+    splitmix64, Boundary, Checkpoint, DecodeError, SessionTransform, Trace, TraceSource,
+};
 use illixr_core::fault::FaultPlan;
 use illixr_core::obs::{chrome_trace_json, metrics_csv};
 use illixr_core::supervisor::SupervisionPolicy;
 use illixr_platform::spec::Platform;
 use illixr_render::apps::Application;
+use illixr_sensors::wire::{decode_camera, decode_imu};
 use illixr_server::server::ReplayLoad;
+use illixr_server::snapshot::SessionSnapshot;
 use illixr_server::ServerBuilder;
 use illixr_system::experiment::{ExperimentConfig, ExperimentResult, IntegratedExperiment};
 use proptest::prelude::*;
@@ -122,13 +126,105 @@ fn corrupt_fixture_bytes_are_rejected() {
     let bytes =
         std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/trace_fixture.ilxt"))
             .expect("fixture committed under tests/data/");
-    assert!(matches!(Trace::decode(&bytes[..bytes.len() - 3]), Err(TraceError::Truncated(_))));
+    assert!(matches!(Trace::decode(&bytes[..bytes.len() - 3]), Err(DecodeError::Truncated { .. })));
     let mut bad_magic = bytes.clone();
     bad_magic[0] ^= 0xFF;
-    assert!(matches!(Trace::decode(&bad_magic), Err(TraceError::BadMagic { .. })));
+    assert!(matches!(Trace::decode(&bad_magic), Err(DecodeError::BadMagic { .. })));
     let mut bad_version = bytes;
     bad_version[4] = 0xEE;
-    assert!(matches!(Trace::decode(&bad_version), Err(TraceError::UnsupportedVersion { .. })));
+    assert!(matches!(Trace::decode(&bad_version), Err(DecodeError::UnsupportedVersion { .. })));
+}
+
+/// One mutant of `bytes`, every choice drawn from `draw`: a bit flip, a
+/// byte overwrite, a truncation, an append, a splice onto a suffix of
+/// `other`, or a u16/u32/u64 length field overwritten with 0, its
+/// maximum or a random value.
+fn mutate(bytes: &[u8], other: &[u8], draw: &mut impl FnMut() -> u64) -> Vec<u8> {
+    let mut m = bytes.to_vec();
+    let mut below = |n: usize| (draw() % n.max(1) as u64) as usize;
+    match below(6) {
+        0 => {
+            let i = below(m.len());
+            m[i] ^= 1 << below(8);
+        }
+        1 => {
+            let i = below(m.len());
+            m[i] = below(256) as u8;
+        }
+        2 => m.truncate(below(m.len())),
+        3 => {
+            let n = 1 + below(16);
+            m.extend((0..n).map(|_| below(256) as u8));
+        }
+        4 => {
+            m.truncate(below(m.len()));
+            m.extend_from_slice(&other[below(other.len())..]);
+        }
+        _ => {
+            let width = [2, 4, 8][below(3)];
+            let value = match below(3) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => below(usize::MAX) as u64,
+            };
+            let i = below(m.len() + 1 - width);
+            m[i..i + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        }
+    }
+    m
+}
+
+/// The byte half of the no-panic surface: deterministic mutants of the
+/// committed trace and checkpoint fixtures, the snapshot inside the
+/// checkpoint and one camera and one IMU payload from the trace. No
+/// mutant may panic a decoder, and a mutant of a canonical format
+/// (`ILXT`, `ILXC`, the snapshot) that decodes must re-encode to exactly
+/// its own bytes.
+#[test]
+fn mutated_fixture_bytes_never_panic_and_decode_canonically() {
+    type Reencode = fn(&[u8]) -> Result<Option<Vec<u8>>, DecodeError>;
+    let read = |name: &str| {
+        std::fs::read(format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR")))
+            .expect("fixture committed under tests/data/")
+    };
+    let ilxt = read("trace_fixture.ilxt");
+    let ilxc = read("checkpoint_fixture.ilxc");
+    let trace = Trace::decode(&ilxt).expect("fixture decodes");
+    let snapshot =
+        Checkpoint::decode(&ilxc).expect("fixture decodes").entry("session").unwrap().to_vec();
+    let payload = |stream: &str| trace.stream(stream).expect("recorded stream")[0].payload.clone();
+    const DILATE: SessionTransform = SessionTransform { offset_ns: 0, dilation: 1.25 };
+    let inputs: [(&str, Vec<u8>, usize, Reencode); 5] = [
+        ("ILXT", ilxt, 2_000, |b| Trace::decode(b).map(|t| Some(t.encode()))),
+        ("ILXC", ilxc, 10_000, |b| Checkpoint::decode(b).map(|c| Some(c.encode()))),
+        ("snapshot", snapshot, 10_000, |b| SessionSnapshot::decode(b).map(|s| Some(s.encode()))),
+        ("camera", payload("camera"), 10_000, |b| decode_camera(b, 1 << 40, &DILATE).map(|_| None)),
+        ("imu", payload("imu"), 10_000, |b| decode_imu(b, 1 << 40, &DILATE).map(|_| None)),
+    ];
+    let mut state = 0x1DEC_0DE5_u64;
+    let mut draw = || {
+        state = state.wrapping_add(1);
+        splitmix64(state)
+    };
+    for (k, (name, bytes, count, reencode)) in inputs.iter().enumerate() {
+        let other = &inputs[(k + 1) % inputs.len()].1;
+        let (mut accepted, mut rejected) = (0, 0);
+        for i in 0..*count {
+            let m = mutate(bytes, other, &mut draw);
+            let outcome = std::panic::catch_unwind(|| reencode(&m))
+                .unwrap_or_else(|_| panic!("{name} mutant {i} panicked the decoder"));
+            match outcome {
+                Ok(Some(again)) => {
+                    assert!(again == m, "{name} mutant {i} decoded but re-encoded differently");
+                    accepted += 1;
+                }
+                Ok(None) => accepted += 1,
+                Err(_) => rejected += 1,
+            }
+        }
+        println!("{name}: {count} mutants, {accepted} decoded, {rejected} rejected");
+        assert!(accepted > 0 && rejected > 0, "{name}: the mutants must exercise both outcomes");
+    }
 }
 
 /// Fanning one recording out to 64 synthetic sessions is deterministic
