@@ -21,6 +21,9 @@
 //! replay. All timestamps are raw `u64` nanoseconds, as everywhere in
 //! this crate.
 
+use illixr_trace::codec::{ByteReader, ByteWriter, DecodeError, Wire};
+use illixr_trace::transform::SessionTransform;
+
 /// Which side of the link a cut's downstream components run on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Side {
@@ -46,13 +49,20 @@ impl Side {
             Side::Edge => Side::Device,
         }
     }
+}
 
-    /// Parse a label produced by [`Side::label`].
-    pub fn parse(s: &str) -> Option<Side> {
-        match s {
-            "device" => Some(Side::Device),
-            "edge" => Some(Side::Edge),
-            _ => None,
+/// A migration decision's boundary payload: the target side's label,
+/// unprefixed.
+impl Wire for Side {
+    fn put(&self, w: &mut ByteWriter, _: u64) {
+        w.put_bytes(self.label().as_bytes());
+    }
+
+    fn take(r: &mut ByteReader, _: u64, _: &SessionTransform) -> Result<Self, DecodeError> {
+        match r.take_rest() {
+            b"device" => Ok(Side::Device),
+            b"edge" => Ok(Side::Edge),
+            _ => Err(DecodeError::BadName { index: 0 }),
         }
     }
 }
@@ -372,11 +382,15 @@ mod tests {
 
     #[test]
     fn side_round_trips_labels() {
+        let id = SessionTransform::IDENTITY;
         for side in [Side::Device, Side::Edge] {
-            assert_eq!(Side::parse(side.label()), Some(side));
+            assert_eq!(side.encode(0), side.label().as_bytes());
+            assert_eq!(Side::decode(side.label().as_bytes(), 0, &id), Ok(side));
             assert_eq!(side.other().other(), side);
         }
-        assert_eq!(Side::parse("moon"), None);
+        for bad in [&b"moon"[..], b"", b"edgeX", &[0xFF]] {
+            assert_eq!(Side::decode(bad, 0, &id), Err(DecodeError::BadName { index: 0 }));
+        }
     }
 
     #[test]

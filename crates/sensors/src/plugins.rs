@@ -19,20 +19,19 @@
 //! construction. In live mode the render's host time is therefore the VIO
 //! thread's, not the camera thread's; simulated cost is unaffected.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use illixr_core::plugin::{IterationReport, Plugin, PluginContext};
 use illixr_core::switchboard::Writer;
 use illixr_core::Time;
 
-use illixr_math::Pose;
-
 use crate::camera::StereoRig;
 use crate::dataset::SyntheticDataset;
 use crate::imu::{ImuModel, ImuNoise};
 use crate::trajectory::Trajectory;
 use crate::types::{streams, CameraFrame, ImuSample};
-use crate::wire;
+use crate::wire::CameraRecord;
 use crate::world::LandmarkWorld;
 
 /// Publishes synthetic stereo frames on the `camera` stream.
@@ -80,14 +79,9 @@ impl SyntheticCameraPlugin {
     pub fn restore_state(&mut self, seq: u64, last: Option<(Time, u64)>) {
         self.seq = seq;
         self.last_frame = last.map(|(timestamp, frame_seq)| {
-            self.frame(timestamp, frame_seq, self.trajectory.pose(timestamp))
+            let pose = self.trajectory.pose(timestamp);
+            CameraFrame::new(timestamp, frame_seq, self.world.clone(), self.rig, pose)
         });
-    }
-
-    /// The frame seen from `pose` — the one constructor live, replayed
-    /// and restored frames share.
-    fn frame(&self, timestamp: Time, seq: u64, pose: Pose) -> CameraFrame {
-        CameraFrame::new(timestamp, seq, self.world.clone(), self.rig, pose)
     }
 }
 
@@ -104,55 +98,46 @@ impl Plugin for SyntheticCameraPlugin {
     fn iterate(&mut self, ctx: &PluginContext) -> IterationReport {
         let t = ctx.clock.now();
         let writer = self.writer.as_ref().expect("start() must run before iterate()");
-        if let Some(due) = ctx.boundary.replay_due(streams::CAMERA, t.as_nanos()) {
-            // Replay: publish every recorded frame that has come due,
-            // as the view from its recorded pose.
-            let transform = due.transform();
-            let mut report = IterationReport::skipped();
-            for (tag, payload) in due {
-                let rec = wire::decode_camera(&payload, tag, &transform)
-                    .expect("corrupt camera boundary record");
-                writer.put(self.frame(rec.timestamp, rec.seq, rec.pose));
-                report = IterationReport::with_work(rec.work_factor);
-            }
-            return report;
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        if !ctx.fault.is_quiet() {
-            let faults = ctx.fault.sensor("camera");
-            if faults.drop_frame(t.as_nanos(), seq) {
-                return IterationReport::skipped();
-            }
-            if faults.frozen(t.as_nanos()) {
-                if let Some(last) = &self.last_frame {
-                    // Repeat the stale frame (old timestamp, old
-                    // content) under a fresh sequence number.
-                    ctx.boundary.record_with(streams::CAMERA, t.as_nanos(), || {
-                        let rec = wire::CameraRecord {
-                            timestamp: last.timestamp,
-                            seq,
-                            work_factor: 0.1,
-                            pose: last.pose(),
-                        };
-                        wire::encode_camera(&rec, t)
-                    });
-                    writer.put(last.repeated_as(seq));
-                    return IterationReport::with_work(0.1);
+        // The frame a live crossing built, so a frozen repeat shares the
+        // last fresh frame's pixels; a replayed frame is the view from its
+        // recorded pose.
+        let live = Cell::new(None);
+        let crossing = ctx.boundary.cross(streams::CAMERA, t.as_nanos(), || {
+            let seq = self.seq;
+            self.seq += 1;
+            if !ctx.fault.is_quiet() {
+                let faults = ctx.fault.sensor("camera");
+                if faults.drop_frame(t.as_nanos(), seq) {
+                    return None;
+                }
+                if faults.frozen(t.as_nanos()) {
+                    if let Some(last) = &self.last_frame {
+                        // Repeat the stale frame (old timestamp, old
+                        // content) under a fresh sequence number.
+                        live.set(Some(last.repeated_as(seq)));
+                        let (timestamp, pose) = (last.timestamp, last.pose());
+                        let rec = CameraRecord { timestamp, seq, work_factor: 0.1, pose };
+                        return Some((t.as_nanos(), rec));
+                    }
                 }
             }
-        }
-        let pose = self.trajectory.pose(t);
-        let frame = self.frame(t, seq, pose);
-        self.last_frame = Some(frame.clone());
-        ctx.boundary.record_with(streams::CAMERA, t.as_nanos(), || {
-            wire::encode_camera(
-                &wire::CameraRecord { timestamp: t, seq, work_factor: 1.0, pose },
-                t,
-            )
+            let pose = self.trajectory.pose(t);
+            let frame = CameraFrame::new(t, seq, self.world.clone(), self.rig, pose);
+            self.last_frame = Some(frame.clone());
+            live.set(Some(frame));
+            Some((t.as_nanos(), CameraRecord { timestamp: t, seq, work_factor: 1.0, pose }))
         });
-        writer.put(frame);
-        IterationReport::nominal()
+        let mut report = IterationReport::skipped();
+        for (_, rec) in crossing {
+            writer.put(match live.take() {
+                Some(frame) => frame,
+                None => {
+                    CameraFrame::new(rec.timestamp, rec.seq, self.world.clone(), self.rig, rec.pose)
+                }
+            });
+            report = IterationReport::with_work(rec.work_factor);
+        }
+        report
     }
 }
 
@@ -188,42 +173,36 @@ impl Plugin for SyntheticImuPlugin {
     fn iterate(&mut self, ctx: &PluginContext) -> IterationReport {
         let now = ctx.clock.now();
         let writer = self.writer.as_ref().expect("start() must run before iterate()");
-        if let Some(due) = ctx.boundary.replay_due(streams::IMU, now.as_nanos()) {
-            // Replay: publish every recorded (post-fault) sample that
-            // has come due; the model and the fault plan never run.
-            let transform = due.transform();
-            let mut report = IterationReport::skipped();
-            for (tag, payload) in due {
-                writer.put(
-                    wire::decode_imu(&payload, tag, &transform)
-                        .expect("corrupt imu boundary record"),
-                );
-                report = IterationReport::nominal();
+        // A replayed sample is the recorded post-fault one: the model and
+        // the fault plan never run for it.
+        let crossing = ctx.boundary.cross(streams::IMU, now.as_nanos(), || {
+            let mut sample = self.model.next_sample();
+            let seq = self.seq;
+            self.seq += 1;
+            if !ctx.fault.is_quiet() {
+                let faults = ctx.fault.sensor("imu");
+                let t_ns = sample.timestamp.as_nanos();
+                if faults.imu_gap(t_ns, seq) {
+                    return None;
+                }
+                let bias = faults.bias(t_ns);
+                let noise = faults.noise(t_ns, seq);
+                if bias != 0.0 || noise != 0.0 {
+                    let accel_err = bias + noise;
+                    // Gyro axes are rad/s; scale the same disturbance down.
+                    let gyro_err = 0.1 * accel_err;
+                    sample.accel += illixr_math::Vec3::new(accel_err, accel_err, accel_err);
+                    sample.gyro += illixr_math::Vec3::new(gyro_err, gyro_err, gyro_err);
+                }
             }
-            return report;
+            Some((now.as_nanos(), sample))
+        });
+        let mut report = IterationReport::skipped();
+        for (_, sample) in crossing {
+            writer.put(sample);
+            report = IterationReport::nominal();
         }
-        let mut sample = self.model.next_sample();
-        let seq = self.seq;
-        self.seq += 1;
-        if !ctx.fault.is_quiet() {
-            let faults = ctx.fault.sensor("imu");
-            let t_ns = sample.timestamp.as_nanos();
-            if faults.imu_gap(t_ns, seq) {
-                return IterationReport::skipped();
-            }
-            let bias = faults.bias(t_ns);
-            let noise = faults.noise(t_ns, seq);
-            if bias != 0.0 || noise != 0.0 {
-                let accel_err = bias + noise;
-                // Gyro axes are rad/s; scale the same disturbance down.
-                let gyro_err = 0.1 * accel_err;
-                sample.accel += illixr_math::Vec3::new(accel_err, accel_err, accel_err);
-                sample.gyro += illixr_math::Vec3::new(gyro_err, gyro_err, gyro_err);
-            }
-        }
-        ctx.boundary.record_with(streams::IMU, now.as_nanos(), || wire::encode_imu(&sample, now));
-        writer.put(sample);
-        IterationReport::nominal()
+        report
     }
 }
 
@@ -558,7 +537,7 @@ mod tests {
         let (live_world, live_trajectory) = (world(), Trajectory::walking(1));
         let transform = illixr_core::boundary::SessionTransform::IDENTITY;
         for (frame, rec) in rec_frames.iter().zip(trace.stream("camera").unwrap()) {
-            let rec = wire::decode_camera(&rec.payload, rec.tag_ns, &transform).unwrap();
+            let rec = crate::wire::decode_camera(&rec.payload, rec.tag_ns, &transform).unwrap();
             assert_eq!((rec.timestamp, rec.seq), (frame.timestamp, frame.data.seq));
             let stereo = frame.stereo();
             for pose in [live_trajectory.pose(frame.timestamp), rec.pose] {

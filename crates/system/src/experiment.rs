@@ -335,6 +335,9 @@ pub struct ExperimentResult {
     /// Every cut-point migration the placement controller performed,
     /// in decision order (empty without an adaptive plan).
     pub migrations: Vec<Migration>,
+    /// The first replayed boundary record the run could not use (that
+    /// input was generated live instead). `None` on a valid trace.
+    pub replay_error: Option<illixr_core::boundary::ReplayError>,
 }
 
 impl ExperimentResult {
@@ -967,6 +970,7 @@ impl IntegratedExperiment {
             boundary_trace: recorder.map(|rec| rec.snapshot()),
             vio_final_side,
             migrations,
+            replay_error: ctx.boundary.replay_error().cloned(),
         }
     }
 }

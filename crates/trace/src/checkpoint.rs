@@ -42,8 +42,8 @@
 //!   `t` (`FaultPlan::crash_count_through`) minus the caller's
 //!   fired-count decides whether the next firing is due.
 //! * **Replay** — a replaying boundary consults *only* the recorded
-//!   `crash/` stream (counting records through the release tag), never
-//!   the replay side's plan, so a recorded run reproduces its crashes —
+//!   `crash/` stream (each crash consumes the next record due by the
+//!   release tag), never the replay side's plan, so a recorded run reproduces its crashes —
 //!   and nothing else — whatever plan the replay carries.
 //! * **Checkpoint/restore** — a snapshot taken at `tag_ns` implies
 //!   every crash record with tag ≤ `tag_ns` has been delivered;
