@@ -1,8 +1,7 @@
 //! Deterministic test sound sources — the stand-ins for the paper's
 //! Freesound clips ("Science Teacher Lecturing", "Radio Recording").
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use illixr_core::boundary::Xoshiro256pp;
 
 /// A block-based mono source with a (possibly moving) direction.
 #[derive(Debug, Clone)]
@@ -11,7 +10,7 @@ pub struct SoundSource {
     sample_rate: f64,
     phase: f64,
     sample_index: u64,
-    rng: StdRng,
+    rng: Xoshiro256pp,
     /// Base azimuth, radians.
     pub azimuth: f64,
     /// Orbit rate, radians/second (sources can move around the
@@ -46,7 +45,7 @@ impl SoundSource {
             sample_rate,
             phase: 0.0,
             sample_index: 0,
-            rng: StdRng::seed_from_u64(seed ^ 0xA0D10),
+            rng: Xoshiro256pp::new(seed ^ 0xA0D10),
             azimuth,
             orbit_rate: 0.0,
         }
@@ -78,7 +77,7 @@ impl SoundSource {
                 }
                 SourceKind::Noise { level } => {
                     // First-order smoothed noise ≈ band-limited.
-                    let white: f64 = self.rng.gen_range(-1.0..1.0);
+                    let white = self.rng.uniform(-1.0..1.0);
                     self.phase = 0.85 * self.phase + 0.15 * white;
                     self.phase * level * 4.0
                 }

@@ -44,7 +44,7 @@ pub use illixr_trace::codec::{
 };
 pub use illixr_trace::divergence::{first_divergence, Divergence};
 pub use illixr_trace::format::{Trace, TraceHeader, TraceRecord, SCHEMA_VERSION};
-pub use illixr_trace::hash::{fnv1a, splitmix64};
+pub use illixr_trace::hash::{fnv1a, splitmix64, unit_f64, Xoshiro256pp};
 pub use illixr_trace::recorder::TraceRecorder;
 pub use illixr_trace::source::TraceSource;
 pub use illixr_trace::transform::{fan_out_transform, SessionTransform};

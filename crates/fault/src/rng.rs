@@ -10,13 +10,12 @@
 //! (which changes how often code paths execute) can never change which
 //! faults fire.
 
-use illixr_trace::splitmix64;
+use illixr_trace::{splitmix64, unit_f64};
 
 /// A uniform sample in `[0, 1)` derived from the mixed key.
 #[inline]
 pub(crate) fn unit(key: u64) -> f64 {
-    // 53 bits of mantissa, the standard u64 → f64 construction.
-    (splitmix64(key) >> 11) as f64 / (1u64 << 53) as f64
+    unit_f64(splitmix64(key))
 }
 
 /// A deterministic Bernoulli trial: true with probability `p`.

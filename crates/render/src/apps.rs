@@ -4,9 +4,8 @@
 //! "enemies", physics + collisions) > **AR Demo** (a few sparse virtual
 //! objects with an animated ball).
 
+use illixr_core::boundary::Xoshiro256pp;
 use illixr_math::{Mat3, Mat4, Pose, Quat, Vec3};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::mesh::Mesh;
 use crate::raster::{DrawStats, Rasterizer};
@@ -87,7 +86,7 @@ pub struct AppScene {
 impl AppScene {
     /// Builds the scene for `app`.
     pub(crate) fn new(app: Application, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA55);
+        let mut rng = Xoshiro256pp::new(seed ^ 0xA55);
         let mut static_mesh = Mesh::new();
         let mut dynamic_meshes = Vec::new();
         let mut dynamics = Vec::new();
@@ -147,11 +146,8 @@ impl AppScene {
                 // Maze walls.
                 for i in 0..20 {
                     let w = Mesh::cuboid(Vec3::new(1.0, 0.6, 0.15), [0.5, 0.5, 0.55]);
-                    let t = translation(Vec3::new(
-                        rng.gen_range(-6.0..6.0),
-                        0.6,
-                        rng.gen_range(-6.0..6.0),
-                    ));
+                    let t =
+                        translation(Vec3::new(rng.uniform(-6.0..6.0), 0.6, rng.uniform(-6.0..6.0)));
                     let _ = i;
                     static_mesh.append(&w, &t);
                 }
@@ -163,16 +159,8 @@ impl AppScene {
                     dynamic_meshes.push(mesh);
                     dynamics.push(Dynamic {
                         mesh_index: dynamic_meshes.len() - 1,
-                        position: Vec3::new(
-                            rng.gen_range(-5.0..5.0),
-                            0.3,
-                            rng.gen_range(-5.0..5.0),
-                        ),
-                        velocity: Vec3::new(
-                            rng.gen_range(-1.0..1.0),
-                            0.0,
-                            rng.gen_range(-1.0..1.0),
-                        ),
+                        position: Vec3::new(rng.uniform(-5.0..5.0), 0.3, rng.uniform(-5.0..5.0)),
+                        velocity: Vec3::new(rng.uniform(-1.0..1.0), 0.0, rng.uniform(-1.0..1.0)),
                         bounds: Vec3::new(6.0, 0.0, 6.0),
                         bounce: false,
                     });

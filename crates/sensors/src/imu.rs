@@ -5,10 +5,9 @@
 //! random walk, with gravity folded into the specific force. Parameters
 //! default to ZED-Mini-class values (the paper's sensor, Table II).
 
+use illixr_core::boundary::Xoshiro256pp;
 use illixr_core::Time;
 use illixr_math::Vec3;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::trajectory::Trajectory;
 use crate::types::ImuSample;
@@ -61,7 +60,7 @@ pub struct ImuModel {
     trajectory: Trajectory,
     noise: ImuNoise,
     rate_hz: f64,
-    rng: StdRng,
+    rng: Xoshiro256pp,
     gyro_bias: Vec3,
     accel_bias: Vec3,
     next_index: u64,
@@ -79,7 +78,7 @@ impl ImuModel {
             trajectory,
             noise,
             rate_hz,
-            rng: StdRng::seed_from_u64(seed ^ 0x1b1),
+            rng: Xoshiro256pp::new(seed ^ 0x1b1),
             gyro_bias: Vec3::ZERO,
             accel_bias: Vec3::ZERO,
             next_index: 0,
@@ -127,8 +126,8 @@ impl ImuModel {
 
     fn gaussian(&mut self) -> f64 {
         // Box-Muller.
-        let u1: f64 = self.rng.gen_range(1e-12..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
+        let u1 = self.rng.uniform(1e-12..1.0);
+        let u2 = self.rng.uniform(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 }

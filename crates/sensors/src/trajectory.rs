@@ -7,10 +7,9 @@
 //! of motion in the paper's experiments: a user walking a practiced loop
 //! in a lab, and the EuRoC drone sequences.
 
+use illixr_core::boundary::Xoshiro256pp;
 use illixr_core::Time;
 use illixr_math::{Pose, Quat, Vec3};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// The most terms a list holds (the `Vigorous` profile).
 const MAX_TERMS: usize = 4;
@@ -126,15 +125,15 @@ impl Trajectory {
             MotionProfile::Walking => (0.5, 0.5, 0.35, 0.6, 3),
             MotionProfile::Vigorous => (1.0, 1.1, 0.7, 1.3, 4),
         };
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256pp::new(seed);
         let mut gen_terms = |amp: f64, freq: f64| -> Terms {
             let mut list = Terms { terms: [Sinusoid::ZERO; MAX_TERMS], len: terms };
             for (k, term) in list.terms[..terms].iter_mut().enumerate() {
                 *term = Sinusoid {
                     // Higher harmonics have smaller amplitudes (pink-ish).
-                    amplitude: amp * rng.gen_range(0.5..1.0) / (k + 1) as f64,
-                    freq_hz: freq * rng.gen_range(0.6..1.4) * (k + 1) as f64,
-                    phase: rng.gen_range(0.0..std::f64::consts::TAU),
+                    amplitude: amp * rng.uniform(0.5..1.0) / (k + 1) as f64,
+                    freq_hz: freq * rng.uniform(0.6..1.4) * (k + 1) as f64,
+                    phase: rng.uniform(0.0..std::f64::consts::TAU),
                 };
             }
             list

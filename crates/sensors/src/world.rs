@@ -36,10 +36,9 @@
 //! `(old + brightness * exp(-(fx² + fy²) / 2σ²)).min(1.0)` — and the tests
 //! hold the first renderer verbatim as `reference_render` to check it.
 
+use illixr_core::boundary::Xoshiro256pp;
 use illixr_image::GrayImage;
 use illixr_math::{Pose, Vec3};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::camera::StereoRig;
 
@@ -55,17 +54,17 @@ impl LandmarkWorld {
     /// Creates a world with `num_landmarks` points scattered on the walls
     /// of a `2·half_extent` box, deterministically from `seed`.
     pub fn new(num_landmarks: usize, half_extent: Vec3, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x576f_726c_6400); // "World" << 8
+        let mut rng = Xoshiro256pp::new(seed ^ 0x576f_726c_6400); // "World" << 8
         let mut landmarks = Vec::with_capacity(num_landmarks);
         for _ in 0..num_landmarks {
             // Pick a wall (one coordinate pinned to ±half extent) so
             // landmarks sit on surfaces, like visual texture in a room.
-            let axis = rng.gen_range(0..3usize);
-            let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+            let axis = rng.below(3) as usize;
+            let sign = if rng.chance(0.5) { 1.0 } else { -1.0 };
             let mut p = Vec3::new(
-                rng.gen_range(-half_extent.x..half_extent.x),
-                rng.gen_range(-half_extent.y..half_extent.y),
-                rng.gen_range(-half_extent.z..half_extent.z),
+                rng.uniform(-half_extent.x..half_extent.x),
+                rng.uniform(-half_extent.y..half_extent.y),
+                rng.uniform(-half_extent.z..half_extent.z),
             );
             p[axis] = sign * half_extent[axis];
             landmarks.push(p);

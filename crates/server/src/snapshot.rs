@@ -244,9 +244,8 @@ impl SessionSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use illixr_core::boundary::fnv1a;
+    use illixr_core::boundary::{fnv1a, Xoshiro256pp};
     use illixr_math::{Pose, Quat, Vec3};
-    use proptest::prelude::*;
 
     fn sample_snapshot() -> SessionSnapshot {
         let pose = Pose {
@@ -345,30 +344,22 @@ mod tests {
         assert!(SessionSnapshot::decode(&long).is_err());
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        // Arbitrary counter/field values round-trip exactly.
-        #[test]
-        fn arbitrary_counters_round_trip(
-            imu_iterations in 0u64..u64::MAX,
-            camera_seq in 0u64..u64::MAX,
-            request_seq in 0u64..u64::MAX,
-            vsync_index in 0u64..u64::MAX,
-            degraded_bit in 0u64..2,
-            mtp in proptest::collection::vec(0u64..u64::MAX, 0..32),
-        ) {
+    // Arbitrary counter/field values round-trip exactly.
+    #[test]
+    fn arbitrary_counters_round_trip() {
+        let mut rng = Xoshiro256pp::new(3);
+        for case in 0..64 {
             let mut snap = sample_snapshot();
-            snap.imu_iterations = imu_iterations;
-            snap.camera_seq = camera_seq;
-            snap.request_seq = request_seq;
-            snap.vsync_index = vsync_index;
-            snap.degraded = degraded_bit == 1;
-            snap.telemetry.mtp_ns = mtp;
+            snap.imu_iterations = rng.next_u64();
+            snap.camera_seq = rng.next_u64();
+            snap.request_seq = rng.next_u64();
+            snap.vsync_index = rng.next_u64();
+            snap.degraded = rng.chance(0.5);
+            snap.telemetry.mtp_ns = (0..rng.below(32)).map(|_| rng.next_u64()).collect();
             let bytes = snap.encode();
             let back = SessionSnapshot::decode(&bytes).unwrap();
-            prop_assert_eq!(&back, &snap);
-            prop_assert_eq!(back.encode(), bytes);
+            assert_eq!(back, snap, "case {case}");
+            assert_eq!(back.encode(), bytes, "case {case}");
         }
     }
 }

@@ -136,7 +136,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::hash::Xoshiro256pp;
 
     fn sample() -> Checkpoint {
         let mut c = Checkpoint::new(42, 0xABCD, 2_000_000_000);
@@ -163,36 +163,22 @@ mod tests {
         assert!(c.entry("s9/session").is_none());
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        // Arbitrary entry contents survive an encode→decode round trip
-        // exactly, and the encoding is canonical.
-        #[test]
-        fn arbitrary_checkpoints_round_trip(
-            seed in 0u64..u64::MAX,
-            config_hash in 0u64..u64::MAX,
-            tag_ns in 0u64..u64::MAX,
-            entries in proptest::collection::vec(
-                (0usize..8, proptest::collection::vec(0u8..u8::MAX, 0..64)),
-                0..6,
-            ),
-        ) {
-            let checkpoint = Checkpoint {
-                schema_version: CHECKPOINT_SCHEMA_VERSION,
-                seed,
-                config_hash,
-                tag_ns,
-                entries: entries
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (kind, payload))| (format!("s{i}/state-{kind}"), payload))
-                    .collect(),
-            };
+    // Arbitrary entry contents survive an encode→decode round trip
+    // exactly, and the encoding is canonical.
+    #[test]
+    fn arbitrary_checkpoints_round_trip() {
+        let mut rng = Xoshiro256pp::new(2);
+        for case in 0..64 {
+            let mut checkpoint = Checkpoint::new(rng.next_u64(), rng.next_u64(), rng.next_u64());
+            for i in 0..rng.below(6) {
+                let kind = rng.below(8);
+                let payload = (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect();
+                checkpoint.entries.push((format!("s{i}/state-{kind}"), payload));
+            }
             let bytes = checkpoint.encode();
             let back = Checkpoint::decode(&bytes).unwrap();
-            prop_assert_eq!(&back, &checkpoint);
-            prop_assert_eq!(back.encode(), bytes);
+            assert_eq!(back, checkpoint, "case {case}");
+            assert_eq!(back.encode(), bytes, "case {case}");
         }
     }
 }

@@ -146,7 +146,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::hash::Xoshiro256pp;
 
     fn sample() -> Trace {
         let mut t = Trace::new(42, TraceHeader::hash_config("seed=42|sessions=2"));
@@ -175,45 +175,27 @@ mod tests {
         assert_eq!(back.header.config_hash, 0xf7ce_a3f2_f6cb_f86d);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        // Arbitrary stream/record contents survive an encode→decode
-        // round trip exactly, and the encoding is canonical.
-        #[test]
-        fn arbitrary_traces_round_trip(
-            seed in 0u64..u64::MAX,
-            config_hash in 0u64..u64::MAX,
-            streams in proptest::collection::vec(
-                (
-                    0usize..6,
-                    proptest::collection::vec(
-                        (0u64..u64::MAX, proptest::collection::vec(0u8..u8::MAX, 0..32)),
-                        0..8,
-                    ),
-                ),
-                0..5,
-            ),
-        ) {
-            let trace = Trace {
-                header: TraceHeader { schema_version: SCHEMA_VERSION, seed, config_hash },
-                streams: streams
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, (kind, recs))| {
-                        (
-                            format!("s{i}/stream-{kind}"),
-                            recs.into_iter()
-                                .map(|(tag_ns, payload)| TraceRecord { tag_ns, payload })
-                                .collect(),
-                        )
+    // Arbitrary stream/record contents survive an encode→decode round trip
+    // exactly, and the encoding is canonical.
+    #[test]
+    fn arbitrary_traces_round_trip() {
+        let mut rng = Xoshiro256pp::new(1);
+        for case in 0..64 {
+            let mut trace = Trace::new(rng.next_u64(), rng.next_u64());
+            for i in 0..rng.below(5) {
+                let kind = rng.below(6);
+                let records = (0..rng.below(8))
+                    .map(|_| TraceRecord {
+                        tag_ns: rng.next_u64(),
+                        payload: (0..rng.below(32)).map(|_| rng.next_u64() as u8).collect(),
                     })
-                    .collect(),
-            };
+                    .collect();
+                trace.streams.push((format!("s{i}/stream-{kind}"), records));
+            }
             let bytes = trace.encode();
             let back = Trace::decode(&bytes).unwrap();
-            prop_assert_eq!(&back, &trace);
-            prop_assert_eq!(back.encode(), bytes);
+            assert_eq!(back, trace, "case {case}");
+            assert_eq!(back.encode(), bytes, "case {case}");
         }
     }
 }

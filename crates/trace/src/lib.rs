@@ -30,7 +30,9 @@
 //!   tests fail with `(stream, tag_ns)` coordinates, not a bare assert.
 //! * **[`hash`]** — [`fnv1a`] and [`splitmix64`], the repository's one
 //!   content hash and one mixer: config hashes, flow ids, the shard map,
-//!   fault trials, fan-out transforms and every bit pin's digest.
+//!   fault trials, fan-out transforms and every bit pin's digest; and
+//!   [`Xoshiro256pp`], the one seeded generator, with [`unit_f64`], the
+//!   one bits → `[0, 1)` conversion.
 //!
 //! This crate is the bottom of the four std-only crates under
 //! `illixr-core` (`illixr-obs`, `illixr-sched` and `illixr-fault` take
@@ -51,7 +53,7 @@ pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA_VERSION};
 pub use codec::{ByteReader, ByteWriter, DecodeError, ReplayCause, ReplayError, Wire};
 pub use divergence::{first_divergence, Divergence};
 pub use format::{Trace, TraceHeader, TraceRecord, SCHEMA_VERSION};
-pub use hash::{fnv1a, splitmix64};
+pub use hash::{fnv1a, splitmix64, unit_f64, Xoshiro256pp};
 pub use recorder::TraceRecorder;
 pub use source::TraceSource;
 pub use transform::{fan_out_transform, SessionTransform};

@@ -15,7 +15,7 @@
 //! always the identity so the original run is a member of every fleet
 //! it generates.
 
-use crate::hash::splitmix64;
+use crate::hash::{splitmix64, unit_f64};
 
 /// Per-session time transform applied at replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,8 +60,7 @@ impl Default for SessionTransform {
 
 /// Uniform draw in `[0, 1)` from a hash of `(seed, index, salt)`.
 fn unit(seed: u64, index: u64, salt: u64) -> f64 {
-    let h = splitmix64(splitmix64(seed ^ salt).wrapping_add(index));
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    unit_f64(splitmix64(splitmix64(seed ^ salt).wrapping_add(index)))
 }
 
 /// Deterministic transform for synthetic session `index` of a fan-out.

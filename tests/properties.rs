@@ -1,8 +1,11 @@
-//! Property-based tests (proptest) over the core data structures and
-//! invariants of the substrates.
+//! Property tests over the core data structures and invariants of the
+//! substrates. Each property checks [`CASES`] cases drawn from its own
+//! fixed-seed generator, so every run sees the same inputs and a failure
+//! names its case index.
 
 use illixr_testbed::audio::ambisonics::encode_block;
 use illixr_testbed::audio::rotation::rotate_yaw;
+use illixr_testbed::core::boundary::Xoshiro256pp;
 use illixr_testbed::dsp::convolution::{convolve_direct, fft_convolve, OverlapSave};
 use illixr_testbed::dsp::fft::{fft, ifft};
 use illixr_testbed::dsp::Complex;
@@ -11,102 +14,143 @@ use illixr_testbed::math::Svd;
 use illixr_testbed::math::{so3_exp, so3_log, Cholesky, DMatrix, Pose, Quat, Vec3};
 use illixr_testbed::qoe::mtp::MtpCalculator;
 use illixr_testbed::visual::distortion::{DistortionMesh, DistortionParams};
-use proptest::prelude::*;
 
-fn small_f64() -> impl Strategy<Value = f64> {
-    -10.0..10.0f64
+/// Cases per property.
+const CASES: usize = 64;
+
+/// A vector with each coordinate uniform in `[-half, half)`.
+fn vec3(rng: &mut Xoshiro256pp, half: f64) -> Vec3 {
+    Vec3::new(rng.uniform(-half..half), rng.uniform(-half..half), rng.uniform(-half..half))
 }
 
-fn vec3() -> impl Strategy<Value = Vec3> {
-    (small_f64(), small_f64(), small_f64()).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+fn rotation_vec(rng: &mut Xoshiro256pp) -> Vec3 {
+    vec3(rng, 3.0)
 }
 
-fn rotation_vec() -> impl Strategy<Value = Vec3> {
-    ((-3.0..3.0f64), (-3.0..3.0f64), (-3.0..3.0f64)).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+fn pose(rng: &mut Xoshiro256pp) -> Pose {
+    let p = vec3(rng, 10.0);
+    Pose::new(p, Quat::from_rotation_vector(rotation_vec(rng)))
 }
 
-fn pose() -> impl Strategy<Value = Pose> {
-    (vec3(), rotation_vec()).prop_map(|(p, rv)| Pose::new(p, Quat::from_rotation_vector(rv)))
+/// `n` values uniform in `[-half, half)`.
+fn values(rng: &mut Xoshiro256pp, n: usize, half: f64) -> Vec<f64> {
+    (0..n).map(|_| rng.uniform(-half..half)).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// A length uniform in `lo..hi`.
+fn len(rng: &mut Xoshiro256pp, lo: usize, hi: usize) -> usize {
+    lo + rng.below((hi - lo) as u64) as usize
+}
 
-    #[test]
-    fn pose_compose_inverse_is_identity(a in pose()) {
+#[test]
+fn pose_compose_inverse_is_identity() {
+    let mut rng = Xoshiro256pp::new(101);
+    for case in 0..CASES {
+        let a = pose(&mut rng);
         let id = a.compose(&a.inverse());
-        prop_assert!(id.translation_distance(&Pose::IDENTITY) < 1e-9);
-        prop_assert!(id.rotation_distance(&Pose::IDENTITY) < 1e-7);
+        assert!(id.translation_distance(&Pose::IDENTITY) < 1e-9, "case {case}");
+        assert!(id.rotation_distance(&Pose::IDENTITY) < 1e-7, "case {case}");
     }
+}
 
-    #[test]
-    fn pose_composition_is_associative(a in pose(), b in pose(), c in pose()) {
+#[test]
+fn pose_composition_is_associative() {
+    let mut rng = Xoshiro256pp::new(102);
+    for case in 0..CASES {
+        let (a, b, c) = (pose(&mut rng), pose(&mut rng), pose(&mut rng));
         let left = a.compose(&b).compose(&c);
         let right = a.compose(&b.compose(&c));
         let probe = Vec3::new(0.3, -0.7, 1.1);
-        prop_assert!((left.transform_point(probe) - right.transform_point(probe)).norm() < 1e-8);
+        let gap = (left.transform_point(probe) - right.transform_point(probe)).norm();
+        assert!(gap < 1e-8, "case {case}: gap {gap}");
     }
+}
 
-    #[test]
-    fn quat_rotation_preserves_norm(rv in rotation_vec(), v in vec3()) {
-        let q = Quat::from_rotation_vector(rv);
-        prop_assert!((q.rotate(v).norm() - v.norm()).abs() < 1e-9 * (1.0 + v.norm()));
+#[test]
+fn quat_rotation_preserves_norm() {
+    let mut rng = Xoshiro256pp::new(103);
+    for case in 0..CASES {
+        let q = Quat::from_rotation_vector(rotation_vec(&mut rng));
+        let v = vec3(&mut rng, 10.0);
+        assert!((q.rotate(v).norm() - v.norm()).abs() < 1e-9 * (1.0 + v.norm()), "case {case}");
     }
+}
 
-    #[test]
-    fn so3_exp_log_roundtrip(rv in rotation_vec()) {
-        // Keep below π where the log is unique.
-        prop_assume!(rv.norm() < 3.1);
+#[test]
+fn so3_exp_log_roundtrip() {
+    let mut rng = Xoshiro256pp::new(104);
+    for case in 0..CASES {
+        // Angles below π, where the log is unique.
+        let axis = vec3(&mut rng, 1.0);
+        let rv = axis * (rng.uniform(0.0..3.1) / axis.norm());
         let back = so3_log(&so3_exp(rv));
-        prop_assert!((back - rv).norm() < 1e-6, "rv {rv} back {back}");
+        assert!((back - rv).norm() < 1e-6, "case {case}: rv {rv} back {back}");
     }
+}
 
-    #[test]
-    fn cholesky_solve_solves(vals in proptest::collection::vec(-2.0..2.0f64, 16), rhs in proptest::collection::vec(-5.0..5.0f64, 4)) {
+#[test]
+fn cholesky_solve_solves() {
+    let mut rng = Xoshiro256pp::new(105);
+    for case in 0..CASES {
         // Build SPD A = B Bᵀ + 4I from arbitrary B.
-        let b = DMatrix::from_row_slice(4, 4, &vals);
+        let b = DMatrix::from_row_slice(4, 4, &values(&mut rng, 16, 2.0));
+        let rhs = values(&mut rng, 4, 5.0);
         let mut a = b.mul_transpose(&b);
-        for i in 0..4 { a[(i, i)] += 4.0; }
+        for i in 0..4 {
+            a[(i, i)] += 4.0;
+        }
         let x = Cholesky::new(&a).unwrap().solve(&DMatrix::column(&rhs));
         let back = &a * &x;
         for i in 0..4 {
-            prop_assert!((back[(i, 0)] - rhs[i]).abs() < 1e-8);
+            assert!((back[(i, 0)] - rhs[i]).abs() < 1e-8, "case {case}: row {i}");
         }
     }
+}
 
-    #[test]
-    fn fft_roundtrip_and_parseval(signal in proptest::collection::vec(-1.0..1.0f64, 64)) {
-        let buf: Vec<Complex> = signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
+#[test]
+fn fft_roundtrip_and_parseval() {
+    let mut rng = Xoshiro256pp::new(106);
+    for case in 0..CASES {
+        let buf: Vec<Complex> =
+            values(&mut rng, 64, 1.0).into_iter().map(|x| Complex::new(x, 0.0)).collect();
         let spec = fft(&buf);
         let back = ifft(&spec);
         for (a, b) in buf.iter().zip(&back) {
-            prop_assert!((a.re - b.re).abs() < 1e-9);
+            assert!((a.re - b.re).abs() < 1e-9, "case {case}");
         }
         let te: f64 = buf.iter().map(|c| c.norm_sqr()).sum();
         let fe: f64 = spec.iter().map(|c| c.norm_sqr()).sum::<f64>() / 64.0;
-        prop_assert!((te - fe).abs() < 1e-8 * (1.0 + te));
+        assert!((te - fe).abs() < 1e-8 * (1.0 + te), "case {case}");
     }
+}
 
-    #[test]
-    fn fft_convolution_matches_direct(
-        signal in proptest::collection::vec(-1.0..1.0f64, 1..48),
-        kernel in proptest::collection::vec(-1.0..1.0f64, 1..16),
-    ) {
+#[test]
+fn fft_convolution_matches_direct() {
+    let mut rng = Xoshiro256pp::new(107);
+    for case in 0..CASES {
+        let n = len(&mut rng, 1, 48);
+        let signal = values(&mut rng, n, 1.0);
+        let n = len(&mut rng, 1, 16);
+        let kernel = values(&mut rng, n, 1.0);
         let a = convolve_direct(&signal, &kernel);
         let b = fft_convolve(&signal, &kernel);
-        prop_assert_eq!(a.len(), b.len());
+        assert_eq!(a.len(), b.len(), "case {case}");
         for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x - y).abs() < 1e-8);
+            assert!((x - y).abs() < 1e-8, "case {case}");
         }
     }
+}
 
-    #[test]
-    fn overlap_save_matches_batch(
-        kernel in proptest::collection::vec(-1.0..1.0f64, 1..24),
-        blocks in 1usize..5,
-    ) {
+#[test]
+fn overlap_save_matches_batch() {
+    let mut rng = Xoshiro256pp::new(108);
+    for case in 0..CASES {
+        let n = len(&mut rng, 1, 24);
+        let kernel = values(&mut rng, n, 1.0);
+        let blocks = len(&mut rng, 1, 5);
         let block_len = 32;
-        let signal: Vec<f64> = (0..blocks * block_len).map(|i| ((i * 7) % 13) as f64 / 13.0 - 0.5).collect();
+        let signal: Vec<f64> =
+            (0..blocks * block_len).map(|i| ((i * 7) % 13) as f64 / 13.0 - 0.5).collect();
         let mut conv = OverlapSave::new(&kernel, block_len);
         let mut streamed = Vec::new();
         for chunk in signal.chunks(block_len) {
@@ -114,57 +158,82 @@ proptest! {
         }
         let batch = convolve_direct(&signal, &kernel);
         for (i, (a, b)) in streamed.iter().zip(batch.iter()).enumerate() {
-            prop_assert!((a - b).abs() < 1e-8, "sample {}: {} vs {}", i, a, b);
+            assert!((a - b).abs() < 1e-8, "case {case}, sample {i}: {a} vs {b}");
         }
     }
+}
 
-    #[test]
-    fn soundfield_rotation_preserves_energy(az in -3.0..3.0f64, el in -1.4..1.4f64, yaw in -6.0..6.0f64) {
+#[test]
+fn soundfield_rotation_preserves_energy() {
+    let mut rng = Xoshiro256pp::new(109);
+    for case in 0..CASES {
+        let az = rng.uniform(-3.0..3.0);
+        let el = rng.uniform(-1.4..1.4);
+        let yaw = rng.uniform(-6.0..6.0);
         let field = encode_block(&[1.0, -0.5, 0.25], az, el);
         let rotated = rotate_yaw(&field, yaw);
-        prop_assert!((rotated.energy() - field.energy()).abs() < 1e-9 * (1.0 + field.energy()));
+        let gap = (rotated.energy() - field.energy()).abs();
+        assert!(gap < 1e-9 * (1.0 + field.energy()), "case {case}: gap {gap}");
     }
+}
 
-    #[test]
-    fn ssim_is_reflexive_and_bounded(seed in 0u64..1000) {
+#[test]
+fn ssim_is_reflexive_and_bounded() {
+    let mut rng = Xoshiro256pp::new(110);
+    for case in 0..CASES {
+        let seed = rng.below(1000);
         let img = GrayImage::from_fn(24, 24, |x, y| {
             (((x as u64 * 31 + y as u64 * 17 + seed) % 97) as f32) / 97.0
         });
         let s = ssim(&img, &img);
-        prop_assert!((s - 1.0).abs() < 1e-4);
+        assert!((s - 1.0).abs() < 1e-4, "case {case}: ssim {s}");
         let other = GrayImage::from_fn(24, 24, |x, _| (x % 2) as f32);
         let cross = ssim(&img, &other);
-        prop_assert!((-1.0..=1.0).contains(&cross));
+        assert!((-1.0..=1.0).contains(&cross), "case {case}: ssim {cross}");
     }
+}
 
-    #[test]
-    fn flip_is_reflexive_and_bounded(seed in 0u64..1000) {
+#[test]
+fn flip_is_reflexive_and_bounded() {
+    let mut rng = Xoshiro256pp::new(111);
+    for case in 0..CASES {
+        let seed = rng.below(1000);
         let img = RgbImage::from_fn(16, 16, |x, y| {
             let v = (((x as u64 * 13 + y as u64 * 29 + seed) % 83) as f32) / 83.0;
             [v, 1.0 - v, 0.5]
         });
-        prop_assert!(flip(&img, &img) < 1e-6);
+        assert!(flip(&img, &img) < 1e-6, "case {case}");
         let inverted = RgbImage::from_fn(16, 16, |x, y| {
             let [r, g, b] = img.get(x, y);
             [1.0 - r, 1.0 - g, 1.0 - b]
         });
         let d = flip(&img, &inverted);
-        prop_assert!((0.0..=1.0).contains(&d));
+        assert!((0.0..=1.0).contains(&d), "case {case}: flip {d}");
     }
+}
 
-    #[test]
-    fn svd_reconstructs_arbitrary_matrices(vals in proptest::collection::vec(-3.0..3.0f64, 24)) {
-        let a = DMatrix::from_row_slice(6, 4, &vals);
+#[test]
+fn svd_reconstructs_arbitrary_matrices() {
+    let mut rng = Xoshiro256pp::new(112);
+    for case in 0..CASES {
+        let a = DMatrix::from_row_slice(6, 4, &values(&mut rng, 24, 3.0));
         let svd = Svd::new(&a).unwrap();
-        prop_assert!((&svd.reconstruct() - &a).frobenius_norm() < 1e-8 * (1.0 + a.frobenius_norm()));
+        let gap = (&svd.reconstruct() - &a).frobenius_norm();
+        assert!(gap < 1e-8 * (1.0 + a.frobenius_norm()), "case {case}: gap {gap}");
         for w in svd.sigma.windows(2) {
-            prop_assert!(w[0] >= w[1] - 1e-12);
-            prop_assert!(w[1] >= -1e-12);
+            assert!(w[0] >= w[1] - 1e-12, "case {case}");
+            assert!(w[1] >= -1e-12, "case {case}");
         }
     }
+}
 
-    #[test]
-    fn distortion_center_is_always_fixed(k1 in 0.0..0.5f64, k2 in 0.0..0.2f64, scale in 0.9..1.1f64) {
+#[test]
+fn distortion_center_is_always_fixed() {
+    let mut rng = Xoshiro256pp::new(113);
+    for case in 0..CASES {
+        let k1 = rng.uniform(0.0..0.5);
+        let k2 = rng.uniform(0.0..0.2);
+        let scale = rng.uniform(0.9..1.1);
         let params = DistortionParams {
             k1,
             k2,
@@ -174,35 +243,41 @@ proptest! {
         let mesh = DistortionMesh::new(&params);
         for c in 0..3 {
             let center = mesh.sample(c, 0.5, 0.5);
-            prop_assert!((center.x - 0.5).abs() < 1e-9 && (center.y - 0.5).abs() < 1e-9);
+            assert!(
+                (center.x - 0.5).abs() < 1e-9 && (center.y - 0.5).abs() < 1e-9,
+                "case {case}, channel {c}"
+            );
         }
     }
+}
 
-    #[test]
-    fn quat_slerp_stays_unit_and_bounded(
-        rv1 in rotation_vec(),
-        rv2 in rotation_vec(),
-        t in 0.0..1.0f64,
-    ) {
-        let a = Quat::from_rotation_vector(rv1);
-        let b = Quat::from_rotation_vector(rv2);
-        let s = a.slerp(b, t);
-        prop_assert!((s.norm() - 1.0).abs() < 1e-9);
+#[test]
+fn quat_slerp_stays_unit_and_bounded() {
+    let mut rng = Xoshiro256pp::new(114);
+    for case in 0..CASES {
+        let a = Quat::from_rotation_vector(rotation_vec(&mut rng));
+        let b = Quat::from_rotation_vector(rotation_vec(&mut rng));
+        let s = a.slerp(b, rng.uniform(0.0..1.0));
+        assert!((s.norm() - 1.0).abs() < 1e-9, "case {case}");
         // The interpolant never rotates further from `a` than `b` does
         // (geodesic property), modulo numerical slack.
-        prop_assert!(a.angle_to(s) <= a.angle_to(b) + 1e-6);
+        assert!(a.angle_to(s) <= a.angle_to(b) + 1e-6, "case {case}");
     }
+}
 
-    #[test]
-    fn mtp_total_is_sum_of_parts(pose_ms in 0u64..50, start_off in 0u64..20, exec_us in 0u64..20_000) {
-        use illixr_testbed::core::Time;
-        let calc = MtpCalculator::new(std::time::Duration::from_nanos(8_333_333));
-        let pose_t = Time::from_millis(pose_ms);
-        let start = pose_t + std::time::Duration::from_millis(start_off);
-        let end = start + std::time::Duration::from_micros(exec_us);
+#[test]
+fn mtp_total_is_sum_of_parts() {
+    use illixr_testbed::core::Time;
+    use std::time::Duration;
+    let calc = MtpCalculator::new(Duration::from_nanos(8_333_333));
+    let mut rng = Xoshiro256pp::new(115);
+    for case in 0..CASES {
+        let pose_t = Time::from_millis(rng.below(50));
+        let start = pose_t + Duration::from_millis(rng.below(20));
+        let end = start + Duration::from_micros(rng.below(20_000));
         let s = calc.sample(pose_t, start, end);
-        prop_assert_eq!(s.total(), s.imu_age + s.reprojection + s.swap);
-        prop_assert!(s.display_vsync >= end);
-        prop_assert!(s.swap < std::time::Duration::from_nanos(8_333_334));
+        assert_eq!(s.total(), s.imu_age + s.reprojection + s.swap, "case {case}");
+        assert!(s.display_vsync >= end, "case {case}");
+        assert!(s.swap < Duration::from_nanos(8_333_334), "case {case}");
     }
 }

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use illixr_core::boundary::{
-    splitmix64, Boundary, Checkpoint, DecodeError, ReplayCause, ReplayError, SessionTransform,
-    Trace, TraceSource, Wire,
+    splitmix64, unit_f64, Boundary, Checkpoint, DecodeError, ReplayCause, ReplayError,
+    SessionTransform, Trace, TraceSource, Wire,
 };
 use illixr_core::fault::FaultPlan;
 use illixr_core::obs::{chrome_trace_json, metrics_csv};
@@ -350,7 +350,7 @@ fn check_identity_at(seed: u64, intensity: f64) {
 fn record_replay_identity_across_seeds_and_intensities() {
     for case in 0..4u64 {
         let draw = splitmix64(0x1D_E171_7700 + case);
-        let intensity = 1.5 * (splitmix64(draw) >> 11) as f64 / (1u64 << 53) as f64;
+        let intensity = 1.5 * unit_f64(splitmix64(draw));
         check_identity_at(draw % 1_000, intensity);
     }
 }
