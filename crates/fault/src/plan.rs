@@ -342,6 +342,20 @@ impl FaultPlan {
             .count() as u32
     }
 
+    /// The instant [`FaultPlan::worker_crashes_due`] for `target` first
+    /// exceeds `fired`: the start of the next window to fire once `fired`
+    /// have. `None` when no window is left.
+    pub fn next_worker_crash(&self, target: &str, fired: u32) -> Option<u64> {
+        let mut starts: Vec<u64> = self
+            .windows
+            .iter()
+            .filter(|w| w.kind == FaultKind::WorkerCrash && w.applies_to(target))
+            .map(|w| w.start_ns)
+            .collect();
+        starts.sort_unstable();
+        starts.get(fired as usize).copied()
+    }
+
     /// Whether any [`FaultKind::WorkerCrash`] window exists at all —
     /// the engine only arms its failover machinery when one does (or
     /// when failover was configured explicitly).
@@ -494,6 +508,15 @@ mod tests {
         assert_eq!(p.worker_crashes_due("shard/0", 500), 1);
         // Worker crashes never count as plugin crashes, or vice versa.
         assert_eq!(p.crash_count_through("shard/3", u64::MAX), 0);
+        // The next window to fire, whatever order the windows were added in.
+        assert_eq!(p.next_worker_crash("shard/3", 0), Some(100));
+        assert_eq!(p.next_worker_crash("shard/3", 1), Some(500));
+        assert_eq!(p.next_worker_crash("shard/3", 2), None);
+        assert_eq!(p.next_worker_crash("shard/0", 0), Some(500));
+        let reversed = FaultPlan::new(4)
+            .with_window(FaultWindow::new(FaultKind::WorkerCrash, "", 500, 501, 1.0))
+            .with_window(FaultWindow::new(FaultKind::WorkerCrash, "shard/3", 100, 101, 1.0));
+        assert_eq!(reversed.next_worker_crash("shard/3", 0), Some(100));
     }
 
     #[test]
