@@ -20,19 +20,29 @@
 //! copies its input once into a buffer one pixel larger on every side
 //! whose border repeats the edge, so the tap `(ky, kx)` of output row `y`
 //! is the in-bounds slice `padded[y + ky][kx..kx + w]`, with no index
-//! arithmetic per pixel. A row is cut into tiles of 16 output pixels: a
-//! tile's 16 accumulators stay in registers while it takes every tap of
-//! every input channel, `acc[x] += weight · src[kx + x]`, and are written
-//! once. The `w % 16` pixels left at the row's end take one tap at a time
-//! across all of them in memory. Either way every output pixel sees its
-//! bias, then the non-zero taps in `(input channel, ky, kx)` order, then
-//! the ReLU, each as its own rounded `f32` operation — so every activation
-//! of every layer has the bits of the pixel-at-a-time loop it replaced. The
-//! tests keep that loop and compare, on maps whose widths are whole tiles,
-//! tiles and a remainder, and less than one tile. Fusing the multiply and
-//! the add, summing taps in another order or widening the accumulator
-//! would move bits.
+//! arithmetic per pixel. A row is cut into tiles of 16 output pixels, and
+//! two output channels are computed together: a tile's 16 accumulators of
+//! each channel stay in registers while they take every tap of every input
+//! channel, `acc[x] += weight · src[kx + x]`, sharing each load of `src`,
+//! and are written once. The `w % 16` pixels left at the row's end take one
+//! channel and one tap at a time across all of them in memory. Either way
+//! every output pixel sees its bias, then the non-zero taps in `(input
+//! channel, ky, kx)` order, then the ReLU, each as its own rounded `f32`
+//! operation — so every activation of every layer has the bits of the
+//! pixel-at-a-time loop it replaced. The tests keep that loop and compare,
+//! on maps whose widths are whole tiles, tiles and a remainder, and less
+//! than one tile. Fusing the multiply and the add, summing taps in another
+//! order or widening the accumulator would move bits.
+//!
+//! The convolution runs through [`wide::run`]: on a CPU with AVX-512 it is
+//! a second copy of the same source compiled for 512-bit vectors, where a
+//! tile is one register. Each lane performs its pixel's operations in the
+//! order above, and rustc marks no float operation contractible or
+//! reassociable, so that copy has the same bits; the tests compare the two.
+//! The channel pair is for that copy: one tile is one chain of dependent
+//! additions, two are two chains the vector unit runs side by side.
 
+use illixr_image::wide::{self, Kernel};
 use illixr_image::GrayImage;
 
 /// Segmentation classes.
@@ -114,7 +124,7 @@ impl Tensor {
 /// `row[x] += weight · src[x]`, each product and each sum rounded on its
 /// own. A zero weight adds nothing at all (not `+0.0`): that is how the
 /// convolution and the head skip the taps channel 0's pass-through zeroes.
-#[inline]
+#[inline(always)]
 fn add_scaled(row: &mut [f32], weight: f32, src: &[f32]) {
     if weight != 0.0 {
         for (acc, &v) in row.iter_mut().zip(src) {
@@ -141,6 +151,7 @@ impl Conv3x3 {
     /// Deterministic pseudo-random weights with channel 0 configured as
     /// either the darkness extractor (first layer) or a pass-through.
     fn new(in_ch: usize, out_ch: usize, seed: u32, first_layer: bool) -> Self {
+        assert!(out_ch.is_multiple_of(2), "forward computes output channels in pairs");
         let mut weights = vec![0.0f32; out_ch * in_ch * 9];
         let mut bias = vec![0.0f32; out_ch];
         let mut state = seed.wrapping_mul(2654435761).wrapping_add(12345);
@@ -175,35 +186,52 @@ impl Conv3x3 {
         Self { in_ch, out_ch, weights, bias }
     }
 
-    /// One output row at a time over the padded input, [`TILE`] pixels at
-    /// a time: a tile's accumulators start as the bias, take each non-zero
-    /// tap in `(i, ky, kx)` order, and end in the ReLU. The `w % TILE`
-    /// pixels left at the row's end do the same one tap at a time across
-    /// all of them, `rest += w · src`.
+    /// One output row at a time over the padded input, [`TILE`] pixels of
+    /// two output channels at a time: each of the pair's tiles starts as
+    /// its channel's bias, takes each non-zero tap in `(i, ky, kx)` order,
+    /// and ends in the ReLU. The two share every input load and are two
+    /// independent chains of additions. The `w % TILE` pixels left at the
+    /// row's end take one channel and one tap at a time across all of
+    /// them, `rest += w · src`.
     fn forward(&self, x: &Tensor) -> Tensor {
+        wide::run(Forward { conv: self, x })
+    }
+
+    #[inline(always)]
+    fn forward_body(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.ch, self.in_ch, "channel mismatch");
         let padded = x.replicate_padded();
         let mut out = Tensor::zeros(self.out_ch, x.h, x.w);
+        let taps = self.in_ch * 9;
         let tiled = x.w - x.w % TILE;
-        for o in 0..self.out_ch {
-            let weights = &self.weights[o * self.in_ch * 9..][..self.in_ch * 9];
+        for o in (0..self.out_ch).step_by(2) {
+            let w0 = &self.weights[o * taps..][..taps];
+            let w1 = &self.weights[(o + 1) * taps..][..taps];
             for y in 0..x.h {
-                let row = out.row_mut(o, y);
-                let (tiles, rest) = row.split_at_mut(tiled);
-                for (t, dst) in tiles.chunks_exact_mut(TILE).enumerate() {
-                    let mut acc = [self.bias[o]; TILE];
-                    for (i, taps) in weights.chunks_exact(9).enumerate() {
-                        for (ky, taps) in taps.chunks_exact(3).enumerate() {
-                            let src = &padded.row(i, y + ky)[t * TILE..];
-                            for (kx, &w) in taps.iter().enumerate() {
-                                add_scaled(&mut acc, w, &src[kx..kx + TILE]);
+                for t in (0..tiled).step_by(TILE) {
+                    let mut a0 = [self.bias[o]; TILE];
+                    let mut a1 = [self.bias[o + 1]; TILE];
+                    for i in 0..self.in_ch {
+                        for ky in 0..3 {
+                            let src = &padded.row(i, y + ky)[t..];
+                            for kx in 0..3 {
+                                let (k, src) = (i * 9 + ky * 3 + kx, &src[kx..kx + TILE]);
+                                add_scaled(&mut a0, w0[k], src);
+                                add_scaled(&mut a1, w1[k], src);
                             }
                         }
                     }
-                    for (d, a) in dst.iter_mut().zip(acc) {
-                        *d = a.max(0.0);
+                    for (o, acc) in [(o, a0), (o + 1, a1)] {
+                        for (d, a) in out.row_mut(o, y)[t..t + TILE].iter_mut().zip(acc) {
+                            *d = a.max(0.0);
+                        }
                     }
                 }
+            }
+        }
+        for (o, weights) in self.weights.chunks_exact(taps).enumerate() {
+            for y in 0..x.h {
+                let rest = &mut out.row_mut(o, y)[tiled..];
                 rest.fill(self.bias[o]);
                 for (i, taps) in weights.chunks_exact(9).enumerate() {
                     for (ky, taps) in taps.chunks_exact(3).enumerate() {
@@ -219,6 +247,21 @@ impl Conv3x3 {
             }
         }
         out
+    }
+}
+
+/// [`Conv3x3::forward`] as a [`Kernel`].
+struct Forward<'a> {
+    conv: &'a Conv3x3,
+    x: &'a Tensor,
+}
+
+impl Kernel for Forward<'_> {
+    type Output = Tensor;
+
+    #[inline(always)]
+    fn run(self) -> Tensor {
+        self.conv.forward_body(self.x)
     }
 }
 
@@ -450,6 +493,17 @@ mod tests {
     /// and through `reference_forward` on the same input and compared on
     /// every channel, the seven filler channels included. Returns `d2`.
     fn assert_layers_bit_exact(net: &SegmentationNet, image: &GrayImage, what: &str) -> Tensor {
+        assert_layers_match(net, image, what, reference_forward)
+    }
+
+    /// [`assert_layers_bit_exact`] against `expected` in place of
+    /// `reference_forward`.
+    fn assert_layers_match(
+        net: &SegmentationNet,
+        image: &GrayImage,
+        what: &str,
+        expected: fn(&Conv3x3, &Tensor) -> Tensor,
+    ) -> Tensor {
         let mut x =
             Tensor { ch: 1, h: image.height(), w: image.width(), data: image.as_slice().to_vec() };
         type Resample = fn(&Tensor) -> Tensor;
@@ -462,7 +516,7 @@ mod tests {
         ];
         for (name, conv, resample) in chain {
             let out = conv.forward(&x);
-            let expected = reference_forward(conv, &x);
+            let expected = expected(conv, &x);
             assert_eq!((out.ch, out.h, out.w), (expected.ch, expected.h, expected.w));
             assert!(
                 bits(&out) == bits(&expected),
@@ -507,6 +561,32 @@ mod tests {
         for (w, h) in [(4, 4), (8, 8), (64, 32)] {
             let image = GrayImage::from_fn(w, h, |x, y| ((x * 31 + y * 17) % 23) as f32 / 23.0);
             assert_layers_bit_exact(&net, &image, "pattern");
+        }
+    }
+
+    /// Both copies of every layer, bit for bit: [`Kernel::run`] called
+    /// directly is the portable one, `forward` the one `wide::run` picks
+    /// (the same one on a host without AVX-512). The inputs are the pins'
+    /// and one holding NaN, −0.0 and negative pixels, which reach the ReLU's
+    /// `max` as they are.
+    #[test]
+    fn forward_copies_agree_to_the_bit() {
+        let net = SegmentationNet::new();
+        let portable: fn(&Conv3x3, &Tensor) -> Tensor = |conv, x| Forward { conv, x }.run();
+        let mut images: Vec<GrayImage> = pinned_eyes().iter().map(render_eye).collect();
+        for (w, h) in [(4, 4), (8, 8), (64, 32)] {
+            images.push(GrayImage::from_fn(w, h, |x, y| ((x * 31 + y * 17) % 23) as f32 / 23.0));
+        }
+        images.push(GrayImage::from_fn(40, 24, |x, y| match (x * 7 + y * 13) % 11 {
+            0 => f32::NAN,
+            1 => -0.0,
+            2 => -0.5,
+            3 => 0.0,
+            k => k as f32 / 11.0,
+        }));
+        for image in &images {
+            let what = format!("copies on a {}x{} input", image.width(), image.height());
+            assert_layers_match(&net, image, &what, portable);
         }
     }
 

@@ -21,6 +21,7 @@ pub mod pyramid;
 pub mod rgb;
 pub mod ssim;
 pub mod stencil;
+pub mod wide;
 
 pub use flip::flip;
 pub use gray::{AxisTerm, GrayImage};

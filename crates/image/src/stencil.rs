@@ -29,8 +29,17 @@
 //! every ICP pose and surfel — and swept the same way: one of its
 //! `(2r + 1)²` taps at a time across a whole interior row. Its section
 //! states the argument.
+//!
+//! Both kernels run through [`wide::run`], so on a CPU with AVX-512 the
+//! loops above run as a second copy compiled for 512-bit vectors. The
+//! argument holds for that copy unchanged: it is the same source, each
+//! vector lane performs one pixel's IEEE operations in the order written,
+//! and rustc marks no float operation contractible or reassociable, so
+//! `kernel[i] * tap(i)` and the sum it joins round separately there too.
+//! The tests compare the two copies bit for bit.
 
 use crate::gray::GrayImage;
+use crate::wide::{self, Kernel};
 
 /// Builds a normalized 1-D Gaussian kernel with radius `⌈3σ⌉`.
 fn gaussian_kernel(sigma: f32) -> Vec<f32> {
@@ -45,7 +54,7 @@ fn gaussian_kernel(sigma: f32) -> Vec<f32> {
 
 /// `dst[x] += k * src[x]` over a whole row: the one loop both blur passes
 /// are made of, with the pixel innermost so it runs as vector code.
-#[inline]
+#[inline(always)]
 fn add_scaled(dst: &mut [f32], k: f32, src: &[f32]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += k * s;
@@ -58,6 +67,26 @@ fn add_scaled(dst: &mut [f32], k: f32, src: &[f32]) {
 ///
 /// Panics when `sigma <= 0`.
 pub fn gaussian_blur(img: &GrayImage, sigma: f32) -> GrayImage {
+    wide::run(Blur { img, sigma })
+}
+
+/// [`gaussian_blur`] as a [`Kernel`].
+struct Blur<'a> {
+    img: &'a GrayImage,
+    sigma: f32,
+}
+
+impl Kernel for Blur<'_> {
+    type Output = GrayImage;
+
+    #[inline(always)]
+    fn run(self) -> GrayImage {
+        blur(self.img, self.sigma)
+    }
+}
+
+#[inline(always)]
+fn blur(img: &GrayImage, sigma: f32) -> GrayImage {
     let kernel = gaussian_kernel(sigma);
     let (taps, radius) = (kernel.len(), kernel.len() / 2);
     let (w, h) = (img.width(), img.height());
@@ -133,7 +162,7 @@ const RANGE_LUT_SIZE: usize = 256;
 /// `q` rounded to nearest, one more than the floor exactly when taking 2²³
 /// off again leaves more than `q`. Compares, adds and a mask — the loop
 /// runs as vector code.
-#[inline]
+#[inline(always)]
 fn range_indices(idx: &mut [u32], src: &[f32], center: &[f32], max_dr: f32) {
     const ROUND: f32 = 8_388_608.0; // 2²³
     for ((i, &v), &c) in idx.iter_mut().zip(src).zip(center) {
@@ -152,7 +181,7 @@ fn range_indices(idx: &mut [u32], src: &[f32], center: &[f32], max_dr: f32) {
 ///
 /// [`range_indices`] writes no index above `RANGE_LUT_SIZE`; the `min`
 /// says so to the compiler, so the table read has no bounds check.
-#[inline]
+#[inline(always)]
 fn add_tap(
     acc: &mut [f32],
     weight: &mut [f32],
@@ -187,7 +216,8 @@ fn add_tap(
 /// that keeps the old sum, so the output equals the per-pixel loop's to the
 /// bit. Border pixels, and every pixel of an image narrower than the
 /// kernel, take the clamped per-pixel loop as before. The tests keep that
-/// loop verbatim as `reference_bilateral_filter` and compare every bit.
+/// loop verbatim as `reference_bilateral_filter` and compare every bit,
+/// and compare the AVX-512 copy with the portable one (module docs).
 ///
 /// # Panics
 ///
@@ -198,6 +228,28 @@ pub fn bilateral_filter(
     sigma_range: f32,
     invalid_below: f32,
 ) -> GrayImage {
+    wide::run(Bilateral { img, sigma_space, sigma_range, invalid_below })
+}
+
+/// [`bilateral_filter`] as a [`Kernel`].
+struct Bilateral<'a> {
+    img: &'a GrayImage,
+    sigma_space: f32,
+    sigma_range: f32,
+    invalid_below: f32,
+}
+
+impl Kernel for Bilateral<'_> {
+    type Output = GrayImage;
+
+    #[inline(always)]
+    fn run(self) -> GrayImage {
+        bilateral(self.img, self.sigma_space, self.sigma_range, self.invalid_below)
+    }
+}
+
+#[inline(always)]
+fn bilateral(img: &GrayImage, sigma_space: f32, sigma_range: f32, invalid_below: f32) -> GrayImage {
     assert!(sigma_space > 0.0 && sigma_range > 0.0, "sigmas must be positive");
     let radius = (2.0 * sigma_space).ceil() as isize;
     let (w, h) = (img.width(), img.height());
@@ -533,6 +585,41 @@ mod tests {
         assert_eq!(digest(&bilateral_filter(&img, 1.5, 0.08, 0.0)), want);
     }
 
+    /// The pins' depth frames, with NaN and −0.0 pixels added beside the
+    /// holes: a `max`, a compare or a select is where two lowerings of the
+    /// same source could part.
+    fn special_depth() -> GrayImage {
+        let mut img = depth_scene(40, 23, true);
+        for (x, y, v) in [(8, 8, f32::NAN), (9, 8, -0.0), (3, 1, f32::NAN), (30, 12, -0.0)] {
+            img.set(x, y, v);
+        }
+        img
+    }
+
+    /// Both copies of the filter, bit for bit: [`Kernel::run`] called
+    /// directly is the portable one, [`bilateral_filter`] the one
+    /// `wide::run` picks (the same one on a host without AVX-512).
+    #[test]
+    fn bilateral_filter_copies_agree_to_the_bit() {
+        let mut cases: Vec<(GrayImage, f32)> = BILATERAL_SIZES
+            .iter()
+            .flat_map(|&(w, h)| [false, true].map(|holes| (depth_scene(w, h, holes), 0.0)))
+            .collect();
+        cases.extend([(texture(40, 23), -1.0), (special_depth(), 0.0)]);
+        for (sigma_space, sigma_range) in BILATERAL_SIGMAS {
+            for &(ref img, invalid_below) in &cases {
+                let portable = Bilateral { img, sigma_space, sigma_range, invalid_below }.run();
+                let dispatched = bilateral_filter(img, sigma_space, sigma_range, invalid_below);
+                assert!(
+                    bits(&portable) == bits(&dispatched),
+                    "sigmas {sigma_space}/{sigma_range} differ on {}x{}",
+                    img.width(),
+                    img.height()
+                );
+            }
+        }
+    }
+
     /// Sizes below, at and above the kernel radius in either direction.
     const BLUR_SIZES: [(usize, usize); 7] =
         [(1, 1), (2, 7), (5, 3), (17, 9), (96, 64), (160, 120), (320, 240)];
@@ -546,6 +633,28 @@ mod tests {
                     (gaussian_blur(&img, sigma), reference_gaussian_blur(&img, sigma));
                 assert_eq!((got.width(), got.height()), (w, h));
                 assert!(bits(&got) == bits(&want), "sigma {sigma} differs on {w}x{h}");
+            }
+        }
+    }
+
+    /// Both copies of the blur, bit for bit, as for the bilateral filter;
+    /// the pyramid's levels are the blur of each level above.
+    #[test]
+    fn gaussian_blur_copies_agree_to_the_bit() {
+        let mut images: Vec<GrayImage> = BLUR_SIZES.iter().map(|&(w, h)| texture(w, h)).collect();
+        images.push(special_depth());
+        let pyr = Pyramid::new(&texture(320, 240), 4);
+        images.extend((0..pyr.num_levels()).map(|i| pyr.level(i).clone()));
+        for sigma in [0.8, 1.0, 2.5] {
+            for img in &images {
+                let portable = Blur { img, sigma }.run();
+                let dispatched = gaussian_blur(img, sigma);
+                assert!(
+                    bits(&portable) == bits(&dispatched),
+                    "sigma {sigma} differs on {}x{}",
+                    img.width(),
+                    img.height()
+                );
             }
         }
     }

@@ -96,7 +96,8 @@ pub fn detect_fast(
 }
 
 /// Segment test on a pixel that passed the compass test: returns the
-/// corner score when `(x, y)` has a FAST-9 arc.
+/// corner score when `(x, y)` has a FAST-9 arc. A NaN pixel on the circle
+/// makes the score NaN, which ranks against nothing: no corner.
 fn corner_score(img: &GrayImage, x: usize, y: usize, threshold: f32) -> Option<f32> {
     let c = img.get(x, y);
     let mut brighter = [false; 16];
@@ -108,11 +109,11 @@ fn corner_score(img: &GrayImage, x: usize, y: usize, threshold: f32) -> Option<f
         brighter[i] = v > c + threshold;
         darker[i] = v < c - threshold;
     }
-    if has_arc(&brighter) || has_arc(&darker) {
-        Some(diffs.iter().sum())
-    } else {
-        None
+    if !has_arc(&brighter) && !has_arc(&darker) {
+        return None;
     }
+    let score: f32 = diffs.iter().sum();
+    (!score.is_nan()).then_some(score)
 }
 
 /// True when `flags` contains `ARC_LEN` contiguous `true` values on the
@@ -189,6 +190,23 @@ mod tests {
         let corners = detect_fast(&img, 0.1, 1000, 40);
         // 160x120 with 40px cells → at most 4*3 = 12 corners.
         assert!(corners.len() <= 12);
+    }
+
+    /// A NaN pixel on a candidate's circle makes its arc sum NaN: that
+    /// candidate is no corner, and the others are still ranked.
+    #[test]
+    fn nan_on_a_circle_is_no_corner() {
+        let mut img = GrayImage::from_fn(32, 32, |x, y| {
+            if (15..17).contains(&x) && (15..17).contains(&y) {
+                0.9
+            } else {
+                0.1
+            }
+        });
+        img.set(16, 12, f32::NAN);
+        let corners = detect_fast(&img, 0.2, 10, 8);
+        assert!(!corners.is_empty());
+        assert!(corners.iter().all(|c| c.score.is_finite()), "{corners:?}");
     }
 
     #[test]
