@@ -8,11 +8,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use illixr_core::boundary::{fnv1a, Xoshiro256pp};
+use illixr_core::fault::{FaultKind, FaultPlan, FaultWindow};
 use illixr_core::Time;
 use illixr_server::server::ReplayLoad;
 use illixr_server::{
-    LinkConfig, PlacementPolicy, SchedulerConfig, ServerBuilder, ServerConfig, ServerReport,
-    SessionState,
+    FailoverConfig, FailoverPolicy, LinkConfig, PlacementPolicy, SchedulerConfig, ServerBuilder,
+    ServerConfig, ServerReport, SessionState,
 };
 
 /// A pool/link profile wide enough that 256 sessions are all admitted
@@ -90,11 +91,15 @@ fn forked_batches_match_inline_run() {
 /// The digest the engine-path pins compare: FNV-1a of the summary text
 /// followed by every session's telemetry and stream counters, which the
 /// summary leaves out (a disconnect one IMU step later changes only the
-/// `imu` stream's count).
+/// `imu` stream's count), and every failover incident's exact instants,
+/// which the summary rounds to the millisecond.
 fn report_digest(report: &ServerReport) -> u64 {
     let mut text = report.summary_text();
     for s in report.sessions() {
         text.push_str(&format!("{:?}\n{:?}\n", s.telemetry(), s.stream_stats()));
+    }
+    for i in &report.failover_incidents {
+        text.push_str(&format!("{:?} {:?} {:?}\n", i.crashed_at, i.recovered_at, i.mode));
     }
     fnv1a(text.bytes())
 }
@@ -133,18 +138,60 @@ fn run_checked(name: &str, builder: ServerBuilder) -> ServerReport {
 /// joiner off the step grid; degraded admission; a disconnect between
 /// two IMU steps and one exactly on a step; and a recorded run plus its
 /// identity replay, whose `.ilxt` bytes are pinned too.
+///
+/// Three more cases land a delivery exactly on another event's instant,
+/// which jittered links never do. On a link of infinite bandwidth and a
+/// fixed latency, one session on one shard:
+/// * at 125 Hz and 1.5 ms, every token arrives on the next vsync, where
+///   it is shown;
+/// * at 3 ms, every pose arrives on a `ServerBatch` instant; with a
+///   checkpoint at each one and a crash at 90 ms, the pose that arrived
+///   on the 88 ms checkpoint is journaled, not snapshotted, and the
+///   catch-up replays it;
+/// * at 3 ms, a crash at 102 ms restarts the session at 352 ms, the
+///   instant a pose arrives: the shadow takes the pose before the
+///   restart.
 #[test]
 fn engine_paths_are_pinned() {
     let fleet = |n: usize| ServerBuilder::new().sessions(n).duration(Duration::from_secs(1));
     let at_us = |us: u64| Time::from_nanos(us * 1_000);
     let join = |us: u64| fleet(4).configure_session(3, move |c| c.connect_at = at_us(us));
     let leave = |us: u64| fleet(3).configure_session(1, move |c| c.disconnect_at = Some(at_us(us)));
+    let exact = |latency_us: u64| {
+        fleet(1).shards(1).link(LinkConfig {
+            uplink_bps: f64::INFINITY,
+            downlink_bps: f64::INFINITY,
+            base_latency: Duration::from_micros(latency_us),
+            jitter_sigma: 0.0,
+            seed: 0,
+        })
+    };
+    let crash =
+        |us: u64, policy: FailoverPolicy| {
+            let ns = us * 1_000;
+            let window = FaultWindow::new(FaultKind::WorkerCrash, "shard/0", ns, ns + 1, 1.0);
+            let checkpoint_every = Some(Duration::from_millis(4));
+            exact(3_000)
+                .fault_plan(FaultPlan::new(7).with_window(window))
+                .failover(FailoverConfig { policy, checkpoint_every, ..FailoverConfig::default() })
+        };
     let cases = [
         ("join_0.9ms", join(900), 0x060c_bf5c_b068_45c9),
         ("join_3.3ms", join(3_300), 0xed77_4bc7_6c30_e993),
         ("degraded", fleet(8), 0x4fe5_ae53_a4ec_1aac),
         ("leave_between_steps", leave(501_300), 0x95bd_a31d_7907_c78a),
         ("leave_on_step", leave(502_000), 0xd04a_4fd2_846f_4476),
+        (
+            "token_on_vsync",
+            exact(1_500).configure_session(0, |c| c.display_hz = 125.0),
+            0x1438_3f63_73af_cd14,
+        ),
+        (
+            "pose_on_checkpoint",
+            crash(90_000, FailoverPolicy::CheckpointCatchup),
+            0xb696_ee1e_340e_d6b8,
+        ),
+        ("pose_on_recover", crash(101_500, FailoverPolicy::RestartOnly), 0x4b85_a302_a6eb_e2e7),
     ];
     for (name, builder, digest) in cases {
         let report = run_checked(name, builder);
