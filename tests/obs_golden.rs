@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use illixr_core::boundary::fnv1a;
 use illixr_core::obs::{chrome_trace_json, metrics_csv};
 use illixr_platform::spec::Platform;
 use illixr_render::apps::Application;
@@ -24,6 +25,16 @@ fn server_trace_and_metrics_are_bit_identical_across_runs() {
     let (trace_b, csv_b) = traced_server_artifacts();
     assert_eq!(trace_a, trace_b, "trace.json must be bit-identical for the same seed");
     assert_eq!(csv_a, csv_b, "metrics.csv must be bit-identical for the same seed");
+}
+
+/// The traced run's bytes, pinned. 711 of its render spans start at or
+/// before the horizon; a request that arrives after it never renders.
+#[test]
+fn server_trace_and_metrics_bytes_are_pinned() {
+    let (trace, csv) = traced_server_artifacts();
+    assert_eq!(trace.matches("\"name\":\"render\",").count(), 711, "render spans changed");
+    assert_eq!(fnv1a(trace.bytes()), 0xe3c2_0f63_5c42_c7b0, "trace.json changed");
+    assert_eq!(fnv1a(csv.bytes()), 0x6c83_7b9b_f791_4b53, "metrics.csv changed");
 }
 
 #[test]

@@ -151,6 +151,15 @@ fn run_checked(name: &str, builder: ServerBuilder) -> ServerReport {
 /// * at 3 ms, a crash at 102 ms restarts the session at 352 ms, the
 ///   instant a pose arrives: the shadow takes the pose before the
 ///   restart.
+///
+/// Two more land VIO jobs on the pool's instants, on the same link at
+/// 2 ms:
+/// * every odd camera frame's job arrives on a `ServerBatch` instant and
+///   joins that batch;
+/// * with two sessions on one shard, session 0 joining at 20 ms, and the
+///   uplink out from 100 to 200 ms, three jobs arrive together at 202 ms,
+///   pushed out of session order; the pool's 25 ms deadline sheds the
+///   first of them in arrival-then-session order.
 #[test]
 fn engine_paths_are_pinned() {
     let fleet = |n: usize| ServerBuilder::new().sessions(n).duration(Duration::from_secs(1));
@@ -175,6 +184,15 @@ fn engine_paths_are_pinned() {
                 .fault_plan(FaultPlan::new(7).with_window(window))
                 .failover(FailoverConfig { policy, checkpoint_every, ..FailoverConfig::default() })
         };
+    let outage = FaultWindow::new(FaultKind::LinkOutage, "uplink", 100_000_000, 200_000_000, 1.0);
+    let jobs_tie = exact(2_000)
+        .sessions(2)
+        .configure_session(0, |c| c.connect_at = at_us(20_000))
+        .fault_plan(FaultPlan::new(7).with_window(outage))
+        .scheduler(SchedulerConfig {
+            placement: PlacementPolicy::DeadlineAware { deadline: Duration::from_millis(25) },
+            ..SchedulerConfig::default()
+        });
     let cases = [
         ("join_0.9ms", join(900), 0x060c_bf5c_b068_45c9),
         ("join_3.3ms", join(3_300), 0xed77_4bc7_6c30_e993),
@@ -192,6 +210,8 @@ fn engine_paths_are_pinned() {
             0xb696_ee1e_340e_d6b8,
         ),
         ("pose_on_recover", crash(101_500, FailoverPolicy::RestartOnly), 0x4b85_a302_a6eb_e2e7),
+        ("job_on_batch", exact(2_000), 0x71de_4d1f_e41a_9dff),
+        ("jobs_tie_out_of_order", jobs_tie, 0xe28f_202d_6f15_f532),
     ];
     for (name, builder, digest) in cases {
         let report = run_checked(name, builder);
