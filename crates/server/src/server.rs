@@ -67,6 +67,7 @@ pub struct ServerConfig {
     /// Simulated run length.
     pub duration: Duration,
     /// Server tick period: pending VIO jobs are batched every tick.
+    /// Must be positive: [`Server::run`] panics on a zero tick.
     pub server_tick: Duration,
     /// Run the real per-session MSCKF server-side. When false the
     /// server returns ground-truth poses — the cheap mode unit tests
@@ -788,6 +789,12 @@ mod tests {
         assert!(report.admission.is_empty());
         assert_eq!(report.mean_mtp(), Duration::ZERO);
         assert_eq!(report.drop_rate(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "server_tick must be positive")]
+    fn zero_server_tick_is_rejected() {
+        quick(1).tune(|c| c.server_tick = Duration::ZERO).build().run();
     }
 
     #[test]
