@@ -26,7 +26,6 @@ use illixr_bench::{
 };
 use illixr_core::fault::FaultPlan;
 use illixr_core::sched::PolicyKind;
-use illixr_core::supervisor::SupervisionPolicy;
 use illixr_system::experiment::{ExperimentResult, IntegratedExperiment};
 
 const SEED: u64 = 42;
@@ -62,7 +61,6 @@ struct Cell {
     /// Panic→recovery latencies, ns.
     recovery_ns: Samples,
     restarts: u32,
-    degraded: u32,
     failed: usize,
     level: u32,
     shed: u64,
@@ -72,9 +70,7 @@ fn run_once(intensity: f64, mode: Mode, duration: Duration) -> ExperimentResult 
     let plan = FaultPlan::scheduled(SEED, intensity, duration.as_nanos() as u64);
     let config = contended_config(LOAD, duration).with_fault_plan(plan);
     let config = match mode {
-        Mode::Supervised => {
-            config.with_policy(PolicyKind::Adaptive).with_supervision(SupervisionPolicy::default())
-        }
+        Mode::Supervised => config.with_policy(PolicyKind::Adaptive).with_supervision(),
         Mode::Baseline => config.with_policy(PolicyKind::RateMonotonic),
     };
     IntegratedExperiment::run(&config)
@@ -92,7 +88,6 @@ fn summarize(intensity: f64, mode: Mode, result: &ExperimentResult) -> Cell {
             result.supervisor.recovery_times_ns().into_iter().map(|n| n as f64),
         ),
         restarts: sup_report.iter().map(|r| r.restarts).sum(),
-        degraded: sup_report.iter().map(|r| r.degraded_incidents).sum(),
         failed: sup_report
             .iter()
             .filter(|r| r.health == illixr_core::supervisor::PluginHealth::Failed)
@@ -162,7 +157,7 @@ fn main() -> std::io::Result<()> {
         }
     }
 
-    // Supervisor outcome rows: the same restart/degraded/failed gauges
+    // Supervisor outcome rows: the same restart/failed gauges
     // that `metrics.csv` carries, plus the `supervisor.recovery`
     // distribution, one row per cell so regressions in crash handling
     // are greppable from the artifact alone.
@@ -170,13 +165,12 @@ fn main() -> std::io::Result<()> {
     for cell in &cells {
         out.line(format_args!(
             "supervisor.recovery intensity={:.2} mode={} p50_ms={:.3} p99_ms={:.3} \
-             restarts={} degraded={} failed={}",
+             restarts={} failed={}",
             cell.intensity,
             cell.mode.label(),
             cell.recovery_ns.percentile(0.50) / 1e6,
             cell.recovery_ns.percentile(0.99) / 1e6,
             cell.restarts,
-            cell.degraded,
             cell.failed,
         ));
     }

@@ -36,9 +36,9 @@
 //! * **[`fault`]** — glue onto the `illixr-fault` layer: seeded,
 //!   deterministic fault plans (sensor faults, link faults, plugin
 //!   crashes) consulted throughout the runtime; quiet by default.
-//! * **[`supervisor`]** — crash containment: panic catch + bounded
-//!   backoff restarts, recovery-time accounting, and a stale-stream
-//!   watchdog that marks silent plugins degraded.
+//! * **[`supervisor`]** — crash containment: panic catch, at most
+//!   three restarts after 10/20/40 ms backoffs, and panic→recovery
+//!   latency accounting.
 //! * **[`boundary`]** — the §V-G record/replay mechanism (over
 //!   `illixr-trace`): the determinism boundary every physical input
 //!   crosses, with the one implementation of the crossing rule —
@@ -82,7 +82,7 @@ pub use clock::{Clock, SimClock, WallClock};
 pub use link::{Direction, LinkProfile};
 pub use plugin::{Plugin, PluginContext, PluginRegistry, RuntimeBuilder};
 pub use slab::{Recycle, SlabFrame, SlabPool};
-pub use supervisor::{PluginHealth, SupervisionPolicy, Supervisor};
+pub use supervisor::{PluginHealth, Supervisor};
 pub use switchboard::{
     AsyncReader, Switchboard, SwitchboardError, SyncReader, Topic, TopicStats, Writer,
 };

@@ -45,18 +45,16 @@ pub fn export_topic_gauges(sb: &Switchboard, metrics: &Metrics, prefix: &str) {
 }
 
 /// Exports the supervisor's aggregate outcomes as metrics gauges —
-/// `supervisor.{panics,restarts,degraded,failed}` — so crash
+/// `supervisor.{panics,restarts,failed}` — so crash
 /// containment lands in `metrics.csv` next to the `supervisor.recovery`
 /// latency histogram instead of living only in the in-process report.
 pub fn export_supervisor_gauges(sup: &crate::supervisor::Supervisor, metrics: &Metrics) {
     use crate::supervisor::PluginHealth;
     let report = sup.report();
     let restarts: u32 = report.iter().map(|r| r.restarts).sum();
-    let degraded: u32 = report.iter().map(|r| r.degraded_incidents).sum();
     let failed = report.iter().filter(|r| r.health == PluginHealth::Failed).count();
     metrics.set_gauge("supervisor.panics", sup.total_panics() as f64);
     metrics.set_gauge("supervisor.restarts", restarts as f64);
-    metrics.set_gauge("supervisor.degraded", degraded as f64);
     metrics.set_gauge("supervisor.failed", failed as f64);
 }
 
@@ -64,7 +62,7 @@ pub fn export_supervisor_gauges(sup: &crate::supervisor::Supervisor, metrics: &M
 mod tests {
     use super::*;
     use crate::clock::SimClock;
-    use crate::supervisor::{SupervisionPolicy, Supervisor};
+    use crate::supervisor::{Supervisor, MAX_RESTARTS};
     use crate::time::Time;
 
     #[test]
@@ -92,19 +90,21 @@ mod tests {
 
     #[test]
     fn supervisor_gauges_count_restarts_and_failures() {
-        let sup = Supervisor::new(SupervisionPolicy { max_restarts: 1, ..Default::default() });
-        sup.register("vio", 0);
-        sup.register("app", 0);
-        assert!(sup.on_panic("vio", 10).is_some(), "one restart granted");
-        sup.note_progress("vio", 20);
-        assert!(sup.on_panic("app", 30).is_some());
-        assert!(sup.on_panic("app", 40).is_none(), "budget exhausted -> failed");
+        let sup = Supervisor::new(true);
+        sup.register("vio");
+        sup.register("app");
+        assert!(sup.on_panic("vio").is_some(), "one restart granted");
+        sup.on_recovery("vio", 10);
+        for _ in 0..MAX_RESTARTS {
+            assert!(sup.on_panic("app").is_some());
+        }
+        assert!(sup.on_panic("app").is_none(), "budget exhausted -> failed");
         let metrics = Metrics::new();
         export_supervisor_gauges(&sup, &metrics);
         let gauges: std::collections::HashMap<String, f64> = metrics.gauges().into_iter().collect();
-        assert_eq!(gauges["supervisor.panics"], 3.0);
-        assert_eq!(gauges["supervisor.restarts"], 2.0);
-        assert_eq!(gauges["supervisor.degraded"], 0.0);
+        assert_eq!(gauges["supervisor.panics"], 5.0);
+        assert_eq!(gauges["supervisor.restarts"], 4.0);
         assert_eq!(gauges["supervisor.failed"], 1.0);
+        assert_eq!(gauges.len(), 3);
     }
 }

@@ -19,7 +19,7 @@ use crate::boundary::{Boundary, TraceRecorder, TraceSource};
 use crate::clock::Clock;
 use crate::fault::FaultPlan;
 use crate::obs::{Metrics, Tracer};
-use crate::supervisor::{SupervisionPolicy, Supervisor};
+use crate::supervisor::Supervisor;
 use crate::switchboard::Switchboard;
 use crate::telemetry::RecordLogger;
 
@@ -43,8 +43,8 @@ pub struct PluginContext {
     /// The fault-injection plan ([`FaultPlan::quiet`] by default — a
     /// guaranteed no-op).
     pub fault: Arc<FaultPlan>,
-    /// Crash containment and liveness tracking
-    /// (`Supervisor::disabled` by default).
+    /// Crash containment (disabled by default: a panic is contained
+    /// but nothing restarts; see [`RuntimeBuilder::with_supervision`]).
     pub supervisor: Arc<Supervisor>,
     /// Record/replay determinism boundary ([`Boundary::off`] by
     /// default — a guaranteed no-op).
@@ -60,12 +60,9 @@ pub struct PluginContext {
 ///
 /// ```
 /// use illixr_core::{RuntimeBuilder, SimClock};
-/// use illixr_core::supervisor::SupervisionPolicy;
 /// use std::sync::Arc;
 ///
-/// let ctx = RuntimeBuilder::new(Arc::new(SimClock::new()))
-///     .with_supervision(SupervisionPolicy::default())
-///     .build();
+/// let ctx = RuntimeBuilder::new(Arc::new(SimClock::new())).with_supervision().build();
 /// assert!(ctx.fault.is_quiet());
 /// assert!(ctx.supervisor.is_enabled());
 /// ```
@@ -74,7 +71,7 @@ pub struct RuntimeBuilder {
     tracer: Tracer,
     metrics: Metrics,
     fault: Arc<FaultPlan>,
-    supervision: Option<SupervisionPolicy>,
+    supervised: bool,
     telemetry: Option<Arc<RecordLogger>>,
     recorder: Option<TraceRecorder>,
     source: Option<TraceSource>,
@@ -90,7 +87,7 @@ impl RuntimeBuilder {
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
             fault: Arc::new(FaultPlan::quiet()),
-            supervision: None,
+            supervised: false,
             telemetry: None,
             recorder: None,
             source: None,
@@ -114,11 +111,11 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables the supervisor: panics are answered with backoff
-    /// restarts and the stale-stream watchdog runs (when `policy`
-    /// carries a deadline).
-    pub fn with_supervision(mut self, policy: SupervisionPolicy) -> Self {
-        self.supervision = Some(policy);
+    /// Enables the supervisor: a panic is answered with a backoff
+    /// restart, up to [`MAX_RESTARTS`](crate::supervisor::MAX_RESTARTS)
+    /// times per plugin.
+    pub fn with_supervision(mut self) -> Self {
+        self.supervised = true;
         self
     }
 
@@ -150,10 +147,6 @@ impl RuntimeBuilder {
 
     /// Builds the context with a fresh switchboard.
     pub fn build(self) -> PluginContext {
-        let supervisor = match self.supervision {
-            Some(policy) => Supervisor::new(policy),
-            None => Supervisor::disabled(),
-        };
         let boundary = match (self.source, self.recorder) {
             (Some(source), recorder) => Boundary::replaying(source, recorder),
             (None, Some(recorder)) => Boundary::recording(recorder),
@@ -166,7 +159,7 @@ impl RuntimeBuilder {
             tracer: self.tracer,
             metrics: self.metrics,
             fault: self.fault,
-            supervisor,
+            supervisor: Supervisor::new(self.supervised),
             boundary: Arc::new(boundary),
         }
     }
@@ -358,17 +351,14 @@ mod tests {
     #[test]
     fn builder_wires_fault_plan_and_supervision() {
         use crate::fault::FaultPlan;
-        use crate::supervisor::SupervisionPolicy;
-
         let plan = Arc::new(FaultPlan::scheduled(7, 1.0, 1_000_000_000));
         let ctx = RuntimeBuilder::new(Arc::new(WallClock::new()))
             .with_fault_plan(plan.clone())
-            .with_supervision(SupervisionPolicy::default())
+            .with_supervision()
             .build();
         assert!(!ctx.fault.is_quiet());
         assert_eq!(ctx.fault.seed(), 7);
         assert!(ctx.supervisor.is_enabled());
-        assert_eq!(ctx.supervisor.policy().max_restarts, 3);
     }
 
     #[test]

@@ -22,10 +22,10 @@ pub use illixr_sched::task::{is_miss, lateness_ns, release_ns, PriorityClass, Re
 /// Boundary stream the `vio` cut's migration decisions live on.
 pub(crate) const PLACE_STREAM: &str = "place/vio";
 
-/// One step of an adaptive placement controller at `now_ns`, shared by
-/// the device pipeline (per camera frame) and the server engine (per
-/// `ServerBatch`): feed the link-health probe, close any due decision
-/// epochs and record each migration on `PLACE_STREAM`. Under replay
+/// One step of an adaptive placement controller at `now_ns`, taken by
+/// the device pipeline once per camera frame: feed the link-health
+/// probe, close any due decision epochs and record each migration on
+/// `PLACE_STREAM`. Under replay
 /// the recorded decision stream drives [`PlacementController::force`]
 /// instead of deciding live, so replayed placement is exact by
 /// construction.

@@ -19,9 +19,7 @@
 //! [`Supervisor`](crate::supervisor::Supervisor) answers a panic with a
 //! bounded exponential-backoff restart. A release that completes
 //! nothing (the plugin crashed, or is waiting out its backoff) is
-//! logged as a drop. If the supervision policy carries a watchdog
-//! deadline, a watchdog thread sweeps for stale plugins and marks them
-//! degraded.
+//! logged as a drop.
 //!
 //! Use [`crate::sim`] instead for deterministic simulated runs.
 
@@ -102,74 +100,36 @@ impl ThreadloopBuilder {
         self
     }
 
-    /// Spawns one thread per task (plus the supervisor's watchdog
-    /// thread when `ctx` carries a watchdog deadline) and returns the
-    /// handles. Stopping the handles stops everything.
+    /// Spawns one thread per task and returns the handles. Stopping
+    /// the handles stops everything.
     pub fn spawn(self, ctx: &PluginContext) -> RuntimeHandles {
-        let plugins = self.tasks.into_iter().map(|t| spawn_dedicated(t, ctx.clone())).collect();
-        let watchdog = (ctx.supervisor.is_enabled()
-            && ctx.supervisor.policy().watchdog_deadline.is_some())
-        .then(|| spawn_watchdog(ctx.clone()));
-        RuntimeHandles { plugins, watchdog }
+        RuntimeHandles {
+            plugins: self.tasks.into_iter().map(|t| spawn_dedicated(t, ctx.clone())).collect(),
+        }
     }
 }
 
 /// Handles to everything [`ThreadloopBuilder::spawn`] started.
 /// Dropping (or [`stop`](RuntimeHandles::stop)ping) them stops the
-/// watchdog, then the plugin threads.
+/// plugin threads in the order they were added.
+#[derive(Debug)]
 pub struct RuntimeHandles {
     plugins: Vec<ThreadLoopHandle>,
-    watchdog: Option<(Arc<AtomicBool>, JoinHandle<()>)>,
 }
 
 impl RuntimeHandles {
     /// Stops all threads and calls each plugin's `stop`.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        if let Some((stop, join)) = self.watchdog.take() {
-            stop.store(true, Ordering::SeqCst);
-            let _ = join.join();
-        }
-        for handle in self.plugins.drain(..) {
-            handle.stop();
-        }
+    pub fn stop(self) {
+        drop(self.plugins);
     }
 }
 
-impl Drop for RuntimeHandles {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for RuntimeHandles {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "RuntimeHandles({} plugin threads, watchdog: {})",
-            self.plugins.len(),
-            self.watchdog.is_some()
-        )
-    }
-}
-
-/// Handle to one dedicated plugin thread.
+/// Handle to one dedicated plugin thread; dropping it stops and joins
+/// the thread.
 #[derive(Debug)]
 struct ThreadLoopHandle {
     stop: Arc<AtomicBool>,
     join: Option<JoinHandle<()>>,
-}
-
-impl ThreadLoopHandle {
-    fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
 }
 
 impl Drop for ThreadLoopHandle {
@@ -261,36 +221,12 @@ fn spawn_dedicated(task: TaskSpec, ctx: PluginContext) -> ThreadLoopHandle {
     ThreadLoopHandle { stop, join: Some(join) }
 }
 
-/// Spawns the stale-stream watchdog: periodically sweeps the
-/// supervisor for plugins with no productive iteration within the
-/// watchdog deadline; [`Supervisor::scan_stale`](crate::supervisor::Supervisor::scan_stale)
-/// degrades them.
-fn spawn_watchdog(ctx: PluginContext) -> (Arc<AtomicBool>, JoinHandle<()>) {
-    let deadline =
-        ctx.supervisor.policy().watchdog_deadline.expect("watchdog spawned without a deadline");
-    // Sweep a few times per deadline so staleness is noticed promptly,
-    // without busy-polling for long deadlines.
-    let interval = (deadline / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_clone = stop.clone();
-    let join = std::thread::Builder::new()
-        .name("supervisor-watchdog".into())
-        .spawn(move || {
-            while !stop_clone.load(Ordering::SeqCst) {
-                std::thread::sleep(interval);
-                ctx.supervisor.scan_stale(ctx.clock.now().as_nanos());
-            }
-        })
-        .expect("failed to spawn watchdog thread");
-    (stop, join)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::WallClock;
     use crate::plugin::{IterationReport, RuntimeBuilder};
-    use crate::supervisor::{PluginHealth, SupervisionPolicy};
+    use crate::supervisor::PluginHealth;
 
     fn ctx() -> PluginContext {
         RuntimeBuilder::new(Arc::new(WallClock::new())).build()
@@ -420,12 +356,7 @@ mod tests {
     #[test]
     fn supervised_threadloop_restarts_a_panicking_plugin() {
         quiet_panics(|| {
-            let ctx = RuntimeBuilder::new(Arc::new(WallClock::new()))
-                .with_supervision(SupervisionPolicy {
-                    backoff_initial: Duration::from_millis(2),
-                    ..SupervisionPolicy::default()
-                })
-                .build();
+            let ctx = RuntimeBuilder::new(Arc::new(WallClock::new())).with_supervision().build();
             let handles = ThreadloopBuilder::new()
                 .task(Box::new(Crashy { calls: 0, crash_on: 3 }), Duration::from_millis(4))
                 .spawn(&ctx);
@@ -459,36 +390,6 @@ mod tests {
         });
     }
 
-    /// A plugin that produces nothing — watchdog bait.
-    struct Mute;
-
-    impl Plugin for Mute {
-        fn name(&self) -> &str {
-            "mute"
-        }
-        fn iterate(&mut self, _ctx: &PluginContext) -> IterationReport {
-            IterationReport::skipped()
-        }
-    }
-
-    #[test]
-    fn watchdog_degrades_silent_plugin_and_leaves_the_productive_one_running() {
-        let ctx = RuntimeBuilder::new(Arc::new(WallClock::new()))
-            .with_supervision(SupervisionPolicy {
-                watchdog_deadline: Some(Duration::from_millis(10)),
-                ..SupervisionPolicy::default()
-            })
-            .build();
-        let handles = ThreadloopBuilder::new()
-            .task(Box::new(Mute), Duration::from_millis(5))
-            .task(Box::new(Ticker), Duration::from_millis(5))
-            .spawn(&ctx);
-        std::thread::sleep(Duration::from_millis(120));
-        handles.stop();
-        assert_eq!(ctx.supervisor.health("mute"), Some(PluginHealth::Degraded));
-        assert_eq!(ctx.supervisor.health("ticker"), Some(PluginHealth::Running));
-    }
-
     #[test]
     fn scheduled_crash_fault_is_injected_and_recovered() {
         quiet_panics(|| {
@@ -502,10 +403,7 @@ mod tests {
             ));
             let ctx = RuntimeBuilder::new(Arc::new(WallClock::new()))
                 .with_fault_plan(Arc::new(plan))
-                .with_supervision(SupervisionPolicy {
-                    backoff_initial: Duration::from_millis(2),
-                    ..SupervisionPolicy::default()
-                })
+                .with_supervision()
                 .build();
             let handles = ThreadloopBuilder::new()
                 .task(Box::new(Ticker), Duration::from_millis(5))

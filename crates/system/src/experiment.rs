@@ -23,7 +23,7 @@ use illixr_core::sched::{
     PlacementController, PlacementPlan, PolicyKind, Side,
 };
 use illixr_core::sim::{ExecOutcome, Resource, SimEngine, TaskId, TaskSpec};
-use illixr_core::supervisor::{Supervised, SupervisionPolicy, Supervisor};
+use illixr_core::supervisor::{Supervised, Supervisor};
 use illixr_core::telemetry::{ComponentStats, RecordLogger};
 use illixr_core::Time;
 use illixr_image::{flip, ssim, RgbImage};
@@ -84,11 +84,11 @@ pub struct ExperimentConfig {
     /// crash injector ([`FaultPlan::quiet`] by default — a guaranteed
     /// no-op that keeps default runs bit-identical to fault-free ones).
     pub fault_plan: Arc<FaultPlan>,
-    /// Crash-containment policy. `None` (the default) still contains a
+    /// Crash supervision. `false` (the default) still contains a
     /// plugin panic, but the plugin stays dead for the rest of the run;
-    /// `Some(policy)` restarts it after a simulated-time backoff, up to
-    /// the policy's restart budget.
-    pub supervision: Option<SupervisionPolicy>,
+    /// `true` restarts it after a simulated-time backoff, up to
+    /// [`MAX_RESTARTS`](illixr_core::supervisor::MAX_RESTARTS) times.
+    pub supervised: bool,
     /// When true, every physical input crossing the determinism
     /// boundary (camera poses, IMU samples, link deliveries, scheduled
     /// crashes) is recorded into
@@ -129,7 +129,7 @@ impl ExperimentConfig {
             chain_deadline: Duration::from_millis(25),
             cpu_cores_override: None,
             fault_plan: Arc::new(FaultPlan::quiet()),
-            supervision: None,
+            supervised: false,
             record_boundary: false,
             replay: None,
             placement: PlacementPlan::all_local(),
@@ -189,8 +189,8 @@ impl ExperimentConfig {
 
     /// Supervises plugin crashes: contained panics are answered with
     /// backoff restarts instead of leaving the plugin dead.
-    pub fn with_supervision(mut self, policy: SupervisionPolicy) -> Self {
-        self.supervision = Some(policy);
+    pub fn with_supervision(mut self) -> Self {
+        self.supervised = true;
         self
     }
 
@@ -322,9 +322,9 @@ pub struct ExperimentResult {
     /// Jobs the policy refused at release (shed by the governor).
     pub shed_jobs: u64,
     /// The run's supervisor: per-plugin health, panic counts and
-    /// panic→recovery latencies (disabled unless
-    /// [`ExperimentConfig::supervision`] is set, in which case crashed
-    /// plugins stay dead but are still counted).
+    /// panic→recovery latencies. Panics are contained and counted in
+    /// every run; without [`ExperimentConfig::supervised`] a crashed
+    /// plugin stays dead, with it the plugin restarts after a backoff.
     pub supervisor: Arc<Supervisor>,
     /// Determinism-boundary recording (present when
     /// [`ExperimentConfig::record_boundary`] was set).
@@ -680,8 +680,8 @@ impl IntegratedExperiment {
             .with_obs(tracer.clone(), metrics.clone())
             .with_telemetry(telemetry.clone())
             .with_fault_plan(config.fault_plan.clone());
-        if let Some(policy) = config.supervision {
-            builder = builder.with_supervision(policy);
+        if config.supervised {
+            builder = builder.with_supervision();
         }
         // A replayed run must reproduce the recording, so its sensor
         // seed — and, when re-recording for the identity check, its

@@ -7,7 +7,6 @@ use std::time::Duration;
 
 use illixr_core::clock::WallClock;
 use illixr_core::plugin::{PluginContext, RuntimeBuilder};
-use illixr_core::supervisor::SupervisionPolicy;
 use illixr_core::threadloop::{RuntimeHandles, ThreadloopBuilder};
 use illixr_render::apps::Application;
 
@@ -35,9 +34,7 @@ impl LiveTestbed {
     /// proportionally — handy for running on weak CI machines).
     pub fn start(app: Application, config: SystemConfig, seed: u64, rate_scale: f64) -> Self {
         assert!(rate_scale > 0.0 && rate_scale <= 1.0, "rate scale must be in (0, 1]");
-        let ctx = RuntimeBuilder::new(Arc::new(WallClock::new()))
-            .with_supervision(SupervisionPolicy::default())
-            .build();
+        let ctx = RuntimeBuilder::new(Arc::new(WallClock::new())).with_supervision().build();
         // Derating the Table III rates derates every row's period and
         // the IMU model's sample rate with it.
         let system = SystemConfig {

@@ -151,7 +151,6 @@ fn device_pipeline_digests_are_pinned() {
     use illixr_testbed::core::fault::{FaultKind, FaultPlan, FaultWindow};
     use illixr_testbed::core::link::{Direction, LinkProfile};
     use illixr_testbed::core::sched::{PlacementPlan, PolicyKind, Side};
-    use illixr_testbed::core::supervisor::SupervisionPolicy;
 
     let base = |app, platform| {
         let mut cfg = ExperimentConfig::paper(app, platform);
@@ -169,23 +168,23 @@ fn device_pipeline_digests_are_pinned() {
         (
             "paper default",
             base(Application::Platformer, Platform::Desktop),
-            0x8e21_86a4_d37b_4bf2u64,
+            0xf757_dc7c_68a2_e9eau64,
         ),
         (
             "extended + edf",
             base(Application::Sponza, Platform::JetsonHP)
                 .with_extended_components()
                 .with_policy(PolicyKind::Edf),
-            0x06a7_ca30_7d64_a50a,
+            0x4a17_3e47_a879_81e4,
         ),
         (
             "faulted + supervised + recorded, 1 core",
             base(Application::ArDemo, Platform::Desktop)
                 .with_fault_plan(FaultPlan::scheduled(42, 1.0, 1_000_000_000))
-                .with_supervision(SupervisionPolicy::default())
+                .with_supervision()
                 .with_boundary_record()
                 .with_cpu_cores(1),
-            0x08df_0472_0783_5040,
+            0xc251_603e_5ebc_b9dc,
         ),
         (
             "adaptive vio over wifi with an uplink outage",
@@ -193,7 +192,7 @@ fn device_pipeline_digests_are_pinned() {
                 .with_fault_plan(FaultPlan::new(9).with_window(outage))
                 .with_link_profile(LinkProfile::wifi())
                 .with_placement(PlacementPlan::adaptive("vio", Side::Edge)),
-            0x7809_c5e9_f2b3_20f2,
+            0xa284_cee7_29c3_db20,
         ),
     ];
     for (what, cfg, pinned) in cases {

@@ -13,7 +13,7 @@ use illixr_core::boundary::Xoshiro256pp;
 use illixr_core::fault::{FaultPlan, NS_PER_SEC};
 use illixr_core::obs::{chrome_trace_json, metrics_csv};
 use illixr_core::sched::PolicyKind;
-use illixr_core::supervisor::{PluginHealth, SupervisionPolicy};
+use illixr_core::supervisor::{backoff_budget, PluginHealth, MAX_RESTARTS};
 use illixr_platform::spec::Platform;
 use illixr_render::apps::Application;
 use illixr_system::experiment::{ExperimentConfig, ExperimentResult, IntegratedExperiment};
@@ -34,7 +34,7 @@ fn faulted(policy: PolicyKind, supervised: bool, intensity: f64) -> ExperimentRe
     let plan = FaultPlan::scheduled(SEED, intensity, cfg.duration.as_nanos() as u64);
     cfg = cfg.with_fault_plan(plan);
     if supervised {
-        cfg = cfg.with_supervision(SupervisionPolicy::default());
+        cfg = cfg.with_supervision();
     }
     IntegratedExperiment::run(&cfg)
 }
@@ -67,7 +67,6 @@ fn faulted_runs_are_bit_identical_across_same_seed_runs() {
 
 #[test]
 fn supervised_run_restarts_crashed_plugins_within_the_backoff_budget() {
-    let policy = SupervisionPolicy::default();
     let result = faulted(PolicyKind::Adaptive, true, 1.0);
     // The scheduled plan crashes both vio (35% of the run) and
     // imu_integrator (45%); each panic must be contained, counted, and
@@ -82,7 +81,7 @@ fn supervised_run_restarts_crashed_plugins_within_the_backoff_budget() {
     // Recovery latency spans panic → next *productive* iteration, so it
     // includes the backoff plus at most a few scheduling periods of the
     // restarted plugin — bounded well under a second of simulated time.
-    let bound = policy.backoff_budget() + Duration::from_millis(500);
+    let bound = backoff_budget() + Duration::from_millis(500);
     for &ns in &recoveries {
         assert!(
             Duration::from_nanos(ns) < bound,
@@ -96,7 +95,7 @@ fn supervised_run_restarts_crashed_plugins_within_the_backoff_budget() {
     for report in result.supervisor.report() {
         if report.panics > 0 {
             assert!(report.restarts >= 1, "{} crashed but was never restarted", report.name);
-            assert!(report.restarts <= policy.max_restarts);
+            assert!(report.restarts <= MAX_RESTARTS);
             assert_eq!(
                 report.health,
                 PluginHealth::Running,
@@ -152,7 +151,7 @@ fn explicit_quiet_plan_matches_the_default_run_bit_for_bit() {
     let quiet_cfg = ExperimentConfig::quick(Application::Platformer, Platform::Desktop)
         .with_trace()
         .with_fault_plan(FaultPlan::scheduled(SEED, 0.0, 2 * NS_PER_SEC))
-        .with_supervision(SupervisionPolicy::default());
+        .with_supervision();
     let quiet_run = IntegratedExperiment::run(&quiet_cfg);
     assert_eq!(chrome_trace_json(&default_run.tracer), chrome_trace_json(&quiet_run.tracer));
     assert_eq!(metrics_csv(&default_run.metrics), metrics_csv(&quiet_run.metrics));

@@ -19,7 +19,6 @@ use illixr_core::boundary::{
 use illixr_core::fault::FaultPlan;
 use illixr_core::obs::{chrome_trace_json, metrics_csv};
 use illixr_core::sched::Side;
-use illixr_core::supervisor::SupervisionPolicy;
 use illixr_platform::spec::Platform;
 use illixr_render::apps::Application;
 use illixr_sensors::types::ImuSample;
@@ -81,7 +80,7 @@ fn recorded_run_replays_bit_identically_with_different_config_seed() {
 fn faulted_supervised_recording_replays_under_a_quiet_plan() {
     let mut cfg = fig4_config()
         .with_fault_plan(FaultPlan::scheduled(42, 1.0, Duration::from_secs(2).as_nanos() as u64))
-        .with_supervision(SupervisionPolicy::default());
+        .with_supervision();
     cfg.chain_deadline = Duration::from_millis(15);
     let recorded = IntegratedExperiment::run(&cfg);
     let trace = recorded.boundary_trace.clone().expect("recording enabled");
@@ -91,9 +90,8 @@ fn faulted_supervised_recording_replays_under_a_quiet_plan() {
     );
 
     // Quiet plan, different seed: everything must come from the trace.
-    let mut replay_cfg = fig4_config()
-        .with_supervision(SupervisionPolicy::default())
-        .with_trace_source(TraceSource::new(Arc::new(trace)));
+    let mut replay_cfg =
+        fig4_config().with_supervision().with_trace_source(TraceSource::new(Arc::new(trace)));
     replay_cfg.chain_deadline = Duration::from_millis(15);
     replay_cfg.seed ^= 0xDEAD;
     let replayed = IntegratedExperiment::run(&replay_cfg);
@@ -327,7 +325,7 @@ fn check_identity_at(seed: u64, intensity: f64) {
         let mut cfg = ExperimentConfig::quick(Application::Platformer, Platform::Desktop)
             .with_trace()
             .with_boundary_record()
-            .with_supervision(SupervisionPolicy::default());
+            .with_supervision();
         cfg.duration = Duration::from_secs(1);
         cfg.seed = seed;
         cfg
