@@ -1,17 +1,19 @@
 //! `Arc`-slab frame pooling: zero-copy payloads that recycle their
 //! backing storage.
 //!
-//! The multi-session server ships one [`VioJob`]-sized payload per
-//! camera frame per session — at 1,000 sessions that is ~15k IMU-window
-//! allocations per simulated second if every frame allocates a fresh
-//! `Vec`. A [`SlabPool`] breaks the cycle: [`SlabPool::take`] hands out
-//! a [`SlabFrame`] backed by a recycled allocation when one is free,
-//! the frame is filled while still unique, then shared by cheap `Arc`
-//! clone (zero-copy — uplink, scheduler batch and VIO worker all see
-//! the same bytes), and when the *last* clone drops the storage is
-//! [`Recycle`]d (capacity kept, contents cleared) back into the pool.
+//! Nothing in the runtime ships through the pool: the multi-session
+//! server's IMU windows are exact-size `Arc<[ImuSample]>` payloads of
+//! their [`VioJob`]s, because a pool keeps every session's largest
+//! window alive until the run ends. The benchmark harness still times
+//! the pool's take-and-return round trip.
 //!
-//! Lifetime rules (DESIGN.md §11):
+//! [`SlabPool::take`] hands out a [`SlabFrame`] backed by a recycled
+//! allocation when one is free; the frame is filled while still unique,
+//! then shared by cheap `Arc` clone (zero-copy), and when the *last*
+//! clone drops the storage is [`Recycle`]d (capacity kept, contents
+//! cleared) back into the pool.
+//!
+//! Lifetime rules:
 //!
 //! 1. a frame is filled through [`SlabFrame::make_mut`] only while
 //!    unique (before the first clone);

@@ -413,8 +413,8 @@ impl BatchPlan {
     }
 
     /// Empties the plan. Called as a batch ends, not as the next begins:
-    /// the items hold jobs' frames and slab windows, which recycle when
-    /// dropped.
+    /// the items hold jobs' frames and IMU windows, which a job's last
+    /// clone frees.
     fn clear(&mut self) {
         for shard in self.ready.drain(..) {
             self.shards[shard].clear();
@@ -867,13 +867,11 @@ impl Engine {
             }
             None => Vec::new(),
         };
-        let mut by_id: Vec<Option<Lane>> = (0..cfg.sessions.len()).map(|_| None).collect();
-        for lane in shards.into_iter().flatten() {
-            let id = lane.session.id as usize;
-            by_id[id] = Some(lane);
-        }
-        let mut lanes: Vec<Lane> =
-            by_id.into_iter().map(|l| l.expect("every session has a lane")).collect();
+        // Session ids are unique, so an unstable sort gives the one id
+        // order and, unlike a stable one, allocates no scratch lanes.
+        let mut lanes: Vec<Lane> = shards.into_iter().flatten().collect();
+        lanes.sort_unstable_by_key(|lane| lane.session.id);
+        assert_eq!(lanes.len(), cfg.sessions.len(), "every session has a lane");
         // The horizon observes every lane: its agenda runs out first,
         // then sessions still attached flush.
         for lane in &mut lanes {
@@ -882,14 +880,16 @@ impl Engine {
                 lane.session.disconnect();
             }
         }
+        // Telemetry moves into the report: nothing reads it off the lane
+        // afterwards, and the MTP samples are the run's largest vectors.
         let session_reports: Vec<SessionReport> = lanes
-            .iter()
+            .iter_mut()
             .map(|l| SessionReport {
                 id: l.session.id,
                 state: l.session.state,
-                telemetry: l.session.telemetry.clone(),
                 pose_error: l.session.pose_error(),
                 stream_stats: l.session.stream_stats(),
+                telemetry: std::mem::take(&mut l.session.telemetry),
             })
             .collect();
         if metrics.is_enabled() {
@@ -1296,7 +1296,7 @@ impl Engine {
         for (index, job) in jobs.iter().enumerate() {
             let (shard, lane) = self.lane_of[job.session as usize];
             // Jobs are zero-copy: the clone shares the frame's view and
-            // the slab-pooled IMU window.
+            // the frozen IMU window.
             self.plan.push(shard, WorkItem { index, lane, at, op: Op::Vio(job.clone()) });
         }
         let mut emissions = Vec::new();

@@ -20,7 +20,7 @@ use illixr_core::boundary::Boundary;
 use illixr_core::fault::FaultPlan;
 use illixr_core::plugin::{Plugin, PluginContext, RuntimeBuilder};
 use illixr_core::switchboard::{AsyncReader, SyncReader, Writer};
-use illixr_core::{Clock, SlabFrame, SlabPool, Time, TopicStats};
+use illixr_core::{Clock, Time, TopicStats};
 use illixr_qoe::mtp::MtpCalculator;
 use illixr_sensors::camera::{PinholeCamera, StereoRig};
 use illixr_sensors::imu::ImuNoise;
@@ -110,11 +110,11 @@ impl SessionState {
 /// pixels: a server running real VIO renders it when the filter reads it
 /// (`CameraFrame::stereo`), and ideal VIO, which reads only
 /// `frame.timestamp`, never does. Zero-copy by construction: clones of
-/// the frame share its view and any rendered pair, and the IMU window
-/// lives in a pooled [`SlabFrame`], so cloning a job — uplink queue,
-/// scheduler batch, VIO worker — never copies payload bytes, and
-/// dropping the last clone recycles the window's allocation into the
-/// owning session's slab pool.
+/// the frame share its view and any rendered pair, and the IMU window is
+/// an exact-size `Arc<[ImuSample]>` frozen at the camera tick, so
+/// cloning a job — uplink queue, scheduler batch, VIO worker — never
+/// copies payload bytes, and the window is freed with the job's last
+/// clone.
 #[derive(Debug, Clone)]
 pub struct VioJob {
     /// Originating session.
@@ -122,7 +122,7 @@ pub struct VioJob {
     /// The frame to process.
     pub frame: CameraFrame,
     /// IMU samples since the previous frame, through the frame time.
-    pub imu: SlabFrame<Vec<ImuSample>>,
+    pub imu: Arc<[ImuSample]>,
 }
 
 /// A request for one cloud-rendered frame, stamped with the freshest
@@ -234,11 +234,9 @@ pub struct ClientSession {
     slow_pose_writer: Option<Writer<PoseEstimate>>,
     fast_pose: Option<AsyncReader<PoseEstimate>>,
     mtp: MtpCalculator,
-    /// Slab pool recycling IMU-window allocations across frames.
-    slab: SlabPool<Vec<ImuSample>>,
-    /// IMU window accumulating between camera frames (unique until it
-    /// ships inside a [`VioJob`]).
-    imu_window: SlabFrame<Vec<ImuSample>>,
+    /// IMU window accumulating between camera frames; frozen into the
+    /// next [`VioJob`] at the camera tick.
+    imu_window: Vec<ImuSample>,
     /// Newest undisplayed token plus its arrival time at the client.
     latest_token: Option<(RenderToken, Time)>,
     displayed_seq: Option<u64>,
@@ -277,9 +275,6 @@ impl ClientSession {
         metrics: illixr_core::obs::Metrics,
     ) -> Self {
         let (trajectory, camera, imu, integrator) = Self::sensor_pipeline(config.seed, &config);
-        // Two windows cycle per session: one filling, one in flight
-        // inside a [`VioJob`]; a few spare slots absorb batching jitter.
-        let slab = SlabPool::new(4);
         Self {
             id,
             config,
@@ -295,8 +290,7 @@ impl ClientSession {
             slow_pose_writer: None,
             fast_pose: None,
             mtp: MtpCalculator::new(Duration::from_secs_f64(1.0 / config.display_hz)),
-            imu_window: slab.take(),
-            slab,
+            imu_window: Vec::new(),
             latest_token: None,
             displayed_seq: None,
             request_seq: 0,
@@ -414,7 +408,7 @@ impl ClientSession {
         self.integrator.iterate(&self.ctx);
         let reader = self.imu_reader.as_ref().expect("connect() must run first");
         for s in reader.drain_iter() {
-            self.imu_window.make_mut().push(s.data);
+            self.imu_window.push(s.data);
         }
     }
 
@@ -429,9 +423,9 @@ impl ClientSession {
         let reader = self.camera_reader.as_ref().expect("connect() must run first");
         // Newest wins if a replaying camera caught up several frames.
         let frame = reader.drain_iter().last()?.data.clone();
-        // Swap in a recycled slab frame; the filled window ships in the
-        // job as a shared, zero-copy payload.
-        let imu = std::mem::replace(&mut self.imu_window, self.slab.take());
+        // The filled window ships in the job as an exact-size, shared,
+        // zero-copy payload; the next window starts empty.
+        let imu = std::mem::take(&mut self.imu_window).into();
         self.telemetry.vio_jobs += 1;
         Some(VioJob { session: self.id, frame, imu })
     }
@@ -583,7 +577,7 @@ impl ClientSession {
             integrator_state,
             integrator_history,
             anchor_timestamp,
-            imu_window: self.imu_window.iter().copied().collect(),
+            imu_window: self.imu_window.clone(),
             // Peek (not `latest()`): a checkpoint must not emit flow
             // events or consume the reader's once-per-event marker, or
             // arming checkpoints would perturb the live trace.
@@ -649,7 +643,7 @@ impl ClientSession {
         }
         s.state = if snap.degraded { SessionState::Degraded } else { SessionState::Running };
         s.telemetry = snap.telemetry.clone();
-        s.imu_window.make_mut().extend(snap.imu_window.iter().copied());
+        s.imu_window = snap.imu_window.clone();
         s.latest_token = snap.latest_token;
         s.displayed_seq = snap.displayed_seq;
         s.request_seq = snap.request_seq;
@@ -720,6 +714,35 @@ mod tests {
         assert_eq!(job.imu.last().unwrap().timestamp, job.frame.timestamp);
         // The window does not carry over.
         assert!(s.imu_window.is_empty());
+    }
+
+    #[test]
+    fn a_shipped_window_belongs_to_its_job() {
+        let (mut s, clock) = session_at(Time::ZERO);
+        s.connect(Time::ZERO, false);
+        let imu_ticks = |s: &mut ClientSession, steps: std::ops::Range<u32>| {
+            for k in steps {
+                clock.advance_to(Time::from_secs_f64(k as f64 / 500.0));
+                s.on_imu_due();
+            }
+        };
+        imu_ticks(&mut s, 0..34);
+        s.on_camera_due().expect("first frame");
+        imu_ticks(&mut s, 34..67);
+        let job = s.on_camera_due().expect("second frame");
+        // The job owns its window outright, holding exactly the ticks
+        // since the previous frame; the session keeps no buffer behind.
+        assert_eq!(Arc::strong_count(&job.imu), 1);
+        assert_eq!(job.imu.len(), 33);
+        assert!(s.imu_window.is_empty());
+        assert_eq!(s.imu_window.capacity(), 0);
+        // A window part-filled at a checkpoint survives a restore.
+        imu_ticks(&mut s, 67..71);
+        let snap = s.snapshot();
+        assert_eq!(snap.imu_window.len(), 4);
+        let fault = Arc::new(illixr_core::fault::FaultPlan::quiet());
+        let (restored, _clock) = ClientSession::restore(1, s.config, &snap, fault);
+        assert_eq!(restored.imu_window, snap.imu_window);
     }
 
     #[test]
