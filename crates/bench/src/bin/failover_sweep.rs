@@ -74,7 +74,6 @@ impl Policy {
             Policy::Catchup => FailoverConfig {
                 policy: FailoverPolicy::CheckpointCatchup,
                 checkpoint_every: Some(Duration::from_millis(300)),
-                ..Default::default()
             },
         }
     }

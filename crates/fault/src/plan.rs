@@ -51,6 +51,9 @@ pub enum FaultKind {
     /// (target `shard/{N}`, or empty for every shard). The sessions on
     /// that shard are quarantined until failover recovers them.
     WorkerCrash,
+    /// A checkpoint restored inside the window is corrupt (target as
+    /// for `WorkerCrash`).
+    CheckpointCorrupt,
 }
 
 impl FaultKind {
@@ -68,6 +71,7 @@ impl FaultKind {
             FaultKind::LinkReorder => "link_reorder",
             FaultKind::PluginCrash => "plugin_crash",
             FaultKind::WorkerCrash => "worker_crash",
+            FaultKind::CheckpointCorrupt => "checkpoint_corrupt",
         }
     }
 
@@ -85,6 +89,7 @@ impl FaultKind {
             FaultKind::LinkReorder => 0x7138,
             FaultKind::PluginCrash => 0xC0A9,
             FaultKind::WorkerCrash => 0x3CAF,
+            FaultKind::CheckpointCorrupt => 0x3CB0,
         }
     }
 }
@@ -356,6 +361,13 @@ impl FaultPlan {
         starts.get(fired as usize).copied()
     }
 
+    /// Whether a checkpoint that `target` (an engine shard, `shard/{N}`)
+    /// restores at `now_ns` is corrupt: a
+    /// [`FaultKind::CheckpointCorrupt`] window for it is open.
+    pub fn checkpoint_corrupt(&self, target: &str, now_ns: u64) -> bool {
+        self.active_window(FaultKind::CheckpointCorrupt, target, now_ns).is_some()
+    }
+
     /// Whether any [`FaultKind::WorkerCrash`] window exists at all —
     /// the engine only arms its failover machinery when one does (or
     /// when failover was configured explicitly).
@@ -415,6 +427,7 @@ mod tests {
         assert_eq!(p.crash_count_through("vio", u64::MAX), 0);
         assert!(!p.crash_due("vio", u64::MAX, 0));
         assert_eq!(p.worker_crashes_due("shard/0", u64::MAX), 0);
+        assert!(!p.checkpoint_corrupt("shard/0", 0));
     }
 
     #[test]
@@ -517,6 +530,18 @@ mod tests {
             .with_window(FaultWindow::new(FaultKind::WorkerCrash, "", 500, 501, 1.0))
             .with_window(FaultWindow::new(FaultKind::WorkerCrash, "shard/3", 100, 101, 1.0));
         assert_eq!(reversed.next_worker_crash("shard/3", 0), Some(100));
+    }
+
+    #[test]
+    fn checkpoint_corruption_is_per_shard_and_windowed() {
+        let p = FaultPlan::new(4)
+            .with_window(FaultWindow::new(FaultKind::CheckpointCorrupt, "shard/1", 100, 200, 1.0))
+            .with_window(FaultWindow::new(FaultKind::WorkerCrash, "", 0, u64::MAX, 1.0));
+        assert!(p.checkpoint_corrupt("shard/1", 100));
+        assert!(!p.checkpoint_corrupt("shard/1", 200), "the window is half-open");
+        assert!(!p.checkpoint_corrupt("shard/0", 150), "another shard's checkpoints are sound");
+        // Corruption never counts as a crash.
+        assert_eq!(p.worker_crashes_due("shard/1", 150), 1);
     }
 
     #[test]

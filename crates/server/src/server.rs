@@ -108,11 +108,12 @@ pub struct ServerConfig {
 
 /// How the engine recovers sessions lost to a crashed fault domain
 /// (a shard killed by a `FaultKind::WorkerCrash` window).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FailoverPolicy {
     /// No recovery: a crashed shard quarantines its sessions for the
     /// rest of the run (their shadow lanes keep the rest of the engine's
     /// contention identical, but the sessions display nothing).
+    #[default]
     Disabled,
     /// Reboot the session from scratch after
     /// `FailoverConfig::RESTART_DELAY`: fresh state anchored to
@@ -140,8 +141,10 @@ impl FailoverPolicy {
 /// [`ServerBuilder::failover`]; checkpointing is the
 /// [`checkpoint_every`](Self::checkpoint_every) field. The recovery
 /// costs are constants: a ~250 ms process reboot versus a ~5 ms
-/// snapshot restore plus ~2 µs per replayed boundary event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// snapshot restore plus ~2 µs per replayed boundary event. The faults
+/// are the fault plan's: `WorkerCrash` windows kill shards, and a
+/// `CheckpointCorrupt` window makes a restore fall back to a restart.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FailoverConfig {
     /// Recovery policy for crashed fault domains.
     pub policy: FailoverPolicy,
@@ -149,10 +152,6 @@ pub struct FailoverConfig {
     /// `ServerBatch` boundary at or after each multiple of this period.
     /// `None` disables checkpointing (restart-only recovery at best).
     pub checkpoint_every: Option<Duration>,
-    /// Test-only: corrupt every stored checkpoint so recovery exercises
-    /// the typed decode-error fallback path.
-    #[doc(hidden)]
-    pub corrupt_checkpoints: bool,
 }
 
 impl FailoverConfig {
@@ -165,16 +164,6 @@ impl FailoverConfig {
     /// Restarts a session may consume before it is quarantined for
     /// good (checkpoint restores are not budgeted).
     pub const RESTART_BUDGET: u32 = 3;
-}
-
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        Self {
-            policy: FailoverPolicy::Disabled,
-            checkpoint_every: None,
-            corrupt_checkpoints: false,
-        }
-    }
 }
 
 /// One crash-and-recovery episode of a session's fault domain.
@@ -304,14 +293,13 @@ impl ServerConfig {
         if !self.failover_is_default() {
             let f = &self.failover;
             repr.push_str(&format!(
-                "|failover={},{:?},{},{},{},{},{}",
+                "|failover={},{:?},{},{},{},{}",
                 f.policy.label(),
                 f.checkpoint_every.map(|d| d.as_nanos()),
                 FailoverConfig::RESTART_DELAY.as_nanos(),
                 FailoverConfig::RESTORE_COST.as_nanos(),
                 FailoverConfig::CATCHUP_PER_EVENT.as_nanos(),
                 FailoverConfig::RESTART_BUDGET,
-                f.corrupt_checkpoints,
             ));
         }
         TraceHeader::hash_config(&repr)

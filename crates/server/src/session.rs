@@ -168,7 +168,7 @@ pub struct DisplayedFrame {
     pub pose: illixr_math::Pose,
 }
 
-/// Per-session run counters.
+/// Per-session run counters, and the per-frame log the client keeps.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionTelemetry {
     /// Total motion-to-photon latency per displayed frame, ns.
@@ -176,7 +176,8 @@ pub struct SessionTelemetry {
     /// Per-displayed-frame display time and warp pose, in display
     /// order (same length as `mtp_ns`).
     pub displayed_frames: Vec<DisplayedFrame>,
-    /// Vsyncs that displayed a fresh cloud frame.
+    /// Vsyncs that displayed a fresh cloud frame: the length of the
+    /// per-frame log.
     pub frames_displayed: u64,
     /// Vsyncs with no fresh frame to show.
     pub frames_dropped: u64,
@@ -191,6 +192,18 @@ pub struct SessionTelemetry {
 }
 
 impl SessionTelemetry {
+    /// Continues `crashed`'s per-frame log on counters restored from a
+    /// checkpoint it took. A log only grows, so its first
+    /// `frames_displayed` entries are the log as of the checkpoint; the
+    /// rest is cut, and catch-up replay re-appends it.
+    pub(crate) fn continue_log(&mut self, mut crashed: Self) {
+        let len = self.frames_displayed as usize;
+        assert!(crashed.mtp_ns.len() >= len, "log shorter than its checkpoint");
+        crashed.mtp_ns.truncate(len);
+        crashed.displayed_frames.truncate(len);
+        (self.mtp_ns, self.displayed_frames) = (crashed.mtp_ns, crashed.displayed_frames);
+    }
+
     /// Mean MTP across displayed frames.
     pub(crate) fn mean_mtp(&self) -> Duration {
         if self.mtp_ns.is_empty() {
@@ -563,9 +576,10 @@ impl ClientSession {
 
     /// Freezes the session into a deterministic
     /// [`SessionSnapshot`](crate::snapshot::SessionSnapshot):
-    /// state-machine fields, plugin internals and telemetry, everything
-    /// a `ClientSession::restore` needs to resume bit-identically.
-    /// Only meaningful for attached (Running/Degraded) sessions.
+    /// state-machine fields, plugin internals and run counters,
+    /// everything a `ClientSession::restore` needs to resume
+    /// bit-identically. The per-frame log is history, not state: it
+    /// stays out. Only meaningful for attached (Running/Degraded) sessions.
     pub fn snapshot(&self) -> crate::snapshot::SessionSnapshot {
         let (integrator_state, integrator_history, anchor_timestamp) =
             self.integrator.snapshot_parts();
@@ -587,7 +601,11 @@ impl ClientSession {
             displayed_seq: self.displayed_seq,
             request_seq: self.request_seq,
             vsync_index: self.vsync_index,
-            telemetry: self.telemetry.clone(),
+            telemetry: SessionTelemetry {
+                mtp_ns: Vec::new(),
+                displayed_frames: Vec::new(),
+                ..self.telemetry
+            },
         }
     }
 
@@ -602,8 +620,10 @@ impl ClientSession {
     /// the integrator's internals are restored before its `start` (which
     /// only subscribes, never publishes) — then re-seeds the pose topics
     /// from the snapshotted latest values and restores the plain state
-    /// fields. Observability is disabled during restore and replay so
-    /// re-applied events never double-record into live histograms.
+    /// fields, with an empty per-frame log (a catch-up continues the
+    /// crashed session's). Observability is disabled during restore and
+    /// replay so re-applied events never double-record into live
+    /// histograms.
     pub(crate) fn restore(
         id: u32,
         config: SessionConfig,
@@ -743,6 +763,44 @@ mod tests {
         let fault = Arc::new(illixr_core::fault::FaultPlan::quiet());
         let (restored, _clock) = ClientSession::restore(1, s.config, &snap, fault);
         assert_eq!(restored.imu_window, snap.imu_window);
+    }
+
+    /// A checkpoint holds state, not history: a session that displays a
+    /// frame at every vsync encodes to the same snapshot size after 1 s
+    /// as after 10 s. Both snapshots follow a camera tick (the ticks
+    /// nearest 1 s and 10 s), so the IMU window is empty at both.
+    #[test]
+    fn checkpoint_bytes_do_not_grow_with_run_time() {
+        let (mut s, clock) = session_at(Time::ZERO);
+        s.connect(Time::ZERO, false);
+        let mut vsync = 0u64;
+        let mut bytes = Vec::new();
+        for step in 0..=5016u64 {
+            let now = Time::from_secs_f64(step as f64 / 500.0);
+            while Time::from_secs_f64(vsync as f64 / 120.0) < now {
+                let at = Time::from_secs_f64(vsync as f64 / 120.0);
+                clock.advance_to(at);
+                s.on_token_delivered(RenderToken {
+                    seq: vsync,
+                    pose_timestamp: at,
+                    requested_at: at,
+                });
+                s.on_vsync(at, Duration::from_millis(1));
+                vsync += 1;
+            }
+            clock.advance_to(now);
+            s.on_imu_due();
+            if step > 0 && step % 33 == 0 {
+                s.on_camera_due().expect("live camera publishes every tick");
+                if step == 495 || step == 5016 {
+                    bytes.push(s.snapshot().encode().len());
+                }
+            }
+        }
+        assert_eq!(s.telemetry.frames_displayed, vsync, "every vsync displayed a frame");
+        assert_eq!(s.telemetry.mtp_ns.len() as u64, vsync);
+        let (one_s, ten_s) = (bytes[0], bytes[1]);
+        assert!(one_s.abs_diff(ten_s) <= 64, "snapshot grew {one_s} B -> {ten_s} B");
     }
 
     #[test]

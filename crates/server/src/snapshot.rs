@@ -4,7 +4,7 @@
 //! The `ILXC` container (`illixr_trace::checkpoint`) owns identity and
 //! framing; this module owns the payload codec for one session entry —
 //! the state-machine fields, the sensor/integrator plugin internals
-//! that cannot be re-derived cheaply, and the full telemetry. Every
+//! that cannot be re-derived cheaply, and the run counters. Every
 //! field round-trips exactly (floats travel as IEEE-754 bit patterns),
 //! so encode→decode→encode is byte-identical — the property the
 //! checkpoint fixture test pins. The reverse holds too: the decode is
@@ -20,7 +20,9 @@
 //! the IMU model is fast-forwarded by `imu_iterations` rather than
 //! serializing its RNG; switchboard topics are re-seeded from the
 //! snapshotted latest values. Restore is therefore a *reconstruction*
-//! that is provably bit-equal in every observable the engine reads.
+//! that is provably bit-equal in every observable the engine reads. The
+//! per-frame MTP log is history the client measures, not state: it stays
+//! with the session, so a snapshot's size does not grow with run time.
 
 use illixr_core::boundary::{ByteReader, ByteWriter, DecodeError};
 use illixr_core::Time;
@@ -28,7 +30,7 @@ use illixr_sensors::types::{ImuSample, PoseEstimate};
 use illixr_sensors::wire::{put_pose, put_vec3, take_pose, take_vec3};
 use illixr_vio::integrator::ImuState;
 
-use crate::session::{DisplayedFrame, RenderToken, SessionTelemetry};
+use crate::session::{RenderToken, SessionTelemetry};
 
 /// A full deterministic snapshot of one client session.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +65,8 @@ pub struct SessionSnapshot {
     pub request_seq: u64,
     /// Vsyncs seen so far (drives the degraded every-other cadence).
     pub vsync_index: u64,
-    /// Full run counters at the snapshot instant.
+    /// Run counters at the snapshot instant (the per-frame log is empty;
+    /// `frames_displayed` is the length the session's log had then).
     pub telemetry: SessionTelemetry,
 }
 
@@ -161,13 +164,7 @@ impl SessionSnapshot {
         put_opt(&mut w, &self.displayed_seq, |w, &seq| w.put_u64(seq));
         w.put_u64(self.request_seq);
         w.put_u64(self.vsync_index);
-        // Telemetry.
         let t = &self.telemetry;
-        put_list(&mut w, &t.mtp_ns, |w, &ns| w.put_u64(ns));
-        put_list(&mut w, &t.displayed_frames, |w, f| {
-            w.put_u64(f.time.as_nanos());
-            put_pose(w, &f.pose);
-        });
         w.put_u64(t.frames_displayed);
         w.put_u64(t.frames_dropped);
         w.put_u64(t.vio_jobs);
@@ -182,62 +179,47 @@ impl SessionSnapshot {
     /// re-encodes to exactly its own bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         let mut r = ByteReader::new(bytes);
-        let degraded = r.take_tag()?;
-        let imu_iterations = r.take_u64()?;
-        let camera_seq = r.take_u64()?;
-        let last_cam = take_opt(&mut r, |r| Ok((Time::from_nanos(r.take_u64()?), r.take_u64()?)))?;
-        let integrator_state = ImuState {
-            timestamp: Time::from_nanos(r.take_u64()?),
-            pose: take_pose(&mut r)?,
-            velocity: take_vec3(&mut r)?,
-            gyro_bias: take_vec3(&mut r)?,
-            accel_bias: take_vec3(&mut r)?,
-        };
-        let integrator_history = take_list(&mut r, take_sample)?;
-        let anchor_timestamp = Time::from_nanos(r.take_u64()?);
-        let imu_window = take_list(&mut r, take_sample)?;
-        let fast_pose = take_opt(&mut r, take_estimate)?;
-        let last_slow_pose = take_opt(&mut r, take_estimate)?;
-        let latest_token = take_opt(&mut r, |r| {
-            let seq = r.take_u64()?;
-            let pose_timestamp = Time::from_nanos(r.take_u64()?);
-            let requested_at = Time::from_nanos(r.take_u64()?);
-            let arrived = Time::from_nanos(r.take_u64()?);
-            Ok((RenderToken { seq, pose_timestamp, requested_at }, arrived))
-        })?;
-        let displayed_seq = take_opt(&mut r, |r| r.take_u64())?;
-        let request_seq = r.take_u64()?;
-        let vsync_index = r.take_u64()?;
-        let telemetry = SessionTelemetry {
-            mtp_ns: take_list(&mut r, |r, _| r.take_u64())?,
-            displayed_frames: take_list(&mut r, |r, _| {
-                Ok(DisplayedFrame { time: Time::from_nanos(r.take_u64()?), pose: take_pose(r)? })
+        // A struct literal evaluates its fields in the order written:
+        // here, the wire order.
+        let snap = Self {
+            degraded: r.take_tag()?,
+            imu_iterations: r.take_u64()?,
+            camera_seq: r.take_u64()?,
+            last_cam: take_opt(&mut r, |r| Ok((Time::from_nanos(r.take_u64()?), r.take_u64()?)))?,
+            integrator_state: ImuState {
+                timestamp: Time::from_nanos(r.take_u64()?),
+                pose: take_pose(&mut r)?,
+                velocity: take_vec3(&mut r)?,
+                gyro_bias: take_vec3(&mut r)?,
+                accel_bias: take_vec3(&mut r)?,
+            },
+            integrator_history: take_list(&mut r, take_sample)?,
+            anchor_timestamp: Time::from_nanos(r.take_u64()?),
+            imu_window: take_list(&mut r, take_sample)?,
+            fast_pose: take_opt(&mut r, take_estimate)?,
+            last_slow_pose: take_opt(&mut r, take_estimate)?,
+            latest_token: take_opt(&mut r, |r| {
+                let seq = r.take_u64()?;
+                let pose_timestamp = Time::from_nanos(r.take_u64()?);
+                let requested_at = Time::from_nanos(r.take_u64()?);
+                let arrived = Time::from_nanos(r.take_u64()?);
+                Ok((RenderToken { seq, pose_timestamp, requested_at }, arrived))
             })?,
-            frames_displayed: r.take_u64()?,
-            frames_dropped: r.take_u64()?,
-            vio_jobs: r.take_u64()?,
-            poses_received: r.take_u64()?,
-            tokens_received: r.take_u64()?,
-            requests_sent: r.take_u64()?,
+            displayed_seq: take_opt(&mut r, |r| r.take_u64())?,
+            request_seq: r.take_u64()?,
+            vsync_index: r.take_u64()?,
+            telemetry: SessionTelemetry {
+                frames_displayed: r.take_u64()?,
+                frames_dropped: r.take_u64()?,
+                vio_jobs: r.take_u64()?,
+                poses_received: r.take_u64()?,
+                tokens_received: r.take_u64()?,
+                requests_sent: r.take_u64()?,
+                ..SessionTelemetry::default()
+            },
         };
         r.finish()?;
-        Ok(Self {
-            degraded,
-            imu_iterations,
-            camera_seq,
-            last_cam,
-            integrator_state,
-            integrator_history,
-            anchor_timestamp,
-            imu_window,
-            fast_pose,
-            last_slow_pose,
-            latest_token,
-            displayed_seq,
-            request_seq,
-            vsync_index,
-            telemetry,
-        })
+        Ok(snap)
     }
 }
 
@@ -296,14 +278,13 @@ mod tests {
             request_seq: 90,
             vsync_index: 288,
             telemetry: SessionTelemetry {
-                mtp_ns: vec![1_000_000, 2_000_000, 3_000_000],
-                displayed_frames: vec![DisplayedFrame { time: Time::from_millis(2392), pose }],
                 frames_displayed: 280,
                 frames_dropped: 8,
                 vio_jobs: 36,
                 poses_received: 35,
                 tokens_received: 88,
                 requests_sent: 90,
+                ..SessionTelemetry::default()
             },
         }
     }
@@ -330,7 +311,7 @@ mod tests {
         assert!(snap.degraded);
         assert!(snap.last_cam.is_some() && snap.fast_pose.is_some());
         assert!(snap.latest_token.is_some() && snap.displayed_seq.is_some());
-        assert_eq!(fnv1a(snap.encode()), 0x2fa5_c601_74ac_b229);
+        assert_eq!(fnv1a(snap.encode()), 0xe84f_e9f0_97c8_4f18);
     }
 
     #[test]
@@ -355,7 +336,8 @@ mod tests {
             snap.request_seq = rng.next_u64();
             snap.vsync_index = rng.next_u64();
             snap.degraded = rng.chance(0.5);
-            snap.telemetry.mtp_ns = (0..rng.below(32)).map(|_| rng.next_u64()).collect();
+            snap.telemetry.frames_displayed = rng.next_u64();
+            snap.telemetry.requests_sent = rng.next_u64();
             let bytes = snap.encode();
             let back = SessionSnapshot::decode(&bytes).unwrap();
             assert_eq!(back, snap, "case {case}");

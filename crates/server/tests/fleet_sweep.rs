@@ -7,8 +7,8 @@
 //! 1–8 shards and one or two workers, jittered links with outages and
 //! jitter spikes (so a lane's deliveries arrive out of push order), and
 //! up to three `WorkerCrash` windows under every failover policy and
-//! checkpoint period, with corrupt checkpoints. [`case_digest`] runs it
-//! and hashes what the run produced.
+//! checkpoint period, with or without a whole-run `CheckpointCorrupt`
+//! window. [`case_digest`] runs it and hashes what the run produced.
 //!
 //! [`FleetCase::tied`] overlays a seed's fleet with an exact uplink, one
 //! uplink outage and deadline-aware placement, so that VIO jobs arrive on
@@ -62,6 +62,8 @@ struct FleetCase {
     crashes: Vec<(String, u64)>,
     /// `None`: failover left at its default.
     failover: Option<FailoverConfig>,
+    /// Whether a whole-run `CheckpointCorrupt` window covers every shard.
+    checkpoint_corrupt: bool,
     scheduler: SchedulerConfig,
 }
 
@@ -138,8 +140,8 @@ impl FleetCase {
                 FailoverPolicy::CheckpointCatchup,
             ][rng.below(3) as usize],
             checkpoint_every: rng.chance(0.75).then(|| Duration::from_millis(20 + rng.below(300))),
-            corrupt_checkpoints: rng.chance(0.2),
         });
+        let checkpoint_corrupt = armed && rng.chance(0.2);
         Self {
             seed,
             duration: Duration::from_nanos(duration_ns),
@@ -150,6 +152,7 @@ impl FleetCase {
             link_faults,
             crashes,
             failover,
+            checkpoint_corrupt,
             scheduler: SchedulerConfig::default(),
         }
     }
@@ -184,6 +187,15 @@ impl FleetCase {
                 target,
                 *start,
                 start + 1,
+                1.0,
+            ));
+        }
+        if self.checkpoint_corrupt {
+            plan = plan.with_window(FaultWindow::new(
+                FaultKind::CheckpointCorrupt,
+                "",
+                0,
+                u64::MAX,
                 1.0,
             ));
         }

@@ -57,7 +57,7 @@ const CHECKPOINT_MAGIC: [u8; 4] = *b"ILXC";
 /// Current checkpoint schema version. Bump on any layout change —
 /// decoders reject unknown versions rather than guessing (a checkpoint
 /// is a *measurement* of run state, not a document).
-pub const CHECKPOINT_SCHEMA_VERSION: u32 = 1;
+pub const CHECKPOINT_SCHEMA_VERSION: u32 = 2;
 
 /// A decoded (or about-to-be-encoded) checkpoint: identity header plus
 /// named opaque state entries.

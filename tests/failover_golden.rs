@@ -1,14 +1,14 @@
 //! Golden tests for crash-consistent session failover: a run with
 //! injected worker crashes plus checkpoint/catch-up recovery must
-//! produce the same per-session display suffix as a run that never
-//! crashed (a quarantined session keeps loading the link, the VIO pool
-//! and the renderer exactly as if it were alive — with sensor faults
-//! active or not — and catch-up replay reconstructs the session
-//! exactly);
+//! produce the same per-session telemetry as a run that never crashed
+//! (a quarantined session keeps loading the link, the VIO pool and the
+//! renderer exactly as if it were alive — with sensor faults active or
+//! not — and catch-up replay reconstructs the session exactly);
 //! an armed-but-uncrashed failover config must be bitwise inert; the
 //! whole failover pipeline must be deterministic across reruns and
-//! worker counts; and a corrupt checkpoint must surface as a typed
-//! decode error with a graceful restart fallback, never a panic.
+//! worker counts; and a corrupt checkpoint (a `CheckpointCorrupt` fault
+//! window) must surface as a typed decode error with a graceful restart
+//! fallback, never a panic.
 //!
 //! Also pins the `ILXC` checkpoint container format via the committed
 //! `tests/data/checkpoint_fixture.ilxc` (regenerate with
@@ -22,7 +22,6 @@ use illixr_core::boundary::{fnv1a, Checkpoint, DecodeError};
 use illixr_core::fault::{FaultKind, FaultPlan, FaultWindow, StochasticRates};
 use illixr_core::{Clock, SimClock, Time};
 use illixr_sched::ShardMap;
-use illixr_server::session::SessionTelemetry;
 use illixr_server::snapshot::SessionSnapshot;
 use illixr_server::{
     ClientSession, FailoverConfig, FailoverPolicy, LinkConfig, PlacementPolicy, SchedulerConfig,
@@ -35,7 +34,6 @@ fn catchup() -> FailoverConfig {
     FailoverConfig {
         policy: FailoverPolicy::CheckpointCatchup,
         checkpoint_every: Some(Duration::from_millis(300)),
-        ..FailoverConfig::default()
     }
 }
 
@@ -85,22 +83,11 @@ fn open(n: usize) -> ServerBuilder {
         })
 }
 
-/// Per-frame display log at and after `after`, formatted byte-stably.
-fn display_suffix(t: &SessionTelemetry, after: Time) -> String {
-    let mut out = String::new();
-    for (f, mtp) in t.displayed_frames.iter().zip(&t.mtp_ns) {
-        if f.time >= after {
-            out.push_str(&format!("t={} mtp={} pose={:?}\n", f.time.as_nanos(), mtp, f.pose));
-        }
-    }
-    out
-}
-
 /// Runs `plan` with and without shard 1's crash under `failover` and
 /// checks what the crash may not change: sessions outside the crashed
-/// fault domain are identical over the whole run, and under catch-up
-/// every session's display log after the recovery point — times, MTP,
-/// warp poses — is byte-identical to the uncrashed run's.
+/// fault domain are identical over the whole run, and under catch-up so
+/// are the crashed sessions — every counter and the whole per-frame
+/// display log (times, MTP, warp poses), before the crash and after.
 fn assert_crash_is_contained(plan: FaultPlan, failover: FailoverConfig) {
     let crashed = base(8).fault_plan(with_crash(plan.clone())).failover(failover).build().run();
     let clean = base(8).fault_plan(plan).failover(failover).build().run();
@@ -117,34 +104,28 @@ fn assert_crash_is_contained(plan: FaultPlan, failover: FailoverConfig) {
         assert_eq!(i.mode, mode, "{policy:?}: session {} recovered the wrong way", i.session);
         assert_eq!(i.recovered_at.is_some(), mode != "none", "{policy:?}: session {}", i.session);
     }
-    let recovered_at = incidents.iter().filter_map(|i| i.recovered_at).max();
 
     let crashed_ids: HashSet<u32> = incidents.iter().map(|i| i.session).collect();
     for (a, b) in crashed.sessions().zip(clean.sessions()) {
-        if !crashed_ids.contains(&a.id()) {
-            // A dark session must keep link/pool/render contention
-            // exactly as the live session would have: bystander
-            // sessions never notice the crash.
-            assert_eq!(
-                format!("{:?}", a.telemetry()),
-                format!("{:?}", b.telemetry()),
-                "{policy:?}: bystander session {} diverged from the uncrashed run",
-                a.id()
-            );
-        } else if policy == FailoverPolicy::CheckpointCatchup {
-            let after = recovered_at.expect("catch-up recovers");
-            assert_eq!(
-                display_suffix(a.telemetry(), after),
-                display_suffix(b.telemetry(), after),
-                "session {} post-recovery display suffix diverged from the uncrashed run",
-                a.id()
-            );
+        // A dark session must keep link/pool/render contention exactly
+        // as the live session would have: bystander sessions never
+        // notice the crash. Catch-up continues a crashed session's log
+        // from its checkpoint, so it ends as if it never crashed.
+        let was_crashed = crashed_ids.contains(&a.id());
+        if was_crashed && policy != FailoverPolicy::CheckpointCatchup {
+            continue;
         }
+        assert_eq!(
+            format!("{:?}", a.telemetry()),
+            format!("{:?}", b.telemetry()),
+            "{policy:?}: session {} (crashed: {was_crashed}) diverged from the uncrashed run",
+            a.id()
+        );
     }
 }
 
 /// Criterion (a): a crash plus catch-up recovery is invisible to
-/// bystanders and, past the recovery point, to the crashed sessions.
+/// bystanders and to the crashed sessions.
 #[test]
 fn catchup_recovery_restores_per_session_suffix_byte_identically() {
     assert_crash_is_contained(FaultPlan::new(7), catchup());
@@ -369,12 +350,9 @@ fn corrupt_checkpoint_yields_typed_error_and_restart_fallback() {
         "dropping the final byte must decode to a typed truncation error"
     );
 
-    let report = base(8)
-        .fault_plan(crash_plan())
-        .failover(catchup())
-        .tune(|c| c.failover.corrupt_checkpoints = true)
-        .build()
-        .run();
+    let corrupt = FaultWindow::new(FaultKind::CheckpointCorrupt, "shard/1", 0, u64::MAX, 1.0);
+    let report =
+        base(8).fault_plan(crash_plan().with_window(corrupt)).failover(catchup()).build().run();
     assert!(!report.failover_incidents.is_empty(), "crash must fire");
     for i in &report.failover_incidents {
         assert_eq!(
@@ -383,6 +361,34 @@ fn corrupt_checkpoint_yields_typed_error_and_restart_fallback() {
         );
         assert!(i.recovered_at.is_some(), "session {} never recovered via restart", i.session);
     }
+}
+
+/// A session whose every checkpoint is corrupt spends its restart budget
+/// on fallbacks, and the crash after that leaves it quarantined with its
+/// own telemetry as of that crash: the per-frame log moves to a restored
+/// session only once a checkpoint decoded, so here it never leaves.
+#[test]
+fn a_session_out_of_restarts_keeps_its_log() {
+    let plan = [200, 700, 1200, 1700].iter().fold(FaultPlan::new(7), |plan, &ms| {
+        let at = Duration::from_millis(ms).as_nanos() as u64;
+        plan.with_window(FaultWindow::new(FaultKind::WorkerCrash, "shard/1", at, at + 1, 1.0))
+    });
+    let corrupt = FaultWindow::new(FaultKind::CheckpointCorrupt, "", 0, u64::MAX, 1.0);
+    let report = base(8).fault_plan(plan.with_window(corrupt)).failover(catchup()).build().run();
+    let budget = FailoverConfig::RESTART_BUDGET as usize;
+    for s in report.sessions().filter(|s| s.state() == SessionState::Quarantined) {
+        let incidents: Vec<_> =
+            report.failover_incidents.iter().filter(|i| i.session == s.id()).collect();
+        assert_eq!(incidents.len(), budget + 1, "session {}: one crash past the budget", s.id());
+        let last = incidents[budget];
+        assert_eq!((last.recovered_at, last.mode), (None, "none"));
+        let t = s.telemetry();
+        assert!(t.frames_displayed > 0, "session {} displayed before its last crash", s.id());
+        assert_eq!(t.mtp_ns.len() as u64, t.frames_displayed, "session {}", s.id());
+        assert_eq!(t.displayed_frames.len() as u64, t.frames_displayed, "session {}", s.id());
+        assert!(t.displayed_frames.iter().all(|f| f.time < last.crashed_at));
+    }
+    assert!(report.count(SessionState::Quarantined) > 0, "the fourth crash must strand someone");
 }
 
 /// Restart-only recovery (no checkpoints) still brings sessions back,

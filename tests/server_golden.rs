@@ -175,15 +175,14 @@ fn engine_paths_are_pinned() {
             seed: 0,
         })
     };
-    let crash =
-        |us: u64, policy: FailoverPolicy| {
-            let ns = us * 1_000;
-            let window = FaultWindow::new(FaultKind::WorkerCrash, "shard/0", ns, ns + 1, 1.0);
-            let checkpoint_every = Some(Duration::from_millis(4));
-            exact(3_000)
-                .fault_plan(FaultPlan::new(7).with_window(window))
-                .failover(FailoverConfig { policy, checkpoint_every, ..FailoverConfig::default() })
-        };
+    let crash = |us: u64, policy: FailoverPolicy| {
+        let ns = us * 1_000;
+        let window = FaultWindow::new(FaultKind::WorkerCrash, "shard/0", ns, ns + 1, 1.0);
+        let checkpoint_every = Some(Duration::from_millis(4));
+        exact(3_000)
+            .fault_plan(FaultPlan::new(7).with_window(window))
+            .failover(FailoverConfig { policy, checkpoint_every })
+    };
     let outage = FaultWindow::new(FaultKind::LinkOutage, "uplink", 100_000_000, 200_000_000, 1.0);
     let jobs_tie = exact(2_000)
         .sessions(2)
