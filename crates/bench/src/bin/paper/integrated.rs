@@ -1,7 +1,8 @@
-//! The rows that are views of the [`Matrix`]: Figs 3–7, Table IV, the
+//! The rows that are views of the [`Matrix`](crate::Matrix): Figs 3–7, Table IV, the
 //! extended-configuration ablation and the raw telemetry dump.
 
 use std::fmt::Write as _;
+use std::io;
 
 use illixr_bench::Report;
 use illixr_platform::power::{PowerBreakdown, Rail};
@@ -11,7 +12,7 @@ use illixr_render::apps::Application;
 use illixr_system::experiment::{ExperimentResult, COMPONENTS};
 use illixr_system::TableIRequirements;
 
-use crate::Matrix;
+use crate::Context;
 
 /// The header of an app-column table.
 fn app_header(label: &str, width: usize, cell: usize) -> String {
@@ -35,7 +36,7 @@ fn rising(values: [f64; 3]) -> bool {
 
 /// Fig 3: average frame rate per component, application and platform,
 /// against the Table III targets.
-pub fn fig3(matrix: &mut Matrix, out: &mut Report) {
+pub fn fig3(cx: &mut Context, out: &mut Report) -> io::Result<()> {
     const TARGETS: [(&str, f64); 8] = [
         ("camera", 15.0),
         ("vio", 15.0),
@@ -56,7 +57,7 @@ pub fn fig3(matrix: &mut Matrix, out: &mut Report) {
         out.line(format_args!("\n=== {platform} ==="));
         out.line(app_header("component", 16, 12));
         out.rule(16 + 13 * 4);
-        let results = Application::ALL.map(|app| matrix.cell(app, platform));
+        let results = Application::ALL.map(|app| cx.matrix.cell(app, platform));
         for (name, target) in TARGETS {
             let rates = results.each_ref().map(|r| hz(r, name));
             let label = format!("{name} [{target:.0}]");
@@ -78,12 +79,13 @@ pub fn fig3(matrix: &mut Matrix, out: &mut Report) {
         ("jetson_lp_only_audio_meets_target", lp_audio_only),
         ("audio_meets_target_everywhere", !missed.iter().any(|m| m.1.starts_with("audio"))),
     ]);
+    Ok(())
 }
 
 /// Fig 4: per-frame execution times of every component, Platformer on
 /// the desktop. The same run's spans are `results/paper.trace.json`.
-pub fn fig4(matrix: &mut Matrix, out: &mut Report) {
-    let result = matrix.cell(Application::Platformer, Platform::Desktop);
+pub fn fig4(cx: &mut Context, out: &mut Report) -> io::Result<()> {
+    let result = cx.matrix.cell(Application::Platformer, Platform::Desktop);
     out.line("Fig 4: per-frame execution time (ms), Platformer on Desktop");
     out.line("(paper: VIO 5–25 ms with high variance; other components ≤ ~2 ms, all jittery)\n");
     // (component, mean, std)
@@ -117,11 +119,12 @@ pub fn fig4(matrix: &mut Matrix, out: &mut Report) {
         ),
         ("minor_components_under_2ms", stats.iter().all(|s| major.contains(&s.0) || s.1 < 2.0)),
     ]);
+    Ok(())
 }
 
 /// Fig 5: contribution of each component to total CPU time, per
 /// application and platform.
-pub fn fig5(matrix: &mut Matrix, out: &mut Report) {
+pub fn fig5(cx: &mut Context, out: &mut Report) -> io::Result<()> {
     out.line("Fig 5: share of total CPU cycles per component (%)");
     out.line("(paper: VIO and the application dominate, reprojection < 10 %, IMU-side");
     out.line(" components gain share on the constrained Jetsons)\n");
@@ -131,7 +134,7 @@ pub fn fig5(matrix: &mut Matrix, out: &mut Report) {
         out.line(format_args!("=== {platform} ==="));
         out.line(app_header("component", 16, 11));
         out.rule(16 + 12 * 4);
-        let by_app = Application::ALL.map(|app| matrix.cell(app, platform).cpu_shares());
+        let by_app = Application::ALL.map(|app| cx.matrix.cell(app, platform).cpu_shares());
         for name in COMPONENTS {
             let cells = by_app.each_ref().map(|s| format!("{:.1}%", share(s, name) * 100.0));
             out.line(format_row(name, &cells, 16, 11));
@@ -159,6 +162,7 @@ pub fn fig5(matrix: &mut Matrix, out: &mut Report) {
             by_platform(|s| share(s, "application")).all(|[desktop, hp, lp]| hp.max(lp) < desktop),
         ),
     ]);
+    Ok(())
 }
 
 fn share(shares: &[(String, f64)], name: &str) -> f64 {
@@ -167,7 +171,7 @@ fn share(shares: &[(String, f64)], name: &str) -> f64 {
 
 /// Fig 6: (a) total power and (b) power-rail breakdown per application
 /// and platform.
-pub fn fig6(matrix: &mut Matrix, out: &mut Report) {
+pub fn fig6(cx: &mut Context, out: &mut Report) -> io::Result<()> {
     out.line("Fig 6a: total power (W) — note the paper plots this on a log scale");
     out.line("(paper: desktop ~hundreds of W, Jetsons near the 10 W preset; the ideal");
     out.line(" device budget is 0.1–2 W — a 2–3 order-of-magnitude gap)\n");
@@ -175,7 +179,7 @@ pub fn fig6(matrix: &mut Matrix, out: &mut Report) {
     out.rule(12 + 12 * 4);
     let mut results = Vec::new();
     for platform in Platform::ALL {
-        let row = Application::ALL.map(|app| matrix.cell(app, platform));
+        let row = Application::ALL.map(|app| cx.matrix.cell(app, platform));
         let watts = row.each_ref().map(|r| format!("{:.1}W", r.power.total()));
         out.line(format_row(platform.label(), &watts, 12, 11));
         results.extend(row);
@@ -207,15 +211,16 @@ pub fn fig6(matrix: &mut Matrix, out: &mut Report) {
             Platform::ALL.iter().all(|&p| watts(p).windows(2).all(|w| w[0] >= w[1])),
         ),
     ]);
+    Ok(())
 }
 
 /// Fig 7: per-frame motion-to-photon latency, Platformer, all three
 /// platforms.
-pub fn fig7(matrix: &mut Matrix, out: &mut Report) {
+pub fn fig7(cx: &mut Context, out: &mut Report) -> io::Result<()> {
     out.line("Fig 7: motion-to-photon latency per frame (ms), Platformer");
     out.line("(paper: desktop ≈ 3 ms flat; Jetson-HP ≈ 6 ms; Jetson-LP ≈ 11 ms and spiky)\n");
     let rows = Platform::ALL.map(|platform| {
-        let r = matrix.cell(Application::Platformer, platform);
+        let r = cx.matrix.cell(Application::Platformer, platform);
         let series: Vec<f64> = r.mtp.iter().map(|s| s.total().as_secs_f64() * 1e3).collect();
         let n = series.len();
         let stats = MeanStd::of(&series).expect("mtp samples");
@@ -230,11 +235,12 @@ pub fn fig7(matrix: &mut Matrix, out: &mut Report) {
         // The Jetson-LP compositor itself falls to about half rate.
         ("jetson_lp_displays_fewer_frames", (lp_n as f64) < 0.75 * desktop_n as f64),
     ]);
+    Ok(())
 }
 
 /// Table IV: motion-to-photon latency (mean ± std, ms) for every
 /// application and platform.
-pub fn table4(matrix: &mut Matrix, out: &mut Report) {
+pub fn table4(cx: &mut Context, out: &mut Report) -> io::Result<()> {
     out.line("Table IV: motion-to-photon latency in ms (mean±std), without t_display");
     out.line("(paper: Desktop 3.1±1.1 … 3.0±0.9; Jetson-HP 13.5±10.7 … 5.6±1.4;");
     out.line(" Jetson-LP 19.3±14.5 … 12.0±3.4; targets: VR < 20 ms, AR < 5 ms)\n");
@@ -242,7 +248,7 @@ pub fn table4(matrix: &mut Matrix, out: &mut Report) {
     out.rule(12 + 13 * 4);
     // Mean MTP per application, heaviest first: Sponza … AR Demo.
     let [desktop, hp, lp] = Platform::ALL.map(|platform| {
-        let mtp = Application::ALL.map(|app| matrix.cell(app, platform).mtp_ms());
+        let mtp = Application::ALL.map(|app| cx.matrix.cell(app, platform).mtp_ms());
         let cells = mtp.map(|m| m.map_or("-".into(), |m| format!("{m:.1}")));
         out.line(format_row(platform.label(), &cells, 12, 12));
         mtp.map(|m| m.map_or(f64::NAN, |m| m.mean))
@@ -257,13 +263,14 @@ pub fn table4(matrix: &mut Matrix, out: &mut Report) {
         ),
         ("sponza_mtp_not_below_ar_demo", [desktop, hp, lp].iter().all(|m| m[0] >= m[3])),
     ]);
+    Ok(())
 }
 
 /// Extended-configuration ablation (§V-A): the base system against the
 /// one that also integrates eye tracking and scene reconstruction. The
 /// paper warns that future systems "will integrate more components,
 /// further stressing the entire system."
-pub fn ablation_extended(matrix: &mut Matrix, out: &mut Report) {
+pub fn ablation_extended(cx: &mut Context, out: &mut Report) -> io::Result<()> {
     out.line("Extended-configuration ablation: + eye tracking + scene reconstruction");
     out.line("(Platformer; base = the paper's integrated configuration §III-B)\n");
     out.line(format_args!(
@@ -274,8 +281,8 @@ pub fn ablation_extended(matrix: &mut Matrix, out: &mut Report) {
     let mut lowers_app = true;
     let mut warp_holds = true;
     for platform in [Platform::Desktop, Platform::JetsonHP] {
-        let base = matrix.cell(Application::Platformer, platform);
-        let extended = matrix.extended(platform);
+        let base = cx.matrix.cell(Application::Platformer, platform);
+        let extended = cx.matrix.extended(platform);
         for (config, r) in [("base", &base), ("extended", &extended)] {
             out.line(format_args!(
                 "{:<11} {config:<9} {:>9.1} {:>9.1} {:>9.1} {:>10} {:>8.0}%",
@@ -294,18 +301,19 @@ pub fn ablation_extended(matrix: &mut Matrix, out: &mut Report) {
     out.line("embedded platforms the whole visual pipeline) further from its targets —");
     out.line("the paper's motivation for system-level accelerator sharing (§V-B).");
     out.claim(&[("extended_lowers_app_rate", lowers_app), ("compositor_holds_rate", warp_holds)]);
+    Ok(())
 }
 
 /// Raw per-frame telemetry CSVs for every app × platform — the
 /// artifact's `metrics-${hardware}-${app}` workflow — each with a
 /// `streams-<platform>-<app>.csv` of per-stream switchboard counters:
 /// publishes, back-pressure drops, subscriptions.
-pub fn metrics_dump(matrix: &mut Matrix, out: &mut Report) {
+pub fn metrics_dump(cx: &mut Context, out: &mut Report) -> io::Result<()> {
     let dir = std::path::Path::new("results/metrics");
     std::fs::create_dir_all(dir).expect("create results/metrics");
     for platform in Platform::ALL {
         for app in Application::ALL {
-            let r = matrix.cell(app, platform);
+            let r = cx.matrix.cell(app, platform);
             let name = format!(
                 "metrics-{}-{}.csv",
                 platform.label().to_lowercase().replace('-', ""),
@@ -330,4 +338,5 @@ pub fn metrics_dump(matrix: &mut Matrix, out: &mut Report) {
         }
     }
     out.line("\nEach CSV row: component,release_ns,start_ns,end_ns,cpu_ns,work_factor,missed");
+    Ok(())
 }

@@ -1,39 +1,55 @@
-//! Regenerates every figure and table of the paper's evaluation (§IV).
+//! Regenerates every figure and table of the paper's evaluation (§IV)
+//! and runs the extension sweeps: one runner, one row table.
 //!
-//! A figure is a row of [`FIGURES`]. The integrated ones are views of
-//! one [`Matrix`] of app × platform runs, as the paper's artifact
-//! derives Figs 3–7 and Table IV from one `metrics-${hardware}-${app}`
-//! log per pair: a full regeneration makes 14 integrated runs.
+//! A row of [`FIGURES`] is a figure, a table, an ablation or a sweep.
+//! The integrated figures are views of one [`Matrix`] of app × platform
+//! runs, as the paper's artifact derives Figs 3–7 and Table IV from one
+//! `metrics-${hardware}-${app}` log per pair: a full regeneration makes
+//! 14 matrix runs. The seven sweeps after them (`failover_sweep` …
+//! `trace_replay`) run their own configurations, each under its own
+//! duration rule.
 //!
 //! Usage: `cargo run --release -p illixr-bench --bin paper`, with
-//! `--only fig3,table4` to select rows and `--quick` for 3 simulated
-//! seconds a run (CI) in place of `ILLIXR_SECONDS`. Each row writes
-//! `results/<row>.txt`, ending in its claim line if it makes claims;
-//! `results/paper.txt` collects one `row claim=bool …` line per row.
-//! `table6`, `table7` and `ablation_vio` time real kernels on the host
-//! clock and are not byte-stable; every other row is.
+//! `--only fig3,table4` to select rows and `--quick` for CI-sized runs
+//! (3 simulated seconds a matrix run in place of `ILLIXR_SECONDS`; each
+//! sweep states its own cap). `--trace <path>` and `--write-fixture
+//! <path>` are `scaling_sessions`' and `trace_replay`'s. Each row
+//! writes `results/<row>.txt`, ending in its claim line if it makes
+//! claims; `results/paper.txt` collects one `row claim=bool …` line per
+//! row. `table6`, `table7` and `ablation_vio` time real kernels on the
+//! host clock and are not byte-stable; every other row is.
 
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Duration;
 
 use illixr_bench::cli::BenchArgs;
 use illixr_bench::{sim_duration, write_obs_artifacts, Report};
+use illixr_core::boundary::Trace;
 use illixr_platform::spec::Platform;
 use illixr_render::apps::Application;
 use illixr_system::experiment::{ExperimentConfig, ExperimentResult, IntegratedExperiment};
 
+mod failover_sweep;
+mod fault_sweep;
 mod integrated;
+mod placement_sweep;
+mod scaling_sessions;
+mod sched_compare;
+mod session_matrix;
 mod standalone;
+mod trace_replay;
 
-/// One figure or table: its `--only` name, which is also its
-/// `results/<name>.txt`, and the function that prints it.
+/// One row: its `--only` name, which is also its `results/<name>.txt`,
+/// and the function that prints it into the [`Report`] the runner
+/// writes.
 struct Figure {
     name: &'static str,
-    print: fn(&mut Matrix, &mut Report),
+    print: fn(&mut Context, &mut Report) -> std::io::Result<()>,
 }
 
-const FIGURES: [Figure; 16] = [
+const FIGURES: [Figure; 23] = [
     Figure { name: "fig3", print: integrated::fig3 },
     Figure { name: "fig4", print: integrated::fig4 },
     Figure { name: "fig5", print: integrated::fig5 },
@@ -50,7 +66,26 @@ const FIGURES: [Figure; 16] = [
     Figure { name: "ablation_offload", print: standalone::ablation_offload },
     Figure { name: "ablation_timewarp", print: standalone::ablation_timewarp },
     Figure { name: "metrics_dump", print: integrated::metrics_dump },
+    Figure { name: "failover_sweep", print: failover_sweep::row },
+    Figure { name: "fault_sweep", print: fault_sweep::row },
+    Figure { name: "placement_sweep", print: placement_sweep::row },
+    Figure { name: "scaling_sessions", print: scaling_sessions::row },
+    Figure { name: "sched_compare", print: sched_compare::row },
+    Figure { name: "session_matrix", print: session_matrix::row },
+    Figure { name: "trace_replay", print: trace_replay::row },
 ];
+
+/// What the runner hands every row: the flags and the matrix.
+struct Context {
+    /// `--quick`: CI-sized runs; each row states its own cap.
+    quick: bool,
+    /// `--trace`, decoded: `scaling_sessions` replays it into its
+    /// Wi-Fi sessions instead of running live generators.
+    trace: Option<Arc<Trace>>,
+    /// `--write-fixture`: where `trace_replay` saves its recorded trace.
+    write_fixture: Option<String>,
+    matrix: Matrix,
+}
 
 /// The integrated runs every figure is a view of: a cell runs the first
 /// time a row asks for it and is kept for the rows after.
@@ -121,27 +156,31 @@ fn select(only: Option<&str>) -> Result<Vec<&'static Figure>, String> {
 
 fn main() -> std::io::Result<()> {
     let args = BenchArgs::parse();
-    let rows = select(args.value("--only")).unwrap_or_else(|message| {
+    let rows = select(args.only.as_deref()).unwrap_or_else(|message| {
         eprintln!("{message}");
         std::process::exit(2);
     });
-    let mut matrix =
-        Matrix::new(if args.quick() { Duration::from_secs(3) } else { sim_duration() });
+    let mut cx = Context {
+        quick: args.quick,
+        trace: args.load_trace(),
+        matrix: Matrix::new(if args.quick { Duration::from_secs(3) } else { sim_duration() }),
+        write_fixture: args.write_fixture,
+    };
     let mut summary = Report::new("paper");
     for row in &rows {
         let mut report = Report::new(row.name);
-        (row.print)(&mut matrix, &mut report);
+        (row.print)(&mut cx, &mut report)?;
         for claim in report.claims().iter().filter(|c| c.ends_with("=false")) {
             eprintln!("WARNING: {}: {claim}", row.name);
         }
         summary.note([&[row.name.to_owned()], report.claims()].concat().join(" "));
         report.write()?;
     }
-    if let Some(traced) = matrix.cells.get(&Matrix::TRACED) {
+    if let Some(traced) = cx.matrix.cells.get(&Matrix::TRACED) {
         write_obs_artifacts("paper", &traced.tracer, &traced.metrics)?;
     }
     summary.write()?;
-    println!("wrote {} rows from {} integrated runs", rows.len(), matrix.cells.len());
+    println!("wrote {} rows from {} matrix runs", rows.len(), cx.matrix.cells.len());
     Ok(())
 }
 
@@ -165,9 +204,11 @@ mod tests {
         assert_eq!(names(None).unwrap().len(), FIGURES.len());
         assert_eq!(names(Some("fig3")).unwrap(), ["fig3"]);
         assert_eq!(names(Some("table4,fig3")).unwrap(), ["fig3", "table4"]);
+        let sweeps = names(Some("trace_replay,fault_sweep")).unwrap();
+        assert_eq!(sweeps, ["fault_sweep", "trace_replay"]);
         for bad in ["fig9", "", "fig3,", "fig3, table4", "FIG3", "fig3,table4,fig3"] {
             let message = names(Some(bad)).unwrap_err();
-            assert!(message.contains("rows are fig3,fig4,") && message.ends_with("metrics_dump"));
+            assert!(message.contains("rows are fig3,fig4,") && message.ends_with("trace_replay"));
         }
         assert!(names(Some("fig3,fig3")).unwrap_err().contains("repeated row 'fig3'"));
         assert!(names(Some("fig9")).unwrap_err().contains("unknown row 'fig9'"));

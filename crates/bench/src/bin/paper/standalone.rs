@@ -2,6 +2,7 @@
 //! the parameters (Table III), image quality (Table V), the host-timed
 //! standalone components (Tables VI–VII) and three component ablations.
 
+use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,12 +39,12 @@ use illixr_visual::hologram::{compute_hologram, HologramConfig};
 use illixr_visual::plugins::TimewarpPlugin;
 use illixr_visual::reprojection::{reproject, ReprojectionConfig};
 
-use crate::Matrix;
+use crate::Context;
 
 /// Fig 8: IPC and top-down cycle breakdown (retiring / bad speculation /
 /// frontend bound / backend bound) per component, from the analytical
 /// microarchitecture model over the hand-derived op-mix profiles.
-pub fn fig8(_: &mut Matrix, out: &mut Report) {
+pub fn fig8(_: &mut Context, out: &mut Report) -> io::Result<()> {
     out.line("Fig 8: cycle breakdown and IPC per component (analytical model)");
     out.line("(paper: IPC spans 0.3 (reprojection, frontend-bound driver code) to 3.5");
     out.line(" (audio playback, 86 % retiring); top-down identity retiring = IPC/4)\n");
@@ -83,10 +84,11 @@ pub fn fig8(_: &mut Matrix, out: &mut Report) {
             rows.iter().all(|r| (r.1.retiring - r.1.ipc / 4.0).abs() < 1e-9),
         ),
     ]);
+    Ok(())
 }
 
 /// Table III: the tuned system-level parameters.
-pub fn table3(_: &mut Matrix, out: &mut Report) {
+pub fn table3(_: &mut Context, out: &mut Report) -> io::Result<()> {
     let c = SystemConfig::default();
     out.line("Table III: key ILLIXR parameters after system-level tuning");
     out.rule(66);
@@ -113,12 +115,13 @@ pub fn table3(_: &mut Matrix, out: &mut Report) {
         (c.camera_hz, c.imu_hz, c.display_hz, c.audio_hz, c.audio_block, c.fov_deg)
             == (15.0, 500.0, 120.0, 48.0, 1024, 90.0),
     )]);
+    Ok(())
 }
 
 /// Table V: SSIM and 1−FLIP for Sponza on every platform — the actual
 /// system (VIO poses with platform-induced drops and staleness) against
 /// the idealized one (ground-truth poses).
-pub fn table5(_: &mut Matrix, out: &mut Report) {
+pub fn table5(_: &mut Context, out: &mut Report) -> io::Result<()> {
     out.line("Table V: image quality (mean±std) for Sponza, actual vs idealized");
     out.line("(paper: SSIM 0.83→0.68 and 1−FLIP 0.86→0.65 from Desktop to Jetson-LP)\n");
     out.line(format_row("", &Platform::ALL.map(|p| p.label().to_owned()), 10, 12));
@@ -140,6 +143,7 @@ pub fn table5(_: &mut Matrix, out: &mut Report) {
         ),
         ("jetson_lp_vio_drops_most_frames", lp.vio_drop_rate > 0.25 && hp.vio_drop_rate < 0.05),
     ]);
+    Ok(())
 }
 
 /// One Table VI/VII block: the measured share of each named task (from
@@ -169,7 +173,7 @@ fn filter_at_start(config: VioConfig, ds: &SyntheticDataset) -> Msckf {
 
 /// Table VI: task-level time breakdown of VIO and scene reconstruction,
 /// from the instrumented standalone components. Host-timed.
-pub fn table6(_: &mut Matrix, out: &mut Report) {
+pub fn table6(_: &mut Context, out: &mut Report) -> io::Result<()> {
     const NAME_WIDTH: usize = 26;
     out.line("Table VI: task breakdown of VIO and scene reconstruction");
 
@@ -233,11 +237,12 @@ pub fn table6(_: &mut Matrix, out: &mut Report) {
          division and a table lookup, swept a row at a time) stays relatively more \
          expensive on a CPU than ElasticFusion's CUDA kernel (see EXPERIMENTS.md)",
     );
+    Ok(())
 }
 
 /// Table VII: task breakdowns of reprojection, hologram, audio encoding
 /// and playback, from the instrumented standalone components. Host-timed.
-pub fn table7(_: &mut Matrix, out: &mut Report) {
+pub fn table7(_: &mut Context, out: &mut Report) -> io::Result<()> {
     const NAME_WIDTH: usize = 28;
     out.line("Table VII: task breakdown of visual and audio pipeline components");
 
@@ -327,12 +332,13 @@ pub fn table7(_: &mut Matrix, out: &mut Report) {
         ],
         &play.task_metrics(),
     );
+    Ok(())
 }
 
 /// §V-E ablation: the VIO accuracy / performance trade-off between the
 /// fast and accurate [`VioConfig`] presets. The ATE column is
 /// deterministic; the per-frame cost is host wall time.
-pub fn ablation_vio(_: &mut Matrix, out: &mut Report) {
+pub fn ablation_vio(_: &mut Context, out: &mut Report) -> io::Result<()> {
     out.line("§V-E ablation: VIO accuracy vs per-frame cost");
     out.line("(paper: ATE 8.1 cm → 4.9 cm at 1.5× the per-frame execution time;");
     out.line(" end-to-end, the cheap setting was sufficient)");
@@ -400,6 +406,7 @@ pub fn ablation_vio(_: &mut Matrix, out: &mut Report) {
     out.line("(paper: 1.5x cost for 1.65x lower error — and the system-level insight");
     out.line(" that the cheap setting tracked well enough end-to-end holds here too)");
     out.claim(&[("rich_config_lowers_ate", rich_ate < cheap_ate)]);
+    Ok(())
 }
 
 /// Mean slow-pose age (ms) and fast-pose error (cm) with VIO local
@@ -462,7 +469,7 @@ fn offload_run(link: Option<OffloadLink>) -> (f64, f64) {
 /// Offloading ablation (paper footnote 2 / §V-F): VIO local vs behind
 /// modeled network links, and what the added latency does to pose
 /// freshness and tracking error.
-pub fn ablation_offload(_: &mut Matrix, out: &mut Report) {
+pub fn ablation_offload(_: &mut Context, out: &mut Report) -> io::Result<()> {
     out.line("Offloading ablation: VIO local vs on an edge server (§V-F)");
     out.line("(the perception pipeline is unchanged — only the VIO plugin moves");
     out.line(" behind a network link; the IMU integrator keeps compensating)\n");
@@ -498,13 +505,14 @@ pub fn ablation_offload(_: &mut Matrix, out: &mut Report) {
         ("pose_age_grows_with_rtt", grows(rows.map(|r| r.1 .0))),
         ("fast_pose_error_grows_with_rtt", grows(rows.map(|r| r.1 .1))),
     ]);
+    Ok(())
 }
 
 /// Timewarp ablation: what the translational term (§II-A footnote) buys
 /// over rotational-only reprojection. A frame rendered at a stale pose is
 /// warped to the fresh pose with both variants, and each is compared
 /// against the image a zero-latency system would have shown.
-pub fn ablation_timewarp(_: &mut Matrix, out: &mut Report) {
+pub fn ablation_timewarp(_: &mut Context, out: &mut Report) -> io::Result<()> {
     out.line("Timewarp ablation: rotational vs rotational+translational reprojection");
     out.line("(frames rendered one display period stale, warped to the fresh pose,");
     out.line(" compared against a zero-latency render; Materials scene, walking motion)\n");
@@ -568,4 +576,5 @@ pub fn ablation_timewarp(_: &mut Matrix, out: &mut Report) {
             ssim_gain[1..].iter().chain(&flip_gain[1..]).all(|g| *g > 0.0),
         ),
     ]);
+    Ok(())
 }

@@ -1,85 +1,69 @@
-//! Shared command-line parsing for `paper` and the sweeps.
+//! The command line of `paper`, the one bench runner.
 //!
-//! One small flag vocabulary — `--quick` (CI-sized runs), `--only <rows>`
-//! (`paper`'s row selector), `--trace <path>` (drive server sessions
-//! from a recorded boundary trace), `--seed <n>`, `--sessions <n>`,
-//! `--shards <n>`, `--write-fixture <path>` — parsed here once so the
-//! binaries agree on spelling and error messages. A binary reads the
-//! flags it documents and ignores the rest.
+//! Four flags: `--quick` (CI-sized runs), `--only <rows>` (the rows to
+//! run), `--trace <path>` (drive `scaling_sessions`' Wi-Fi sessions
+//! from a recorded boundary trace) and `--write-fixture <path>` (save
+//! `trace_replay`'s recorded trace). Any other argument is an error
+//! that lists them, so a misspelt `--quick` cannot start a full-length
+//! regeneration.
 
 use std::sync::Arc;
 
 use illixr_core::boundary::Trace;
 
-/// Parsed bench-harness arguments. Construct with [`BenchArgs::parse`]
+/// The valid flags, for error messages.
+const FLAGS: &str = "flags are --quick, --only <rows>, --trace <path>, --write-fixture <path>";
+
+/// Parsed bench-runner arguments. Construct with [`BenchArgs::parse`]
 /// (reads the process arguments) or `BenchArgs::from_vec` (tests).
+#[derive(Debug, Default, PartialEq)]
 pub struct BenchArgs {
-    args: Vec<String>,
+    /// `--quick`: CI-sized runs (each row documents its own cap).
+    pub quick: bool,
+    /// `--only <rows>`: comma-separated row names.
+    pub only: Option<String>,
+    /// `--trace <path>`: a recorded boundary trace; see [`Self::load_trace`].
+    pub trace: Option<String>,
+    /// `--write-fixture <path>`: where to save a recorded trace.
+    pub write_fixture: Option<String>,
 }
 
 impl BenchArgs {
-    /// Parses the process command line (program name skipped).
+    /// Parses the process command line (program name skipped); a bad
+    /// argument exits 2 with a message listing the valid flags.
     pub fn parse() -> Self {
-        Self::from_vec(std::env::args().skip(1).collect())
+        Self::from_vec(std::env::args().skip(1).collect()).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        })
     }
 
-    /// Builds from an explicit argument vector.
-    pub(crate) fn from_vec(args: Vec<String>) -> Self {
-        Self { args }
-    }
-
-    /// True when the bare flag `name` (e.g. `"--quick"`) is present.
-    pub(crate) fn flag(&self, name: &str) -> bool {
-        self.args.iter().any(|a| a == name)
-    }
-
-    /// The operand following `name`, if the flag is present. Panics
-    /// with a usage message when the flag is given without a value.
-    pub fn value(&self, name: &str) -> Option<&str> {
-        let i = self.args.iter().position(|a| a == name)?;
-        match self.args.get(i + 1) {
-            Some(v) => Some(v.as_str()),
-            None => panic!("{name} requires a value"),
+    /// Parses an explicit argument vector: an unknown argument or a
+    /// flag without its value is an error.
+    pub(crate) fn from_vec(args: Vec<String>) -> Result<Self, String> {
+        let mut parsed = Self::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let slot = match arg.as_str() {
+                "--quick" => {
+                    parsed.quick = true;
+                    continue;
+                }
+                "--only" => &mut parsed.only,
+                "--trace" => &mut parsed.trace,
+                "--write-fixture" => &mut parsed.write_fixture,
+                _ => return Err(format!("unknown argument '{arg}'; {FLAGS}")),
+            };
+            *slot = Some(args.next().ok_or_else(|| format!("{arg} requires a value; {FLAGS}"))?);
         }
+        Ok(parsed)
     }
 
-    /// Parsed numeric operand of `name`.
-    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        self.value(name)
-            .map(|v| v.parse().unwrap_or_else(|_| panic!("{name} {v}: not a valid number")))
-    }
-
-    /// `--quick`: CI-sized run (each binary documents its own cap).
-    pub fn quick(&self) -> bool {
-        self.flag("--quick")
-    }
-
-    /// `--seed <n>`: RNG seed override for replay transforms.
-    pub fn seed(&self) -> Option<u64> {
-        self.parsed("--seed")
-    }
-
-    /// `--sessions <n>`: session-count override for the server sweeps.
-    pub fn sessions(&self) -> Option<usize> {
-        self.parsed("--sessions")
-    }
-
-    /// `--shards <n>`: engine shard-count override (results are
-    /// invariant to it; useful for perf experiments).
-    pub fn shards(&self) -> Option<usize> {
-        self.parsed("--shards")
-    }
-
-    /// `--write-fixture <path>`: where to save a recorded trace.
-    pub fn write_fixture(&self) -> Option<&str> {
-        self.value("--write-fixture")
-    }
-
-    /// `--trace <path>`: reads and decodes the boundary trace at
-    /// `path`, panicking with the offending path on I/O or decode
-    /// errors (a bench with a bad fixture should fail loudly).
-    pub fn trace(&self) -> Option<Arc<Trace>> {
-        let path = self.value("--trace")?;
+    /// Reads and decodes the `--trace` file, panicking with the
+    /// offending path on I/O or decode errors (a bench with a bad
+    /// fixture should fail loudly).
+    pub fn load_trace(&self) -> Option<Arc<Trace>> {
+        let path = self.trace.as_deref()?;
         let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
         let trace = Trace::decode(&bytes).unwrap_or_else(|e| panic!("decoding {path}: {e}"));
         Some(Arc::new(trace))
@@ -90,38 +74,37 @@ impl BenchArgs {
 mod tests {
     use super::*;
 
-    fn args(v: &[&str]) -> BenchArgs {
+    fn args(v: &[&str]) -> Result<BenchArgs, String> {
         BenchArgs::from_vec(v.iter().map(|s| s.to_string()).collect())
     }
 
     #[test]
     fn flags_and_values_parse() {
-        let a = args(&["--quick", "--sessions", "256", "--seed", "42", "--shards", "7"]);
-        assert!(a.quick());
-        assert_eq!(a.sessions(), Some(256));
-        assert_eq!(a.seed(), Some(42));
-        assert_eq!(a.shards(), Some(7));
-        assert_eq!(a.value("--trace"), None);
+        let a = args(&["--quick", "--only", "fig3", "--write-fixture", "f.ilxt"]).unwrap();
+        assert!(a.quick);
+        assert_eq!(a.only.as_deref(), Some("fig3"));
+        assert_eq!(a.write_fixture.as_deref(), Some("f.ilxt"));
+        assert_eq!(a.trace, None);
     }
 
     #[test]
     fn absent_flags_are_none() {
-        let a = args(&[]);
-        assert!(!a.quick());
-        assert_eq!(a.sessions(), None);
-        assert_eq!(a.seed(), None);
-        assert!(a.trace().is_none());
+        let a = args(&[]).unwrap();
+        assert_eq!(a, BenchArgs::default());
+        assert!(a.load_trace().is_none());
     }
 
     #[test]
-    #[should_panic(expected = "requires a value")]
-    fn missing_value_panics() {
-        args(&["--sessions"]).sessions();
+    fn missing_value_is_an_error() {
+        let message = args(&["--quick", "--only"]).unwrap_err();
+        assert!(message.starts_with("--only requires a value") && message.ends_with(FLAGS));
     }
 
     #[test]
-    #[should_panic(expected = "not a valid number")]
-    fn bad_number_panics() {
-        args(&["--sessions", "many"]).sessions();
+    fn unknown_arguments_are_rejected() {
+        for bad in ["--quik", "--Quick", "--only=fig3", "fig3", "-q", ""] {
+            let message = args(&["--quick", bad, "256"]).unwrap_err();
+            assert_eq!(message, format!("unknown argument '{bad}'; {FLAGS}"));
+        }
     }
 }

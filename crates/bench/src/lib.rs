@@ -1,14 +1,16 @@
-//! The benchmark harness. The `paper` binary regenerates every figure
-//! and table of the paper's evaluation (§IV) — `fig3`–`fig8`,
+//! The benchmark harness. Its one binary, `paper`, regenerates every
+//! figure and table of the paper's evaluation (§IV) — `fig3`–`fig8`,
 //! `table3`–`table7`, `ablation_{vio,extended,offload,timewarp}` and
-//! `metrics_dump`, each a row of its `FIGURES` table (README says what
-//! each regenerates) and the integrated ones all views of one app ×
-//! platform matrix of runs; seven more binaries are the extension
-//! sweeps. Everything here reports *simulated* time; host-time budgets
-//! per component kernel are `perf/run.sh trace`.
+//! `metrics_dump`, the integrated ones all views of one app × platform
+//! matrix of runs — and runs the seven extension sweeps
+//! (`failover_sweep`, `fault_sweep`, `placement_sweep`,
+//! `scaling_sessions`, `sched_compare`, `session_matrix`,
+//! `trace_replay`), each a row of its `FIGURES` table (README says what
+//! each regenerates). Everything here reports *simulated* time;
+//! host-time budgets per component kernel are `perf/run.sh trace`.
 //!
 //! Run everything with `cargo run -p illixr-bench --release --bin paper`,
-//! selected rows with `-- --only fig3,table4`, a sweep with `--bin <sweep>`.
+//! selected rows with `-- --only fig3,table4` or `-- --only fault_sweep`.
 
 use illixr_platform::uarch::OpMix;
 
@@ -226,7 +228,7 @@ impl RunSummary {
     }
 }
 
-/// A bench's `results/<stem>.txt`, accumulated while its table prints.
+/// A row's `results/<stem>.txt`, accumulated while its table prints.
 #[derive(Debug)]
 pub struct Report {
     stem: &'static str,
@@ -253,7 +255,7 @@ impl Report {
     }
 
     /// The greppable claim line, `name=bool` pairs separated by spaces
-    /// (artifact only; the bins print their own prose).
+    /// (artifact only; the runner warns on stderr about each `=false`).
     pub fn claim(&mut self, claims: &[(&str, bool)]) {
         let pairs: Vec<String> = claims.iter().map(|(name, ok)| format!("{name}={ok}")).collect();
         self.note(pairs.join(" "));

@@ -30,8 +30,9 @@ use illixr_server::ServerBuilder;
 use illixr_system::experiment::{ExperimentConfig, ExperimentResult, IntegratedExperiment};
 use illixr_system::offload::Delivery;
 
-/// The fig4-style shape `trace_replay --write-fixture` records under —
-/// keep in sync with `crates/bench/src/bin/trace_replay.rs`.
+/// The fig4-style shape `paper --only trace_replay --write-fixture`
+/// records under — keep in sync with
+/// `crates/bench/src/bin/paper/trace_replay.rs`.
 fn fig4_config() -> ExperimentConfig {
     ExperimentConfig::quick(Application::Platformer, Platform::Desktop)
         .with_trace()
