@@ -75,6 +75,19 @@ impl FaultKind {
         }
     }
 
+    /// True for the kinds the sensor plugins inject (the
+    /// [`crate::SensorFaults`] queries).
+    fn is_sensor(self) -> bool {
+        matches!(
+            self,
+            FaultKind::CameraDrop
+                | FaultKind::CameraFreeze
+                | FaultKind::ImuGap
+                | FaultKind::ImuBiasJump
+                | FaultKind::ImuNoiseBurst
+        )
+    }
+
     fn salt(self) -> u64 {
         // Distinct fixed salts keep the per-kind hash streams disjoint.
         match self {
@@ -165,6 +178,10 @@ pub struct FaultPlan {
     intensity: f64,
     rates: StochasticRates,
     windows: Vec<FaultWindow>,
+    /// No sensor fault can fire: no sensor window and no sensor rate
+    /// that a trial could draw. Settled whenever the plan changes, so
+    /// the sensor plugins' per-tick check reads one flag.
+    sensors_quiet: bool,
 }
 
 impl Default for FaultPlan {
@@ -177,24 +194,38 @@ impl FaultPlan {
     /// The no-op plan: zero intensity, no windows. Every query returns
     /// the no-fault answer.
     pub fn quiet() -> Self {
-        Self { seed: 0, intensity: 0.0, rates: StochasticRates::ZERO, windows: Vec::new() }
+        Self { intensity: 0.0, ..Self::new(0) }
     }
 
     /// An empty plan seeded for stochastic faults; add windows and
     /// rates with the builder methods.
     pub fn new(seed: u64) -> Self {
-        Self { seed, intensity: 1.0, rates: StochasticRates::ZERO, windows: Vec::new() }
+        Self {
+            seed,
+            intensity: 1.0,
+            rates: StochasticRates::ZERO,
+            windows: Vec::new(),
+            sensors_quiet: true,
+        }
     }
 
     /// Adds a scheduled window.
     pub fn with_window(mut self, window: FaultWindow) -> Self {
         self.windows.push(window);
-        self
+        self.settled()
     }
 
     /// Sets the per-event stochastic rates.
     pub fn with_rates(mut self, rates: StochasticRates) -> Self {
         self.rates = rates;
+        self.settled()
+    }
+
+    /// Recomputes [`FaultPlan::sensors_quiet`] after a change.
+    fn settled(mut self) -> Self {
+        self.sensors_quiet = !self.windows.iter().any(|w| w.kind.is_sensor())
+            && self.stochastic_off(self.rates.camera_drop)
+            && self.stochastic_off(self.rates.imu_gap);
         self
     }
 
@@ -228,6 +259,7 @@ impl FaultPlan {
             seed,
             intensity,
             rates: StochasticRates::nominal(intensity),
+            sensors_quiet: false,
             windows: vec![
                 FaultWindow::new(FaultKind::LinkOutage, "", o_start, o_end, 1.0),
                 FaultWindow::new(FaultKind::CameraFreeze, "camera", f_start, f_end, 1.0),
@@ -256,6 +288,7 @@ impl FaultPlan {
                 ),
             ],
         }
+        .settled()
     }
 
     /// The plan seed.
@@ -281,6 +314,19 @@ impl FaultPlan {
         self.windows.is_empty() && (self.intensity == 0.0 || self.rates == StochasticRates::ZERO)
     }
 
+    /// True when no sensor fault can fire for any target: every
+    /// [`crate::SensorFaults`] query returns the no-fault answer. A plan
+    /// of engine-side windows only (`WorkerCrash`, `CheckpointCorrupt`)
+    /// or link faults only is sensor-quiet, though not quiet.
+    pub fn sensors_quiet(&self) -> bool {
+        self.sensors_quiet
+    }
+
+    /// True when a trial at probability `p` can never fire.
+    fn stochastic_off(&self, p: f64) -> bool {
+        self.intensity <= 0.0 || p <= 0.0
+    }
+
     /// The first active window of `kind` for `target` at `now_ns`.
     pub(crate) fn active_window(
         &self,
@@ -294,7 +340,7 @@ impl FaultPlan {
     /// A deterministic Bernoulli trial for event `seq` of `kind` at
     /// `target`, with probability `p · intensity` clamped to `[0, 1]`.
     pub(crate) fn trial(&self, kind: FaultKind, target: &str, seq: u64, p: f64) -> bool {
-        if self.intensity <= 0.0 || p <= 0.0 {
+        if self.stochastic_off(p) {
             return false;
         }
         let key = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -428,6 +474,24 @@ mod tests {
         assert!(!p.crash_due("vio", u64::MAX, 0));
         assert_eq!(p.worker_crashes_due("shard/0", u64::MAX), 0);
         assert!(!p.checkpoint_corrupt("shard/0", 0));
+    }
+
+    #[test]
+    fn only_sensor_faults_break_sensor_quiet() {
+        assert!(FaultPlan::quiet().sensors_quiet());
+        let engine_only = FaultPlan::new(3)
+            .with_window(FaultWindow::new(FaultKind::WorkerCrash, "shard/0", 10, 20, 1.0))
+            .with_window(FaultWindow::new(FaultKind::CheckpointCorrupt, "", 30, 40, 1.0));
+        assert!(!engine_only.is_quiet());
+        assert!(engine_only.sensors_quiet(), "engine-side windows never reach a sensor");
+        let camera_drop =
+            engine_only.with_window(FaultWindow::new(FaultKind::CameraDrop, "camera", 0, 5, 1.0));
+        assert!(!camera_drop.sensors_quiet());
+        let link_rates = StochasticRates { link_duplicate: 0.5, ..StochasticRates::ZERO };
+        assert!(FaultPlan::new(3).with_rates(link_rates).sensors_quiet());
+        let imu_rates = StochasticRates { imu_gap: 0.5, ..StochasticRates::ZERO };
+        assert!(!FaultPlan::new(3).with_rates(imu_rates).sensors_quiet());
+        assert!(!FaultPlan::scheduled(3, 1.0, NS_PER_SEC).sensors_quiet());
     }
 
     #[test]

@@ -99,12 +99,12 @@ impl ScenePipeline {
             preprocess_depth(depth)
         };
 
-        // Image processing: vertex + normal map generation.
-        let (live_v, live_n) = {
+        // Image processing: the vertex map now, its normal map once ICP,
+        // which reads only vertices, is done with the model prediction.
+        // At most three of the four maps are alive at once.
+        let live_v = {
             let _g = timer.map(|t| t.host_scope("image processing"));
-            let v = vertex_map(&filtered, &self.cam);
-            let n = normal_map(&v, self.cam.width, self.cam.height);
-            (v, n)
+            vertex_map(&filtered, &self.cam)
         };
 
         // Surfel prediction: predict the model view at the prior pose.
@@ -160,6 +160,12 @@ impl ScenePipeline {
                 self.pose = prior;
             }
         }
+        drop(model);
+
+        let live_n = {
+            let _g = timer.map(|t| t.host_scope("image processing"));
+            normal_map(&live_v, self.cam.width, self.cam.height)
+        };
 
         // Map fusion.
         {

@@ -105,7 +105,7 @@ impl Plugin for SyntheticCameraPlugin {
         let crossing = ctx.boundary.cross(streams::CAMERA, t.as_nanos(), || {
             let seq = self.seq;
             self.seq += 1;
-            if !ctx.fault.is_quiet() {
+            if !ctx.fault.sensors_quiet() {
                 let faults = ctx.fault.sensor("camera");
                 if faults.drop_frame(t.as_nanos(), seq) {
                     return None;
@@ -179,7 +179,7 @@ impl Plugin for SyntheticImuPlugin {
             let mut sample = self.model.next_sample();
             let seq = self.seq;
             self.seq += 1;
-            if !ctx.fault.is_quiet() {
+            if !ctx.fault.sensors_quiet() {
                 let faults = ctx.fault.sensor("imu");
                 let t_ns = sample.timestamp.as_nanos();
                 if faults.imu_gap(t_ns, seq) {

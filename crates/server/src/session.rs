@@ -261,6 +261,10 @@ pub struct ClientSession {
     /// Latest server pose estimate delivered, kept for checkpoints so a
     /// delivered-but-not-yet-anchored slow pose survives a restore.
     last_slow_pose: Option<PoseEstimate>,
+    /// Whether a displayed frame is appended to the per-frame log. Off
+    /// on a failover shadow: a catch-up continues the crashed lane's
+    /// log and a restart starts an empty one, so both discard it.
+    pub(crate) keeps_frame_log: bool,
 }
 
 impl ClientSession {
@@ -310,6 +314,7 @@ impl ClientSession {
             vsync_index: 0,
             imu_iterations: 0,
             last_slow_pose: None,
+            keeps_frame_log: true,
         }
     }
 
@@ -471,12 +476,14 @@ impl ClientSession {
             Some((token, arrived)) if self.displayed_seq.is_none_or(|d| token.seq > d) => {
                 self.displayed_seq = Some(token.seq);
                 let sample = self.mtp.sample(token.pose_timestamp, now, now + warp_cost);
-                self.telemetry.mtp_ns.push(sample.total().as_nanos() as u64);
-                let pose = self
-                    .latest_fast_pose()
-                    .map(|p| p.pose)
-                    .unwrap_or_else(|| self.trajectory.pose(now));
-                self.telemetry.displayed_frames.push(DisplayedFrame { time: now, pose });
+                if self.keeps_frame_log {
+                    self.telemetry.mtp_ns.push(sample.total().as_nanos() as u64);
+                    let pose = self
+                        .latest_fast_pose()
+                        .map(|p| p.pose)
+                        .unwrap_or_else(|| self.trajectory.pose(now));
+                    self.telemetry.displayed_frames.push(DisplayedFrame { time: now, pose });
+                }
                 self.telemetry.frames_displayed += 1;
                 self.record_frame_obs(&token, arrived, now, &sample);
             }

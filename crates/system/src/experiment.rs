@@ -35,6 +35,7 @@ use illixr_qoe::mtp::{MtpCalculator, MtpSample};
 use illixr_qoe::report::MeanStd;
 use illixr_render::apps::Application;
 use illixr_sensors::camera::{PinholeCamera, StereoRig};
+use illixr_sensors::types::PoseEstimate;
 use illixr_vio::integrator::ImuState;
 use illixr_vio::msckf::VioConfig;
 use illixr_visual::plugins::{WarpedFrame, DISPLAY_STREAM};
@@ -657,6 +658,11 @@ impl Plugin for PlacedVio {
     }
 }
 
+/// Capacity of the experiment's display-stream reader. The run drains
+/// it every display period, which publishes one or two frames, so it
+/// never fills: a frame lost to back-pressure would unpair the MTP log.
+const DISPLAY_QUEUE: usize = 16;
+
 /// Runs integrated experiments.
 #[derive(Debug, Default)]
 pub struct IntegratedExperiment;
@@ -871,28 +877,37 @@ impl IntegratedExperiment {
             }
         }
 
-        // Observe warped frames for the MTP calculation.
+        // Observe warped frames for the MTP calculation. Only a frame's
+        // display pose is read, so the run stops at the end of every
+        // display period to take the poses out: the reader holds no frame
+        // (eye buffers included) past the period it was warped in. No
+        // event runs between two stops, so the dispatch order is that of
+        // one `run_for(duration)`.
         let warped = ctx
             .switchboard
             .topic::<WarpedFrame>(DISPLAY_STREAM)
             .expect("stream")
-            .sync_reader(1 << 15);
-
-        engine.run_for(config.duration);
+            .sync_reader(DISPLAY_QUEUE);
+        let display_period = sys.display_period();
+        let mut frame_poses: Vec<PoseEstimate> = Vec::new();
+        let mut horizon = Duration::ZERO;
+        while horizon < config.duration {
+            horizon = (horizon + display_period).min(config.duration);
+            engine.run_for(horizon);
+            frame_poses.extend(warped.drain_iter().map(|f| f.display_pose));
+        }
 
         // --- Motion-to-photon latency -----------------------------------
         // Records and warped frames are appended in the same dispatch
         // order; pair them up.
-        let calc = MtpCalculator::new(sys.display_period());
+        let calc = MtpCalculator::new(display_period);
         let records = telemetry.records("timewarp");
-        let frames = warped.drain();
         let mtp: Vec<MtpSample> = records
             .iter()
-            .zip(frames.iter())
-            .map(|(r, f)| calc.sample(f.display_pose.timestamp, r.start, r.end))
+            .zip(&frame_poses)
+            .map(|(r, p)| calc.sample(p.timestamp, r.start, r.end))
             .collect();
-        let displayed_poses: Vec<illixr_math::Pose> =
-            frames.iter().map(|f| f.display_pose.pose).collect();
+        let displayed_poses: Vec<illixr_math::Pose> = frame_poses.iter().map(|p| p.pose).collect();
 
         // Per-stage MTP decomposition (sense→warp→swap); the stage
         // histograms sum exactly to `mtp.total` by construction.
@@ -1247,6 +1262,36 @@ mod tests {
         let base_app = base.stats("application").unwrap().achieved_hz;
         let ext_app = ext.stats("application").unwrap().achieved_hz;
         assert!(ext_app < base_app, "extended {ext_app} vs base {base_app}");
+    }
+
+    /// The run stops every display period to drain the display stream.
+    /// At 1,008 ms, which ends a part period after the 1 s stop and
+    /// holds that part period's warp, and at 3 s, every timewarp
+    /// invocation pairs with its frame, the last period before the end
+    /// is in, and the shorter run is the longer one's prefix: a stop
+    /// loses, adds and reorders nothing.
+    #[test]
+    fn display_frames_pair_with_timewarp_records_across_stops() {
+        let period = SystemConfig::default().display_period();
+        let run = |ms| {
+            let mut cfg = ExperimentConfig::quick(Application::Platformer, Platform::Desktop);
+            cfg.duration = Duration::from_millis(ms);
+            IntegratedExperiment::run(&cfg)
+        };
+        let (short, long) = (run(1008), run(3000));
+        for r in [&short, &long] {
+            let records = r.telemetry.records("timewarp");
+            assert_eq!(r.mtp.len(), records.len());
+            assert_eq!(r.displayed_poses.len(), records.len());
+            let (end, last) = (Time::ZERO + r.duration, records.last().expect("warped").start);
+            assert!(last < end && end - last <= period, "last warp at {last:?}, end {end:?}");
+        }
+        let short_end = Time::ZERO + short.duration;
+        let n = short.mtp.len();
+        let before = long.telemetry.records("timewarp").into_iter().filter(|r| r.end < short_end);
+        assert_eq!(before.count(), n, "a warp finished before the end is missing");
+        assert_eq!(short.mtp[..], long.mtp[..n]);
+        assert_eq!(short.displayed_poses[..], long.displayed_poses[..n]);
     }
 
     #[test]
