@@ -4,7 +4,7 @@
 
 use illixr_math::{Cholesky, DMatrix, Pose, Quat, Vec3};
 
-use crate::maps::{NormalMap, VertexMap};
+use crate::maps::{MapView, NormalMap, VertexMap, Vertices};
 
 /// Result of an ICP solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,6 +24,7 @@ pub struct IcpResult {
 /// * `live` — camera-frame vertices from the new depth frame;
 /// * `model_v`, `model_n` — camera-frame vertices/normals predicted from
 ///   the map at `initial_pose` (e.g. by TSDF raycast);
+/// * `width` — the maps' row length in pixels;
 /// * `initial_pose` — the pose prediction (previous pose or IMU prior).
 ///
 /// The total correction (and each iteration step) must stay below the
@@ -33,6 +34,11 @@ pub struct IcpResult {
 /// constrain.
 ///
 /// Returns `None` when too few correspondences exist.
+///
+/// # Panics
+///
+/// Panics when the three maps differ in length or their length is not a
+/// multiple of `width`.
 #[allow(clippy::too_many_arguments)]
 pub fn icp_point_to_plane_gated(
     live: &VertexMap,
@@ -44,8 +50,33 @@ pub fn icp_point_to_plane_gated(
     max_total_translation: f64,
     max_step_translation: f64,
 ) -> Option<IcpResult> {
-    assert_eq!(live.len(), model_v.len(), "map size mismatch");
-    assert_eq!(live.len(), model_n.len(), "map size mismatch");
+    let height = live.len().checked_div(width).unwrap_or(0);
+    icp_gated(
+        &MapView::new(live, width, height),
+        model_v,
+        model_n,
+        initial_pose,
+        iterations,
+        max_total_translation,
+        max_step_translation,
+    )
+}
+
+/// [`icp_point_to_plane_gated`] over any live-vertex source, such as a
+/// depth frame read through `LiveVertices`; the model maps are row-major
+/// at the live frame's size.
+pub(crate) fn icp_gated(
+    live: &impl Vertices,
+    model_v: &[Option<Vec3>],
+    model_n: &[Option<Vec3>],
+    initial_pose: &Pose,
+    iterations: usize,
+    max_total_translation: f64,
+    max_step_translation: f64,
+) -> Option<IcpResult> {
+    let (w, h) = live.size();
+    assert_eq!(model_v.len(), w * h, "map size mismatch");
+    assert_eq!(model_n.len(), w * h, "map size mismatch");
     // `delta` maps live camera frame → model camera frame; both maps are
     // in the *same* camera frame under projective association, so delta
     // starts at identity and stays small.
@@ -57,28 +88,31 @@ pub fn icp_point_to_plane_gated(
         let mut atb = DMatrix::zeros(6, 1);
         let mut err_sum = 0.0;
         used = 0;
-        for idx in 0..live.len() {
-            let (Some(p_live), Some(q), Some(n)) = (live[idx], model_v[idx], model_n[idx]) else {
-                continue;
-            };
-            let _ = width;
-            let p = delta.transform_point(p_live);
-            // Gate gross outliers.
-            if (p - q).norm() > 0.3 {
-                continue;
-            }
-            let r = n.dot(q - p);
-            // J = [ (p × n)ᵀ , nᵀ ] for x = (ω, t).
-            let c = p.cross(n);
-            let j = [c.x, c.y, c.z, n.x, n.y, n.z];
-            for a in 0..6 {
-                for b in 0..6 {
-                    ata[(a, b)] += j[a] * j[b];
+        // Row-major, as the maps are laid out: the sums accumulate in
+        // pixel order.
+        for y in 0..h {
+            let row = y * w..(y + 1) * w;
+            for (x, (q, n)) in model_v[row.clone()].iter().zip(&model_n[row]).enumerate() {
+                let (Some(q), Some(n)) = (*q, *n) else { continue };
+                let Some(p_live) = live.at(x, y) else { continue };
+                let p = delta.transform_point(p_live);
+                // Gate gross outliers.
+                if (p - q).norm() > 0.3 {
+                    continue;
                 }
-                atb[(a, 0)] += j[a] * r;
+                let r = n.dot(q - p);
+                // J = [ (p × n)ᵀ , nᵀ ] for x = (ω, t).
+                let c = p.cross(n);
+                let j = [c.x, c.y, c.z, n.x, n.y, n.z];
+                for a in 0..6 {
+                    for b in 0..6 {
+                        ata[(a, b)] += j[a] * j[b];
+                    }
+                    atb[(a, 0)] += j[a] * r;
+                }
+                err_sum += r.abs();
+                used += 1;
             }
-            err_sum += r.abs();
-            used += 1;
         }
         if used < 30 {
             return None;
@@ -243,6 +277,12 @@ mod tests {
         let model_v: VertexMap = vec![None; 100];
         let model_n: NormalMap = vec![None; 100];
         assert!(icp(&live, &model_v, &model_n, 10, &Pose::IDENTITY, 5).is_none());
+    }
+
+    #[test]
+    fn empty_maps_of_zero_width_return_none() {
+        let empty: VertexMap = Vec::new();
+        assert!(icp(&empty, &empty, &empty, 0, &Pose::IDENTITY, 5).is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | paper task | module |
 //! |---|---|
 //! | camera processing (bilateral filter, invalid-depth rejection) | [`maps`] |
-//! | image processing (vertex/normal map generation) | [`maps`] |
+//! | image processing (live vertices and normals, read per pixel) | [`maps`] |
 //! | pose estimation (point-to-plane ICP) | [`icp`] |
 //! | surfel prediction (raycast of the model) | [`tsdf`], [`surfel`] |
 //! | map fusion | [`tsdf`], [`surfel`] |

@@ -5,8 +5,8 @@ use illixr_core::obs::Metrics;
 use illixr_math::{Pose, Vec3};
 use illixr_sensors::camera::PinholeCamera;
 
-use crate::icp::icp_point_to_plane_gated;
-use crate::maps::{normal_map, preprocess_depth, vertex_map, DepthFrame, NormalMap, VertexMap};
+use crate::icp::icp_gated;
+use crate::maps::{normal_map, preprocess_depth, DepthFrame, LiveVertices, NormalMap, VertexMap};
 use crate::surfel::SurfelMap;
 use crate::tsdf::TsdfVolume;
 
@@ -99,12 +99,13 @@ impl ScenePipeline {
             preprocess_depth(depth)
         };
 
-        // Image processing: the vertex map now, its normal map once ICP,
-        // which reads only vertices, is done with the model prediction.
-        // At most three of the four maps are alive at once.
-        let live_v = {
+        // Image processing: the live frame's vertices are the filtered
+        // depth unprojected where ICP and fusion read them, through
+        // per-column and per-row ray tables; fusion takes a normal only at
+        // a pixel it fuses. Neither live map is built.
+        let live = {
             let _g = timer.map(|t| t.host_scope("image processing"));
-            vertex_map(&filtered, &self.cam)
+            LiveVertices::new(&filtered, &self.cam)
         };
 
         // Surfel prediction: predict the model view at the prior pose.
@@ -141,16 +142,7 @@ impl ScenePipeline {
                 // Frame-rate odometry: inter-frame motion is centimeters,
                 // so gate the correction accordingly (10 cm total, 5 cm
                 // per iteration). Gated-out solves fall back to the prior.
-                if let Some(result) = icp_point_to_plane_gated(
-                    &live_v,
-                    model_v,
-                    model_n,
-                    self.cam.width,
-                    &prior,
-                    10,
-                    0.10,
-                    0.05,
-                ) {
+                if let Some(result) = icp_gated(&live, model_v, model_n, &prior, 10, 0.10, 0.05) {
                     self.pose = result.pose;
                     residual = result.residual;
                 } else {
@@ -160,21 +152,15 @@ impl ScenePipeline {
                 self.pose = prior;
             }
         }
+        // The model maps go before fusion grows the surfel list.
         drop(model);
-
-        let live_n = {
-            let _g = timer.map(|t| t.host_scope("image processing"));
-            normal_map(&live_v, self.cam.width, self.cam.height)
-        };
 
         // Map fusion.
         {
             let _g = timer.map(|t| t.host_scope("map fusion"));
             match &mut self.backend {
                 MapBackend::Tsdf(vol) => vol.integrate(&filtered, &self.cam, &self.pose),
-                MapBackend::Surfel(map) => {
-                    map.fuse(&live_v, &live_n, &self.cam, &self.pose, self.stride)
-                }
+                MapBackend::Surfel(map) => map.fuse(&live, &self.cam, &self.pose, self.stride),
             }
         }
 
@@ -427,6 +413,31 @@ mod tests {
         }
         let hash = fnv1a(bytes);
         assert_eq!(hash, 0xa56b_0fdc_fc97_01a7, "got {hash:#018x}");
+    }
+
+    /// Taken while ICP still read a materialised live vertex map: FNV-1a
+    /// over 10 QVGA frames of pure-ICP odometry through the TSDF backend —
+    /// every pose component, the ICP residual and the occupied-voxel count
+    /// of each frame.
+    #[test]
+    fn tsdf_pipeline_bits_are_pinned_over_ten_qvga_frames() {
+        let (world, _, traj) = scene_setup();
+        let cam = PinholeCamera::qvga();
+        let rig = StereoRig::zed_mini(cam);
+        let mut pipe =
+            ScenePipeline::kinect_fusion_like(cam, Vec3::new(4.0, 2.5, 4.0), traj.pose(Time::ZERO));
+        let mut bytes = Vec::new();
+        for k in 0..10 {
+            let depth = world.render_depth(&rig, &traj.pose(Time::from_millis(k * 66)));
+            let out = pipe.process(&depth, None, None);
+            let (p, q) = (out.pose.position, out.pose.orientation);
+            for v in [p.x, p.y, p.z, q.w, q.x, q.y, q.z, out.icp_residual] {
+                bytes.extend(v.to_bits().to_le_bytes());
+            }
+            bytes.extend((out.map_size as u64).to_le_bytes());
+        }
+        let hash = fnv1a(bytes);
+        assert_eq!(hash, 0x5c2c_7b2c_8bef_ccff, "got {hash:#018x}");
     }
 
     #[test]
