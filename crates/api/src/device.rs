@@ -1,44 +1,24 @@
-//! The backend-facing device trait, modeled on webxr-api's `DeviceAPI`:
-//! everything a [`crate::Session`] needs from whatever is actually
-//! producing poses.
+//! The backend-facing trait: everything a [`crate::Session`] needs from
+//! whatever is actually producing poses.
 
-use crate::types::{EnvironmentBlendMode, Feature, Frame, HitTestResult, Ray};
+use illixr_core::Time;
+use illixr_math::Pose;
 
-/// One opened device: the backend half of a session.
+/// One opened device: the backend half of a session, reduced to the
+/// viewer poses it displays.
 ///
 /// A device is created by a [`crate::Discovery`] once negotiation
-/// succeeds and is owned by the [`crate::Session`], which drives it
-/// through [`DeviceApi::wait_frame`] and fans the results out over
-/// switchboard topics. Implementations must be deterministic: the same
-/// backend configuration must replay the same frame and input streams
+/// succeeds and is owned by the [`crate::Session`], which builds every
+/// [`crate::Frame`] from the next pose (views, scripted input) and
+/// answers hit-tests itself. Implementations must be deterministic: the
+/// same backend configuration must replay the same timeline
 /// bit-for-bit.
-pub trait DeviceApi: Send {
-    /// Stable backend name ("mock", "headless", "remote").
-    fn backend(&self) -> &'static str;
-
-    /// The features negotiation granted this device.
-    fn granted_features(&self) -> &[Feature];
-
-    /// How this device blends rendered pixels with reality.
-    fn blend_mode(&self) -> EnvironmentBlendMode;
-
-    /// Blocks until the next frame, or `None` once the device's
+pub trait PoseTimeline: Send {
+    /// The next displayed `(time, viewer pose)`, or `None` once the
     /// timeline is exhausted (which ends the session).
-    fn wait_frame(&mut self) -> Option<Frame>;
-
-    /// Answers one hit-test subscription for `frame`. The default
-    /// backend has no world geometry and returns nothing.
-    fn hit_test(&self, frame: &Frame, ray: &Ray, source: u32) -> Vec<HitTestResult> {
-        let _ = (frame, ray, source);
-        Vec::new()
-    }
-
-    /// Releases backend resources; called once when the session ends.
-    fn end(&mut self) {}
+    fn next_pose(&mut self) -> Option<(Time, Pose)>;
 
     /// A deterministic backend-specific run report (the remote backend
-    /// returns the server's `summary_text()`), empty by default.
-    fn report(&self) -> String {
-        String::new()
-    }
+    /// returns the server's `summary_text()`).
+    fn report(&self) -> String;
 }

@@ -1,23 +1,25 @@
 //! The headless backend: bridges sessions into the local single-client
 //! runtime pipeline (`illixr-system`'s [`IntegratedExperiment`]).
 //!
-//! On the first [`DeviceApi::wait_frame`] the device lazily runs a full
-//! RuntimeBuilder-based discrete-event experiment — synthetic sensors,
-//! VIO, rendering, asynchronous reprojection — and then replays its
-//! displayed-frame log as the session's frame stream: each frame's
-//! timestamp is the vsync an MTP sample was accepted at and its viewer
-//! pose is the pose actually displayed there.
+//! On the first [`PoseTimeline::next_pose`] the device lazily runs a
+//! full RuntimeBuilder-based discrete-event experiment — synthetic
+//! sensors, VIO, rendering, asynchronous reprojection — and then replays
+//! its displayed-frame log as the session's pose timeline: each pose's
+//! timestamp is the vsync an MTP sample was accepted at and the pose is
+//! the one actually displayed there.
 
 use std::time::Duration;
 
+use illixr_core::Time;
+use illixr_math::Pose;
 use illixr_platform::Platform;
 use illixr_render::apps::Application;
 use illixr_system::experiment::{ExperimentConfig, IntegratedExperiment};
 
-use crate::device::DeviceApi;
+use crate::device::PoseTimeline;
 use crate::error::SessionError;
 use crate::registry::Discovery;
-use crate::types::{scripted_input, views_for, EnvironmentBlendMode, Feature, Frame, SessionMode};
+use crate::types::{Feature, SessionMode};
 
 /// Parameters for the local-pipeline backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,56 +78,36 @@ impl Discovery for HeadlessDiscovery {
 
     fn build_device(
         &mut self,
-        mode: SessionMode,
-        granted: &[Feature],
-    ) -> Result<Box<dyn DeviceApi>, SessionError> {
-        Ok(Box::new(HeadlessDevice {
-            config: self.config,
-            mode,
-            granted: granted.to_vec(),
-            frames: None,
-            cursor: 0,
-            report: String::new(),
-        }))
+        _mode: SessionMode,
+        _granted: &[Feature],
+    ) -> Result<(Box<dyn PoseTimeline>, u64), SessionError> {
+        let device = HeadlessDevice { config: self.config, poses: None, report: String::new() };
+        Ok((Box::new(device), self.config.seed))
     }
 }
 
 /// A device replaying one integrated-experiment run.
 struct HeadlessDevice {
     config: HeadlessConfig,
-    mode: SessionMode,
-    granted: Vec<Feature>,
-    frames: Option<Vec<Frame>>,
-    cursor: usize,
+    poses: Option<std::vec::IntoIter<(Time, Pose)>>,
     report: String,
 }
 
 impl HeadlessDevice {
-    /// Runs the experiment on first use and converts its displayed-pose
-    /// log into the session frame stream.
-    fn ensure_run(&mut self) {
-        if self.frames.is_some() {
-            return;
-        }
+    /// Runs the experiment and returns its displayed-pose log, each
+    /// pose at the vsync its MTP sample was accepted at.
+    fn run(&mut self) -> Vec<(Time, Pose)> {
         let config = ExperimentConfig {
             duration: self.config.duration,
             ..ExperimentConfig::quick(self.config.app, self.config.platform)
         }
         .with_seed(self.config.seed);
         let result = IntegratedExperiment::run(&config);
-        let hands = self.granted.contains(&Feature::HandTracking);
-        let frames: Vec<Frame> = result
+        let poses: Vec<(Time, Pose)> = result
             .mtp
             .iter()
             .zip(result.displayed_poses.iter())
-            .enumerate()
-            .map(|(i, (sample, pose))| Frame {
-                index: i as u64,
-                time: sample.display_vsync,
-                viewer: *pose,
-                views: views_for(self.mode, pose),
-                inputs: scripted_input(self.config.seed, i as u64, pose, hands),
-            })
+            .map(|(sample, pose)| (sample.display_vsync, *pose))
             .collect();
         let mean_mtp_ms = if result.mtp.is_empty() {
             0.0
@@ -138,32 +120,20 @@ impl HeadlessDevice {
             self.config.app.label(),
             self.config.platform,
             self.config.seed,
-            frames.len(),
+            poses.len(),
             mean_mtp_ms
         );
-        self.frames = Some(frames);
+        poses
     }
 }
 
-impl DeviceApi for HeadlessDevice {
-    fn backend(&self) -> &'static str {
-        "headless"
-    }
-
-    fn granted_features(&self) -> &[Feature] {
-        &self.granted
-    }
-
-    fn blend_mode(&self) -> EnvironmentBlendMode {
-        self.mode.blend_mode()
-    }
-
-    fn wait_frame(&mut self) -> Option<Frame> {
-        self.ensure_run();
-        let frames = self.frames.as_ref().expect("ensure_run populated frames");
-        let frame = frames.get(self.cursor)?.clone();
-        self.cursor += 1;
-        Some(frame)
+impl PoseTimeline for HeadlessDevice {
+    /// Runs the experiment on the first call.
+    fn next_pose(&mut self) -> Option<(Time, Pose)> {
+        if self.poses.is_none() {
+            self.poses = Some(self.run().into_iter());
+        }
+        self.poses.as_mut()?.next()
     }
 
     fn report(&self) -> String {

@@ -11,13 +11,19 @@
 //! loop, input events and hit-test results all flow over lossless
 //! switchboard topics ([`session::streams`]).
 //!
+//! A backend is a [`PoseTimeline`]: it supplies the viewer poses it
+//! displays and a run report, nothing else. The session builds every
+//! frame from those poses (per-mode views, input scripted from the seed
+//! the backend names) and answers hit-tests against the floor plane, so
+//! two backends that display the same poses deliver the same streams.
+//!
 //! Three backends ship with the crate:
 //!
-//! * [`MockDiscovery`] — scripted poses and input for deterministic
-//!   tests; same seed, bit-identical streams;
+//! * [`MockDiscovery`] — a seeded trajectory for deterministic tests;
+//!   same seed, bit-identical streams;
 //! * [`HeadlessDiscovery`] — bridges into the local single-client
 //!   pipeline (`illixr-system`'s integrated experiment), replaying its
-//!   displayed-frame log as the session timeline;
+//!   displayed-pose log as the session timeline;
 //! * [`RemoteDiscovery`] — adopts sessions into one shared
 //!   `illixr-server` run, feeding negotiated features into admission
 //!   control via the session load-weight; an immersive-VR session with
@@ -57,7 +63,7 @@ pub mod remote;
 pub mod session;
 pub mod types;
 
-pub use device::DeviceApi;
+pub use device::PoseTimeline;
 pub use error::SessionError;
 pub use headless::{HeadlessConfig, HeadlessDiscovery};
 pub use mock::{MockConfig, MockDiscovery};

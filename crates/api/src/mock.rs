@@ -1,22 +1,19 @@
 //! The mock backend: scripted poses and input for deterministic tests,
 //! modeled on webxr-api's headless `MockDiscovery`.
 //!
-//! Poses come from a seeded [`Trajectory`]; input follows the shared
-//! `scripted_input` script; hit-tests intersect a floor plane at
-//! `y = 0`. Two devices built from the same [`MockConfig`] replay
-//! bit-identical frame and event streams, which makes this the backend
-//! golden tests negotiate against.
+//! Poses come from a seeded [`Trajectory`], and the session scripts
+//! input from the same seed. Two devices built from the same
+//! [`MockConfig`] replay bit-identical frame and event streams, which
+//! makes this the backend golden tests negotiate against.
 
 use illixr_core::Time;
+use illixr_math::Pose;
 use illixr_sensors::Trajectory;
 
-use crate::device::DeviceApi;
+use crate::device::PoseTimeline;
 use crate::error::SessionError;
 use crate::registry::Discovery;
-use crate::types::{
-    floor_hit, scripted_input, views_for, EnvironmentBlendMode, Feature, Frame, HitTestResult, Ray,
-    SessionMode,
-};
+use crate::types::{Feature, SessionMode};
 
 /// Parameters for a scripted mock device.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,63 +65,34 @@ impl Discovery for MockDiscovery {
 
     fn build_device(
         &mut self,
-        mode: SessionMode,
-        granted: &[Feature],
-    ) -> Result<Box<dyn DeviceApi>, SessionError> {
-        Ok(Box::new(MockDevice {
+        _mode: SessionMode,
+        _granted: &[Feature],
+    ) -> Result<(Box<dyn PoseTimeline>, u64), SessionError> {
+        let device = MockDevice {
             config: self.config,
-            mode,
-            granted: granted.to_vec(),
             trajectory: Trajectory::gentle(self.config.seed),
             index: 0,
-        }))
+        };
+        Ok((Box::new(device), self.config.seed))
     }
 }
 
-/// A scripted device: seeded trajectory, scripted buttons, floor-plane
-/// world geometry.
+/// A scripted device: a seeded trajectory sampled at a fixed cadence.
 struct MockDevice {
     config: MockConfig,
-    mode: SessionMode,
-    granted: Vec<Feature>,
     trajectory: Trajectory,
     index: u64,
 }
 
-impl DeviceApi for MockDevice {
-    fn backend(&self) -> &'static str {
-        "mock"
-    }
-
-    fn granted_features(&self) -> &[Feature] {
-        &self.granted
-    }
-
-    fn blend_mode(&self) -> EnvironmentBlendMode {
-        self.mode.blend_mode()
-    }
-
-    fn wait_frame(&mut self) -> Option<Frame> {
+impl PoseTimeline for MockDevice {
+    fn next_pose(&mut self) -> Option<(Time, Pose)> {
         if self.index >= self.config.frames {
             return None;
         }
         let period_ns = (1e9 / self.config.frame_hz).round() as u64;
         let time = Time::from_nanos(self.index * period_ns);
-        let viewer = self.trajectory.pose(time);
-        let hands = self.granted.contains(&Feature::HandTracking);
-        let frame = Frame {
-            index: self.index,
-            time,
-            viewer,
-            views: views_for(self.mode, &viewer),
-            inputs: scripted_input(self.config.seed, self.index, &viewer, hands),
-        };
         self.index += 1;
-        Some(frame)
-    }
-
-    fn hit_test(&self, _frame: &Frame, ray: &Ray, source: u32) -> Vec<HitTestResult> {
-        floor_hit(ray, 0.0, source).into_iter().collect()
+        Some((time, self.trajectory.pose(time)))
     }
 
     fn report(&self) -> String {

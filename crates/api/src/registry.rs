@@ -1,7 +1,7 @@
 //! The backend registry: discovery registration and session
 //! negotiation, modeled on webxr-api's `MainThreadRegistry`.
 
-use crate::device::DeviceApi;
+use crate::device::PoseTimeline;
 use crate::error::SessionError;
 use crate::session::Session;
 use crate::types::{Feature, SessionInit, SessionMode};
@@ -19,7 +19,8 @@ pub trait Discovery: Send {
     /// defaults, which are always granted).
     fn supported_features(&self, mode: SessionMode) -> Vec<Feature>;
 
-    /// Opens a device for an already-negotiated session.
+    /// Opens a device for an already-negotiated session and returns it
+    /// with the seed the session's scripted input follows.
     ///
     /// # Errors
     ///
@@ -28,7 +29,7 @@ pub trait Discovery: Send {
         &mut self,
         mode: SessionMode,
         granted: &[Feature],
-    ) -> Result<Box<dyn DeviceApi>, SessionError>;
+    ) -> Result<(Box<dyn PoseTimeline>, u64), SessionError>;
 }
 
 /// Holds every registered [`Discovery`] and negotiates sessions against
@@ -103,7 +104,9 @@ impl Registry {
             let supported = discovery.supported_features(mode);
             match init.negotiate(mode, &supported) {
                 Ok(granted) => match discovery.build_device(mode, &granted) {
-                    Ok(device) => return Ok(Session::new(mode, granted, device)),
+                    Ok((device, seed)) => {
+                        return Ok(Session::new(mode, granted, discovery.name(), device, seed))
+                    }
                     Err(err) => keep_best(err, &mut best),
                 },
                 Err(err) => keep_best(err, &mut best),

@@ -4,28 +4,27 @@
 //! All sessions requested from one [`RemoteDiscovery`] share one
 //! server: each `build_device` appends a [`SessionConfig`] (standard
 //! seed `11 + 2·id`, rates and admission load-weight derived from the
-//! negotiated mode and features), and the first `wait_frame` on any
+//! negotiated mode and features), and the first pose requested from any
 //! device runs the whole server timeline once via [`ServerBuilder`].
 //! This is how mixed inline / immersive-VR / immersive-AR sessions
 //! coexist on a single server, and it keeps the identity contract: an
 //! `immersive-vr` session with default features contributes exactly
 //! `SessionConfig::new(seed)`, so a single-session run's
-//! [`DeviceApi::report`] (the server's `summary_text()`) is
+//! [`PoseTimeline::report`] (the server's `summary_text()`) is
 //! bit-identical to a direct
 //! `ServerBuilder::new().sessions(1).duration(d).build().run()`.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use illixr_server::{ServerBuilder, ServerReport, SessionConfig, SessionState};
+use illixr_core::Time;
+use illixr_math::Pose;
+use illixr_server::{ServerBuilder, ServerReport, SessionConfig};
 
-use crate::device::DeviceApi;
+use crate::device::PoseTimeline;
 use crate::error::SessionError;
 use crate::registry::Discovery;
-use crate::types::{
-    floor_hit, scripted_input, views_for, EnvironmentBlendMode, Feature, Frame, HitTestResult, Ray,
-    SessionMode,
-};
+use crate::types::{Feature, SessionMode};
 
 /// Parameters for the server-backed backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,7 +138,7 @@ impl Discovery for RemoteDiscovery {
         &mut self,
         mode: SessionMode,
         granted: &[Feature],
-    ) -> Result<Box<dyn DeviceApi>, SessionError> {
+    ) -> Result<(Box<dyn PoseTimeline>, u64), SessionError> {
         let mut shared = self.shared.lock().expect("remote state lock");
         if shared.report.is_some() {
             return Err(SessionError::Backend(
@@ -156,17 +155,9 @@ impl Discovery for RemoteDiscovery {
         }
         config.load_weight = load_weight(mode, granted);
         shared.sessions.push(config);
-        Ok(Box::new(RemoteDevice {
-            shared: self.shared.clone(),
-            id,
-            seed,
-            mode,
-            granted: granted.to_vec(),
-            frames: None,
-            cursor: 0,
-            state: SessionState::Pending,
-            report: String::new(),
-        }))
+        let device =
+            RemoteDevice { shared: self.shared.clone(), id, poses: None, report: String::new() };
+        Ok((Box::new(device), seed))
     }
 }
 
@@ -174,67 +165,27 @@ impl Discovery for RemoteDiscovery {
 struct RemoteDevice {
     shared: Arc<Mutex<RemoteShared>>,
     id: u32,
-    seed: u64,
-    mode: SessionMode,
-    granted: Vec<Feature>,
-    frames: Option<Vec<Frame>>,
-    cursor: usize,
-    state: SessionState,
+    poses: Option<std::vec::IntoIter<(Time, Pose)>>,
     report: String,
 }
 
 impl RemoteDevice {
-    /// Triggers the shared server run on first use and converts this
-    /// session's displayed-frame telemetry into the frame stream.
-    fn ensure_frames(&mut self) {
-        if self.frames.is_some() {
-            return;
-        }
+    /// Triggers the shared server run if no device has yet and returns
+    /// this session's displayed-frame log.
+    fn run(&mut self) -> Vec<(Time, Pose)> {
         let report = self.shared.lock().expect("remote state lock").ensure_run();
         let session = report.session(self.id).expect("adopted session exists in report");
-        self.state = session.state();
         self.report = report.summary_text();
-        let hands = self.granted.contains(&Feature::HandTracking);
-        let frames = session
-            .telemetry()
-            .displayed_frames
-            .iter()
-            .enumerate()
-            .map(|(i, displayed)| Frame {
-                index: i as u64,
-                time: displayed.time,
-                viewer: displayed.pose,
-                views: views_for(self.mode, &displayed.pose),
-                inputs: scripted_input(self.seed, i as u64, &displayed.pose, hands),
-            })
-            .collect();
-        self.frames = Some(frames);
+        session.telemetry().displayed_frames.iter().map(|d| (d.time, d.pose)).collect()
     }
 }
 
-impl DeviceApi for RemoteDevice {
-    fn backend(&self) -> &'static str {
-        "remote"
-    }
-
-    fn granted_features(&self) -> &[Feature] {
-        &self.granted
-    }
-
-    fn blend_mode(&self) -> EnvironmentBlendMode {
-        self.mode.blend_mode()
-    }
-
-    fn wait_frame(&mut self) -> Option<Frame> {
-        self.ensure_frames();
-        let frames = self.frames.as_ref().expect("ensure_frames populated frames");
-        let frame = frames.get(self.cursor)?.clone();
-        self.cursor += 1;
-        Some(frame)
-    }
-
-    fn hit_test(&self, _frame: &Frame, ray: &Ray, source: u32) -> Vec<HitTestResult> {
-        floor_hit(ray, 0.0, source).into_iter().collect()
+impl PoseTimeline for RemoteDevice {
+    fn next_pose(&mut self) -> Option<(Time, Pose)> {
+        if self.poses.is_none() {
+            self.poses = Some(self.run().into_iter());
+        }
+        self.poses.as_mut()?.next()
     }
 
     /// The shared server's `summary_text()` — the artifact the golden

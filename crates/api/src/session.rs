@@ -1,16 +1,16 @@
-//! The typed session handle: drives a [`DeviceApi`] frame loop and
-//! fans frames, input events and hit-test results out over lossless
-//! switchboard topics.
+//! The typed session handle: builds a frame from each pose of a
+//! [`PoseTimeline`] and fans frames, input events and hit-test results
+//! out over lossless switchboard topics.
 
 use std::sync::Arc;
 
 use illixr_core::switchboard::{Event, Switchboard, SyncReader, Writer};
 
-use crate::device::DeviceApi;
+use crate::device::PoseTimeline;
 use crate::error::SessionError;
 use crate::types::{
-    fmt_quat, fmt_vec, EnvironmentBlendMode, Feature, Frame, HitTestEvent, InputEvent,
-    InputEventKind, Ray, SessionMode,
+    floor_hit, fmt_quat, fmt_vec, scripted_input, views_for, EnvironmentBlendMode, Feature, Frame,
+    HitTestEvent, InputEvent, InputEventKind, Ray, SessionMode,
 };
 
 /// Topic names a session publishes on its private switchboard.
@@ -28,9 +28,11 @@ pub mod streams {
 /// device.
 ///
 /// The session owns its own [`Switchboard`]; each call to
-/// [`Session::pump`] pulls one frame from the backend, derives input
-/// edges from consecutive input snapshots, answers active hit-test
-/// subscriptions, and publishes everything on the [`streams`] topics.
+/// [`Session::pump`] pulls one pose from the backend, builds the frame
+/// (per-mode views, input scripted from the backend's seed), derives
+/// input edges from consecutive input snapshots, answers active hit-test
+/// subscriptions against the floor plane `y = 0`, and publishes
+/// everything on the [`streams`] topics.
 /// All readers are lossless ([`illixr_core::switchboard::Topic::lossless_reader`])
 /// — XR event streams must not drop a `select-end` to backpressure.
 ///
@@ -40,7 +42,9 @@ pub mod streams {
 pub struct Session {
     mode: SessionMode,
     granted: Vec<Feature>,
-    device: Box<dyn DeviceApi>,
+    backend: &'static str,
+    device: Box<dyn PoseTimeline>,
+    seed: u64,
     switchboard: Switchboard,
     frame_writer: Writer<Frame>,
     input_writer: Writer<InputEvent>,
@@ -57,7 +61,7 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("mode", &self.mode)
-            .field("backend", &self.device.backend())
+            .field("backend", &self.backend)
             .field("granted", &self.granted)
             .field("frames", &self.frames)
             .field("ended", &self.ended)
@@ -66,12 +70,15 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    /// Wraps a negotiated device. Called by
+    /// Wraps `device`, opened by the `backend` discovery for a
+    /// negotiated session; its scripted input follows `seed`. Called by
     /// [`crate::Registry::request_session`].
     pub(crate) fn new(
         mode: SessionMode,
         granted: Vec<Feature>,
-        device: Box<dyn DeviceApi>,
+        backend: &'static str,
+        device: Box<dyn PoseTimeline>,
+        seed: u64,
     ) -> Self {
         let switchboard = Switchboard::new();
         let frame_writer =
@@ -85,7 +92,9 @@ impl Session {
         Self {
             mode,
             granted,
+            backend,
             device,
+            seed,
             switchboard,
             frame_writer,
             input_writer,
@@ -111,12 +120,12 @@ impl Session {
 
     /// The backend serving this session.
     pub fn backend(&self) -> &'static str {
-        self.device.backend()
+        self.backend
     }
 
     /// How rendered output blends with the environment.
     pub fn blend_mode(&self) -> EnvironmentBlendMode {
-        self.device.blend_mode()
+        self.mode.blend_mode()
     }
 
     /// Whether the session has ended (backend exhausted or
@@ -168,8 +177,8 @@ impl Session {
 
     /// Advances the frame loop by one frame.
     ///
-    /// Pulls the next frame from the device, publishes it on
-    /// `streams::FRAME`, derives and publishes input edges, answers
+    /// Builds the next frame from the device's next pose, publishes it
+    /// on `streams::FRAME`, derives and publishes input edges, answers
     /// hit-test subscriptions, and returns the frame. Returns `None` —
     /// after ending the session — once the backend's timeline is
     /// exhausted.
@@ -177,9 +186,17 @@ impl Session {
         if self.ended {
             return None;
         }
-        let Some(frame) = self.device.wait_frame() else {
+        let Some((time, viewer)) = self.device.next_pose() else {
             self.end();
             return None;
+        };
+        let hands = self.granted.contains(&Feature::HandTracking);
+        let frame = Frame {
+            index: self.frames,
+            time,
+            viewer,
+            views: views_for(self.mode, &viewer),
+            inputs: scripted_input(self.seed, self.frames, &viewer, hands),
         };
         self.transcript.push_str(&format!(
             "F{} t={} p={} q={} views={}",
@@ -250,11 +267,8 @@ impl Session {
         }
         // Answer hit-test subscriptions in subscription order.
         if !self.hit_sources.is_empty() {
-            let results: Vec<_> = self
-                .hit_sources
-                .iter()
-                .flat_map(|(id, ray)| self.device.hit_test(&frame, ray, *id))
-                .collect();
+            let results: Vec<_> =
+                self.hit_sources.iter().filter_map(|(id, ray)| floor_hit(ray, 0.0, *id)).collect();
             self.transcript.push_str(&format!("H f={} n={}", frame.index, results.len()));
             if let Some(first) = results.first() {
                 self.transcript.push_str(&format!(
@@ -281,12 +295,11 @@ impl Session {
         delivered
     }
 
-    /// Ends the session: releases the device and records the end in the
-    /// transcript exactly once.
+    /// Ends the session and records the end in the transcript exactly
+    /// once.
     pub fn end(&mut self) {
         if !self.ended {
             self.ended = true;
-            self.device.end();
             self.transcript.push_str(&format!("L ended frames={}\n", self.frames));
         }
     }

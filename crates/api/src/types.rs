@@ -352,8 +352,8 @@ pub struct Frame {
     pub inputs: Vec<InputState>,
 }
 
-/// Deterministic scripted controller input shared by the mock and
-/// headless backends.
+/// Deterministic scripted controller input: the session builds every
+/// frame's input from the backend's seed.
 ///
 /// Two sources (left/right) follow the viewer with fixed grip offsets;
 /// button state is a pure function of `(seed, frame_index, source)` so
@@ -396,7 +396,7 @@ pub(crate) fn scripted_input(
 }
 
 /// Intersects `ray` with the horizontal plane `y = floor_y`, the world
-/// geometry the mock and remote backends expose to `hit-test`.
+/// geometry the session answers every `hit-test` subscription with.
 pub(crate) fn floor_hit(ray: &Ray, floor_y: f64, source: u32) -> Option<HitTestResult> {
     if ray.direction.y.abs() < 1e-9 {
         return None;

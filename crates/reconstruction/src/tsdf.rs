@@ -149,12 +149,13 @@ impl TsdfVolume {
         let (w, h) = (cam.width, cam.height);
         let mut vmap: VertexMap = vec![None; w * h];
         let step = self.voxel_size;
+        let origin = cam_pose.position;
+        let world_to_cam = cam_pose.inverse();
         for py in 0..h {
             for px in 0..w {
                 let ray_cam =
                     cam.unproject(illixr_math::Vec2::new(px as f64, py as f64)).normalized();
                 let ray_world = cam_pose.transform_vector(ray_cam);
-                let origin = cam_pose.position;
                 // March until a sign change from + to −.
                 let mut t = 0.3;
                 let mut prev: Option<(f64, f64)> = None; // (t, tsdf)
@@ -169,8 +170,7 @@ impl TsdfVolume {
                                     let hit = origin + ray_world * tz;
                                     // Store the *camera-frame* vertex to
                                     // match the live frame's vertex map.
-                                    let hit_cam = cam_pose.inverse().transform_point(hit);
-                                    vmap[py * w + px] = Some(hit_cam);
+                                    vmap[py * w + px] = Some(world_to_cam.transform_point(hit));
                                     break;
                                 }
                             }
