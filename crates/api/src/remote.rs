@@ -31,15 +31,12 @@ use crate::types::{Feature, SessionMode};
 pub struct RemoteConfig {
     /// Simulated server run length shared by every session.
     pub duration: Duration,
-    /// Run the real per-session MSCKF server-side (slower; defaults to
-    /// the cheap ground-truth mode, matching `ServerBuilder`).
-    pub real_vio: bool,
 }
 
 impl Default for RemoteConfig {
-    /// 2 simulated seconds, cheap VIO.
+    /// 2 simulated seconds.
     fn default() -> Self {
-        Self { duration: Duration::from_secs(2), real_vio: false }
+        Self { duration: Duration::from_secs(2) }
     }
 }
 
@@ -77,10 +74,8 @@ impl RemoteShared {
         if let Some(report) = &self.report {
             return report.clone();
         }
-        let mut builder = ServerBuilder::new()
-            .sessions(self.sessions.len())
-            .duration(self.config.duration)
-            .real_vio(self.config.real_vio);
+        let mut builder =
+            ServerBuilder::new().sessions(self.sessions.len()).duration(self.config.duration);
         for (i, session) in self.sessions.iter().enumerate() {
             let config = *session;
             builder = builder.configure_session(i, move |s| *s = config);
@@ -202,7 +197,7 @@ mod tests {
     use crate::types::SessionInit;
 
     fn quick_config() -> RemoteConfig {
-        RemoteConfig { duration: Duration::from_millis(500), real_vio: false }
+        RemoteConfig { duration: Duration::from_millis(500) }
     }
 
     #[test]

@@ -123,7 +123,7 @@ fn run_matrix(quick: bool) -> (String, bool, bool) {
     }
 
     writeln!(out, "\n## mixed-mode remote run (one shared server)").unwrap();
-    let discovery = RemoteDiscovery::new(RemoteConfig { duration: sim, real_vio: false });
+    let discovery = RemoteDiscovery::new(RemoteConfig { duration: sim });
     let server = discovery.handle();
     let mut registry = Registry::new();
     registry.register(Box::new(discovery));
@@ -169,8 +169,7 @@ fn run_matrix(quick: bool) -> (String, bool, bool) {
 
     writeln!(out, "\n## remote vs direct identity (immersive-vr, defaults)").unwrap();
     let mut registry = Registry::new();
-    registry
-        .register(Box::new(RemoteDiscovery::new(RemoteConfig { duration: sim, real_vio: false })));
+    registry.register(Box::new(RemoteDiscovery::new(RemoteConfig { duration: sim })));
     let mut session =
         registry.request_session(SessionMode::ImmersiveVr, &SessionInit::new()).unwrap();
     let frames = session.run(u64::MAX);

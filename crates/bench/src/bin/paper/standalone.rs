@@ -217,7 +217,7 @@ pub fn table6(_: &mut Context, out: &mut Report) -> io::Result<()> {
     for k in 0..40u64 {
         let t = Time::from_millis(k * 100);
         let depth = world.render_depth(&scene_rig, &traj.pose(t));
-        pipe.process(&depth, None, Some(&scene_timer));
+        pipe.process(&depth, Some(&scene_timer));
     }
     task_shares(
         out,

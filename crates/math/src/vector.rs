@@ -67,14 +67,6 @@ macro_rules! impl_vector_common {
                 self * (1.0 - t) + other * t
             }
 
-            /// Largest component magnitude (infinity norm).
-            #[inline]
-            pub fn max_abs(self) -> Real {
-                let mut m: Real = 0.0;
-                $( m = m.max(self.$field.abs()); )+
-                m
-            }
-
             /// Returns the components as an array.
             #[inline]
             pub(crate) fn to_array(self) -> [Real; $n] {

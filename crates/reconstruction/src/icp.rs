@@ -23,9 +23,9 @@ pub struct IcpResult {
 ///
 /// * `live` — camera-frame vertices from the new depth frame;
 /// * `model_v`, `model_n` — camera-frame vertices/normals predicted from
-///   the map at `initial_pose` (e.g. by TSDF raycast);
+///   the map at `initial_pose` (e.g. by the surfel splat);
 /// * `width` — the maps' row length in pixels;
-/// * `initial_pose` — the pose prediction (previous pose or IMU prior).
+/// * `initial_pose` — the pose prediction (the previous frame's pose).
 ///
 /// The total correction (and each iteration step) must stay below the
 /// given translation bounds (meters). Frame-rate odometry uses tight
@@ -84,8 +84,10 @@ pub(crate) fn icp_gated(
     let mut residual = f64::INFINITY;
     let mut used = 0;
     for _ in 0..iterations {
-        let mut ata = DMatrix::zeros(6, 6);
-        let mut atb = DMatrix::zeros(6, 1);
+        // The normal equations' upper triangle, row by row, and right-hand
+        // side; JᵀJ is symmetric, so the lower triangle is mirrored once.
+        let mut upper = [0.0; 21];
+        let mut rhs = [0.0; 6];
         let mut err_sum = 0.0;
         used = 0;
         // Row-major, as the maps are laid out: the sums accumulate in
@@ -104,11 +106,13 @@ pub(crate) fn icp_gated(
                 // J = [ (p × n)ᵀ , nᵀ ] for x = (ω, t).
                 let c = p.cross(n);
                 let j = [c.x, c.y, c.z, n.x, n.y, n.z];
+                let mut k = 0;
                 for a in 0..6 {
-                    for b in 0..6 {
-                        ata[(a, b)] += j[a] * j[b];
+                    for b in a..6 {
+                        upper[k] += j[a] * j[b];
+                        k += 1;
                     }
-                    atb[(a, 0)] += j[a] * r;
+                    rhs[a] += j[a] * r;
                 }
                 err_sum += r.abs();
                 used += 1;
@@ -118,6 +122,16 @@ pub(crate) fn icp_gated(
             return None;
         }
         residual = err_sum / used as f64;
+        let mut ata = DMatrix::zeros(6, 6);
+        let mut k = 0;
+        for a in 0..6 {
+            for b in a..6 {
+                ata[(a, b)] = upper[k];
+                ata[(b, a)] = upper[k];
+                k += 1;
+            }
+        }
+        let atb = DMatrix::from_row_slice(6, 1, &rhs);
         // Tikhonov damping proportional to the system scale: directions
         // the scene does not constrain (e.g. sliding along a single
         // plane) stay put instead of drifting down the null space.

@@ -1,23 +1,23 @@
 //! Scene reconstruction: dense 3-D mapping from depth frames.
 //!
-//! Reproduces the ElasticFusion/KinectFusion component of Table II with
-//! the task structure of Table VI:
+//! Reproduces the ElasticFusion component of Table II with the task
+//! structure of Table VI (KinectFusion is not reproduced):
 //!
 //! | paper task | module |
 //! |---|---|
 //! | camera processing (bilateral filter, invalid-depth rejection) | [`maps`] |
 //! | image processing (live vertices and normals, read per pixel) | [`maps`] |
 //! | pose estimation (point-to-plane ICP) | [`icp`] |
-//! | surfel prediction (raycast of the model) | [`tsdf`], [`surfel`] |
-//! | map fusion | [`tsdf`], [`surfel`] |
+//! | surfel prediction (splat of the surfel map) | [`pipeline`] |
+//! | map fusion | [`surfel`] |
 //!
-//! Two map backends are provided — a TSDF voxel volume
-//! (KinectFusion-style) and a surfel map (ElasticFusion-style) — behind
-//! the same [`pipeline::ScenePipeline`]. The surfel map performs a
-//! periodic global refinement pass whose cost grows with map size,
+//! [`pipeline::ScenePipeline`] runs the five tasks over one surfel map,
+//! whose periodic global refinement pass costs more as the map grows,
 //! reproducing the paper's observation that reconstruction time "keeps
 //! steadily increasing due to the increasing size of its map" with
 //! loop-closure spikes an order of magnitude above the mean (§IV-B).
+//! [`tsdf::TsdfVolume`]'s integration is a fusion kernel that no pipeline
+//! runs; it stays only because `perf/` times it.
 
 pub mod icp;
 pub mod maps;

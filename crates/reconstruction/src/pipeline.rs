@@ -1,5 +1,5 @@
 //! The scene-reconstruction pipeline: the five Table VI tasks wired
-//! together over a choice of map backend.
+//! together over an ElasticFusion-style surfel map.
 
 use illixr_core::obs::Metrics;
 use illixr_math::{Pose, Vec3};
@@ -8,23 +8,16 @@ use illixr_sensors::camera::PinholeCamera;
 use crate::icp::icp_gated;
 use crate::maps::{normal_map, preprocess_depth, DepthFrame, LiveVertices, NormalMap, VertexMap};
 use crate::surfel::SurfelMap;
-use crate::tsdf::TsdfVolume;
 
-/// Which dense map representation backs the pipeline.
-#[derive(Debug)]
-pub(crate) enum MapBackend {
-    /// KinectFusion-style TSDF volume.
-    Tsdf(TsdfVolume),
-    /// ElasticFusion-style surfel map.
-    Surfel(SurfelMap),
-}
+/// Fusion associates and fuses every this many pixels in each direction.
+const FUSION_STRIDE: usize = 4;
 
 /// Output of processing one depth frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SceneOutput {
     /// Estimated camera-to-world pose of this frame.
     pub pose: Pose,
-    /// Current map size (occupied voxels or surfel count).
+    /// Surfel count after this frame's fusion.
     pub map_size: usize,
     /// True when this frame triggered a global refinement pass.
     pub refined: bool,
@@ -36,30 +29,18 @@ pub struct SceneOutput {
 #[derive(Debug)]
 pub struct ScenePipeline {
     cam: PinholeCamera,
-    backend: MapBackend,
+    map: SurfelMap,
     pose: Pose,
     frame: u64,
-    /// Run a global refinement every this many frames (surfel backend).
+    /// Run a global refinement every this many frames.
     refine_interval: u64,
-    /// Surfel fusion stride.
-    stride: usize,
 }
 
 impl ScenePipeline {
-    /// Creates a pipeline with the given backend and initial pose.
-    pub(crate) fn new(cam: PinholeCamera, backend: MapBackend, initial_pose: Pose) -> Self {
-        Self { cam, backend, pose: initial_pose, frame: 0, refine_interval: 25, stride: 4 }
-    }
-
-    /// A surfel pipeline covering a room (the default ElasticFusion-like
-    /// configuration starred in Table II).
+    /// A surfel pipeline starting from `initial_pose` (the
+    /// ElasticFusion-like configuration starred in Table II).
     pub fn elastic_fusion_like(cam: PinholeCamera, initial_pose: Pose) -> Self {
-        Self::new(cam, MapBackend::Surfel(SurfelMap::new()), initial_pose)
-    }
-
-    /// A KinectFusion-like TSDF pipeline for a room of `half_extent`.
-    pub fn kinect_fusion_like(cam: PinholeCamera, half_extent: Vec3, initial_pose: Pose) -> Self {
-        Self::new(cam, MapBackend::Tsdf(TsdfVolume::room(half_extent, 64)), initial_pose)
+        Self { cam, map: SurfelMap::new(), pose: initial_pose, frame: 0, refine_interval: 25 }
     }
 
     /// Sets the global-refinement cadence (frames between passes).
@@ -73,25 +54,11 @@ impl ScenePipeline {
         self.refine_interval = frames;
     }
 
-    /// Current map size.
-    pub(crate) fn map_size(&self) -> usize {
-        match &self.backend {
-            MapBackend::Tsdf(v) => v.occupied_voxels(),
-            MapBackend::Surfel(m) => m.len(),
-        }
-    }
-
-    /// Processes one depth frame, optionally with an external pose prior
-    /// (e.g. from VIO); without one, the previous pose is the prior
-    /// (pure ICP odometry).
-    pub fn process(
-        &mut self,
-        depth: &DepthFrame,
-        pose_prior: Option<Pose>,
-        timer: Option<&Metrics>,
-    ) -> SceneOutput {
+    /// Processes one depth frame by pure ICP odometry: the previous
+    /// frame's pose is the prior.
+    pub fn process(&mut self, depth: &DepthFrame, timer: Option<&Metrics>) -> SceneOutput {
         self.frame += 1;
-        let prior = pose_prior.unwrap_or(self.pose);
+        let prior = self.pose;
 
         // Camera processing: bilateral filter + invalid-depth rejection.
         let filtered = {
@@ -108,48 +75,29 @@ impl ScenePipeline {
             LiveVertices::new(&filtered, &self.cam)
         };
 
-        // Surfel prediction: predict the model view at the prior pose.
+        // Surfel prediction: ElasticFusion renders the model view from its
+        // surfel index map on the GPU. Here every surfel in view is
+        // splatted at the prior pose into a vertex map, and its normals
+        // are taken from that map as a live frame's are. The first frame
+        // has no model to predict.
         let model = {
             let _g = timer.map(|t| t.host_scope("surfel prediction"));
-            match &self.backend {
-                MapBackend::Tsdf(vol) => {
-                    if self.frame == 1 {
-                        None
-                    } else {
-                        Some(vol.raycast(&self.cam, &prior, 12.0))
-                    }
-                }
-                MapBackend::Surfel(_) => {
-                    // ElasticFusion renders the model view from its surfel
-                    // index map on the GPU. Here every surfel in view is
-                    // splatted at the prior pose into a vertex map, and its
-                    // normals are taken from that map as a live frame's
-                    // are. The first frame has no model to predict.
-                    if self.frame == 1 {
-                        None
-                    } else {
-                        Some(self.splat_surfels(&prior))
-                    }
-                }
-            }
+            (self.frame > 1).then(|| self.splat_surfels(&prior))
         };
 
         // Pose estimation: point-to-plane ICP against the prediction.
         let mut residual = 0.0;
         {
             let _g = timer.map(|t| t.host_scope("pose estimation"));
+            // Frame-rate odometry: inter-frame motion is centimeters, so
+            // gate the correction accordingly (10 cm total, 5 cm per
+            // iteration). A gated-out solve (tracking failure) keeps the
+            // prior.
             if let Some((model_v, model_n)) = &model {
-                // Frame-rate odometry: inter-frame motion is centimeters,
-                // so gate the correction accordingly (10 cm total, 5 cm
-                // per iteration). Gated-out solves fall back to the prior.
                 if let Some(result) = icp_gated(&live, model_v, model_n, &prior, 10, 0.10, 0.05) {
                     self.pose = result.pose;
                     residual = result.residual;
-                } else {
-                    self.pose = prior; // tracking failure: trust the prior
                 }
-            } else {
-                self.pose = prior;
             }
         }
         // The model maps go before fusion grows the surfel list.
@@ -158,30 +106,21 @@ impl ScenePipeline {
         // Map fusion.
         {
             let _g = timer.map(|t| t.host_scope("map fusion"));
-            match &mut self.backend {
-                MapBackend::Tsdf(vol) => vol.integrate(&filtered, &self.cam, &self.pose),
-                MapBackend::Surfel(map) => map.fuse(&live, &self.cam, &self.pose, self.stride),
-            }
+            self.map.fuse(&live, &self.cam, &self.pose, FUSION_STRIDE);
         }
 
         // Periodic global refinement (loop-closure stand-in).
-        let refined = if self.frame.is_multiple_of(self.refine_interval) {
+        let refined = self.frame.is_multiple_of(self.refine_interval);
+        if refined {
             let _g = timer.map(|t| t.host_scope("map fusion"));
-            if let MapBackend::Surfel(map) = &mut self.backend {
-                map.refine();
-                true
-            } else {
-                false
-            }
-        } else {
-            false
-        };
+            self.map.refine();
+        }
 
-        SceneOutput { pose: self.pose, map_size: self.map_size(), refined, icp_residual: residual }
+        SceneOutput { pose: self.pose, map_size: self.map.len(), refined, icp_residual: residual }
     }
 
     /// Splats the surfels into a predicted vertex/normal map at `pose` (the
-    /// surfel-backend model prediction).
+    /// model prediction).
     ///
     /// Each surfel in view covers a square of `2r + 1` pixels a side around
     /// its projection, clipped to the image, and a pixel keeps the nearest
@@ -190,10 +129,7 @@ impl ScenePipeline {
     /// winner's index; the vertex map is built from the winners afterwards.
     fn splat_surfels(&self, pose: &Pose) -> (VertexMap, NormalMap) {
         let (w, h) = (self.cam.width, self.cam.height);
-        let surfels = match &self.backend {
-            MapBackend::Surfel(map) => map.surfels(),
-            MapBackend::Tsdf(_) => &[],
-        };
+        let surfels = self.map.surfels();
         let mut depth_buf = vec![f64::INFINITY; w * h];
         // Per pixel, the index into `in_view` of its nearest surfel;
         // `u32::MAX` (past the end of `in_view`) where none covers it.
@@ -267,7 +203,7 @@ mod tests {
             let t = Time::from_millis(k * 100);
             let truth = traj.pose(t);
             let depth = world.render_depth(&rig, &truth);
-            let out = pipe.process(&depth, None, None);
+            let out = pipe.process(&depth, None);
             let err = out.pose.translation_distance(&truth);
             worst = worst.max(err);
         }
@@ -282,7 +218,7 @@ mod tests {
         for k in 0..8 {
             let t = Time::from_millis(k * 150);
             let depth = world.render_depth(&rig, &traj.pose(t));
-            let out = pipe.process(&depth, Some(traj.pose(t)), None);
+            let out = pipe.process(&depth, None);
             sizes.push(out.map_size);
         }
         assert!(sizes[7] > sizes[0], "map did not grow: {sizes:?}");
@@ -297,30 +233,12 @@ mod tests {
         for k in 0..11 {
             let t = Time::from_millis(k * 100);
             let depth = world.render_depth(&rig, &traj.pose(t));
-            let out = pipe.process(&depth, Some(traj.pose(t)), None);
+            let out = pipe.process(&depth, None);
             if out.refined {
                 refined_frames.push(k);
             }
         }
         assert_eq!(refined_frames, vec![4, 9]); // frames 5 and 10 (1-based)
-    }
-
-    #[test]
-    fn tsdf_backend_accumulates_and_tracks() {
-        let (world, rig, traj) = scene_setup();
-        let mut pipe = ScenePipeline::kinect_fusion_like(
-            small_cam(),
-            Vec3::new(4.0, 2.5, 4.0),
-            traj.pose(Time::ZERO),
-        );
-        for k in 0..4 {
-            let t = Time::from_millis(k * 150);
-            let truth = traj.pose(t);
-            let depth = world.render_depth(&rig, &truth);
-            let out = pipe.process(&depth, None, None);
-            assert!(out.pose.translation_distance(&truth) < 0.3);
-        }
-        assert!(pipe.map_size() > 500, "tsdf occupied {}", pipe.map_size());
     }
 
     /// The surfel splat as first written, kept verbatim as the bit
@@ -377,15 +295,15 @@ mod tests {
             for k in 0..12 {
                 let t = Time::from_millis(k * 100);
                 let prior = traj.pose(t);
-                let MapBackend::Surfel(map) = &pipe.backend else { unreachable!() };
+                let map = &pipe.map;
                 let (got_v, got_n) = pipe.splat_surfels(&prior);
                 let (want_v, want_n) = reference_splat_surfels(&cam, map, &prior);
                 let what = format!("{}x{} frame {k}, {} surfels", cam.width, cam.height, map.len());
                 assert!(map_bits(&got_v) == map_bits(&want_v), "{what}: vertices differ");
                 assert!(map_bits(&got_n) == map_bits(&want_n), "{what}: normals differ");
-                pipe.process(&world.render_depth(&rig, &prior), None, None);
+                pipe.process(&world.render_depth(&rig, &prior), None);
             }
-            assert!(pipe.map_size() > 100, "{}x{}: map did not grow", cam.width, cam.height);
+            assert!(pipe.map.len() > 100, "{}x{}: map did not grow", cam.width, cam.height);
         }
     }
 
@@ -404,7 +322,7 @@ mod tests {
         for k in 0..30 {
             let depth = world.render_depth(&rig, &traj.pose(Time::from_millis(k * 66)));
             bytes.extend(depth.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()));
-            let out = pipe.process(&depth, None, None);
+            let out = pipe.process(&depth, None);
             let (p, q) = (out.pose.position, out.pose.orientation);
             for v in [p.x, p.y, p.z, q.w, q.x, q.y, q.z, out.icp_residual] {
                 bytes.extend(v.to_bits().to_le_bytes());
@@ -415,31 +333,6 @@ mod tests {
         assert_eq!(hash, 0xa56b_0fdc_fc97_01a7, "got {hash:#018x}");
     }
 
-    /// Taken while ICP still read a materialised live vertex map: FNV-1a
-    /// over 10 QVGA frames of pure-ICP odometry through the TSDF backend —
-    /// every pose component, the ICP residual and the occupied-voxel count
-    /// of each frame.
-    #[test]
-    fn tsdf_pipeline_bits_are_pinned_over_ten_qvga_frames() {
-        let (world, _, traj) = scene_setup();
-        let cam = PinholeCamera::qvga();
-        let rig = StereoRig::zed_mini(cam);
-        let mut pipe =
-            ScenePipeline::kinect_fusion_like(cam, Vec3::new(4.0, 2.5, 4.0), traj.pose(Time::ZERO));
-        let mut bytes = Vec::new();
-        for k in 0..10 {
-            let depth = world.render_depth(&rig, &traj.pose(Time::from_millis(k * 66)));
-            let out = pipe.process(&depth, None, None);
-            let (p, q) = (out.pose.position, out.pose.orientation);
-            for v in [p.x, p.y, p.z, q.w, q.x, q.y, q.z, out.icp_residual] {
-                bytes.extend(v.to_bits().to_le_bytes());
-            }
-            bytes.extend((out.map_size as u64).to_le_bytes());
-        }
-        let hash = fnv1a(bytes);
-        assert_eq!(hash, 0x5c2c_7b2c_8bef_ccff, "got {hash:#018x}");
-    }
-
     #[test]
     fn task_metrics_covers_table_vi_tasks() {
         let (world, rig, traj) = scene_setup();
@@ -448,7 +341,7 @@ mod tests {
         for k in 0..3 {
             let t = Time::from_millis(k * 100);
             let depth = world.render_depth(&rig, &traj.pose(t));
-            pipe.process(&depth, None, Some(&timer));
+            pipe.process(&depth, Some(&timer));
         }
         let names: Vec<String> = timer.shares().into_iter().map(|(n, _)| n).collect();
         for expected in [

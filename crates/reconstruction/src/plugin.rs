@@ -77,7 +77,7 @@ impl Plugin for SceneReconstructionPlugin {
         let t = ctx.clock.now();
         let truth = self.trajectory.pose(t);
         let depth = self.world.render_depth(&self.rig, &truth);
-        let out: SceneOutput = self.pipeline.process(&depth, None, Some(&self.timer));
+        let out: SceneOutput = self.pipeline.process(&depth, Some(&self.timer));
         self.writer.as_ref().expect("start() must run before iterate()").put(SceneUpdate {
             pose: out.pose,
             map_size: out.map_size,

@@ -1,4 +1,4 @@
-//! Surfel map (ElasticFusion-style backend): a flat list of oriented
+//! Surfel map (ElasticFusion-style): a flat list of oriented
 //! disks merged with incoming depth data, plus a periodic global
 //! refinement pass whose cost grows with map size — the source of the
 //! paper's reconstruction-time growth and loop-closure spikes (§IV-B).

@@ -76,7 +76,7 @@ fn mock_streams_are_bit_identical_across_same_seed_reruns() {
 fn remote_session_report_matches_direct_server_run() {
     let duration = Duration::from_secs(2);
     let mut registry = Registry::new();
-    registry.register(Box::new(RemoteDiscovery::new(RemoteConfig { duration, real_vio: false })));
+    registry.register(Box::new(RemoteDiscovery::new(RemoteConfig { duration })));
     let mut session =
         registry.request_session(SessionMode::ImmersiveVr, &SessionInit::new()).unwrap();
     let frames = session.run(u64::MAX);
@@ -99,10 +99,7 @@ fn remote_session_report_matches_direct_server_run() {
 #[test]
 fn mixed_mode_remote_sessions_coexist_and_rerun_identically() {
     let open_all = || {
-        let discovery = RemoteDiscovery::new(RemoteConfig {
-            duration: Duration::from_secs(1),
-            real_vio: false,
-        });
+        let discovery = RemoteDiscovery::new(RemoteConfig { duration: Duration::from_secs(1) });
         let server = discovery.handle();
         let mut registry = Registry::new();
         registry.register(Box::new(discovery));
@@ -128,8 +125,7 @@ fn mixed_mode_remote_sessions_coexist_and_rerun_identically() {
 
 #[test]
 fn mixed_mode_remote_transcripts_are_pinned() {
-    let discovery =
-        RemoteDiscovery::new(RemoteConfig { duration: Duration::from_secs(1), real_vio: false });
+    let discovery = RemoteDiscovery::new(RemoteConfig { duration: Duration::from_secs(1) });
     let mut registry = Registry::new();
     registry.register(Box::new(discovery));
     let init = SessionInit::new().optional(&[Feature::HandTracking, Feature::HitTest]);
